@@ -252,8 +252,8 @@ def path_rule(classes: dict[str, np.ndarray], drain: bool) -> PathRule:
 
 
 def best_edge(c: int, c_next: int, members: CellMembers, x_prev_cells: np.ndarray,
-              edge_cost: EdgeCost, rule: PathRule) -> int | None:
-    """Cheapest particle of cell c able to move into c_next.
+              edge_cost: EdgeCost, rule: PathRule) -> tuple[int, float] | None:
+    """Cheapest particle of cell c able to move into c_next, with its edge cost.
 
     Particles whose previous-step cell is neither c nor c_next would end
     farther than one cell from where they started and are skipped. A move in
@@ -273,7 +273,7 @@ def best_edge(c: int, c_next: int, members: CellMembers, x_prev_cells: np.ndarra
         s = edge_cost(j, c_next)
         if best_j is None or s < best_sigma:
             best_j, best_sigma = j, s
-    return best_j
+    return None if best_j is None else (best_j, best_sigma)
 
 
 def find_paths(cells: G.CellGrid, members: CellMembers, x_prev_cells: np.ndarray,
@@ -323,10 +323,11 @@ def find_paths(cells: G.CellGrid, members: CellMembers, x_prev_cells: np.ndarray
             c_next = int(c_next)
             if c_next < 0 or J[c_next] != NONE:
                 continue
-            j = best_edge(c, c_next, members, x_prev_cells, edge_cost, rule)
-            if j is None:
+            edge = best_edge(c, c_next, members, x_prev_cells, edge_cost, rule)
+            if edge is None:
                 continue
-            t = cost + edge_cost(j, c_next)
+            j, s = edge
+            t = cost + s
             if t >= sigma[c_next]:
                 continue
             sigma[c_next] = t

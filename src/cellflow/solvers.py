@@ -2,10 +2,14 @@
 
 The sparse problem (no dense rows) reduces to a transportation-structured
 minimum-cost flow whose LP relaxation is integral, so it is solved exactly by
-successive shortest paths with node potentials. Dense band rows break that
-structure; they go through a small branch-and-bound over the row's candidate
-variables with the flow solve as relaxation bound. A pruned exhaustive search
-doubles as an independent oracle for both.
+successive shortest paths with node potentials. The searches run on the cell
+graph: an assigned particle node has exactly one incoming residual arc, from
+its cell, and reduced costs add along cell -> particle -> cell, so each
+particle node contracts into arcs between cells without changing any shortest
+path (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9). Dense band rows
+break that structure; they go through a small branch-and-bound over the row's
+candidate variables with the flow solve as relaxation bound. A pruned
+exhaustive search doubles as an independent oracle for both.
 """
 from __future__ import annotations
 
@@ -110,177 +114,177 @@ def reduce_to_flow(problem: CorrectionProblem) -> FlowNetwork:
 
 
 def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
-    """Integral min-cost flow by successive shortest paths with potentials.
+    """Integral min-cost flow by successive shortest paths on the cell graph.
 
     Lower bounds are removed by the mandatory-arc excess/deficit
-    transformation; each remaining unit of excess (one per particle) is routed
-    to the nearest deficit node by Dijkstra over reduced costs, and potentials
-    of finalized nodes are updated after every augmentation.
+    transformation: each particle holds one unit of excess, each cell a
+    deficit of its floor and the sink one of n minus the floors. Particles are
+    routed in index order to the nearest deficit by Dijkstra over reduced
+    costs, and potentials of finalized nodes are updated after every
+    augmentation.
 
-    Because reduced costs stay nonnegative, a unit whose cheapest outgoing arc
-    leads directly to a deficit (or through a zero-reduced-cost arc into one)
-    is provably on a shortest path; that one- or two-arc case covers almost
-    every particle in a settled fluid and skips the heap entirely.
+    Particle nodes are contracted out of the search, which is exact: an
+    assigned particle p has exactly one incoming residual arc, from its cell
+    u, so every path through p continues u -> p -> v to a candidate v of p.
+    Reduced costs add along that pair and p's potential cancels, leaving the
+    cell arc u -> v of reduced cost cost[v, p] - cost[u, p] + pi[u] - pi[v].
+    Shortest paths, potentials and the optimality test are thus those of the
+    arc-level network. The search stops at a cell below its floor, or at the
+    sink while it has deficit; once that is used up, the search passes
+    through the sink to cells holding more than their floor.
+
+    Because reduced costs stay nonnegative, a particle whose cheapest
+    candidate is a deficit cell, or sends on to a sink with deficit at zero
+    reduced cost, is provably on a shortest path; that one- or two-arc case
+    covers almost every particle in a settled fluid and skips the heap.
     """
     t0 = time.perf_counter()
-    V = net.n_nodes
-    E = net.n_arcs
+    n = net.n_particles
+    K = net.n_nodes - n - 2  # cells; cell node n + 1 + u is cell u, then the sink
+    sink = K
+    cell_arcs = np.flatnonzero(net.heads == net.n_nodes - 1)
+    cell_arcs = cell_arcs[np.argsort(net.tails[cell_arcs])]
+    cap_np, floor_np = net.caps[cell_arcs], net.lowers[cell_arcs]
+    cand_cell = net.heads[net.cand_arc] - (n + 1)
+    cand_cost = net.costs[net.cand_arc]
+    deficit = n - int(floor_np.sum())  # the sink's
+    if deficit < 0:
+        raise IntegrityError("min-cost flow infeasible: floors exceed the particle count")
 
-    balance = [0] * V
-    balance[0] += net.n_particles
-    balance[V - 1] -= net.n_particles
-    # residual arcs: forward 2k, backward 2k+1; lowers shift balances only
-    res_np = np.zeros(2 * E, dtype=np.int64)
-    res_np[0::2] = net.caps - net.lowers
-    head_np = np.zeros(2 * E, dtype=np.int64)
-    head_np[0::2] = net.heads
-    head_np[1::2] = net.tails
-    cost_np = np.zeros(2 * E, dtype=np.float64)
-    cost_np[0::2] = net.costs
-    cost_np[1::2] = -net.costs
-    for k in np.flatnonzero(net.lowers):
-        lo = int(net.lowers[k])
-        balance[int(net.tails[k])] -= lo
-        balance[int(net.heads[k])] += lo
+    # candidates per particle as (cell, cost, candidate index), direction order
+    starts = np.searchsorted(net.cand_j, np.arange(n + 1))
+    if (np.diff(starts) == 0).any():
+        raise IntegrityError("min-cost flow infeasible: some particle has no candidate")
+    starts = starts.tolist()
+    arcs = list(zip(cand_cell.tolist(), cand_cost.tolist(), range(len(cand_cell))))
+    cands = [arcs[starts[p]:starts[p + 1]] for p in range(n)]
+    ccost = cand_cost.tolist()
+    cand_p = net.cand_j.tolist()
+    cap, floor = cap_np.tolist(), floor_np.tolist()
 
-    res = res_np.tolist()
-    head = head_np.tolist()
-    cost = cost_np.tolist()
-    adj: list[list[int]] = [[] for _ in range(V)]
-    tails_l = net.tails.tolist()
-    heads_l = net.heads.tolist()
-    for k in range(E):
-        adj[tails_l[k]].append(2 * k)
-        adj[heads_l[k]].append(2 * k + 1)
-
-    pi = [0.0] * V
-    dist = [np.inf] * V
-    stamp = [0] * V
-    parent = [-1] * V
+    count = [0] * K
+    members: list[list[int]] = [[] for _ in range(K)]
+    assigned = [0] * n  # candidate index per particle
+    pi = [0.0] * (K + 1)
+    dist = [0.0] * (K + 1)
+    stamp = [0] * (K + 1)
+    prev = [-1] * (K + 1)  # predecessor node, -1 for the routed particle
+    via = [-1] * (K + 1)   # candidate moved into the node, -1 for a sink arc
+    check = CHECK_POTENTIALS
     run = 0
-    iterations = 0
     INF = float("inf")
-    heappush = heapq.heappush
-    heappop = heapq.heappop
+    heappush, heappop = heapq.heappush, heapq.heappop
 
-    for s0 in range(V):
-        while balance[s0] > 0:
-            # fast path: cheapest outgoing residual arc
-            best_arc = -1
-            best_rc = INF
-            pis = pi[s0]
-            for a in adj[s0]:
-                if res[a] <= 0:
-                    continue
-                rc = cost[a] + pis - pi[head[a]]
-                if rc < best_rc:
-                    best_rc = rc
-                    best_arc = a
-            done = False
-            if best_arc >= 0:
-                if best_rc < 0.0:
-                    best_rc = 0.0
-                v = head[best_arc]
-                if balance[v] < 0:
-                    res[best_arc] -= 1
-                    res[best_arc ^ 1] += 1
-                    balance[s0] -= 1
-                    balance[v] += 1
-                    pi[s0] -= best_rc
-                    iterations += 1
-                    done = True
-                else:
-                    piv = pi[v]
-                    for b in adj[v]:
-                        if res[b] <= 0:
-                            continue
-                        w = head[b]
-                        if balance[w] < 0 and cost[b] + piv - pi[w] <= 1e-12:
-                            res[best_arc] -= 1
-                            res[best_arc ^ 1] += 1
-                            res[b] -= 1
-                            res[b ^ 1] += 1
-                            balance[s0] -= 1
-                            balance[w] += 1
-                            pi[s0] -= best_rc
-                            iterations += 1
-                            done = True
-                            break
-            if done:
+    def reach(v: int, d: float, rc: float, u: int, k: int) -> None:
+        """Relax the arc u -> v (reduced cost rc) leaving a node at distance d."""
+        if check and rc < -1e-9:
+            raise IntegrityError(f"negative reduced cost {rc} into node {v}")
+        nd = d + rc
+        if stamp[v] != run or nd < dist[v]:
+            dist[v] = nd
+            stamp[v] = run
+            prev[v] = u
+            via[v] = k
+            heappush(heap, (nd, v))
+
+    for q in range(n):
+        # fast path: the cheapest candidate; an unrouted particle has pi = 0
+        best_rc = INF
+        for v, c, k in cands[q]:
+            rc = c - pi[v]
+            if rc < best_rc:
+                best_rc, bv, bk = rc, v, k
+        if count[bv] < floor[bv] or (
+                deficit > 0 and count[bv] < cap[bv] and pi[bv] - pi[sink] <= 1e-12):
+            if count[bv] >= floor[bv]:
+                deficit -= 1
+            count[bv] += 1
+            members[bv].append(q)
+            assigned[q] = bk
+            continue
+
+        run += 1
+        heap = []
+        for v, c, k in cands[q]:
+            reach(v, 0.0, c - pi[v], -1, k)
+        popped: list[int] = []
+        target = -1
+        while heap:
+            d, u = heappop(heap)
+            if stamp[u] != run or d > dist[u]:
                 continue
-
-            run += 1
-            dist[s0] = 0.0
-            stamp[s0] = run
-            parent[s0] = -1
-            heap = [(0.0, s0)]
-            popped: list[int] = []
-            target = -1
-            while heap:
-                d, u = heappop(heap)
-                if stamp[u] != run or d > dist[u]:
-                    continue
-                stamp[u] = -run  # finalized
-                popped.append(u)
-                if balance[u] < 0:
+            stamp[u] = -run  # finalized
+            popped.append(u)
+            if u == sink:
+                if deficit > 0:
                     target = u
                     break
-                piu = pi[u]
-                for a in adj[u]:
-                    if res[a] <= 0:
-                        continue
-                    v = head[a]
+                # the sink is full: pass on to cells holding more than their floor
+                for v in range(K):
+                    if count[v] > floor[v] and stamp[v] != -run:
+                        reach(v, d, pi[sink] - pi[v], sink, -1)
+                continue
+            if count[u] < floor[u]:
+                target = u
+                break
+            piu = pi[u]
+            for p in members[u]:
+                base = piu - ccost[assigned[p]]
+                for v, c, k in cands[p]:
                     if stamp[v] == -run:
                         continue
-                    rc = cost[a] + piu - pi[v]
-                    if CHECK_POTENTIALS and rc < -1e-9:
-                        raise IntegrityError(f"negative reduced cost {rc} on arc {a}")
+                    rc = c + base - pi[v]
+                    if check and rc < -1e-9:
+                        raise IntegrityError(f"negative reduced cost {rc} into node {v}")
                     nd = d + rc
                     if stamp[v] != run or nd < dist[v]:
                         dist[v] = nd
                         stamp[v] = run
-                        parent[v] = a
+                        prev[v] = u
+                        via[v] = k
                         heappush(heap, (nd, v))
-            if target < 0:
-                raise IntegrityError("min-cost flow infeasible; snapshot corruption suspected")
-            dstar = dist[target]
-            for u in popped:
-                pi[u] += dist[u] - dstar
-            v = target
-            while v != s0:
-                a = parent[v]
-                res[a] -= 1
-                res[a ^ 1] += 1
-                v = head[a ^ 1]
-            balance[s0] -= 1
-            balance[target] += 1
-            iterations += 1
+            if count[u] < cap[u] and stamp[sink] != -run:
+                reach(sink, d, piu - pi[sink], u, -1)
+        if target < 0:
+            raise IntegrityError("min-cost flow infeasible; snapshot corruption suspected")
+        dstar = dist[target]
+        for u in popped:
+            pi[u] += dist[u] - dstar
+        if target == sink:
+            deficit -= 1
+        v = target
+        while v >= 0:
+            k = via[v]
+            u = prev[v]
+            if k >= 0:  # a particle moves from u (none for q) into v
+                p = cand_p[k]
+                if u >= 0:
+                    members[u].remove(p)
+                    count[u] -= 1
+                members[v].append(p)
+                count[v] += 1
+                assigned[p] = k
+            v = u
 
-    # flow on arc k = lower_k + transformed flow = cap_k - residual
-    res_final = np.asarray(res, dtype=np.int64)
-    flow = net.caps - res_final[0::2]
-    objective = float(np.dot(flow.astype(np.float64), net.costs))
+    chosen = np.asarray(assigned, dtype=np.int64)
+    objective = float(cand_cost[chosen].sum())
+
+    # final safety: every residual arc has nonnegative reduced cost. Residual
+    # are the candidate arcs u -> v (via the particle at u), cell -> sink with
+    # room, and sink -> cell with flow above the floor.
     pi = np.asarray(pi)
-    res = res_final
-
-    # final safety: all residual arcs must have nonnegative reduced cost
-    u_all = np.concatenate([net.tails, net.heads])
-    v_all = np.concatenate([net.heads, net.tails])
-    c_all = np.concatenate([net.costs, -net.costs])
-    r_all = np.concatenate([res[0::2], res[1::2]])
-    live = r_all > 0
-    red = c_all[live] + pi[u_all[live]] - pi[v_all[live]]
+    home = cand_cell[chosen]
+    red = (cand_cost - cand_cost[chosen][net.cand_j]
+           + pi[home][net.cand_j] - pi[cand_cell])
+    counts = np.asarray(count, dtype=np.int64)
+    red = np.concatenate([red, pi[:K][counts < cap_np] - pi[sink],
+                          pi[sink] - pi[:K][counts > floor_np]])
     if red.size and red.min() < -1e-6:
         raise IntegrityError(f"optimality check failed: reduced cost {red.min()}")
 
-    choice = np.full(net.n_particles, -1, dtype=np.int64)
-    sel = flow[net.cand_arc] > 0
-    choice[net.cand_j[sel]] = net.cand_i[sel]
-    if (choice < 0).any():
-        raise IntegrityError("some particle has no selected direction")
-    stats = SolveStats(objective=objective, integral=True, iterations=iterations,
+    stats = SolveStats(objective=objective, integral=True, iterations=n,
                        wall_time=time.perf_counter() - t0)
-    return Assignment(choice=choice), stats
+    return Assignment(choice=net.cand_i[chosen]), stats
 
 
 def solve_problem(problem: CorrectionProblem) -> tuple[Assignment, SolveStats]:

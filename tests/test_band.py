@@ -197,19 +197,20 @@ class TestFindPaths:
         edge_cost = B.EdgeCost(grid, particles.x, particles.x_ideal)
         c = grid.flat((3, 3))
         c_far = grid.flat((3, 5))  # two cells away from any (3,3) resident's home
-        j = B.best_edge(c_far, grid.flat((3, 6)), members, x_prev_cells, edge_cost,
-                        open_rule(grid))
+        j, sigma = B.best_edge(c_far, grid.flat((3, 6)), members, x_prev_cells, edge_cost,
+                               open_rule(grid))
         resident = members.members(c_far)[0]
         assert j == resident  # resident of (3,5) can move up: its home is (3,5)
+        assert sigma == edge_cost(j, grid.flat((3, 6)))
         # now ask for a move where neither cell is the particle's home
         moved = B.CellMembers(grid, particles.x)
         moved.move(resident, c_far, grid.flat((4, 5)))
-        j2 = B.best_edge(grid.flat((4, 5)), grid.flat((5, 5)), moved, x_prev_cells, edge_cost,
-                         open_rule(grid))
+        edge2 = B.best_edge(grid.flat((4, 5)), grid.flat((5, 5)), moved, x_prev_cells,
+                            edge_cost, open_rule(grid))
         others = [jj for jj in moved.members(grid.flat((4, 5)))
                   if x_prev_cells[jj] in (grid.flat((4, 5)), grid.flat((5, 5)))]
         if not others:
-            assert j2 is None or x_prev_cells[j2] in (grid.flat((4, 5)), grid.flat((5, 5)))
+            assert edge2 is None or x_prev_cells[edge2[0]] in (grid.flat((4, 5)), grid.flat((5, 5)))
 
     def test_toward_ideal_negative_edge(self):
         grid, particles = column_state(mu=1, R=2, fill_to=6)
@@ -289,8 +290,9 @@ class TestCrossingRule:
     def edge(self, grid, particles, c, c_next, rule):
         members = B.CellMembers(grid, particles.x)
         edge_cost = B.EdgeCost(grid, particles.x, particles.x_ideal)
-        return B.best_edge(grid.flat(c), grid.flat(c_next), members,
+        edge = B.best_edge(grid.flat(c), grid.flat(c_next), members,
                            grid.cell_of(particles.x_prev), edge_cost, rule)
+        return None if edge is None else edge[0]
 
     @MODES
     def test_refuses_new_heavy_crossing(self, drain):

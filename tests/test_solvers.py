@@ -144,6 +144,12 @@ class TestSolveMcf:
         assert stats.objective == 0.0
         assert len(assignment.choice) == 0
 
+    def test_particle_without_candidate_refused(self, rng):
+        problem, grid, particles = random_problem(rng, n_max=6)
+        problem.valid[:, 0] = False
+        with pytest.raises(IntegrityError):
+            V.solve_problem(problem)
+
     def test_potentials_stay_valid(self, rng, monkeypatch):
         # per-iteration reduced-cost assertion enabled
         monkeypatch.setattr(V, "CHECK_POTENTIALS", True)
@@ -151,6 +157,95 @@ class TestSolveMcf:
             problem, grid, particles = random_problem(rng, n_max=10)
             assignment, stats = V.solve_problem(problem)
             assert stats.integral
+
+
+def _pinned_floors(problem, rng, slack):
+    """The problem with floors equal to the counts of a random choice within
+    the caps, less ``slack`` units, so the floors sum to n - slack."""
+    capped = problem.cap >= 0
+    for _ in range(50):
+        choice = np.array([rng.choice(np.flatnonzero(problem.valid[:, j]))
+                           for j in range(problem.n)])
+        floor = problem.counts_of(choice)
+        if (floor[capped] <= problem.cap[capped]).all():
+            break
+    else:
+        return None
+    for c in rng.choice(np.flatnonzero(floor), size=slack, replace=False):
+        floor[c] -= 1
+    return C.CorrectionProblem(
+        candidates=problem.candidates, mu=problem.mu, cap=problem.cap, floor=floor,
+        cost=problem.cost, dims=problem.dims, valid=problem.valid.copy())
+
+
+class TestSinkPassThrough:
+    """Floors summing to n leave the sink full from the start; summing to
+    n - 1 it fills after one unit, and later searches reach cells above
+    their floor only through the sink."""
+
+    @pytest.mark.parametrize("slack", [0, 1])
+    def test_matches_brute_force(self, slack, monkeypatch):
+        monkeypatch.setattr(V, "CHECK_POTENTIALS", True)
+        rng = np.random.default_rng(41 + slack)
+        checked = 0
+        for _ in range(40):
+            problem, grid, particles = random_problem(rng, n_max=8)
+            pinned = _pinned_floors(problem, rng, slack)
+            if pinned is None:
+                continue
+            assert int(pinned.floor.sum()) == pinned.n - slack
+            assignment, stats = V.solve_problem(pinned)
+            pinned.check_feasible(assignment.choice)
+            assert stats.objective == pytest.approx(pinned.objective_of(assignment.choice),
+                                                    abs=1e-12)
+            _, oracle = V.brute_force_ilp(pinned)
+            assert abs(stats.objective - oracle) < 1e-9
+            checked += 1
+        assert checked >= 30
+
+
+def test_dam_problem_matches_highs(monkeypatch):
+    """Scene scale: the correction problem of the dam at seed 7, frame 12
+    (mid-collapse, n = 3456), against scipy's HiGHS on its LP relaxation."""
+    pytest.importorskip("scipy")
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix, vstack
+
+    from cellflow.pipeline import Simulation
+    from cellflow.scene import builtin_scene
+
+    cfg = builtin_scene("dam")
+    cfg.seed = 7
+    sim = Simulation(cfg)
+    for _ in range(11):
+        sim.step()
+    captured = []
+    solve = V.solve_problem
+
+    def capture(problem):
+        result = solve(problem)
+        captured.append((problem, result))
+        return result
+
+    monkeypatch.setattr(V, "solve_problem", capture)
+    sim.step()
+    problem, (assignment, stats) = captured[0]
+    assert problem.n == 3456
+    problem.check_feasible(assignment.choice)
+
+    ii, jj = np.nonzero(problem.valid)
+    cols = np.arange(len(ii))
+    used, row = np.unique(problem.target_flat[ii, jj], return_inverse=True)
+    incidence = csr_matrix((np.ones(len(ii)), (row, cols)), shape=(len(used), len(ii)))
+    capped = problem.cap[used] >= 0
+    floored = problem.floor[used] > 0
+    lp = linprog(problem.cost[ii, jj],
+                 A_ub=vstack([incidence[capped], -incidence[floored]]),
+                 b_ub=np.concatenate([problem.cap[used][capped], -problem.floor[used][floored]]),
+                 A_eq=csr_matrix((np.ones(len(ii)), (jj, cols)), shape=(problem.n, len(ii))),
+                 b_eq=np.ones(problem.n), bounds=(0, 1), method="highs")
+    assert lp.status == 0, lp.message
+    assert abs(stats.objective - lp.fun) <= 1e-9 * abs(lp.fun)
 
 
 class TestBruteForce:
