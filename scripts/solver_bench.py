@@ -42,7 +42,7 @@ def main() -> int:
         assignment, stats = V.solve_problem(problem)
         dt = time.perf_counter() - t0
         print(f"grid {side}x{side}: n={problem.n} solve {dt*1e3:.1f} ms "
-              f"({stats.iterations} augmentations, objective {stats.objective:.3f})")
+              f"({stats.searches} searches, {stats.pops} pops, objective {stats.objective:.3f})")
     return 0
 
 

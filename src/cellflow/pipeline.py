@@ -9,6 +9,7 @@ end of a substep supplies the constraint state of the next one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -150,7 +151,7 @@ class Simulation:
         remaining = cfg.frame_dt
         substeps = 0
         trace: list[str] = []
-        solver_stats = {"augmentations": 0, "objective": 0.0, "pressure_iterations": 0,
+        solver_stats = {"searches": 0, "objective": 0.0, "pressure_iterations": 0,
                         "solve_time": 0.0}
         band_diag = {"n_deep": self.band.n_deep if self.band else 0, "n_excess": 0,
                      "n_move": 0, "paths": 0, "find_calls": 0}
@@ -351,9 +352,9 @@ class Simulation:
                                   solid_cost=solid_cost)
 
         if band is None:
-            assignment, stats = V.solve_problem(problem)
+            assignment, stats = self._solve(problem)
             C.apply_solution(problem, assignment, particles, verify=self.check_invariants)
-            solver_stats["augmentations"] += stats.iterations
+            solver_stats["searches"] += stats.searches
             solver_stats["objective"] += stats.objective
             solver_stats["solve_time"] += stats.wall_time
             return proposals
@@ -371,8 +372,8 @@ class Simulation:
             band.last_s_in, band.last_s_out = s_in, s_out
             return proposals
 
-        assignment, stats = V.solve_problem(problem)
-        solver_stats["augmentations"] += stats.iterations
+        assignment, stats = self._solve(problem)
+        solver_stats["searches"] += stats.searches
         solver_stats["solve_time"] += stats.wall_time
         n_in, n_out, s_in, s_out = B.compute_io(assignment.choice, in_mask, out_mask, band.alpha_le)
 
@@ -402,6 +403,16 @@ class Simulation:
         band_diag["find_calls"] += diag["find_calls"]
         return proposals
 
+    @staticmethod
+    def _solve(problem: C.CorrectionProblem):
+        """The flow solve. An IntegrityError carries the problem as its
+        ``problem`` attribute, so that run() can write a replay file."""
+        try:
+            return V.solve_problem(problem)
+        except IntegrityError as exc:
+            exc.problem = problem
+            raise
+
     # ------------------------------------------------------------------
 
     def _check(self) -> None:
@@ -427,16 +438,31 @@ class Simulation:
 
 
 def run(cfg: SceneConfig, out_dir, render: bool = False, check_invariants: bool = False) -> int:
-    """Run a configured scene, writing frames, volume CSV and the manifest."""
+    """Run a configured scene, writing frames, volume CSV and the manifest.
+
+    If the flow solve fails, its problem is written to ``failed_problem.txt``
+    in the run directory for ``cellflow oracle-check`` to replay.
+    """
     from . import outputs as O
 
     sim = Simulation(cfg, check_invariants=check_invariants)
     out = O.RunWriter(out_dir, cfg, render=render)
-    out.write_manifest()
-    record = sim.initial_frame()
-    out.write_frame(sim, record)
-    for _ in range(cfg.frames):
-        record = sim.step()
+    try:
+        out.write_manifest()
+        record = sim.initial_frame()
         out.write_frame(sim, record)
-    out.close()
+        for _ in range(cfg.frames):
+            try:
+                record = sim.step()
+            except IntegrityError as exc:
+                if not hasattr(exc, "problem"):
+                    raise
+                replay = Path(out_dir) / "failed_problem.txt"
+                replay.write_text(C.dump_problem(exc.problem), encoding="utf-8")
+                raise IntegrityError(f"flow solve failed at seed {cfg.seed}, step "
+                                     f"{sim.step_index + 1}: {exc} (problem written to {replay})"
+                                     ) from exc
+            out.write_frame(sim, record)
+    finally:
+        out.close()
     return 0

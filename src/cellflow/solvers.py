@@ -6,7 +6,11 @@ successive shortest paths with node potentials. The searches run on the cell
 graph: an assigned particle node has exactly one incoming residual arc, from
 its cell, and reduced costs add along cell -> particle -> cell, so each
 particle node contracts into arcs between cells without changing any shortest
-path (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9). Dense band rows
+path (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9). Of the parallel
+arcs between two cells, one per member of the tail cell, only the cheapest can
+lie on a shortest path, and augmenting along it leaves the others' reduced
+costs nonnegative; so a search relaxes one cached arc per neighbour cell, while
+the final optimality check still covers every candidate arc. Dense band rows
 break that structure; they go through a small branch-and-bound over the row's
 candidate variables with the flow solve as relaxation bound. A pruned
 exhaustive search doubles as an independent oracle for both.
@@ -66,6 +70,9 @@ class SolveStats:
     integral: bool
     iterations: int
     wall_time: float
+    searches: int = 0  # Dijkstra runs; the other n - searches took the fast path
+    pops: int = 0      # nodes finalized over all searches
+    scans: int = 0     # arc-table entries read at popped cells
 
 
 def reduce_to_flow(problem: CorrectionProblem) -> FlowNetwork:
@@ -133,6 +140,12 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
     sink while it has deficit; once that is used up, the search passes
     through the sink to cells holding more than their floor.
 
+    Only the cheapest of the parallel arcs u -> v (one per member of u) can
+    lie on a shortest path, and augmenting along it leaves the others' reduced
+    costs, no smaller, nonnegative. So a popped cell reads a table of its
+    cheapest arc per neighbour, dropped whenever the cell's members change.
+    The final check still tests every candidate arc.
+
     Because reduced costs stay nonnegative, a particle whose cheapest
     candidate is a deficit cell, or sends on to a sink with deficit at zero
     reduced cost, is provably on a shortest path; that one- or two-arc case
@@ -145,25 +158,25 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
     cell_arcs = np.flatnonzero(net.heads == net.n_nodes - 1)
     cell_arcs = cell_arcs[np.argsort(net.tails[cell_arcs])]
     cap_np, floor_np = net.caps[cell_arcs], net.lowers[cell_arcs]
-    cand_cell = net.heads[net.cand_arc] - (n + 1)
-    cand_cost = net.costs[net.cand_arc]
+    cand_cell_np = net.heads[net.cand_arc] - (n + 1)
+    cand_cost_np = net.costs[net.cand_arc]
     deficit = n - int(floor_np.sum())  # the sink's
     if deficit < 0:
         raise IntegrityError("min-cost flow infeasible: floors exceed the particle count")
 
-    # candidates per particle as (cell, cost, candidate index), direction order
+    # candidate indices per particle, in direction order
     starts = np.searchsorted(net.cand_j, np.arange(n + 1))
     if (np.diff(starts) == 0).any():
         raise IntegrityError("min-cost flow infeasible: some particle has no candidate")
     starts = starts.tolist()
-    arcs = list(zip(cand_cell.tolist(), cand_cost.tolist(), range(len(cand_cell))))
-    cands = [arcs[starts[p]:starts[p + 1]] for p in range(n)]
-    ccost = cand_cost.tolist()
+    spans = [range(starts[p], starts[p + 1]) for p in range(n)]
+    cand_cell, cand_cost = cand_cell_np.tolist(), cand_cost_np.tolist()
     cand_p = net.cand_j.tolist()
     cap, floor = cap_np.tolist(), floor_np.tolist()
 
     count = [0] * K
     members: list[list[int]] = [[] for _ in range(K)]
+    table: list[dict | None] = [None] * K  # per cell: {v: (cost, candidate)}
     assigned = [0] * n  # candidate index per particle
     pi = [0.0] * (K + 1)
     dist = [0.0] * (K + 1)
@@ -171,7 +184,7 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
     prev = [-1] * (K + 1)  # predecessor node, -1 for the routed particle
     via = [-1] * (K + 1)   # candidate moved into the node, -1 for a sink arc
     check = CHECK_POTENTIALS
-    run = 0
+    run = pops = scans = 0
     INF = float("inf")
     heappush, heappop = heapq.heappush, heapq.heappop
 
@@ -187,26 +200,35 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
             via[v] = k
             heappush(heap, (nd, v))
 
+    def place(p: int, u: int, k: int) -> None:
+        """Move particle p from cell u (-1 if unrouted) into candidate k; drop both tables."""
+        if u >= 0:
+            members[u].remove(p)
+            count[u] -= 1
+            table[u] = None
+        members[cand_cell[k]].append(p)
+        count[cand_cell[k]] += 1
+        table[cand_cell[k]] = None
+        assigned[p] = k
+
     for q in range(n):
         # fast path: the cheapest candidate; an unrouted particle has pi = 0
         best_rc = INF
-        for v, c, k in cands[q]:
-            rc = c - pi[v]
+        for k in spans[q]:
+            rc = cand_cost[k] - pi[cand_cell[k]]
             if rc < best_rc:
-                best_rc, bv, bk = rc, v, k
+                best_rc, bv, bk = rc, cand_cell[k], k
         if count[bv] < floor[bv] or (
                 deficit > 0 and count[bv] < cap[bv] and pi[bv] - pi[sink] <= 1e-12):
             if count[bv] >= floor[bv]:
                 deficit -= 1
-            count[bv] += 1
-            members[bv].append(q)
-            assigned[q] = bk
+            place(q, -1, bk)
             continue
 
         run += 1
         heap = []
-        for v, c, k in cands[q]:
-            reach(v, 0.0, c - pi[v], -1, k)
+        for k in spans[q]:
+            reach(cand_cell[k], 0.0, cand_cost[k] - pi[cand_cell[k]], -1, k)
         popped: list[int] = []
         target = -1
         while heap:
@@ -227,26 +249,35 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
             if count[u] < floor[u]:
                 target = u
                 break
-            piu = pi[u]
-            for p in members[u]:
-                base = piu - ccost[assigned[p]]
-                for v, c, k in cands[p]:
-                    if stamp[v] == -run:
-                        continue
-                    rc = c + base - pi[v]
-                    if check and rc < -1e-9:
-                        raise IntegrityError(f"negative reduced cost {rc} into node {v}")
-                    nd = d + rc
-                    if stamp[v] != run or nd < dist[v]:
-                        dist[v] = nd
-                        stamp[v] = run
-                        prev[v] = u
-                        via[v] = k
-                        heappush(heap, (nd, v))
+            arcs = table[u]
+            if arcs is None:  # the cheapest arc u -> v over the members of u, per v
+                arcs = table[u] = {}
+                for p in members[u]:
+                    cu = cand_cost[assigned[p]]
+                    for k in spans[p]:
+                        v = cand_cell[k]
+                        c = cand_cost[k] - cu
+                        if v != u and (v not in arcs or c < arcs[v][0]):
+                            arcs[v] = (c, k)
+            scans += len(arcs)
+            base = d + pi[u]
+            for v, (c, k) in arcs.items():
+                if stamp[v] == -run:
+                    continue
+                nd = base + c - pi[v]
+                if check and nd - d < -1e-9:
+                    raise IntegrityError(f"negative reduced cost {nd - d} into node {v}")
+                if stamp[v] != run or nd < dist[v]:
+                    dist[v] = nd
+                    stamp[v] = run
+                    prev[v] = u
+                    via[v] = k
+                    heappush(heap, (nd, v))
             if count[u] < cap[u] and stamp[sink] != -run:
-                reach(sink, d, piu - pi[sink], u, -1)
+                reach(sink, d, pi[u] - pi[sink], u, -1)
         if target < 0:
             raise IntegrityError("min-cost flow infeasible; snapshot corruption suspected")
+        pops += len(popped)
         dstar = dist[target]
         for u in popped:
             pi[u] += dist[u] - dstar
@@ -257,33 +288,27 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
             k = via[v]
             u = prev[v]
             if k >= 0:  # a particle moves from u (none for q) into v
-                p = cand_p[k]
-                if u >= 0:
-                    members[u].remove(p)
-                    count[u] -= 1
-                members[v].append(p)
-                count[v] += 1
-                assigned[p] = k
+                place(cand_p[k], u, k)
             v = u
 
     chosen = np.asarray(assigned, dtype=np.int64)
-    objective = float(cand_cost[chosen].sum())
+    objective = float(cand_cost_np[chosen].sum())
 
     # final safety: every residual arc has nonnegative reduced cost. Residual
     # are the candidate arcs u -> v (via the particle at u), cell -> sink with
     # room, and sink -> cell with flow above the floor.
     pi = np.asarray(pi)
-    home = cand_cell[chosen]
-    red = (cand_cost - cand_cost[chosen][net.cand_j]
-           + pi[home][net.cand_j] - pi[cand_cell])
+    home = cand_cell_np[chosen]
+    red = (cand_cost_np - cand_cost_np[chosen][net.cand_j]
+           + pi[home][net.cand_j] - pi[cand_cell_np])
     counts = np.asarray(count, dtype=np.int64)
     red = np.concatenate([red, pi[:K][counts < cap_np] - pi[sink],
                           pi[sink] - pi[:K][counts > floor_np]])
     if red.size and red.min() < -1e-6:
         raise IntegrityError(f"optimality check failed: reduced cost {red.min()}")
 
-    stats = SolveStats(objective=objective, integral=True, iterations=n,
-                       wall_time=time.perf_counter() - t0)
+    stats = SolveStats(objective=objective, integral=True, iterations=n, searches=run, pops=pops,
+                       scans=scans, wall_time=time.perf_counter() - t0)
     return Assignment(choice=net.cand_i[chosen]), stats
 
 

@@ -76,6 +76,36 @@ def test_oracle_check_large_instance(tmp_path, capsys):
     assert "too large for brute force" in capsys.readouterr().out
 
 
+def test_run_writes_replay_on_solver_failure(tmp_path, monkeypatch, capsys):
+    from cellflow import solvers as V
+    from cellflow.errors import IntegrityError
+    from cellflow.scene import Box, FluidRegion, SceneConfig
+    cfg = SceneConfig(name="tiny", dims=(8, 8), mu=2, frames=4, seed=5,
+                      fluids=[FluidRegion(Box((1, 1), (4, 3)))])
+    path = tmp_path / "tiny.scene"
+    path.write_text(scene_to_text(cfg), encoding="utf-8")
+    solve, seen = V.solve_problem, []
+
+    def fail_third(problem):
+        seen.append(problem)
+        if len(seen) == 3:
+            raise IntegrityError("injected")
+        return solve(problem)
+
+    monkeypatch.setattr(V, "solve_problem", fail_third)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    step = len(list(out.glob("frame_*.cprt")))  # frames 0 .. step - 1 were written
+    assert f"seed 5, step {step}: injected" in err
+    replay = out / "failed_problem.txt"
+    assert replay.read_text(encoding="utf-8") == C.dump_problem(seen[2])
+    assert seen[2].n <= 12  # small enough for oracle-check's brute force
+    monkeypatch.undo()
+    assert cli.main(["oracle-check", str(replay)]) == 0
+    assert "OK" in capsys.readouterr().out
+
+
 def test_volume_summary(tmp_path, capsys):
     out = tmp_path / "v"
     cli.main(["run", "dam", "--out", str(out), "--frames", "2"])

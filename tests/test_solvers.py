@@ -204,34 +204,89 @@ class TestSinkPassThrough:
         assert checked >= 30
 
 
-def test_dam_problem_matches_highs(monkeypatch):
-    """Scene scale: the correction problem of the dam at seed 7, frame 12
-    (mid-collapse, n = 3456), against scipy's HiGHS on its LP relaxation."""
-    pytest.importorskip("scipy")
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix, vstack
+def _tie_problem(rng, dims=(6, 6)):
+    """Toy problem rich in equal costs: particles at cell centres or a quarter
+    cell off, ideal positions half-cell steps away, so many moves cost alike."""
+    import cellflow.grid as G
+    from cellflow.flip import ParticleSet, clamp_positions
+    grid = G.CellGrid(dims)
+    mu = int(rng.integers(1, 4))
+    slots = np.repeat(np.flatnonzero(~grid.wall), mu)
+    n = int(rng.integers(1, V.BRUTE_FORCE_LIMIT + 1))
+    x = grid.unflat(rng.choice(slots, size=n, replace=False)) + 0.5
+    x += rng.choice([-0.25, 0.0, 0.25], size=x.shape)
+    G.classify_cells(grid, x)
+    G.assign_depth(grid)
+    grid.rebuild_counts(x)
+    grid.snapshot()
+    particles = ParticleSet.from_positions(x)
+    ideal = x + rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=x.shape)
+    particles.x_ideal = clamp_positions(ideal, dims, home_cells=np.floor(x))
+    return C.build_problem(grid, C.build_candidates(particles, grid), mu)
 
+
+class TestArcTables:
+    """solve_mcf caches each cell's cheapest arc per neighbour; a cached
+    table must be dropped whenever the cell's members change. Tie-heavy
+    instances reach the rarer changes, checked against brute force."""
+
+    # _tie_problem seeds whose solve hands a particle, by the fast path, to
+    # a cell whose table an earlier search built; a stale table there fails
+    # the final optimality check
+    FAST_PATH_INTO_BUILT_TABLE = (191, 885, 1374, 1681, 4298)
+
+    def _check(self, problem):
+        assignment, stats = V.solve_problem(problem)
+        problem.check_feasible(assignment.choice)
+        _, oracle = V.brute_force_ilp(problem)
+        assert abs(stats.objective - oracle) < 1e-9
+
+    @pytest.mark.parametrize("seed", FAST_PATH_INTO_BUILT_TABLE)
+    def test_fast_path_into_built_table(self, seed, monkeypatch):
+        monkeypatch.setattr(V, "CHECK_POTENTIALS", True)
+        self._check(_tie_problem(np.random.default_rng(seed)))
+
+    def test_ties_match_brute_force(self, monkeypatch):
+        monkeypatch.setattr(V, "CHECK_POTENTIALS", True)
+        for seed in range(400):
+            self._check(_tie_problem(np.random.default_rng(seed)))
+
+
+def _scene_problem(monkeypatch, scene, frame):
+    """The first correction problem of ``frame`` of a builtin scene at seed 7,
+    with the flow solver's result and whether solid penalties entered it."""
+    from cellflow import solids as S
     from cellflow.pipeline import Simulation
     from cellflow.scene import builtin_scene
 
-    cfg = builtin_scene("dam")
+    cfg = builtin_scene(scene)
     cfg.seed = 7
     sim = Simulation(cfg)
-    for _ in range(11):
+    for _ in range(frame - 1):
         sim.step()
-    captured = []
-    solve = V.solve_problem
+    captured, penalised = [], []
+    solve, override = V.solve_problem, S.override_costs
 
     def capture(problem):
         result = solve(problem)
         captured.append((problem, result))
         return result
 
+    def record_override(*args, **kwargs):
+        penalised.append(True)
+        return override(*args, **kwargs)
+
     monkeypatch.setattr(V, "solve_problem", capture)
+    monkeypatch.setattr(S, "override_costs", record_override)
     sim.step()
     problem, (assignment, stats) = captured[0]
-    assert problem.n == 3456
-    problem.check_feasible(assignment.choice)
+    return problem, assignment, stats, bool(penalised)
+
+
+def _highs_objective(problem):
+    """Optimum of the problem's LP relaxation by scipy's HiGHS."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix, vstack
 
     ii, jj = np.nonzero(problem.valid)
     cols = np.arange(len(ii))
@@ -245,7 +300,30 @@ def test_dam_problem_matches_highs(monkeypatch):
                  A_eq=csr_matrix((np.ones(len(ii)), (jj, cols)), shape=(problem.n, len(ii))),
                  b_eq=np.ones(problem.n), bounds=(0, 1), method="highs")
     assert lp.status == 0, lp.message
-    assert abs(stats.objective - lp.fun) <= 1e-9 * abs(lp.fun)
+    return lp.fun
+
+
+def test_dam_problem_matches_highs(monkeypatch):
+    """Scene scale: the correction problem of the dam at seed 7, frame 12
+    (mid-collapse, n = 3456), against scipy's HiGHS on its LP relaxation."""
+    pytest.importorskip("scipy")
+    problem, assignment, stats, _ = _scene_problem(monkeypatch, "dam", 12)
+    assert problem.n == 3456
+    problem.check_feasible(assignment.choice)
+    optimum = _highs_objective(problem)
+    assert abs(stats.objective - optimum) <= 1e-9 * abs(optimum)
+
+
+def test_falling_obs_problem_matches_highs(monkeypatch):
+    """Scene scale after impact: falling_obs at seed 7, frame 44, where the
+    box presses into the pool and solid penalties enter the costs."""
+    pytest.importorskip("scipy")
+    problem, assignment, stats, penalised = _scene_problem(monkeypatch, "falling_obs", 44)
+    assert penalised
+    assert stats.searches > 0
+    problem.check_feasible(assignment.choice)
+    optimum = _highs_objective(problem)
+    assert abs(stats.objective - optimum) <= 1e-9 * abs(optimum)
 
 
 class TestBruteForce:
