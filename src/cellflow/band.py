@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import grid as G
-from .correction import CorrectionProblem, DenseRow, phi_close
+from .correction import CorrectionProblem, DenseRow
 from .errors import InputError, IntegrityError
 
 ROOT = -2
@@ -25,7 +25,6 @@ NONE = -1
 
 class BandStrategy(Enum):
     FULL = "full"
-    ONE_WAY = "oneway"
     FLOW_PATHS = "flow"
 
 
@@ -191,36 +190,40 @@ class CellMembers:
 
 
 class EdgeCost:
-    """sigma_edge: cost of a particle's best spot in the next cell minus the
-    cost of where it stands, both against its ideal position. The solid
-    objective replaces the plain squared distance when an obstacle is active.
+    """sigma_edge: the correction problem's cost of a particle's move into the
+    next cell minus the cost of the move that put it where it stands.
+
+    Both costs and the landing point are read from the problem's candidate
+    table, so the solid penalty is the one the solver saw. A cell is priced
+    by its offset from the particle's previous-step cell (the table's stay
+    target); flow-paths only asks about such candidate cells. A wall cell
+    costs inf.
     """
 
-    def __init__(self, cells: G.CellGrid, x: np.ndarray, x_ideal: np.ndarray,
-                 solid_objective=None):
-        self.cells = cells
-        self.x = x
-        self.x_ideal = x_ideal
-        self.so = solid_objective
-        if solid_objective is not None:
-            self.new_solid = set(int(c) for c in solid_objective.new_solid)
-        else:
-            self.new_solid = set()
+    def __init__(self, problem: CorrectionProblem, cells: G.CellGrid, x: np.ndarray):
+        self.cost = problem.cost
+        self.xi = problem.candidates.xi
+        self.home = problem.target_flat[-1]
+        strides = np.array([int(np.prod(cells.dims[k + 1:])) for k in range(cells.d)])
+        self.offset_dir = {int(off): i for i, off in enumerate(problem.candidates.dirs.dirs @ strides)}
+        hit = problem.target_flat == cells.cell_of(x)[None, :]
+        if not hit.any(axis=0).all():
+            raise IntegrityError("a particle stands outside its candidate cells")
+        self.current = hit.argmax(axis=0)
 
-    def _point_cost(self, q: np.ndarray, r: np.ndarray, flat: int) -> float:
-        if flat in self.new_solid:
-            return self.so.lambda_penalty * float(self.so.cdist[flat])
-        return float(((q - r) ** 2).sum())
+    def direction(self, j: int, c_flat: int) -> int:
+        return self.offset_dir[int(c_flat) - int(self.home[j])]
 
     def landing(self, j: int, c_flat: int) -> np.ndarray:
-        cell = self.cells.unflat(c_flat)
-        return phi_close(self.x_ideal[j], cell)
+        return self.xi[self.direction(j, c_flat), j]
+
+    def move(self, j: int, c_flat: int) -> np.ndarray:
+        """Record particle j as moved into c_flat; returns its landing point."""
+        self.current[j] = self.direction(j, c_flat)
+        return self.xi[self.current[j], j]
 
     def __call__(self, j: int, c_flat: int) -> float:
-        q = self.landing(j, c_flat)
-        new = self._point_cost(q, self.x_ideal[j], c_flat)
-        cur = self._point_cost(self.x[j], self.x_ideal[j], int(self.cells.cell_of(self.x[j:j + 1])[0]))
-        return new - cur
+        return float(self.cost[self.direction(j, c_flat), j] - self.cost[self.current[j], j])
 
 
 @dataclass
@@ -351,7 +354,7 @@ def update_path(path: Path, J: np.ndarray, cells: G.CellGrid, particles,
     root = None
     while j != ROOT:
         src = int(cells.cell_of(particles.x[j:j + 1])[0])
-        particles.x[j] = edge_cost.landing(j, c)
+        particles.x[j] = edge_cost.move(j, c)
         members.move(j, src, c)
         if members.counts[c] > mu and not rule.uncapped[c]:
             raise IntegrityError(f"cell {c} overfilled while updating a path")
@@ -376,12 +379,13 @@ def io_from_positions(cells: G.CellGrid, x_prev: np.ndarray, x: np.ndarray,
 
 
 def correct_band_flow(cells: G.CellGrid, particles, state: BandState, mu: int,
-                      solid_objective=None) -> dict:
+                      problem: CorrectionProblem) -> dict:
     """Restore interface balance by pushing particles along grid paths.
 
-    Requires the plain solve already applied to particle positions. Finds and
-    applies paths, recalling the search on the residual state, until the
-    negative slack is repaid. Draining (s_in < 0) runs from the interface up;
+    Requires the plain solve of ``problem`` already applied to particle
+    positions; path edges are priced and placed from its candidate table.
+    Finds and applies paths, recalling the search on the residual state,
+    until the negative slack is repaid. Draining (s_in < 0) runs from the interface up;
     refilling (s_out < 0) runs from the surface down. The mode's
     :class:`PathRule` lets a path cross the interface only by returning one
     heavy-side crosser of the first solve to its previous-step cell, and the
@@ -412,7 +416,7 @@ def correct_band_flow(cells: G.CellGrid, particles, state: BandState, mu: int,
 
     members = CellMembers(cells, particles.x)
     x_prev_cells = cells.cell_of(particles.x_prev)
-    edge_cost = EdgeCost(cells, particles.x, particles.x_ideal, solid_objective)
+    edge_cost = EdgeCost(problem, cells, particles.x)
 
     applied = 0
     calls = 0
@@ -546,7 +550,6 @@ def band_write_cells(cells: G.CellGrid, R: int) -> np.ndarray:
 
 def band_grid_faces(cells: G.CellGrid, mac, R: int) -> list[np.ndarray]:
     """Faces advected semi-Lagrangian: those touching grid-owned fluid."""
-    from .flip import _face_mask_from_cells
     fluid = cells.fluid_mask()
     grid_owned = fluid & (cells.depth <= -R)
-    return [_face_mask_from_cells(mac, a, grid_owned) for a in range(mac.d)]
+    return [G.face_mask(mac.dims, a, grid_owned) for a in range(mac.d)]

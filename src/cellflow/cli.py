@@ -20,7 +20,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=None, help="override RNG seed")
     p_run.add_argument("--band", type=int, default=None, metavar="R",
                        help="enable the band method with thickness R")
-    p_run.add_argument("--strategy", choices=["flow", "oneway", "full"], default=None,
+    p_run.add_argument("--strategy", choices=["flow", "full"], default=None,
                        help="band correction strategy")
     p_run.add_argument("--render", action="store_true", help="write PPM images per frame")
     p_run.add_argument("--check", action="store_true", help="run per-step invariant checks")

@@ -97,10 +97,7 @@ def build_candidates(particles, cells: G.CellGrid, dirs: DirectionSet | None = N
     valid = in_bounds & ~cells.wall[flat]
     flat = np.where(valid, flat, -1)
 
-    center = target + 0.5
-    v = x_ideal[None, :, :] - center
-    xi = np.where(v >= 0.5, center + 0.5 - EPS, np.where(v <= -0.5, center - 0.5 + EPS, x_ideal[None, :, :]))
-    xi = np.clip(xi, target + EPS / 2, target + 1 - EPS / 2)
+    xi = phi_close(x_ideal[None, :, :], target)
     cost = np.sum((xi - x_ideal[None, :, :]) ** 2, axis=2)
     cost = np.where(valid, cost, np.inf)
 
@@ -163,14 +160,6 @@ class CorrectionProblem:
     def target_flat(self) -> np.ndarray:
         return self.candidates.target_flat
 
-    def candidate_lists(self):
-        """Per-particle lists of (direction, flat cell, cost), direction order."""
-        out = []
-        for j in range(self.n):
-            rows = np.flatnonzero(self.valid[:, j])
-            out.append([(int(i), int(self.target_flat[i, j]), float(self.cost[i, j])) for i in rows])
-        return out
-
     def force_choice(self, j: int, i: int) -> None:
         keep = np.zeros(self.m, dtype=bool)
         keep[i] = True
@@ -222,10 +211,11 @@ def build_problem(
     """Assemble caps/floors from the previous step's markings.
 
     Previously empty or surface cells take at most mu particles; previously
-    inner cells additionally must keep their previous count. Solid cells take
-    none. With the band active, the band interface joins the cap-only group,
-    only strictly-in-band cells keep floors, and deep cells are unconstrained
-    (their particles are deleted right after the correction).
+    inner cells additionally must keep their previous count. Cells solid in
+    the snapshot (walls and obstacles) take none. With the band active, the
+    band interface joins the cap-only group, only strictly-in-band cells keep
+    floors, and deep cells are unconstrained (their particles are deleted
+    right after the correction).
     """
     if cells.prev is None:
         raise IntegrityError("build_problem requires a previous-step snapshot")
@@ -243,9 +233,9 @@ def build_problem(
         floor[in_band] = prev.counts[in_band]
         deep = prev_inner & (prev.depth < -band_R)
         cap[deep] = -1
-    solid_now = cells.solid_mask() | (prev.marking == G.SOLID)
-    cap[solid_now] = 0
-    floor[solid_now] = 0
+    solid = prev.marking == G.SOLID
+    cap[solid] = 0
+    floor[solid] = 0
 
     if (floor > np.where(cap < 0, np.iinfo(np.int64).max, cap)).any():
         raise IntegrityError("cell lower bound exceeds capacity; snapshot corrupt")

@@ -7,7 +7,7 @@ face lattice. All quantities are in cell units per time unit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -151,22 +151,8 @@ def transfer_p2g(particles: ParticleSet, mac: MacGrid, write_cells: np.ndarray |
             np.add.at(den, idx, w)
         mask = den > 0
         if write_cells is not None:
-            mask &= _face_mask_from_cells(mac, a, write_cells)
+            mask &= G.face_mask(mac.dims, a, write_cells)
         u[mask] = num[mask] / den[mask]
-
-
-def _face_mask_from_cells(mac: MacGrid, a: int, cells_flat: np.ndarray) -> np.ndarray:
-    """Faces of component a adjacent to at least one cell in the mask."""
-    cells = cells_flat.reshape(mac.dims)
-    shape = mac.vel[a].shape
-    out = np.zeros(shape, dtype=bool)
-    lo = [slice(None)] * mac.d
-    hi = [slice(None)] * mac.d
-    lo[a] = slice(None, -1)
-    hi[a] = slice(1, None)
-    out[tuple(lo)] |= cells
-    out[tuple(hi)] |= cells
-    return out
 
 
 def apply_forces(mac: MacGrid, gravity, dt: float) -> None:
@@ -230,9 +216,7 @@ def advect_grid_velocity(mac: MacGrid, dt: float, face_masks: list[np.ndarray] |
     old.vel = mac.copy_velocity()
     for a in range(mac.d):
         shape = mac.vel[a].shape
-        axes = [np.arange(n, dtype=np.float64) for n in shape]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pos = np.stack([m.reshape(-1) for m in mesh], axis=1) + mac.face_offset(a)
+        pos = G.box_cells((0,) * mac.d, shape) + mac.face_offset(a)
         vel = velocity_at(old, pos)
         back = pos - dt * vel
         new_vals = _face_gather(old, a, back).reshape(shape)
@@ -383,7 +367,7 @@ def impose_solid_faces(mac: MacGrid, cells: G.CellGrid, solid_vel: list[np.ndarr
     """Force faces adjacent to solid cells to the solid's normal velocity."""
     solid = cells.solid_mask().reshape(cells.dims)
     for a in range(mac.d):
-        mask = _face_mask_from_cells(mac, a, solid.reshape(-1))
+        mask = G.face_mask(mac.dims, a, solid.reshape(-1))
         vals = solid_vel[a] if solid_vel is not None else 0.0
         if np.isscalar(vals):
             mac.vel[a][mask] = vals

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from enum import Enum
 from itertools import product
 
 import numpy as np
@@ -24,13 +23,6 @@ EMPTY = 0
 SOLID = 1
 SURFACE = 2
 INNER = 3
-
-MARKING_NAMES = {EMPTY: "empty", SOLID: "solid", SURFACE: "surface", INNER: "inner"}
-
-
-class NeighborhoodKind(Enum):
-    VON_NEUMANN = "von_neumann"
-    MOORE = "moore"
 
 
 def von_neumann_offsets(d: int) -> np.ndarray:
@@ -98,12 +90,12 @@ class VolumeReport:
 class CellGrid:
     """Regular 2D/3D grid with marking, depth and count bookkeeping.
 
-    Particle membership (gamma) is derived from positions when needed via
-    :meth:`rebuild_counts` / :meth:`members`; ``prev`` holds the snapshot of
-    the previous completed step used by the correction constraints.
+    Per-cell particle counts are derived from positions by
+    :meth:`rebuild_counts`; ``prev`` holds the snapshot of the previous
+    completed step used by the correction constraints.
     """
 
-    def __init__(self, dims, cell_width: float = 1.0):
+    def __init__(self, dims):
         dims = tuple(int(n) for n in dims)
         if len(dims) not in (2, 3):
             raise InputError(f"grid must be 2D or 3D, got dims={dims}")
@@ -112,7 +104,6 @@ class CellGrid:
         self.dims = dims
         self.d = len(dims)
         self.ncells = int(np.prod(dims))
-        self.cell_width = float(cell_width)
 
         wall = np.zeros(dims, dtype=bool)
         for a in range(self.d):
@@ -152,10 +143,6 @@ class CellGrid:
         cells = np.floor(pos).astype(np.int64)
         return np.ravel_multi_index(tuple(cells[:, k] for k in range(self.d)), self.dims)
 
-    def in_bounds(self, cell) -> bool:
-        cell = np.asarray(cell)
-        return bool(np.all(cell >= 0) and np.all(cell < np.asarray(self.dims)))
-
     def vn_neighbors_flat(self, flat: int) -> np.ndarray:
         """Precomputed von Neumann neighbors, -1 where out of bounds."""
         return self._vn_table[flat]
@@ -178,14 +165,6 @@ class CellGrid:
         self.counts = np.bincount(flat, minlength=self.ncells).astype(np.int64)
         return self.counts
 
-    def members(self, positions) -> list[np.ndarray]:
-        """Per-cell arrays of particle indices, ordered by particle index."""
-        flat = self.cell_of(positions)
-        order = np.argsort(flat, kind="stable")
-        sorted_cells = flat[order]
-        bounds = np.searchsorted(sorted_cells, np.arange(self.ncells + 1))
-        return [order[bounds[c]:bounds[c + 1]] for c in range(self.ncells)]
-
     def snapshot(self) -> GridSnapshot:
         self.prev = GridSnapshot(self.marking.copy(), self.depth.copy(), self.counts.copy())
         return self.prev
@@ -198,17 +177,25 @@ class CellGrid:
         return self.marking == SOLID
 
 
-def neighbors(grid: CellGrid, cell, kind: NeighborhoodKind) -> list[tuple]:
-    """In-bounds neighbors of a cell for the requested neighborhood."""
-    cell = np.asarray(cell, dtype=np.int64)
-    if cell.shape != (grid.d,) or not grid.in_bounds(cell):
-        raise InputError(f"cell index {tuple(cell)} outside grid dims {grid.dims}")
-    offs = von_neumann_offsets(grid.d) if kind is NeighborhoodKind.VON_NEUMANN else moore_offsets(grid.d)
-    out = []
-    for off in offs:
-        nb = cell + off
-        if grid.in_bounds(nb):
-            out.append(tuple(int(v) for v in nb))
+def box_cells(lo, hi) -> np.ndarray:
+    """Integer cells with lo <= cell < hi per axis, as (k, d) rows in C order."""
+    ranges = [np.arange(a, b) for a, b in zip(lo, hi)]
+    mesh = np.meshgrid(*ranges, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+
+
+def face_mask(dims, a: int, cells_flat: np.ndarray) -> np.ndarray:
+    """Axis-a faces of the MAC grid adjacent to at least one masked cell."""
+    cells = cells_flat.reshape(dims)
+    d = len(dims)
+    shape = tuple(n + 1 if k == a else n for k, n in enumerate(dims))
+    out = np.zeros(shape, dtype=bool)
+    lo = [slice(None)] * d
+    hi = [slice(None)] * d
+    lo[a] = slice(None, -1)
+    hi[a] = slice(1, None)
+    out[tuple(lo)] |= cells
+    out[tuple(hi)] |= cells
     return out
 
 
@@ -327,20 +314,6 @@ def clearing_distance(grid: CellGrid, new_solid) -> np.ndarray:
         assigned |= nxt
         frontier = nxt
     return dist_nd.reshape(-1)
-
-
-def cell_volume(grid: CellGrid, cell, mu: int) -> float:
-    """Discrete volume of one cell: 0 above the surface, fractional credit
-    for surface and first inner layer, full credit below."""
-    flat = grid.flat(np.asarray(cell)) if not np.isscalar(cell) else int(cell)
-    if grid.marking[flat] == SOLID:
-        return 0.0
-    beta = int(grid.depth[flat])
-    if beta > 0:
-        return 0.0
-    if beta >= -1:
-        return min(1.0, grid.counts[flat] / mu)
-    return 1.0
 
 
 def volume_report(grid: CellGrid, mu: int, v_star: float, per_cell: bool = False) -> VolumeReport:

@@ -121,9 +121,7 @@ class Simulation:
             ppc = cfg.mu if region.ppc is None else min(region.ppc, cfg.mu)
             lo = np.floor(np.asarray(region.box.lo)).astype(np.int64)
             hi = np.ceil(np.asarray(region.box.hi)).astype(np.int64)
-            ranges = [np.arange(lo[k], hi[k]) for k in range(d)]
-            mesh = np.meshgrid(*ranges, indexing="ij")
-            cells = np.stack([m.reshape(-1) for m in mesh], axis=1)
+            cells = G.box_cells(lo, hi)
             flat = self.grid.flat(cells)
             for cell, c in zip(cells, flat):
                 room = min(ppc, cfg.mu - seeded[c])
@@ -296,9 +294,7 @@ class Simulation:
                       if self.particles.n else np.zeros(grid.ncells, dtype=np.int64))
             lo = np.floor(np.asarray(em.cfg.box.lo)).astype(np.int64)
             hi = np.ceil(np.asarray(em.cfg.box.hi)).astype(np.int64)
-            ranges = [np.arange(lo[kk], hi[kk]) for kk in range(d)]
-            mesh = np.meshgrid(*ranges, indexing="ij")
-            cells = np.stack([m.reshape(-1) for m in mesh], axis=1)
+            cells = G.box_cells(lo, hi)
             flat = grid.flat(cells)
             ok = ~grid.wall[flat] & (grid.marking[flat] != G.SOLID)
             cells, flat = cells[ok], flat[ok]
@@ -351,49 +347,31 @@ class Simulation:
                                   band_R=band.R if band else None,
                                   solid_cost=solid_cost)
 
-        if band is None:
-            assignment, stats = self._solve(problem)
-            C.apply_solution(problem, assignment, particles, verify=self.check_invariants)
-            solver_stats["searches"] += stats.searches
-            solver_stats["objective"] += stats.objective
-            solver_stats["solve_time"] += stats.wall_time
-            return proposals
-
-        B.compute_alphas(grid, band, cfg.mu)
-        classes = B.band_classes(grid.prev, band.R)
-        in_mask, out_mask = B.gamma_io_masks(problem, particles.x_prev, grid, classes)
-
-        if band.strategy is B.BandStrategy.FULL:
-            constrained = B.build_full_band_constraint(problem, in_mask, out_mask, band.alpha_le)
-            assignment, objective = V.branch_and_bound(constrained)
-            C.apply_solution(problem, assignment, particles, verify=self.check_invariants)
-            solver_stats["objective"] += objective
-            n_in, n_out, s_in, s_out = B.compute_io(assignment.choice, in_mask, out_mask, band.alpha_le)
-            band.last_s_in, band.last_s_out = s_in, s_out
-            return proposals
+        if band is not None:
+            B.compute_alphas(grid, band, cfg.mu)
+            if band.strategy is B.BandStrategy.FULL:
+                classes = B.band_classes(grid.prev, band.R)
+                in_mask, out_mask = B.gamma_io_masks(problem, particles.x_prev, grid, classes)
+                constrained = B.build_full_band_constraint(problem, in_mask, out_mask,
+                                                           band.alpha_le)
+                assignment, objective = V.branch_and_bound(constrained)
+                C.apply_solution(problem, assignment, particles, verify=self.check_invariants)
+                solver_stats["objective"] += objective
+                _, _, s_in, s_out = B.compute_io(assignment.choice, in_mask, out_mask,
+                                                 band.alpha_le)
+                band.last_s_in, band.last_s_out = s_in, s_out
+                return proposals
 
         assignment, stats = self._solve(problem)
+        C.apply_solution(problem, assignment, particles, verify=self.check_invariants)
         solver_stats["searches"] += stats.searches
+        solver_stats["objective"] += stats.objective
         solver_stats["solve_time"] += stats.wall_time
-        n_in, n_out, s_in, s_out = B.compute_io(assignment.choice, in_mask, out_mask, band.alpha_le)
-
-        if band.strategy is B.BandStrategy.ONE_WAY:
-            if s_in < 0 or s_out < 0:
-                constrained = B.build_one_way(problem, assignment.choice, in_mask, out_mask,
-                                              band.alpha_le)
-                assignment, objective = V.branch_and_bound(constrained)
-                solver_stats["objective"] += objective
-            else:
-                solver_stats["objective"] += stats.objective
-            C.apply_solution(problem, assignment, particles, verify=self.check_invariants)
-            n_in, n_out, s_in, s_out = B.compute_io(assignment.choice, in_mask, out_mask, band.alpha_le)
-            band.last_s_in, band.last_s_out = s_in, s_out
+        if band is None:
             return proposals
 
-        # flow-paths strategy: apply the plain solve, then push chains
-        C.apply_solution(problem, assignment, particles, verify=self.check_invariants)
-        solver_stats["objective"] += stats.objective
-        diag = B.correct_band_flow(grid, particles, band, cfg.mu, solid_objective=solid_obj)
+        # flow-paths strategy: the plain solve is applied, now push chains
+        diag = B.correct_band_flow(grid, particles, band, cfg.mu, problem)
         band.last_s_in, band.last_s_out = diag["s_in"], diag["s_out"]
         band.last_n_move = diag["n_move"]
         band.last_paths = diag["paths"]

@@ -14,7 +14,6 @@ from enum import Enum
 import numpy as np
 
 from . import grid as G
-from .errors import IntegrityError
 
 LAMBDA_PENALTY = 1000.0
 
@@ -57,10 +56,7 @@ class Obstacle:
         hi = np.minimum(hi, np.asarray(grid.dims))
         if np.any(hi <= lo):
             return np.zeros(0, dtype=np.int64)
-        ranges = [np.arange(lo[k], hi[k]) for k in range(grid.d)]
-        mesh = np.meshgrid(*ranges, indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        return grid.flat(pts)
+        return grid.flat(G.box_cells(lo, hi))
 
     def occupied_flat(self, grid: G.CellGrid) -> np.ndarray:
         return self.cells_at(self.pos, grid)
@@ -97,12 +93,6 @@ class SolidObjective:
     cdist: np.ndarray       # per-cell clearing distance, 0 outside new_solid
     new_solid: np.ndarray   # flat indices
 
-    def penalty_of(self, flat_cell: int) -> float:
-        c = self.cdist[flat_cell]
-        if c <= 0:
-            raise IntegrityError(f"cell {flat_cell} in new_solid without clearing distance")
-        return self.lambda_penalty * float(c)
-
 
 def build_solid_objective(grid: G.CellGrid, new_solid: np.ndarray,
                           lambda_penalty: float = LAMBDA_PENALTY) -> SolidObjective | None:
@@ -110,16 +100,6 @@ def build_solid_objective(grid: G.CellGrid, new_solid: np.ndarray,
         return None
     cdist = G.clearing_distance(grid, new_solid)
     return SolidObjective(lambda_penalty=lambda_penalty, cdist=cdist, new_solid=np.asarray(new_solid))
-
-
-def sigma_solid_obj(q, r, so: SolidObjective, grid: G.CellGrid) -> float:
-    """Penalty if q falls in a prospective solid cell, else squared distance."""
-    q = np.asarray(q, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    flat = int(grid.cell_of(q.reshape(1, -1))[0])
-    if flat in set(int(c) for c in so.new_solid):
-        return so.penalty_of(flat)
-    return float(((q - r) ** 2).sum())
 
 
 def override_costs(candidates, so: SolidObjective | None) -> np.ndarray:
@@ -169,24 +149,10 @@ def solid_face_velocities(grid: G.CellGrid, mac_dims, obstacles) -> list[np.ndar
                 continue
             mask = np.zeros(grid.ncells, dtype=bool)
             mask[obs.occupied_flat(grid)] = True
-            face = _face_mask(grid.dims, a, mask)
+            face = G.face_mask(grid.dims, a, mask)
             arr[face] = v
         vals.append(arr)
     return vals
-
-
-def _face_mask(dims, a: int, cells_flat: np.ndarray) -> np.ndarray:
-    cells = cells_flat.reshape(dims)
-    d = len(dims)
-    shape = tuple(n + 1 if k == a else n for k, n in enumerate(dims))
-    out = np.zeros(shape, dtype=bool)
-    lo = [slice(None)] * d
-    hi = [slice(None)] * d
-    lo[a] = slice(None, -1)
-    hi[a] = slice(1, None)
-    out[tuple(lo)] |= cells
-    out[tuple(hi)] |= cells
-    return out
 
 
 def integrate_free_fall(obstacle: Obstacle, gravity, dt: float, moved: bool,

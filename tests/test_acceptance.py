@@ -183,7 +183,7 @@ def test_criterion_08_fig_path_reproduction():
                                             state.alpha_le)
     first_ok = (n_in, n_out, s_in, s_out) == (1, 0, -1, 1)
     C.apply_solution(problem, assignment, particles)
-    diag = B.correct_band_flow(grid, particles, state, mu=1)
+    diag = B.correct_band_flow(grid, particles, state, mu=1, problem=problem)
     flow_ok = diag["n_move"] == 1 and diag["s_in"] == 0
     check(8, first_ok and flow_ok,
           "hand-built band instance: n_in=1, n_out=0, s_in=-1, s_out=1, one path restores",
@@ -229,7 +229,7 @@ def test_criterion_09_oneway_vs_flowpaths():
         _, full_obj = V.branch_and_bound(full_row)
 
         C.apply_solution(problem, assignment, particles)
-        diag = B.correct_band_flow(grid, particles, state, mu=1)
+        diag = B.correct_band_flow(grid, particles, state, mu=1, problem=problem)
         assert diag["s_in"] >= 0 and diag["s_out"] >= 0
         flow_obj = float(((particles.x - particles.x_ideal) ** 2).sum())
         # sound direction: the flow result is feasible for the full band row

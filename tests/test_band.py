@@ -7,6 +7,7 @@ from conftest import random_band_instance
 from cellflow import band as B
 from cellflow import correction as C
 from cellflow import grid as G
+from cellflow import solids as S
 from cellflow import solvers as V
 from cellflow.errors import InputError, IntegrityError
 from cellflow.flip import ParticleSet, clamp_positions
@@ -147,6 +148,12 @@ class TestOneWay:
         assert abs(obj2 - stats.objective) < 1e-9
 
 
+def table_edge_cost(grid, particles, mu=1):
+    """Edge costs read from the plain correction problem of the current state."""
+    problem = C.build_problem(grid, C.build_candidates(particles, grid), mu)
+    return B.EdgeCost(problem, grid, particles.x)
+
+
 def open_rule(grid):
     """No crossing limits and no uncapped cells: the bare path mechanics."""
     none = np.zeros(grid.ncells, dtype=bool)
@@ -158,7 +165,7 @@ class TestFindPaths:
         grid, particles = column_state(mu=1, R=2, fill_to=6)
         members = B.CellMembers(grid, particles.x)
         x_prev_cells = grid.cell_of(particles.x_prev)
-        edge_cost = B.EdgeCost(grid, particles.x, particles.x_ideal)
+        edge_cost = table_edge_cost(grid, particles)
         src = grid.flat((3, 6))   # top fluid row (surface)
         sink = grid.flat((3, 7))  # empty cell above
         paths, J = B.find_paths(grid, members, x_prev_cells, np.array([src]),
@@ -170,7 +177,7 @@ class TestFindPaths:
     def test_empty_source_no_paths(self):
         grid, particles = column_state(mu=1, R=2, fill_to=4)
         members = B.CellMembers(grid, particles.x)
-        edge_cost = B.EdgeCost(grid, particles.x, particles.x_ideal)
+        edge_cost = table_edge_cost(grid, particles)
         empty_src = grid.flat((3, 8))
         paths, J = B.find_paths(grid, members, grid.cell_of(particles.x_prev),
                                 np.array([empty_src]), np.array([grid.flat((3, 9))]),
@@ -181,7 +188,7 @@ class TestFindPaths:
         grid, particles = column_state(width=8, mu=1, R=2, fill_to=6)
         members = B.CellMembers(grid, particles.x)
         x_prev_cells = grid.cell_of(particles.x_prev)
-        edge_cost = B.EdgeCost(grid, particles.x, particles.x_ideal)
+        edge_cost = table_edge_cost(grid, particles)
         sources = np.array([grid.flat((i, 6)) for i in range(1, 9)])
         sinks = np.array([grid.flat((i, 7)) for i in range(1, 9)])
         paths, J = B.find_paths(grid, members, x_prev_cells, sources, sinks,
@@ -194,7 +201,7 @@ class TestFindPaths:
         grid, particles = column_state(mu=1, R=2, fill_to=6)
         members = B.CellMembers(grid, particles.x)
         x_prev_cells = grid.cell_of(particles.x_prev)
-        edge_cost = B.EdgeCost(grid, particles.x, particles.x_ideal)
+        edge_cost = table_edge_cost(grid, particles)
         c = grid.flat((3, 3))
         c_far = grid.flat((3, 5))  # two cells away from any (3,3) resident's home
         j, sigma = B.best_edge(c_far, grid.flat((3, 6)), members, x_prev_cells, edge_cost,
@@ -218,7 +225,7 @@ class TestFindPaths:
         src = int(grid.cell_of(particles.x_prev[j:j + 1])[0])
         up = grid.unflat(src) + np.array([0, 1])
         particles.x_ideal[j] = up + 0.5  # wants the cell above
-        edge_cost = B.EdgeCost(grid, particles.x, particles.x_ideal)
+        edge_cost = table_edge_cost(grid, particles)
         assert edge_cost(j, grid.flat(up)) < 0
 
 
@@ -227,7 +234,7 @@ class TestUpdatePath:
         grid, particles = column_state(mu=1, R=2, fill_to=6)
         members = B.CellMembers(grid, particles.x)
         x_prev_cells = grid.cell_of(particles.x_prev)
-        edge_cost = B.EdgeCost(grid, particles.x, particles.x_ideal)
+        edge_cost = table_edge_cost(grid, particles)
         src = grid.flat((3, 6))
         sink = grid.flat((3, 7))
         before_src = members.counts[src]
@@ -244,7 +251,7 @@ class TestUpdatePath:
         grid, particles = column_state(width=3, mu=1, R=1, fill_to=5)
         members = B.CellMembers(grid, particles.x)
         x_prev_cells = grid.cell_of(particles.x_prev)
-        edge_cost = B.EdgeCost(grid, particles.x, particles.x_ideal)
+        edge_cost = table_edge_cost(grid, particles)
         src = grid.flat((2, 3))
         sink = grid.flat((2, 6))  # above the column top (5)
         paths, J = B.find_paths(grid, members, x_prev_cells, np.array([src]),
@@ -271,6 +278,45 @@ def relocate(particles, j, cell):
     particles.x[j] = C.phi_close(particles.x_ideal[j], np.asarray(cell))
 
 
+class TestEdgeCost:
+    """Edge costs and landing points come from the correction problem's
+    candidate table, priced from the cell the particle stands in."""
+
+    def test_solid_penalty_from_table(self):
+        grid, particles = column_state(mu=1, R=2, fill_to=6)
+        j = home_particle(grid, particles, (3, 6))
+        up = grid.flat((3, 7))
+        so = S.build_solid_objective(grid, np.array([up]))
+        table = C.build_candidates(particles, grid)
+        problem = C.build_problem(grid, table, 1, solid_cost=S.override_costs(table, so))
+        edge_cost = B.EdgeCost(problem, grid, particles.x)
+        assert edge_cost(j, up) == so.lambda_penalty * so.cdist[up] - problem.cost[-1, j]
+
+    def test_wall_cell_costs_inf(self):
+        grid, particles = column_state(mu=1, R=2, fill_to=6)
+        j = home_particle(grid, particles, (1, 3))
+        assert table_edge_cost(grid, particles)(j, grid.flat((0, 3))) == np.inf
+
+    def test_prices_from_the_cell_moved_into(self):
+        grid, particles = column_state(mu=1, R=2, fill_to=6)
+        edge_cost = table_edge_cost(grid, particles)
+        j = home_particle(grid, particles, (3, 6))
+        home, up = grid.flat((3, 6)), grid.flat((3, 7))
+        rise = edge_cost(j, up)
+        particles.x[j] = edge_cost.move(j, up)
+        assert grid.cell_of(particles.x[j:j + 1])[0] == up
+        assert np.array_equal(particles.x[j], edge_cost.landing(j, up))
+        assert edge_cost(j, up) == 0.0
+        assert edge_cost(j, home) == -rise
+
+    def test_particle_off_its_candidates_rejected(self):
+        grid, particles = column_state(mu=1, R=2, fill_to=6)
+        j = home_particle(grid, particles, (3, 3))
+        particles.x[j] = [3.5, 5.5]
+        with pytest.raises(IntegrityError):
+            table_edge_cost(grid, particles)
+
+
 IFACE, ABOVE = (3, 6), (3, 7)  # interface and layer above in column_state(R=2)
 MODES = pytest.mark.parametrize("drain", [True, False], ids=["drain", "refill"])
 
@@ -289,7 +335,7 @@ class TestCrossingRule:
 
     def edge(self, grid, particles, c, c_next, rule):
         members = B.CellMembers(grid, particles.x)
-        edge_cost = B.EdgeCost(grid, particles.x, particles.x_ideal)
+        edge_cost = table_edge_cost(grid, particles)
         edge = B.best_edge(grid.flat(c), grid.flat(c_next), members,
                            grid.cell_of(particles.x_prev), edge_cost, rule)
         return None if edge is None else edge[0]
@@ -356,7 +402,7 @@ class TestPathCapacity:
         J[grid.flat((2, 5))] = h[(2, 4)]
         path = B.Path(edge=h[(2, 6)], sink=grid.flat((2, 6)))
         members = B.CellMembers(grid, particles.x)
-        edge_cost = B.EdgeCost(grid, particles.x, particles.x_ideal)
+        edge_cost = table_edge_cost(grid, particles)
         B.update_path(path, J, grid, particles, members, edge_cost, mu=1, rule=rule)
         assert members.counts[grid.flat((2, 4))] == 2
         assert members.counts[grid.flat((2, 6))] == 1
@@ -375,7 +421,7 @@ class TestPathCapacity:
         relocate(particles, home_particle(grid, particles, (1, 4)), (2, 4))
         cls = B.band_classes(grid.prev, 1)
         members = B.CellMembers(grid, particles.x)
-        edge_cost = B.EdgeCost(grid, particles.x, particles.x_ideal)
+        edge_cost = table_edge_cost(grid, particles)
         deep_cell = grid.flat((2, 4))
         assert members.counts[deep_cell] == 1
         paths, J = B.find_paths(grid, members, grid.cell_of(particles.x_prev),
@@ -417,7 +463,7 @@ def test_flow_paths_stay_in_one_way_set(push):
             continue
         one_way = B.build_one_way(problem, assignment.choice, in_mask, out_mask, state.alpha_le)
         C.apply_solution(problem, assignment, particles)
-        B.correct_band_flow(grid, particles, state, mu=1)
+        B.correct_band_flow(grid, particles, state, mu=1, problem=problem)
         choice = flow_choice(problem, grid, particles)
         assert (choice >= 0).all()
         assert one_way.check_feasible(choice, strict=False)
@@ -540,7 +586,7 @@ class TestFigPathScenario:
         assert (s_in, s_out) == (-1, 1)
 
         C.apply_solution(problem, assignment, particles)
-        diag = B.correct_band_flow(grid, particles, state, mu=1)
+        diag = B.correct_band_flow(grid, particles, state, mu=1, problem=problem)
         assert diag["n_move"] == 1
         assert diag["find_calls"] == 1
         assert diag["s_in"] == 0 and diag["s_out"] >= 0
@@ -551,7 +597,7 @@ class TestFigPathScenario:
         problem = C.build_problem(grid, table, mu=1, band_R=state.R)
         assignment, _ = V.solve_problem(problem)
         C.apply_solution(problem, assignment, particles)
-        B.correct_band_flow(grid, particles, state, mu=1)
+        B.correct_band_flow(grid, particles, state, mu=1, problem=problem)
         counts = np.bincount(grid.cell_of(particles.x), minlength=grid.ncells)
         deep = grid.fluid_mask() & (grid.depth < -state.R)
         capped = ~grid.solid_mask() & ~deep

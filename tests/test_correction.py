@@ -170,10 +170,10 @@ class TestBuildProblem:
         p = particles_at([[3.5, 3.5], [4.5, 4.5]], [[3.9, 3.5], [4.2, 4.8]])
         problem = C.build_problem(grid, C.build_candidates(p, grid), mu=4)
         seen = {}
-        for j, lst in enumerate(problem.candidate_lists()):
-            for (i, c, cost) in lst:
+        for j in range(problem.n):
+            for i in np.flatnonzero(problem.valid[:, j]):
                 assert (i, j) not in seen
-                seen[(i, j)] = c
+                seen[(i, j)] = problem.target_flat[i, j]
         assert len(seen) == int(problem.valid.sum())
 
 

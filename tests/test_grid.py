@@ -21,32 +21,47 @@ def fill_cells(grid, cells, ppc=1, jitter=0.5):
     return np.asarray(pts).reshape(-1, grid.d)
 
 
+def neighbor_cells(grid, cell, offsets):
+    """In-grid cells at the given offsets from cell."""
+    dims = np.asarray(grid.dims)
+    out = [tuple(int(v) for v in np.add(cell, off)) for off in offsets]
+    return [nb for nb in out if all(0 <= v < n for v, n in zip(nb, dims))]
+
+
+def vn_cells(grid, cell):
+    """Von Neumann neighbours from the grid's precomputed table."""
+    flat = grid.vn_neighbors_flat(grid.flat(cell))
+    return [tuple(int(v) for v in grid.unflat(c)) for c in flat if c >= 0]
+
+
 class TestNeighbors:
     def test_interior_von_neumann_count(self):
         grid = make_grid()
-        assert len(G.neighbors(grid, (4, 4), G.NeighborhoodKind.VON_NEUMANN)) == 4
+        assert len(vn_cells(grid, (4, 4))) == 4
 
     def test_interior_moore_count(self):
         grid = make_grid()
-        assert len(G.neighbors(grid, (4, 4), G.NeighborhoodKind.MOORE)) == 8
+        assert len(neighbor_cells(grid, (4, 4), G.moore_offsets(2))) == 8
 
     def test_corner_moore_clipped(self):
         grid = make_grid()
-        assert len(G.neighbors(grid, (0, 0), G.NeighborhoodKind.MOORE)) == 3
+        assert len(neighbor_cells(grid, (0, 0), G.moore_offsets(2))) == 3
 
     def test_out_of_bounds_rejected(self):
+        # off-grid von Neumann neighbours are marked -1 in the table
         grid = make_grid()
-        with pytest.raises(InputError):
-            G.neighbors(grid, (8, 0), G.NeighborhoodKind.VON_NEUMANN)
+        corner = grid.vn_neighbors_flat(grid.flat((0, 7)))
+        assert sorted(corner < 0) == [False, False, True, True]
+        assert set(corner[corner >= 0]) == {grid.flat((1, 7)), grid.flat((0, 6))}
 
     def test_3d_counts(self):
         grid = G.CellGrid((5, 5, 5))
-        assert len(G.neighbors(grid, (2, 2, 2), G.NeighborhoodKind.VON_NEUMANN)) == 6
-        assert len(G.neighbors(grid, (2, 2, 2), G.NeighborhoodKind.MOORE)) == 26
+        assert len(vn_cells(grid, (2, 2, 2))) == 6
+        assert len(neighbor_cells(grid, (2, 2, 2), G.moore_offsets(3))) == 26
 
     def test_moore_is_chebyshev_one(self):
         grid = make_grid()
-        for nb in G.neighbors(grid, (3, 3), G.NeighborhoodKind.MOORE):
+        for nb in neighbor_cells(grid, (3, 3), G.moore_offsets(2)):
             assert max(abs(nb[0] - 3), abs(nb[1] - 3)) == 1
 
 
@@ -193,6 +208,11 @@ class TestClearingDistance:
                 assert (d - 1 in nbs) or escape
 
 
+def per_cell(grid, cell, mu):
+    """One cell's discrete volume from the per-cell volume report."""
+    return G.volume_report(grid, mu, v_star=1.0, per_cell=True).per_cell[grid.flat(cell)]
+
+
 class TestVolume:
     def _full_block(self, mu=4):
         # 10x10 exact block with one empty row of air above it
@@ -207,20 +227,20 @@ class TestVolume:
         grid = make_grid()
         G.classify_cells(grid, fill_cells(grid, [(4, 4)]))
         G.assign_depth(grid)
-        assert G.cell_volume(grid, (2, 2), mu=4) == 0.0
+        assert per_cell(grid, (2, 2), mu=4) == 0.0
 
     def test_surface_fraction(self):
         grid = make_grid()
         G.classify_cells(grid, fill_cells(grid, [(4, 4)], ppc=2))
         G.assign_depth(grid)
-        assert G.cell_volume(grid, (4, 4), mu=4) == 0.5
+        assert per_cell(grid, (4, 4), mu=4) == 0.5
 
     def test_deep_full_credit_despite_bubble(self):
         grid, ncells = self._full_block(mu=4)
         c = grid.flat((5, 5))
         assert grid.depth[c] <= -3
         grid.counts[c] = 2  # simulate a bubble
-        assert G.cell_volume(grid, (5, 5), mu=4) == 1.0
+        assert per_cell(grid, (5, 5), mu=4) == 1.0
 
     def test_exact_block_is_100(self):
         grid, ncells = self._full_block(mu=4)
@@ -256,8 +276,8 @@ class TestVolume:
 @given(st.integers(1, 6), st.integers(1, 6))
 def test_neighbors_property(i, j):
     grid = G.CellGrid((8, 8))
-    vn = G.neighbors(grid, (i, j), G.NeighborhoodKind.VON_NEUMANN)
-    mo = G.neighbors(grid, (i, j), G.NeighborhoodKind.MOORE)
+    vn = vn_cells(grid, (i, j))
+    mo = neighbor_cells(grid, (i, j), G.moore_offsets(2))
     assert len(vn) <= 4 and len(mo) <= 8
     assert set(vn) <= set(mo)
     for nb in vn:

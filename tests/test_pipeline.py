@@ -83,14 +83,27 @@ class TestInvariants:
             assert sim.band.n_deep >= 0
             assert sim.band.last_s_in >= 0 and sim.band.last_s_out >= 0
 
-    def test_band_oneway_strategy_runs(self):
+    def test_band_with_descending_obstacle(self):
+        # a box sinks into a band pool: flow-paths repairs the interface while
+        # the correction problem carries the obstacle's solid penalty
         sim = Simulation(small_scene(
-            band=BandConfig(enabled=True, R=2, strategy=BandStrategy.ONE_WAY), frames=4),
+            fluids=[FluidRegion(Box((1, 1), (15, 9)))],
+            obstacles=[ObstacleConfig(Box((6, 10), (9, 12)), velocity=(0.0, -3.0))],
+            band=BandConfig(enabled=True, R=2), frames=10),
             check_invariants=True)
         total0 = sim.live_plus_deep()
-        for _ in range(4):
-            sim.step()
-        assert sim.live_plus_deep() == total0
+        y0 = float(sim.obstacles[0].pos[1])
+        moves = 0
+        for _ in range(10):
+            record = sim.step()
+            moves += record.band["n_move"]
+            counts = np.bincount(sim.grid.cell_of(sim.particles.x), minlength=sim.grid.ncells)
+            assert (counts[~sim.grid.solid_mask()] <= 4).all()
+            assert sim.live_plus_deep() == total0
+            assert sim.band.last_s_in >= 0 and sim.band.last_s_out >= 0
+            assert counts[sim.obstacles[0].occupied_flat(sim.grid)].sum() == 0
+        assert float(sim.obstacles[0].pos[1]) < 9.0 < y0
+        assert moves > 0
 
     def test_band_full_strategy_runs(self):
         # calm pond: the full-row search stays within its desk-scale guard

@@ -30,7 +30,7 @@ class TestParse:
 [band]
 enabled = true
 R = 4
-strategy = oneway
+strategy = full
 
 [fluid]
 box = 1 1 10 10
@@ -52,7 +52,7 @@ name = rock
 """
         cfg = parse_scene(text)
         assert cfg.band.enabled and cfg.band.R == 4
-        assert cfg.band.strategy is BandStrategy.ONE_WAY
+        assert cfg.band.strategy is BandStrategy.FULL
         assert cfg.fluids[0].ppc == 2
         assert cfg.emitters[0].total == 40
         assert cfg.emitters[0].start == 1.5
@@ -69,6 +69,10 @@ name = rock
         bad = MINIMAL.replace("mu = 2", "mu = two")
         with pytest.raises(InputError, match="mu"):
             parse_scene(bad)
+
+    def test_oneway_strategy_rejected(self):
+        with pytest.raises(InputError, match="unknown band strategy 'oneway'"):
+            parse_scene(MINIMAL + "\n[band]\nstrategy = oneway\n")
 
     def test_unknown_section(self):
         with pytest.raises(InputError, match="section"):

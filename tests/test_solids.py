@@ -65,18 +65,33 @@ class TestProposeMotion:
         assert np.allclose(obs.pos, [4.0, 4.0])
 
 
+def table_cost(grid, so, x_prev, x_ideal):
+    """Solid-overridden candidate costs of one particle, keyed by target cell."""
+    x = np.asarray([x_prev], dtype=float)
+    G.classify_cells(grid, x)
+    G.assign_depth(grid)
+    grid.rebuild_counts(x)
+    grid.snapshot()
+    p = ParticleSet.from_positions(x)
+    p.x_ideal = np.asarray([x_ideal], dtype=float)
+    table = C.build_candidates(p, grid)
+    cost = S.override_costs(table, so)
+    return {int(table.target_flat[i, 0]): cost[i, 0] for i in range(table.m) if table.valid[i, 0]}
+
+
 class TestSolidObjective:
     def test_outside_new_solid_squared_distance(self):
         grid = tank()
         so = S.build_solid_objective(grid, np.array([grid.flat((4, 4))]))
-        q, r = np.array([2.5, 2.5]), np.array([2.0, 2.5])
-        assert S.sigma_solid_obj(q, r, so, grid) == pytest.approx(0.25)
+        # the landing point in the next cell sits EPS inside its near face
+        cost = table_cost(grid, so, (2.5, 2.5), (2.5, 2.5))
+        assert cost[grid.flat((3, 2))] == pytest.approx((0.5 + C.EPS) ** 2)
 
     def test_unit_distance_penalty(self):
         grid = tank()
         so = S.build_solid_objective(grid, np.array([grid.flat((4, 4))]))
-        q = np.array([4.5, 4.5])
-        assert S.sigma_solid_obj(q, q, so, grid) == pytest.approx(1000.0)
+        cost = table_cost(grid, so, (4.5, 4.5), (4.5, 4.5))
+        assert cost[grid.flat((4, 4))] == pytest.approx(1000.0)
 
     def test_deeper_cells_penalized_more(self):
         grid = tank(dims=(12, 10))
@@ -87,8 +102,9 @@ class TestSolidObjective:
             blockers[grid.flat((i, 2))] = True
         grid.marking[blockers] = G.SOLID
         so = S.build_solid_objective(grid, np.asarray(row))
-        p1 = S.sigma_solid_obj(np.array([3.5, 1.5]), np.array([3.5, 1.5]), so, grid)
-        p3 = S.sigma_solid_obj(np.array([1.5, 1.5]), np.array([1.5, 1.5]), so, grid)
+        cost = table_cost(grid, so, (2.5, 1.5), (2.5, 1.5))
+        p1 = cost[grid.flat((3, 1))]
+        p3 = cost[grid.flat((1, 1))]
         assert p1 == pytest.approx(1000.0)
         assert p3 == pytest.approx(3000.0)
         assert p3 > p1
@@ -102,13 +118,20 @@ class TestSolidObjective:
         grid.snapshot()
         p = ParticleSet.from_positions(x)
         p.x_ideal = np.array([[4.5, 4.4]])
-        so = S.build_solid_objective(grid, np.array([grid.flat((4, 4))]))
+        new_cell = grid.flat((4, 4))
+        so = S.build_solid_objective(grid, np.array([new_cell]))
         table = C.build_candidates(p, grid)
         cost = S.override_costs(table, so)
         for i in range(table.m):
             if not table.valid[i, 0]:
                 continue
-            expected = S.sigma_solid_obj(table.xi[i, 0], p.x_ideal[0], so, grid)
+            # pointwise reference: the penalty if the landing point falls in
+            # the prospective solid cell, else its squared distance to ideal
+            q = table.xi[i, 0]
+            if int(grid.cell_of(q.reshape(1, -1))[0]) == new_cell:
+                expected = so.lambda_penalty * float(so.cdist[new_cell])
+            else:
+                expected = float(((q - p.x_ideal[0]) ** 2).sum())
             assert cost[i, 0] == pytest.approx(expected)
 
     def test_floor_row_particle_pushed_aside(self):
