@@ -75,7 +75,7 @@ def _cmd_oracle(args) -> int:
     problem = load_problem(text)
     assignment, stats = solve_problem(problem)
     print(f"flow solve: objective {stats.objective:.9f}, {stats.searches} searches, "
-          f"{stats.pops} pops")
+          f"{stats.drains} drains, {stats.pops} pops")
     if problem.n <= BRUTE_FORCE_LIMIT:
         _, oracle_obj = brute_force_ilp(problem)
         gap = abs(stats.objective - oracle_obj)

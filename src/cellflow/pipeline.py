@@ -149,8 +149,8 @@ class Simulation:
         remaining = cfg.frame_dt
         substeps = 0
         trace: list[str] = []
-        solver_stats = {"searches": 0, "objective": 0.0, "pressure_iterations": 0,
-                        "solve_time": 0.0}
+        solver_stats = {"searches": 0, "drains": 0, "objective": 0.0,
+                        "pressure_iterations": 0, "solve_time": 0.0}
         band_diag = {"n_deep": self.band.n_deep if self.band else 0, "n_excess": 0,
                      "n_move": 0, "paths": 0, "find_calls": 0}
         self.last_checks = StepChecks()
@@ -365,6 +365,7 @@ class Simulation:
         assignment, stats = self._solve(problem)
         C.apply_solution(problem, assignment, particles, verify=self.check_invariants)
         solver_stats["searches"] += stats.searches
+        solver_stats["drains"] += stats.drains
         solver_stats["objective"] += stats.objective
         solver_stats["solve_time"] += stats.wall_time
         if band is None:

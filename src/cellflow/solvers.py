@@ -10,7 +10,16 @@ path (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9). Of the parallel
 arcs between two cells, one per member of the tail cell, only the cheapest can
 lie on a shortest path, and augmenting along it leaves the others' reduced
 costs nonnegative; so a search relaxes one cached arc per neighbour cell, while
-the final optimality check still covers every candidate arc. Dense band rows
+the final optimality check still covers every candidate arc. A unit that
+reaches the sink stays there even once the sink's deficit is met: successive
+shortest paths may end an augmentation at any node of a shortest path, so
+reduced costs stay nonnegative and the sink just ends the routing with excess.
+That excess is drained into the cells still below their floor by Dijkstra
+searches run backward from each such cell until they pop the sink; raising
+every popped node's potential by its distance short of the sink's keeps each
+reduced cost nonnegative and zeroes those on the path. The drain
+thus reaches those few cells directly instead of relaxing the sink's
+zero-cost arcs into nearly every cell on the way. Dense band rows
 break that structure; they go through a small branch-and-bound over the row's
 candidate variables with the flow solve as relaxation bound. A pruned
 exhaustive search doubles as an independent oracle for both.
@@ -55,14 +64,6 @@ class FlowNetwork:
     def n_arcs(self) -> int:
         return len(self.tails)
 
-    @property
-    def supplies(self) -> np.ndarray:
-        """Node supply vector: +n at the source, -n at the sink."""
-        b = np.zeros(self.n_nodes, dtype=np.int64)
-        b[0] = self.n_particles
-        b[-1] = -self.n_particles
-        return b
-
 
 @dataclass
 class SolveStats:
@@ -70,9 +71,10 @@ class SolveStats:
     integral: bool
     iterations: int
     wall_time: float
-    searches: int = 0  # Dijkstra runs; the other n - searches took the fast path
-    pops: int = 0      # nodes finalized over all searches
+    searches: int = 0  # forward Dijkstra runs; the other n - searches took the fast path
+    pops: int = 0      # nodes finalized over all searches, forward and backward
     scans: int = 0     # arc-table entries read at popped cells
+    drains: int = 0    # backward Dijkstra runs, one per unit of floor the routing left
 
 
 def reduce_to_flow(problem: CorrectionProblem) -> FlowNetwork:
@@ -126,9 +128,9 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
     Lower bounds are removed by the mandatory-arc excess/deficit
     transformation: each particle holds one unit of excess, each cell a
     deficit of its floor and the sink one of n minus the floors. Particles are
-    routed in index order to the nearest deficit by Dijkstra over reduced
-    costs, and potentials of finalized nodes are updated after every
-    augmentation.
+    routed in index order to the nearest cell below its floor or to the sink,
+    by Dijkstra over reduced costs, and potentials of finalized nodes are
+    updated after every augmentation.
 
     Particle nodes are contracted out of the search, which is exact: an
     assigned particle p has exactly one incoming residual arc, from its cell
@@ -136,9 +138,7 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
     Reduced costs add along that pair and p's potential cancels, leaving the
     cell arc u -> v of reduced cost cost[v, p] - cost[u, p] + pi[u] - pi[v].
     Shortest paths, potentials and the optimality test are thus those of the
-    arc-level network. The search stops at a cell below its floor, or at the
-    sink while it has deficit; once that is used up, the search passes
-    through the sink to cells holding more than their floor.
+    arc-level network.
 
     Only the cheapest of the parallel arcs u -> v (one per member of u) can
     lie on a shortest path, and augmenting along it leaves the others' reduced
@@ -146,10 +146,23 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
     cheapest arc per neighbour, dropped whenever the cell's members change.
     The final check still tests every candidate arc.
 
+    A unit that reaches the sink stays there even once the sink's deficit is
+    used up. Successive shortest paths may move excess to any node of a
+    shortest path, so reduced costs stay nonnegative; the sink merely ends
+    the routing with excess, one unit per unit of floor still missing. Each
+    such unit is then drained by a Dijkstra search backward from a cell below
+    its floor over in-arcs, stopped when it pops the sink at distance D;
+    every popped node u gains D - d[u], which keeps every reduced cost
+    nonnegative and zeroes those along the path. Every particle is routed
+    before a drain raises a potential, so an unrouted particle's arcs, priced
+    at potential 0, never turn negative. The in-arc tables, each cell's
+    cheapest in-arc per predecessor cell, are built only if the sink ends
+    with excess, and a moving particle drops those of its candidate cells.
+
     Because reduced costs stay nonnegative, a particle whose cheapest
-    candidate is a deficit cell, or sends on to a sink with deficit at zero
-    reduced cost, is provably on a shortest path; that one- or two-arc case
-    covers almost every particle in a settled fluid and skips the heap.
+    candidate is a deficit cell, or sends on to the sink at zero reduced
+    cost, is provably on a shortest path; that one- or two-arc case covers
+    almost every particle in a settled fluid and skips the heap.
     """
     t0 = time.perf_counter()
     n = net.n_particles
@@ -160,8 +173,7 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
     cap_np, floor_np = net.caps[cell_arcs], net.lowers[cell_arcs]
     cand_cell_np = net.heads[net.cand_arc] - (n + 1)
     cand_cost_np = net.costs[net.cand_arc]
-    deficit = n - int(floor_np.sum())  # the sink's
-    if deficit < 0:
+    if int(floor_np.sum()) > n:
         raise IntegrityError("min-cost flow infeasible: floors exceed the particle count")
 
     # candidate indices per particle, in direction order
@@ -177,19 +189,20 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
     count = [0] * K
     members: list[list[int]] = [[] for _ in range(K)]
     table: list[dict | None] = [None] * K  # per cell: {v: (cost, candidate)}
+    intab: list[dict | None] | None = None  # per cell: {u: (cost, candidate)}, drains only
     assigned = [0] * n  # candidate index per particle
     pi = [0.0] * (K + 1)
     dist = [0.0] * (K + 1)
     stamp = [0] * (K + 1)
-    prev = [-1] * (K + 1)  # predecessor node, -1 for the routed particle
-    via = [-1] * (K + 1)   # candidate moved into the node, -1 for a sink arc
+    prev = [-1] * (K + 1)  # next node toward the search's root, -1 for the root
+    via = [-1] * (K + 1)   # candidate moved along that arc, -1 for a sink arc
     check = CHECK_POTENTIALS
-    run = pops = scans = 0
+    run = pops = scans = drains = 0
     INF = float("inf")
     heappush, heappop = heapq.heappush, heapq.heappop
 
     def reach(v: int, d: float, rc: float, u: int, k: int) -> None:
-        """Relax the arc u -> v (reduced cost rc) leaving a node at distance d."""
+        """Relax the arc between u and v (reduced cost rc) at distance d from u."""
         if check and rc < -1e-9:
             raise IntegrityError(f"negative reduced cost {rc} into node {v}")
         nd = d + rc
@@ -201,7 +214,7 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
             heappush(heap, (nd, v))
 
     def place(p: int, u: int, k: int) -> None:
-        """Move particle p from cell u (-1 if unrouted) into candidate k; drop both tables."""
+        """Move particle p from cell u (-1 if unrouted) into candidate k; drop its tables."""
         if u >= 0:
             members[u].remove(p)
             count[u] -= 1
@@ -210,6 +223,9 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
         count[cand_cell[k]] += 1
         table[cand_cell[k]] = None
         assigned[p] = k
+        if intab is not None:
+            for c in spans[p]:
+                intab[cand_cell[c]] = None
 
     for q in range(n):
         # fast path: the cheapest candidate; an unrouted particle has pi = 0
@@ -218,10 +234,7 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
             rc = cand_cost[k] - pi[cand_cell[k]]
             if rc < best_rc:
                 best_rc, bv, bk = rc, cand_cell[k], k
-        if count[bv] < floor[bv] or (
-                deficit > 0 and count[bv] < cap[bv] and pi[bv] - pi[sink] <= 1e-12):
-            if count[bv] >= floor[bv]:
-                deficit -= 1
+        if count[bv] < floor[bv] or (count[bv] < cap[bv] and pi[bv] - pi[sink] <= 1e-12):
             place(q, -1, bk)
             continue
 
@@ -237,16 +250,7 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
                 continue
             stamp[u] = -run  # finalized
             popped.append(u)
-            if u == sink:
-                if deficit > 0:
-                    target = u
-                    break
-                # the sink is full: pass on to cells holding more than their floor
-                for v in range(K):
-                    if count[v] > floor[v] and stamp[v] != -run:
-                        reach(v, d, pi[sink] - pi[v], sink, -1)
-                continue
-            if count[u] < floor[u]:
+            if u == sink or count[u] < floor[u]:
                 target = u
                 break
             arcs = table[u]
@@ -281,8 +285,6 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
         dstar = dist[target]
         for u in popped:
             pi[u] += dist[u] - dstar
-        if target == sink:
-            deficit -= 1
         v = target
         while v >= 0:
             k = via[v]
@@ -290,6 +292,56 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
             if k >= 0:  # a particle moves from u (none for q) into v
                 place(cand_p[k], u, k)
             v = u
+
+    # drain the sink's excess into the cells still below their floor
+    short = [t for t in range(K) if count[t] < floor[t]]
+    if short:
+        order = np.argsort(cand_cell_np, kind="stable")
+        bounds = np.searchsorted(cand_cell_np[order], np.arange(K + 1)).tolist()
+        order = order.tolist()
+        intab = [None] * K
+    for t in short:
+        while count[t] < floor[t]:
+            run += 1
+            drains += 1
+            heap = []
+            reach(t, 0.0, 0.0, -1, -1)
+            popped = []
+            while heap:
+                d, v = heappop(heap)
+                if stamp[v] != run or d > dist[v]:
+                    continue
+                stamp[v] = -run
+                popped.append(v)
+                if v == sink:
+                    break
+                arcs = intab[v]
+                if arcs is None:  # the cheapest arc u -> v over the particles in u, per u
+                    arcs = intab[v] = {}
+                    for k in order[bounds[v]:bounds[v + 1]]:
+                        a = assigned[cand_p[k]]
+                        u = cand_cell[a]
+                        c = cand_cost[k] - cand_cost[a]
+                        if u != v and (u not in arcs or c < arcs[u][0]):
+                            arcs[u] = (c, k)
+                scans += len(arcs)
+                for u, (c, k) in arcs.items():
+                    if stamp[u] != -run:
+                        reach(u, d, c + pi[u] - pi[v], v, k)
+                if count[v] > floor[v] and stamp[sink] != -run:
+                    reach(sink, d, pi[sink] - pi[v], v, -1)
+            if stamp[sink] != -run:
+                raise IntegrityError("min-cost flow infeasible: a floor cannot be met")
+            pops += len(popped)
+            dstar = dist[sink]
+            for u in popped:
+                pi[u] += dstar - dist[u]
+            v = sink
+            while v != t:  # the sink gives up a unit, each particle on the path moves on
+                u = prev[v]
+                if via[v] >= 0:
+                    place(cand_p[via[v]], v, via[v])
+                v = u
 
     chosen = np.asarray(assigned, dtype=np.int64)
     objective = float(cand_cost_np[chosen].sum())
@@ -307,8 +359,9 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
     if red.size and red.min() < -1e-6:
         raise IntegrityError(f"optimality check failed: reduced cost {red.min()}")
 
-    stats = SolveStats(objective=objective, integral=True, iterations=n, searches=run, pops=pops,
-                       scans=scans, wall_time=time.perf_counter() - t0)
+    stats = SolveStats(objective=objective, integral=True, iterations=n, searches=run - drains,
+                       pops=pops, scans=scans, drains=drains,
+                       wall_time=time.perf_counter() - t0)
     return Assignment(choice=net.cand_i[chosen]), stats
 
 

@@ -115,3 +115,39 @@ def test_volume_summary(tmp_path, capsys):
     assert code == 0
     assert "volume percent range" in text
     assert "100.00" in text
+
+
+def test_compare_objectives_script(tmp_path, monkeypatch, capsys):
+    """scripts/compare_objectives.py records every problem of a run; the same
+    solver re-solving them gives no gap and identical choices, and a doctored
+    objective makes it exit 1."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+    from cellflow.scene import Box, FluidRegion, SceneConfig
+
+    path = Path(__file__).resolve().parent.parent / "scripts" / "compare_objectives.py"
+    spec = importlib.util.spec_from_file_location("compare_objectives", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    scene = tmp_path / "tiny.scene"
+    scene.write_text(scene_to_text(SceneConfig(
+        name="tiny", dims=(20, 20), mu=2, frames=1,
+        fluids=[FluidRegion(Box((1, 1), (10, 8)))])), encoding="utf-8")
+    a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+
+    def run(*argv):
+        monkeypatch.setattr(sys, "argv", ["compare_objectives.py", *argv])
+        return script.main()
+
+    assert run("--scene", str(scene), "--frames", "2", "--out", str(a)) == 0
+    recorded = dict(np.load(a))
+    assert int(recorded["count"]) > 0
+    assert run("--against", str(a), "--out", str(b)) == 0
+    out = capsys.readouterr().out
+    assert "largest relative objective gap 0," in out
+    assert "(100%)" in out
+
+    recorded["objective"] = recorded["objective"] * 1.01
+    np.savez(a, **recorded)
+    assert run("--against", str(a), "--out", str(b)) == 1

@@ -178,16 +178,23 @@ def _pinned_floors(problem, rng, slack):
         cost=problem.cost, dims=problem.dims, valid=problem.valid.copy())
 
 
-class TestSinkPassThrough:
+class TestDrain:
     """Floors summing to n leave the sink full from the start; summing to
-    n - 1 it fills after one unit, and later searches reach cells above
-    their floor only through the sink."""
+    n - 1 it fills after one unit. Units that reach the full sink stay there
+    as excess, and backward searches later drain them into the cells still
+    below their floor."""
+
+    # _tie_problem seeds whose solve drains more than once, where a later
+    # drain reads the in-arc table of a cell that an earlier drain's move
+    # must have dropped; a stale table moves a particle that is no longer in
+    # the cell, or fails the final optimality check
+    DRAIN_INTO_DROPPED_TABLE = (459, 1244, 1262, 1907, 1920)
 
     @pytest.mark.parametrize("slack", [0, 1])
     def test_matches_brute_force(self, slack, monkeypatch):
         monkeypatch.setattr(V, "CHECK_POTENTIALS", True)
         rng = np.random.default_rng(41 + slack)
-        checked = 0
+        checked = drained = 0
         for _ in range(40):
             problem, grid, particles = random_problem(rng, n_max=8)
             pinned = _pinned_floors(problem, rng, slack)
@@ -201,7 +208,19 @@ class TestSinkPassThrough:
             _, oracle = V.brute_force_ilp(pinned)
             assert abs(stats.objective - oracle) < 1e-9
             checked += 1
+            drained += stats.drains > 0
         assert checked >= 30
+        assert drained > checked // 2
+
+    @pytest.mark.parametrize("seed", DRAIN_INTO_DROPPED_TABLE)
+    def test_drain_into_dropped_table(self, seed, monkeypatch):
+        monkeypatch.setattr(V, "CHECK_POTENTIALS", True)
+        problem = _tie_problem(np.random.default_rng(seed))
+        assignment, stats = V.solve_problem(problem)
+        assert stats.drains >= 2
+        problem.check_feasible(assignment.choice)
+        _, oracle = V.brute_force_ilp(problem)
+        assert abs(stats.objective - oracle) < 1e-9
 
 
 def _tie_problem(rng, dims=(6, 6)):
@@ -309,6 +328,7 @@ def test_dam_problem_matches_highs(monkeypatch):
     pytest.importorskip("scipy")
     problem, assignment, stats, _ = _scene_problem(monkeypatch, "dam", 12)
     assert problem.n == 3456
+    assert stats.drains > 0
     problem.check_feasible(assignment.choice)
     optimum = _highs_objective(problem)
     assert abs(stats.objective - optimum) <= 1e-9 * abs(optimum)
@@ -321,6 +341,7 @@ def test_falling_obs_problem_matches_highs(monkeypatch):
     problem, assignment, stats, penalised = _scene_problem(monkeypatch, "falling_obs", 44)
     assert penalised
     assert stats.searches > 0
+    assert stats.drains > 0
     problem.check_feasible(assignment.choice)
     optimum = _highs_objective(problem)
     assert abs(stats.objective - optimum) <= 1e-9 * abs(optimum)
