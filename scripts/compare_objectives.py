@@ -14,7 +14,7 @@ The comparison prints the largest relative objective gap and the share of
 problems whose choices are identical. cellflow is imported from PYTHONPATH,
 so recording with another tree's ``src`` and re-solving with this one
 compares the two solvers on the same problems, whatever tie each breaks.
-Exits 1 if some gap exceeds --tol.
+Exits 1 if some gap exceeds TOL.
 """
 import argparse
 import sys
@@ -26,11 +26,11 @@ from cellflow import solvers as V
 from cellflow.pipeline import Simulation
 from cellflow.scene import load_scene
 
-FIELDS = ("cost", "target", "valid", "cap", "floor")
+TOL = 1e-9  # largest relative objective gap allowed
 
 
-def record(scene: str, frames: int, seed: int) -> tuple[list[dict], list]:
-    """Every correction problem of the run, and this tree's solve of each."""
+def record(scene: str, frames: int, seed: int) -> tuple[list[str], list]:
+    """Every correction problem of the run, dumped, and this tree's solve of each."""
     cfg = load_scene(scene)
     cfg.seed = seed
     sim = Simulation(cfg)
@@ -39,9 +39,7 @@ def record(scene: str, frames: int, seed: int) -> tuple[list[dict], list]:
 
     def capture(problem):
         result = solve(problem)
-        problems.append({"cost": problem.cost, "target": problem.target_flat,
-                         "valid": problem.valid, "cap": problem.cap, "floor": problem.floor,
-                         "dims": np.asarray(problem.dims), "mu": np.asarray(problem.mu)})
+        problems.append(C.dump_problem(problem))
         results.append(result)
         return result
 
@@ -54,31 +52,17 @@ def record(scene: str, frames: int, seed: int) -> tuple[list[dict], list]:
     return problems, results
 
 
-def rebuild(fields: dict) -> C.CorrectionProblem:
-    """A solvable problem from the stored arrays; landing points are not kept."""
-    dims = tuple(int(v) for v in fields["dims"])
-    m, n = fields["cost"].shape
-    table = C.CandidateTable(xi=np.zeros((m, n, len(dims))), cost=fields["cost"],
-                             target_flat=fields["target"], valid=fields["valid"],
-                             dirs=C.direction_set(len(dims)))
-    return C.CorrectionProblem(candidates=table, mu=int(fields["mu"]), cap=fields["cap"],
-                               floor=fields["floor"], cost=fields["cost"], dims=dims,
-                               valid=fields["valid"].copy())
-
-
-def load(path: str) -> tuple[list[dict], np.ndarray, list[np.ndarray]]:
+def load(path: str) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
     data = np.load(path)
-    count = int(data["count"])
-    problems = [{key: data[f"{key}_{i}"] for key in FIELDS + ("dims", "mu")}
-                for i in range(count)]
+    count = len(data["objective"])
+    problems = [str(data[f"problem_{i}"]) for i in range(count)]
     return problems, data["objective"], [data[f"choice_{i}"] for i in range(count)]
 
 
-def save(path: str, problems: list[dict], results: list) -> None:
-    arrays = {"count": np.asarray(len(problems)),
-              "objective": np.array([stats.objective for _, stats in results])}
-    for i, (fields, (assignment, _)) in enumerate(zip(problems, results)):
-        arrays.update({f"{key}_{i}": value for key, value in fields.items()})
+def save(path: str, problems: list[str], results: list) -> None:
+    arrays = {"objective": np.array([stats.objective for _, stats in results])}
+    for i, (text, (assignment, _)) in enumerate(zip(problems, results)):
+        arrays[f"problem_{i}"] = np.array(text)
         arrays[f"choice_{i}"] = assignment.choice
     np.savez_compressed(path, **arrays)
 
@@ -91,7 +75,6 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--against", metavar="FILE", help="re-solve and compare with FILE")
     parser.add_argument("--out", required=True, metavar="FILE", help="output .npz")
-    parser.add_argument("--tol", type=float, default=1e-9, help="largest relative gap allowed")
     args = parser.parse_args()
     if (args.scene is None) == (args.against is None):
         parser.error("give exactly one of --scene and --against")
@@ -104,7 +87,7 @@ def main() -> int:
         return 0
 
     problems, objective, choices = load(args.against)
-    results = [V.solve_problem(rebuild(fields)) for fields in problems]
+    results = [V.solve_problem(C.load_problem(text)) for text in problems]
     save(args.out, problems, results)
     mine = np.array([stats.objective for _, stats in results])
     gap = np.abs(mine - objective) / np.maximum(np.abs(objective), 1e-300)
@@ -113,7 +96,7 @@ def main() -> int:
     print(f"{len(problems)} problems: largest relative objective gap {worst:.3g}, "
           f"identical choices {same} of {len(problems)} "
           f"({100.0 * same / max(len(problems), 1):.0f}%)")
-    return 0 if worst <= args.tol else 1
+    return 0 if worst <= TOL else 1
 
 
 if __name__ == "__main__":
