@@ -1,7 +1,7 @@
 """Check that two versions of the flow solver reach the same optima.
 
 Record every correction problem of an N-frame run, with this tree's
-objective and choice for each:
+objective, choice and solver work (searches, drains, pops) for each:
 
     python scripts/compare_objectives.py --scene dam --frames 60 --seed 5 --out a.npz
 
@@ -10,10 +10,11 @@ results, and compare them with the file's:
 
     python scripts/compare_objectives.py --against a.npz --out b.npz
 
-The comparison prints the largest relative objective gap and the share of
-problems whose choices are identical. cellflow is imported from PYTHONPATH,
-so recording with another tree's ``src`` and re-solving with this one
-compares the two solvers on the same problems, whatever tie each breaks.
+The comparison prints the largest relative objective gap, the share of
+problems whose choices are identical, and both files' mean work per solve.
+cellflow is imported from PYTHONPATH, so recording with another tree's
+``src`` and re-solving with this one compares the two solvers on the same
+problems, whatever tie each breaks.
 Exits 1 if some gap exceeds TOL.
 """
 import argparse
@@ -27,6 +28,7 @@ from cellflow.pipeline import Simulation
 from cellflow.scene import load_scene
 
 TOL = 1e-9  # largest relative objective gap allowed
+WORK = ("searches", "drains", "pops")  # SolveStats counters stored per problem
 
 
 def record(scene: str, frames: int, seed: int) -> tuple[list[str], list]:
@@ -52,15 +54,18 @@ def record(scene: str, frames: int, seed: int) -> tuple[list[str], list]:
     return problems, results
 
 
-def load(path: str) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
+def load(path: str) -> tuple[list[str], np.ndarray, list[np.ndarray], dict]:
     data = np.load(path)
     count = len(data["objective"])
     problems = [str(data[f"problem_{i}"]) for i in range(count)]
-    return problems, data["objective"], [data[f"choice_{i}"] for i in range(count)]
+    work = {name: data[name] for name in WORK}
+    return problems, data["objective"], [data[f"choice_{i}"] for i in range(count)], work
 
 
 def save(path: str, problems: list[str], results: list) -> None:
     arrays = {"objective": np.array([stats.objective for _, stats in results])}
+    for name in WORK:
+        arrays[name] = np.array([getattr(stats, name) for _, stats in results], dtype=np.int64)
     for i, (text, (assignment, _)) in enumerate(zip(problems, results)):
         arrays[f"problem_{i}"] = np.array(text)
         arrays[f"choice_{i}"] = assignment.choice
@@ -86,16 +91,20 @@ def main() -> int:
               f"at seed {args.seed} -> {args.out}")
         return 0
 
-    problems, objective, choices = load(args.against)
+    problems, objective, choices, work = load(args.against)
     results = [V.solve_problem(C.load_problem(text)) for text in problems]
     save(args.out, problems, results)
+    redone = {name: np.array([getattr(stats, name) for _, stats in results]) for name in WORK}
+    per = max(len(problems), 1)
     mine = np.array([stats.objective for _, stats in results])
     gap = np.abs(mine - objective) / np.maximum(np.abs(objective), 1e-300)
     same = sum(bool(np.array_equal(a.choice, c)) for (a, _), c in zip(results, choices))
     worst = float(gap.max()) if len(gap) else 0.0
     print(f"{len(problems)} problems: largest relative objective gap {worst:.3g}, "
           f"identical choices {same} of {len(problems)} "
-          f"({100.0 * same / max(len(problems), 1):.0f}%)")
+          f"({100.0 * same / per:.0f}%)")
+    print("work per solve, recorded -> re-solved: " + ", ".join(
+        f"{name} {work[name].sum() / per:.1f} -> {redone[name].sum() / per:.1f}" for name in WORK))
     return 0 if worst <= TOL else 1
 
 

@@ -105,17 +105,25 @@ def _corner_weights(frac: np.ndarray):
         yield corner, w
 
 
-def _face_gather(mac: MacGrid, a: int, positions: np.ndarray) -> np.ndarray:
-    """Interpolate velocity component a at the given positions."""
-    u = mac.vel[a]
+def _stencil(mac: MacGrid, a: int, positions: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(flat index into component a's faces, multilinear weight) per corner
+    of the face cell around each position."""
+    shape = mac.vel[a].shape
     q = positions - mac.face_offset(a)
     base = np.floor(q).astype(np.int64)
-    shape = np.asarray(u.shape)
-    base = np.clip(base, 0, shape - 2)
+    base = np.clip(base, 0, np.asarray(shape) - 2)
     frac = np.clip(q - base, 0.0, 1.0)
+    strides = [int(np.prod(shape[k + 1:])) for k in range(mac.d)]
+    origin = sum(base[:, k] * strides[k] for k in range(mac.d))
+    return [(origin + sum(c * s for c, s in zip(corner, strides)), w)
+            for corner, w in _corner_weights(frac)]
+
+
+def _face_gather(mac: MacGrid, a: int, positions: np.ndarray) -> np.ndarray:
+    """Interpolate velocity component a at the given positions."""
+    u = mac.vel[a].ravel()
     out = np.zeros(len(positions))
-    for corner, w in _corner_weights(frac):
-        idx = tuple(base[:, k] + corner[k] for k in range(mac.d))
+    for idx, w in _stencil(mac, a, positions):
         out += w * u[idx]
     return out
 
@@ -138,17 +146,12 @@ def transfer_p2g(particles: ParticleSet, mac: MacGrid, write_cells: np.ndarray |
     pos = particles.x_prev
     for a in range(mac.d):
         u = mac.vel[a]
-        num = np.zeros_like(u)
-        den = np.zeros_like(u)
-        q = pos - mac.face_offset(a)
-        base = np.floor(q).astype(np.int64)
-        base = np.clip(base, 0, np.asarray(u.shape) - 2)
-        frac = np.clip(q - base, 0.0, 1.0)
-        comp = particles.vel[:, a]
-        for corner, w in _corner_weights(frac):
-            idx = tuple(base[:, k] + corner[k] for k in range(mac.d))
-            np.add.at(num, idx, w * comp)
-            np.add.at(den, idx, w)
+        stencil = _stencil(mac, a, pos)
+        # corner-major: each face sums its particles in a fixed order
+        flat = np.concatenate([idx for idx, _ in stencil])
+        num = np.bincount(flat, np.concatenate([w * particles.vel[:, a] for _, w in stencil]),
+                          u.size).reshape(u.shape)
+        den = np.bincount(flat, np.concatenate([w for _, w in stencil]), u.size).reshape(u.shape)
         mask = den > 0
         if write_cells is not None:
             mask &= G.face_mask(mac.dims, a, write_cells)
@@ -168,12 +171,13 @@ def transfer_g2p(mac: MacGrid, saved_vel: list[np.ndarray], particles: ParticleS
     """FLIP/PIC blend back to particles, then clamp to the scene speed bound."""
     if particles.n == 0:
         return
-    pos = particles.x_prev
-    pic = velocity_at(mac, pos)
-    saved = MacGrid(mac.dims)
-    for a in range(mac.d):
-        saved.vel[a] = mac.vel[a] - saved_vel[a]
-    delta = velocity_at(saved, pos)
+    pic = np.zeros((particles.n, mac.d))
+    delta = np.zeros((particles.n, mac.d))
+    for a in range(mac.d):  # the new field and its change since p2g, on one stencil
+        u, du = mac.vel[a].ravel(), (mac.vel[a] - saved_vel[a]).ravel()
+        for idx, w in _stencil(mac, a, particles.x_prev):
+            pic[:, a] += w * u[idx]
+            delta[:, a] += w * du[idx]
     particles.vel = flip_ratio * (particles.vel + delta) + (1.0 - flip_ratio) * pic
     if max_speed is not None and particles.n:
         peak = np.abs(particles.vel).max(axis=1)

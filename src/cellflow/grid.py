@@ -204,9 +204,12 @@ def classify_cells(grid: CellGrid, particles, obstacles=(), band_R: int | None =
 
     Solid cells are tank walls plus obstacle-occupied cells. Fluid cells are
     the non-solid cells holding at least one particle; with the band method
-    active (band_R set), previously deep fluid cells stay fluid even though
-    their particles were deleted. A fluid cell is SURFACE when some Moore
-    neighbor is non-fluid and not a tank wall, INNER otherwise.
+    active (band_R set), fluid cells at previous depth <= -R stay fluid:
+    deep cells lost their particles, and an interface cell, capped but not
+    floored by the correction, may have been emptied by it. Were it marked
+    empty, the deep cells behind it would turn SURFACE and the depth collapse.
+    A fluid cell is SURFACE when some Moore neighbor is non-fluid and not a
+    tank wall, INNER otherwise.
     """
     x = getattr(particles, "x", particles)
     solid = grid.wall.copy()
@@ -225,7 +228,7 @@ def classify_cells(grid: CellGrid, particles, obstacles=(), band_R: int | None =
     fluid = (counts > 0) & ~solid
     if band_R is not None and grid.prev is not None:
         prev_fluid = (grid.prev.marking == SURFACE) | (grid.prev.marking == INNER)
-        fluid |= prev_fluid & (grid.prev.depth < -band_R) & ~solid
+        fluid |= prev_fluid & (grid.prev.depth <= -band_R) & ~solid
 
     trigger = (~fluid) & (~grid.domain_boundary)
     near = _any_neighbor(trigger.reshape(grid.dims), moore_offsets(grid.d)).reshape(-1)

@@ -2,27 +2,35 @@
 
 The sparse problem (no dense rows) reduces to a transportation-structured
 minimum-cost flow whose LP relaxation is integral, so it is solved exactly by
-successive shortest paths with node potentials. The searches run on the cell
-graph: an assigned particle node has exactly one incoming residual arc, from
-its cell, and reduced costs add along cell -> particle -> cell, so each
-particle node contracts into arcs between cells without changing any shortest
-path (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9). Of the parallel
-arcs between two cells, one per member of the tail cell, only the cheapest can
-lie on a shortest path, and augmenting along it leaves the others' reduced
-costs nonnegative; so a search relaxes one cached arc per neighbour cell, while
-the final optimality check still covers every candidate arc. A unit that
-reaches the sink stays there even once the sink's deficit is met: successive
-shortest paths may end an augmentation at any node of a shortest path, so
-reduced costs stay nonnegative and the sink just ends the routing with excess.
-That excess is drained into the cells still below their floor by Dijkstra
-searches run backward from each such cell until they pop the sink; raising
-every popped node's potential by its distance short of the sink's keeps each
-reduced cost nonnegative and zeroes those on the path. The drain
-thus reaches those few cells directly instead of relaxing the sink's
-zero-cost arcs into nearly every cell on the way. Dense band rows
-break that structure; they go through a small branch-and-bound over the row's
-candidate variables with the flow solve as relaxation bound. A pruned
-exhaustive search doubles as an independent oracle for both.
+successive shortest paths with node potentials. Routing starts from a greedy
+pseudo-flow built in numpy: every particle on its cheapest candidate, each
+cell accepting the first cap of the particles that picked it, and every
+potential 0. Successive shortest paths may start there (Ahuja, Magnanti &
+Orlin, *Network Flows*, 1993, ch. 9): no count exceeds its cap, and every
+residual arc has reduced cost >= 0, since an accepted particle's arc to
+another candidate costs the difference from its cheapest, and the arcs between
+the cells and the sink cost 0. So only the rejected particles are searched,
+and a start that rejects none and leaves no cell below its floor is optimal as
+it stands. The searches run on the cell graph: an assigned particle node has
+exactly one incoming residual arc, from its cell, and reduced costs add along
+cell -> particle -> cell, so each particle node contracts into arcs between
+cells without changing any shortest path. Of the parallel arcs between two
+cells, one per member of the tail cell, only the cheapest can lie on a
+shortest path, and augmenting along it leaves the others' reduced costs
+nonnegative; so a search relaxes one cached arc per neighbour cell, while the
+final optimality check still covers every candidate arc. A unit that reaches
+the sink stays there even once the sink's deficit is met: successive shortest
+paths may end an augmentation at any node of a shortest path, so reduced costs
+stay nonnegative and the sink just ends the routing with excess. That excess
+is drained into the cells still below their floor by Dijkstra searches run
+backward from each such cell until they pop the sink; raising every popped
+node's potential by its distance short of the sink's keeps each reduced cost
+nonnegative and zeroes those on the path. The drain thus reaches those few
+cells directly instead of relaxing the sink's zero-cost arcs into nearly every
+cell on the way. Dense band rows break that structure; they go through a small
+branch-and-bound over the row's candidate variables with the flow solve as
+relaxation bound. A pruned exhaustive search doubles as an independent oracle
+for both.
 """
 from __future__ import annotations
 
@@ -71,7 +79,7 @@ class SolveStats:
     integral: bool
     iterations: int
     wall_time: float
-    searches: int = 0  # forward Dijkstra runs; the other n - searches took the fast path
+    searches: int = 0  # forward Dijkstra runs, one per particle the greedy start rejected
     pops: int = 0      # nodes finalized over all searches, forward and backward
     scans: int = 0     # arc-table entries read at popped cells
     drains: int = 0    # backward Dijkstra runs, one per unit of floor the routing left
@@ -88,12 +96,14 @@ def reduce_to_flow(problem: CorrectionProblem) -> FlowNetwork:
     # candidate arcs ordered by (particle, direction)
     jj, ii = np.nonzero(valid.T) if n else (np.zeros(0, dtype=np.int64),) * 2
     cand_cell = target[ii, jj] if n else np.zeros(0, dtype=np.int64)
-    used, cell_idx = (np.unique(cand_cell, return_inverse=True)
-                      if len(cand_cell) else (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)))
+    # the grid cells some candidate reaches, in grid order, and their ranks
+    reached = np.bincount(cand_cell, minlength=len(problem.cap)) > 0
+    used = np.flatnonzero(reached)
+    cell_idx = (np.cumsum(reached) - 1)[cand_cell]
     sink = n + 1 + len(used)
 
     floored = np.flatnonzero(problem.floor > 0)
-    missing = np.setdiff1d(floored, used)
+    missing = floored[~reached[floored]]
     if missing.size:
         raise IntegrityError(f"floored cells unreachable by any candidate: {missing[:4].tolist()}")
 
@@ -127,10 +137,21 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
 
     Lower bounds are removed by the mandatory-arc excess/deficit
     transformation: each particle holds one unit of excess, each cell a
-    deficit of its floor and the sink one of n minus the floors. Particles are
-    routed in index order to the nearest cell below its floor or to the sink,
-    by Dijkstra over reduced costs, and potentials of finalized nodes are
-    updated after every augmentation.
+    deficit of its floor and the sink one of n minus the floors.
+
+    The routing starts from a greedy pseudo-flow, computed in numpy: each
+    particle picks its first cheapest candidate, and each cell accepts the
+    first cap[v] of the particles that picked it, in index order. At pi = 0
+    this start leaves every residual arc with reduced cost >= 0: a candidate
+    arc of an accepted particle costs its candidate's cost less the cheapest,
+    and the cell -> sink arcs with room and the sink -> cell arcs above the
+    floor cost 0. No count exceeds its cap. Successive shortest paths may
+    start from any such pseudo-flow, so if no particle is rejected and no
+    cell is below its floor the start is optimal and is returned as it is.
+    Otherwise the rejected particles, whose cheapest cell is full, are
+    routed in index order to the nearest cell below its floor or to the
+    sink, by Dijkstra over reduced costs, and potentials of finalized nodes
+    are updated after every augmentation.
 
     Particle nodes are contracted out of the search, which is exact: an
     assigned particle p has exactly one incoming residual arc, from its cell
@@ -158,11 +179,6 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
     at potential 0, never turn negative. The in-arc tables, each cell's
     cheapest in-arc per predecessor cell, are built only if the sink ends
     with excess, and a moving particle drops those of its candidate cells.
-
-    Because reduced costs stay nonnegative, a particle whose cheapest
-    candidate is a deficit cell, or sends on to the sink at zero reduced
-    cost, is provably on a shortest path; that one- or two-arc case covers
-    almost every particle in a settled fluid and skips the heap.
     """
     t0 = time.perf_counter()
     n = net.n_particles
@@ -178,19 +194,40 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
 
     # candidate indices per particle, in direction order
     starts = np.searchsorted(net.cand_j, np.arange(n + 1))
-    if (np.diff(starts) == 0).any():
+    sizes = np.diff(starts)
+    if (sizes == 0).any():
         raise IntegrityError("min-cost flow infeasible: some particle has no candidate")
+
+    # greedy start: each particle's first cheapest candidate; each cell
+    # accepts the first cap of the particles that picked it, in index order
+    cheapest = np.minimum.reduceat(cand_cost_np, starts[:-1])
+    at_min = np.flatnonzero(cand_cost_np == np.repeat(cheapest, sizes))
+    pick = at_min[np.searchsorted(at_min, starts[:-1])]
+    pick_cell = cand_cell_np[pick]
+    picked = np.bincount(pick_cell, minlength=K)
+    order = np.argsort(pick_cell, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n) - np.repeat(np.cumsum(picked) - picked, picked)
+    accepted = rank < cap_np[pick_cell]
+    count_np = np.minimum(picked, cap_np)
+    if accepted.all() and (count_np >= floor_np).all():
+        _check_reduced_costs(net, pick, np.zeros(K + 1), count_np, cap_np, floor_np)
+        return Assignment(choice=net.cand_i[pick]), SolveStats(
+            objective=float(cand_cost_np[pick].sum()), integral=True, iterations=n,
+            wall_time=time.perf_counter() - t0)
+
     starts = starts.tolist()
     spans = [range(starts[p], starts[p + 1]) for p in range(n)]
     cand_cell, cand_cost = cand_cell_np.tolist(), cand_cost_np.tolist()
     cand_p = net.cand_j.tolist()
     cap, floor = cap_np.tolist(), floor_np.tolist()
 
-    count = [0] * K
-    members: list[list[int]] = [[] for _ in range(K)]
+    count = count_np.tolist()
+    kept, ends = order[accepted[order]].tolist(), np.cumsum(count_np).tolist()
+    members = [kept[e - c:e] for c, e in zip(count, ends)]  # per cell, in index order
     table: list[dict | None] = [None] * K  # per cell: {v: (cost, candidate)}
     intab: list[dict | None] | None = None  # per cell: {u: (cost, candidate)}, drains only
-    assigned = [0] * n  # candidate index per particle
+    assigned = pick.tolist()  # candidate index per particle; a rejected one's is set when routed
     pi = [0.0] * (K + 1)
     dist = [0.0] * (K + 1)
     stamp = [0] * (K + 1)
@@ -198,7 +235,6 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
     via = [-1] * (K + 1)   # candidate moved along that arc, -1 for a sink arc
     check = CHECK_POTENTIALS
     run = pops = scans = drains = 0
-    INF = float("inf")
     heappush, heappop = heapq.heappush, heapq.heappop
 
     def reach(v: int, d: float, rc: float, u: int, k: int) -> None:
@@ -227,17 +263,7 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
             for c in spans[p]:
                 intab[cand_cell[c]] = None
 
-    for q in range(n):
-        # fast path: the cheapest candidate; an unrouted particle has pi = 0
-        best_rc = INF
-        for k in spans[q]:
-            rc = cand_cost[k] - pi[cand_cell[k]]
-            if rc < best_rc:
-                best_rc, bv, bk = rc, cand_cell[k], k
-        if count[bv] < floor[bv] or (count[bv] < cap[bv] and pi[bv] - pi[sink] <= 1e-12):
-            place(q, -1, bk)
-            continue
-
+    for q in np.flatnonzero(~accepted).tolist():  # an unrouted particle has pi = 0
         run += 1
         heap = []
         for k in spans[q]:
@@ -344,25 +370,33 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
                 v = u
 
     chosen = np.asarray(assigned, dtype=np.int64)
-    objective = float(cand_cost_np[chosen].sum())
-
-    # final safety: every residual arc has nonnegative reduced cost. Residual
-    # are the candidate arcs u -> v (via the particle at u), cell -> sink with
-    # room, and sink -> cell with flow above the floor.
-    pi = np.asarray(pi)
-    home = cand_cell_np[chosen]
-    red = (cand_cost_np - cand_cost_np[chosen][net.cand_j]
-           + pi[home][net.cand_j] - pi[cand_cell_np])
-    counts = np.asarray(count, dtype=np.int64)
-    red = np.concatenate([red, pi[:K][counts < cap_np] - pi[sink],
-                          pi[sink] - pi[:K][counts > floor_np]])
-    if red.size and red.min() < -1e-6:
-        raise IntegrityError(f"optimality check failed: reduced cost {red.min()}")
-
-    stats = SolveStats(objective=objective, integral=True, iterations=n, searches=run - drains,
+    _check_reduced_costs(net, chosen, np.asarray(pi), np.asarray(count, dtype=np.int64),
+                         cap_np, floor_np)
+    stats = SolveStats(objective=float(cand_cost_np[chosen].sum()), integral=True,
+                       iterations=n, searches=run - drains,
                        pops=pops, scans=scans, drains=drains,
                        wall_time=time.perf_counter() - t0)
     return Assignment(choice=net.cand_i[chosen]), stats
+
+
+def _check_reduced_costs(net: FlowNetwork, chosen: np.ndarray, pi: np.ndarray,
+                         counts: np.ndarray, cap: np.ndarray, floor: np.ndarray) -> None:
+    """Final safety: every residual arc has nonnegative reduced cost.
+
+    Residual are the candidate arcs u -> v (via the particle at u), cell ->
+    sink with room, and sink -> cell with flow above the floor; pi holds the
+    cell potentials, then the sink's.
+    """
+    K = len(counts)
+    cand_cell = net.heads[net.cand_arc] - (net.n_particles + 1)
+    cand_cost = net.costs[net.cand_arc]
+    home = cand_cell[chosen]
+    red = (cand_cost - cand_cost[chosen][net.cand_j]
+           + pi[home][net.cand_j] - pi[cand_cell])
+    red = np.concatenate([red, pi[:K][counts < cap] - pi[K],
+                          pi[K] - pi[:K][counts > floor]])
+    if red.size and red.min() < -1e-6:
+        raise IntegrityError(f"optimality check failed: reduced cost {red.min()}")
 
 
 def solve_problem(problem: CorrectionProblem) -> tuple[Assignment, SolveStats]:

@@ -118,9 +118,10 @@ def test_volume_summary(tmp_path, capsys):
 
 
 def test_compare_objectives_script(tmp_path, monkeypatch, capsys):
-    """scripts/compare_objectives.py records every problem of a run; the same
-    solver re-solving them gives no gap and identical choices, and a doctored
-    objective makes it exit 1."""
+    """scripts/compare_objectives.py records every problem of a run with its
+    solver work; the same solver re-solving them gives no gap, identical
+    choices and the same work per solve, and a doctored objective makes it
+    exit 1."""
     import importlib.util
     import sys
     from pathlib import Path
@@ -143,10 +144,16 @@ def test_compare_objectives_script(tmp_path, monkeypatch, capsys):
     assert run("--scene", str(scene), "--frames", "2", "--out", str(a)) == 0
     recorded = dict(np.load(a))
     assert len(recorded["objective"]) > 0
+    assert recorded["pops"].sum() > 0
     assert run("--against", str(a), "--out", str(b)) == 0
     out = capsys.readouterr().out
     assert "largest relative objective gap 0," in out
     assert "(100%)" in out
+    per = len(recorded["objective"])
+    for name in ("searches", "drains", "pops"):
+        assert len(recorded[name]) == per
+        mean = f"{recorded[name].sum() / per:.1f}"
+        assert f"{name} {mean} -> {mean}" in out
 
     recorded["objective"] = recorded["objective"] * 1.01
     np.savez(a, **recorded)

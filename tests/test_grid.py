@@ -106,6 +106,26 @@ class TestClassify:
         assert (grid.counts[empty] == 0).all()
 
 
+    def test_emptied_interface_cell_stays_fluid(self):
+        # band R=2 over a pool 8 rows deep: the interface is row 6 (previous
+        # depth -2), deep rows below it hold no particles. A correction that
+        # empties one interface cell must not expose the deep cells behind it
+        grid = G.CellGrid((10, 12))
+        R = 2
+        cells = [(i, j) for i in range(1, 9) for j in range(1, 9)]
+        G.classify_cells(grid, fill_cells(grid, cells))
+        G.assign_depth(grid)
+        grid.snapshot()
+        hole = grid.flat((4, 6))
+        assert grid.prev.depth[hole] == -R
+        kept = [(i, j) for (i, j) in cells if j >= 6 and (i, j) != (4, 6)]
+        G.classify_cells(grid, fill_cells(grid, kept), band_R=R)
+        assert grid.counts[hole] == 0
+        assert grid.marking[hole] == G.INNER
+        deep = grid.prev.depth < -R
+        assert (grid.marking[deep] == G.INNER).all()  # none turned SURFACE
+
+
 class TestDepth:
     def test_column_depth_monotone(self):
         # 4-wide column of fluid, open at the top: depth decreases downward

@@ -105,6 +105,20 @@ class TestInvariants:
         assert float(sim.obstacles[0].pos[1]) < 9.0 < y0
         assert moves > 0
 
+    def test_band_dam_keeps_emptied_interface_fluid(self):
+        # band dam R=6 at seed 20: the collapse empties band-interface cells.
+        # Marked empty, they would expose the deep cells behind them as
+        # surface, and maintain_band could not absorb the deep region's loss
+        cfg = builtin_scene("dam")
+        cfg.seed = 20
+        cfg.band = BandConfig(enabled=True, R=6)
+        sim = Simulation(cfg, check_invariants=True)
+        total0 = sim.live_plus_deep()
+        for _ in range(24):
+            sim.step()
+            assert sim.live_plus_deep() == total0
+            assert sim.band.last_s_in >= 0 and sim.band.last_s_out >= 0
+
     def test_band_full_strategy_runs(self):
         # calm pond: the full-row search stays within its desk-scale guard
         sim = Simulation(small_scene(

@@ -54,6 +54,48 @@ class TestReduceToFlow:
         with pytest.raises(InputError):
             V.reduce_to_flow(problem)
 
+    def test_matches_sorted_construction(self):
+        # the bincount remap numbers the reached cells in grid order, as
+        # np.unique(return_inverse=True) does, so every array is unchanged
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            dims = tuple(int(v) for v in rng.integers(4, 10, size=2))
+            problem, grid, particles = random_problem(rng, dims=dims, n_max=16,
+                                                      solid_prob=rng.uniform(0.0, 0.3))
+            net, ref = V.reduce_to_flow(problem), _sorted_network(problem)
+            assert net.n_nodes == ref.n_nodes and net.n_particles == ref.n_particles
+            for name in ("tails", "heads", "caps", "lowers", "costs",
+                         "cand_j", "cand_i", "cand_arc"):
+                got, want = getattr(net, name), getattr(ref, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    def test_unreachable_floor_refused(self, rng):
+        problem, grid, particles = random_problem(rng, n_max=4)
+        unreached = np.setdiff1d(np.flatnonzero(~grid.wall), problem.target_flat[problem.valid])
+        problem.floor[unreached[0]] = 1
+        with pytest.raises(IntegrityError, match="unreachable"):
+            V.reduce_to_flow(problem)
+
+
+def _sorted_network(problem):
+    """The flow network with its cells numbered by sorting (np.unique)."""
+    n = problem.n
+    jj, ii = np.nonzero(problem.valid.T)
+    used, cell_idx = np.unique(problem.target_flat[ii, jj], return_inverse=True)
+    k, n_cand, sink = len(used), len(jj), n + 1 + len(used)
+    caps = problem.cap[used]
+    return V.FlowNetwork(
+        n_nodes=sink + 1,
+        tails=np.concatenate([np.zeros(n, dtype=np.int64), 1 + jj, n + 1 + np.arange(k)]),
+        heads=np.concatenate([1 + np.arange(n), n + 1 + cell_idx,
+                              np.full(k, sink, dtype=np.int64)]),
+        caps=np.concatenate([np.ones(n + n_cand, dtype=np.int64), np.where(caps < 0, n, caps)]),
+        lowers=np.concatenate([np.ones(n, dtype=np.int64), np.zeros(n_cand, dtype=np.int64),
+                               problem.floor[used]]),
+        costs=np.concatenate([np.zeros(n), problem.cost[ii, jj], np.zeros(k)]),
+        n_particles=n, cand_j=jj.astype(np.int64), cand_i=ii.astype(np.int64),
+        cand_arc=n + np.arange(n_cand, dtype=np.int64))
+
 
 class TestSolveMcf:
     def test_single_particle_picks_zero_cost(self, rng):
@@ -244,31 +286,78 @@ def _tie_problem(rng, dims=(6, 6)):
     return C.build_problem(grid, C.build_candidates(particles, grid), mu)
 
 
+def _greedy_rejects(problem):
+    """Particles the greedy start rejects: each picks its first cheapest
+    valid candidate, and a cell takes them in index order up to its cap."""
+    picks = np.argmin(np.where(problem.valid, problem.cost, np.inf), axis=0)
+    cells = problem.target_flat[picks, np.arange(problem.n)]
+    taken = np.zeros(len(problem.cap), dtype=np.int64)
+    rejected = 0
+    for c in cells:
+        if 0 <= problem.cap[c] <= taken[c]:
+            rejected += 1
+        else:
+            taken[c] += 1
+    return picks, rejected
+
+
+class TestGreedyStart:
+    """solve_mcf starts with every particle on its first cheapest candidate,
+    each cell keeping the first cap of them in index order. With room in
+    every cell and no floor, that start is the optimum and needs no search."""
+
+    @staticmethod
+    def _roomy(problem):
+        """The problem with no floors and room for every particle in each cell."""
+        return C.CorrectionProblem(
+            candidates=problem.candidates, mu=problem.mu,
+            cap=np.where(problem.cap == 0, 0, problem.n), floor=np.zeros_like(problem.floor),
+            cost=problem.cost, dims=problem.dims, valid=problem.valid.copy())
+
+    def test_roomy_problem_needs_no_search(self, monkeypatch):
+        monkeypatch.setattr(V, "CHECK_POTENTIALS", True)
+        for seed in range(60):
+            problem = self._roomy(_tie_problem(np.random.default_rng(seed)))
+            assignment, stats = V.solve_problem(problem)
+            assert (stats.searches, stats.drains, stats.pops, stats.scans) == (0, 0, 0, 0)
+            picks, rejected = _greedy_rejects(problem)
+            assert rejected == 0
+            assert (assignment.choice == picks).all()  # the first of equal costs
+            _, oracle = V.brute_force_ilp(problem)
+            assert abs(stats.objective - oracle) < 1e-9
+
+
 class TestArcTables:
     """solve_mcf caches each cell's cheapest arc per neighbour; a cached
     table must be dropped whenever the cell's members change. Tie-heavy
     instances reach the rarer changes, checked against brute force."""
 
-    # _tie_problem seeds whose solve hands a particle, by the fast path, to
-    # a cell whose table an earlier search built; a stale table there fails
-    # the final optimality check
-    FAST_PATH_INTO_BUILT_TABLE = (191, 885, 1374, 1681, 4298)
+    # _tie_problem seeds where an augmenting path ends in a cell whose table
+    # an earlier search built; a stale table there fails the optimality check
+    PATH_INTO_BUILT_TABLE = (474, 530, 854, 1318, 4298)
 
     def _check(self, problem):
         assignment, stats = V.solve_problem(problem)
         problem.check_feasible(assignment.choice)
         _, oracle = V.brute_force_ilp(problem)
         assert abs(stats.objective - oracle) < 1e-9
+        return stats
 
-    @pytest.mark.parametrize("seed", FAST_PATH_INTO_BUILT_TABLE)
-    def test_fast_path_into_built_table(self, seed, monkeypatch):
+    @pytest.mark.parametrize("seed", PATH_INTO_BUILT_TABLE)
+    def test_path_into_built_table(self, seed, monkeypatch):
         monkeypatch.setattr(V, "CHECK_POTENTIALS", True)
-        self._check(_tie_problem(np.random.default_rng(seed)))
+        assert self._check(_tie_problem(np.random.default_rng(seed))).searches >= 2
 
     def test_ties_match_brute_force(self, monkeypatch):
+        # also: the greedy start rejects some particles, and only those are searched
         monkeypatch.setattr(V, "CHECK_POTENTIALS", True)
+        rejecting = 0
         for seed in range(400):
-            self._check(_tie_problem(np.random.default_rng(seed)))
+            problem = _tie_problem(np.random.default_rng(seed))
+            _, rejected = _greedy_rejects(problem)
+            assert self._check(problem).searches == rejected
+            rejecting += rejected > 0
+        assert 40 < rejecting < 360
 
 
 def _scene_problem(monkeypatch, scene, frame):
