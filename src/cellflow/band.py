@@ -36,9 +36,6 @@ class BandState:
     alpha_interface: int = 0
     alpha_deep: int = 0
     # diagnostics of the latest step
-    last_n_move: int = 0
-    last_paths: int = 0
-    last_find_calls: int = 0
     last_s_in: int = 0
     last_s_out: int = 0
 

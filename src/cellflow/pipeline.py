@@ -374,9 +374,6 @@ class Simulation:
         # flow-paths strategy: the plain solve is applied, now push chains
         diag = B.correct_band_flow(grid, particles, band, cfg.mu, problem)
         band.last_s_in, band.last_s_out = diag["s_in"], diag["s_out"]
-        band.last_n_move = diag["n_move"]
-        band.last_paths = diag["paths"]
-        band.last_find_calls = diag["find_calls"]
         band_diag["n_move"] += diag["n_move"]
         band_diag["paths"] += diag["paths"]
         band_diag["find_calls"] += diag["find_calls"]

@@ -14,6 +14,7 @@ from enum import Enum
 import numpy as np
 
 from . import grid as G
+from .flip import ParticleSet
 
 LAMBDA_PENALTY = 1000.0
 
@@ -43,10 +44,6 @@ class Obstacle:
         self.pos = np.asarray(self.pos, dtype=np.float64)
         self.extent = np.asarray(self.extent, dtype=np.float64)
         self.velocity = np.asarray(self.velocity, dtype=np.float64)
-
-    @property
-    def is_moving(self) -> bool:
-        return bool(np.any(self.velocity != 0.0))
 
     def cells_at(self, pos: np.ndarray, grid: G.CellGrid) -> np.ndarray:
         """Flat indices of the cells intersected by the box at pos."""
@@ -113,7 +110,7 @@ def override_costs(candidates, so: SolidObjective | None) -> np.ndarray:
     return cost
 
 
-def gate_motion(obstacle: Obstacle, grid: G.CellGrid, particles,
+def gate_motion(obstacle: Obstacle, grid: G.CellGrid, particles: ParticleSet,
                 proposal: MotionProposal, dt: float) -> bool:
     """Advance the obstacle iff no corrected particle occupies a claimed cell.
 
@@ -123,9 +120,8 @@ def gate_motion(obstacle: Obstacle, grid: G.CellGrid, particles,
     if proposal.wall_blocked:
         return False
     if len(proposal.new_solid):
-        x = getattr(particles, "x", particles)
-        if len(x):
-            occupied = np.bincount(grid.cell_of(x), minlength=grid.ncells)
+        if len(particles.x):
+            occupied = np.bincount(grid.cell_of(particles.x), minlength=grid.ncells)
             if occupied[proposal.new_solid].any():
                 return False
     obstacle.pos = obstacle.pos + obstacle.velocity * dt

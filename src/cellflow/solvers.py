@@ -1,36 +1,36 @@
 """Solvers for the correction problem.
 
-The sparse problem (no dense rows) reduces to a transportation-structured
-minimum-cost flow whose LP relaxation is integral, so it is solved exactly by
-successive shortest paths with node potentials. Routing starts from a greedy
-pseudo-flow built in numpy: every particle on its cheapest candidate, each
-cell accepting the first cap of the particles that picked it, and every
-potential 0. Successive shortest paths may start there (Ahuja, Magnanti &
-Orlin, *Network Flows*, 1993, ch. 9): no count exceeds its cap, and every
-residual arc has reduced cost >= 0, since an accepted particle's arc to
-another candidate costs the difference from its cheapest, and the arcs between
-the cells and the sink cost 0. So only the rejected particles are searched,
-and a start that rejects none and leaves no cell below its floor is optimal as
-it stands. The searches run on the cell graph: an assigned particle node has
-exactly one incoming residual arc, from its cell, and reduced costs add along
-cell -> particle -> cell, so each particle node contracts into arcs between
-cells without changing any shortest path. Of the parallel arcs between two
-cells, one per member of the tail cell, only the cheapest can lie on a
-shortest path, and augmenting along it leaves the others' reduced costs
-nonnegative; so a search relaxes one cached arc per neighbour cell, while the
-final optimality check still covers every candidate arc. A unit that reaches
-the sink stays there even once the sink's deficit is met: successive shortest
-paths may end an augmentation at any node of a shortest path, so reduced costs
-stay nonnegative and the sink just ends the routing with excess. That excess
-is drained into the cells still below their floor by Dijkstra searches run
-backward from each such cell until they pop the sink; raising every popped
-node's potential by its distance short of the sink's keeps each reduced cost
-nonnegative and zeroes those on the path. The drain thus reaches those few
-cells directly instead of relaxing the sink's zero-cost arcs into nearly every
-cell on the way. Dense band rows break that structure; they go through a small
-branch-and-bound over the row's candidate variables with the flow solve as
-relaxation bound. A pruned exhaustive search doubles as an independent oracle
-for both.
+The sparse problem (no dense rows) is a transportation problem (Ahuja,
+Magnanti & Orlin, *Network Flows*, 1993, ch. 9). Each particle holds one unit,
+which goes to one of its candidate cells at that candidate's cost. Cell u
+takes floor[u]..cap[u] units and passes those above its floor on to a sink,
+whose deficit is n - sum(floor). Its LP relaxation is integral, so it is
+solved exactly by successive shortest paths with cell potentials. Routing
+starts from a greedy pseudo-flow built in numpy: every particle on its
+cheapest candidate, each cell accepting the first cap of the particles that
+picked it, and every potential 0. Successive shortest paths may start there:
+no count exceeds its cap, and every residual arc has reduced cost >= 0, since
+moving an accepted particle to another candidate costs the difference from
+its cheapest, and the arcs between the cells and the sink cost 0. So only the
+rejected particles are searched, and a start that rejects none and leaves no
+cell below its floor is optimal as it stands. The searches run on the cell
+graph, where moving a particle of cell u to its candidate v is an arc u -> v.
+Of the parallel arcs between two cells, one per member of the tail cell, only
+the cheapest can lie on a shortest path, and augmenting along it leaves the
+others' reduced costs nonnegative; so a search relaxes one cached arc per
+neighbour cell, while the final optimality check still covers every candidate.
+A unit that reaches the sink stays there even once the sink's deficit is met:
+successive shortest paths may end an augmentation at any node of a shortest
+path, so reduced costs stay nonnegative and the sink just ends the routing
+with excess. That excess is drained into the cells still below their floor by
+Dijkstra searches run backward from each such cell until they pop the sink;
+raising every popped node's potential by its distance short of the sink's
+keeps each reduced cost nonnegative and zeroes those on the path. The drain
+thus reaches those few cells directly instead of relaxing the sink's
+zero-cost arcs into nearly every cell on the way. Dense band rows break that
+structure; they go through a small branch-and-bound over the row's candidate
+variables with the flow solve as relaxation bound. A pruned exhaustive search
+doubles as an independent oracle for both.
 """
 from __future__ import annotations
 
@@ -49,35 +49,31 @@ CHECK_POTENTIALS = False
 
 @dataclass
 class FlowNetwork:
-    """Min-cost flow instance: source, particle and cell nodes, sink.
+    """Transportation network of a sparse correction problem, in cell terms.
 
-    Arcs carry (tail, head, capacity, lower bound, cost). Source to particle
-    arcs are saturated in any flow of value n, so they carry lower bound 1;
-    the standard lower-bound elimination then places one unit of excess on
-    each particle node, which keeps the search local.
+    Each particle holds one unit, which goes to one of its candidates. The
+    cells are those some candidate reaches, ranked in grid order; cell u takes
+    floor[u]..cap[u] units, and the sink takes the rest, a deficit of
+    n - sum(floor).
     """
 
-    n_nodes: int
-    tails: np.ndarray
-    heads: np.ndarray
-    caps: np.ndarray
-    lowers: np.ndarray
-    costs: np.ndarray
     n_particles: int
-    cand_j: np.ndarray     # particle index per candidate arc
-    cand_i: np.ndarray     # direction index per candidate arc
-    cand_arc: np.ndarray   # arc index per candidate arc
+    cand_j: np.ndarray     # particle per candidate, ordered by (particle, direction)
+    cand_i: np.ndarray     # direction per candidate
+    cand_cell: np.ndarray  # cell per candidate
+    cand_cost: np.ndarray  # cost per candidate
+    cap: np.ndarray        # per cell; n where the problem leaves the cell uncapped
+    floor: np.ndarray      # per cell
 
     @property
     def n_arcs(self) -> int:
-        return len(self.tails)
+        """Arcs of the textbook network: source -> particle, candidates, cell -> sink."""
+        return self.n_particles + len(self.cand_j) + len(self.cap)
 
 
 @dataclass
 class SolveStats:
     objective: float
-    integral: bool
-    iterations: int
     wall_time: float
     searches: int = 0  # forward Dijkstra runs, one per particle the greedy start rejected
     pops: int = 0      # nodes finalized over all searches, forward and backward
@@ -90,82 +86,68 @@ def reduce_to_flow(problem: CorrectionProblem) -> FlowNetwork:
     if problem.dense_rows:
         raise InputError("problem has dense rows; use branch_and_bound")
     n = problem.n
-    valid = problem.valid
-    target = problem.target_flat
-
-    # candidate arcs ordered by (particle, direction)
-    jj, ii = np.nonzero(valid.T) if n else (np.zeros(0, dtype=np.int64),) * 2
-    cand_cell = target[ii, jj] if n else np.zeros(0, dtype=np.int64)
+    # candidates ordered by (particle, direction)
+    jj, ii = np.nonzero(problem.valid.T)
+    cand_grid = problem.target_flat[ii, jj]
     # the grid cells some candidate reaches, in grid order, and their ranks
-    reached = np.bincount(cand_cell, minlength=len(problem.cap)) > 0
+    reached = np.bincount(cand_grid, minlength=len(problem.cap)) > 0
     used = np.flatnonzero(reached)
-    cell_idx = (np.cumsum(reached) - 1)[cand_cell]
-    sink = n + 1 + len(used)
 
     floored = np.flatnonzero(problem.floor > 0)
     missing = floored[~reached[floored]]
     if missing.size:
         raise IntegrityError(f"floored cells unreachable by any candidate: {missing[:4].tolist()}")
 
-    cell_caps = problem.cap[used]
-    cell_caps = np.where(cell_caps < 0, n, cell_caps)
-    cell_floors = problem.floor[used]
-    if (cell_floors > cell_caps).any():
+    cap = problem.cap[used]
+    cap = np.where(cap < 0, n, cap)
+    floor = problem.floor[used]
+    if (floor > cap).any():
         raise IntegrityError("cell floor exceeds capacity")
 
-    n_cand = len(jj)
-    tails = np.concatenate([np.zeros(n, dtype=np.int64), 1 + jj, n + 1 + np.arange(len(used))])
-    heads = np.concatenate([1 + np.arange(n), n + 1 + cell_idx,
-                            np.full(len(used), sink, dtype=np.int64)])
-    caps = np.concatenate([np.ones(n, dtype=np.int64), np.ones(n_cand, dtype=np.int64), cell_caps])
-    lowers = np.concatenate([np.ones(n, dtype=np.int64), np.zeros(n_cand, dtype=np.int64), cell_floors])
-    costs = np.concatenate([np.zeros(n), problem.cost[ii, jj] if n_cand else np.zeros(0),
-                            np.zeros(len(used))])
-
     return FlowNetwork(
-        n_nodes=sink + 1,
-        tails=tails, heads=heads, caps=caps, lowers=lowers, costs=costs,
         n_particles=n,
         cand_j=jj.astype(np.int64),
         cand_i=ii.astype(np.int64),
-        cand_arc=n + np.arange(n_cand, dtype=np.int64),
+        cand_cell=(np.cumsum(reached) - 1)[cand_grid],
+        cand_cost=problem.cost[ii, jj],
+        cap=cap, floor=floor,
     )
 
 
 def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
     """Integral min-cost flow by successive shortest paths on the cell graph.
 
-    Lower bounds are removed by the mandatory-arc excess/deficit
-    transformation: each particle holds one unit of excess, each cell a
-    deficit of its floor and the sink one of n minus the floors.
+    Each particle holds one unit of excess; cell u has a deficit of floor[u]
+    and room up to cap[u], and the sink a deficit of n - sum(floor). Node
+    potentials pi are kept per cell and for the sink.
 
     The routing starts from a greedy pseudo-flow, computed in numpy: each
     particle picks its first cheapest candidate, and each cell accepts the
     first cap[v] of the particles that picked it, in index order. At pi = 0
-    this start leaves every residual arc with reduced cost >= 0: a candidate
-    arc of an accepted particle costs its candidate's cost less the cheapest,
-    and the cell -> sink arcs with room and the sink -> cell arcs above the
-    floor cost 0. No count exceeds its cap. Successive shortest paths may
-    start from any such pseudo-flow, so if no particle is rejected and no
-    cell is below its floor the start is optimal and is returned as it is.
-    Otherwise the rejected particles, whose cheapest cell is full, are
-    routed in index order to the nearest cell below its floor or to the
-    sink, by Dijkstra over reduced costs, and potentials of finalized nodes
-    are updated after every augmentation.
+    this start leaves every residual arc with reduced cost >= 0: moving an
+    accepted particle to another candidate costs that candidate's cost less
+    the cheapest, and the cell -> sink arcs with room and the sink -> cell
+    arcs above the floor cost 0. No count exceeds its cap. Successive
+    shortest paths may start from any such pseudo-flow, so if no particle is
+    rejected and no cell is below its floor the start is optimal and is
+    returned as it is. Otherwise the rejected particles, whose cheapest cell
+    is full, are routed in index order to the nearest cell below its floor
+    or to the sink, by Dijkstra over reduced costs, and potentials of
+    finalized nodes are updated after every augmentation.
 
-    Particle nodes are contracted out of the search, which is exact: an
-    assigned particle p has exactly one incoming residual arc, from its cell
-    u, so every path through p continues u -> p -> v to a candidate v of p.
-    Reduced costs add along that pair and p's potential cancels, leaving the
-    cell arc u -> v of reduced cost cost[v, p] - cost[u, p] + pi[u] - pi[v].
-    Shortest paths, potentials and the optimality test are thus those of the
-    arc-level network.
+    The searches run on cells. A particle p in cell u may move to its
+    candidate v, an arc u -> v of reduced cost
+    cost[v, p] - cost[u, p] + pi[u] - pi[v]. This is the textbook network with
+    each assigned particle's node contracted, which is exact: that node's
+    only incoming residual arc is from u, and reduced costs add along
+    u -> p -> v, where p's potential cancels. Shortest paths, potentials and
+    the optimality test are thus those of the network with particle nodes.
 
     Only the cheapest of the parallel arcs u -> v (one per member of u) can
     lie on a shortest path, and augmenting along it leaves the others' reduced
     costs, no smaller, nonnegative. So a popped cell reads a table of its
     cheapest arc per neighbour, dropped whenever the cell's members change.
-    The final check still tests every candidate arc.
+    The final check still tests every candidate.
 
     A unit that reaches the sink stays there even once the sink's deficit is
     used up. Successive shortest paths may move excess to any node of a
@@ -182,14 +164,9 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
     """
     t0 = time.perf_counter()
     n = net.n_particles
-    K = net.n_nodes - n - 2  # cells; cell node n + 1 + u is cell u, then the sink
+    K = len(net.cap)  # cells; the sink is node K
     sink = K
-    cell_arcs = np.flatnonzero(net.heads == net.n_nodes - 1)
-    cell_arcs = cell_arcs[np.argsort(net.tails[cell_arcs])]
-    cap_np, floor_np = net.caps[cell_arcs], net.lowers[cell_arcs]
-    cand_cell_np = net.heads[net.cand_arc] - (n + 1)
-    cand_cost_np = net.costs[net.cand_arc]
-    if int(floor_np.sum()) > n:
+    if int(net.floor.sum()) > n:
         raise IntegrityError("min-cost flow infeasible: floors exceed the particle count")
 
     # candidate indices per particle, in direction order
@@ -200,27 +177,26 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
 
     # greedy start: each particle's first cheapest candidate; each cell
     # accepts the first cap of the particles that picked it, in index order
-    cheapest = np.minimum.reduceat(cand_cost_np, starts[:-1])
-    at_min = np.flatnonzero(cand_cost_np == np.repeat(cheapest, sizes))
+    cheapest = np.minimum.reduceat(net.cand_cost, starts[:-1])
+    at_min = np.flatnonzero(net.cand_cost == np.repeat(cheapest, sizes))
     pick = at_min[np.searchsorted(at_min, starts[:-1])]
-    pick_cell = cand_cell_np[pick]
+    pick_cell = net.cand_cell[pick]
     picked = np.bincount(pick_cell, minlength=K)
     order = np.argsort(pick_cell, kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n) - np.repeat(np.cumsum(picked) - picked, picked)
-    accepted = rank < cap_np[pick_cell]
-    count_np = np.minimum(picked, cap_np)
-    if accepted.all() and (count_np >= floor_np).all():
-        _check_reduced_costs(net, pick, np.zeros(K + 1), count_np, cap_np, floor_np)
+    accepted = rank < net.cap[pick_cell]
+    count_np = np.minimum(picked, net.cap)
+    if accepted.all() and (count_np >= net.floor).all():
+        _check_reduced_costs(net, pick, np.zeros(K + 1), count_np)
         return Assignment(choice=net.cand_i[pick]), SolveStats(
-            objective=float(cand_cost_np[pick].sum()), integral=True, iterations=n,
-            wall_time=time.perf_counter() - t0)
+            objective=float(net.cand_cost[pick].sum()), wall_time=time.perf_counter() - t0)
 
     starts = starts.tolist()
     spans = [range(starts[p], starts[p + 1]) for p in range(n)]
-    cand_cell, cand_cost = cand_cell_np.tolist(), cand_cost_np.tolist()
+    cand_cell, cand_cost = net.cand_cell.tolist(), net.cand_cost.tolist()
     cand_p = net.cand_j.tolist()
-    cap, floor = cap_np.tolist(), floor_np.tolist()
+    cap, floor = net.cap.tolist(), net.floor.tolist()
 
     count = count_np.tolist()
     kept, ends = order[accepted[order]].tolist(), np.cumsum(count_np).tolist()
@@ -322,8 +298,8 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
     # drain the sink's excess into the cells still below their floor
     short = [t for t in range(K) if count[t] < floor[t]]
     if short:
-        order = np.argsort(cand_cell_np, kind="stable")
-        bounds = np.searchsorted(cand_cell_np[order], np.arange(K + 1)).tolist()
+        order = np.argsort(net.cand_cell, kind="stable")
+        bounds = np.searchsorted(net.cand_cell[order], np.arange(K + 1)).tolist()
         order = order.tolist()
         intab = [None] * K
     for t in short:
@@ -370,31 +346,28 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
                 v = u
 
     chosen = np.asarray(assigned, dtype=np.int64)
-    _check_reduced_costs(net, chosen, np.asarray(pi), np.asarray(count, dtype=np.int64),
-                         cap_np, floor_np)
-    stats = SolveStats(objective=float(cand_cost_np[chosen].sum()), integral=True,
-                       iterations=n, searches=run - drains,
+    _check_reduced_costs(net, chosen, np.asarray(pi), np.asarray(count, dtype=np.int64))
+    stats = SolveStats(objective=float(net.cand_cost[chosen].sum()), searches=run - drains,
                        pops=pops, scans=scans, drains=drains,
                        wall_time=time.perf_counter() - t0)
     return Assignment(choice=net.cand_i[chosen]), stats
 
 
 def _check_reduced_costs(net: FlowNetwork, chosen: np.ndarray, pi: np.ndarray,
-                         counts: np.ndarray, cap: np.ndarray, floor: np.ndarray) -> None:
+                         counts: np.ndarray) -> None:
     """Final safety: every residual arc has nonnegative reduced cost.
 
-    Residual are the candidate arcs u -> v (via the particle at u), cell ->
-    sink with room, and sink -> cell with flow above the floor; pi holds the
-    cell potentials, then the sink's.
+    chosen holds each particle's candidate and counts each cell's units; pi
+    holds the cell potentials, then the sink's. Residual are the candidate
+    arcs u -> v (via the particle at u), cell -> sink with room, and sink ->
+    cell with units above the floor.
     """
     K = len(counts)
-    cand_cell = net.heads[net.cand_arc] - (net.n_particles + 1)
-    cand_cost = net.costs[net.cand_arc]
-    home = cand_cell[chosen]
-    red = (cand_cost - cand_cost[chosen][net.cand_j]
-           + pi[home][net.cand_j] - pi[cand_cell])
-    red = np.concatenate([red, pi[:K][counts < cap] - pi[K],
-                          pi[K] - pi[:K][counts > floor]])
+    home = net.cand_cell[chosen]
+    red = (net.cand_cost - net.cand_cost[chosen][net.cand_j]
+           + pi[home][net.cand_j] - pi[net.cand_cell])
+    red = np.concatenate([red, pi[:K][counts < net.cap] - pi[K],
+                          pi[K] - pi[:K][counts > net.floor]])
     if red.size and red.min() < -1e-6:
         raise IntegrityError(f"optimality check failed: reduced cost {red.min()}")
 

@@ -11,7 +11,6 @@ from cellflow.flip import ParticleSet, clamp_positions
 class StaticCells:
     """Minimal obstacle stand-in: a fixed set of solid cells."""
 
-    is_moving = False
     zero_bc = False
     velocity = np.zeros(2)
 
