@@ -255,26 +255,24 @@ class PressureStats:
     tolerance: float
 
 
-def _neighbor_slices(d: int, a: int, side: int):
-    """(cell slice, neighbor slice) along axis a; side +1 or -1."""
-    cur = [slice(None)] * d
-    nb = [slice(None)] * d
-    if side > 0:
-        cur[a] = slice(None, -1)
-        nb[a] = slice(1, None)
-    else:
-        cur[a] = slice(1, None)
-        nb[a] = slice(None, -1)
-    return tuple(cur), tuple(nb)
+def _divergence(mac: MacGrid) -> np.ndarray:
+    """Net outflow of every cell, from its face velocities."""
+    div = np.zeros(mac.dims)
+    for a in range(mac.d):
+        div += np.diff(mac.vel[a], axis=a)
+    return div
 
 
 def solve_pressure(mac: MacGrid, cells: G.CellGrid, solid_vel: list[np.ndarray] | None = None,
                    tol: float = 1e-6, max_iter: int = 2000) -> PressureStats:
-    """MAC pressure projection by conjugate gradients.
+    """MAC pressure projection by conjugate gradients on the fluid cells.
 
     Free-surface (empty) cells hold zero pressure; faces adjacent to solid
     cells are first forced to the solid's normal velocity and are not
     touched by the gradient update, so u . n = u_solid . n holds exactly.
+    Each dot product is summed over a full-grid array that is zero off the
+    fluid cells, so numpy's pairwise sum rounds it as it would the same CG
+    over every cell with the identity off the fluid.
     Raises SolverError when CG fails to reach tolerance.
     """
     d = mac.d
@@ -283,48 +281,43 @@ def solve_pressure(mac: MacGrid, cells: G.CellGrid, solid_vel: list[np.ndarray] 
     solid = cells.solid_mask().reshape(dims)
 
     impose_solid_faces(mac, cells, solid_vel)
+    rhs = -_divergence(mac)[fluid]
 
-    # divergence of fluid cells
-    div = np.zeros(dims)
-    for a in range(d):
-        u = mac.vel[a]
-        hi = [slice(None)] * d
-        lo = [slice(None)] * d
-        hi[a] = slice(1, None)
-        lo[a] = slice(None, -1)
-        div += u[tuple(hi)] - u[tuple(lo)]
-    rhs = np.where(fluid, -div, 0.0)
+    # number the fluid cells; slot nf of the padded vector holds 0 and stands
+    # for every air, solid or out-of-grid neighbour
+    nf = len(rhs)
+    number = np.pad(np.full(dims, nf), 1, constant_values=nf)
+    number[(slice(1, -1),) * d][fluid] = np.arange(nf)
+    # one row per neighbour, in the order apply_A subtracts them: +x, -x, +y, ...
+    steps = np.concatenate([[e, -e] for e in np.eye(d, dtype=np.int64)])
+    nb_at = tuple(np.moveaxis(np.argwhere(fluid) + 1 + steps[:, None], 2, 0))
+    nb_slot = number[nb_at]
+    diag = np.pad(~solid, 1)[nb_at].sum(axis=0, dtype=np.float64)  # non-solid neighbours
+    padded = np.zeros(nf + 1)
 
-    # diagonal = number of non-solid neighbors of each fluid cell
-    diag = np.zeros(dims)
-    fluid_nb = []
-    for a in range(d):
-        for side in (+1, -1):
-            cur, nb = _neighbor_slices(d, a, side)
-            nonsolid = np.zeros(dims, dtype=bool)
-            nonsolid[cur] = ~solid[nb]
-            diag += np.where(fluid & nonsolid, 1.0, 0.0)
-            fn = np.zeros(dims, dtype=bool)
-            fn[cur] = fluid[nb]
-            fluid_nb.append((cur, nb, fn & fluid))
-    diag[~fluid] = 1.0  # keep the operator nonsingular outside fluid
+    def apply_A(x):
+        padded[:nf] = x
+        out = diag * x
+        for x_nb in padded[nb_slot]:
+            out -= x_nb
+        return out
 
-    def apply_A(p):
-        out = diag * p
-        for (cur, nb, mask) in fluid_nb:
-            contrib = np.zeros(dims)
-            contrib[cur] = p[nb]
-            out -= np.where(mask, contrib, 0.0)
-        return np.where(fluid, out, p)
+    products = np.zeros(dims)
+    fluid_products = products.reshape(-1)  # a view, written at the fluid cells only
+    cell = np.flatnonzero(fluid)
 
-    scale = float(np.abs(rhs).max())
-    p = np.zeros(dims)
+    def dot(x, y):
+        fluid_products[cell] = x * y
+        return float(products.sum())
+
+    scale = float(np.abs(rhs).max(initial=0.0))
+    p = np.zeros(nf)
     stats = PressureStats(iterations=0, residual=0.0, tolerance=tol)
     if scale > 0:
         tol_abs = tol * scale
         r = rhs - apply_A(p)
         z = r.copy()
-        rs = float((r * r).sum())
+        rs = dot(r, r)
         it = 0
         while float(np.abs(r).max()) > tol_abs:
             if it >= max_iter:
@@ -332,38 +325,28 @@ def solve_pressure(mac: MacGrid, cells: G.CellGrid, solid_vel: list[np.ndarray] 
                     f"pressure CG failed: residual {float(np.abs(r).max()):.3e} "
                     f"> {tol_abs:.3e} after {max_iter} iterations")
             Az = apply_A(z)
-            denom = float((z * Az).sum())
+            denom = dot(z, Az)
             if denom <= 0:
                 break
             alpha = rs / denom
             p += alpha * z
             r -= alpha * Az
-            rs_new = float((r * r).sum())
+            rs_new = dot(r, r)
             z = r + (rs_new / rs) * z
             rs = rs_new
             it += 1
         stats = PressureStats(iterations=it, residual=float(np.abs(r).max()), tolerance=tol_abs)
 
-    mac.pressure = np.where(fluid, p, 0.0)
+    mac.pressure = np.zeros(dims)
+    mac.pressure[fluid] = p
 
     # subtract the gradient on faces between non-solid cells touching fluid
     for a in range(d):
-        u = mac.vel[a]
-        cur = [slice(None)] * d  # interior faces of axis a
-        inner = [slice(None)] * d
-        inner[a] = slice(1, None)
-        left = [slice(None)] * d
-        left[a] = slice(None, -1)
-        right = [slice(None)] * d
-        right[a] = slice(1, None)
-        grad = mac.pressure[tuple(right)] - mac.pressure[tuple(left)]
-        touch_fluid = fluid[tuple(right)] | fluid[tuple(left)]
-        no_solid = ~(solid[tuple(right)] | solid[tuple(left)])
-        target = [slice(None)] * d
-        target[a] = slice(1, -1)
-        u[tuple(target)] -= np.where(touch_fluid & no_solid, grad, 0.0)
-
-    impose_solid_faces(mac, cells, solid_vel)
+        lo, hi, inner = ([slice(None)] * d for _ in range(3))
+        lo[a], hi[a], inner[a] = slice(None, -1), slice(1, None), slice(1, -1)
+        lo, hi = tuple(lo), tuple(hi)
+        open_face = (fluid[hi] | fluid[lo]) & ~(solid[hi] | solid[lo])
+        mac.vel[a][tuple(inner)] -= np.where(open_face, np.diff(mac.pressure, axis=a), 0.0)
     return stats
 
 
@@ -381,14 +364,5 @@ def impose_solid_faces(mac: MacGrid, cells: G.CellGrid, solid_vel: list[np.ndarr
 
 def divergence_residual(mac: MacGrid, cells: G.CellGrid) -> float:
     """Max discrete divergence over fluid cells (post-projection check)."""
-    d = mac.d
-    div = np.zeros(cells.dims)
-    for a in range(d):
-        u = mac.vel[a]
-        hi = [slice(None)] * d
-        lo = [slice(None)] * d
-        hi[a] = slice(1, None)
-        lo[a] = slice(None, -1)
-        div += u[tuple(hi)] - u[tuple(lo)]
     fluid = cells.fluid_mask().reshape(cells.dims)
-    return float(np.abs(np.where(fluid, div, 0.0)).max()) if fluid.any() else 0.0
+    return float(np.abs(np.where(fluid, _divergence(mac), 0.0)).max()) if fluid.any() else 0.0

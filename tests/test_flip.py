@@ -174,6 +174,114 @@ class TestClampDt:
         assert F.clamp_dt(mac, 1.0, obstacle_speed=2.0) == pytest.approx(0.5)
 
 
+def _neighbor_slices(d, a, side):
+    cur = [slice(None)] * d
+    nb = [slice(None)] * d
+    if side > 0:
+        cur[a] = slice(None, -1)
+        nb[a] = slice(1, None)
+    else:
+        cur[a] = slice(1, None)
+        nb[a] = slice(None, -1)
+    return tuple(cur), tuple(nb)
+
+
+def full_grid_pressure(mac, cells, solid_vel=None, tol=1e-6, max_iter=2000):
+    """Reference: the same CG run over every cell of the grid, with the
+    identity off the fluid cells, where its vectors stay zero. solve_pressure
+    must match it bit for bit, which also shows that the closing
+    impose_solid_faces call here, absent there, changes nothing."""
+    d = mac.d
+    dims = cells.dims
+    fluid = cells.fluid_mask().reshape(dims)
+    solid = cells.solid_mask().reshape(dims)
+    F.impose_solid_faces(mac, cells, solid_vel)
+    div = np.zeros(dims)
+    for a in range(d):
+        u = mac.vel[a]
+        hi = [slice(None)] * d
+        lo = [slice(None)] * d
+        hi[a] = slice(1, None)
+        lo[a] = slice(None, -1)
+        div += u[tuple(hi)] - u[tuple(lo)]
+    rhs = np.where(fluid, -div, 0.0)
+    diag = np.zeros(dims)
+    fluid_nb = []
+    for a in range(d):
+        for side in (+1, -1):
+            cur, nb = _neighbor_slices(d, a, side)
+            nonsolid = np.zeros(dims, dtype=bool)
+            nonsolid[cur] = ~solid[nb]
+            diag += np.where(fluid & nonsolid, 1.0, 0.0)
+            fn = np.zeros(dims, dtype=bool)
+            fn[cur] = fluid[nb]
+            fluid_nb.append((cur, nb, fn & fluid))
+    diag[~fluid] = 1.0
+
+    def apply_A(p):
+        out = diag * p
+        for (cur, nb, mask) in fluid_nb:
+            contrib = np.zeros(dims)
+            contrib[cur] = p[nb]
+            out -= np.where(mask, contrib, 0.0)
+        return np.where(fluid, out, p)
+
+    scale = float(np.abs(rhs).max())
+    p = np.zeros(dims)
+    stats = F.PressureStats(iterations=0, residual=0.0, tolerance=tol)
+    if scale > 0:
+        tol_abs = tol * scale
+        r = rhs - apply_A(p)
+        z = r.copy()
+        rs = float((r * r).sum())
+        it = 0
+        while float(np.abs(r).max()) > tol_abs:
+            if it >= max_iter:
+                raise SolverError(
+                    f"pressure CG failed: residual {float(np.abs(r).max()):.3e} "
+                    f"> {tol_abs:.3e} after {max_iter} iterations")
+            Az = apply_A(z)
+            denom = float((z * Az).sum())
+            if denom <= 0:
+                break
+            alpha = rs / denom
+            p += alpha * z
+            r -= alpha * Az
+            rs_new = float((r * r).sum())
+            z = r + (rs_new / rs) * z
+            rs = rs_new
+            it += 1
+        stats = F.PressureStats(iterations=it, residual=float(np.abs(r).max()), tolerance=tol_abs)
+    mac.pressure = np.where(fluid, p, 0.0)
+    for a in range(d):
+        u = mac.vel[a]
+        left = [slice(None)] * d
+        left[a] = slice(None, -1)
+        right = [slice(None)] * d
+        right[a] = slice(1, None)
+        grad = mac.pressure[tuple(right)] - mac.pressure[tuple(left)]
+        touch_fluid = fluid[tuple(right)] | fluid[tuple(left)]
+        no_solid = ~(solid[tuple(right)] | solid[tuple(left)])
+        target = [slice(None)] * d
+        target[a] = slice(1, -1)
+        u[tuple(target)] -= np.where(touch_fluid & no_solid, grad, 0.0)
+    F.impose_solid_faces(mac, cells, solid_vel)
+    return stats
+
+
+def random_pressure_case(rng, dims):
+    """Tank with interior cells drawn from air, solid, surface and inner
+    fluid, random face velocities and random solid face velocities."""
+    grid = G.CellGrid(dims)
+    interior = np.flatnonzero(~grid.wall)
+    grid.marking[interior] = rng.choice([G.EMPTY, G.SOLID, G.SURFACE, G.INNER],
+                                        size=len(interior), p=[0.25, 0.15, 0.3, 0.3])
+    mac = F.MacGrid(dims)
+    for u in mac.vel:
+        u[:] = rng.normal(size=u.shape)
+    return grid, mac, [rng.normal(size=u.shape) for u in mac.vel]
+
+
 class TestPressure:
     def _hydrostatic(self, dims=(10, 12), rows=6, mu=4):
         grid = G.CellGrid(dims)
@@ -219,6 +327,42 @@ class TestPressure:
         F.apply_forces(mac, (0.0, -9.8), dt=0.1)
         with pytest.raises(SolverError):
             F.solve_pressure(mac, grid, tol=1e-14, max_iter=1)
+
+
+    @staticmethod
+    def _outcome(mac, stats):
+        """Every bit solve_pressure leaves behind; NaN compares by its bits."""
+        return ([stats.iterations], np.array([stats.residual, stats.tolerance]).tobytes(),
+                mac.pressure.tobytes(), [u.tobytes() for u in mac.vel])
+
+    @pytest.mark.parametrize("dims", [(20, 24), (9, 10, 11)])
+    def test_matches_full_grid_cg_bit_for_bit(self, dims):
+        rng = np.random.default_rng(len(dims))
+        converged = 0
+        for _ in range(12):
+            grid, mac, solid_vel = random_pressure_case(rng, dims)
+            ref = F.MacGrid(dims)
+            ref.vel = mac.copy_velocity()
+            with np.errstate(all="ignore"):  # a walled-in fluid pocket can diverge
+                want = self._outcome(ref, full_grid_pressure(ref, grid, solid_vel))
+                got = self._outcome(mac, F.solve_pressure(mac, grid, solid_vel))
+            assert got == want
+            converged += F.divergence_residual(mac, grid) < 1e-3
+        assert converged >= 6
+
+    def test_no_fluid_cells(self):
+        rng = np.random.default_rng(11)
+        grid, mac, solid_vel = random_pressure_case(rng, (7, 8, 6))
+        interior = np.flatnonzero(~grid.wall)
+        grid.marking[interior] = np.where(rng.random(len(interior)) < 0.3, G.SOLID, G.EMPTY)
+        before = mac.copy_velocity()
+        stats = F.solve_pressure(mac, grid, solid_vel)
+        assert stats.iterations == 0 and stats.residual == 0.0
+        assert not mac.pressure.any()
+        for a in range(3):
+            on_solid = G.face_mask(grid.dims, a, grid.solid_mask())
+            assert np.array_equal(mac.vel[a][on_solid], solid_vel[a][on_solid])
+            assert np.array_equal(mac.vel[a][~on_solid], before[a][~on_solid])
 
 
 class TestParticleSet:
