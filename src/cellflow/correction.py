@@ -85,20 +85,20 @@ def build_candidates(particles, cells: G.CellGrid, dirs: DirectionSet | None = N
         dirs = direction_set(d)
     m = dirs.m
 
-    home = np.floor(x_prev).astype(np.int64)          # (n, d)
-    target = home[None, :, :] + dirs.dirs[:, None, :]  # (m, n, d)
-
-    dims = np.asarray(cells.dims)
-    in_bounds = np.all((target >= 0) & (target < dims), axis=2)
-    safe = np.where(in_bounds[:, :, None], target, 0)
-    flat = np.ravel_multi_index(
-        tuple(safe[:, :, k] for k in range(d)), cells.dims
-    ).astype(np.int64)
-    valid = in_bounds & ~cells.wall[flat]
+    # one axis at a time on (m, n) arrays; cost sums the axes left to right,
+    # as np.sum over a length-d axis does
+    xi = np.empty((m, n, d))
+    flat = np.zeros((m, n), dtype=np.int64)
+    in_bounds = np.ones((m, n), dtype=bool)
+    for k in range(d):
+        target = np.floor(x_prev[:, k]).astype(np.int64) + dirs.dirs[:, k, None]
+        in_bounds &= (target >= 0) & (target < cells.dims[k])
+        flat = flat * cells.dims[k] + target
+        xi[:, :, k] = xk = phi_close(x_ideal[:, k], target)
+        sq = (xk - x_ideal[:, k]) ** 2
+        cost = sq if k == 0 else cost + sq
+    valid = in_bounds & ~cells.wall[np.where(in_bounds, flat, 0)]
     flat = np.where(valid, flat, -1)
-
-    xi = phi_close(x_ideal[None, :, :], target)
-    cost = np.sum((xi - x_ideal[None, :, :]) ** 2, axis=2)
     cost = np.where(valid, cost, np.inf)
 
     return CandidateTable(xi=xi, cost=cost, target_flat=flat, valid=valid, dirs=dirs)

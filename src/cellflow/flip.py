@@ -8,7 +8,6 @@ face lattice. All quantities are in cell units per time unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -95,67 +94,59 @@ class MacGrid:
         return off
 
 
-def _corner_weights(frac: np.ndarray):
-    """Yield (corner offset tuple, weight array) for multilinear interpolation."""
-    d = frac.shape[1]
-    for corner in product((0, 1), repeat=d):
-        w = np.ones(len(frac))
-        for k, c in enumerate(corner):
-            w = w * (frac[:, k] if c else 1.0 - frac[:, k])
-        yield corner, w
-
-
-def _stencil(mac: MacGrid, a: int, positions: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(flat index into component a's faces, multilinear weight) per corner
-    of the face cell around each position."""
+def _stencil(mac: MacGrid, a: int, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat index into component a's faces and multilinear weight of each
+    corner of the face cell around each position, as (2**d, n) arrays with
+    the corners in C order. Built one axis at a time from positions[:, k]."""
     shape = mac.vel[a].shape
-    q = positions - mac.face_offset(a)
-    base = np.floor(q).astype(np.int64)
-    base = np.clip(base, 0, np.asarray(shape) - 2)
-    frac = np.clip(q - base, 0.0, 1.0)
-    strides = [int(np.prod(shape[k + 1:])) for k in range(mac.d)]
-    origin = sum(base[:, k] * strides[k] for k in range(mac.d))
-    return [(origin + sum(c * s for c, s in zip(corner, strides)), w)
-            for corner, w in _corner_weights(frac)]
+    n = len(positions)
+    idx = np.zeros((1, n), dtype=np.int64)
+    w = np.ones((1, n))
+    for k in range(mac.d):
+        q = positions[:, k] - (0.0 if k == a else 0.5)
+        base = np.clip(np.floor(q).astype(np.int64), 0, shape[k] - 2)
+        frac = np.clip(q - base, 0.0, 1.0)
+        idx = (idx[:, None] * shape[k] + (base, base + 1)).reshape(2 ** (k + 1), n)
+        w = (w[:, None] * (1.0 - frac, frac)).reshape(2 ** (k + 1), n)
+    return idx, w
 
 
-def _face_gather(mac: MacGrid, a: int, positions: np.ndarray) -> np.ndarray:
-    """Interpolate velocity component a at the given positions."""
-    u = mac.vel[a].ravel()
-    out = np.zeros(len(positions))
-    for idx, w in _stencil(mac, a, positions):
-        out += w * u[idx]
+def _gather(u: np.ndarray, stencil: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Interpolate the flat face values u through a stencil, corner by corner."""
+    idx, w = stencil
+    out = np.zeros(idx.shape[1])
+    for w_c, u_c in zip(w, u[idx]):
+        out += w_c * u_c
     return out
 
 
 def velocity_at(mac: MacGrid, positions: np.ndarray) -> np.ndarray:
     positions = np.asarray(positions, dtype=np.float64)
-    return np.stack([_face_gather(mac, a, positions) for a in range(mac.d)], axis=1)
+    return np.stack([_gather(mac.vel[a].ravel(), _stencil(mac, a, positions))
+                     for a in range(mac.d)], axis=1)
 
 
-def transfer_p2g(particles: ParticleSet, mac: MacGrid, write_cells: np.ndarray | None = None) -> None:
+def transfer_p2g(particles: ParticleSet, mac: MacGrid,
+                 write_cells: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Kernel-weighted particle velocities onto faces.
 
     Faces with zero accumulated weight keep their current value. When
     write_cells (flat bool mask) is given, only faces adjacent to at least
     one cell in the mask are overwritten; the band method passes the cells
     it owns with particles (everything shallower than the band interface).
+    Returns each component's stencil at x_prev, for transfer_g2p.
     """
-    if particles.n == 0:
-        return
-    pos = particles.x_prev
-    for a in range(mac.d):
+    stencils = [_stencil(mac, a, particles.x_prev) for a in range(mac.d)]
+    for a, (idx, w) in enumerate(stencils):
         u = mac.vel[a]
-        stencil = _stencil(mac, a, pos)
         # corner-major: each face sums its particles in a fixed order
-        flat = np.concatenate([idx for idx, _ in stencil])
-        num = np.bincount(flat, np.concatenate([w * particles.vel[:, a] for _, w in stencil]),
-                          u.size).reshape(u.shape)
-        den = np.bincount(flat, np.concatenate([w for _, w in stencil]), u.size).reshape(u.shape)
+        num = np.bincount(idx.ravel(), (w * particles.vel[:, a]).ravel(), u.size).reshape(u.shape)
+        den = np.bincount(idx.ravel(), w.ravel(), u.size).reshape(u.shape)
         mask = den > 0
         if write_cells is not None:
             mask &= G.face_mask(mac.dims, a, write_cells)
         u[mask] = num[mask] / den[mask]
+    return stencils
 
 
 def apply_forces(mac: MacGrid, gravity, dt: float) -> None:
@@ -167,22 +158,22 @@ def apply_forces(mac: MacGrid, gravity, dt: float) -> None:
 
 
 def transfer_g2p(mac: MacGrid, saved_vel: list[np.ndarray], particles: ParticleSet,
-                 flip_ratio: float, max_speed: float | None = None) -> None:
-    """FLIP/PIC blend back to particles, then clamp to the scene speed bound."""
-    if particles.n == 0:
-        return
-    pic = np.zeros((particles.n, mac.d))
-    delta = np.zeros((particles.n, mac.d))
-    for a in range(mac.d):  # the new field and its change since p2g, on one stencil
-        u, du = mac.vel[a].ravel(), (mac.vel[a] - saved_vel[a]).ravel()
-        for idx, w in _stencil(mac, a, particles.x_prev):
-            pic[:, a] += w * u[idx]
-            delta[:, a] += w * du[idx]
+                 stencils: list[tuple[np.ndarray, np.ndarray]], flip_ratio: float,
+                 max_speed: float | None = None) -> np.ndarray:
+    """FLIP/PIC blend back to particles, then clamp to the scene speed bound.
+
+    stencils are transfer_p2g's, at the unchanged x_prev. Returns the PIC
+    field (the new grid velocity at x_prev), advect_particles' first stage.
+    """
+    pic = np.stack([_gather(mac.vel[a].ravel(), st) for a, st in enumerate(stencils)], axis=1)
+    delta = np.stack([_gather((mac.vel[a] - saved_vel[a]).ravel(), st)
+                      for a, st in enumerate(stencils)], axis=1)
     particles.vel = flip_ratio * (particles.vel + delta) + (1.0 - flip_ratio) * pic
     if max_speed is not None and particles.n:
         peak = np.abs(particles.vel).max(axis=1)
         scale = np.where(peak > max_speed, max_speed / np.maximum(peak, 1e-30), 1.0)
         particles.vel *= scale[:, None]
+    return pic
 
 
 def clamp_positions(positions: np.ndarray, dims, home_cells: np.ndarray | None = None) -> np.ndarray:
@@ -197,17 +188,14 @@ def clamp_positions(positions: np.ndarray, dims, home_cells: np.ndarray | None =
     return out
 
 
-def advect_particles(particles: ParticleSet, mac: MacGrid, dt: float) -> None:
+def advect_particles(particles: ParticleSet, mac: MacGrid, dt: float, v1: np.ndarray) -> None:
     """RK2 midpoint advection of particle positions through the grid field.
 
-    The result is clamped so each particle stays within the Moore
-    neighborhood of its previous cell and inside the non-wall interior.
+    v1 is the field at x_prev, the first stage. The result is clamped so
+    each particle stays within the Moore neighborhood of its previous cell
+    and inside the non-wall interior.
     """
-    if particles.n == 0:
-        particles.x_ideal = particles.x_prev.copy()
-        return
     x0 = particles.x_prev
-    v1 = velocity_at(mac, x0)
     mid = clamp_positions(x0 + 0.5 * dt * v1, mac.dims)
     v2 = velocity_at(mac, mid)
     home = np.floor(x0)
@@ -223,7 +211,7 @@ def advect_grid_velocity(mac: MacGrid, dt: float, face_masks: list[np.ndarray] |
         pos = G.box_cells((0,) * mac.d, shape) + mac.face_offset(a)
         vel = velocity_at(old, pos)
         back = pos - dt * vel
-        new_vals = _face_gather(old, a, back).reshape(shape)
+        new_vals = _gather(old.vel[a].ravel(), _stencil(old, a, back)).reshape(shape)
         if face_masks is None:
             mac.vel[a] = new_vals
         else:

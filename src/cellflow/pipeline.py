@@ -105,9 +105,7 @@ class Simulation:
                          band_R=None)
         G.assign_depth(self.grid)
         if self.band is not None:
-            self.grid.rebuild_counts(self.particles.x)
             B.maintain_band(self.grid, self.particles, self.band, cfg.mu, self.rng, self.mac)
-        self.grid.rebuild_counts(self.particles.x)
         self.grid.snapshot()
 
     # ------------------------------------------------------------------
@@ -208,7 +206,7 @@ class Simulation:
         trace.append("emit")
 
         write_cells = B.band_write_cells(grid, band.R) if band else None
-        F.transfer_p2g(particles, mac, write_cells)
+        stencils = F.transfer_p2g(particles, mac, write_cells)
         saved_vel = mac.copy_velocity()
         trace.append("p2g")
 
@@ -228,14 +226,15 @@ class Simulation:
             np.clip(mac.vel[a], -cfg.max_speed, cfg.max_speed, out=mac.vel[a])
         trace.append("pressure")
 
-        F.transfer_g2p(mac, saved_vel, particles, cfg.flip_ratio, cfg.max_speed)
+        v1 = F.transfer_g2p(mac, saved_vel, particles, stencils, cfg.flip_ratio, cfg.max_speed)
         trace.append("g2p")
 
         if band:
             F.advect_grid_velocity(mac, dt, B.band_grid_faces(grid, mac, band.R))
+            v1 = F.velocity_at(mac, particles.x_prev)  # the field g2p read has moved
             trace.append("grid_advect")
 
-        F.advect_particles(particles, mac, dt)
+        F.advect_particles(particles, mac, dt, v1)
         trace.append("advect")
         if self.check_invariants and particles.n:
             prev_cells = np.floor(particles.x_prev).astype(np.int64)
@@ -273,8 +272,7 @@ class Simulation:
 
         particles.x_prev = particles.x.copy()
         particles.x_ideal = particles.x.copy()
-        grid.rebuild_counts(particles.x)
-        grid.snapshot()
+        grid.snapshot()  # counts from classify_cells, or maintain_band's recount
         self.time += dt
 
         if self.check_invariants:

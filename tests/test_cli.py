@@ -1,10 +1,14 @@
-"""Command-line interface: run, oracle-check, volume."""
+"""Command-line interface: run, oracle-check, volume; the comparison scripts."""
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cellflow import cli
 from cellflow import correction as C
-from cellflow.scene import scene_to_text, builtin_scene
+from cellflow.scene import Box, FluidRegion, SceneConfig, scene_to_text, builtin_scene
 
 from conftest import random_problem
 
@@ -19,7 +23,6 @@ def test_run_builtin(tmp_path, capsys):
 
 
 def test_run_config_file(tmp_path):
-    from cellflow.scene import Box, FluidRegion, SceneConfig
     cfg = SceneConfig(name="tiny", dims=(20, 20), mu=2, frames=1,
                       fluids=[FluidRegion(Box((1, 1), (10, 8)))])
     path = tmp_path / "tiny.scene"
@@ -79,7 +82,6 @@ def test_oracle_check_large_instance(tmp_path, capsys):
 def test_run_writes_replay_on_solver_failure(tmp_path, monkeypatch, capsys):
     from cellflow import solvers as V
     from cellflow.errors import IntegrityError
-    from cellflow.scene import Box, FluidRegion, SceneConfig
     cfg = SceneConfig(name="tiny", dims=(8, 8), mu=2, frames=4, seed=5,
                       fluids=[FluidRegion(Box((1, 1), (4, 3)))])
     path = tmp_path / "tiny.scene"
@@ -123,9 +125,6 @@ def test_compare_objectives_script(tmp_path, monkeypatch, capsys):
     choices and the same work per solve, and a doctored objective makes it
     exit 1."""
     import importlib.util
-    import sys
-    from pathlib import Path
-    from cellflow.scene import Box, FluidRegion, SceneConfig
 
     path = Path(__file__).resolve().parent.parent / "scripts" / "compare_objectives.py"
     spec = importlib.util.spec_from_file_location("compare_objectives", path)
@@ -158,3 +157,25 @@ def test_compare_objectives_script(tmp_path, monkeypatch, capsys):
     recorded["objective"] = recorded["objective"] * 1.01
     np.savez(a, **recorded)
     assert run("--against", str(a), "--out", str(b)) == 1
+
+
+def test_compare_dumps_script(tmp_path):
+    """The same tree twice writes identical dumps; two seeds make them differ."""
+    root = Path(__file__).resolve().parents[1]
+    scene = tmp_path / "tiny.scene"
+    scene.write_text(scene_to_text(SceneConfig(
+        name="tiny", dims=(12, 12), mu=2, frames=1,
+        fluids=[FluidRegion(Box((1, 1), (6, 8)))])), encoding="utf-8")
+
+    def run(*seeds):
+        return subprocess.run(
+            [sys.executable, str(root / "scripts" / "compare_dumps.py"), str(root), str(root),
+             "--scenes", f"{scene},{scene}", "--frames", "2", "--seed", *seeds],
+            capture_output=True, text=True)
+
+    same = run("3")
+    assert same.returncode == 0, same.stderr
+    assert same.stdout.splitlines() == [f"{scene}: identical"] * 2
+    differ = run("3", "4")
+    assert differ.returncode == 1, differ.stderr
+    assert f"{scene}: differ at frame_000000.cprt" in differ.stdout

@@ -131,6 +131,50 @@ class TestCandidates:
                 assert (np.floor(table.xi[i, 0]) == cell).all()
 
 
+def build_candidates_on_nd(particles, cells):
+    """Reference: the candidate table built on (m, n, d) arrays, with the
+    targets flattened by np.ravel_multi_index and the cost an np.sum over d."""
+    x_prev, x_ideal = particles.x_prev, particles.x_ideal
+    dirs = C.direction_set(x_prev.shape[1])
+    target = np.floor(x_prev).astype(np.int64)[None, :, :] + dirs.dirs[:, None, :]
+    in_bounds = np.all((target >= 0) & (target < np.asarray(cells.dims)), axis=2)
+    safe = np.where(in_bounds[:, :, None], target, 0)
+    flat = np.ravel_multi_index(tuple(np.moveaxis(safe, 2, 0)), cells.dims).astype(np.int64)
+    valid = in_bounds & ~cells.wall[flat]
+    xi = C.phi_close(x_ideal[None, :, :], target)
+    cost = np.where(valid, np.sum((xi - x_ideal[None, :, :]) ** 2, axis=2), np.inf)
+    return xi, cost, np.where(valid, flat, -1), valid
+
+
+class TestCandidatesByAxis:
+    @pytest.mark.parametrize("dims", [(11, 13), (6, 7, 8)])
+    def test_matches_nd_construction_bit_for_bit(self, dims):
+        """Particles anywhere in the grid, the outer layer included, so moves
+        leave the grid or enter a wall; ideal positions up to 1.5 cells away,
+        a fifth of their coordinates on cell faces. Half the grids have tank
+        walls and a few interior walls, half only scattered walls, so that
+        at the edge the grid bounds alone make a move invalid."""
+        rng = np.random.default_rng(len(dims))
+        d = len(dims)
+        for case in range(8):
+            grid = G.CellGrid(dims)
+            scattered = rng.random(grid.ncells) < 0.05
+            grid.wall = scattered if case % 2 else grid.wall | scattered
+            x = rng.uniform(0.0, np.asarray(dims), size=(400, d))
+            x[:40] = rng.uniform(0.0, 2.0, size=(40, d))  # beside and inside the low walls
+            ideal = x + rng.uniform(-1.5, 1.5, size=x.shape)
+            snap = rng.random(x.shape) < 0.2
+            ideal[snap] = np.round(ideal[snap])
+            p = particles_at(x, ideal)
+            table = C.build_candidates(p, grid)
+            got = (table.xi, table.cost, table.target_flat, table.valid)
+            want = build_candidates_on_nd(p, grid)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            assert not table.valid.all() and table.valid.any()
+
+
 class TestBuildProblem:
     def test_full_inner_cells_pinned(self):
         # inner block exactly at capacity: every inner cell floor == cap == mu

@@ -1,4 +1,6 @@
 """FLIP core: transfers, forces, pressure projection, advection, dt clamp."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,14 @@ def make_state(dims=(8, 8), cells=(), ppc=4):
     particles = F.ParticleSet.from_positions(x)
     mac = F.MacGrid(dims)
     return grid, mac, particles
+
+
+def stencils_at(mac, p):
+    return [F._stencil(mac, a, p.x_prev) for a in range(mac.d)]
+
+
+def advect(p, mac, dt):
+    F.advect_particles(p, mac, dt, F.velocity_at(mac, p.x_prev))
 
 
 class TestTransfers:
@@ -50,9 +60,9 @@ class TestTransfers:
         grid, mac, p = make_state(cells=[(3, 3), (4, 3), (3, 4), (4, 4)])
         v = np.array([0.75, -1.25])
         p.vel[:] = v
-        F.transfer_p2g(p, mac)
+        stencils = F.transfer_p2g(p, mac)
         saved = mac.copy_velocity()
-        F.transfer_g2p(mac, saved, p, flip_ratio=0.97)
+        F.transfer_g2p(mac, saved, p, stencils, flip_ratio=0.97)
         assert np.allclose(p.vel, v, atol=1e-12)
 
     def test_g2p_pure_pic(self):
@@ -61,7 +71,7 @@ class TestTransfers:
             mac.vel[a][:] = 2.0 - a
         saved = mac.copy_velocity()
         p.vel[:] = [9.0, 9.0]
-        F.transfer_g2p(mac, saved, p, flip_ratio=0.0)
+        F.transfer_g2p(mac, saved, p, stencils_at(mac, p), flip_ratio=0.0)
         assert np.allclose(p.vel, [2.0, 1.0])
 
     def test_g2p_pure_flip_increment(self):
@@ -70,7 +80,7 @@ class TestTransfers:
         for a in range(2):
             mac.vel[a][:] = saved[a] + 0.5
         p.vel[:] = [1.0, -1.0]
-        F.transfer_g2p(mac, saved, p, flip_ratio=1.0)
+        F.transfer_g2p(mac, saved, p, stencils_at(mac, p), flip_ratio=1.0)
         assert np.allclose(p.vel, [1.5, -0.5])
 
     def test_speed_clamp(self):
@@ -78,7 +88,7 @@ class TestTransfers:
         for a in range(2):
             mac.vel[a][:] = 50.0
         saved = [np.zeros_like(v) for v in mac.vel]
-        F.transfer_g2p(mac, saved, p, flip_ratio=0.0, max_speed=3.0)
+        F.transfer_g2p(mac, saved, p, stencils_at(mac, p), flip_ratio=0.0, max_speed=3.0)
         assert np.abs(p.vel).max() <= 3.0 + 1e-12
 
     def test_band_mode_deep_faces_retained(self):
@@ -107,7 +117,7 @@ class TestForces:
 class TestAdvect:
     def test_zero_velocity_stays(self):
         grid, mac, p = make_state(cells=[(3, 3)])
-        F.advect_particles(p, mac, dt=0.5)
+        advect(p, mac, dt=0.5)
         assert np.allclose(p.x_ideal, p.x_prev)
 
     def test_constant_velocity_arithmetic(self):
@@ -116,14 +126,14 @@ class TestAdvect:
         p.x = p.x_prev.copy()
         p.vel = np.zeros((1, 2))
         mac.vel[0][:] = 1.0
-        F.advect_particles(p, mac, dt=0.5)
+        advect(p, mac, dt=0.5)
         assert np.allclose(p.x_ideal, [[2.7, 2.2]])
 
     def test_wall_clamp(self):
         grid, mac, p = make_state(dims=(8, 8))
         p.x_prev = np.array([[1.5, 1.5]])
         mac.vel[0][:] = -10.0
-        F.advect_particles(p, mac, dt=1.0)
+        advect(p, mac, dt=1.0)
         assert p.x_ideal[0, 0] >= 1.0 + F.WALL_MARGIN - 1e-12
 
     def test_moore_locality_clamp(self):
@@ -133,7 +143,7 @@ class TestAdvect:
         mac.vel[1][:] = 0.0
         # fake a huge velocity by lying to the integrator via dt
         mac.vel[0][:] = 3.0
-        F.advect_particles(p, mac, dt=1.0)
+        advect(p, mac, dt=1.0)
         assert abs(int(np.floor(p.x_ideal[0, 0])) - 5) <= 1
 
     def test_grid_advect_uniform_unchanged(self):
@@ -172,6 +182,138 @@ class TestClampDt:
         grid, mac, p = make_state()
         mac.vel[0][:] = 1.0
         assert F.clamp_dt(mac, 1.0, obstacle_speed=2.0) == pytest.approx(0.5)
+
+
+# ----------------------------------------------------------------------
+# the transfers and advection with a stencil built per call on (n, d)
+# arrays, kept as the reference the shared stencils must match bit for bit
+
+def per_call_stencil(mac, a, positions):
+    shape = mac.vel[a].shape
+    q = positions - mac.face_offset(a)
+    base = np.clip(np.floor(q).astype(np.int64), 0, np.asarray(shape) - 2)
+    frac = np.clip(q - base, 0.0, 1.0)
+    strides = [int(np.prod(shape[k + 1:])) for k in range(mac.d)]
+    origin = sum(base[:, k] * strides[k] for k in range(mac.d))
+    out = []
+    for corner in itertools.product((0, 1), repeat=mac.d):
+        w = np.ones(len(frac))
+        for k, c in enumerate(corner):
+            w = w * (frac[:, k] if c else 1.0 - frac[:, k])
+        out.append((origin + sum(c * s for c, s in zip(corner, strides)), w))
+    return out
+
+
+def per_call_gather(mac, a, u, positions):
+    out = np.zeros(len(positions))
+    for idx, w in per_call_stencil(mac, a, positions):
+        out += w * u.ravel()[idx]
+    return out
+
+
+def per_call_velocity_at(mac, positions):
+    return np.stack([per_call_gather(mac, a, mac.vel[a], positions) for a in range(mac.d)],
+                    axis=1)
+
+
+def per_call_p2g(particles, mac, write_cells=None):
+    for a in range(mac.d):
+        u = mac.vel[a]
+        stencil = per_call_stencil(mac, a, particles.x_prev)
+        flat = np.concatenate([idx for idx, _ in stencil])
+        num = np.bincount(flat, np.concatenate([w * particles.vel[:, a] for _, w in stencil]),
+                          u.size).reshape(u.shape)
+        den = np.bincount(flat, np.concatenate([w for _, w in stencil]), u.size).reshape(u.shape)
+        mask = den > 0
+        if write_cells is not None:
+            mask &= G.face_mask(mac.dims, a, write_cells)
+        u[mask] = num[mask] / den[mask]
+
+
+def per_call_g2p(mac, saved_vel, particles, flip_ratio, max_speed):
+    x = particles.x_prev
+    pic = per_call_velocity_at(mac, x)
+    delta = np.stack([per_call_gather(mac, a, mac.vel[a] - saved_vel[a], x)
+                      for a in range(mac.d)], axis=1)
+    particles.vel = flip_ratio * (particles.vel + delta) + (1.0 - flip_ratio) * pic
+    peak = np.abs(particles.vel).max(axis=1)
+    particles.vel *= np.where(peak > max_speed, max_speed / np.maximum(peak, 1e-30), 1.0)[:, None]
+
+
+def per_call_advect(particles, mac, dt):
+    x0 = particles.x_prev
+    mid = F.clamp_positions(x0 + 0.5 * dt * per_call_velocity_at(mac, x0), mac.dims)
+    particles.x_ideal = F.clamp_positions(x0 + dt * per_call_velocity_at(mac, mid), mac.dims,
+                                          home_cells=np.floor(x0))
+
+
+def random_flip_state(rng, dims, n=300):
+    """Particles across the interior, a fifth of their coordinates snapped to
+    the face lattices, random velocities, and a random face field."""
+    x = rng.uniform(1.0 + F.WALL_MARGIN, np.asarray(dims) - 1.0 - F.WALL_MARGIN,
+                    size=(n, len(dims)))
+    snap = rng.random(x.shape) < 0.2
+    x[snap] = np.round(x[snap] * 2) / 2
+    particles = F.ParticleSet.from_positions(x, rng.normal(size=x.shape))
+    mac = F.MacGrid(dims)
+    for u in mac.vel:
+        u[:] = rng.normal(size=u.shape)
+    return particles, mac
+
+
+def copy_state(particles, mac):
+    ref = F.ParticleSet.from_positions(particles.x_prev, particles.vel)
+    ref_mac = F.MacGrid(mac.dims)
+    ref_mac.vel = mac.copy_velocity()
+    return ref, ref_mac
+
+
+class TestSharedStencils:
+    @pytest.mark.parametrize("dims", [(12, 14), (7, 8, 9)])
+    def test_step_matches_per_call_stencils(self, dims):
+        """p2g, g2p and advection on one shared stencil leave the same bits
+        as stencils built per call, and g2p's PIC field is velocity_at."""
+        rng = np.random.default_rng(len(dims))
+        for case in range(6):
+            p, mac = random_flip_state(rng, dims)
+            ref, ref_mac = copy_state(p, mac)
+            write_cells = rng.random(int(np.prod(dims))) < 0.5 if case % 2 else None
+            stencils = F.transfer_p2g(p, mac, write_cells)
+            per_call_p2g(ref, ref_mac, write_cells)
+            assert [u.tobytes() for u in mac.vel] == [u.tobytes() for u in ref_mac.vel]
+            saved, ref_saved = mac.copy_velocity(), ref_mac.copy_velocity()
+            for u, v in zip(mac.vel, ref_mac.vel):  # stand-in for forces and pressure
+                change = rng.normal(size=u.shape)
+                u += change
+                v += change
+            pic = F.transfer_g2p(mac, saved, p, stencils, 0.95, max_speed=1.5)
+            per_call_g2p(ref_mac, ref_saved, ref, 0.95, max_speed=1.5)
+            assert p.vel.tobytes() == ref.vel.tobytes()
+            assert pic.tobytes() == F.velocity_at(mac, p.x_prev).tobytes()
+            assert pic.tobytes() == per_call_velocity_at(mac, p.x_prev).tobytes()
+            F.advect_particles(p, mac, 0.4, pic)
+            per_call_advect(ref, ref_mac, 0.4)
+            assert p.x_ideal.tobytes() == ref.x_ideal.tobytes()
+
+    @pytest.mark.parametrize("dims", [(12, 14), (7, 8, 9)])
+    def test_velocity_at_outside_the_grid(self, dims):
+        """Positions beyond the face lattices clip to the edge face cells,
+        as the grid advection's backtraces need."""
+        rng = np.random.default_rng(5)
+        _, mac = random_flip_state(rng, dims, n=0)
+        x = rng.uniform(-1.5, np.asarray(dims) + 1.5, size=(400, len(dims)))
+        x[::3] = np.round(x[::3])
+        assert F.velocity_at(mac, x).tobytes() == per_call_velocity_at(mac, x).tobytes()
+
+    def test_empty_particle_set(self):
+        grid, mac, p = make_state(cells=[])
+        mac.vel[0][:] = 3.0
+        stencils = F.transfer_p2g(p, mac)
+        assert np.all(mac.vel[0] == 3.0)
+        pic = F.transfer_g2p(mac, mac.copy_velocity(), p, stencils, 0.95, max_speed=1.0)
+        assert pic.shape == (0, 2) and p.vel.shape == (0, 2)
+        F.advect_particles(p, mac, 0.5, pic)
+        assert p.x_ideal.shape == (0, 2)
 
 
 def _neighbor_slices(d, a, side):
