@@ -14,7 +14,9 @@ The comparison prints the largest relative objective gap, the share of
 problems whose choices are identical, and both files' mean work per solve.
 cellflow is imported from PYTHONPATH, so recording with another tree's
 ``src`` and re-solving with this one compares the two solvers on the same
-problems, whatever tie each breaks.
+problems, whatever tie each breaks. A scene file whose ``[band]`` section
+sets ``strategy = full`` records band problems, whose dumps carry the
+band's region and its bounds.
 Exits 1 if some gap exceeds TOL.
 """
 import argparse

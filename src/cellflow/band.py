@@ -1,10 +1,13 @@
-"""Incompressible band method: bookkeeping, constraints, flow along paths.
+"""Incompressible band method: bookkeeping, balance constraint, flow along paths.
 
 Only cells within R levels of the surface carry particles; deeper fluid is
 simulated on the grid alone. An imaginary particle count n_deep tracks what
-was deleted below the band. After the plain correction solve, the net
-particle flux across the band interface must not exceed the air available
-at or below it; the strategies here restore that balance.
+was deleted below the band. The net particle flux into the band interface
+must lie between zero and the air available at or below it. The full
+strategy states that as a bound on the particle count of the interface and
+the deep together, which the flow solve meets exactly (see
+:func:`attach_region`). The flow-paths strategy applies the plain solve and
+then repairs the balance by pushing particles along grid paths.
 """
 from __future__ import annotations
 
@@ -16,8 +19,8 @@ from enum import Enum
 import numpy as np
 
 from . import grid as G
-from .correction import CorrectionProblem, DenseRow
-from .errors import InputError, IntegrityError
+from .correction import CorrectionProblem
+from .errors import IntegrityError
 
 ROOT = -2
 NONE = -1
@@ -52,6 +55,7 @@ def band_classes(prev: G.GridSnapshot, R: int) -> dict[str, np.ndarray]:
         "interface": fluid & (prev.depth == -R),
         "in_band_inner": (prev.marking == G.INNER) & (prev.depth > -R) & (prev.depth < 0),
         "deep": fluid & (prev.depth < -R),
+        "region": fluid & (prev.depth <= -R),  # interface and deep
         "layer_above": fluid & (prev.depth == 1 - R),
         "empty": prev.marking == G.EMPTY,
     }
@@ -71,90 +75,32 @@ def compute_alphas(cells: G.CellGrid, state: BandState, mu: int) -> tuple[int, i
     return a_int, a_deep
 
 
-def gamma_io_masks(problem: CorrectionProblem, x_prev: np.ndarray, cells: G.CellGrid,
-                   classes: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate masks for movements into / out of the band interface."""
-    src = cells.cell_of(x_prev)
-    target = problem.target_flat
-    safe = np.where(problem.valid, target, 0)
-    in_mask = classes["layer_above"][src][None, :] & classes["interface"][safe] & problem.valid
-    out_mask = classes["interface"][src][None, :] & classes["layer_above"][safe] & problem.valid
-    return in_mask, out_mask
+def attach_region(problem: CorrectionProblem, classes: dict[str, np.ndarray],
+                  prev_cells: np.ndarray, alpha_le: int) -> None:
+    """Attach the band row 0 <= n_in - n_out <= alpha as a count on the region.
 
-
-def compute_io(choice: np.ndarray, in_mask: np.ndarray, out_mask: np.ndarray,
-               alpha_le: int) -> tuple[int, int, int, int]:
-    """Selected interface crossings and the remaining slack on each side."""
-    ar = np.arange(len(choice))
-    n_in = int(in_mask[choice, ar].sum()) if len(choice) else 0
-    n_out = int(out_mask[choice, ar].sum()) if len(choice) else 0
-    s_in = n_out - n_in + alpha_le
-    s_out = n_in - n_out
-    return n_in, n_out, s_in, s_out
-
-
-def _pairs(mask: np.ndarray) -> list[tuple[int, int]]:
-    ii, jj = np.nonzero(mask)
-    order = np.lexsort((ii, jj))
-    return [(int(ii[k]), int(jj[k])) for k in order]
-
-
-def build_full_band_constraint(problem: CorrectionProblem, in_mask: np.ndarray,
-                               out_mask: np.ndarray, alpha_le: int) -> CorrectionProblem:
-    """Attach 0 <= sum(in) - sum(out) <= alpha as a dense row."""
-    out = _copy_problem(problem)
-    plus = _pairs(in_mask)
-    minus = _pairs(out_mask)
-    if plus or minus:
-        out.dense_rows = list(problem.dense_rows) + [DenseRow(plus=plus, minus=minus, lo=0, hi=alpha_le)]
-    return out
-
-
-def build_one_way(problem: CorrectionProblem, choice: np.ndarray, in_mask: np.ndarray,
-                  out_mask: np.ndarray, alpha_le: int) -> CorrectionProblem:
-    """One-way variant: freeze the lighter direction of the first solve.
-
-    With too many entrants (s_in < 0) every crossing out of the interface is
-    fixed as solved, entrants not selected are blocked, and a cardinality row
-    keeps exactly n_out + alpha of the selected entrants. Symmetric when too
-    many leave.
+    The region is the band interface and the deep, from the previous
+    markings. Depth is a von Neumann distance inside the fluid, so a region
+    cell borders only region cells, layer-above cells and walls, and every
+    move changes the region's count by [target in region] - [prev in region]
+    = [in] - [out]. With F particles starting in the region, the row reads
+    F <= count(region) <= F + alpha. The identity is checked on every valid
+    candidate into a cell that can hold particles.
     """
-    n_in, n_out, s_in, s_out = compute_io(choice, in_mask, out_mask, alpha_le)
-    if s_in >= 0 and s_out >= 0:
-        raise InputError("one-way constraint requested but no slack is negative")
-
-    out = _copy_problem(problem)
-    ar = np.arange(len(choice))
-    sel = np.zeros_like(in_mask)
-    if len(choice):
-        sel[choice, ar] = True
-
-    if s_in < 0:
-        fixed, blocked, row_members = out_mask, in_mask, in_mask & sel
-        k = n_out + alpha_le
-    else:
-        fixed, blocked, row_members = in_mask, out_mask, out_mask & sel
-        k = n_in
-
-    for (i, j) in _pairs(fixed & sel):
-        out.force_choice(j, i)
-    for (i, j) in _pairs(fixed & ~sel):
-        out.block_choice(j, i)
-    for (i, j) in _pairs(blocked & ~sel):
-        out.block_choice(j, i)
-    members = _pairs(row_members)
-    if k > len(members):
-        raise IntegrityError(f"one-way cardinality {k} exceeds candidate crossings {len(members)}")
-    out.dense_rows = list(problem.dense_rows) + [DenseRow(plus=members, minus=[], lo=k, hi=k)]
-    return out
-
-
-def _copy_problem(problem: CorrectionProblem) -> CorrectionProblem:
-    return CorrectionProblem(
-        candidates=problem.candidates, mu=problem.mu, cap=problem.cap,
-        floor=problem.floor, cost=problem.cost, dims=problem.dims,
-        dense_rows=list(problem.dense_rows), valid=problem.valid.copy(),
-    )
+    region, iface, above = classes["region"], classes["interface"], classes["layer_above"]
+    target = np.where(problem.valid, problem.target_flat, 0)
+    live = problem.valid & (problem.cap[target] != 0)
+    src = prev_cells[None, :]
+    delta = region[target].astype(np.int64) - region[src]
+    io = (above[src] & iface[target]).astype(np.int64) - (iface[src] & above[target])
+    bad = live & (delta != io)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise IntegrityError(f"band region misses a crossing: particle {j} from cell "
+                             f"{prev_cells[j]} to cell {problem.target_flat[i, j]}")
+    start = int(region[prev_cells].sum())
+    problem.region = region
+    problem.region_bounds = (start, start + alpha_le)
 
 
 # ----------------------------------------------------------------------
@@ -388,8 +334,10 @@ def correct_band_flow(cells: G.CellGrid, particles, state: BandState, mu: int,
     heavy-side crosser of the first solve to its previous-step cell, and the
     lighter direction never changes. Each applied path therefore reverts
     exactly one heavy-side crossing, so the result stays inside the one-way
-    problem of :func:`build_one_way`. Deep cells are uncapped as in the
-    correction problem; every other cell holds at most mu.
+    problem: the full problem with the lighter side's crossings frozen, the
+    heavy side's unselected crossings blocked, and the region count fixed
+    to the end of its interval that the heavy side overran. Deep cells are
+    uncapped as in the correction problem; every other cell holds at most mu.
     """
     if cells.prev is None:
         raise IntegrityError("band correction needs a previous-step snapshot")

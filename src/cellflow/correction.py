@@ -9,7 +9,7 @@ per-cell capacity and lower-bound constraints.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,34 +105,15 @@ def build_candidates(particles, cells: G.CellGrid, dirs: DirectionSet | None = N
 
 
 @dataclass
-class DenseRow:
-    """lo <= sum(b[plus]) - sum(b[minus]) <= hi over candidate (i, j) pairs."""
-
-    plus: list
-    minus: list
-    lo: float
-    hi: float
-
-    def value(self, choice: np.ndarray) -> int:
-        v = 0
-        for (i, j) in self.plus:
-            v += int(choice[j] == i)
-        for (i, j) in self.minus:
-            v -= int(choice[j] == i)
-        return v
-
-    def holds(self, choice: np.ndarray) -> bool:
-        return self.lo - 1e-9 <= self.value(choice) <= self.hi + 1e-9
-
-
-@dataclass
 class CorrectionProblem:
     """One-direction-per-particle selection under per-cell count bounds.
 
     cap[c] is the admissible particle count of cell c (-1 means no bound;
     used for deep cells in band mode), floor[c] the mandatory minimum.
     Costs may be overridden by the solid-coupling objective. The all-stay
-    assignment is feasible by construction and is asserted on build.
+    assignment is feasible by construction and is asserted on build. The
+    band's balance constraint, when attached, bounds the total count of the
+    cells in ``region`` to ``region_bounds`` = (lo, hi).
     """
 
     candidates: CandidateTable
@@ -141,8 +122,9 @@ class CorrectionProblem:
     floor: np.ndarray   # (ncells,) int64
     cost: np.ndarray    # (m, n) float64, includes any solid override
     dims: tuple
-    dense_rows: list = field(default_factory=list)
     valid: np.ndarray | None = None  # working validity incl. one-way fixes
+    region: np.ndarray | None = None  # (ncells,) bool, cells whose total count is bounded
+    region_bounds: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
         if self.valid is None:
@@ -160,14 +142,6 @@ class CorrectionProblem:
     def target_flat(self) -> np.ndarray:
         return self.candidates.target_flat
 
-    def force_choice(self, j: int, i: int) -> None:
-        keep = np.zeros(self.m, dtype=bool)
-        keep[i] = True
-        self.valid[:, j] &= keep
-
-    def block_choice(self, j: int, i: int) -> None:
-        self.valid[i, j] = False
-
     def objective_of(self, choice: np.ndarray) -> float:
         return float(self.cost[choice, np.arange(self.n)].sum())
 
@@ -183,7 +157,9 @@ class CorrectionProblem:
         capped = self.cap >= 0
         ok = ok and bool((counts[capped] <= self.cap[capped]).all())
         ok = ok and bool((counts >= self.floor).all())
-        ok = ok and all(row.holds(choice) for row in self.dense_rows)
+        if self.region is not None:
+            lo, hi = self.region_bounds
+            ok = ok and lo <= int(counts[self.region].sum()) <= hi
         if strict and not ok:
             raise IntegrityError("assignment violates correction constraints")
         return ok
@@ -284,6 +260,9 @@ def dump_problem(problem: CorrectionProblem) -> str:
             lines.append(f"cand {j} {int(i)} {c} {float(problem.cost[i, j])!r}")
     for c in sorted(used):
         lines.append(f"cell {c} {int(problem.cap[c])} {int(problem.floor[c])}")
+    if problem.region is not None:  # optional: lo, hi, then the region's cells
+        lo, hi = problem.region_bounds
+        lines.append(" ".join(str(v) for v in ["region", lo, hi, *np.flatnonzero(problem.region)]))
     return "\n".join(lines) + "\n"
 
 
@@ -324,4 +303,10 @@ def load_problem(text: str) -> CorrectionProblem:
         cap[c] = cp
         floor[c] = fl
     table = CandidateTable(xi=xi, cost=cost, target_flat=flat, valid=valid, dirs=direction_set(d))
-    return CorrectionProblem(candidates=table, mu=mu, cap=cap, floor=floor, cost=cost, dims=dims)
+    problem = CorrectionProblem(candidates=table, mu=mu, cap=cap, floor=floor, cost=cost, dims=dims)
+    if "region" in header:
+        lo, hi, *region = (int(v) for v in header["region"])
+        problem.region = np.zeros(ncells, dtype=bool)
+        problem.region[region] = True
+        problem.region_bounds = (lo, hi)
+    return problem

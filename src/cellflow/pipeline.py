@@ -347,18 +347,9 @@ class Simulation:
 
         if band is not None:
             B.compute_alphas(grid, band, cfg.mu)
-            if band.strategy is B.BandStrategy.FULL:
+            if band.strategy is B.BandStrategy.FULL:  # the balance row joins the solve
                 classes = B.band_classes(grid.prev, band.R)
-                in_mask, out_mask = B.gamma_io_masks(problem, particles.x_prev, grid, classes)
-                constrained = B.build_full_band_constraint(problem, in_mask, out_mask,
-                                                           band.alpha_le)
-                assignment, objective = V.branch_and_bound(constrained)
-                C.apply_solution(problem, assignment, particles, verify=self.check_invariants)
-                solver_stats["objective"] += objective
-                _, _, s_in, s_out = B.compute_io(assignment.choice, in_mask, out_mask,
-                                                 band.alpha_le)
-                band.last_s_in, band.last_s_out = s_in, s_out
-                return proposals
+                B.attach_region(problem, classes, grid.cell_of(particles.x_prev), band.alpha_le)
 
         assignment, stats = self._solve(problem)
         C.apply_solution(problem, assignment, particles, verify=self.check_invariants)
@@ -367,6 +358,10 @@ class Simulation:
         solver_stats["objective"] += stats.objective
         solver_stats["solve_time"] += stats.wall_time
         if band is None:
+            return proposals
+        if band.strategy is B.BandStrategy.FULL:
+            _, _, band.last_s_in, band.last_s_out = B.io_from_positions(
+                grid, particles.x_prev, particles.x, classes, band.alpha_le)
             return proposals
 
         # flow-paths strategy: the plain solve is applied, now push chains

@@ -1,7 +1,7 @@
 """Solvers for the correction problem.
 
-The sparse problem (no dense rows) is a transportation problem (Ahuja,
-Magnanti & Orlin, *Network Flows*, 1993, ch. 9). Each particle holds one unit,
+The correction problem is a transportation problem (Ahuja, Magnanti &
+Orlin, *Network Flows*, 1993, ch. 9). Each particle holds one unit,
 which goes to one of its candidate cells at that candidate's cost. Cell u
 takes floor[u]..cap[u] units and passes those above its floor on to a sink,
 whose deficit is n - sum(floor). Its LP relaxation is integral, so it is
@@ -27,10 +27,15 @@ Dijkstra searches run backward from each such cell until they pop the sink;
 raising every popped node's potential by its distance short of the sink's
 keeps each reduced cost nonnegative and zeroes those on the path. The drain
 thus reaches those few cells directly instead of relaxing the sink's
-zero-cost arcs into nearly every cell on the way. Dense band rows break that
-structure; they go through a small branch-and-bound over the row's candidate
-variables with the flow solve as relaxation bound. A pruned exhaustive search
-doubles as an independent oracle for both.
+zero-cost arcs into nearly every cell on the way.
+
+The band's balance constraint bounds the total count of one region of cells
+to [lo, hi]. The family of sets "one cell", "the region" and "all cells" is
+laminar, so the problem stays a network and its LP stays integral (ibid.;
+Schrijver, *Combinatorial Optimization*, 2003, on network matrices): the
+region's cells, which carry no floors, pass their units to a hub node, which
+takes lo..hi units and passes those above lo on to the sink. A pruned
+exhaustive search is an independent oracle for both forms.
 """
 from __future__ import annotations
 
@@ -49,12 +54,13 @@ CHECK_POTENTIALS = False
 
 @dataclass
 class FlowNetwork:
-    """Transportation network of a sparse correction problem, in cell terms.
+    """Transportation network of a correction problem, in cell terms.
 
     Each particle holds one unit, which goes to one of its candidates. The
     cells are those some candidate reaches, ranked in grid order; cell u takes
     floor[u]..cap[u] units, and the sink takes the rest, a deficit of
-    n - sum(floor).
+    n - sum(floor) - hub_floor. With a region, the cells where hub_cell is
+    set pass their units to a hub instead, which takes hub_floor..hub_cap.
     """
 
     n_particles: int
@@ -64,11 +70,15 @@ class FlowNetwork:
     cand_cost: np.ndarray  # cost per candidate
     cap: np.ndarray        # per cell; n where the problem leaves the cell uncapped
     floor: np.ndarray      # per cell
+    hub_cell: np.ndarray | None = None  # per cell, True in the region; None without one
+    hub_floor: int = 0
+    hub_cap: int = 0
 
     @property
     def n_arcs(self) -> int:
-        """Arcs of the textbook network: source -> particle, candidates, cell -> sink."""
-        return self.n_particles + len(self.cand_j) + len(self.cap)
+        """Arcs of the textbook network: source -> particle, candidates,
+        cell -> sink or hub, and hub -> sink."""
+        return self.n_particles + len(self.cand_j) + len(self.cap) + (self.hub_cell is not None)
 
 
 @dataclass
@@ -82,9 +92,7 @@ class SolveStats:
 
 
 def reduce_to_flow(problem: CorrectionProblem) -> FlowNetwork:
-    """Build the transportation network of the sparse correction problem."""
-    if problem.dense_rows:
-        raise InputError("problem has dense rows; use branch_and_bound")
+    """Build the transportation network of the correction problem."""
     n = problem.n
     # candidates ordered by (particle, direction)
     jj, ii = np.nonzero(problem.valid.T)
@@ -104,7 +112,7 @@ def reduce_to_flow(problem: CorrectionProblem) -> FlowNetwork:
     if (floor > cap).any():
         raise IntegrityError("cell floor exceeds capacity")
 
-    return FlowNetwork(
+    net = FlowNetwork(
         n_particles=n,
         cand_j=jj.astype(np.int64),
         cand_i=ii.astype(np.int64),
@@ -112,6 +120,16 @@ def reduce_to_flow(problem: CorrectionProblem) -> FlowNetwork:
         cand_cost=problem.cost[ii, jj],
         cap=cap, floor=floor,
     )
+    if problem.region is not None:
+        # a floored region cell short of its floor would have to pass units
+        # it lacks; the band's region (interface and deep) has no floors
+        if problem.floor[problem.region].any():
+            raise InputError("region cells must not carry floors")
+        lo, hi = problem.region_bounds
+        if hi < max(lo, 0):
+            raise IntegrityError(f"empty region interval [{lo}, {hi}]")
+        net.hub_cell, net.hub_floor, net.hub_cap = problem.region[used], max(lo, 0), hi
+    return net
 
 
 def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
@@ -143,6 +161,14 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
     u -> p -> v, where p's potential cancels. Shortest paths, potentials and
     the optimality test are thus those of the network with particle nodes.
 
+    With a region, its cells pass their units to the hub, node K + 1, which
+    keeps count[hub] = count(region) and passes the units above hub_floor to
+    the sink. The greedy start also rejects the region's particles beyond
+    hub_cap, the last in index order. A hub below its floor is a target like
+    a cell below its floor, and a drain fills it; a popped hub relaxes its
+    arc to the sink while it has room and, free of charge, its reverse arcs
+    back to the region cells it holds units of.
+
     Only the cheapest of the parallel arcs u -> v (one per member of u) can
     lie on a shortest path, and augmenting along it leaves the others' reduced
     costs, no smaller, nonnegative. So a popped cell reads a table of its
@@ -164,9 +190,9 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
     """
     t0 = time.perf_counter()
     n = net.n_particles
-    K = len(net.cap)  # cells; the sink is node K
-    sink = K
-    if int(net.floor.sum()) > n:
+    K = len(net.cap)  # cells; the sink is node K, the hub node K + 1
+    sink, hub = K, K + 1
+    if int(net.floor.sum()) + net.hub_floor > n:
         raise IntegrityError("min-cost flow infeasible: floors exceed the particle count")
 
     # candidate indices per particle, in direction order
@@ -187,8 +213,14 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
     rank[order] = np.arange(n) - np.repeat(np.cumsum(picked) - picked, picked)
     accepted = rank < net.cap[pick_cell]
     count_np = np.minimum(picked, net.cap)
-    if accepted.all() and (count_np >= net.floor).all():
-        _check_reduced_costs(net, pick, np.zeros(K + 1), count_np)
+    feeds, in_hub = [False] * K, 0
+    if net.hub_cell is not None:  # the hub accepts the first hub_cap of the region's units
+        held = np.flatnonzero(accepted & net.hub_cell[pick_cell])
+        accepted[held[net.hub_cap:]] = False
+        count_np = np.bincount(pick_cell[accepted], minlength=K)
+        feeds, in_hub = net.hub_cell.tolist(), min(len(held), net.hub_cap)
+    if accepted.all() and (count_np >= net.floor).all() and in_hub >= net.hub_floor:
+        _check_reduced_costs(net, pick, np.zeros(K + 2), count_np)
         return Assignment(choice=net.cand_i[pick]), SolveStats(
             objective=float(net.cand_cost[pick].sum()), wall_time=time.perf_counter() - t0)
 
@@ -196,19 +228,24 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
     spans = [range(starts[p], starts[p + 1]) for p in range(n)]
     cand_cell, cand_cost = net.cand_cell.tolist(), net.cand_cost.tolist()
     cand_p = net.cand_j.tolist()
-    cap, floor = net.cap.tolist(), net.floor.tolist()
+    cap = net.cap.tolist() + [0, net.hub_cap]  # cells, then the sink's unused slot and the hub
+    floor = net.floor.tolist() + [0, net.hub_floor]
+    hubbed = [] if net.hub_cell is None else np.flatnonzero(net.hub_cell).tolist()
+    up = [sink] * (K + 2)  # where a node passes its units above the floor
+    for u in hubbed:
+        up[u] = hub
 
-    count = count_np.tolist()
+    count = count_np.tolist() + [0, in_hub]
     kept, ends = order[accepted[order]].tolist(), np.cumsum(count_np).tolist()
     members = [kept[e - c:e] for c, e in zip(count, ends)]  # per cell, in index order
-    table: list[dict | None] = [None] * K  # per cell: {v: (cost, candidate)}
+    table: list[dict | None] = [None] * (K + 2)  # per cell: {v: (cost, candidate)}
     intab: list[dict | None] | None = None  # per cell: {u: (cost, candidate)}, drains only
     assigned = pick.tolist()  # candidate index per particle; a rejected one's is set when routed
-    pi = [0.0] * (K + 1)
-    dist = [0.0] * (K + 1)
-    stamp = [0] * (K + 1)
-    prev = [-1] * (K + 1)  # next node toward the search's root, -1 for the root
-    via = [-1] * (K + 1)   # candidate moved along that arc, -1 for a sink arc
+    pi = [0.0] * (K + 2)
+    dist = [0.0] * (K + 2)
+    stamp = [0] * (K + 2)
+    prev = [-1] * (K + 2)  # next node toward the search's root, -1 for the root
+    via = [-1] * (K + 2)   # candidate moved along that arc, -1 for a sink or hub arc
     check = CHECK_POTENTIALS
     run = pops = scans = drains = 0
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -230,9 +267,11 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
         if u >= 0:
             members[u].remove(p)
             count[u] -= 1
+            count[hub] -= feeds[u]
             table[u] = None
         members[cand_cell[k]].append(p)
         count[cand_cell[k]] += 1
+        count[hub] += feeds[cand_cell[k]]
         table[cand_cell[k]] = None
         assigned[p] = k
         if intab is not None:
@@ -256,7 +295,9 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
                 target = u
                 break
             arcs = table[u]
-            if arcs is None:  # the cheapest arc u -> v over the members of u, per v
+            if arcs is None and u == hub:  # back to the region cells that passed it units
+                arcs = {v: (0.0, -1) for v in hubbed if count[v] > 0}
+            elif arcs is None:  # the cheapest arc u -> v over the members of u, per v
                 arcs = table[u] = {}
                 for p in members[u]:
                     cu = cand_cost[assigned[p]]
@@ -279,8 +320,8 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
                     prev[v] = u
                     via[v] = k
                     heappush(heap, (nd, v))
-            if count[u] < cap[u] and stamp[sink] != -run:
-                reach(sink, d, pi[u] - pi[sink], u, -1)
+            if count[u] < cap[u] and stamp[up[u]] != -run:
+                reach(up[u], d, pi[u] - pi[up[u]], u, -1)
         if target < 0:
             raise IntegrityError("min-cost flow infeasible; snapshot corruption suspected")
         pops += len(popped)
@@ -295,13 +336,13 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
                 place(cand_p[k], u, k)
             v = u
 
-    # drain the sink's excess into the cells still below their floor
-    short = [t for t in range(K) if count[t] < floor[t]]
+    # drain the sink's excess into the cells, then the hub, still below their floor
+    short = [t for t in range(K + 2) if count[t] < floor[t]]
     if short:
         order = np.argsort(net.cand_cell, kind="stable")
         bounds = np.searchsorted(net.cand_cell[order], np.arange(K + 1)).tolist()
         order = order.tolist()
-        intab = [None] * K
+        intab = [None] * (K + 2)
     for t in short:
         while count[t] < floor[t]:
             run += 1
@@ -318,7 +359,9 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
                 if v == sink:
                     break
                 arcs = intab[v]
-                if arcs is None:  # the cheapest arc u -> v over the particles in u, per u
+                if arcs is None and v == hub:  # from the region cells with room
+                    arcs = {u: (0.0, -1) for u in hubbed if count[u] < cap[u]}
+                elif arcs is None:  # the cheapest arc u -> v over the particles in u, per u
                     arcs = intab[v] = {}
                     for k in order[bounds[v]:bounds[v + 1]]:
                         a = assigned[cand_p[k]]
@@ -330,8 +373,8 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
                 for u, (c, k) in arcs.items():
                     if stamp[u] != -run:
                         reach(u, d, c + pi[u] - pi[v], v, k)
-                if count[v] > floor[v] and stamp[sink] != -run:
-                    reach(sink, d, pi[sink] - pi[v], v, -1)
+                if count[v] > floor[v] and stamp[up[v]] != -run:
+                    reach(up[v], d, pi[up[v]] - pi[v], v, -1)
             if stamp[sink] != -run:
                 raise IntegrityError("min-cost flow infeasible: a floor cannot be met")
             pops += len(popped)
@@ -346,7 +389,7 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
                 v = u
 
     chosen = np.asarray(assigned, dtype=np.int64)
-    _check_reduced_costs(net, chosen, np.asarray(pi), np.asarray(count, dtype=np.int64))
+    _check_reduced_costs(net, chosen, np.asarray(pi), np.asarray(count[:K], dtype=np.int64))
     stats = SolveStats(objective=float(net.cand_cost[chosen].sum()), searches=run - drains,
                        pops=pops, scans=scans, drains=drains,
                        wall_time=time.perf_counter() - t0)
@@ -358,16 +401,22 @@ def _check_reduced_costs(net: FlowNetwork, chosen: np.ndarray, pi: np.ndarray,
     """Final safety: every residual arc has nonnegative reduced cost.
 
     chosen holds each particle's candidate and counts each cell's units; pi
-    holds the cell potentials, then the sink's. Residual are the candidate
-    arcs u -> v (via the particle at u), cell -> sink with room, and sink ->
-    cell with units above the floor.
+    holds the cell potentials, then the sink's and the hub's. Residual are
+    the candidate arcs u -> v (via the particle at u), cell -> sink (or hub)
+    with room, sink (or hub) -> cell with units above the floor, and hub ->
+    sink and back as the hub's count lies below its cap and above its floor.
     """
     K = len(counts)
     home = net.cand_cell[chosen]
     red = (net.cand_cost - net.cand_cost[chosen][net.cand_j]
            + pi[home][net.cand_j] - pi[net.cand_cell])
-    red = np.concatenate([red, pi[:K][counts < net.cap] - pi[K],
-                          pi[K] - pi[:K][counts > net.floor]])
+    up = K if net.hub_cell is None else np.where(net.hub_cell, K + 1, K)
+    red = np.concatenate([red, (pi[:K] - pi[up])[counts < net.cap],
+                          (pi[up] - pi[:K])[counts > net.floor]])
+    if net.hub_cell is not None:
+        held = int(counts[net.hub_cell].sum())
+        red = np.concatenate([red, [pi[K + 1] - pi[K]] * (held < net.hub_cap),
+                              [pi[K] - pi[K + 1]] * (held > net.hub_floor)])
     if red.size and red.min() < -1e-6:
         raise IntegrityError(f"optimality check failed: reduced cost {red.min()}")
 
@@ -388,7 +437,8 @@ def brute_force_ilp(problem: CorrectionProblem) -> tuple[Assignment, float]:
 
     Depth-first enumeration over per-particle candidates with sound pruning
     only (capacity, floor reachability, admissible cost bound), so the result
-    is the exact global optimum. Fully independent of the flow solver.
+    is the exact global optimum; a region's count bound is tested on each
+    complete selection. Fully independent of the flow solver.
     """
     n = problem.n
     if n > BRUTE_FORCE_LIMIT:
@@ -421,8 +471,10 @@ def brute_force_ilp(problem: CorrectionProblem) -> tuple[Assignment, float]:
     best_choice: np.ndarray | None = None
     choice = np.zeros(n, dtype=np.int64)
 
-    def rows_ok() -> bool:
-        return all(row.holds(choice) for row in problem.dense_rows)
+    lo, hi = problem.region_bounds
+
+    def region_ok() -> bool:
+        return problem.region is None or lo <= int(counts[problem.region].sum()) <= hi
 
     def dfs(j: int, partial: float, deficit: int) -> None:
         nonlocal best_obj, best_choice
@@ -431,7 +483,7 @@ def brute_force_ilp(problem: CorrectionProblem) -> tuple[Assignment, float]:
         if deficit > n - j:
             return
         if j == n:
-            if deficit == 0 and rows_ok():
+            if deficit == 0 and region_ok():
                 best_obj = partial
                 best_choice = choice.copy()
             return
@@ -448,197 +500,3 @@ def brute_force_ilp(problem: CorrectionProblem) -> tuple[Assignment, float]:
     if best_choice is None:
         raise IntegrityError("brute force found no feasible assignment")
     return Assignment(choice=best_choice), float(best_obj)
-
-
-# ----------------------------------------------------------------------
-# branch and bound for dense band rows
-
-BNB_MAX_N = 5000
-BNB_MAX_DENSE = 64
-
-
-BNB_NODE_BUDGET = 50_000
-
-
-def _pick_branch_var(problem, row, choice, vv, decided):
-    """Variable whose flip moves the row toward feasibility at least regret.
-
-    Flipping a selected variable off costs at least the gap to the particle's
-    next-best candidate; flipping one on costs the gap from its current pick.
-    Deterministic: ties resolve to the lowest (particle, direction).
-    """
-    v = row.value(choice)
-    if v > row.hi:
-        toward = [(i, j, True) for (i, j) in row.plus] + [(i, j, False) for (i, j) in row.minus]
-    else:
-        toward = [(i, j, False) for (i, j) in row.plus] + [(i, j, True) for (i, j) in row.minus]
-    best = None
-    for (i, j, want_off) in toward:
-        if (j, i) in decided or not vv[i, j]:
-            continue
-        selected = choice[j] == i
-        if want_off != selected:
-            continue
-        if want_off:
-            others = [problem.cost[k, j] for k in np.flatnonzero(vv[:, j]) if k != i]
-            if not others:
-                continue
-            regret = min(others) - problem.cost[i, j]
-        else:
-            regret = problem.cost[i, j] - problem.cost[choice[j], j]
-        key = (regret, j, i)
-        if best is None or key < best[0]:
-            best = (key, (j, i), want_off)
-    return best
-
-
-def branch_and_bound(problem: CorrectionProblem) -> tuple[Assignment, float]:
-    """Exact optimum of a correction problem with dense rows.
-
-    Relaxation: drop the dense rows and solve the flow problem (always
-    integral). Branching fixes dense-row candidates to 0/1 until every row is
-    satisfied; a node whose relaxation already satisfies the rows is optimal
-    for its subtree and closes it. Children that reduce the violation are
-    explored first, picking the candidate with the smallest reselection
-    regret, which finds a good incumbent after about |violation| nodes.
-    """
-    if not problem.dense_rows:
-        assn, stats = solve_problem(problem)
-        return assn, stats.objective
-    row_vars: list[tuple[int, int]] = []
-    seen = set()
-    for row in problem.dense_rows:
-        for (i, j) in list(row.plus) + list(row.minus):
-            if (j, i) not in seen:
-                seen.add((j, i))
-                row_vars.append((j, i))
-    row_vars.sort()
-    if problem.n > BNB_MAX_N or len(row_vars) > BNB_MAX_DENSE:
-        raise InputError(
-            f"branch and bound refused (n={problem.n}, dense candidates={len(row_vars)}); "
-            "use the flow-paths strategy at this scale"
-        )
-
-    base_valid = problem.valid.copy()
-    best_obj = np.inf
-    best_choice: np.ndarray | None = None
-    nodes = 0
-
-    def node_valid(fixes) -> np.ndarray | None:
-        vv = base_valid.copy()
-        for (j, i, kind) in fixes:
-            if kind:
-                keep = np.zeros(problem.m, dtype=bool)
-                keep[i] = True
-                vv[:, j] &= keep
-            else:
-                vv[i, j] = False
-            if not vv[:, j].any():
-                return None
-        return vv
-
-    stack: list[tuple] = [()]
-    while stack:
-        fixes = stack.pop()
-        vv = node_valid(fixes)
-        if vv is None:
-            continue
-        nodes += 1
-        if nodes > BNB_NODE_BUDGET:
-            raise InputError(
-                f"branch and bound exceeded {BNB_NODE_BUDGET} nodes; "
-                "use the flow-paths strategy for this instance")
-        sub = CorrectionProblem(
-            candidates=problem.candidates, mu=problem.mu, cap=problem.cap,
-            floor=problem.floor, cost=problem.cost, dims=problem.dims,
-            dense_rows=[], valid=vv,
-        )
-        try:
-            assn, stats = solve_problem(sub)
-        except IntegrityError:
-            continue
-        if stats.objective >= best_obj - 1e-12:
-            continue
-        violated = [row for row in problem.dense_rows if not row.holds(assn.choice)]
-        if not violated:
-            best_obj = stats.objective
-            best_choice = assn.choice.copy()
-            continue
-        decided = {(j, i) for (j, i, _) in fixes}
-        pick = _pick_branch_var(problem, violated[0], assn.choice, vv, decided)
-        if pick is None:
-            continue  # no undecided variable can move the row; subtree is dead
-        _, (j, i), want_off = pick
-        reduce_first = 0 if want_off else 1
-        stack.append(fixes + ((j, i, 1 - reduce_first),))
-        stack.append(fixes + ((j, i, reduce_first),))
-
-    if best_choice is None:
-        raise IntegrityError("branch and bound found no feasible assignment")
-    return Assignment(choice=best_choice), float(best_obj)
-
-
-# ----------------------------------------------------------------------
-# total unimodularity sampling
-
-def canonical_matrix(problem: CorrectionProblem) -> np.ndarray:
-    """Inequality-form constraint matrix of the sparse problem.
-
-    Columns are valid candidates ordered by (particle, direction). Rows:
-    variable upper/lower bounds, the choose-one equality split into two
-    inequalities, then per-cell capacity and (negated) floor rows.
-    """
-    if problem.dense_rows:
-        raise InputError("canonical matrix requires a sparse problem")
-    cols = [(j, int(i)) for j in range(problem.n) for i in np.flatnonzero(problem.valid[:, j])]
-    col_of = {ji: k for k, ji in enumerate(cols)}
-    ncols = len(cols)
-    rows = []
-
-    for k in range(ncols):  # b <= 1
-        r = np.zeros(ncols, dtype=np.int8)
-        r[k] = 1
-        rows.append(r)
-    for k in range(ncols):  # -b <= 0
-        r = np.zeros(ncols, dtype=np.int8)
-        r[k] = -1
-        rows.append(r)
-    for j in range(problem.n):  # choose-one as two inequalities
-        r = np.zeros(ncols, dtype=np.int8)
-        for i in np.flatnonzero(problem.valid[:, j]):
-            r[col_of[(j, int(i))]] = 1
-        rows.append(r)
-        rows.append(-r)
-    used = np.unique(problem.target_flat[problem.valid]) if ncols else np.array([], dtype=np.int64)
-    for c in used:
-        r = np.zeros(ncols, dtype=np.int8)
-        for j in range(problem.n):
-            for i in np.flatnonzero(problem.valid[:, j]):
-                if problem.target_flat[i, j] == c:
-                    r[col_of[(j, int(i))]] = 1
-        if problem.cap[c] >= 0:
-            rows.append(r)
-        if problem.floor[c] > 0:
-            rows.append(-r)
-    return np.array(rows, dtype=np.int8)
-
-
-def tu_sample_check(problem: CorrectionProblem, trials: int = 500, max_k: int = 7,
-                    rng: np.random.Generator | None = None) -> bool:
-    """Sample square submatrices of the canonical matrix; all determinants
-    must be exactly -1, 0 or 1."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    A = canonical_matrix(problem)
-    nr, nc = A.shape
-    if nr == 0 or nc == 0:
-        return True
-    for _ in range(trials):
-        k = int(rng.integers(1, min(max_k, nr, nc) + 1))
-        ri = rng.choice(nr, size=k, replace=False)
-        ci = rng.choice(nc, size=k, replace=False)
-        det = float(np.linalg.det(A[np.ix_(ri, ci)].astype(np.float64)))
-        nearest = round(det)
-        if abs(det - nearest) > 1e-6 or nearest not in (-1, 0, 1):
-            return False
-    return True

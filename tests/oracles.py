@@ -1,0 +1,133 @@
+"""Exact oracles and reference constructions that only tests use.
+
+Interface crossing masks, the band's one-way problem, and the sampled total
+unimodularity check of the sparse problem's constraint matrix.
+"""
+from dataclasses import replace
+
+import numpy as np
+
+from cellflow import band as B
+from cellflow import grid as G
+from cellflow.correction import CorrectionProblem
+from cellflow.errors import InputError
+
+
+def gamma_io_masks(problem: CorrectionProblem, x_prev: np.ndarray, cells: G.CellGrid,
+                   classes: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate masks for movements into / out of the band interface."""
+    src = cells.cell_of(x_prev)
+    target = problem.target_flat
+    safe = np.where(problem.valid, target, 0)
+    in_mask = classes["layer_above"][src][None, :] & classes["interface"][safe] & problem.valid
+    out_mask = classes["interface"][src][None, :] & classes["layer_above"][safe] & problem.valid
+    return in_mask, out_mask
+
+
+def compute_io(choice: np.ndarray, in_mask: np.ndarray, out_mask: np.ndarray,
+               alpha_le: int) -> tuple[int, int, int, int]:
+    """Selected interface crossings and the remaining slack on each side."""
+    ar = np.arange(len(choice))
+    n_in = int(in_mask[choice, ar].sum()) if len(choice) else 0
+    n_out = int(out_mask[choice, ar].sum()) if len(choice) else 0
+    s_in = n_out - n_in + alpha_le
+    s_out = n_in - n_out
+    return n_in, n_out, s_in, s_out
+
+
+def with_region(problem: CorrectionProblem, cells: G.CellGrid, x_prev: np.ndarray,
+                R: int, alpha_le: int) -> CorrectionProblem:
+    """A copy of the band problem with the full band row attached as its region."""
+    full = replace(problem, valid=problem.valid.copy())
+    B.attach_region(full, B.band_classes(cells.prev, R), cells.cell_of(x_prev), alpha_le)
+    return full
+
+
+def build_one_way(problem: CorrectionProblem, choice: np.ndarray, in_mask: np.ndarray,
+                  out_mask: np.ndarray, alpha_le: int) -> CorrectionProblem:
+    """One-way variant of a full band problem: freeze the lighter direction.
+
+    ``problem`` carries the region with bounds [F, F + alpha]. With too many
+    entrants (s_in < 0) every crossing out of the interface is fixed as
+    solved, the entrants not selected are blocked, and the region's count is
+    pinned to F + alpha, which keeps exactly n_out + alpha of the selected
+    entrants. Symmetric when too many leave, with the count pinned to F.
+    """
+    n_in, n_out, s_in, s_out = compute_io(choice, in_mask, out_mask, alpha_le)
+    if s_in >= 0 and s_out >= 0:
+        raise InputError("one-way constraint requested but no slack is negative")
+    lo, hi = problem.region_bounds
+    ar = np.arange(len(choice))
+    sel = np.zeros_like(in_mask)
+    if len(choice):
+        sel[choice, ar] = True
+    fixed, blocked = (out_mask, in_mask) if s_in < 0 else (in_mask, out_mask)
+
+    valid = problem.valid & ~(fixed & ~sel) & ~(blocked & ~sel)
+    forced = (fixed & sel).any(axis=0)
+    valid[:, forced] &= sel[:, forced]
+    point = hi if s_in < 0 else lo
+    return replace(problem, valid=valid, region_bounds=(point, point))
+
+
+def canonical_matrix(problem: CorrectionProblem) -> np.ndarray:
+    """Inequality-form constraint matrix of the sparse problem.
+
+    Columns are valid candidates ordered by (particle, direction). Rows:
+    variable upper/lower bounds, the choose-one equality split into two
+    inequalities, then per-cell capacity and (negated) floor rows.
+    """
+    if problem.region is not None:
+        raise InputError("canonical matrix requires a problem without a region")
+    cols = [(j, int(i)) for j in range(problem.n) for i in np.flatnonzero(problem.valid[:, j])]
+    col_of = {ji: k for k, ji in enumerate(cols)}
+    ncols = len(cols)
+    rows = []
+
+    for k in range(ncols):  # b <= 1
+        r = np.zeros(ncols, dtype=np.int8)
+        r[k] = 1
+        rows.append(r)
+    for k in range(ncols):  # -b <= 0
+        r = np.zeros(ncols, dtype=np.int8)
+        r[k] = -1
+        rows.append(r)
+    for j in range(problem.n):  # choose-one as two inequalities
+        r = np.zeros(ncols, dtype=np.int8)
+        for i in np.flatnonzero(problem.valid[:, j]):
+            r[col_of[(j, int(i))]] = 1
+        rows.append(r)
+        rows.append(-r)
+    used = np.unique(problem.target_flat[problem.valid]) if ncols else np.array([], dtype=np.int64)
+    for c in used:
+        r = np.zeros(ncols, dtype=np.int8)
+        for j in range(problem.n):
+            for i in np.flatnonzero(problem.valid[:, j]):
+                if problem.target_flat[i, j] == c:
+                    r[col_of[(j, int(i))]] = 1
+        if problem.cap[c] >= 0:
+            rows.append(r)
+        if problem.floor[c] > 0:
+            rows.append(-r)
+    return np.array(rows, dtype=np.int8)
+
+
+def tu_sample_check(problem: CorrectionProblem, trials: int = 500, max_k: int = 7,
+                    rng: np.random.Generator | None = None) -> bool:
+    """Sample square submatrices of the canonical matrix; all determinants
+    must be exactly -1, 0 or 1."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    A = canonical_matrix(problem)
+    nr, nc = A.shape
+    if nr == 0 or nc == 0:
+        return True
+    for _ in range(trials):
+        k = int(rng.integers(1, min(max_k, nr, nc) + 1))
+        ri = rng.choice(nr, size=k, replace=False)
+        ci = rng.choice(nc, size=k, replace=False)
+        det = float(np.linalg.det(A[np.ix_(ri, ci)].astype(np.float64)))
+        nearest = round(det)
+        if abs(det - nearest) > 1e-6 or nearest not in (-1, 0, 1):
+            return False
+    return True

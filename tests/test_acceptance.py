@@ -10,6 +10,7 @@ import pytest
 
 import conftest
 from conftest import random_band_instance, random_problem
+from oracles import build_one_way, compute_io, gamma_io_masks, tu_sample_check, with_region
 
 from cellflow import band as B
 from cellflow import correction as C
@@ -157,7 +158,7 @@ def test_criterion_06_tu_sampling():
     all_ok = True
     for _ in range(10):
         problem, grid, particles = random_problem(rng, dims=(7, 7), n_max=10)
-        if not V.tu_sample_check(problem, trials=trials_per_instance, max_k=7, rng=rng):
+        if not tu_sample_check(problem, trials=trials_per_instance, max_k=7, rng=rng):
             all_ok = False
     check(6, all_ok, "500 sampled minors of 10 instances all have det in {-1,0,1}")
 
@@ -177,10 +178,10 @@ def test_criterion_08_fig_path_reproduction():
     table = C.build_candidates(particles, grid)
     problem = C.build_problem(grid, table, mu=1, band_R=state.R)
     cls = B.band_classes(grid.prev, state.R)
-    in_mask, out_mask = B.gamma_io_masks(problem, particles.x_prev, grid, cls)
+    in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
     assignment, _ = V.solve_problem(problem)
-    n_in, n_out, s_in, s_out = B.compute_io(assignment.choice, in_mask, out_mask,
-                                            state.alpha_le)
+    n_in, n_out, s_in, s_out = compute_io(assignment.choice, in_mask, out_mask,
+                                          state.alpha_le)
     first_ok = (n_in, n_out, s_in, s_out) == (1, 0, -1, 1)
     C.apply_solution(problem, assignment, particles)
     diag = B.correct_band_flow(grid, particles, state, mu=1, problem=problem)
@@ -191,14 +192,16 @@ def test_criterion_08_fig_path_reproduction():
 
 
 def test_criterion_09_oneway_vs_flowpaths():
-    """The one-way rows freeze the lighter direction of the first solve's
-    interface crossings and keep exactly n_out + alpha (draining) or n_in
-    (refilling) of the heavy side's. Flow-paths crosses the interface only by
-    returning a heavy-side crosser to its previous-step cell, so every applied
-    path reverts exactly one heavy-side crossing and never touches the lighter
-    direction; its result therefore lies in the one-way feasible set, and the
-    exact one-way optimum can cost no more. The other half, full-band-row
-    optimum <= both, is asserted on the same instances.
+    """The one-way problem freezes the lighter direction of the first solve's
+    interface crossings and keeps exactly n_out + alpha (draining) or n_in
+    (refilling) of the heavy side's, as a region count pinned to F + alpha or
+    F. Flow-paths crosses the interface only by returning a heavy-side
+    crosser to its previous-step cell, so every applied path reverts exactly
+    one heavy-side crossing and never touches the lighter direction; its
+    result therefore lies in the one-way feasible set, and the exact one-way
+    optimum can cost no more. The other half, full-band-row optimum <= both,
+    is asserted on the same instances. Both exact optima come from brute
+    force.
     """
     rng = np.random.default_rng(9009)
     corrected = 0
@@ -213,20 +216,20 @@ def test_criterion_09_oneway_vs_flowpaths():
         table = C.build_candidates(particles, grid)
         problem = C.build_problem(grid, table, mu=1, band_R=state.R)
         cls = B.band_classes(grid.prev, state.R)
-        in_mask, out_mask = B.gamma_io_masks(problem, particles.x_prev, grid, cls)
+        in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
         assignment, _ = V.solve_problem(problem)
-        n_in, n_out, s_in, s_out = B.compute_io(assignment.choice, in_mask, out_mask,
-                                                state.alpha_le)
+        n_in, n_out, s_in, s_out = compute_io(assignment.choice, in_mask, out_mask,
+                                              state.alpha_le)
         if s_in >= 0 and s_out >= 0:
             continue
-        constrained = B.build_one_way(problem, assignment.choice, in_mask, out_mask,
-                                      state.alpha_le)
-        fixed, oneway_obj = V.branch_and_bound(constrained)
-        io_fixed = B.compute_io(fixed.choice, in_mask, out_mask, state.alpha_le)
+        full_row = with_region(problem, grid, particles.x_prev, state.R, state.alpha_le)
+        constrained = build_one_way(full_row, assignment.choice, in_mask, out_mask,
+                                    state.alpha_le)
+        fixed, oneway_obj = V.brute_force_ilp(constrained)
+        io_fixed = compute_io(fixed.choice, in_mask, out_mask, state.alpha_le)
         assert io_fixed[2] >= 0 and io_fixed[3] >= 0
 
-        full_row = B.build_full_band_constraint(problem, in_mask, out_mask, state.alpha_le)
-        _, full_obj = V.branch_and_bound(full_row)
+        _, full_obj = V.brute_force_ilp(full_row)
 
         C.apply_solution(problem, assignment, particles)
         diag = B.correct_band_flow(grid, particles, state, mu=1, problem=problem)

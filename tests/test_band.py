@@ -1,8 +1,9 @@
-"""Band method: air bookkeeping, one-way constraints, flow along paths."""
+"""Band method: air bookkeeping, the region row and its hub solve, flow along paths."""
 import numpy as np
 import pytest
 
 from conftest import random_band_instance
+from oracles import build_one_way, compute_io, gamma_io_masks, with_region
 
 from cellflow import band as B
 from cellflow import correction as C
@@ -92,8 +93,8 @@ class TestIO:
         particles.x_ideal = particles.x_prev.copy()
         problem, assignment = solved_plain(grid, particles, mu=1)
         cls = B.band_classes(grid.prev, 2)
-        in_mask, out_mask = B.gamma_io_masks(problem, particles.x_prev, grid, cls)
-        n_in, n_out, s_in, s_out = B.compute_io(assignment.choice, in_mask, out_mask, alpha_le=3)
+        in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
+        n_in, n_out, s_in, s_out = compute_io(assignment.choice, in_mask, out_mask, alpha_le=3)
         assert (n_in, n_out) == (0, 0)
         assert s_in == 3 and s_out == 0
 
@@ -102,8 +103,8 @@ class TestIO:
         push_one_entrant(grid, particles, R=2)
         problem, assignment = solved_plain(grid, particles, mu=1, band_R=2)
         cls = B.band_classes(grid.prev, 2)
-        in_mask, out_mask = B.gamma_io_masks(problem, particles.x_prev, grid, cls)
-        n_in, n_out, s_in, s_out = B.compute_io(assignment.choice, in_mask, out_mask, alpha_le=0)
+        in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
+        n_in, n_out, s_in, s_out = compute_io(assignment.choice, in_mask, out_mask, alpha_le=0)
         assert (n_in, n_out) == (1, 0)
         assert s_in == -1 and s_out == 1
 
@@ -114,21 +115,23 @@ class TestOneWay:
         particles.x_ideal = particles.x_prev.copy()
         problem, assignment = solved_plain(grid, particles, mu=1)
         cls = B.band_classes(grid.prev, 2)
-        in_mask, out_mask = B.gamma_io_masks(problem, particles.x_prev, grid, cls)
+        in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
         with pytest.raises(InputError):
-            B.build_one_way(problem, assignment.choice, in_mask, out_mask, alpha_le=5)
+            build_one_way(problem, assignment.choice, in_mask, out_mask, alpha_le=5)
 
     def test_zero_entrants_forced(self):
-        # the single-entrant situation with no air: the cardinality row pins
+        # the single-entrant situation with no air: the point interval pins
         # entrants to zero and the constrained optimum keeps everyone out
         grid, particles = column_state(mu=1, R=2, fill_to=8)
         push_one_entrant(grid, particles, R=2)
         problem, assignment = solved_plain(grid, particles, mu=1, band_R=2)
         cls = B.band_classes(grid.prev, 2)
-        in_mask, out_mask = B.gamma_io_masks(problem, particles.x_prev, grid, cls)
-        constrained = B.build_one_way(problem, assignment.choice, in_mask, out_mask, alpha_le=0)
-        fixed, obj = V.branch_and_bound(constrained)
-        n_in, n_out, s_in, s_out = B.compute_io(fixed.choice, in_mask, out_mask, alpha_le=0)
+        in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
+        full = with_region(problem, grid, particles.x_prev, R=2, alpha_le=0)
+        constrained = build_one_way(full, assignment.choice, in_mask, out_mask, alpha_le=0)
+        fixed, stats = V.solve_problem(constrained)
+        constrained.check_feasible(fixed.choice)
+        n_in, n_out, s_in, s_out = compute_io(fixed.choice, in_mask, out_mask, alpha_le=0)
         assert n_in == 0
         assert s_in >= 0 and s_out >= 0
 
@@ -137,15 +140,15 @@ class TestOneWay:
         push_one_entrant(grid, particles, R=2)
         problem, assignment = solved_plain(grid, particles, mu=1, band_R=2)
         cls = B.band_classes(grid.prev, 2)
-        in_mask, out_mask = B.gamma_io_masks(problem, particles.x_prev, grid, cls)
-        n_in, n_out, s_in, s_out = B.compute_io(assignment.choice, in_mask, out_mask, alpha_le=1)
+        in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
+        n_in, n_out, s_in, s_out = compute_io(assignment.choice, in_mask, out_mask, alpha_le=1)
         # alpha of 1 absorbs the entrant, so the full band row is satisfied by
-        # the unconstrained optimum and branch and bound reproduces it
+        # the unconstrained optimum and the hub solve reproduces it
         assert s_in >= 0
-        constrained = B.build_full_band_constraint(problem, in_mask, out_mask, alpha_le=1)
-        a2, obj2 = V.branch_and_bound(constrained)
+        constrained = with_region(problem, grid, particles.x_prev, R=2, alpha_le=1)
+        a2, stats2 = V.solve_problem(constrained)
         _, stats = V.solve_problem(problem)
-        assert abs(obj2 - stats.objective) < 1e-9
+        assert abs(stats2.objective - stats.objective) < 1e-9
 
 
 def table_edge_cost(grid, particles, mu=1):
@@ -456,12 +459,13 @@ def test_flow_paths_stay_in_one_way_set(push):
         table = C.build_candidates(particles, grid)
         problem = C.build_problem(grid, table, mu=1, band_R=state.R)
         cls = B.band_classes(grid.prev, state.R)
-        in_mask, out_mask = B.gamma_io_masks(problem, particles.x_prev, grid, cls)
+        in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
         assignment, _ = V.solve_problem(problem)
-        _, _, s_in, s_out = B.compute_io(assignment.choice, in_mask, out_mask, state.alpha_le)
+        _, _, s_in, s_out = compute_io(assignment.choice, in_mask, out_mask, state.alpha_le)
         if s_in >= 0 and s_out >= 0:
             continue
-        one_way = B.build_one_way(problem, assignment.choice, in_mask, out_mask, state.alpha_le)
+        full = with_region(problem, grid, particles.x_prev, state.R, state.alpha_le)
+        one_way = build_one_way(full, assignment.choice, in_mask, out_mask, state.alpha_le)
         C.apply_solution(problem, assignment, particles)
         B.correct_band_flow(grid, particles, state, mu=1, problem=problem)
         choice = flow_choice(problem, grid, particles)
@@ -471,6 +475,109 @@ def test_flow_paths_stay_in_one_way_set(push):
         assert abs(one_way.objective_of(choice) - flow_obj) < 1e-9
         corrected += 1
     assert corrected >= 30
+
+
+def band_toys(push, count, seed=4242):
+    """``count`` toy band problems from random_band_instance, each with its
+    plain problem, its full band problem and the crossing masks."""
+    rng = np.random.default_rng(seed)
+    toys = []
+    while len(toys) < count:
+        inst = random_band_instance(rng, push)
+        if inst is None:
+            continue
+        grid, particles, state = inst
+        problem = C.build_problem(grid, C.build_candidates(particles, grid), mu=1,
+                                  band_R=state.R)
+        full = with_region(problem, grid, particles.x_prev, state.R, state.alpha_le)
+        masks = gamma_io_masks(problem, particles.x_prev, grid, B.band_classes(grid.prev, state.R))
+        toys.append((grid, particles, state, problem, full, masks))
+    return toys
+
+
+class TestHubSolve:
+    """The band row as a bound on the region's count, solved through the hub,
+    against brute force on the same region-carrying problems."""
+
+    @pytest.mark.parametrize("push", [-1.0, 1.0], ids=["down-drain", "up-refill"])
+    def test_matches_brute_force(self, push, monkeypatch):
+        monkeypatch.setattr(V, "CHECK_POTENTIALS", True)
+        binding = 0
+        for grid, particles, state, problem, full, (in_mask, out_mask) in band_toys(push, 200):
+            assignment, stats = V.solve_problem(full)
+            full.check_feasible(assignment.choice)
+            _, oracle = V.brute_force_ilp(full)
+            assert abs(stats.objective - oracle) < 1e-9
+            plain, _ = V.solve_problem(problem)
+            _, _, s_in, s_out = compute_io(plain.choice, in_mask, out_mask, state.alpha_le)
+            if s_in >= 0 and s_out >= 0:
+                continue
+            binding += 1
+            one_way = build_one_way(full, plain.choice, in_mask, out_mask, state.alpha_le)
+            assignment, stats = V.solve_problem(one_way)
+            one_way.check_feasible(assignment.choice)
+            _, oracle = V.brute_force_ilp(one_way)
+            assert abs(stats.objective - oracle) < 1e-9
+        assert binding >= 30
+
+    def test_wide_intervals_match_brute_force(self, monkeypatch):
+        # the toys' air is zero, so their intervals are points; widen them
+        # around F so that the hub passes units on to the sink and takes
+        # them back
+        monkeypatch.setattr(V, "CHECK_POTENTIALS", True)
+        rng = np.random.default_rng(77)
+        solved = 0
+        for push in (-1.0, 1.0):
+            for grid, particles, state, problem, full, _ in band_toys(push, 100, seed=31):
+                start = full.region_bounds[0]
+                full.region_bounds = (start - int(rng.integers(0, 3)), start + int(rng.integers(1, 3)))
+                try:
+                    _, oracle = V.brute_force_ilp(full)
+                except IntegrityError:
+                    continue  # no selection meets the interval
+                assignment, stats = V.solve_problem(full)
+                full.check_feasible(assignment.choice)
+                assert abs(stats.objective - oracle) < 1e-9
+                solved += 1
+        assert solved >= 150
+
+    def test_vacuous_interval_equals_plain_solve(self, monkeypatch):
+        monkeypatch.setattr(V, "CHECK_POTENTIALS", True)
+        for push in (-1.0, 1.0):
+            for grid, particles, state, problem, full, _ in band_toys(push, 50, seed=17):
+                full.region_bounds = (0, problem.n)
+                _, stats = V.solve_problem(full)
+                _, plain = V.solve_problem(problem)
+                assert abs(stats.objective - plain.objective) < 1e-9
+
+    def test_network_carries_the_hub(self):
+        grid, particles, state, problem, full, _ = band_toys(-1.0, 1)[0]
+        net, plain = V.reduce_to_flow(full), V.reduce_to_flow(problem)
+        used = np.unique(problem.target_flat[problem.valid])
+        assert np.array_equal(net.hub_cell, full.region[used])
+        assert (net.hub_floor, net.hub_cap) == full.region_bounds
+        assert plain.hub_cell is None and net.n_arcs == plain.n_arcs + 1
+
+    def test_floored_region_refused(self):
+        grid, particles, state, problem, full, _ = band_toys(-1.0, 1)[0]
+        full.floor = full.floor.copy()
+        reached = np.unique(full.target_flat[full.valid])
+        full.floor[reached[full.region[reached]][0]] = 1
+        with pytest.raises(InputError, match="floors"):
+            V.reduce_to_flow(full)
+
+    def test_doctored_region_refused(self):
+        # an interface cell dropped from the region: a move between it and a
+        # neighbour changes the region's count without crossing the interface
+        grid, particles, state, problem, full, _ = band_toys(-1.0, 1)[0]
+        cls = B.band_classes(grid.prev, state.R)
+        prev_cells = grid.cell_of(particles.x_prev)
+        held = np.flatnonzero(cls["interface"] & (np.bincount(prev_cells, minlength=grid.ncells) > 0))
+        cls["region"] = cls["region"].copy()
+        cls["region"][held[0]] = False
+        with pytest.raises(IntegrityError, match="band region"):
+            B.attach_region(problem, cls, prev_cells, state.alpha_le)
+        assert problem.region is None
 
 
 class TestMaintain:
@@ -578,10 +685,10 @@ class TestFigPathScenario:
         table = C.build_candidates(particles, grid)
         problem = C.build_problem(grid, table, mu=1, band_R=state.R)
         cls = B.band_classes(grid.prev, state.R)
-        in_mask, out_mask = B.gamma_io_masks(problem, particles.x_prev, grid, cls)
+        in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
         assignment, stats = V.solve_problem(problem)
-        n_in, n_out, s_in, s_out = B.compute_io(assignment.choice, in_mask, out_mask,
-                                                state.alpha_le)
+        n_in, n_out, s_in, s_out = compute_io(assignment.choice, in_mask, out_mask,
+                                              state.alpha_le)
         assert (n_in, n_out) == (1, 0)
         assert (s_in, s_out) == (-1, 1)
 

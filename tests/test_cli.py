@@ -8,9 +8,13 @@ import pytest
 
 from cellflow import cli
 from cellflow import correction as C
-from cellflow.scene import Box, FluidRegion, SceneConfig, scene_to_text, builtin_scene
+from cellflow import solvers as V
+from cellflow.band import BandStrategy
+from cellflow.scene import (BandConfig, Box, FluidRegion, SceneConfig, scene_to_text,
+                             builtin_scene)
 
-from conftest import random_problem
+from conftest import random_band_instance, random_problem
+from oracles import with_region
 
 
 def test_run_builtin(tmp_path, capsys):
@@ -53,6 +57,33 @@ def test_oracle_check_ok(tmp_path, rng, capsys):
     assert "OK" in out
 
 
+def test_band_problem_dump_round_trip(tmp_path, capsys):
+    # a toy band problem keeps its region and bounds through the dump, and
+    # oracle-check solves that constrained problem
+    rng = np.random.default_rng(4242)
+    while True:
+        inst = random_band_instance(rng)
+        if inst is None:
+            continue
+        grid, particles, state = inst
+        plain = C.build_problem(grid, C.build_candidates(particles, grid), mu=1, band_R=state.R)
+        problem = with_region(plain, grid, particles.x_prev, state.R, state.alpha_le)
+        if V.solve_problem(problem)[1].objective > V.solve_problem(plain)[1].objective + 1e-9:
+            break  # the region binds
+    text = C.dump_problem(problem)
+    loaded = C.load_problem(text)
+    assert np.array_equal(loaded.region, problem.region)
+    assert loaded.region_bounds == problem.region_bounds
+    assert C.dump_problem(loaded) == text
+    assert "region" not in C.dump_problem(plain)
+    assert C.load_problem(C.dump_problem(plain)).region is None
+    dump = tmp_path / "band.txt"
+    dump.write_text(text, encoding="utf-8")
+    assert cli.main(["oracle-check", str(dump)]) == 0
+    out = capsys.readouterr().out
+    assert "OK" in out and f"objective {V.solve_problem(problem)[1].objective:.9f}" in out
+
+
 def test_oracle_check_large_instance(tmp_path, capsys):
     rng = np.random.default_rng(99)
     problem = None
@@ -79,11 +110,11 @@ def test_oracle_check_large_instance(tmp_path, capsys):
     assert "too large for brute force" in capsys.readouterr().out
 
 
-def test_run_writes_replay_on_solver_failure(tmp_path, monkeypatch, capsys):
-    from cellflow import solvers as V
+def _replay_third_solve(tmp_path, monkeypatch, capsys, cfg):
+    """Run ``cfg`` with its third flow solve failing: the run writes that
+    problem as its replay file, which oracle-check then solves. Returns the
+    failed problem."""
     from cellflow.errors import IntegrityError
-    cfg = SceneConfig(name="tiny", dims=(8, 8), mu=2, frames=4, seed=5,
-                      fluids=[FluidRegion(Box((1, 1), (4, 3)))])
     path = tmp_path / "tiny.scene"
     path.write_text(scene_to_text(cfg), encoding="utf-8")
     solve, seen = V.solve_problem, []
@@ -99,13 +130,30 @@ def test_run_writes_replay_on_solver_failure(tmp_path, monkeypatch, capsys):
     assert cli.main(["run", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     step = len(list(out.glob("frame_*.cprt")))  # frames 0 .. step - 1 were written
-    assert f"seed 5, step {step}: injected" in err
+    assert f"seed {cfg.seed}, step {step}: injected" in err
     replay = out / "failed_problem.txt"
     assert replay.read_text(encoding="utf-8") == C.dump_problem(seen[2])
     assert seen[2].n <= 12  # small enough for oracle-check's brute force
     monkeypatch.undo()
     assert cli.main(["oracle-check", str(replay)]) == 0
     assert "OK" in capsys.readouterr().out
+    return seen[2]
+
+
+def test_run_writes_replay_on_solver_failure(tmp_path, monkeypatch, capsys):
+    cfg = SceneConfig(name="tiny", dims=(8, 8), mu=2, frames=4, seed=5,
+                      fluids=[FluidRegion(Box((1, 1), (4, 3)))])
+    _replay_third_solve(tmp_path, monkeypatch, capsys, cfg)
+
+
+def test_full_band_replay_carries_region(tmp_path, monkeypatch, capsys):
+    # a failed full-strategy solve replays against the same constrained problem
+    cfg = SceneConfig(name="tiny", dims=(8, 8), mu=1, frames=4, seed=5,
+                      fluids=[FluidRegion(Box((1, 1), (4, 5)))],
+                      band=BandConfig(enabled=True, R=1, strategy=BandStrategy.FULL))
+    problem = _replay_third_solve(tmp_path, monkeypatch, capsys, cfg)
+    assert problem.region is not None
+    assert C.load_problem(C.dump_problem(problem)).region_bounds == problem.region_bounds
 
 
 def test_volume_summary(tmp_path, capsys):

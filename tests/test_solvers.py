@@ -1,13 +1,13 @@
-"""Flow solver vs brute force, branch and bound, TU sampling."""
+"""Flow solver vs brute force and HiGHS, TU sampling."""
 import numpy as np
 import pytest
 
 from cellflow import correction as C
 from cellflow import solvers as V
-from cellflow.correction import Assignment, DenseRow
 from cellflow.errors import InputError, IntegrityError
 
 from conftest import random_problem
+from oracles import canonical_matrix, tu_sample_check
 
 
 class TestReduceToFlow:
@@ -41,12 +41,6 @@ class TestReduceToFlow:
             assert np.array_equal(net.floor, problem.floor[used])
             floor_seen |= bool((net.floor > 0).any())
         assert floor_seen
-
-    def test_dense_rows_refused(self, rng):
-        problem, grid, particles = random_problem(rng)
-        problem.dense_rows.append(DenseRow(plus=[], minus=[], lo=0, hi=0))
-        with pytest.raises(InputError):
-            V.reduce_to_flow(problem)
 
     def test_matches_sorted_construction(self):
         # the bincount remap numbers the reached cells in grid order, as
@@ -369,7 +363,7 @@ class TestArcTables:
         assert 40 < rejecting < 360
 
 
-def _scene_problem(monkeypatch, scene, frame):
+def _scene_problem(monkeypatch, scene, frame, band=None):
     """The first correction problem of ``frame`` of a builtin scene at seed 7,
     with the flow solver's result and whether solid penalties entered it."""
     from cellflow import solids as S
@@ -378,6 +372,8 @@ def _scene_problem(monkeypatch, scene, frame):
 
     cfg = builtin_scene(scene)
     cfg.seed = 7
+    if band is not None:
+        cfg.band = band
     sim = Simulation(cfg)
     for _ in range(frame - 1):
         sim.step()
@@ -411,9 +407,14 @@ def _highs_objective(problem):
     incidence = csr_matrix((np.ones(len(ii)), (row, cols)), shape=(len(used), len(ii)))
     capped = problem.cap[used] >= 0
     floored = problem.floor[used] > 0
-    lp = linprog(problem.cost[ii, jj],
-                 A_ub=vstack([incidence[capped], -incidence[floored]]),
-                 b_ub=np.concatenate([problem.cap[used][capped], -problem.floor[used][floored]]),
+    rows = [incidence[capped], -incidence[floored]]
+    bounds = [problem.cap[used][capped], -problem.floor[used][floored]]
+    if problem.region is not None:  # lo <= count(region) <= hi as two rows
+        inside = csr_matrix(problem.region[problem.target_flat[ii, jj]].astype(float))
+        lo, hi = problem.region_bounds
+        rows += [inside, -inside]
+        bounds += [[hi], [-lo]]
+    lp = linprog(problem.cost[ii, jj], A_ub=vstack(rows), b_ub=np.concatenate(bounds),
                  A_eq=csr_matrix((np.ones(len(ii)), (jj, cols)), shape=(problem.n, len(ii))),
                  b_eq=np.ones(problem.n), bounds=(0, 1), method="highs")
     assert lp.status == 0, lp.message
@@ -443,6 +444,45 @@ def test_falling_obs_problem_matches_highs(monkeypatch):
     problem.check_feasible(assignment.choice)
     optimum = _highs_objective(problem)
     assert abs(stats.objective - optimum) <= 1e-9 * abs(optimum)
+
+
+def _band_problem_matches_highs(monkeypatch, scene, frame, R):
+    """The full-strategy band problem of ``frame``, solved through the hub:
+    feasible, and equal to HiGHS on its LP relaxation with the region's two
+    rows. Returns where the plain optimum's region count lies against the
+    interval (-1 below, 1 above) and whether solid penalties entered."""
+    from cellflow.band import BandStrategy
+    from cellflow.scene import BandConfig
+
+    band = BandConfig(enabled=True, R=R, strategy=BandStrategy.FULL)
+    problem, assignment, stats, penalised = _scene_problem(monkeypatch, scene, frame, band)
+    problem.check_feasible(assignment.choice)
+    optimum = _highs_objective(problem)
+    assert abs(stats.objective - optimum) <= 1e-9 * abs(optimum)
+    plain = C.CorrectionProblem(
+        candidates=problem.candidates, mu=problem.mu, cap=problem.cap, floor=problem.floor,
+        cost=problem.cost, dims=problem.dims, valid=problem.valid)
+    plain_choice, _ = V.solve_problem(plain)
+    held = problem.counts_of(plain_choice.choice)[problem.region].sum()
+    lo, hi = problem.region_bounds
+    return int(held > hi) - int(held < lo), penalised
+
+
+def test_band_dam_problem_matches_highs(monkeypatch):
+    """Band dam R=6 at seed 7, frame 12 (mid-collapse), where the plain
+    optimum moves too many particles into the interface and the deep."""
+    pytest.importorskip("scipy")
+    side, _ = _band_problem_matches_highs(monkeypatch, "dam", 12, R=6)
+    assert side == 1
+
+
+def test_band_falling_obs_problem_matches_highs(monkeypatch):
+    """falling_obs with band R=4 at seed 7, frame 44, after the box has hit
+    the pool: solid penalties enter the costs, and the plain optimum moves
+    too many particles out of the interface."""
+    pytest.importorskip("scipy")
+    side, penalised = _band_problem_matches_highs(monkeypatch, "falling_obs", 44, R=4)
+    assert side == -1 and penalised
 
 
 class TestBruteForce:
@@ -495,91 +535,15 @@ class TestBruteForce:
         assert abs(stats.objective - obj) < 1e-9
 
 
-class TestBranchAndBound:
-    def test_no_rows_equals_flow(self, rng):
-        problem, grid, particles = random_problem(rng, n_max=6)
-        a, obj = V.branch_and_bound(problem)
-        _, stats = V.solve_problem(problem)
-        assert abs(obj - stats.objective) < 1e-9
-
-    def test_satisfied_row_returns_relaxation(self, rng):
-        problem, grid, particles = random_problem(rng, n_max=6)
-        _, stats = V.solve_problem(problem)
-        loose = V.branch_and_bound(_with_row(problem, DenseRow(
-            plus=[(0, 0)], minus=[], lo=0, hi=problem.n)))
-        assert abs(loose[1] - stats.objective) < 1e-9
-
-    def test_cardinality_row_matches_brute_force(self):
-        rng = np.random.default_rng(17)
-        tested = 0
-        for _ in range(40):
-            problem, grid, particles = random_problem(rng, n_max=6)
-            pairs = [(int(i), int(j)) for i, j in zip(*np.nonzero(problem.valid))
-                     if i != problem.m - 1][:6]
-            if len(pairs) < 2:
-                continue
-            k = int(rng.integers(0, 2))
-            row = DenseRow(plus=pairs, minus=[], lo=k, hi=k)
-            constrained = _with_row(problem, row)
-            try:
-                _, oracle = V.brute_force_ilp(constrained)
-            except IntegrityError:
-                continue  # row made the instance infeasible
-            _, obj = V.branch_and_bound(constrained)
-            assert abs(obj - oracle) < 1e-9, (obj, oracle)
-            tested += 1
-        assert tested >= 10
-
-    def test_two_sided_row_matches_brute_force(self):
-        rng = np.random.default_rng(29)
-        tested = 0
-        for _ in range(40):
-            problem, grid, particles = random_problem(rng, n_max=5)
-            ii, jj = np.nonzero(problem.valid)
-            pairs = [(int(i), int(j)) for i, j in zip(ii, jj) if i != problem.m - 1]
-            if len(pairs) < 4:
-                continue
-            plus, minus = pairs[:2], pairs[2:4]
-            row = DenseRow(plus=plus, minus=minus, lo=0, hi=1)
-            constrained = _with_row(problem, row)
-            try:
-                _, oracle = V.brute_force_ilp(constrained)
-            except IntegrityError:
-                continue
-            _, obj = V.branch_and_bound(constrained)
-            assert abs(obj - oracle) < 1e-9
-            tested += 1
-        assert tested >= 10
-
-    def test_scale_guard(self, rng):
-        problem, grid, particles = random_problem(rng, n_max=3)
-        pairs = [(int(i), int(j)) for i, j in zip(*np.nonzero(problem.valid))]
-        row = DenseRow(plus=pairs * 30, minus=[], lo=0, hi=1)
-        row.plus = [(i, j) for k, (i, j) in enumerate(pairs * 30)]
-        # fabricate too many distinct dense candidates via a fake wide row
-        fake = DenseRow(plus=[(i % 5, j) for j in range(20) for i in range(4)],
-                        minus=[], lo=0, hi=1)
-        with pytest.raises(InputError):
-            V.branch_and_bound(_with_row(problem, fake))
-
-
-def _with_row(problem, row):
-    out = C.CorrectionProblem(
-        candidates=problem.candidates, mu=problem.mu, cap=problem.cap,
-        floor=problem.floor, cost=problem.cost, dims=problem.dims,
-        dense_rows=list(problem.dense_rows) + [row], valid=problem.valid.copy())
-    return out
-
-
 class TestTU:
     def test_entries_pm_one(self, rng):
         problem, grid, particles = random_problem(rng, n_max=6)
-        A = V.canonical_matrix(problem)
+        A = canonical_matrix(problem)
         assert set(np.unique(A)) <= {-1, 0, 1}
 
     def test_duplicate_rows_singular(self, rng):
         problem, grid, particles = random_problem(rng, mu=3, n_max=6)
-        A = V.canonical_matrix(problem)
+        A = canonical_matrix(problem)
         # the choose-one rows come in +/- pairs: their 2x stack is singular
         n_cands = int(problem.valid.sum())
         r = A[2 * n_cands]
@@ -592,4 +556,4 @@ class TestTU:
         rng = np.random.default_rng(31)
         for _ in range(10):
             problem, grid, particles = random_problem(rng, n_max=10)
-            assert V.tu_sample_check(problem, trials=100, max_k=6, rng=rng)
+            assert tu_sample_check(problem, trials=100, max_k=6, rng=rng)
