@@ -1,7 +1,8 @@
 """Check that two versions of the flow solver reach the same optima.
 
 Record every correction problem of an N-frame run, with this tree's
-objective, choice and solver work (searches, drains, pops) for each:
+objective, choice and solver work (searches, drains, pops, scans, tables)
+for each:
 
     python scripts/compare_objectives.py --scene dam --frames 60 --seed 5 --out a.npz
 
@@ -11,7 +12,13 @@ results, and compare them with the file's:
     python scripts/compare_objectives.py --against a.npz --out b.npz
 
 The comparison prints the largest relative objective gap, the share of
-problems whose choices are identical, and both files' mean work per solve.
+problems whose choices are identical, and both files' mean work per solve
+(a counter the solving tree lacks prints as -), then the CPU milliseconds
+per ``solve_mcf`` call of the fastest of ``--repeat N`` passes (default 1)
+over the file's problems:
+
+    python scripts/compare_objectives.py --against a.npz --out b.npz --repeat 5
+
 cellflow is imported from PYTHONPATH, so recording with another tree's
 ``src`` and re-solving with this one compares the two solvers on the same
 problems, whatever tie each breaks. A scene file whose ``[band]`` section
@@ -21,6 +28,7 @@ Exits 1 if some gap exceeds TOL.
 """
 import argparse
 import sys
+import time
 
 import numpy as np
 
@@ -30,7 +38,7 @@ from cellflow.pipeline import Simulation
 from cellflow.scene import load_scene
 
 TOL = 1e-9  # largest relative objective gap allowed
-WORK = ("searches", "drains", "pops")  # SolveStats counters stored per problem
+WORK = ("searches", "drains", "pops", "scans", "tables")  # SolveStats counters stored per problem
 
 
 def record(scene: str, frames: int, seed: int) -> tuple[list[str], list]:
@@ -60,14 +68,19 @@ def load(path: str) -> tuple[list[str], np.ndarray, list[np.ndarray], dict]:
     data = np.load(path)
     count = len(data["objective"])
     problems = [str(data[f"problem_{i}"]) for i in range(count)]
-    work = {name: data[name] for name in WORK}
+    work = {name: data[name] for name in WORK if name in data}
     return problems, data["objective"], [data[f"choice_{i}"] for i in range(count)], work
 
 
+def counters(results: list) -> dict:
+    """Each WORK counter per solve, for the counters the solving tree reports."""
+    return {name: np.array([getattr(stats, name) for _, stats in results], dtype=np.int64)
+            for name in WORK if all(hasattr(stats, name) for _, stats in results)}
+
+
 def save(path: str, problems: list[str], results: list) -> None:
-    arrays = {"objective": np.array([stats.objective for _, stats in results])}
-    for name in WORK:
-        arrays[name] = np.array([getattr(stats, name) for _, stats in results], dtype=np.int64)
+    arrays = {"objective": np.array([stats.objective for _, stats in results]),
+              **counters(results)}
     for i, (text, (assignment, _)) in enumerate(zip(problems, results)):
         arrays[f"problem_{i}"] = np.array(text)
         arrays[f"choice_{i}"] = assignment.choice
@@ -81,10 +94,14 @@ def main() -> int:
     parser.add_argument("--frames", type=int, default=60)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--against", metavar="FILE", help="re-solve and compare with FILE")
+    parser.add_argument("--repeat", type=int, default=1, metavar="N",
+                        help="with --against: solve N times, print the fastest pass's CPU")
     parser.add_argument("--out", required=True, metavar="FILE", help="output .npz")
     args = parser.parse_args()
     if (args.scene is None) == (args.against is None):
         parser.error("give exactly one of --scene and --against")
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
 
     if args.scene is not None:
         problems, results = record(args.scene, args.frames, args.seed)
@@ -94,9 +111,14 @@ def main() -> int:
         return 0
 
     problems, objective, choices, work = load(args.against)
-    results = [V.solve_problem(C.load_problem(text)) for text in problems]
+    nets = [V.reduce_to_flow(C.load_problem(text)) for text in problems]
+    fastest = float("inf")
+    for _ in range(args.repeat):
+        start = time.process_time()
+        results = [V.solve_mcf(net) for net in nets]
+        fastest = min(fastest, time.process_time() - start)
     save(args.out, problems, results)
-    redone = {name: np.array([getattr(stats, name) for _, stats in results]) for name in WORK}
+    redone = counters(results)
     per = max(len(problems), 1)
     mine = np.array([stats.objective for _, stats in results])
     gap = np.abs(mine - objective) / np.maximum(np.abs(objective), 1e-300)
@@ -105,8 +127,12 @@ def main() -> int:
     print(f"{len(problems)} problems: largest relative objective gap {worst:.3g}, "
           f"identical choices {same} of {len(problems)} "
           f"({100.0 * same / per:.0f}%)")
+    means = [{name: f"{c[name].sum() / per:.1f}" if name in c else "-" for name in WORK}
+             for c in (work, redone)]
     print("work per solve, recorded -> re-solved: " + ", ".join(
-        f"{name} {work[name].sum() / per:.1f} -> {redone[name].sum() / per:.1f}" for name in WORK))
+        f"{name} {means[0][name]} -> {means[1][name]}" for name in WORK))
+    print(f"CPU per solve_mcf, fastest of {args.repeat} pass{'es' * (args.repeat > 1)}: "
+          f"{1e3 * fastest / per:.2f} ms")
     return 0 if worst <= TOL else 1
 
 

@@ -7,6 +7,7 @@ face lattice. All quantities are in cell units per time unit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,7 +262,8 @@ def solve_pressure(mac: MacGrid, cells: G.CellGrid, solid_vel: list[np.ndarray] 
     Each dot product is summed over a full-grid array that is zero off the
     fluid cells, so numpy's pairwise sum rounds it as it would the same CG
     over every cell with the identity off the fluid.
-    Raises SolverError when CG fails to reach tolerance.
+    Raises SolverError when CG fails to reach tolerance, or as soon as its
+    residual is not finite.
     """
     d = mac.d
     dims = cells.dims
@@ -307,10 +309,12 @@ def solve_pressure(mac: MacGrid, cells: G.CellGrid, solid_vel: list[np.ndarray] 
         z = r.copy()
         rs = dot(r, r)
         it = 0
-        while float(np.abs(r).max()) > tol_abs:
+        while not (res := float(np.abs(r).max())) <= tol_abs:
+            if not math.isfinite(res):
+                raise SolverError(f"pressure CG failed: residual {res} after {it} iterations")
             if it >= max_iter:
                 raise SolverError(
-                    f"pressure CG failed: residual {float(np.abs(r).max()):.3e} "
+                    f"pressure CG failed: residual {res:.3e} "
                     f"> {tol_abs:.3e} after {max_iter} iterations")
             Az = apply_A(z)
             denom = dot(z, Az)
@@ -323,7 +327,7 @@ def solve_pressure(mac: MacGrid, cells: G.CellGrid, solid_vel: list[np.ndarray] 
             z = r + (rs_new / rs) * z
             rs = rs_new
             it += 1
-        stats = PressureStats(iterations=it, residual=float(np.abs(r).max()), tolerance=tol_abs)
+        stats = PressureStats(iterations=it, residual=res, tolerance=tol_abs)
 
     mac.pressure = np.zeros(dims)
     mac.pressure[fluid] = p

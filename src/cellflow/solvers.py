@@ -89,6 +89,7 @@ class SolveStats:
     pops: int = 0      # nodes finalized over all searches, forward and backward
     scans: int = 0     # arc-table entries read at popped cells
     drains: int = 0    # backward Dijkstra runs, one per unit of floor the routing left
+    tables: int = 0    # cells' arc tables built, forward and in-arc
 
 
 def reduce_to_flow(problem: CorrectionProblem) -> FlowNetwork:
@@ -225,7 +226,7 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
             objective=float(net.cand_cost[pick].sum()), wall_time=time.perf_counter() - t0)
 
     starts = starts.tolist()
-    spans = [range(starts[p], starts[p + 1]) for p in range(n)]
+    spans = list(map(range, starts[:-1], starts[1:]))
     cand_cell, cand_cost = net.cand_cell.tolist(), net.cand_cost.tolist()
     cand_p = net.cand_j.tolist()
     cap = net.cap.tolist() + [0, net.hub_cap]  # cells, then the sink's unused slot and the hub
@@ -237,91 +238,88 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
 
     count = count_np.tolist() + [0, in_hub]
     kept, ends = order[accepted[order]].tolist(), np.cumsum(count_np).tolist()
-    members = [kept[e - c:e] for c, e in zip(count, ends)]  # per cell, in index order
+    members = []  # per cell, in index order
+    for c, e in zip(count, ends):
+        members.append(kept[e - c:e])
     table: list[dict | None] = [None] * (K + 2)  # per cell: {v: (cost, candidate)}
-    intab: list[dict | None] | None = None  # per cell: {u: (cost, candidate)}, drains only
     assigned = pick.tolist()  # candidate index per particle; a rejected one's is set when routed
     pi = [0.0] * (K + 2)
     dist = [0.0] * (K + 2)
-    stamp = [0] * (K + 2)
+    stamp = [0] * (K + 2)  # run while a node is reached in search run, -run once finalized
     prev = [-1] * (K + 2)  # next node toward the search's root, -1 for the root
     via = [-1] * (K + 2)   # candidate moved along that arc, -1 for a sink or hub arc
-    check = CHECK_POTENTIALS
-    run = pops = scans = drains = 0
+    check = CHECK_POTENTIALS  # every relaxation below tests its reduced cost rc
+    run = pops = scans = tables = drains = 0
     heappush, heappop = heapq.heappush, heapq.heappop
-
-    def reach(v: int, d: float, rc: float, u: int, k: int) -> None:
-        """Relax the arc between u and v (reduced cost rc) at distance d from u."""
-        if check and rc < -1e-9:
-            raise IntegrityError(f"negative reduced cost {rc} into node {v}")
-        nd = d + rc
-        if stamp[v] != run or nd < dist[v]:
-            dist[v] = nd
-            stamp[v] = run
-            prev[v] = u
-            via[v] = k
-            heappush(heap, (nd, v))
-
-    def place(p: int, u: int, k: int) -> None:
-        """Move particle p from cell u (-1 if unrouted) into candidate k; drop its tables."""
-        if u >= 0:
-            members[u].remove(p)
-            count[u] -= 1
-            count[hub] -= feeds[u]
-            table[u] = None
-        members[cand_cell[k]].append(p)
-        count[cand_cell[k]] += 1
-        count[hub] += feeds[cand_cell[k]]
-        table[cand_cell[k]] = None
-        assigned[p] = k
-        if intab is not None:
-            for c in spans[p]:
-                intab[cand_cell[c]] = None
 
     for q in np.flatnonzero(~accepted).tolist():  # an unrouted particle has pi = 0
         run += 1
+        done = -run
         heap = []
         for k in spans[q]:
-            reach(cand_cell[k], 0.0, cand_cost[k] - pi[cand_cell[k]], -1, k)
+            v = cand_cell[k]
+            rc = cand_cost[k] - pi[v]
+            if check and rc < -1e-9:
+                raise IntegrityError(f"negative reduced cost {rc} into node {v}")
+            if stamp[v] != run or rc < dist[v]:
+                dist[v] = rc
+                stamp[v] = run
+                prev[v] = -1
+                via[v] = k
+                heappush(heap, (rc, v))
         popped: list[int] = []
         target = -1
         while heap:
             d, u = heappop(heap)
             if stamp[u] != run or d > dist[u]:
                 continue
-            stamp[u] = -run  # finalized
+            stamp[u] = done
             popped.append(u)
             if u == sink or count[u] < floor[u]:
                 target = u
                 break
             arcs = table[u]
             if arcs is None and u == hub:  # back to the region cells that passed it units
-                arcs = {v: (0.0, -1) for v in hubbed if count[v] > 0}
+                arcs = dict.fromkeys(filter(count.__getitem__, hubbed), (0.0, -1))
             elif arcs is None:  # the cheapest arc u -> v over the members of u, per v
                 arcs = table[u] = {}
+                get = arcs.get
+                tables += 1
                 for p in members[u]:
                     cu = cand_cost[assigned[p]]
                     for k in spans[p]:
                         v = cand_cell[k]
-                        c = cand_cost[k] - cu
-                        if v != u and (v not in arcs or c < arcs[v][0]):
-                            arcs[v] = (c, k)
+                        if v != u:
+                            c = cand_cost[k] - cu
+                            old = get(v)
+                            if old is None or c < old[0]:
+                                arcs[v] = (c, k)
             scans += len(arcs)
             base = d + pi[u]
             for v, (c, k) in arcs.items():
-                if stamp[v] == -run:
+                s = stamp[v]
+                if s == done:
                     continue
                 nd = base + c - pi[v]
                 if check and nd - d < -1e-9:
                     raise IntegrityError(f"negative reduced cost {nd - d} into node {v}")
-                if stamp[v] != run or nd < dist[v]:
+                if s != run or nd < dist[v]:
                     dist[v] = nd
                     stamp[v] = run
                     prev[v] = u
                     via[v] = k
                     heappush(heap, (nd, v))
-            if count[u] < cap[u] and stamp[up[u]] != -run:
-                reach(up[u], d, pi[u] - pi[up[u]], u, -1)
+            if count[u] < cap[u] and (s := stamp[v := up[u]]) != done:
+                rc = pi[u] - pi[v]
+                if check and rc < -1e-9:
+                    raise IntegrityError(f"negative reduced cost {rc} into node {v}")
+                nd = d + rc
+                if s != run or nd < dist[v]:
+                    dist[v] = nd
+                    stamp[v] = run
+                    prev[v] = u
+                    via[v] = -1
+                    heappush(heap, (nd, v))
         if target < 0:
             raise IntegrityError("min-cost flow infeasible; snapshot corruption suspected")
         pops += len(popped)
@@ -329,53 +327,93 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
         for u in popped:
             pi[u] += dist[u] - dstar
         v = target
-        while v >= 0:
+        while v >= 0:  # each particle on the path moves from u (none for q) into v
             k = via[v]
             u = prev[v]
-            if k >= 0:  # a particle moves from u (none for q) into v
-                place(cand_p[k], u, k)
+            if k >= 0:
+                p = cand_p[k]
+                if u >= 0:
+                    members[u].remove(p)
+                    count[u] -= 1
+                    count[hub] -= feeds[u]
+                    table[u] = None
+                members[v].append(p)
+                count[v] += 1
+                count[hub] += feeds[v]
+                table[v] = None
+                assigned[p] = k
             v = u
 
     # drain the sink's excess into the cells, then the hub, still below their floor
-    short = [t for t in range(K + 2) if count[t] < floor[t]]
+    short = np.flatnonzero(np.less(count, floor)).tolist()
     if short:
         order = np.argsort(net.cand_cell, kind="stable")
         bounds = np.searchsorted(net.cand_cell[order], np.arange(K + 1)).tolist()
         order = order.tolist()
-        intab = [None] * (K + 2)
+        intab: list[dict | None] = [None] * (K + 2)  # per cell: {u: (cost, candidate)}
     for t in short:
         while count[t] < floor[t]:
             run += 1
+            done = -run
             drains += 1
-            heap = []
-            reach(t, 0.0, 0.0, -1, -1)
+            dist[t] = 0.0
+            stamp[t] = run
+            heap = [(0.0, t)]
             popped = []
             while heap:
                 d, v = heappop(heap)
                 if stamp[v] != run or d > dist[v]:
                     continue
-                stamp[v] = -run
+                stamp[v] = done
                 popped.append(v)
                 if v == sink:
                     break
                 arcs = intab[v]
                 if arcs is None and v == hub:  # from the region cells with room
-                    arcs = {u: (0.0, -1) for u in hubbed if count[u] < cap[u]}
+                    arcs = {}
+                    for u in hubbed:
+                        if count[u] < cap[u]:
+                            arcs[u] = (0.0, -1)
                 elif arcs is None:  # the cheapest arc u -> v over the particles in u, per u
                     arcs = intab[v] = {}
+                    get = arcs.get
+                    tables += 1
                     for k in order[bounds[v]:bounds[v + 1]]:
                         a = assigned[cand_p[k]]
                         u = cand_cell[a]
-                        c = cand_cost[k] - cand_cost[a]
-                        if u != v and (u not in arcs or c < arcs[u][0]):
-                            arcs[u] = (c, k)
+                        if u != v:
+                            c = cand_cost[k] - cand_cost[a]
+                            old = get(u)
+                            if old is None or c < old[0]:
+                                arcs[u] = (c, k)
                 scans += len(arcs)
+                pv = pi[v]
                 for u, (c, k) in arcs.items():
-                    if stamp[u] != -run:
-                        reach(u, d, c + pi[u] - pi[v], v, k)
-                if count[v] > floor[v] and stamp[up[v]] != -run:
-                    reach(up[v], d, pi[up[v]] - pi[v], v, -1)
-            if stamp[sink] != -run:
+                    s = stamp[u]
+                    if s == done:
+                        continue
+                    rc = c + pi[u] - pv
+                    if check and rc < -1e-9:
+                        raise IntegrityError(f"negative reduced cost {rc} into node {u}")
+                    nd = d + rc
+                    if s != run or nd < dist[u]:
+                        dist[u] = nd
+                        stamp[u] = run
+                        prev[u] = v
+                        via[u] = k
+                        heappush(heap, (nd, u))
+                if count[v] > floor[v] and (s := stamp[u := up[v]]) != done:
+                    rc = pi[u] - pv
+                    if check and rc < -1e-9:
+                        raise IntegrityError(f"negative reduced cost {rc} into node {u}")
+                    nd = d + rc
+                    if s != run or nd < dist[u]:
+                        dist[u] = nd
+                        stamp[u] = run
+                        prev[u] = v
+                        via[u] = -1
+                        heappush(heap, (nd, u))
+            if stamp[sink] != done:
                 raise IntegrityError("min-cost flow infeasible: a floor cannot be met")
             pops += len(popped)
             dstar = dist[sink]
@@ -384,14 +422,26 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
             v = sink
             while v != t:  # the sink gives up a unit, each particle on the path moves on
                 u = prev[v]
-                if via[v] >= 0:
-                    place(cand_p[via[v]], v, via[v])
+                k = via[v]
+                if k >= 0:  # its particle moves from v into u, and u's candidate tables go
+                    p = cand_p[k]
+                    members[v].remove(p)
+                    count[v] -= 1
+                    count[hub] -= feeds[v]
+                    table[v] = None
+                    members[u].append(p)
+                    count[u] += 1
+                    count[hub] += feeds[u]
+                    table[u] = None
+                    assigned[p] = k
+                    for c in spans[p]:
+                        intab[cand_cell[c]] = None
                 v = u
 
     chosen = np.asarray(assigned, dtype=np.int64)
     _check_reduced_costs(net, chosen, np.asarray(pi), np.asarray(count[:K], dtype=np.int64))
     stats = SolveStats(objective=float(net.cand_cost[chosen].sum()), searches=run - drains,
-                       pops=pops, scans=scans, drains=drains,
+                       pops=pops, scans=scans, tables=tables, drains=drains,
                        wall_time=time.perf_counter() - t0)
     return Assignment(choice=net.cand_i[chosen]), stats
 

@@ -1,4 +1,5 @@
 """Command-line interface: run, oracle-check, volume; the comparison scripts."""
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -169,9 +170,10 @@ def test_volume_summary(tmp_path, capsys):
 
 def test_compare_objectives_script(tmp_path, monkeypatch, capsys):
     """scripts/compare_objectives.py records every problem of a run with its
-    solver work; the same solver re-solving them gives no gap, identical
-    choices and the same work per solve, and a doctored objective makes it
-    exit 1."""
+    solver work; the same solver re-solving them, here three times over,
+    gives no gap, identical choices, the same work per solve and the fastest
+    pass's CPU time. A recording without a counter prints it as -, and a
+    doctored objective makes it exit 1."""
     import importlib.util
 
     path = Path(__file__).resolve().parent.parent / "scripts" / "compare_objectives.py"
@@ -192,15 +194,23 @@ def test_compare_objectives_script(tmp_path, monkeypatch, capsys):
     recorded = dict(np.load(a))
     assert len(recorded["objective"]) > 0
     assert recorded["pops"].sum() > 0
-    assert run("--against", str(a), "--out", str(b)) == 0
+    assert recorded["scans"].sum() >= recorded["tables"].sum() > 0
+    assert run("--against", str(a), "--out", str(b), "--repeat", "3") == 0
     out = capsys.readouterr().out
     assert "largest relative objective gap 0," in out
     assert "(100%)" in out
+    assert re.search(r"CPU per solve_mcf, fastest of 3 passes: \d+\.\d\d ms", out)
     per = len(recorded["objective"])
-    for name in ("searches", "drains", "pops"):
+    for name in ("searches", "drains", "pops", "scans", "tables"):
         assert len(recorded[name]) == per
         mean = f"{recorded[name].sum() / per:.1f}"
         assert f"{name} {mean} -> {mean}" in out
+
+    del recorded["tables"]
+    np.savez(a, **recorded)
+    assert run("--against", str(a), "--out", str(b)) == 0
+    mean = f"{np.load(b)['tables'].sum() / per:.1f}"
+    assert f"tables - -> {mean}" in capsys.readouterr().out
 
     recorded["objective"] = recorded["objective"] * 1.01
     np.savez(a, **recorded)

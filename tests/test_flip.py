@@ -479,18 +479,27 @@ class TestPressure:
 
     @pytest.mark.parametrize("dims", [(20, 24), (9, 10, 11)])
     def test_matches_full_grid_cg_bit_for_bit(self, dims):
+        """Where the reference CG ends with a finite residual, solve_pressure
+        leaves the same bits; where it ends non-finite (a walled-in fluid
+        pocket can diverge), solve_pressure raises SolverError."""
         rng = np.random.default_rng(len(dims))
-        converged = 0
+        converged = diverged = 0
         for _ in range(12):
             grid, mac, solid_vel = random_pressure_case(rng, dims)
             ref = F.MacGrid(dims)
             ref.vel = mac.copy_velocity()
-            with np.errstate(all="ignore"):  # a walled-in fluid pocket can diverge
-                want = self._outcome(ref, full_grid_pressure(ref, grid, solid_vel))
+            with np.errstate(all="ignore"):
+                ref_stats = full_grid_pressure(ref, grid, solid_vel)
+                if not np.isfinite(ref_stats.residual):
+                    diverged += 1
+                    with pytest.raises(SolverError, match="residual (nan|inf)"):
+                        F.solve_pressure(mac, grid, solid_vel)
+                    continue
                 got = self._outcome(mac, F.solve_pressure(mac, grid, solid_vel))
-            assert got == want
+            assert got == self._outcome(ref, ref_stats)
             converged += F.divergence_residual(mac, grid) < 1e-3
         assert converged >= 6
+        assert diverged > 0
 
     def test_no_fluid_cells(self):
         rng = np.random.default_rng(11)

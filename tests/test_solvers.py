@@ -397,7 +397,10 @@ def _scene_problem(monkeypatch, scene, frame, band=None):
 
 
 def _highs_objective(problem):
-    """Optimum of the problem's LP relaxation by scipy's HiGHS."""
+    """Optimum of the problem's LP relaxation by scipy's HiGHS. Its feasibility
+    tolerances are tightened to 1e-10: at the defaults its optimum can lie
+    9.4e-10 relative from the exact one (a band-dam problem), close to the
+    1e-9 the tests assert."""
     from scipy.optimize import linprog
     from scipy.sparse import csr_matrix, vstack
 
@@ -416,7 +419,9 @@ def _highs_objective(problem):
         bounds += [[hi], [-lo]]
     lp = linprog(problem.cost[ii, jj], A_ub=vstack(rows), b_ub=np.concatenate(bounds),
                  A_eq=csr_matrix((np.ones(len(ii)), (jj, cols)), shape=(problem.n, len(ii))),
-                 b_eq=np.ones(problem.n), bounds=(0, 1), method="highs")
+                 b_eq=np.ones(problem.n), bounds=(0, 1), method="highs",
+                 options={"primal_feasibility_tolerance": 1e-10,
+                          "dual_feasibility_tolerance": 1e-10})
     assert lp.status == 0, lp.message
     return lp.fun
 
