@@ -1,7 +1,7 @@
 """Check that two trees write byte-identical dumps.
 
     python scripts/compare_dumps.py OLD_TREE NEW_TREE --scenes dam,falling_obs \
-        --frames 60 --seed 7 [--band R]
+        --frames 60 --seed 7 [--band R] [--strategy flow|full]
 
 Each scene runs once with each tree: ``cellflow run`` with the tree's ``src``
 as PYTHONPATH, into a temporary directory. Every file the two runs wrote
@@ -10,6 +10,8 @@ compared byte for byte. Prints ``identical`` or the first differing file for
 each scene, and exits 1 on any difference and 2 when a run fails.
 ``--seed`` takes one seed for both trees, or two (old, then new): two seeds
 make the dumps differ, which shows the comparison sees a change.
+``--band`` and ``--strategy`` pass through to ``cellflow run``; ``--strategy``
+alone turns the band on at the scene's thickness.
 """
 import argparse
 import os
@@ -19,11 +21,13 @@ import tempfile
 from pathlib import Path
 
 
-def run(tree: Path, scene: str, out: Path, frames: int, seed: int, band) -> None:
+def run(tree: Path, scene: str, out: Path, frames: int, seed: int, band, strategy) -> None:
     cmd = [sys.executable, "-m", "cellflow.cli", "run", scene, "--out", str(out),
            "--frames", str(frames), "--seed", str(seed)]
     if band is not None:
         cmd += ["--band", str(band)]
+    if strategy is not None:
+        cmd += ["--strategy", strategy]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
     if proc.returncode:
@@ -54,6 +58,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, nargs="+", required=True, metavar="S",
                         help="one seed for both trees, or the old and the new tree's")
     parser.add_argument("--band", type=int, default=None, metavar="R")
+    parser.add_argument("--strategy", choices=["flow", "full"], default=None,
+                        help="band correction strategy")
     args = parser.parse_args()
     if len(args.seed) > 2:
         parser.error("--seed takes one or two seeds")
@@ -66,7 +72,7 @@ def main() -> int:
             for side, tree, seed in (("old", args.old, old_seed), ("new", args.new, new_seed)):
                 out = Path(tmp) / f"{i}_{side}"
                 try:
-                    run(tree.resolve(), scene, out, args.frames, seed, args.band)
+                    run(tree.resolve(), scene, out, args.frames, seed, args.band, args.strategy)
                 except RuntimeError as exc:
                     print(exc, file=sys.stderr)
                     return 2

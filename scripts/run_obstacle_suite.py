@@ -37,8 +37,7 @@ def main() -> int:
             from cellflow.render import render_frame_2d
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            render_frame_2d(sim.grid, rec, out / f"{name}_final.ppm",
-                            band_R=sim.band.R if sim.band else None)
+            render_frame_2d(sim.grid, rec, out / f"{name}_final.ppm")
     return 0
 
 

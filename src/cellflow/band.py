@@ -3,11 +3,12 @@
 Only cells within R levels of the surface carry particles; deeper fluid is
 simulated on the grid alone. An imaginary particle count n_deep tracks what
 was deleted below the band. The net particle flux into the band interface
-must lie between zero and the air available at or below it. The full
-strategy states that as a bound on the particle count of the interface and
-the deep together, which the flow solve meets exactly (see
-:func:`attach_region`). The flow-paths strategy applies the plain solve and
-then repairs the balance by pushing particles along grid paths.
+must lie between zero and the air available at or below it, a bound on
+the particle count of the interface and the deep together (see
+:func:`attach_region`; the cell classes are :func:`grid.band_classes`). The
+full strategy attaches that bound before the flow solve, which meets it
+exactly. The flow-paths strategy attaches it after the plain solve and
+repairs the solve's choice vector by pushing particles along grid paths.
 """
 from __future__ import annotations
 
@@ -47,27 +48,15 @@ class BandState:
         return self.alpha_interface + self.alpha_deep
 
 
-def band_classes(prev: G.GridSnapshot, R: int) -> dict[str, np.ndarray]:
-    """Previous-step cell classes used by every band constraint."""
-    fluid = (prev.marking == G.SURFACE) | (prev.marking == G.INNER)
-    return {
-        "surface": prev.marking == G.SURFACE,
-        "interface": fluid & (prev.depth == -R),
-        "in_band_inner": (prev.marking == G.INNER) & (prev.depth > -R) & (prev.depth < 0),
-        "deep": fluid & (prev.depth < -R),
-        "region": fluid & (prev.depth <= -R),  # interface and deep
-        "layer_above": fluid & (prev.depth == 1 - R),
-        "empty": prev.marking == G.EMPTY,
-    }
-
-
-def compute_alphas(cells: G.CellGrid, state: BandState, mu: int) -> tuple[int, int]:
-    """Air available in the band interface and in the deep."""
+def compute_alphas(cells: G.CellGrid, classes: dict[str, np.ndarray], state: BandState,
+                   mu: int) -> tuple[int, int]:
+    """Air available in the band interface and in the deep, from the band
+    classes of the previous-step snapshot."""
     if cells.prev is None:
         raise IntegrityError("band alphas need a previous-step snapshot")
-    cls = band_classes(cells.prev, state.R)
-    a_int = mu * int(cls["interface"].sum()) - int(cells.prev.counts[cls["interface"]].sum())
-    a_deep = mu * int(cls["deep"].sum()) - state.n_deep
+    iface = classes["interface"]
+    a_int = mu * int(iface.sum()) - int(cells.prev.counts[iface].sum())
+    a_deep = mu * int(classes["deep"].sum()) - state.n_deep
     if a_int < 0 or a_deep < 0:
         raise IntegrityError(f"negative band air: alpha_interface={a_int}, alpha_deep={a_deep}")
     state.alpha_interface = a_int
@@ -76,18 +65,20 @@ def compute_alphas(cells: G.CellGrid, state: BandState, mu: int) -> tuple[int, i
 
 
 def attach_region(problem: CorrectionProblem, classes: dict[str, np.ndarray],
-                  prev_cells: np.ndarray, alpha_le: int) -> None:
+                  alpha_le: int) -> None:
     """Attach the band row 0 <= n_in - n_out <= alpha as a count on the region.
 
     The region is the band interface and the deep, from the previous
     markings. Depth is a von Neumann distance inside the fluid, so a region
     cell borders only region cells, layer-above cells and walls, and every
     move changes the region's count by [target in region] - [prev in region]
-    = [in] - [out]. With F particles starting in the region, the row reads
-    F <= count(region) <= F + alpha. The identity is checked on every valid
-    candidate into a cell that can hold particles.
+    = [in] - [out]. With F particles starting in the region (each particle's
+    previous cell is its stay target), the row reads F <= count(region) <=
+    F + alpha. The identity is checked on every valid candidate into a cell
+    that can hold particles.
     """
     region, iface, above = classes["region"], classes["interface"], classes["layer_above"]
+    prev_cells = problem.target_flat[-1]
     target = np.where(problem.valid, problem.target_flat, 0)
     live = problem.valid & (problem.cap[target] != 0)
     src = prev_cells[None, :]
@@ -103,6 +94,15 @@ def attach_region(problem: CorrectionProblem, classes: dict[str, np.ndarray],
     problem.region_bounds = (start, start + alpha_le)
 
 
+def region_slack(problem: CorrectionProblem, choice: np.ndarray) -> tuple[int, int]:
+    """(s_in, s_out) of a choice: the room left under the region's upper
+    bound and over its lower one. As the region's count moves by n_in - n_out,
+    s_out = count(region) - F = n_in - n_out and s_in = alpha - s_out."""
+    lo, hi = problem.region_bounds
+    count = int(problem.region[problem.target_flat[choice, np.arange(problem.n)]].sum())
+    return hi - count, count - lo
+
+
 # ----------------------------------------------------------------------
 # flow along paths
 
@@ -113,11 +113,13 @@ class Path:
 
 
 class CellMembers:
-    """Mutable per-cell particle membership, kept sorted for determinism."""
+    """Mutable per-cell particle membership, kept sorted for determinism.
 
-    def __init__(self, cells: G.CellGrid, x: np.ndarray):
-        flat = cells.cell_of(x) if len(x) else np.zeros(0, dtype=np.int64)
-        self.counts = np.bincount(flat, minlength=cells.ncells).astype(np.int64)
+    ``flat`` is each particle's cell, ``target_flat[choice, j]`` of an
+    assignment."""
+
+    def __init__(self, flat: np.ndarray, ncells: int):
+        self.counts = np.bincount(flat, minlength=ncells).astype(np.int64)
         self.lists: dict[int, list[int]] = {}
         for j, c in enumerate(flat):
             self.lists.setdefault(int(c), []).append(j)
@@ -136,34 +138,23 @@ class EdgeCost:
     """sigma_edge: the correction problem's cost of a particle's move into the
     next cell minus the cost of the move that put it where it stands.
 
-    Both costs and the landing point are read from the problem's candidate
-    table, so the solid penalty is the one the solver saw. A cell is priced
-    by its offset from the particle's previous-step cell (the table's stay
-    target); flow-paths only asks about such candidate cells. A wall cell
-    costs inf.
+    ``current`` is the assignment's choice vector, which flow-paths edits in
+    place, and both costs are read from the problem's candidate table, so the
+    solid penalty is the one the solver saw. A cell is priced by its offset
+    from the particle's previous-step cell (the table's stay target);
+    flow-paths only asks about such candidate cells. A wall cell costs inf.
     """
 
-    def __init__(self, problem: CorrectionProblem, cells: G.CellGrid, x: np.ndarray):
+    def __init__(self, problem: CorrectionProblem, choice: np.ndarray):
         self.cost = problem.cost
-        self.xi = problem.candidates.xi
+        self.target = problem.target_flat
         self.home = problem.target_flat[-1]
-        strides = np.array([int(np.prod(cells.dims[k + 1:])) for k in range(cells.d)])
+        strides = np.array([int(np.prod(problem.dims[k + 1:])) for k in range(len(problem.dims))])
         self.offset_dir = {int(off): i for i, off in enumerate(problem.candidates.dirs.dirs @ strides)}
-        hit = problem.target_flat == cells.cell_of(x)[None, :]
-        if not hit.any(axis=0).all():
-            raise IntegrityError("a particle stands outside its candidate cells")
-        self.current = hit.argmax(axis=0)
+        self.current = choice
 
     def direction(self, j: int, c_flat: int) -> int:
         return self.offset_dir[int(c_flat) - int(self.home[j])]
-
-    def landing(self, j: int, c_flat: int) -> np.ndarray:
-        return self.xi[self.direction(j, c_flat), j]
-
-    def move(self, j: int, c_flat: int) -> np.ndarray:
-        """Record particle j as moved into c_flat; returns its landing point."""
-        self.current[j] = self.direction(j, c_flat)
-        return self.xi[self.current[j], j]
 
     def __call__(self, j: int, c_flat: int) -> float:
         return float(self.cost[self.direction(j, c_flat), j] - self.cost[self.current[j], j])
@@ -282,10 +273,10 @@ def find_paths(cells: G.CellGrid, members: CellMembers, x_prev_cells: np.ndarray
     return paths, J
 
 
-def update_path(path: Path, J: np.ndarray, cells: G.CellGrid, particles,
-                members: CellMembers, edge_cost: EdgeCost, mu: int,
-                rule: PathRule) -> None:
-    """Move the chain of particles along a completed path, sink first.
+def update_path(path: Path, J: np.ndarray, members: CellMembers, edge_cost: EdgeCost,
+                mu: int, rule: PathRule) -> None:
+    """Move the chain of particles along a completed path, sink first, by
+    editing their entries of the choice vector ``edge_cost.current``.
 
     Every cell the path passes keeps its count and the sink gains one. A cell
     above mu is an error unless the rule leaves it uncapped; a deep cell may
@@ -296,8 +287,8 @@ def update_path(path: Path, J: np.ndarray, cells: G.CellGrid, particles,
     j, c = path.edge, path.sink
     root = None
     while j != ROOT:
-        src = int(cells.cell_of(particles.x[j:j + 1])[0])
-        particles.x[j] = edge_cost.move(j, c)
+        src = int(edge_cost.target[edge_cost.current[j], j])
+        edge_cost.current[j] = edge_cost.direction(j, c)
         members.move(j, src, c)
         if members.counts[c] > mu and not rule.uncapped[c]:
             raise IntegrityError(f"cell {c} overfilled while updating a path")
@@ -309,24 +300,14 @@ def update_path(path: Path, J: np.ndarray, cells: G.CellGrid, particles,
         raise IntegrityError("degenerate path with no moves")
 
 
-def io_from_positions(cells: G.CellGrid, x_prev: np.ndarray, x: np.ndarray,
-                      classes: dict[str, np.ndarray], alpha_le: int) -> tuple[int, int, int, int]:
-    """Interface crossings measured directly from positions."""
-    if len(x) == 0:
-        return 0, 0, alpha_le, 0
-    src = cells.cell_of(x_prev)
-    dst = cells.cell_of(x)
-    n_in = int((classes["layer_above"][src] & classes["interface"][dst]).sum())
-    n_out = int((classes["interface"][src] & classes["layer_above"][dst]).sum())
-    return n_in, n_out, n_out - n_in + alpha_le, n_in - n_out
-
-
-def correct_band_flow(cells: G.CellGrid, particles, state: BandState, mu: int,
-                      problem: CorrectionProblem) -> dict:
+def correct_band_flow(cells: G.CellGrid, problem: CorrectionProblem, choice: np.ndarray,
+                      classes: dict[str, np.ndarray], state: BandState, mu: int) -> dict:
     """Restore interface balance by pushing particles along grid paths.
 
-    Requires the plain solve of ``problem`` already applied to particle
-    positions; path edges are priced and placed from its candidate table.
+    ``choice`` is the plain solve of ``problem``; this attaches the band row
+    to ``problem`` (:func:`attach_region`), reads the slacks off the region's
+    count, and edits ``choice`` in place until it meets the row. Path edges
+    are priced from the problem's candidate table. Returns the diagnostics.
     Finds and applies paths, recalling the search on the residual state,
     until the negative slack is repaid. Draining (s_in < 0) runs from the interface up;
     refilling (s_out < 0) runs from the surface down. The mode's
@@ -339,11 +320,8 @@ def correct_band_flow(cells: G.CellGrid, particles, state: BandState, mu: int,
     to the end of its interval that the heavy side overran. Deep cells are
     uncapped as in the correction problem; every other cell holds at most mu.
     """
-    if cells.prev is None:
-        raise IntegrityError("band correction needs a previous-step snapshot")
-    classes = band_classes(cells.prev, state.R)
-    alpha_le = state.alpha_le
-    n_in, n_out, s_in, s_out = io_from_positions(cells, particles.x_prev, particles.x, classes, alpha_le)
+    attach_region(problem, classes, state.alpha_le)
+    s_in, s_out = region_slack(problem, choice)
     diag = {"n_move": 0, "paths": 0, "find_calls": 0, "s_in": s_in, "s_out": s_out}
     if s_in >= 0 and s_out >= 0:
         return diag
@@ -359,15 +337,14 @@ def correct_band_flow(cells: G.CellGrid, particles, state: BandState, mu: int,
         sinks = np.flatnonzero(classes["interface"] | classes["deep"])
     rule = path_rule(classes, drain)
 
-    members = CellMembers(cells, particles.x)
-    x_prev_cells = cells.cell_of(particles.x_prev)
-    edge_cost = EdgeCost(problem, cells, particles.x)
+    members = CellMembers(problem.target_flat[choice, np.arange(problem.n)], cells.ncells)
+    edge_cost = EdgeCost(problem, choice)
 
     applied = 0
     calls = 0
     total_paths = 0
     while applied < n_move:
-        paths, J = find_paths(cells, members, x_prev_cells, sources, sinks, mu, edge_cost, rule)
+        paths, J = find_paths(cells, members, edge_cost.home, sources, sinks, mu, edge_cost, rule)
         calls += 1
         if not paths:
             raise IntegrityError(
@@ -376,10 +353,10 @@ def correct_band_flow(cells: G.CellGrid, particles, state: BandState, mu: int,
         for path in paths:
             if applied == n_move:
                 break
-            update_path(path, J, cells, particles, members, edge_cost, mu, rule)
+            update_path(path, J, members, edge_cost, mu, rule)
             applied += 1
 
-    n_in, n_out, s_in, s_out = io_from_positions(cells, particles.x_prev, particles.x, classes, alpha_le)
+    s_in, s_out = region_slack(problem, choice)
     if s_in < 0 or s_out < 0:
         raise IntegrityError(f"band slack still negative after correction: {s_in}, {s_out}")
     diag.update({"n_move": n_move, "paths": total_paths, "find_calls": calls,
@@ -405,11 +382,8 @@ def maintain_band(cells: G.CellGrid, particles, state: BandState, mu: int,
     shallower band cells (and the surface as a last resort) before the state
     is declared corrupt.
     """
-    fluid = cells.fluid_mask()
-    deep_cells = fluid & (cells.depth < -state.R)
-    interface_cells = np.flatnonzero(fluid & (cells.depth == -state.R))
-    in_band_cells = np.flatnonzero(fluid & (cells.depth > -state.R) & (cells.depth < 0))
-    surface_cells = np.flatnonzero(fluid & (cells.depth == 0))
+    classes = G.band_classes(cells, state.R)
+    deep_cells = classes["deep"]
 
     removed = 0
     if particles.n:
@@ -429,11 +403,8 @@ def maintain_band(cells: G.CellGrid, particles, state: BandState, mu: int,
         counts = np.bincount(flat, minlength=cells.ncells)
         over = np.flatnonzero((counts > mu) & ~cells.solid_mask())
         if len(over):
-            if cells.prev is not None:
-                prev_fluid = (cells.prev.marking == G.SURFACE) | (cells.prev.marking == G.INNER)
-                prev_deep = prev_fluid & (cells.prev.depth < -state.R)
-                if not prev_deep[over].all():
-                    raise IntegrityError("overfull cell outside the former deep region")
+            if cells.prev is not None and not G.band_classes(cells.prev, state.R)["deep"][over].all():
+                raise IntegrityError("overfull cell outside the former deep region")
             kill = np.zeros(particles.n, dtype=bool)
             for c in over:
                 residents = np.flatnonzero(flat == c)
@@ -463,11 +434,9 @@ def maintain_band(cells: G.CellGrid, particles, state: BandState, mu: int,
                 if added == n_excess:
                     return
 
-        fill_from(interface_cells)
-        if added < n_excess:
-            fill_from(in_band_cells)
-        if added < n_excess:
-            fill_from(surface_cells)
+        for name in ("interface", "in_band_inner", "surface"):
+            if added < n_excess:
+                fill_from(np.flatnonzero(classes[name]))
         if added < n_excess:
             raise IntegrityError(
                 f"band cannot absorb {n_excess} excess particles (placed {added})")
@@ -485,16 +454,13 @@ def maintain_band(cells: G.CellGrid, particles, state: BandState, mu: int,
     return {"removed": removed, "reseeded": added, "n_excess": max(n_excess, 0)}
 
 
-def band_write_cells(cells: G.CellGrid, R: int) -> np.ndarray:
+def band_write_cells(cells: G.CellGrid, region: np.ndarray) -> np.ndarray:
     """Cells whose faces the particle-to-grid transfer may overwrite: all
-    non-solid cells shallower than the band interface (air included)."""
-    fluid = cells.fluid_mask()
-    grid_owned = fluid & (cells.depth <= -R)
-    return ~grid_owned & ~cells.solid_mask()
+    non-solid cells outside the band region (air included)."""
+    return ~region & ~cells.solid_mask()
 
 
-def band_grid_faces(cells: G.CellGrid, mac, R: int) -> list[np.ndarray]:
-    """Faces advected semi-Lagrangian: those touching grid-owned fluid."""
-    fluid = cells.fluid_mask()
-    grid_owned = fluid & (cells.depth <= -R)
-    return [G.face_mask(mac.dims, a, grid_owned) for a in range(mac.d)]
+def band_grid_faces(mac, region: np.ndarray) -> list[np.ndarray]:
+    """Faces advected semi-Lagrangian: those touching the band region, the
+    fluid the grid owns."""
+    return [G.face_mask(mac.dims, a, region) for a in range(mac.d)]

@@ -142,9 +142,6 @@ class CorrectionProblem:
     def target_flat(self) -> np.ndarray:
         return self.candidates.target_flat
 
-    def objective_of(self, choice: np.ndarray) -> float:
-        return float(self.cost[choice, np.arange(self.n)].sum())
-
     def counts_of(self, choice: np.ndarray) -> np.ndarray:
         cells = self.target_flat[choice, np.arange(self.n)]
         return np.bincount(cells, minlength=int(np.prod(self.dims))).astype(np.int64)
@@ -181,17 +178,18 @@ def build_problem(
     cells: G.CellGrid,
     candidates: CandidateTable,
     mu: int,
-    band_R: int | None = None,
+    classes: dict | None = None,
     solid_cost: np.ndarray | None = None,
 ) -> CorrectionProblem:
     """Assemble caps/floors from the previous step's markings.
 
     Previously empty or surface cells take at most mu particles; previously
     inner cells additionally must keep their previous count. Cells solid in
-    the snapshot (walls and obstacles) take none. With the band active, the
-    band interface joins the cap-only group, only strictly-in-band cells keep
-    floors, and deep cells are unconstrained (their particles are deleted
-    right after the correction).
+    the snapshot (walls and obstacles) take none. With the band active
+    (``classes``, the band classes of the snapshot), the band interface joins
+    the cap-only group, only strictly-in-band cells keep floors, and deep
+    cells are unconstrained (their particles are deleted right after the
+    correction).
     """
     if cells.prev is None:
         raise IntegrityError("build_problem requires a previous-step snapshot")
@@ -201,14 +199,10 @@ def build_problem(
     cap = np.full(ncells, mu, dtype=np.int64)
     floor = np.zeros(ncells, dtype=np.int64)
 
-    prev_inner = prev.marking == G.INNER
-    if band_R is None:
-        floor[prev_inner] = prev.counts[prev_inner]
-    else:
-        in_band = prev_inner & (prev.depth > -band_R) & (prev.depth < 0)
-        floor[in_band] = prev.counts[in_band]
-        deep = prev_inner & (prev.depth < -band_R)
-        cap[deep] = -1
+    floored = (prev.marking == G.INNER) if classes is None else classes["in_band_inner"]
+    floor[floored] = prev.counts[floored]
+    if classes is not None:
+        cap[classes["deep"]] = -1
     solid = prev.marking == G.SOLID
     cap[solid] = 0
     floor[solid] = 0

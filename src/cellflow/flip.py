@@ -203,8 +203,9 @@ def advect_particles(particles: ParticleSet, mac: MacGrid, dt: float, v1: np.nda
     particles.x_ideal = clamp_positions(x0 + dt * v2, mac.dims, home_cells=home)
 
 
-def advect_grid_velocity(mac: MacGrid, dt: float, face_masks: list[np.ndarray] | None = None) -> None:
-    """Semi-Lagrangian backtrace of face velocities (band-owned region)."""
+def advect_grid_velocity(mac: MacGrid, dt: float, face_masks: list[np.ndarray]) -> None:
+    """Semi-Lagrangian backtrace of the face velocities under face_masks
+    (the faces of the band's grid-owned region)."""
     old = MacGrid(mac.dims)
     old.vel = mac.copy_velocity()
     for a in range(mac.d):
@@ -213,10 +214,7 @@ def advect_grid_velocity(mac: MacGrid, dt: float, face_masks: list[np.ndarray] |
         vel = velocity_at(old, pos)
         back = pos - dt * vel
         new_vals = _gather(old.vel[a].ravel(), _stencil(old, a, back)).reshape(shape)
-        if face_masks is None:
-            mac.vel[a] = new_vals
-        else:
-            mac.vel[a][face_masks[a]] = new_vals[face_masks[a]]
+        mac.vel[a][face_masks[a]] = new_vals[face_masks[a]]
 
 
 def clamp_dt(mac: MacGrid, dt_request: float, obstacle_speed: float = 0.0) -> float:
@@ -352,9 +350,3 @@ def impose_solid_faces(mac: MacGrid, cells: G.CellGrid, solid_vel: list[np.ndarr
             mac.vel[a][mask] = vals
         else:
             mac.vel[a][mask] = vals[mask]
-
-
-def divergence_residual(mac: MacGrid, cells: G.CellGrid) -> float:
-    """Max discrete divergence over fluid cells (post-projection check)."""
-    fluid = cells.fluid_mask().reshape(cells.dims)
-    return float(np.abs(np.where(fluid, _divergence(mac), 0.0)).max()) if fluid.any() else 0.0

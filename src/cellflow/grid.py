@@ -17,8 +17,8 @@ from .errors import InputError, IntegrityError
 
 log = logging.getLogger(__name__)
 
-# Cell marking codes. Fluid cells are SURFACE or INNER; band refinements
-# (interface, deep, in-band) are derived from the depth field on demand.
+# Cell marking codes. Fluid cells are SURFACE or INNER; the band's classes
+# (interface, deep, in-band) are derived from the depth by band_classes.
 EMPTY = 0
 SOLID = 1
 SURFACE = 2
@@ -177,6 +177,27 @@ class CellGrid:
         return self.marking == SOLID
 
 
+def band_classes(cells, R: int) -> dict[str, np.ndarray]:
+    """The band's cell classes of a marking and depth, for band thickness R.
+
+    ``cells`` is a :class:`GridSnapshot` or the :class:`CellGrid` itself.
+    The interface is the fluid at depth -R and the deep lies below it; the
+    region is both together, the part of the fluid the grid owns. Inner
+    cells above the interface are in the band, and the layer above is the
+    fluid at depth 1 - R. Every comparison of depth with R is made here.
+    """
+    fluid = (cells.marking == SURFACE) | (cells.marking == INNER)
+    return {
+        "surface": cells.marking == SURFACE,
+        "interface": fluid & (cells.depth == -R),
+        "in_band_inner": (cells.marking == INNER) & (cells.depth > -R),
+        "deep": fluid & (cells.depth < -R),
+        "region": fluid & (cells.depth <= -R),
+        "layer_above": fluid & (cells.depth == 1 - R),
+        "empty": cells.marking == EMPTY,
+    }
+
+
 def box_cells(lo, hi) -> np.ndarray:
     """Integer cells with lo <= cell < hi per axis, as (k, d) rows in C order."""
     ranges = [np.arange(a, b) for a, b in zip(lo, hi)]
@@ -199,15 +220,16 @@ def face_mask(dims, a: int, cells_flat: np.ndarray) -> np.ndarray:
     return out
 
 
-def classify_cells(grid: CellGrid, particles, obstacles=(), band_R: int | None = None) -> np.ndarray:
+def classify_cells(grid: CellGrid, particles, obstacles=(), classes: dict | None = None) -> np.ndarray:
     """Recompute cell markings from particle positions and solid occupancy.
 
     Solid cells are tank walls plus obstacle-occupied cells. Fluid cells are
     the non-solid cells holding at least one particle; with the band method
-    active (band_R set), fluid cells at previous depth <= -R stay fluid:
-    deep cells lost their particles, and an interface cell, capped but not
-    floored by the correction, may have been emptied by it. Were it marked
-    empty, the deep cells behind it would turn SURFACE and the depth collapse.
+    active (``classes``, the band classes of the previous step), the band
+    region stays fluid: deep cells lost their particles, and an interface
+    cell, capped but not floored by the correction, may have been emptied by
+    it. Were it marked empty, the deep cells behind it would turn SURFACE
+    and the depth collapse.
     A fluid cell is SURFACE when some Moore neighbor is non-fluid and not a
     tank wall, INNER otherwise.
     """
@@ -226,9 +248,8 @@ def classify_cells(grid: CellGrid, particles, obstacles=(), band_R: int | None =
         raise IntegrityError(f"particle inside solid cell {tuple(where)}; correction step is broken")
 
     fluid = (counts > 0) & ~solid
-    if band_R is not None and grid.prev is not None:
-        prev_fluid = (grid.prev.marking == SURFACE) | (grid.prev.marking == INNER)
-        fluid |= prev_fluid & (grid.prev.depth <= -band_R) & ~solid
+    if classes is not None:
+        fluid |= classes["region"] & ~solid
 
     trigger = (~fluid) & (~grid.domain_boundary)
     near = _any_neighbor(trigger.reshape(grid.dims), moore_offsets(grid.d)).reshape(-1)
@@ -367,10 +388,10 @@ def marking_raster(grid: CellGrid, band_R: int | None = None) -> np.ndarray:
     out[grid.marking == SOLID] = RASTER_OBSTACLE
     out[grid.wall] = RASTER_WALL
     out[grid.marking == SURFACE] = RASTER_SURFACE
-    inner = grid.marking == INNER
-    out[inner] = RASTER_INNER
+    out[grid.marking == INNER] = RASTER_INNER
     if band_R is not None:
-        out[inner & (grid.depth > -band_R)] = RASTER_IN_BAND
-        out[inner & (grid.depth == -band_R)] = RASTER_INTERFACE
-        out[inner & (grid.depth < -band_R)] = RASTER_DEEP
+        classes = band_classes(grid, band_R)
+        out[classes["in_band_inner"]] = RASTER_IN_BAND
+        out[classes["interface"]] = RASTER_INTERFACE
+        out[classes["deep"]] = RASTER_DEEP
     return out

@@ -88,8 +88,7 @@ class RunWriter:
         self._volume.flush()
         if self.render:
             from .render import render_frame_2d
-            render_frame_2d(sim.grid, record, self.dir / f"frame_{i:06d}.ppm",
-                            band_R=sim.band.R if sim.band else None)
+            render_frame_2d(sim.grid, record, self.dir / f"frame_{i:06d}.ppm")
 
     def close(self) -> None:
         self._volume.close()

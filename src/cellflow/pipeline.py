@@ -101,8 +101,7 @@ class Simulation:
 
         self.particles = self._seed_particles()
         self.total_budget = self.particles.n  # live + n_deep + future emissions
-        G.classify_cells(self.grid, self.particles, self.obstacles,
-                         band_R=None)
+        G.classify_cells(self.grid, self.particles, self.obstacles)
         G.assign_depth(self.grid)
         if self.band is not None:
             B.maintain_band(self.grid, self.particles, self.band, cfg.mu, self.rng, self.mac)
@@ -205,7 +204,9 @@ class Simulation:
         self._emit(dt)
         trace.append("emit")
 
-        write_cells = B.band_write_cells(grid, band.R) if band else None
+        # the band's classes of the previous step, built once per substep
+        classes = G.band_classes(grid.prev, band.R) if band else None
+        write_cells = B.band_write_cells(grid, classes["region"]) if band else None
         stencils = F.transfer_p2g(particles, mac, write_cells)
         saved_vel = mac.copy_velocity()
         trace.append("p2g")
@@ -230,7 +231,7 @@ class Simulation:
         trace.append("g2p")
 
         if band:
-            F.advect_grid_velocity(mac, dt, B.band_grid_faces(grid, mac, band.R))
+            F.advect_grid_velocity(mac, dt, B.band_grid_faces(mac, classes["region"]))
             v1 = F.velocity_at(mac, particles.x_prev)  # the field g2p read has moved
             trace.append("grid_advect")
 
@@ -244,7 +245,7 @@ class Simulation:
             if cheb > 1:
                 raise IntegrityError("advected position left the Moore neighborhood")
 
-        proposals = self._correct(dt, solver_stats, band_diag)
+        proposals = self._correct(dt, classes, solver_stats, band_diag)
         trace.append("correct")
         if self.check_invariants and particles.n:
             prev_cells = np.floor(particles.x_prev).astype(np.int64)
@@ -260,8 +261,7 @@ class Simulation:
             S.integrate_free_fall(obs, cfg.gravity, dt, moved, cfg.max_speed)
         trace.append("gate")
 
-        G.classify_cells(grid, particles, self.obstacles,
-                         band_R=band.R if band else None)
+        G.classify_cells(grid, particles, self.obstacles, classes)
         G.assign_depth(grid)
         trace.append("markings")
 
@@ -314,10 +314,14 @@ class Simulation:
                 em.spawned += placed
                 self.total_budget += placed
 
-    def _correct(self, dt: float, solver_stats: dict, band_diag: dict) -> list:
+    def _correct(self, dt: float, classes: dict | None, solver_stats: dict,
+                 band_diag: dict) -> list:
         """Build and solve the correction problem, apply new positions.
 
-        Returns the per-obstacle motion proposals so gating can reuse them.
+        ``classes`` are the band classes of the previous step (None without
+        the band). Both band strategies end with the band row attached to the
+        problem, so one apply checks it under invariant checking. Returns the
+        per-obstacle motion proposals so gating can reuse them.
         """
         cfg = self.cfg
         grid = self.grid
@@ -341,35 +345,25 @@ class Simulation:
 
         candidates = C.build_candidates(particles, grid, self.dirs)
         solid_cost = S.override_costs(candidates, solid_obj) if solid_obj else None
-        problem = C.build_problem(grid, candidates, cfg.mu,
-                                  band_R=band.R if band else None,
-                                  solid_cost=solid_cost)
+        problem = C.build_problem(grid, candidates, cfg.mu, classes, solid_cost)
 
         if band is not None:
-            B.compute_alphas(grid, band, cfg.mu)
+            B.compute_alphas(grid, classes, band, cfg.mu)
             if band.strategy is B.BandStrategy.FULL:  # the balance row joins the solve
-                classes = B.band_classes(grid.prev, band.R)
-                B.attach_region(problem, classes, grid.cell_of(particles.x_prev), band.alpha_le)
+                B.attach_region(problem, classes, band.alpha_le)
 
         assignment, stats = self._solve(problem)
-        C.apply_solution(problem, assignment, particles, verify=self.check_invariants)
         solver_stats["searches"] += stats.searches
         solver_stats["drains"] += stats.drains
         solver_stats["objective"] += stats.objective
         solver_stats["solve_time"] += stats.wall_time
-        if band is None:
-            return proposals
-        if band.strategy is B.BandStrategy.FULL:
-            _, _, band.last_s_in, band.last_s_out = B.io_from_positions(
-                grid, particles.x_prev, particles.x, classes, band.alpha_le)
-            return proposals
-
-        # flow-paths strategy: the plain solve is applied, now push chains
-        diag = B.correct_band_flow(grid, particles, band, cfg.mu, problem)
-        band.last_s_in, band.last_s_out = diag["s_in"], diag["s_out"]
-        band_diag["n_move"] += diag["n_move"]
-        band_diag["paths"] += diag["paths"]
-        band_diag["find_calls"] += diag["find_calls"]
+        if band is not None:
+            if band.strategy is B.BandStrategy.FLOW_PATHS:  # repair the plain solve's choice
+                diag = B.correct_band_flow(grid, problem, assignment.choice, classes, band, cfg.mu)
+                for key in ("n_move", "paths", "find_calls"):
+                    band_diag[key] += diag[key]
+            band.last_s_in, band.last_s_out = B.region_slack(problem, assignment.choice)
+        C.apply_solution(problem, assignment, particles, verify=self.check_invariants)
         return proposals
 
     @staticmethod

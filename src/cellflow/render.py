@@ -28,8 +28,9 @@ COLORS = {
 PARTICLE_COLOR = (20, 40, 140)
 
 
-def render_frame_2d(cells: G.CellGrid, record, out_path, band_R: int | None = None) -> Path:
-    """Write one frame as a PPM image; refuses 3D scenes."""
+def render_frame_2d(cells: G.CellGrid, record, out_path) -> Path:
+    """Write one frame as a PPM image; refuses 3D scenes. The band classes
+    come from the record's raster."""
     if cells.d != 2:
         raise InputError("rendering supports 2D scenes only; 3D export is the particle dump")
     nx, ny = cells.dims

@@ -16,6 +16,9 @@ from .solids import Kinematics
 
 CONFIG_VERSION = 1
 
+# enum-valued keys and the name their parse errors give them
+ENUM_KEYS = {BandStrategy: "band strategy", Kinematics: "kinematics"}
+
 BUILTIN_SCENES = (
     "dam", "dam_emit", "dam_1ppc", "drop", "compress", "spiral",
     "falling_obs", "falling_obs_zero_bc", "large_falling_obs",
@@ -181,7 +184,7 @@ def _parse_bool(raw: str, key: str, line_no: int) -> bool:
 def parse_scene(text: str) -> SceneConfig:
     """Parse the scene text format, reporting the offending key and line."""
     top: dict = {}
-    sections: list[tuple[str, dict, int]] = []
+    sections: list[tuple[str, dict]] = []
     current: dict | None = None
     for ln, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -192,7 +195,7 @@ def parse_scene(text: str) -> SceneConfig:
             if name not in ("band", "fluid", "emitter", "obstacle"):
                 raise InputError(f"line {ln}: unknown section [{name}]")
             current = {}
-            sections.append((name, current, ln))
+            sections.append((name, current))
             continue
         if "=" not in line:
             raise InputError(f"line {ln}: expected 'key = value', got {rawline!r}")
@@ -203,14 +206,17 @@ def parse_scene(text: str) -> SceneConfig:
         else:
             current[key] = entry
 
-    def want(store: dict, key: str, kind, default=None, required=False):
+    def want(store: dict, key: str, kind):
         if key not in store:
-            if required:
-                raise InputError(f"missing required key '{key}'")
-            return default
+            raise InputError(f"missing required key '{key}'")
         raw, ln = store.pop(key)
         if kind is str:
             return raw
+        if kind in ENUM_KEYS:
+            try:
+                return kind(raw)
+            except ValueError:
+                raise InputError(f"line {ln}: unknown {ENUM_KEYS[kind]} {raw!r}")
         if kind is bool:
             return _parse_bool(raw, key, ln)
         if kind is int:
@@ -229,63 +235,45 @@ def parse_scene(text: str) -> SceneConfig:
             return _parse_box(raw, key, ln)
         raise AssertionError(kind)
 
-    version = want(top, "version", int, required=True)
+    def given(store: dict, kinds: dict) -> dict:
+        """The keys of ``kinds`` present in ``store``, parsed. The absent keys
+        are left out, so they take the dataclasses' defaults."""
+        return {key: want(store, key, kind) for key, kind in kinds.items() if key in store}
+
+    version = want(top, "version", int)
     if version != CONFIG_VERSION:
         raise InputError(f"unsupported config version {version}")
-    dims = tuple(int(v) for v in want(top, "dims", "vec", required=True))
-    cfg = SceneConfig(
-        name=want(top, "name", str, default="scene"),
-        dims=dims,
-        mu=want(top, "mu", int, default=4),
-        gravity=want(top, "gravity", "vec", default=(0.0, -9.8) if len(dims) == 2 else (0.0, -9.8, 0.0)),
-        frame_dt=want(top, "frame_dt", float, default=0.1),
-        flip_ratio=want(top, "flip_ratio", float, default=0.97),
-        max_speed=want(top, "max_speed", float, default=10.0),
-        pressure_tol=want(top, "pressure_tol", float, default=1e-6),
-        lambda_penalty=want(top, "lambda_penalty", float, default=1000.0),
-        seed=want(top, "seed", int, default=7),
-        frames=want(top, "frames", int, default=300),
-    )
+    dims = tuple(int(v) for v in want(top, "dims", "vec"))
+    cfg = SceneConfig(dims=dims, **{
+        "name": "scene",
+        # the default gravity points down the second axis in 2D and 3D alike
+        "gravity": SceneConfig.gravity + (0.0,) * (len(dims) - 2),
+        **given(top, {"name": str, "mu": int, "gravity": "vec", "frame_dt": float,
+                      "flip_ratio": float, "max_speed": float, "pressure_tol": float,
+                      "lambda_penalty": float, "seed": int, "frames": int}),
+    })
     for key in top:
         raise InputError(f"line {top[key][1]}: unknown key '{key}'")
 
-    for name, store, ln in sections:
-        if name == "band":
-            strategy = want(store, "strategy", str, default="flow")
-            try:
-                strategy = BandStrategy(strategy)
-            except ValueError:
-                raise InputError(f"line {ln}: unknown band strategy {strategy!r}")
-            cfg.band = BandConfig(
-                enabled=want(store, "enabled", bool, default=True),
-                R=want(store, "R", int, default=3),
-                strategy=strategy,
-            )
+    for name, store in sections:
+        if name == "band":  # a [band] section enables the band unless it says otherwise
+            cfg.band = BandConfig(**{"enabled": True, **given(
+                store, {"enabled": bool, "R": int, "strategy": BandStrategy})})
         elif name == "fluid":
-            cfg.fluids.append(FluidRegion(
-                box=want(store, "box", "box", required=True),
-                ppc=want(store, "ppc", int, default=None),
-            ))
+            cfg.fluids.append(FluidRegion(box=want(store, "box", "box"),
+                                          **given(store, {"ppc": int})))
         elif name == "emitter":
             cfg.emitters.append(EmitterConfig(
-                box=want(store, "box", "box", required=True),
-                rate=want(store, "rate", float, required=True),
-                velocity=want(store, "velocity", "vec", required=True),
-                total=want(store, "total", int, default=None),
-                start=want(store, "start", float, default=0.0),
+                box=want(store, "box", "box"),
+                rate=want(store, "rate", float),
+                velocity=want(store, "velocity", "vec"),
+                **given(store, {"total": int, "start": float}),
             ))
         elif name == "obstacle":
-            kin = want(store, "kinematics", str, default="scripted")
-            try:
-                kin = Kinematics(kin)
-            except ValueError:
-                raise InputError(f"line {ln}: unknown kinematics {kin!r}")
             cfg.obstacles.append(ObstacleConfig(
-                box=want(store, "box", "box", required=True),
-                velocity=want(store, "velocity", "vec", required=True),
-                kinematics=kin,
-                zero_bc=want(store, "zero_bc", bool, default=False),
-                name=want(store, "name", str, default="obstacle"),
+                box=want(store, "box", "box"),
+                velocity=want(store, "velocity", "vec"),
+                **given(store, {"kinematics": Kinematics, "zero_bc": bool, "name": str}),
             ))
         for key in store:
             raise InputError(f"line {store[key][1]}: unknown key '{key}' in [{name}]")

@@ -16,8 +16,6 @@ import numpy as np
 from . import grid as G
 from .flip import ParticleSet
 
-LAMBDA_PENALTY = 1000.0
-
 
 class Kinematics(Enum):
     SCRIPTED = "scripted"
@@ -92,7 +90,7 @@ class SolidObjective:
 
 
 def build_solid_objective(grid: G.CellGrid, new_solid: np.ndarray,
-                          lambda_penalty: float = LAMBDA_PENALTY) -> SolidObjective | None:
+                          lambda_penalty: float) -> SolidObjective | None:
     if len(new_solid) == 0:
         return None
     cdist = G.clearing_distance(grid, new_solid)

@@ -93,7 +93,7 @@ def random_band_instance(rng, push=-1.0):
         return None
     grid.rebuild_counts(particles.x)
     grid.snapshot()
-    B.compute_alphas(grid, state, mu=1)
+    B.compute_alphas(grid, G.band_classes(grid.prev, R), state, mu=1)
     drift = rng.normal(0.0, 0.5, size=particles.x_prev.shape)
     drift[:, 1] += push * rng.uniform(0.2, 1.0)
     particles.x_ideal = clamp_positions(particles.x_prev + drift, dims,

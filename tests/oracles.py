@@ -1,7 +1,8 @@
 """Exact oracles and reference constructions that only tests use.
 
-Interface crossing masks, the band's one-way problem, and the sampled total
-unimodularity check of the sparse problem's constraint matrix.
+Interface crossing masks, the band's one-way problem, the sampled total
+unimodularity check of the sparse problem's constraint matrix, a choice's
+objective and the discrete divergence left after a projection.
 """
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ import numpy as np
 from cellflow import band as B
 from cellflow import grid as G
 from cellflow.correction import CorrectionProblem
+from cellflow.flip import MacGrid
 from cellflow.errors import InputError
 
 
@@ -35,12 +37,26 @@ def compute_io(choice: np.ndarray, in_mask: np.ndarray, out_mask: np.ndarray,
     return n_in, n_out, s_in, s_out
 
 
-def with_region(problem: CorrectionProblem, cells: G.CellGrid, x_prev: np.ndarray,
-                R: int, alpha_le: int) -> CorrectionProblem:
+def with_region(problem: CorrectionProblem, cells: G.CellGrid, R: int,
+                alpha_le: int) -> CorrectionProblem:
     """A copy of the band problem with the full band row attached as its region."""
     full = replace(problem, valid=problem.valid.copy())
-    B.attach_region(full, B.band_classes(cells.prev, R), cells.cell_of(x_prev), alpha_le)
+    B.attach_region(full, G.band_classes(cells.prev, R), alpha_le)
     return full
+
+
+def objective_of(problem: CorrectionProblem, choice: np.ndarray) -> float:
+    """Total cost of the selected candidates."""
+    return float(problem.cost[choice, np.arange(problem.n)].sum())
+
+
+def divergence_residual(mac: MacGrid, cells: G.CellGrid) -> float:
+    """Max discrete divergence (net face outflow) over the fluid cells."""
+    fluid = cells.fluid_mask().reshape(cells.dims)
+    if not fluid.any():
+        return 0.0
+    div = sum(np.diff(mac.vel[a], axis=a) for a in range(mac.d))
+    return float(np.abs(div[fluid]).max())
 
 
 def build_one_way(problem: CorrectionProblem, choice: np.ndarray, in_mask: np.ndarray,

@@ -176,15 +176,15 @@ def test_criterion_07_band_bookkeeping(band_dam_run):
 def test_criterion_08_fig_path_reproduction():
     grid, particles, state = fig_path_state()
     table = C.build_candidates(particles, grid)
-    problem = C.build_problem(grid, table, mu=1, band_R=state.R)
-    cls = B.band_classes(grid.prev, state.R)
+    cls = G.band_classes(grid.prev, state.R)
+    problem = C.build_problem(grid, table, mu=1, classes=cls)
     in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
     assignment, _ = V.solve_problem(problem)
     n_in, n_out, s_in, s_out = compute_io(assignment.choice, in_mask, out_mask,
                                           state.alpha_le)
     first_ok = (n_in, n_out, s_in, s_out) == (1, 0, -1, 1)
+    diag = B.correct_band_flow(grid, problem, assignment.choice, cls, state, mu=1)
     C.apply_solution(problem, assignment, particles)
-    diag = B.correct_band_flow(grid, particles, state, mu=1, problem=problem)
     flow_ok = diag["n_move"] == 1 and diag["s_in"] == 0
     check(8, first_ok and flow_ok,
           "hand-built band instance: n_in=1, n_out=0, s_in=-1, s_out=1, one path restores",
@@ -214,15 +214,15 @@ def test_criterion_09_oneway_vs_flowpaths():
             continue
         grid, particles, state = inst
         table = C.build_candidates(particles, grid)
-        problem = C.build_problem(grid, table, mu=1, band_R=state.R)
-        cls = B.band_classes(grid.prev, state.R)
+        cls = G.band_classes(grid.prev, state.R)
+        problem = C.build_problem(grid, table, mu=1, classes=cls)
         in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
         assignment, _ = V.solve_problem(problem)
         n_in, n_out, s_in, s_out = compute_io(assignment.choice, in_mask, out_mask,
                                               state.alpha_le)
         if s_in >= 0 and s_out >= 0:
             continue
-        full_row = with_region(problem, grid, particles.x_prev, state.R, state.alpha_le)
+        full_row = with_region(problem, grid, state.R, state.alpha_le)
         constrained = build_one_way(full_row, assignment.choice, in_mask, out_mask,
                                     state.alpha_le)
         fixed, oneway_obj = V.brute_force_ilp(constrained)
@@ -231,8 +231,8 @@ def test_criterion_09_oneway_vs_flowpaths():
 
         _, full_obj = V.brute_force_ilp(full_row)
 
+        diag = B.correct_band_flow(grid, problem, assignment.choice, cls, state, mu=1)
         C.apply_solution(problem, assignment, particles)
-        diag = B.correct_band_flow(grid, particles, state, mu=1, problem=problem)
         assert diag["s_in"] >= 0 and diag["s_out"] >= 0
         flow_obj = float(((particles.x - particles.x_ideal) ** 2).sum())
         # sound direction: the flow result is feasible for the full band row

@@ -1,4 +1,5 @@
 """Command-line interface: run, oracle-check, volume; the comparison scripts."""
+import importlib.util
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from cellflow import cli
 from cellflow import correction as C
+from cellflow import grid as G
 from cellflow import solvers as V
 from cellflow.band import BandStrategy
 from cellflow.scene import (BandConfig, Box, FluidRegion, SceneConfig, scene_to_text,
@@ -67,8 +69,9 @@ def test_band_problem_dump_round_trip(tmp_path, capsys):
         if inst is None:
             continue
         grid, particles, state = inst
-        plain = C.build_problem(grid, C.build_candidates(particles, grid), mu=1, band_R=state.R)
-        problem = with_region(plain, grid, particles.x_prev, state.R, state.alpha_le)
+        plain = C.build_problem(grid, C.build_candidates(particles, grid), mu=1,
+                                classes=G.band_classes(grid.prev, state.R))
+        problem = with_region(plain, grid, state.R, state.alpha_le)
         if V.solve_problem(problem)[1].objective > V.solve_problem(plain)[1].objective + 1e-9:
             break  # the region binds
     text = C.dump_problem(problem)
@@ -217,18 +220,20 @@ def test_compare_objectives_script(tmp_path, monkeypatch, capsys):
     assert run("--against", str(a), "--out", str(b)) == 1
 
 
-def test_compare_dumps_script(tmp_path):
-    """The same tree twice writes identical dumps; two seeds make them differ."""
+def test_compare_dumps_script(tmp_path, monkeypatch):
+    """The same tree twice writes identical dumps; two seeds make them differ.
+    --band and --strategy reach ``cellflow run``, and a band run with the
+    full strategy compares the same way."""
     root = Path(__file__).resolve().parents[1]
     scene = tmp_path / "tiny.scene"
     scene.write_text(scene_to_text(SceneConfig(
         name="tiny", dims=(12, 12), mu=2, frames=1,
         fluids=[FluidRegion(Box((1, 1), (6, 8)))])), encoding="utf-8")
 
-    def run(*seeds):
+    def run(*seeds, extra=()):
         return subprocess.run(
             [sys.executable, str(root / "scripts" / "compare_dumps.py"), str(root), str(root),
-             "--scenes", f"{scene},{scene}", "--frames", "2", "--seed", *seeds],
+             "--scenes", f"{scene},{scene}", "--frames", "2", "--seed", *seeds, *extra],
             capture_output=True, text=True)
 
     same = run("3")
@@ -237,3 +242,17 @@ def test_compare_dumps_script(tmp_path):
     differ = run("3", "4")
     assert differ.returncode == 1, differ.stderr
     assert f"{scene}: differ at frame_000000.cprt" in differ.stdout
+    full = run("3", extra=("--band", "2", "--strategy", "full"))
+    assert full.returncode == 0, full.stderr
+    assert full.stdout.splitlines() == [f"{scene}: identical"] * 2
+
+    spec = importlib.util.spec_from_file_location("compare_dumps", root / "scripts" / "compare_dumps.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    commands = []
+    monkeypatch.setattr(script.subprocess, "run",
+                        lambda cmd, **kw: commands.append(cmd) or subprocess.CompletedProcess(cmd, 0))
+    script.run(root, "dam", tmp_path / "out", 2, 3, 2, "full")
+    script.run(root, "dam", tmp_path / "out", 2, 3, None, None)
+    assert commands[0][-4:] == ["--band", "2", "--strategy", "full"]
+    assert "--band" not in commands[1] and "--strategy" not in commands[1]

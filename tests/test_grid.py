@@ -119,7 +119,7 @@ class TestClassify:
         hole = grid.flat((4, 6))
         assert grid.prev.depth[hole] == -R
         kept = [(i, j) for (i, j) in cells if j >= 6 and (i, j) != (4, 6)]
-        G.classify_cells(grid, fill_cells(grid, kept), band_R=R)
+        G.classify_cells(grid, fill_cells(grid, kept), classes=G.band_classes(grid.prev, R))
         assert grid.counts[hole] == 0
         assert grid.marking[hole] == G.INNER
         deep = grid.prev.depth < -R

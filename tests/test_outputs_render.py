@@ -6,8 +6,8 @@ from cellflow import grid as G
 from cellflow import outputs as O
 from cellflow.errors import InputError
 from cellflow.pipeline import Simulation
-from cellflow.render import render_frame_2d
-from cellflow.scene import Box, FluidRegion, SceneConfig
+from cellflow.render import COLORS, render_frame_2d
+from cellflow.scene import BandConfig, Box, FluidRegion, SceneConfig
 
 
 def test_grid_raster_bytes_header():
@@ -49,10 +49,11 @@ def test_render_refuses_3d(tmp_path):
 
 def test_render_band_colors(tmp_path):
     cfg = SceneConfig(name="pool", dims=(12, 12), mu=1, frames=0,
-                      fluids=[FluidRegion(Box((1, 1), (11, 8)))])
+                      fluids=[FluidRegion(Box((1, 1), (11, 8)))],
+                      band=BandConfig(enabled=True, R=2))
     sim = Simulation(cfg)
     rec = sim.initial_frame()
-    out = render_frame_2d(sim.grid, rec, tmp_path / "f.ppm", band_R=2)
+    out = render_frame_2d(sim.grid, rec, tmp_path / "f.ppm")
     raw = out.read_bytes()
     assert raw.startswith(b"P6")
     # header + exact payload size
@@ -60,3 +61,8 @@ def test_render_band_colors(tmp_path):
     dims = header.split()
     assert int(dims[1]) == 12 * 8 and int(dims[2]) == 12 * 8
     assert len(payload) == 12 * 8 * 12 * 8 * 3
+    # the band classes come from the record's raster
+    pixels = set(map(tuple, np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3).tolist()))
+    for code in (G.RASTER_SURFACE, G.RASTER_IN_BAND, G.RASTER_INTERFACE, G.RASTER_DEEP):
+        assert (rec.raster == code).any()
+        assert COLORS[code] in pixels

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from cellflow import correction as C
 from cellflow import grid as G
 from cellflow import outputs as O
 from cellflow.band import BandStrategy
@@ -20,6 +21,26 @@ def small_scene(**kw):
                 fluids=[FluidRegion(Box((1, 1), (8, 10)))])
     base.update(kw)
     return SceneConfig(**base)
+
+
+def assert_band_classes_agree(sim, record):
+    """band_classes of the fresh snapshot against the cells each consumer
+    marks: the raster's band codes, build_problem's caps and floors, and the
+    cells classify_cells keeps fluid when every particle has gone."""
+    grid, prev = sim.grid, sim.grid.prev
+    classes = G.band_classes(prev, sim.band.R)
+    assert np.array_equal(record.raster == G.RASTER_IN_BAND, classes["in_band_inner"])
+    assert np.array_equal(record.raster == G.RASTER_INTERFACE, classes["interface"])
+    assert np.array_equal(record.raster == G.RASTER_DEEP, classes["deep"])
+    problem = C.build_problem(grid, C.build_candidates(sim.particles, grid), sim.cfg.mu, classes)
+    assert np.array_equal(problem.cap < 0, classes["deep"])
+    floored = classes["in_band_inner"]
+    assert np.array_equal(problem.floor[floored], prev.counts[floored])
+    assert not problem.floor[~floored].any()
+    emptied = G.CellGrid(grid.dims)
+    emptied.prev = prev
+    G.classify_cells(emptied, np.zeros((0, grid.d)), sim.obstacles, classes)
+    assert np.array_equal(emptied.fluid_mask(), classes["region"])
 
 
 class TestStageOrder:
@@ -108,16 +129,19 @@ class TestInvariants:
     def test_band_dam_keeps_emptied_interface_fluid(self):
         # band dam R=6 at seed 20: the collapse empties band-interface cells.
         # Marked empty, they would expose the deep cells behind them as
-        # surface, and maintain_band could not absorb the deep region's loss
+        # surface, and maintain_band could not absorb the deep region's loss.
+        # Every frame's fresh snapshot also checks that one set of band
+        # classes serves the raster, the correction problem and the markings
         cfg = builtin_scene("dam")
         cfg.seed = 20
         cfg.band = BandConfig(enabled=True, R=6)
         sim = Simulation(cfg, check_invariants=True)
         total0 = sim.live_plus_deep()
         for _ in range(24):
-            sim.step()
+            record = sim.step()
             assert sim.live_plus_deep() == total0
             assert sim.band.last_s_in >= 0 and sim.band.last_s_out >= 0
+            assert_band_classes_agree(sim, record)
 
     def test_band_full_strategy_runs(self):
         # band dam R=6 at scene scale: the exact solve keeps the interface

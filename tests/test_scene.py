@@ -4,7 +4,8 @@ import pytest
 
 from cellflow.band import BandStrategy
 from cellflow.errors import InputError
-from cellflow.scene import (BUILTIN_SCENES, Box, SceneConfig, builtin_scene, load_scene,
+from cellflow.scene import (BUILTIN_SCENES, BandConfig, Box, EmitterConfig, FluidRegion,
+                            ObstacleConfig, SceneConfig, builtin_scene, load_scene,
                             parse_scene, scene_to_text)
 from cellflow.solids import Kinematics
 
@@ -24,6 +25,31 @@ class TestParse:
         assert cfg.mu == 2
         assert cfg.frames == 5
         assert not cfg.band.enabled
+
+    @pytest.mark.parametrize("dims", [(20, 20), (8, 9, 10)])
+    def test_bare_scene_takes_dataclass_defaults(self, dims):
+        cfg = parse_scene(f"version = 1\ndims = {' '.join(map(str, dims))}\n")
+        gravity = (0.0, -9.8) if len(dims) == 2 else (0.0, -9.8, 0.0)
+        assert cfg == SceneConfig(name="scene", dims=dims, gravity=gravity)
+
+    def test_bare_sections_take_dataclass_defaults(self):
+        cfg = parse_scene(MINIMAL + """
+[band]
+[fluid]
+box = 1 1 2 2
+[emitter]
+box = 1 1 2 2
+rate = 1
+velocity = 0 0
+[obstacle]
+box = 3 3 4 4
+velocity = 0 0
+""")
+        box = Box((1, 1), (2, 2))
+        assert cfg.band == BandConfig(enabled=True)  # a [band] section enables the band
+        assert cfg.fluids == [FluidRegion(box)]
+        assert cfg.emitters == [EmitterConfig(box, rate=1.0, velocity=(0.0, 0.0))]
+        assert cfg.obstacles == [ObstacleConfig(Box((3, 3), (4, 4)), velocity=(0.0, 0.0))]
 
     def test_full_sections(self):
         text = MINIMAL + """

@@ -8,6 +8,9 @@ from cellflow import solids as S
 from cellflow import solvers as V
 from cellflow.errors import IntegrityError
 from cellflow.flip import MacGrid, ParticleSet
+from cellflow.scene import SceneConfig
+
+LAMBDA = SceneConfig.lambda_penalty
 
 
 def tank(dims=(10, 10)):
@@ -82,14 +85,14 @@ def table_cost(grid, so, x_prev, x_ideal):
 class TestSolidObjective:
     def test_outside_new_solid_squared_distance(self):
         grid = tank()
-        so = S.build_solid_objective(grid, np.array([grid.flat((4, 4))]))
+        so = S.build_solid_objective(grid, np.array([grid.flat((4, 4))]), LAMBDA)
         # the landing point in the next cell sits EPS inside its near face
         cost = table_cost(grid, so, (2.5, 2.5), (2.5, 2.5))
         assert cost[grid.flat((3, 2))] == pytest.approx((0.5 + C.EPS) ** 2)
 
     def test_unit_distance_penalty(self):
         grid = tank()
-        so = S.build_solid_objective(grid, np.array([grid.flat((4, 4))]))
+        so = S.build_solid_objective(grid, np.array([grid.flat((4, 4))]), LAMBDA)
         cost = table_cost(grid, so, (4.5, 4.5), (4.5, 4.5))
         assert cost[grid.flat((4, 4))] == pytest.approx(1000.0)
 
@@ -101,7 +104,7 @@ class TestSolidObjective:
         for i in (1, 2, 3):
             blockers[grid.flat((i, 2))] = True
         grid.marking[blockers] = G.SOLID
-        so = S.build_solid_objective(grid, np.asarray(row))
+        so = S.build_solid_objective(grid, np.asarray(row), LAMBDA)
         cost = table_cost(grid, so, (2.5, 1.5), (2.5, 1.5))
         p1 = cost[grid.flat((3, 1))]
         p3 = cost[grid.flat((1, 1))]
@@ -119,7 +122,7 @@ class TestSolidObjective:
         p = ParticleSet.from_positions(x)
         p.x_ideal = np.array([[4.5, 4.4]])
         new_cell = grid.flat((4, 4))
-        so = S.build_solid_objective(grid, np.array([new_cell]))
+        so = S.build_solid_objective(grid, np.array([new_cell]), LAMBDA)
         table = C.build_candidates(p, grid)
         cost = S.override_costs(table, so)
         for i in range(table.m):
@@ -151,7 +154,7 @@ class TestSolidObjective:
             blockers[grid.flat((i, 2))] = True
         grid.marking[blockers] = G.SOLID
         grid.snapshot()
-        so = S.build_solid_objective(grid, np.asarray(row))
+        so = S.build_solid_objective(grid, np.asarray(row), LAMBDA)
         table = C.build_candidates(p, grid)
         problem = C.build_problem(grid, table, mu=4, solid_cost=S.override_costs(table, so))
         assignment, obj = V.brute_force_ilp(problem)
