@@ -22,6 +22,7 @@ import numpy as np
 from . import grid as G
 from .correction import CorrectionProblem
 from .errors import IntegrityError
+from .flip import velocity_at
 
 ROOT = -2
 NONE = -1
@@ -385,70 +386,42 @@ def maintain_band(cells: G.CellGrid, particles, state: BandState, mu: int,
     classes = G.band_classes(cells, state.R)
     deep_cells = classes["deep"]
 
-    removed = 0
-    if particles.n:
-        flat = cells.cell_of(particles.x)
-        kill = deep_cells[flat]
-        removed = int(kill.sum())
-        if removed:
-            particles.alive[kill] = False
-            particles.compact()
-            state.n_deep += removed
-
     # cells the correction treated as deep (snapshot depth) may have been
     # reclassified shallower by the marking update; their legal overflow
-    # still counts as particles that reached the deep and is removed here
-    if particles.n:
-        flat = cells.cell_of(particles.x)
-        counts = np.bincount(flat, minlength=cells.ncells)
-        over = np.flatnonzero((counts > mu) & ~cells.solid_mask())
-        if len(over):
-            if cells.prev is not None and not G.band_classes(cells.prev, state.R)["deep"][over].all():
-                raise IntegrityError("overfull cell outside the former deep region")
-            kill = np.zeros(particles.n, dtype=bool)
-            for c in over:
-                residents = np.flatnonzero(flat == c)
-                kill[residents[mu:]] = True  # keep the mu earliest residents
-            particles.alive[kill] = False
-            particles.compact()
-            removed += int(kill.sum())
-            state.n_deep += int(kill.sum())
+    # still counts as particles that reached the deep and is removed with
+    # the deep residents, keeping each cell's mu earliest residents
+    flat = cells.cell_of(particles.x)
+    counts = np.bincount(flat, minlength=cells.ncells)
+    over = (counts > mu) & ~deep_cells & ~cells.solid_mask()
+    if over.any() and cells.prev is not None \
+            and not G.band_classes(cells.prev, state.R)["deep"][over].all():
+        raise IntegrityError("overfull cell outside the former deep region")
+    order = np.argsort(flat, kind="stable")
+    rank = np.empty(len(flat), dtype=np.int64)
+    rank[order] = np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts, counts)
+    kill = deep_cells[flat] | (over[flat] & (rank >= mu))
+    particles.keep(~kill)
+    removed = int(kill.sum())
+    state.n_deep += removed
 
     n_excess = state.n_deep - mu * int(deep_cells.sum())
     added = 0
     if n_excess > 0:
-        counts = (np.bincount(cells.cell_of(particles.x), minlength=cells.ncells)
-                  if particles.n else np.zeros(cells.ncells, dtype=np.int64))
+        counts = np.bincount(flat[~kill], minlength=cells.ncells)
         new_pos = []
-
-        def fill_from(candidates) -> None:
-            nonlocal added
-            for c in rng.permutation(candidates):
-                space = mu - int(counts[c])
-                while space > 0 and added < n_excess:
-                    lo = cells.unflat(int(c)).astype(np.float64)
-                    new_pos.append(lo + rng.uniform(0.01, 0.99, size=cells.d))
-                    counts[c] += 1
-                    space -= 1
-                    added += 1
-                if added == n_excess:
-                    return
-
-        for name in ("interface", "in_band_inner", "surface"):
+        for name in ("interface", "in_band_inner", "surface"):  # disjoint classes
             if added < n_excess:
-                fill_from(np.flatnonzero(classes[name]))
+                visit = rng.permutation(np.flatnonzero(classes[name]))
+                new_pos.append(G.fill_cells(cells, visit, mu - counts[visit], rng,
+                                            limit=n_excess - added))
+                added += len(new_pos[-1])
         if added < n_excess:
             raise IntegrityError(
                 f"band cannot absorb {n_excess} excess particles (placed {added})")
-        if new_pos:
-            pos = np.asarray(new_pos)
-            if mac is not None:
-                from .flip import velocity_at
-                vel = velocity_at(mac, pos)
-            else:
-                vel = np.zeros_like(pos)
-            particles.append(pos, vel)
-            state.n_deep -= added
+        pos = np.vstack(new_pos)
+        vel = velocity_at(mac, pos) if mac is not None else np.zeros_like(pos)
+        particles.append(pos, vel)
+        state.n_deep -= added
 
     cells.rebuild_counts(particles.x)
     return {"removed": removed, "reseeded": added, "n_excess": max(n_excess, 0)}

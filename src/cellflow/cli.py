@@ -49,19 +49,19 @@ def main(argv=None) -> int:
 def _cmd_run(args) -> int:
     from . import pipeline
     from .band import BandStrategy
-    from .scene import BandConfig, load_scene
+    from .scene import load_scene
 
     cfg = load_scene(args.scene)
     if args.frames is not None:
         cfg.frames = args.frames
     if args.seed is not None:
         cfg.seed = args.seed
+    if args.band is not None or args.strategy is not None:
+        cfg.band.enabled = True
     if args.band is not None:
-        cfg.band = BandConfig(enabled=True, R=args.band, strategy=cfg.band.strategy)
+        cfg.band.R = args.band
     if args.strategy is not None:
         cfg.band.strategy = BandStrategy(args.strategy)
-        if not cfg.band.enabled:
-            cfg.band = BandConfig(enabled=True, R=cfg.band.R, strategy=cfg.band.strategy)
     code = pipeline.run(cfg, args.out, render=args.render, check_invariants=args.check)
     print(f"run complete: {cfg.frames} frames of '{cfg.name}' in {args.out}")
     return code

@@ -27,13 +27,6 @@ class ParticleSet:
     x_ideal: np.ndarray
     x: np.ndarray
     vel: np.ndarray
-    alive: np.ndarray
-
-    @classmethod
-    def empty(cls, d: int) -> "ParticleSet":
-        z = np.zeros((0, d))
-        return cls(x_prev=z.copy(), x_ideal=z.copy(), x=z.copy(), vel=z.copy(),
-                   alive=np.zeros(0, dtype=bool))
 
     @classmethod
     def from_positions(cls, x: np.ndarray, vel: np.ndarray | None = None) -> "ParticleSet":
@@ -41,8 +34,7 @@ class ParticleSet:
         if vel is None:
             vel = np.zeros_like(x)
         return cls(x_prev=x.copy(), x_ideal=x.copy(), x=x.copy(),
-                   vel=np.asarray(vel, dtype=np.float64).copy(),
-                   alive=np.ones(len(x), dtype=bool))
+                   vel=np.asarray(vel, dtype=np.float64).copy())
 
     @property
     def n(self) -> int:
@@ -57,18 +49,14 @@ class ParticleSet:
         self.x_prev = np.vstack([self.x_prev, x])
         self.x_ideal = np.vstack([self.x_ideal, x])
         self.vel = np.vstack([self.vel, vel])
-        self.alive = np.concatenate([self.alive, np.ones(len(x), dtype=bool)])
 
-    def compact(self) -> None:
-        """Drop dead particles, preserving index order of the survivors."""
-        if self.alive.all():
-            return
-        keep = self.alive
-        self.x = self.x[keep]
-        self.x_prev = self.x_prev[keep]
-        self.x_ideal = self.x_ideal[keep]
-        self.vel = self.vel[keep]
-        self.alive = np.ones(len(self.x), dtype=bool)
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the particles where mask is False, preserving index order of
+        the survivors."""
+        self.x = self.x[mask]
+        self.x_prev = self.x_prev[mask]
+        self.x_ideal = self.x_ideal[mask]
+        self.vel = self.vel[mask]
 
 
 class MacGrid:

@@ -205,6 +205,30 @@ def box_cells(lo, hi) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
+def box_flat(grid: CellGrid, box) -> np.ndarray:
+    """Flat indices of the cells a scene box touches, in C order."""
+    lo = np.floor(np.asarray(box.lo)).astype(np.int64)
+    hi = np.ceil(np.asarray(box.hi)).astype(np.int64)
+    return grid.flat(box_cells(lo, hi))
+
+
+def fill_cells(grid: CellGrid, flat, room, rng: np.random.Generator,
+               limit: int | None = None) -> np.ndarray:
+    """Uniform random positions for new particles, as (k, d) rows.
+
+    Visits the flat cells in the given order and places up to ``room``
+    particles in each (room below zero counts as none) until ``limit`` are
+    placed. Each position lies at least 0.01 inside its cell. One
+    ``rng.uniform`` call draws them all, the same doubles as one call per
+    particle in placement order.
+    """
+    room = np.maximum(room, 0)
+    if limit is not None:
+        room = np.diff(np.minimum(np.cumsum(room), limit), prepend=0)
+    at = np.repeat(flat, room)
+    return grid.unflat(at) + rng.uniform(0.01, 0.99, size=(len(at), grid.d))
+
+
 def face_mask(dims, a: int, cells_flat: np.ndarray) -> np.ndarray:
     """Axis-a faces of the MAC grid adjacent to at least one masked cell."""
     cells = cells_flat.reshape(dims)
@@ -238,10 +262,7 @@ def classify_cells(grid: CellGrid, particles, obstacles=(), classes: dict | None
     for obs in obstacles:
         solid[obs.occupied_flat(grid)] = True
 
-    if x is None or len(x) == 0:
-        counts = np.zeros(grid.ncells, dtype=np.int64)
-    else:
-        counts = np.bincount(grid.cell_of(x), minlength=grid.ncells).astype(np.int64)
+    counts = np.bincount(grid.cell_of(x), minlength=grid.ncells).astype(np.int64)
     bad = solid & (counts > 0)
     if bad.any():
         where = grid.unflat(np.flatnonzero(bad)[0])

@@ -83,8 +83,7 @@ class RunWriter:
         b = record.band
         self._volume.write(
             f"{i},{record.volume.V!r},{record.volume.percent!r},{record.volume.alt_percent!r},"
-            f"{b.get('n_deep', 0)},{b.get('n_excess', 0)},{b.get('n_move', 0)},"
-            f"{b.get('paths', 0)},{b.get('find_calls', 0)}\n")
+            f"{b['n_deep']},{b['n_excess']},{b['n_move']},{b['paths']},{b['find_calls']}\n")
         self._volume.flush()
         if self.render:
             from .render import render_frame_2d

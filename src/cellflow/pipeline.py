@@ -24,6 +24,8 @@ from .scene import SceneConfig
 from .solids import Obstacle
 
 MAX_SUBSTEPS = 10_000
+# a frame's band counters, summed over its substeps; records add n_deep
+BAND_COUNTERS = ("n_excess", "n_move", "paths", "find_calls")
 
 
 @dataclass
@@ -45,8 +47,6 @@ class StepChecks:
 
     max_cheb_ideal: int = 0
     max_manhattan_corrected: int = 0
-    cap_violations: int = 0
-    solid_violations: int = 0
     div_residual: float = 0.0
     div_tolerance: float = 0.0
 
@@ -111,25 +111,16 @@ class Simulation:
 
     def _seed_particles(self) -> F.ParticleSet:
         cfg = self.cfg
-        d = self.grid.d
-        seeded = np.zeros(self.grid.ncells, dtype=np.int64)
-        positions = []
+        grid = self.grid
+        seeded = np.zeros(grid.ncells, dtype=np.int64)
+        positions = [np.zeros((0, grid.d))]
         for region in cfg.fluids:
             ppc = cfg.mu if region.ppc is None else min(region.ppc, cfg.mu)
-            lo = np.floor(np.asarray(region.box.lo)).astype(np.int64)
-            hi = np.ceil(np.asarray(region.box.hi)).astype(np.int64)
-            cells = G.box_cells(lo, hi)
-            flat = self.grid.flat(cells)
-            for cell, c in zip(cells, flat):
-                room = min(ppc, cfg.mu - seeded[c])
-                if room <= 0 or self.grid.wall[c]:
-                    continue
-                pts = cell + self.rng.uniform(0.01, 0.99, size=(room, d))
-                positions.append(pts)
-                seeded[c] += room
-        if positions:
-            return F.ParticleSet.from_positions(np.vstack(positions))
-        return F.ParticleSet.empty(d)
+            flat = G.box_flat(grid, region.box)
+            room = np.where(grid.wall[flat], 0, np.minimum(ppc, cfg.mu - seeded[flat])).clip(0)
+            positions.append(G.fill_cells(grid, flat, room, self.rng))
+            seeded[flat] += room
+        return F.ParticleSet.from_positions(np.vstack(positions))
 
     @property
     def v_star(self) -> float:
@@ -148,8 +139,7 @@ class Simulation:
         trace: list[str] = []
         solver_stats = {"searches": 0, "drains": 0, "objective": 0.0,
                         "pressure_iterations": 0, "solve_time": 0.0}
-        band_diag = {"n_deep": self.band.n_deep if self.band else 0, "n_excess": 0,
-                     "n_move": 0, "paths": 0, "find_calls": 0}
+        band_diag = dict.fromkeys(BAND_COUNTERS, 0)
         self.last_checks = StepChecks()
         while remaining > 1e-12:
             obstacle_speed = max((float(np.abs(o.velocity).max()) for o in self.obstacles),
@@ -164,32 +154,24 @@ class Simulation:
                 raise SolverError(f"frame exceeded {MAX_SUBSTEPS} substeps")
         self.step_index += 1
         self.last_stage_trace = trace
-        if self.band:
-            band_diag["n_deep"] = self.band.n_deep
-        vol = G.volume_report(self.grid, cfg.mu, self.v_star)
+        return self._record(band_diag, solver_stats, substeps)
+
+    def initial_frame(self) -> FrameRecord:
+        return self._record(dict.fromkeys(BAND_COUNTERS, 0), {}, 0)
+
+    def _record(self, band_diag: dict, solver: dict, substeps: int) -> FrameRecord:
+        """The frame record of the state as it stands, with n_deep read off
+        the band state."""
         return FrameRecord(
             step=self.step_index,
             time=self.time,
             positions=self.particles.x.astype(np.float32),
             velocities=self.particles.vel.astype(np.float32),
             raster=G.marking_raster(self.grid, self.band.R if self.band else None),
-            volume=vol,
-            band=dict(band_diag),
-            solver=dict(solver_stats),
+            volume=G.volume_report(self.grid, self.cfg.mu, self.v_star),
+            band={"n_deep": self.band.n_deep if self.band else 0, **band_diag},
+            solver=solver,
             substeps=substeps,
-        )
-
-    def initial_frame(self) -> FrameRecord:
-        vol = G.volume_report(self.grid, self.cfg.mu, self.v_star)
-        return FrameRecord(
-            step=0, time=0.0,
-            positions=self.particles.x.astype(np.float32),
-            velocities=self.particles.vel.astype(np.float32),
-            raster=G.marking_raster(self.grid, self.band.R if self.band else None),
-            volume=vol,
-            band={"n_deep": self.band.n_deep if self.band else 0, "n_excess": 0,
-                  "n_move": 0, "paths": 0, "find_calls": 0},
-            solver={}, substeps=0,
         )
 
     # ------------------------------------------------------------------
@@ -281,38 +263,22 @@ class Simulation:
     def _emit(self, dt: float) -> None:
         cfg = self.cfg
         grid = self.grid
-        d = grid.d
         for em in self.emitters:
             if not em.active(self.time):
                 continue
             k = em.want(dt)
             if k <= 0:
                 continue
-            counts = (np.bincount(grid.cell_of(self.particles.x), minlength=grid.ncells)
-                      if self.particles.n else np.zeros(grid.ncells, dtype=np.int64))
-            lo = np.floor(np.asarray(em.cfg.box.lo)).astype(np.int64)
-            hi = np.ceil(np.asarray(em.cfg.box.hi)).astype(np.int64)
-            cells = G.box_cells(lo, hi)
-            flat = grid.flat(cells)
-            ok = ~grid.wall[flat] & (grid.marking[flat] != G.SOLID)
-            cells, flat = cells[ok], flat[ok]
-            placed_pos = []
-            placed = 0
-            for cell, c in zip(cells, flat):
-                while counts[c] < cfg.mu and placed < k:
-                    placed_pos.append(cell + self.rng.uniform(0.01, 0.99, size=d))
-                    counts[c] += 1
-                    placed += 1
-                if placed == k:
-                    break
-            if placed < k:
-                em.deferred += k - placed
-            if placed_pos:
-                pos = np.asarray(placed_pos)
-                vel = np.tile(np.asarray(em.cfg.velocity, dtype=np.float64), (placed, 1))
-                self.particles.append(pos, vel)
-                em.spawned += placed
-                self.total_budget += placed
+            counts = np.bincount(grid.cell_of(self.particles.x), minlength=grid.ncells)
+            flat = G.box_flat(grid, em.cfg.box)
+            room = np.where(grid.solid_mask()[flat], 0, cfg.mu - counts[flat])
+            pos = G.fill_cells(grid, flat, room, self.rng, limit=k)
+            placed = len(pos)
+            em.deferred += k - placed
+            vel = np.tile(np.asarray(em.cfg.velocity, dtype=np.float64), (placed, 1))
+            self.particles.append(pos, vel)
+            em.spawned += placed
+            self.total_budget += placed
 
     def _correct(self, dt: float, classes: dict | None, solver_stats: dict,
                  band_diag: dict) -> list:
@@ -320,8 +286,11 @@ class Simulation:
 
         ``classes`` are the band classes of the previous step (None without
         the band). Both band strategies end with the band row attached to the
-        problem, so one apply checks it under invariant checking. Returns the
-        per-obstacle motion proposals so gating can reuse them.
+        problem, so one apply checks it under invariant checking. An
+        IntegrityError from the solve or the band repair carries the problem,
+        band row included, as its ``problem`` attribute, so that run() can
+        write a replay file. Returns the per-obstacle motion proposals so
+        gating can reuse them.
         """
         cfg = self.cfg
         grid = self.grid
@@ -352,36 +321,30 @@ class Simulation:
             if band.strategy is B.BandStrategy.FULL:  # the balance row joins the solve
                 B.attach_region(problem, classes, band.alpha_le)
 
-        assignment, stats = self._solve(problem)
+        try:
+            assignment, stats = V.solve_problem(problem)
+            if band is not None and band.strategy is B.BandStrategy.FLOW_PATHS:
+                # repair the plain solve's choice
+                diag = B.correct_band_flow(grid, problem, assignment.choice, classes, band, cfg.mu)
+                for key in ("n_move", "paths", "find_calls"):
+                    band_diag[key] += diag[key]
+        except IntegrityError as exc:
+            exc.problem = problem
+            raise
         solver_stats["searches"] += stats.searches
         solver_stats["drains"] += stats.drains
         solver_stats["objective"] += stats.objective
         solver_stats["solve_time"] += stats.wall_time
         if band is not None:
-            if band.strategy is B.BandStrategy.FLOW_PATHS:  # repair the plain solve's choice
-                diag = B.correct_band_flow(grid, problem, assignment.choice, classes, band, cfg.mu)
-                for key in ("n_move", "paths", "find_calls"):
-                    band_diag[key] += diag[key]
             band.last_s_in, band.last_s_out = B.region_slack(problem, assignment.choice)
         C.apply_solution(problem, assignment, particles, verify=self.check_invariants)
         return proposals
-
-    @staticmethod
-    def _solve(problem: C.CorrectionProblem):
-        """The flow solve. An IntegrityError carries the problem as its
-        ``problem`` attribute, so that run() can write a replay file."""
-        try:
-            return V.solve_problem(problem)
-        except IntegrityError as exc:
-            exc.problem = problem
-            raise
 
     # ------------------------------------------------------------------
 
     def _check(self) -> None:
         grid = self.grid
         particles = self.particles
-        checks = self.last_checks
         if particles.n:
             # positions of the step that just completed: x against the
             # previous substep's cells is no longer available here, so the
@@ -389,22 +352,18 @@ class Simulation:
             flat = grid.cell_of(particles.x)
             if grid.wall[flat].any():
                 raise IntegrityError("particle inside a wall cell")
-            solid_counts = grid.counts[grid.solid_mask()]
-            if solid_counts.any():
-                checks.solid_violations += int((solid_counts > 0).sum())
+            if grid.counts[grid.solid_mask()].any():
                 raise IntegrityError("particles left inside solid cells")
-            nonsolid = ~grid.solid_mask()
-            over = grid.counts[nonsolid] > self.cfg.mu
-            if over.any():
-                checks.cap_violations += int(over.sum())
+            if (grid.counts[~grid.solid_mask()] > self.cfg.mu).any():
                 raise IntegrityError("cell capacity exceeded after maintenance")
 
 
 def run(cfg: SceneConfig, out_dir, render: bool = False, check_invariants: bool = False) -> int:
     """Run a configured scene, writing frames, volume CSV and the manifest.
 
-    If the flow solve fails, its problem is written to ``failed_problem.txt``
-    in the run directory for ``cellflow oracle-check`` to replay.
+    If the correction fails (the flow solve or the flow-paths band repair),
+    its problem is written to ``failed_problem.txt`` in the run directory for
+    ``cellflow oracle-check`` to replay.
     """
     from . import outputs as O
 
@@ -422,7 +381,7 @@ def run(cfg: SceneConfig, out_dir, render: bool = False, check_invariants: bool 
                     raise
                 replay = Path(out_dir) / "failed_problem.txt"
                 replay.write_text(C.dump_problem(exc.problem), encoding="utf-8")
-                raise IntegrityError(f"flow solve failed at seed {cfg.seed}, step "
+                raise IntegrityError(f"correction failed at seed {cfg.seed}, step "
                                      f"{sim.step_index + 1}: {exc} (problem written to {replay})"
                                      ) from exc
             out.write_frame(sim, record)

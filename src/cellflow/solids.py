@@ -118,10 +118,9 @@ def gate_motion(obstacle: Obstacle, grid: G.CellGrid, particles: ParticleSet,
     if proposal.wall_blocked:
         return False
     if len(proposal.new_solid):
-        if len(particles.x):
-            occupied = np.bincount(grid.cell_of(particles.x), minlength=grid.ncells)
-            if occupied[proposal.new_solid].any():
-                return False
+        occupied = np.bincount(grid.cell_of(particles.x), minlength=grid.ncells)
+        if occupied[proposal.new_solid].any():
+            return False
     obstacle.pos = obstacle.pos + obstacle.velocity * dt
     return True
 

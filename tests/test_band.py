@@ -667,8 +667,7 @@ class TestMaintain:
         flat = grid.cell_of(particles.x)
         gone = [j for j in range(particles.n) if flat[j] in iface[:2]]
         assert len(gone) == 2
-        particles.alive[gone] = False
-        particles.compact()
+        particles.keep(~np.isin(np.arange(particles.n), gone))
         live = particles.n
         state.n_deep += 2
         out = B.maintain_band(grid, particles, state, mu=1, rng=rng)
@@ -684,6 +683,58 @@ class TestMaintain:
         state.n_deep += 2  # no space anywhere for the excess
         with pytest.raises(IntegrityError):
             B.maintain_band(grid, particles, state, mu=1, rng=rng)
+
+    @staticmethod
+    def _lowered_pool(extra_cell):
+        """A 4-wide column of 8 rows at 2 ppc, snapshot at R = 2 (rows 1-5
+        deep), then lowered to 5 rows and reclassified: row 4 is now in the
+        band and rows 1-2 are deep. Cells (1..3, 1) lose one particle each,
+        and extra_cell gains three: one before every other particle and two
+        after them. Returns the grid, the positions and the extras' flags."""
+        grid, particles = column_state(width=4, R=2, mu=2, fill_to=8)
+        x = particles.x
+        cols, rows = np.floor(x[:, 0]).astype(int), np.floor(x[:, 1]).astype(int)
+        first = [np.flatnonzero((cols == i) & (rows == 1))[0] for i in (1, 2, 3)]
+        x = np.delete(x, first, axis=0)
+        x = x[np.floor(x[:, 1]) <= 5]
+        extra = np.asarray(extra_cell, dtype=float) + np.array([[0.5, 0.5], [0.6, 0.5], [0.7, 0.5]])
+        x = np.vstack([extra[:1], x, extra[1:]])
+        G.classify_cells(grid, x)
+        G.assign_depth(grid)
+        grid.rebuild_counts(x)
+        is_extra = np.zeros(len(x), dtype=bool)
+        is_extra[[0, -2, -1]] = True
+        return grid, x, is_extra
+
+    def test_former_deep_overflow_keeps_earliest_residents(self):
+        grid, x, is_extra = self._lowered_pool((1, 4))
+        cls = G.band_classes(grid, 2)
+        c = grid.flat((1, 4))
+        assert cls["in_band_inner"][c] and G.band_classes(grid.prev, 2)["deep"][c]
+        flat = grid.cell_of(x)
+        residents = np.flatnonzero(flat == c)
+        assert len(residents) == 5 and is_extra[residents].tolist() == [True, False, False,
+                                                                           True, True]
+        particles = ParticleSet.from_positions(x)
+        state = B.BandState(R=2)
+        out = B.maintain_band(grid, particles, state, mu=2, rng=np.random.default_rng(0))
+        keep = ~cls["deep"][flat]
+        keep[residents[2:]] = False  # the mu = 2 earliest residents stay
+        overflow = 3
+        deep_residents = int(cls["deep"][flat].sum())
+        assert deep_residents == 2 * int(cls["deep"].sum()) - 3
+        assert out == {"removed": deep_residents + overflow, "reseeded": 0, "n_excess": 0}
+        assert state.n_deep == deep_residents + overflow
+        assert np.array_equal(particles.x, x[keep])
+        assert grid.counts[c] == 2
+
+    def test_overfull_cell_outside_former_deep_rejected(self):
+        grid, x, _ = self._lowered_pool((1, 6))
+        assert not G.band_classes(grid.prev, 2)["deep"][grid.flat((1, 6))]
+        particles = ParticleSet.from_positions(x)
+        with pytest.raises(IntegrityError, match="outside the former deep region"):
+            B.maintain_band(grid, particles, B.BandState(R=2), mu=2,
+                            rng=np.random.default_rng(0))
 
     def test_conservation_across_maintenance(self):
         grid, particles, state = self._band_grid(R=1)

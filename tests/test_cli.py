@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cellflow import band as B
 from cellflow import cli
 from cellflow import correction as C
 from cellflow import grid as G
@@ -39,9 +40,18 @@ def test_run_config_file(tmp_path):
 
 
 def test_run_band_flags(tmp_path):
-    code = cli.main(["run", "dam", "--out", str(tmp_path / "b"), "--frames", "1",
-                     "--band", "3", "--strategy", "flow"])
-    assert code == 0
+    # --band and --strategy each turn the band on; the other keeps the
+    # scene's value (dam: R = 3, flow-paths)
+    cases = [(["--band", "3", "--strategy", "flow"], "R = 3\nstrategy = flow"),
+             (["--band", "3", "--strategy", "full"], "R = 3\nstrategy = full"),
+             (["--strategy", "full"], "R = 3\nstrategy = full"),
+             (["--band", "5"], "R = 5\nstrategy = flow")]
+    for k, (flags, band) in enumerate(cases):
+        out = tmp_path / f"b{k}"
+        code = cli.main(["run", "dam", "--out", str(out), "--frames", "1", *flags])
+        assert code == 0
+        manifest = (out / "manifest.txt").read_text(encoding="utf-8")
+        assert f"[band]\nenabled = true\n{band}\n" in manifest
 
 
 def test_run_unknown_scene(tmp_path, capsys):
@@ -158,6 +168,29 @@ def test_full_band_replay_carries_region(tmp_path, monkeypatch, capsys):
     problem = _replay_third_solve(tmp_path, monkeypatch, capsys, cfg)
     assert problem.region is not None
     assert C.load_problem(C.dump_problem(problem)).region_bounds == problem.region_bounds
+
+
+def test_flow_paths_failure_writes_replay(tmp_path, monkeypatch, capsys):
+    # a flow-paths repair that finds no path leaves its problem, band row
+    # included, and oracle-check replays it against the exact row
+    cfg = SceneConfig(name="tiny", dims=(8, 8), mu=1, frames=4, seed=11,
+                      fluids=[FluidRegion(Box((1, 1), (4, 5)))],
+                      band=BandConfig(enabled=True, R=1, strategy=BandStrategy.FLOW_PATHS))
+    path = tmp_path / "tiny.scene"
+    path.write_text(scene_to_text(cfg), encoding="utf-8")
+    monkeypatch.setattr(B, "find_paths", lambda *args: ([], None))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    step = len(list(out.glob("frame_*.cprt")))  # frames 0 .. step - 1 were written
+    assert f"correction failed at seed 11, step {step}: flow-paths found no path" in err
+    replay = out / "failed_problem.txt"
+    problem = C.load_problem(replay.read_text(encoding="utf-8"))
+    assert problem.region is not None
+    assert problem.n <= V.BRUTE_FORCE_LIMIT
+    monkeypatch.undo()
+    assert cli.main(["oracle-check", str(replay)]) == 0
+    assert "OK" in capsys.readouterr().out
 
 
 def test_volume_summary(tmp_path, capsys):

@@ -523,11 +523,10 @@ class TestPressure:
 
 
 class TestParticleSet:
-    def test_append_and_compact(self):
+    def test_append_and_keep(self):
         p = F.ParticleSet.from_positions(np.array([[1.5, 1.5], [2.5, 2.5]]))
         p.append(np.array([[3.5, 3.5]]), np.array([[0.0, 1.0]]))
         assert p.n == 3
-        p.alive[1] = False
-        p.compact()
+        p.keep(np.array([True, False, True]))
         assert p.n == 2
         assert np.allclose(p.x, [[1.5, 1.5], [3.5, 3.5]])

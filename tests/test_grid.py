@@ -228,6 +228,46 @@ class TestClearingDistance:
                 assert (d - 1 in nbs) or escape
 
 
+def reference_fill(grid, flat, room, rng, limit=None):
+    """The per-particle loop fill_cells replaces: one draw per particle."""
+    out = []
+    for c, r in zip(flat, room):
+        for _ in range(int(r)):
+            if len(out) == limit:
+                break
+            out.append(grid.unflat(int(c)).astype(np.float64)
+                       + rng.uniform(0.01, 0.99, size=grid.d))
+    return np.asarray(out, dtype=np.float64).reshape(-1, grid.d)
+
+
+class TestFillCells:
+    @pytest.mark.parametrize("dims, flat, room, limit", [
+        ((8, 8), [27, 9, 50, 10], [2, 3, 1, 4], None),      # the given order, not sorted
+        ((8, 8), [27, 9, 50, 10], [2, -3, 0, 4], None),     # room below zero places none
+        ((8, 8), [27, 9, 50, 10], [2, 3, 1, 4], 4),         # the limit cuts a cell short
+        ((8, 8), [27, 9, 50, 10], [2, 3, 1, 4], 6),         # the limit ends on a cell
+        ((8, 8), [27, 9], [2, 3], 0),                       # nothing allowed
+        ((8, 8), [27, 9], [-1, 0], 5),                      # no room
+        ((8, 8), [], [], 3),                                # no cells
+        ((5, 6, 7), [100, 31, 57], [3, 1, 2], 5),           # 3D
+    ])
+    def test_matches_per_particle_loop(self, dims, flat, room, limit):
+        grid = G.CellGrid(dims)
+        flat = np.asarray(flat, dtype=np.int64)
+        room = np.asarray(room, dtype=np.int64)
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = G.fill_cells(grid, flat, room, rng, limit=limit)
+        want = reference_fill(grid, flat, room, ref_rng, limit)
+        assert got.shape == want.shape == (len(want), grid.d)
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        cells = grid.cell_of(got)
+        expected = np.repeat(flat, np.maximum(room, 0))[:limit]
+        assert np.array_equal(cells, expected)
+        frac = got - np.floor(got)
+        assert ((frac >= 0.01) & (frac <= 0.99)).all()
+
+
 def per_cell(grid, cell, mu):
     """One cell's discrete volume from the per-cell volume report."""
     return G.volume_report(grid, mu, v_star=1.0, per_cell=True).per_cell[grid.flat(cell)]

@@ -63,7 +63,7 @@ class TestProposeMotion:
         obs = box((4.0, 4.2), (2, 2), vel=(0.0, -2.0))
         prop = S.propose_motion(obs, grid, dt=0.1)  # 4.2 -> 4.0: rows shrink
         assert not prop.wall_blocked
-        moved = S.gate_motion(obs, grid, ParticleSet.empty(2), prop, dt=0.1)
+        moved = S.gate_motion(obs, grid, ParticleSet.from_positions(np.zeros((0, 2))), prop, dt=0.1)
         assert moved
         assert np.allclose(obs.pos, [4.0, 4.0])
 
@@ -170,7 +170,7 @@ class TestGate:
         grid = tank()
         obs = box((4, 4), (2, 2), vel=(0.0, -2.0))
         prop = S.propose_motion(obs, grid, dt=0.5)
-        moved = S.gate_motion(obs, grid, ParticleSet.empty(2), prop, dt=0.5)
+        moved = S.gate_motion(obs, grid, ParticleSet.from_positions(np.zeros((0, 2))), prop, dt=0.5)
         assert moved
         assert np.allclose(obs.pos, [4.0, 3.0])
 
@@ -188,7 +188,7 @@ class TestGate:
         grid = tank()
         obs = box((4, 1), (2, 2), vel=(0.0, -2.0))
         prop = S.propose_motion(obs, grid, dt=0.5)
-        moved = S.gate_motion(obs, grid, ParticleSet.empty(2), prop, dt=0.5)
+        moved = S.gate_motion(obs, grid, ParticleSet.from_positions(np.zeros((0, 2))), prop, dt=0.5)
         assert not moved
 
     def test_determinism_of_reproposal(self):

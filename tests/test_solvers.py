@@ -160,7 +160,7 @@ class TestSolveMcf:
         G.classify_cells(grid, np.zeros((0, 2)))
         G.assign_depth(grid)
         grid.snapshot()
-        p = ParticleSet.empty(2)
+        p = ParticleSet.from_positions(np.zeros((0, 2)))
         problem = C.build_problem(grid, C.build_candidates(p, grid), mu=4)
         assignment, stats = V.solve_problem(problem)
         assert stats.objective == 0.0
