@@ -12,6 +12,11 @@ each scene, and exits 1 on any difference and 2 when a run fails.
 make the dumps differ, which shows the comparison sees a change.
 ``--band`` and ``--strategy`` pass through to ``cellflow run``; ``--strategy``
 alone turns the band on at the scene's thickness.
+
+Two committed 3D scenes cover the 3D paths, at 8 frames:
+``scripts/scenes/dam3d_band.scene`` (a 16^3 dam with the band, R = 2) and
+``scripts/scenes/obstacle3d.scene`` (a 12^3 pool that a box is pushed into,
+for the 3D pressure solve and the solid coupling).
 """
 import argparse
 import os

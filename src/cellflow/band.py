@@ -426,14 +426,3 @@ def maintain_band(cells: G.CellGrid, particles, state: BandState, mu: int,
     cells.rebuild_counts(particles.x)
     return {"removed": removed, "reseeded": added, "n_excess": max(n_excess, 0)}
 
-
-def band_write_cells(cells: G.CellGrid, region: np.ndarray) -> np.ndarray:
-    """Cells whose faces the particle-to-grid transfer may overwrite: all
-    non-solid cells outside the band region (air included)."""
-    return ~region & ~cells.solid_mask()
-
-
-def band_grid_faces(mac, region: np.ndarray) -> list[np.ndarray]:
-    """Faces advected semi-Lagrangian: those touching the band region, the
-    fluid the grid owns."""
-    return [G.face_mask(mac.dims, a, region) for a in range(mac.d)]

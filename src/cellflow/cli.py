@@ -5,7 +5,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import CellflowError
+from .errors import CellflowError, InputError
 
 
 def main(argv=None) -> int:
@@ -71,8 +71,12 @@ def _cmd_oracle(args) -> int:
     from .correction import load_problem
     from .solvers import BRUTE_FORCE_LIMIT, brute_force_ilp, solve_problem
 
-    text = Path(args.dump).read_text(encoding="utf-8")
-    problem = load_problem(text)
+    try:
+        problem = load_problem(Path(args.dump).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise InputError(f"cannot read problem dump {args.dump!r}: {exc.strerror}") from None
+    except InputError as exc:
+        raise InputError(f"{args.dump}: {exc}") from None
     assignment, stats = solve_problem(problem)
     print(f"flow solve: objective {stats.objective:.9f}, {stats.searches} searches, "
           f"{stats.drains} drains, {stats.pops} pops")

@@ -16,9 +16,6 @@ import numpy as np
 from . import grid as G
 from .errors import InputError, IntegrityError
 
-# Margin keeping candidate positions strictly inside their cell.
-EPS = 0.01
-
 
 @dataclass
 class DirectionSet:
@@ -32,8 +29,7 @@ class DirectionSet:
 def direction_set(d: int) -> DirectionSet:
     if d not in (2, 3):
         raise InputError(f"dimension must be 2 or 3, got {d}")
-    eye = np.eye(d, dtype=np.int64)
-    dirs = np.vstack([eye, -eye, np.zeros((1, d), dtype=np.int64)])
+    dirs = np.vstack([G.von_neumann_offsets(d), np.zeros((1, d), dtype=np.int64)])
     return DirectionSet(dirs=dirs, m=2 * d + 1, d=d)
 
 
@@ -41,14 +37,16 @@ def phi_close(q, c) -> np.ndarray:
     """Point of cell c closest to q, kept a small margin inside the cell.
 
     Componentwise: q itself where q already lies across the cell's span
-    (nudged to EPS/2 off the faces), else the near face offset inward by EPS.
+    (nudged to MARGIN/2 off the faces), else the near face offset inward by
+    MARGIN.
     """
     q = np.asarray(q, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     center = c + 0.5
     v = q - center
-    out = np.where(v >= 0.5, center + 0.5 - EPS, np.where(v <= -0.5, center - 0.5 + EPS, q))
-    return np.clip(out, c + EPS / 2, c + 1 - EPS / 2)
+    margin = G.MARGIN
+    out = np.where(v >= 0.5, center + 0.5 - margin, np.where(v <= -0.5, center - 0.5 + margin, q))
+    return np.clip(out, c + margin / 2, c + 1 - margin / 2)
 
 
 @dataclass
@@ -76,13 +74,12 @@ class CandidateTable:
         return self.xi.shape[1]
 
 
-def build_candidates(particles, cells: G.CellGrid, dirs: DirectionSet | None = None) -> CandidateTable:
+def build_candidates(particles, cells: G.CellGrid) -> CandidateTable:
     """Candidate positions and costs for every particle/direction pair."""
     x_prev = np.asarray(particles.x_prev, dtype=np.float64)
     x_ideal = np.asarray(particles.x_ideal, dtype=np.float64)
     n, d = x_prev.shape
-    if dirs is None:
-        dirs = direction_set(d)
+    dirs = direction_set(d)
     m = dirs.m
 
     # one axis at a time on (m, n) arrays; cost sums the axes left to right,
@@ -261,25 +258,31 @@ def dump_problem(problem: CorrectionProblem) -> str:
 
 
 def load_problem(text: str) -> CorrectionProblem:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(DUMP_MAGIC):
+    """Parse a :func:`dump_problem` text. A malformed dump raises InputError,
+    naming the offending line where there is one."""
+    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or not lines[0][1][0].startswith(DUMP_MAGIC):
         raise InputError("not a cellflow problem dump")
     header = {}
     cands = []
-    cells = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        key = parts[0]
-        if key == "cand":
-            cands.append((int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4])))
-        elif key == "cell":
-            cells[int(parts[1])] = (int(parts[2]), int(parts[3]))
-        else:
-            header[key] = parts[1:]
-    dims = tuple(int(v) for v in header["dims"])
-    mu = int(header["mu"][0])
-    n = int(header["n"][0])
-    m = int(header["m"][0])
+    cells = []
+    for no, (key, *vals) in lines[1:]:
+        try:
+            if key == "cand":
+                j, i, c, sigma = vals
+                cands.append((no, int(j), int(i), int(c), float(sigma)))
+            elif key == "cell":
+                c, cp, fl = (int(v) for v in vals)
+                cells.append((no, c, cp, fl))
+            else:
+                header[key] = [int(v) for v in vals]
+        except ValueError:
+            raise InputError(f"line {no}: malformed {key!r} line") from None
+    for key in ("dims", "mu", "n", "m"):
+        if not header.get(key):
+            raise InputError(f"no {key!r} line")
+    dims = tuple(header["dims"])
+    mu, n, m = header["mu"][0], header["n"][0], header["m"][0]
     ncells = int(np.prod(dims))
 
     d = len(dims)
@@ -287,19 +290,25 @@ def load_problem(text: str) -> CorrectionProblem:
     cost = np.full((m, n), np.inf)
     flat = np.full((m, n), -1, dtype=np.int64)
     valid = np.zeros((m, n), dtype=bool)
-    for j, i, c, sigma in cands:
+    for no, j, i, c, sigma in cands:
+        if not (0 <= j < n and 0 <= i < m and 0 <= c < ncells):
+            raise InputError(f"line {no}: 'cand' index outside n, m or the grid")
         cost[i, j] = sigma
         flat[i, j] = c
         valid[i, j] = True
     cap = np.full(ncells, -1, dtype=np.int64)
     floor = np.zeros(ncells, dtype=np.int64)
-    for c, (cp, fl) in cells.items():
+    for no, c, cp, fl in cells:
+        if not 0 <= c < ncells:
+            raise InputError(f"line {no}: 'cell' index outside the grid")
         cap[c] = cp
         floor[c] = fl
     table = CandidateTable(xi=xi, cost=cost, target_flat=flat, valid=valid, dirs=direction_set(d))
     problem = CorrectionProblem(candidates=table, mu=mu, cap=cap, floor=floor, cost=cost, dims=dims)
     if "region" in header:
-        lo, hi, *region = (int(v) for v in header["region"])
+        lo, hi, *region = header["region"]
+        if not all(0 <= c < ncells for c in region):
+            raise InputError("'region' line names a cell outside the grid")
         problem.region = np.zeros(ncells, dtype=bool)
         problem.region[region] = True
         problem.region_bounds = (lo, hi)

@@ -15,9 +15,6 @@ import numpy as np
 from . import grid as G
 from .errors import SolverError
 
-# Particles are kept at least this far inside cells and away from walls.
-WALL_MARGIN = 0.01
-
 
 @dataclass
 class ParticleSet:
@@ -65,11 +62,8 @@ class MacGrid:
     def __init__(self, dims):
         self.dims = tuple(int(v) for v in dims)
         self.d = len(self.dims)
-        self.vel = [np.zeros(self._face_shape(a)) for a in range(self.d)]
+        self.vel = [np.zeros(G.face_shape(self.dims, a)) for a in range(self.d)]
         self.pressure = np.zeros(self.dims)
-
-    def _face_shape(self, a: int) -> tuple:
-        return tuple(n + 1 if k == a else n for k, n in enumerate(self.dims))
 
     def copy_velocity(self) -> list[np.ndarray]:
         return [u.copy() for u in self.vel]
@@ -169,11 +163,11 @@ def clamp_positions(positions: np.ndarray, dims, home_cells: np.ndarray | None =
     """Keep positions inside the non-wall interior, and when home cells are
     given also inside their Moore neighborhood."""
     dims = np.asarray(dims, dtype=np.float64)
-    lo = np.full_like(dims, 1.0 + WALL_MARGIN)
-    hi = dims - 1.0 - WALL_MARGIN
+    lo = np.full_like(dims, 1.0 + G.MARGIN)
+    hi = dims - 1.0 - G.MARGIN
     out = np.clip(positions, lo, hi)
     if home_cells is not None:
-        out = np.clip(out, home_cells - 1.0 + WALL_MARGIN, home_cells + 2.0 - WALL_MARGIN)
+        out = np.clip(out, home_cells - 1.0 + G.MARGIN, home_cells + 2.0 - G.MARGIN)
     return out
 
 
@@ -251,24 +245,24 @@ def solve_pressure(mac: MacGrid, cells: G.CellGrid, solid_vel: list[np.ndarray] 
     Raises SolverError when CG fails to reach tolerance, or as soon as its
     residual is not finite.
     """
-    d = mac.d
     dims = cells.dims
-    fluid = cells.fluid_mask().reshape(dims)
-    solid = cells.solid_mask().reshape(dims)
+    fluid = cells.fluid_mask()
+    solid = cells.solid_mask()
+    cell = np.flatnonzero(fluid)
 
     impose_solid_faces(mac, cells, solid_vel)
-    rhs = -_divergence(mac)[fluid]
+    rhs = -_divergence(mac).reshape(-1)[cell]
 
     # number the fluid cells; slot nf of the padded vector holds 0 and stands
-    # for every air, solid or out-of-grid neighbour
-    nf = len(rhs)
-    number = np.pad(np.full(dims, nf), 1, constant_values=nf)
-    number[(slice(1, -1),) * d][fluid] = np.arange(nf)
+    # for every air or solid neighbour. Fluid never lies on the wall layer,
+    # so every neighbour is in the grid.
+    nf = len(cell)
+    number = np.full(cells.ncells, nf)
+    number[cell] = np.arange(nf)
     # one row per neighbour, in the order apply_A subtracts them: +x, -x, +y, ...
-    steps = np.concatenate([[e, -e] for e in np.eye(d, dtype=np.int64)])
-    nb_at = tuple(np.moveaxis(np.argwhere(fluid) + 1 + steps[:, None], 2, 0))
-    nb_slot = number[nb_at]
-    diag = np.pad(~solid, 1)[nb_at].sum(axis=0, dtype=np.float64)  # non-solid neighbours
+    nb = cells.vn_neighbors_flat(cell).T
+    nb_slot = number[nb]
+    diag = (~solid)[nb].sum(axis=0, dtype=np.float64)  # non-solid neighbours
     padded = np.zeros(nf + 1)
 
     def apply_A(x):
@@ -280,7 +274,6 @@ def solve_pressure(mac: MacGrid, cells: G.CellGrid, solid_vel: list[np.ndarray] 
 
     products = np.zeros(dims)
     fluid_products = products.reshape(-1)  # a view, written at the fluid cells only
-    cell = np.flatnonzero(fluid)
 
     def dot(x, y):
         fluid_products[cell] = x * y
@@ -316,15 +309,13 @@ def solve_pressure(mac: MacGrid, cells: G.CellGrid, solid_vel: list[np.ndarray] 
         stats = PressureStats(iterations=it, residual=res, tolerance=tol_abs)
 
     mac.pressure = np.zeros(dims)
-    mac.pressure[fluid] = p
+    mac.pressure.reshape(-1)[cell] = p
 
     # subtract the gradient on faces between non-solid cells touching fluid
-    for a in range(d):
-        lo, hi, inner = ([slice(None)] * d for _ in range(3))
-        lo[a], hi[a], inner[a] = slice(None, -1), slice(1, None), slice(1, -1)
-        lo, hi = tuple(lo), tuple(hi)
-        open_face = (fluid[hi] | fluid[lo]) & ~(solid[hi] | solid[lo])
-        mac.vel[a][tuple(inner)] -= np.where(open_face, np.diff(mac.pressure, axis=a), 0.0)
+    for a in range(mac.d):
+        open_face = G.face_mask(dims, a, fluid) & ~G.face_mask(dims, a, solid)
+        grad = np.diff(mac.pressure, axis=a, prepend=0.0, append=0.0)
+        mac.vel[a][open_face] -= grad[open_face]
     return stats
 
 

@@ -3,7 +3,7 @@
 Coordinates are kept in cell units everywhere: cell (i, j) spans [i, i+1)
 per axis and its center sits at i + 0.5. World scaling belongs to I/O only.
 Tank walls are a one-cell solid layer on every side of the box; wall cells
-carry the domain-boundary flag so they never trigger surface classification.
+never trigger surface classification.
 """
 from __future__ import annotations
 
@@ -23,6 +23,9 @@ EMPTY = 0
 SOLID = 1
 SURFACE = 2
 INNER = 3
+
+# Particles and landing points keep at least this far inside their cell.
+MARGIN = 0.01
 
 
 def von_neumann_offsets(d: int) -> np.ndarray:
@@ -113,7 +116,6 @@ class CellGrid:
             sl[a] = dims[a] - 1
             wall[tuple(sl)] = True
         self.wall = wall.reshape(-1)
-        self.domain_boundary = self.wall.copy()
 
         self.marking = np.full(self.ncells, EMPTY, dtype=np.uint8)
         self.marking[self.wall] = SOLID
@@ -148,9 +150,11 @@ class CellGrid:
         return self._vn_table[flat]
 
     def _build_vn_table(self) -> np.ndarray:
+        """Columns +x, -x, +y, ...: the order solve_pressure subtracts them in."""
         idx = np.arange(self.ncells, dtype=np.int64).reshape(self.dims)
         table = np.full((self.ncells, 2 * self.d), -1, dtype=np.int64)
-        for col, off in enumerate(von_neumann_offsets(self.d)):
+        offsets = von_neumann_offsets(self.d).reshape(2, self.d, self.d).swapaxes(0, 1)
+        for col, off in enumerate(offsets.reshape(-1, self.d)):
             shifted = np.full(self.dims, -1, dtype=np.int64)
             src, dst = _shift_slices(off)
             shifted[dst] = idx[src]
@@ -205,10 +209,12 @@ def box_cells(lo, hi) -> np.ndarray:
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
-def box_flat(grid: CellGrid, box) -> np.ndarray:
-    """Flat indices of the cells a scene box touches, in C order."""
-    lo = np.floor(np.asarray(box.lo)).astype(np.int64)
-    hi = np.ceil(np.asarray(box.hi)).astype(np.int64)
+def box_flat(grid: CellGrid, lo, hi) -> np.ndarray:
+    """Flat indices of the cells the box [lo, hi] overlaps, in C order,
+    clipped to the grid. An edge within 1e-9 of a cell face claims no cell
+    beyond that face."""
+    lo = np.maximum(np.floor(np.asarray(lo) + 1e-9).astype(np.int64), 0)
+    hi = np.minimum(np.ceil(np.asarray(hi) - 1e-9).astype(np.int64), grid.dims)
     return grid.flat(box_cells(lo, hi))
 
 
@@ -218,7 +224,7 @@ def fill_cells(grid: CellGrid, flat, room, rng: np.random.Generator,
 
     Visits the flat cells in the given order and places up to ``room``
     particles in each (room below zero counts as none) until ``limit`` are
-    placed. Each position lies at least 0.01 inside its cell. One
+    placed. Each position lies at least MARGIN inside its cell. One
     ``rng.uniform`` call draws them all, the same doubles as one call per
     particle in placement order.
     """
@@ -226,15 +232,19 @@ def fill_cells(grid: CellGrid, flat, room, rng: np.random.Generator,
     if limit is not None:
         room = np.diff(np.minimum(np.cumsum(room), limit), prepend=0)
     at = np.repeat(flat, room)
-    return grid.unflat(at) + rng.uniform(0.01, 0.99, size=(len(at), grid.d))
+    return grid.unflat(at) + rng.uniform(MARGIN, 1 - MARGIN, size=(len(at), grid.d))
+
+
+def face_shape(dims, a: int) -> tuple:
+    """Shape of the MAC grid's axis-a faces: one more than the cells along a."""
+    return tuple(n + 1 if k == a else n for k, n in enumerate(dims))
 
 
 def face_mask(dims, a: int, cells_flat: np.ndarray) -> np.ndarray:
     """Axis-a faces of the MAC grid adjacent to at least one masked cell."""
     cells = cells_flat.reshape(dims)
     d = len(dims)
-    shape = tuple(n + 1 if k == a else n for k, n in enumerate(dims))
-    out = np.zeros(shape, dtype=bool)
+    out = np.zeros(face_shape(dims, a), dtype=bool)
     lo = [slice(None)] * d
     hi = [slice(None)] * d
     lo[a] = slice(None, -1)
@@ -272,7 +282,7 @@ def classify_cells(grid: CellGrid, particles, obstacles=(), classes: dict | None
     if classes is not None:
         fluid |= classes["region"] & ~solid
 
-    trigger = (~fluid) & (~grid.domain_boundary)
+    trigger = (~fluid) & (~grid.wall)
     near = _any_neighbor(trigger.reshape(grid.dims), moore_offsets(grid.d)).reshape(-1)
     marking = np.full(grid.ncells, EMPTY, dtype=np.uint8)
     marking[solid] = SOLID
@@ -284,46 +294,34 @@ def classify_cells(grid: CellGrid, particles, obstacles=(), classes: dict | None
     return marking
 
 
+def _hops(seed: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Von Neumann hop count of every cell from the seed cells, stepping
+    through allowed cells only (boolean grids of one shape): 0 on the seed,
+    -1 where no path reaches."""
+    hops = np.where(seed, 0, -1)
+    offs = von_neumann_offsets(seed.ndim)
+    frontier, reached, level = seed, seed.copy(), 0
+    while frontier.any():
+        level += 1
+        frontier = _any_neighbor(frontier, offs) & allowed & ~reached
+        hops[frontier] = level
+        reached |= frontier
+    return hops
+
+
 def assign_depth(grid: CellGrid) -> bool:
     """BFS depth from the surface: surface 0, inward -1, -2, ...; non-fluid +1.
 
-    Returns False when fluid exists but no surface does (sealed tank); all
-    fluid cells then get depth -1 and a diagnostic warning is recorded.
+    Returns False when some fluid is unreachable from any surface (a sealed
+    tank or pocket); that fluid gets depth -1 and a warning is logged.
     """
-    depth = np.ones(grid.ncells, dtype=np.int32)
-    fluid_nd = grid.fluid_mask().reshape(grid.dims)
-    surface_nd = (grid.marking == SURFACE).reshape(grid.dims)
-
-    had_surface = True
-    if fluid_nd.any() and not surface_nd.any():
-        depth[grid.fluid_mask()] = -1
-        grid.depth = depth
-        log.warning("no surface cell exists; all fluid cells assigned depth -1")
-        return False
-
-    depth_nd = depth.reshape(grid.dims)
-    depth_nd[surface_nd] = 0
-    assigned = surface_nd.copy()
-    frontier = surface_nd
-    level = 0
-    offs = von_neumann_offsets(grid.d)
-    while True:
-        nxt = _any_neighbor(frontier, offs) & fluid_nd & ~assigned
-        if not nxt.any():
-            break
-        level -= 1
-        depth_nd[nxt] = level
-        assigned |= nxt
-        frontier = nxt
-
-    orphan = fluid_nd & ~assigned
+    fluid = grid.fluid_mask()
+    hops = _hops((grid.marking == SURFACE).reshape(grid.dims), fluid.reshape(grid.dims)).reshape(-1)
+    orphan = fluid & (hops < 0)
+    grid.depth = np.where(fluid, -np.abs(hops), 1).astype(np.int32)  # orphans: hops -1
     if orphan.any():
-        # sealed pocket with no surface of its own
-        depth_nd[orphan] = -1
         log.warning("%d fluid cells unreachable from any surface; assigned depth -1", int(orphan.sum()))
-        had_surface = False
-    grid.depth = depth_nd.reshape(-1)
-    return had_surface
+    return not orphan.any()
 
 
 def clearing_distance(grid: CellGrid, new_solid) -> np.ndarray:
@@ -334,31 +332,11 @@ def clearing_distance(grid: CellGrid, new_solid) -> np.ndarray:
     ignored as escapes. Walled-off cells get a sentinel of grid.ncells.
     Returns a full per-cell int array, 0 outside new_solid.
     """
-    new_mask = np.zeros(grid.ncells, dtype=bool)
-    idx = np.asarray(list(new_solid) if not isinstance(new_solid, np.ndarray) else new_solid, dtype=np.int64)
-    dist = np.zeros(grid.ncells, dtype=np.int64)
-    if idx.size == 0:
-        return dist
-    new_mask[idx] = True
-    escape = ~new_mask & (grid.marking != SOLID)
-
-    offs = von_neumann_offsets(grid.d)
-    new_nd = new_mask.reshape(grid.dims)
-    dist_nd = dist.reshape(grid.dims)
-    frontier = _any_neighbor(escape.reshape(grid.dims), offs) & new_nd
-    assigned = frontier.copy()
-    level = 1
-    dist_nd[frontier] = level
-    while (new_nd & ~assigned).any():
-        nxt = _any_neighbor(frontier, offs) & new_nd & ~assigned
-        if not nxt.any():
-            dist_nd[new_nd & ~assigned] = grid.ncells
-            break
-        level += 1
-        dist_nd[nxt] = level
-        assigned |= nxt
-        frontier = nxt
-    return dist_nd.reshape(-1)
+    new = np.zeros(grid.ncells, dtype=bool)
+    new[np.asarray(new_solid, dtype=np.int64)] = True
+    escape = ~new & (grid.marking != SOLID)
+    hops = _hops(escape.reshape(grid.dims), new.reshape(grid.dims)).reshape(-1)
+    return np.where(new, np.where(hops < 0, grid.ncells, hops), 0)
 
 
 def volume_report(grid: CellGrid, mu: int, v_star: float, per_cell: bool = False) -> VolumeReport:

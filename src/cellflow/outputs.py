@@ -94,12 +94,23 @@ class RunWriter:
 
 
 def read_volume_csv(path) -> dict[str, np.ndarray]:
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    except OSError as exc:
+        raise InputError(f"cannot read volume log {str(path)!r}: {exc.strerror}") from None
     if not lines or lines[0] != VOLUME_COLUMNS:
         raise InputError(f"{path}: not a cellflow volume log")
+    if len(lines) == 1:
+        raise InputError(f"{path}: volume log has no frames")
     cols = VOLUME_COLUMNS.split(",")
     data = {c: [] for c in cols}
-    for ln in lines[1:]:
-        for c, tok in zip(cols, ln.split(",")):
-            data[c].append(float(tok))
+    for no, ln in enumerate(lines[1:], start=2):
+        try:
+            row = [float(tok) for tok in ln.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != len(cols):
+            raise InputError(f"{path}: line {no}: malformed row {ln!r}")
+        for c, v in zip(cols, row):
+            data[c].append(v)
     return {c: np.asarray(v) for c, v in data.items()}

@@ -84,7 +84,6 @@ class Simulation:
         self.rng = np.random.default_rng(cfg.seed)
         self.grid = G.CellGrid(cfg.dims)
         self.mac = F.MacGrid(cfg.dims)
-        self.dirs = C.direction_set(self.grid.d)
         self.obstacles = [
             Obstacle(pos=np.asarray(ob.box.lo, dtype=np.float64),
                      extent=np.asarray(ob.box.hi, dtype=np.float64) - np.asarray(ob.box.lo),
@@ -116,7 +115,7 @@ class Simulation:
         positions = [np.zeros((0, grid.d))]
         for region in cfg.fluids:
             ppc = cfg.mu if region.ppc is None else min(region.ppc, cfg.mu)
-            flat = G.box_flat(grid, region.box)
+            flat = G.box_flat(grid, region.box.lo, region.box.hi)
             room = np.where(grid.wall[flat], 0, np.minimum(ppc, cfg.mu - seeded[flat])).clip(0)
             positions.append(G.fill_cells(grid, flat, room, self.rng))
             seeded[flat] += room
@@ -188,7 +187,8 @@ class Simulation:
 
         # the band's classes of the previous step, built once per substep
         classes = G.band_classes(grid.prev, band.R) if band else None
-        write_cells = B.band_write_cells(grid, classes["region"]) if band else None
+        # p2g may overwrite the faces of non-solid cells outside the band region
+        write_cells = ~classes["region"] & ~grid.solid_mask() if band else None
         stencils = F.transfer_p2g(particles, mac, write_cells)
         saved_vel = mac.copy_velocity()
         trace.append("p2g")
@@ -213,7 +213,9 @@ class Simulation:
         trace.append("g2p")
 
         if band:
-            F.advect_grid_velocity(mac, dt, B.band_grid_faces(mac, classes["region"]))
+            # the faces touching the band region, the fluid the grid owns
+            F.advect_grid_velocity(mac, dt, [G.face_mask(mac.dims, a, classes["region"])
+                                             for a in range(mac.d)])
             v1 = F.velocity_at(mac, particles.x_prev)  # the field g2p read has moved
             trace.append("grid_advect")
 
@@ -270,7 +272,7 @@ class Simulation:
             if k <= 0:
                 continue
             counts = np.bincount(grid.cell_of(self.particles.x), minlength=grid.ncells)
-            flat = G.box_flat(grid, em.cfg.box)
+            flat = G.box_flat(grid, em.cfg.box.lo, em.cfg.box.hi)
             room = np.where(grid.solid_mask()[flat], 0, cfg.mu - counts[flat])
             pos = G.fill_cells(grid, flat, room, self.rng, limit=k)
             placed = len(pos)
@@ -312,7 +314,7 @@ class Simulation:
         if particles.n == 0:
             return proposals
 
-        candidates = C.build_candidates(particles, grid, self.dirs)
+        candidates = C.build_candidates(particles, grid)
         solid_cost = S.override_costs(candidates, solid_obj) if solid_obj else None
         problem = C.build_problem(grid, candidates, cfg.mu, classes, solid_cost)
 

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from . import grid as G
 from .band import BandStrategy
 from .errors import InputError
 from .solids import Kinematics
@@ -103,11 +106,20 @@ class SceneConfig:
             raise InputError("frame_dt must be positive")
         if self.frames < 0:
             raise InputError("frames must be >= 0")
+        boxes = [("fluid", r.box) for r in self.fluids] + [("emitter", e.box) for e in self.emitters]
+        for what, box in boxes + [("obstacle", o.box) for o in self.obstacles]:
+            if len(box.lo) != d:
+                raise InputError(f"{what} box {box.lo}..{box.hi} does not match dims {self.dims}")
+        for what, box in boxes:
+            if any(lo < 1 or hi > n - 1 for lo, hi, n in zip(box.lo, box.hi, self.dims)):
+                raise InputError(f"{what} box {box.lo}..{box.hi} leaves the non-wall domain")
+        grid = G.CellGrid(self.dims)
         for region in self.fluids:
-            for k in range(d):
-                if region.box.lo[k] < 1 or region.box.hi[k] > self.dims[k] - 1:
-                    raise InputError(
-                        f"fluid box {region.box.lo}..{region.box.hi} leaves the non-wall domain")
+            cells = G.box_flat(grid, region.box.lo, region.box.hi)
+            for ob in self.obstacles:
+                if np.isin(G.box_flat(grid, ob.box.lo, ob.box.hi), cells).any():
+                    raise InputError(f"fluid box {region.box.lo}..{region.box.hi} shares a "
+                                     f"cell with obstacle {ob.name!r}")
         return self
 
 

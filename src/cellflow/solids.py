@@ -45,13 +45,7 @@ class Obstacle:
 
     def cells_at(self, pos: np.ndarray, grid: G.CellGrid) -> np.ndarray:
         """Flat indices of the cells intersected by the box at pos."""
-        lo = np.floor(pos + 1e-9).astype(np.int64)
-        hi = np.ceil(pos + self.extent - 1e-9).astype(np.int64)
-        lo = np.maximum(lo, 0)
-        hi = np.minimum(hi, np.asarray(grid.dims))
-        if np.any(hi <= lo):
-            return np.zeros(0, dtype=np.int64)
-        return grid.flat(G.box_cells(lo, hi))
+        return G.box_flat(grid, pos, pos + self.extent)
 
     def occupied_flat(self, grid: G.CellGrid) -> np.ndarray:
         return self.cells_at(self.pos, grid)
@@ -131,11 +125,9 @@ def solid_face_velocities(grid: G.CellGrid, mac_dims, obstacles) -> list[np.ndar
     Wall faces carry zero. Faces of a zero-BC obstacle carry zero as well,
     which exercises the no-repulsion experiment.
     """
-    d = grid.d
     vals = []
-    for a in range(d):
-        shape = tuple(n + 1 if k == a else n for k, n in enumerate(grid.dims))
-        arr = np.zeros(shape)
+    for a in range(grid.d):
+        arr = np.zeros(G.face_shape(grid.dims, a))
         for obs in obstacles:
             v = 0.0 if obs.zero_bc else float(obs.velocity[a])
             if v == 0.0:

@@ -14,6 +14,7 @@ from cellflow import correction as C
 from cellflow import grid as G
 from cellflow import solvers as V
 from cellflow.band import BandStrategy
+from cellflow.outputs import VOLUME_COLUMNS
 from cellflow.scene import (BandConfig, Box, FluidRegion, SceneConfig, scene_to_text,
                              builtin_scene)
 
@@ -58,6 +59,44 @@ def test_run_unknown_scene(tmp_path, capsys):
     code = cli.main(["run", "nope", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def assert_input_error(argv, capsys, *names):
+    """The command exits 2 with one 'error:' line naming each of names."""
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and all(name in err for name in names), err
+
+
+@pytest.mark.parametrize("log, where", [
+    (None, "volume.csv"),
+    ("1,100.0,100.0\n", "line 2: malformed row"),
+    ("", "no frames"),
+], ids=["missing_dir", "short_row", "no_rows"])
+def test_volume_bad_log(tmp_path, capsys, log, where):
+    if log is not None:
+        (tmp_path / "volume.csv").write_text(VOLUME_COLUMNS + "\n" + log, encoding="utf-8")
+    run_dir = tmp_path if log is not None else tmp_path / "nope"
+    assert_input_error(["volume", str(run_dir)], capsys, where)
+
+
+def test_oracle_check_missing_file(tmp_path, capsys):
+    assert_input_error(["oracle-check", str(tmp_path / "nope.txt")], capsys, "nope.txt")
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda text: re.sub(r"^dims .*\n", "", text, flags=re.M), "'dims'"),
+    (lambda text: re.sub(r"^(cand \S+ \S+ \S+) \S+", r"\1 cheap", text, count=1, flags=re.M),
+     "line 6: malformed 'cand' line"),
+    (lambda text: re.sub(r"^cand \S+", "cand 99", text, count=1, flags=re.M),
+     "line 6: 'cand' index outside"),
+], ids=["no_dims_line", "non_numeric_cost", "particle_out_of_range"])
+def test_oracle_check_malformed_dump(tmp_path, rng, capsys, edit, where):
+    problem, _, _ = random_problem(rng, n_max=6)
+    dump = tmp_path / "bad.txt"
+    dump.write_text(edit(C.dump_problem(problem)), encoding="utf-8")
+    assert_input_error(["oracle-check", str(dump)], capsys, "bad.txt", where)
 
 
 def test_oracle_check_ok(tmp_path, rng, capsys):

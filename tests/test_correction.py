@@ -53,7 +53,7 @@ class TestPhiClose:
             c = rng.integers(0, 6, size=2)
             q = rng.uniform(-1.5, 7.5, size=2)
             got = C.phi_close(q, c)
-            oracle = np.clip(q, c + C.EPS, c + 1 - C.EPS)
+            oracle = np.clip(q, c + G.MARGIN, c + 1 - G.MARGIN)
             outside = (q < c) | (q >= c + 1)
             assert np.allclose(got[outside], oracle[outside])
             assert (np.floor(got) == c).all()
@@ -64,8 +64,8 @@ class TestPhiClose:
             c = rng.integers(0, 5, size=2)
             q = rng.uniform(-2, 8, size=2)
             out = C.phi_close(q, c)
-            assert (out >= c + C.EPS / 2 - 1e-12).all()
-            assert (out <= c + 1 - C.EPS / 2 + 1e-12).all()
+            assert (out >= c + G.MARGIN / 2 - 1e-12).all()
+            assert (out <= c + 1 - G.MARGIN / 2 + 1e-12).all()
 
 
 def particles_at(x_prev, x_ideal=None):

@@ -140,7 +140,7 @@ class TestAdvect:
         p.x_prev = np.array([[1.5, 1.5]])
         mac.vel[0][:] = -10.0
         advect(p, mac, dt=1.0)
-        assert p.x_ideal[0, 0] >= 1.0 + F.WALL_MARGIN - 1e-12
+        assert p.x_ideal[0, 0] >= 1.0 + G.MARGIN - 1e-12
 
     def test_moore_locality_clamp(self):
         grid, mac, p = make_state(dims=(12, 12))
@@ -256,7 +256,7 @@ def per_call_advect(particles, mac, dt):
 def random_flip_state(rng, dims, n=300):
     """Particles across the interior, a fifth of their coordinates snapped to
     the face lattices, random velocities, and a random face field."""
-    x = rng.uniform(1.0 + F.WALL_MARGIN, np.asarray(dims) - 1.0 - F.WALL_MARGIN,
+    x = rng.uniform(1.0 + G.MARGIN, np.asarray(dims) - 1.0 - G.MARGIN,
                     size=(n, len(dims)))
     snap = rng.random(x.shape) < 0.2
     x[snap] = np.round(x[snap] * 2) / 2

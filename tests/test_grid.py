@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellflow import grid as G
+from cellflow import solids as S
 from cellflow.errors import InputError, IntegrityError
 
 
@@ -226,6 +227,35 @@ class TestClearingDistance:
                 escape = any(dist[nb] == 0 and grid.marking[nb] != G.SOLID
                              for nb in grid.vn_neighbors_flat(c) if nb >= 0)
                 assert (d - 1 in nbs) or escape
+
+
+class TestBoxFlat:
+    def test_scene_box_and_obstacle_agree(self):
+        # the seeding path and an obstacle at the same place claim one cell set
+        grid = G.CellGrid((12, 10))
+        lo, hi = np.array([2.0, 3.5]), np.array([6.0, 7.25])
+        obs = S.Obstacle(pos=lo, extent=hi - lo, velocity=np.zeros(2))
+        cells = G.box_flat(grid, lo, hi)
+        assert np.array_equal(cells, obs.occupied_flat(grid))
+        assert sorted(map(tuple, grid.unflat(cells))) == [
+            (i, j) for i in range(2, 6) for j in range(3, 8)]
+
+    def test_edge_near_face_claims_no_next_cell(self):
+        grid = make_grid()
+        near = G.box_flat(grid, (2 - 1e-10, 3 + 1e-10), (4 + 1e-10, 5 - 1e-10))
+        assert np.array_equal(near, G.box_flat(grid, (2, 3), (4, 5)))
+        past = G.box_flat(grid, (2 - 1e-6, 3), (4, 5))
+        assert len(past) == 3 * 2
+
+    def test_partly_off_grid_is_clipped(self):
+        grid = make_grid()
+        cells = G.box_flat(grid, (6, -2), (11, 2))
+        assert sorted(map(tuple, grid.unflat(cells))) == [(i, j) for i in (6, 7) for j in (0, 1)]
+
+    @pytest.mark.parametrize("lo, hi", [((9, 2), (12, 4)), ((-3, -3), (-1, 5)), ((2, 8), (4, 9))])
+    def test_fully_off_grid_is_empty(self, lo, hi):
+        cells = G.box_flat(make_grid(), lo, hi)
+        assert cells.shape == (0,)
 
 
 def reference_fill(grid, flat, room, rng, limit=None):

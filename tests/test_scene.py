@@ -113,6 +113,25 @@ name = rock
         with pytest.raises(InputError, match="non-wall"):
             parse_scene(bad)
 
+    def test_emitter_outside_domain_rejected(self):
+        bad = MINIMAL + "\n[emitter]\nbox = 15 15 25 25\nrate = 1\nvelocity = 0 0\n"
+        with pytest.raises(InputError, match="emitter box .* non-wall"):
+            parse_scene(bad)
+
+    def test_fluid_sharing_a_cell_with_obstacle_rejected(self):
+        bad = MINIMAL + ("\n[fluid]\nbox = 1 1 10 6\n"
+                         "\n[obstacle]\nbox = 4 5.5 6 8\nvelocity = 0 0\nname = lid\n")
+        with pytest.raises(InputError, match="shares a cell with obstacle 'lid'"):
+            parse_scene(bad)
+        # touching along a cell face shares no cell
+        parse_scene(bad.replace("5.5", "6"))
+
+    def test_box_dimension_must_match_dims(self):
+        bad = MINIMAL.replace("dims = 20 20", "dims = 20 20 20") + (
+            "\n[obstacle]\nbox = 4 4 6 6\nvelocity = 0 0 0\n")
+        with pytest.raises(InputError, match="obstacle box .* does not match dims"):
+            parse_scene(bad)
+
     def test_round_trip(self):
         cfg = builtin_scene("dam_emit")
         text = scene_to_text(cfg)

@@ -86,9 +86,9 @@ class TestSolidObjective:
     def test_outside_new_solid_squared_distance(self):
         grid = tank()
         so = S.build_solid_objective(grid, np.array([grid.flat((4, 4))]), LAMBDA)
-        # the landing point in the next cell sits EPS inside its near face
+        # the landing point in the next cell sits MARGIN inside its near face
         cost = table_cost(grid, so, (2.5, 2.5), (2.5, 2.5))
-        assert cost[grid.flat((3, 2))] == pytest.approx((0.5 + C.EPS) ** 2)
+        assert cost[grid.flat((3, 2))] == pytest.approx((0.5 + G.MARGIN) ** 2)
 
     def test_unit_distance_penalty(self):
         grid = tank()
