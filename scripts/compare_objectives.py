@@ -81,9 +81,9 @@ def counters(results: list) -> dict:
 def save(path: str, problems: list[str], results: list) -> None:
     arrays = {"objective": np.array([stats.objective for _, stats in results]),
               **counters(results)}
-    for i, (text, (assignment, _)) in enumerate(zip(problems, results)):
+    for i, (text, (choice, _)) in enumerate(zip(problems, results)):
         arrays[f"problem_{i}"] = np.array(text)
-        arrays[f"choice_{i}"] = assignment.choice
+        arrays[f"choice_{i}"] = choice
     np.savez_compressed(path, **arrays)
 
 
@@ -122,7 +122,7 @@ def main() -> int:
     per = max(len(problems), 1)
     mine = np.array([stats.objective for _, stats in results])
     gap = np.abs(mine - objective) / np.maximum(np.abs(objective), 1e-300)
-    same = sum(bool(np.array_equal(a.choice, c)) for (a, _), c in zip(results, choices))
+    same = sum(bool(np.array_equal(a, c)) for (a, _), c in zip(results, choices))
     worst = float(gap.max()) if len(gap) else 0.0
     print(f"{len(problems)} problems: largest relative objective gap {worst:.3g}, "
           f"identical choices {same} of {len(problems)} "

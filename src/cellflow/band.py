@@ -38,15 +38,10 @@ class BandState:
     R: int
     n_deep: int = 0
     strategy: BandStrategy = BandStrategy.FLOW_PATHS
-    alpha_interface: int = 0
-    alpha_deep: int = 0
+    alpha_le: int = 0  # air in the band interface and the deep together
     # diagnostics of the latest step
     last_s_in: int = 0
     last_s_out: int = 0
-
-    @property
-    def alpha_le(self) -> int:
-        return self.alpha_interface + self.alpha_deep
 
 
 def compute_alphas(cells: G.CellGrid, classes: dict[str, np.ndarray], state: BandState,
@@ -60,8 +55,7 @@ def compute_alphas(cells: G.CellGrid, classes: dict[str, np.ndarray], state: Ban
     a_deep = mu * int(classes["deep"].sum()) - state.n_deep
     if a_int < 0 or a_deep < 0:
         raise IntegrityError(f"negative band air: alpha_interface={a_int}, alpha_deep={a_deep}")
-    state.alpha_interface = a_int
-    state.alpha_deep = a_deep
+    state.alpha_le = a_int + a_deep
     return a_int, a_deep
 
 
@@ -151,7 +145,7 @@ class EdgeCost:
         self.target = problem.target_flat
         self.home = problem.target_flat[-1]
         strides = np.array([int(np.prod(problem.dims[k + 1:])) for k in range(len(problem.dims))])
-        self.offset_dir = {int(off): i for i, off in enumerate(problem.candidates.dirs.dirs @ strides)}
+        self.offset_dir = {int(off): i for i, off in enumerate(problem.candidates.dirs @ strides)}
         self.current = choice
 
     def direction(self, j: int, c_flat: int) -> int:
@@ -369,7 +363,7 @@ def correct_band_flow(cells: G.CellGrid, problem: CorrectionProblem, choice: np.
 # particle bookkeeping at the end of a band step
 
 def maintain_band(cells: G.CellGrid, particles, state: BandState, mu: int,
-                  rng: np.random.Generator, mac=None) -> dict:
+                  rng: np.random.Generator, mac) -> dict:
     """Delete particles that reached the deep, reseed the excess into the band.
 
     Runs after the marking update. Particles below depth -R are removed into
@@ -419,8 +413,7 @@ def maintain_band(cells: G.CellGrid, particles, state: BandState, mu: int,
             raise IntegrityError(
                 f"band cannot absorb {n_excess} excess particles (placed {added})")
         pos = np.vstack(new_pos)
-        vel = velocity_at(mac, pos) if mac is not None else np.zeros_like(pos)
-        particles.append(pos, vel)
+        particles.append(pos, velocity_at(mac, pos))
         state.n_deep -= added
 
     cells.rebuild_counts(particles.x)

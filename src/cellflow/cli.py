@@ -77,7 +77,7 @@ def _cmd_oracle(args) -> int:
         raise InputError(f"cannot read problem dump {args.dump!r}: {exc.strerror}") from None
     except InputError as exc:
         raise InputError(f"{args.dump}: {exc}") from None
-    assignment, stats = solve_problem(problem)
+    choice, stats = solve_problem(problem)
     print(f"flow solve: objective {stats.objective:.9f}, {stats.searches} searches, "
           f"{stats.drains} drains, {stats.pops} pops")
     if problem.n <= BRUTE_FORCE_LIMIT:
@@ -89,7 +89,7 @@ def _cmd_oracle(args) -> int:
             return 1
         print("OK")
     else:
-        problem.check_feasible(assignment.choice)
+        problem.check_feasible(choice)
         print(f"OK (n={problem.n} too large for brute force; feasibility verified)")
     return 0
 

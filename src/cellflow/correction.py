@@ -17,20 +17,12 @@ from . import grid as G
 from .errors import InputError, IntegrityError
 
 
-@dataclass
-class DirectionSet:
-    """Unit grid moves: positive axes, negative axes, then the zero (stay) move."""
-
-    dirs: np.ndarray  # (m, d) int
-    m: int
-    d: int
-
-
-def direction_set(d: int) -> DirectionSet:
+def direction_set(d: int) -> np.ndarray:
+    """The (2d + 1, d) unit grid moves: positive axes, negative axes, then
+    the zero (stay) move."""
     if d not in (2, 3):
         raise InputError(f"dimension must be 2 or 3, got {d}")
-    dirs = np.vstack([G.von_neumann_offsets(d), np.zeros((1, d), dtype=np.int64)])
-    return DirectionSet(dirs=dirs, m=2 * d + 1, d=d)
+    return np.vstack([G.von_neumann_offsets(d), np.zeros((1, d), dtype=np.int64)])
 
 
 def phi_close(q, c) -> np.ndarray:
@@ -63,7 +55,7 @@ class CandidateTable:
     cost: np.ndarray         # (m, n) float
     target_flat: np.ndarray  # (m, n) int64, -1 where invalid
     valid: np.ndarray        # (m, n) bool
-    dirs: DirectionSet
+    dirs: np.ndarray         # (m, d) int, direction_set(d)
 
     @property
     def m(self) -> int:
@@ -80,7 +72,7 @@ def build_candidates(particles, cells: G.CellGrid) -> CandidateTable:
     x_ideal = np.asarray(particles.x_ideal, dtype=np.float64)
     n, d = x_prev.shape
     dirs = direction_set(d)
-    m = dirs.m
+    m = len(dirs)
 
     # one axis at a time on (m, n) arrays; cost sums the axes left to right,
     # as np.sum over a length-d axis does
@@ -88,7 +80,7 @@ def build_candidates(particles, cells: G.CellGrid) -> CandidateTable:
     flat = np.zeros((m, n), dtype=np.int64)
     in_bounds = np.ones((m, n), dtype=bool)
     for k in range(d):
-        target = np.floor(x_prev[:, k]).astype(np.int64) + dirs.dirs[:, k, None]
+        target = np.floor(x_prev[:, k]).astype(np.int64) + dirs[:, k, None]
         in_bounds &= (target >= 0) & (target < cells.dims[k])
         flat = flat * cells.dims[k] + target
         xi[:, :, k] = xk = phi_close(x_ideal[:, k], target)
@@ -159,18 +151,6 @@ class CorrectionProblem:
         return ok
 
 
-@dataclass
-class Assignment:
-    """Selected direction index per particle."""
-
-    choice: np.ndarray  # (n,) int64
-
-
-def stay_assignment(problem: CorrectionProblem) -> Assignment:
-    stay = problem.m - 1
-    return Assignment(choice=np.full(problem.n, stay, dtype=np.int64))
-
-
 def build_problem(
     cells: G.CellGrid,
     candidates: CandidateTable,
@@ -216,15 +196,15 @@ def build_problem(
         cost=np.where(candidates.valid, cost, np.inf),
         dims=cells.dims,
     )
-    stay = stay_assignment(problem)
-    if problem.n and not problem.check_feasible(stay.choice, strict=False):
+    stay = np.full(problem.n, problem.m - 1, dtype=np.int64)
+    if problem.n and not problem.check_feasible(stay, strict=False):
         raise IntegrityError("all-stay assignment infeasible; state snapshot is inconsistent")
     return problem
 
 
-def apply_solution(problem: CorrectionProblem, assignment: Assignment, particles, verify: bool = True) -> None:
-    """Move every particle to its selected candidate position."""
-    choice = assignment.choice
+def apply_solution(problem: CorrectionProblem, choice: np.ndarray, particles, verify: bool = True) -> None:
+    """Move every particle to its selected candidate position, ``choice``
+    holding each particle's direction index."""
     if verify:
         problem.check_feasible(choice)
     ar = np.arange(problem.n)

@@ -142,7 +142,7 @@ def apply_forces(mac: MacGrid, gravity, dt: float) -> None:
 
 def transfer_g2p(mac: MacGrid, saved_vel: list[np.ndarray], particles: ParticleSet,
                  stencils: list[tuple[np.ndarray, np.ndarray]], flip_ratio: float,
-                 max_speed: float | None = None) -> np.ndarray:
+                 max_speed: float) -> np.ndarray:
     """FLIP/PIC blend back to particles, then clamp to the scene speed bound.
 
     stencils are transfer_p2g's, at the unchanged x_prev. Returns the PIC
@@ -152,10 +152,9 @@ def transfer_g2p(mac: MacGrid, saved_vel: list[np.ndarray], particles: ParticleS
     delta = np.stack([_gather((mac.vel[a] - saved_vel[a]).ravel(), st)
                       for a, st in enumerate(stencils)], axis=1)
     particles.vel = flip_ratio * (particles.vel + delta) + (1.0 - flip_ratio) * pic
-    if max_speed is not None and particles.n:
-        peak = np.abs(particles.vel).max(axis=1)
-        scale = np.where(peak > max_speed, max_speed / np.maximum(peak, 1e-30), 1.0)
-        particles.vel *= scale[:, None]
+    peak = np.abs(particles.vel).max(axis=1)
+    scale = np.where(peak > max_speed, max_speed / np.maximum(peak, 1e-30), 1.0)
+    particles.vel *= scale[:, None]
     return pic
 
 
@@ -199,7 +198,7 @@ def advect_grid_velocity(mac: MacGrid, dt: float, face_masks: list[np.ndarray]) 
         mac.vel[a][face_masks[a]] = new_vals[face_masks[a]]
 
 
-def clamp_dt(mac: MacGrid, dt_request: float, obstacle_speed: float = 0.0) -> float:
+def clamp_dt(mac: MacGrid, dt_request: float, obstacle_speed: float) -> float:
     """Largest dt <= request moving nothing more than one cell.
 
     Uses the current maximum face speed and the fastest obstacle; with
@@ -232,7 +231,7 @@ def _divergence(mac: MacGrid) -> np.ndarray:
     return div
 
 
-def solve_pressure(mac: MacGrid, cells: G.CellGrid, solid_vel: list[np.ndarray] | None = None,
+def solve_pressure(mac: MacGrid, cells: G.CellGrid, solid_vel: list[np.ndarray],
                    tol: float = 1e-6, max_iter: int = 2000) -> PressureStats:
     """MAC pressure projection by conjugate gradients on the fluid cells.
 
@@ -319,13 +318,9 @@ def solve_pressure(mac: MacGrid, cells: G.CellGrid, solid_vel: list[np.ndarray] 
     return stats
 
 
-def impose_solid_faces(mac: MacGrid, cells: G.CellGrid, solid_vel: list[np.ndarray] | None) -> None:
+def impose_solid_faces(mac: MacGrid, cells: G.CellGrid, solid_vel: list[np.ndarray]) -> None:
     """Force faces adjacent to solid cells to the solid's normal velocity."""
-    solid = cells.solid_mask().reshape(cells.dims)
+    solid = cells.solid_mask()
     for a in range(mac.d):
-        mask = G.face_mask(mac.dims, a, solid.reshape(-1))
-        vals = solid_vel[a] if solid_vel is not None else 0.0
-        if np.isscalar(vals):
-            mac.vel[a][mask] = vals
-        else:
-            mac.vel[a][mask] = vals[mask]
+        mask = G.face_mask(mac.dims, a, solid)
+        mac.vel[a][mask] = solid_vel[a][mask]

@@ -254,7 +254,7 @@ def face_mask(dims, a: int, cells_flat: np.ndarray) -> np.ndarray:
     return out
 
 
-def classify_cells(grid: CellGrid, particles, obstacles=(), classes: dict | None = None) -> np.ndarray:
+def classify_cells(grid: CellGrid, x: np.ndarray, obstacles=(), classes: dict | None = None) -> np.ndarray:
     """Recompute cell markings from particle positions and solid occupancy.
 
     Solid cells are tank walls plus obstacle-occupied cells. Fluid cells are
@@ -267,7 +267,6 @@ def classify_cells(grid: CellGrid, particles, obstacles=(), classes: dict | None
     A fluid cell is SURFACE when some Moore neighbor is non-fluid and not a
     tank wall, INNER otherwise.
     """
-    x = getattr(particles, "x", particles)
     solid = grid.wall.copy()
     for obs in obstacles:
         solid[obs.occupied_flat(grid)] = True

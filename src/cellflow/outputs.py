@@ -57,7 +57,11 @@ class RunWriter:
 
     def __init__(self, out_dir, cfg: SceneConfig, render: bool = False):
         self.dir = Path(out_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot create output directory {str(out_dir)!r}: "
+                             f"{exc.strerror}") from None
         self.cfg = cfg
         self.render = render
         self.volume_path = self.dir / "volume.csv"

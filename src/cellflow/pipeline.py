@@ -100,7 +100,7 @@ class Simulation:
 
         self.particles = self._seed_particles()
         self.total_budget = self.particles.n  # live + n_deep + future emissions
-        G.classify_cells(self.grid, self.particles, self.obstacles)
+        G.classify_cells(self.grid, self.particles.x, self.obstacles)
         G.assign_depth(self.grid)
         if self.band is not None:
             B.maintain_band(self.grid, self.particles, self.band, cfg.mu, self.rng, self.mac)
@@ -245,7 +245,7 @@ class Simulation:
             S.integrate_free_fall(obs, cfg.gravity, dt, moved, cfg.max_speed)
         trace.append("gate")
 
-        G.classify_cells(grid, particles, self.obstacles, classes)
+        G.classify_cells(grid, particles.x, self.obstacles, classes)
         G.assign_depth(grid)
         trace.append("markings")
 
@@ -324,10 +324,10 @@ class Simulation:
                 B.attach_region(problem, classes, band.alpha_le)
 
         try:
-            assignment, stats = V.solve_problem(problem)
+            choice, stats = V.solve_problem(problem)
             if band is not None and band.strategy is B.BandStrategy.FLOW_PATHS:
                 # repair the plain solve's choice
-                diag = B.correct_band_flow(grid, problem, assignment.choice, classes, band, cfg.mu)
+                diag = B.correct_band_flow(grid, problem, choice, classes, band, cfg.mu)
                 for key in ("n_move", "paths", "find_calls"):
                     band_diag[key] += diag[key]
         except IntegrityError as exc:
@@ -338,8 +338,8 @@ class Simulation:
         solver_stats["objective"] += stats.objective
         solver_stats["solve_time"] += stats.wall_time
         if band is not None:
-            band.last_s_in, band.last_s_out = B.region_slack(problem, assignment.choice)
-        C.apply_solution(problem, assignment, particles, verify=self.check_invariants)
+            band.last_s_in, band.last_s_out = B.region_slack(problem, choice)
+        C.apply_solution(problem, choice, particles, verify=self.check_invariants)
         return proposals
 
     # ------------------------------------------------------------------

@@ -106,10 +106,16 @@ class SceneConfig:
             raise InputError("frame_dt must be positive")
         if self.frames < 0:
             raise InputError("frames must be >= 0")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         boxes = [("fluid", r.box) for r in self.fluids] + [("emitter", e.box) for e in self.emitters]
         for what, box in boxes + [("obstacle", o.box) for o in self.obstacles]:
             if len(box.lo) != d:
                 raise InputError(f"{what} box {box.lo}..{box.hi} does not match dims {self.dims}")
+        moving = [("emitter", e) for e in self.emitters] + [("obstacle", o) for o in self.obstacles]
+        for what, item in moving:
+            if len(item.velocity) != d:
+                raise InputError(f"{what} velocity {item.velocity} does not match dims {self.dims}")
         for what, box in boxes:
             if any(lo < 1 or hi > n - 1 for lo, hi, n in zip(box.lo, box.hi, self.dims)):
                 raise InputError(f"{what} box {box.lo}..{box.hi} leaves the non-wall domain")

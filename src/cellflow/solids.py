@@ -53,25 +53,22 @@ class Obstacle:
 
 @dataclass
 class MotionProposal:
-    candidate: np.ndarray   # occupancy after the move
     new_solid: np.ndarray   # cells claimed beyond the current occupancy
     wall_blocked: bool      # move would intersect a tank wall
 
 
 def propose_motion(obstacle: Obstacle, grid: G.CellGrid, dt: float) -> MotionProposal:
-    """Candidate occupancy after moving for dt, and the newly claimed cells.
+    """The cells the obstacle would newly claim by moving for dt.
 
-    Motion into tank walls is blocked outright: the proposal collapses to the
-    current occupancy with an empty new-cell set and the wall flag raised.
+    Motion into tank walls is blocked outright: the proposal claims no cell
+    and raises the wall flag.
     """
     new_pos = obstacle.pos + obstacle.velocity * dt
     candidate = obstacle.cells_at(new_pos, grid)
     if grid.wall[candidate].any():
-        return MotionProposal(candidate=obstacle.occupied_flat(grid),
-                              new_solid=np.zeros(0, dtype=np.int64), wall_blocked=True)
-    current = obstacle.occupied_flat(grid)
-    new_solid = np.setdiff1d(candidate, current, assume_unique=False)
-    return MotionProposal(candidate=candidate, new_solid=new_solid, wall_blocked=False)
+        return MotionProposal(new_solid=np.zeros(0, dtype=np.int64), wall_blocked=True)
+    new_solid = np.setdiff1d(candidate, obstacle.occupied_flat(grid), assume_unique=False)
+    return MotionProposal(new_solid=new_solid, wall_blocked=False)
 
 
 @dataclass
@@ -84,22 +81,16 @@ class SolidObjective:
 
 
 def build_solid_objective(grid: G.CellGrid, new_solid: np.ndarray,
-                          lambda_penalty: float) -> SolidObjective | None:
-    if len(new_solid) == 0:
-        return None
+                          lambda_penalty: float) -> SolidObjective:
     cdist = G.clearing_distance(grid, new_solid)
     return SolidObjective(lambda_penalty=lambda_penalty, cdist=cdist, new_solid=np.asarray(new_solid))
 
 
-def override_costs(candidates, so: SolidObjective | None) -> np.ndarray:
-    """Candidate cost table with the solid objective applied."""
-    cost = candidates.cost.copy()
-    if so is None:
-        return cost
+def override_costs(candidates, so: SolidObjective) -> np.ndarray:
+    """Candidate cost table with the solid objective applied, a new array."""
     in_new = np.isin(candidates.target_flat, so.new_solid)
     penal = so.lambda_penalty * so.cdist[np.where(in_new, candidates.target_flat, 0)]
-    cost = np.where(in_new & candidates.valid, penal, cost)
-    return cost
+    return np.where(in_new & candidates.valid, penal, candidates.cost)
 
 
 def gate_motion(obstacle: Obstacle, grid: G.CellGrid, particles: ParticleSet,
@@ -141,12 +132,11 @@ def solid_face_velocities(grid: G.CellGrid, mac_dims, obstacles) -> list[np.ndar
 
 
 def integrate_free_fall(obstacle: Obstacle, gravity, dt: float, moved: bool,
-                        max_speed: float | None = None) -> None:
+                        max_speed: float) -> None:
     """Accumulate gravity into a free-fall obstacle only while it moves."""
     if obstacle.kinematics is not Kinematics.FREE_FALL or not moved:
         return
     obstacle.velocity = obstacle.velocity + np.asarray(gravity, dtype=np.float64) * dt
-    if max_speed is not None:
-        peak = float(np.abs(obstacle.velocity).max())
-        if peak > max_speed:
-            obstacle.velocity = obstacle.velocity * (max_speed / peak)
+    peak = float(np.abs(obstacle.velocity).max())
+    if peak > max_speed:
+        obstacle.velocity = obstacle.velocity * (max_speed / peak)

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correction import Assignment, CorrectionProblem
+from .correction import CorrectionProblem
 from .errors import InputError, IntegrityError
 
 # Enables O(E) per-iteration reduced-cost assertions inside solve_mcf.
@@ -133,7 +133,7 @@ def reduce_to_flow(problem: CorrectionProblem) -> FlowNetwork:
     return net
 
 
-def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
+def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
     """Integral min-cost flow by successive shortest paths on the cell graph.
 
     Each particle holds one unit of excess; cell u has a deficit of floor[u]
@@ -222,7 +222,7 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
         feeds, in_hub = net.hub_cell.tolist(), min(len(held), net.hub_cap)
     if accepted.all() and (count_np >= net.floor).all() and in_hub >= net.hub_floor:
         _check_reduced_costs(net, pick, np.zeros(K + 2), count_np)
-        return Assignment(choice=net.cand_i[pick]), SolveStats(
+        return net.cand_i[pick], SolveStats(
             objective=float(net.cand_cost[pick].sum()), wall_time=time.perf_counter() - t0)
 
     starts = starts.tolist()
@@ -443,7 +443,7 @@ def solve_mcf(net: FlowNetwork) -> tuple[Assignment, SolveStats]:
     stats = SolveStats(objective=float(net.cand_cost[chosen].sum()), searches=run - drains,
                        pops=pops, scans=scans, tables=tables, drains=drains,
                        wall_time=time.perf_counter() - t0)
-    return Assignment(choice=net.cand_i[chosen]), stats
+    return net.cand_i[chosen], stats
 
 
 def _check_reduced_costs(net: FlowNetwork, chosen: np.ndarray, pi: np.ndarray,
@@ -471,7 +471,7 @@ def _check_reduced_costs(net: FlowNetwork, chosen: np.ndarray, pi: np.ndarray,
         raise IntegrityError(f"optimality check failed: reduced cost {red.min()}")
 
 
-def solve_problem(problem: CorrectionProblem) -> tuple[Assignment, SolveStats]:
+def solve_problem(problem: CorrectionProblem) -> tuple[np.ndarray, SolveStats]:
     """Convenience wrapper: reduce to flow and solve."""
     return solve_mcf(reduce_to_flow(problem))
 
@@ -482,7 +482,7 @@ def solve_problem(problem: CorrectionProblem) -> tuple[Assignment, SolveStats]:
 BRUTE_FORCE_LIMIT = 12
 
 
-def brute_force_ilp(problem: CorrectionProblem) -> tuple[Assignment, float]:
+def brute_force_ilp(problem: CorrectionProblem) -> tuple[np.ndarray, float]:
     """Exhaustive search over all candidate selections (n <= 12).
 
     Depth-first enumeration over per-particle candidates with sound pruning
@@ -494,7 +494,7 @@ def brute_force_ilp(problem: CorrectionProblem) -> tuple[Assignment, float]:
     if n > BRUTE_FORCE_LIMIT:
         raise InputError(f"brute force refused for n={n} > {BRUTE_FORCE_LIMIT}")
     if n == 0:
-        return Assignment(choice=np.zeros(0, dtype=np.int64)), 0.0
+        return np.zeros(0, dtype=np.int64), 0.0
 
     cands = []
     for j in range(n):
@@ -549,4 +549,4 @@ def brute_force_ilp(problem: CorrectionProblem) -> tuple[Assignment, float]:
     dfs(0, 0.0, total_floor)
     if best_choice is None:
         raise IntegrityError("brute force found no feasible assignment")
-    return Assignment(choice=best_choice), float(best_obj)
+    return best_choice, float(best_obj)

@@ -5,7 +5,7 @@ import pytest
 from cellflow import band as B
 from cellflow import correction as C
 from cellflow import grid as G
-from cellflow.flip import ParticleSet, clamp_positions
+from cellflow.flip import MacGrid, ParticleSet, clamp_positions
 
 
 class StaticCells:
@@ -70,6 +70,11 @@ def random_problem(rng, dims=(6, 6), mu=None, n_max=10, solid_prob=0.12):
     return problem, grid, particles
 
 
+def stay_choice(problem):
+    """The all-stay choice vector: every particle takes the last direction."""
+    return np.full(problem.n, problem.m - 1, dtype=np.int64)
+
+
 def random_band_instance(rng, push=-1.0):
     """Random toy band state (1 ppc, tiny tank) with a vertical push: down by
     default, up for push=+1."""
@@ -88,7 +93,7 @@ def random_band_instance(rng, push=-1.0):
     grid.rebuild_counts(x)
     particles = ParticleSet.from_positions(x)
     state = B.BandState(R=R)
-    B.maintain_band(grid, particles, state, mu=1, rng=rng)
+    B.maintain_band(grid, particles, state, mu=1, rng=rng, mac=MacGrid(dims))
     if particles.n == 0 or particles.n > 10:
         return None
     grid.rebuild_counts(particles.x)

@@ -141,9 +141,9 @@ def test_criterion_05_lp_ilp_equivalence():
         problem, grid, particles = random_problem(
             rng, dims=(6, 6) if count % 2 else (7, 7), n_max=12)
         assignment, stats = V.solve_problem(problem)
-        problem.check_feasible(assignment.choice)
+        problem.check_feasible(assignment)
         oracle_a, oracle_obj = V.brute_force_ilp(problem)
-        problem.check_feasible(oracle_a.choice)
+        problem.check_feasible(oracle_a)
         worst_gap = max(worst_gap, abs(stats.objective - oracle_obj))
         count += 1
     elapsed = time.perf_counter() - t0
@@ -180,10 +180,10 @@ def test_criterion_08_fig_path_reproduction():
     problem = C.build_problem(grid, table, mu=1, classes=cls)
     in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
     assignment, _ = V.solve_problem(problem)
-    n_in, n_out, s_in, s_out = compute_io(assignment.choice, in_mask, out_mask,
+    n_in, n_out, s_in, s_out = compute_io(assignment, in_mask, out_mask,
                                           state.alpha_le)
     first_ok = (n_in, n_out, s_in, s_out) == (1, 0, -1, 1)
-    diag = B.correct_band_flow(grid, problem, assignment.choice, cls, state, mu=1)
+    diag = B.correct_band_flow(grid, problem, assignment, cls, state, mu=1)
     C.apply_solution(problem, assignment, particles)
     flow_ok = diag["n_move"] == 1 and diag["s_in"] == 0
     check(8, first_ok and flow_ok,
@@ -218,20 +218,20 @@ def test_criterion_09_oneway_vs_flowpaths():
         problem = C.build_problem(grid, table, mu=1, classes=cls)
         in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
         assignment, _ = V.solve_problem(problem)
-        n_in, n_out, s_in, s_out = compute_io(assignment.choice, in_mask, out_mask,
+        n_in, n_out, s_in, s_out = compute_io(assignment, in_mask, out_mask,
                                               state.alpha_le)
         if s_in >= 0 and s_out >= 0:
             continue
         full_row = with_region(problem, grid, state.R, state.alpha_le)
-        constrained = build_one_way(full_row, assignment.choice, in_mask, out_mask,
+        constrained = build_one_way(full_row, assignment, in_mask, out_mask,
                                     state.alpha_le)
         fixed, oneway_obj = V.brute_force_ilp(constrained)
-        io_fixed = compute_io(fixed.choice, in_mask, out_mask, state.alpha_le)
+        io_fixed = compute_io(fixed, in_mask, out_mask, state.alpha_le)
         assert io_fixed[2] >= 0 and io_fixed[3] >= 0
 
         _, full_obj = V.brute_force_ilp(full_row)
 
-        diag = B.correct_band_flow(grid, problem, assignment.choice, cls, state, mu=1)
+        diag = B.correct_band_flow(grid, problem, assignment, cls, state, mu=1)
         C.apply_solution(problem, assignment, particles)
         assert diag["s_in"] >= 0 and diag["s_out"] >= 0
         flow_obj = float(((particles.x - particles.x_ideal) ** 2).sum())

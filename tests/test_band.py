@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_band_instance
+from conftest import random_band_instance, stay_choice
 from oracles import build_one_way, compute_io, gamma_io_masks, objective_of, with_region
 
 from cellflow import band as B
@@ -13,7 +13,7 @@ from cellflow import grid as G
 from cellflow import solids as S
 from cellflow import solvers as V
 from cellflow.errors import InputError, IntegrityError
-from cellflow.flip import ParticleSet, clamp_positions
+from cellflow.flip import MacGrid, ParticleSet, clamp_positions
 from cellflow.scene import SceneConfig
 
 
@@ -97,7 +97,7 @@ class TestIO:
         problem, assignment = solved_plain(grid, particles, mu=1)
         cls = G.band_classes(grid.prev, 2)
         in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
-        n_in, n_out, s_in, s_out = compute_io(assignment.choice, in_mask, out_mask, alpha_le=3)
+        n_in, n_out, s_in, s_out = compute_io(assignment, in_mask, out_mask, alpha_le=3)
         assert (n_in, n_out) == (0, 0)
         assert s_in == 3 and s_out == 0
 
@@ -107,7 +107,7 @@ class TestIO:
         problem, assignment = solved_plain(grid, particles, mu=1, R=2)
         cls = G.band_classes(grid.prev, 2)
         in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
-        n_in, n_out, s_in, s_out = compute_io(assignment.choice, in_mask, out_mask, alpha_le=0)
+        n_in, n_out, s_in, s_out = compute_io(assignment, in_mask, out_mask, alpha_le=0)
         assert (n_in, n_out) == (1, 0)
         assert s_in == -1 and s_out == 1
 
@@ -120,7 +120,7 @@ class TestOneWay:
         cls = G.band_classes(grid.prev, 2)
         in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
         with pytest.raises(InputError):
-            build_one_way(problem, assignment.choice, in_mask, out_mask, alpha_le=5)
+            build_one_way(problem, assignment, in_mask, out_mask, alpha_le=5)
 
     def test_zero_entrants_forced(self):
         # the single-entrant situation with no air: the point interval pins
@@ -131,10 +131,10 @@ class TestOneWay:
         cls = G.band_classes(grid.prev, 2)
         in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
         full = with_region(problem, grid, R=2, alpha_le=0)
-        constrained = build_one_way(full, assignment.choice, in_mask, out_mask, alpha_le=0)
+        constrained = build_one_way(full, assignment, in_mask, out_mask, alpha_le=0)
         fixed, stats = V.solve_problem(constrained)
-        constrained.check_feasible(fixed.choice)
-        n_in, n_out, s_in, s_out = compute_io(fixed.choice, in_mask, out_mask, alpha_le=0)
+        constrained.check_feasible(fixed)
+        n_in, n_out, s_in, s_out = compute_io(fixed, in_mask, out_mask, alpha_le=0)
         assert n_in == 0
         assert s_in >= 0 and s_out >= 0
 
@@ -144,7 +144,7 @@ class TestOneWay:
         problem, assignment = solved_plain(grid, particles, mu=1, R=2)
         cls = G.band_classes(grid.prev, 2)
         in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
-        n_in, n_out, s_in, s_out = compute_io(assignment.choice, in_mask, out_mask, alpha_le=1)
+        n_in, n_out, s_in, s_out = compute_io(assignment, in_mask, out_mask, alpha_le=1)
         # alpha of 1 absorbs the entrant, so the full band row is satisfied by
         # the unconstrained optimum and the hub solve reproduces it
         assert s_in >= 0
@@ -158,7 +158,7 @@ def table_edge_cost(grid, particles, mu=1):
     """Edge costs read from the plain correction problem of the current state,
     over the all-stay choice: every particle in its previous-step cell."""
     problem = C.build_problem(grid, C.build_candidates(particles, grid), mu)
-    return B.EdgeCost(problem, C.stay_assignment(problem).choice)
+    return B.EdgeCost(problem, stay_choice(problem))
 
 
 def members_of(grid, edge_cost):
@@ -305,7 +305,7 @@ class TestEdgeCost:
         so = S.build_solid_objective(grid, np.array([up]), SceneConfig.lambda_penalty)
         table = C.build_candidates(particles, grid)
         problem = C.build_problem(grid, table, 1, solid_cost=S.override_costs(table, so))
-        edge_cost = B.EdgeCost(problem, C.stay_assignment(problem).choice)
+        edge_cost = B.EdgeCost(problem, stay_choice(problem))
         assert edge_cost(j, up) == so.lambda_penalty * so.cdist[up] - problem.cost[-1, j]
 
     def test_wall_cell_costs_inf(self):
@@ -469,12 +469,12 @@ def test_flow_paths_stay_in_one_way_set(push):
         problem = C.build_problem(grid, table, mu=1, classes=cls)
         in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
         assignment, _ = V.solve_problem(problem)
-        _, _, s_in, s_out = compute_io(assignment.choice, in_mask, out_mask, state.alpha_le)
+        _, _, s_in, s_out = compute_io(assignment, in_mask, out_mask, state.alpha_le)
         if s_in >= 0 and s_out >= 0:
             continue
         full = with_region(problem, grid, state.R, state.alpha_le)
-        one_way = build_one_way(full, assignment.choice, in_mask, out_mask, state.alpha_le)
-        choice = assignment.choice
+        one_way = build_one_way(full, assignment, in_mask, out_mask, state.alpha_le)
+        choice = assignment
         B.correct_band_flow(grid, problem, choice, cls, state, mu=1)
         C.apply_solution(problem, assignment, particles)  # checks the band row it carries
         assert one_way.check_feasible(choice, strict=False)
@@ -506,7 +506,7 @@ def test_flow_paths_one_move_short_fails_band_row(push, monkeypatch):
         grid, particles, state = inst
         cls = G.band_classes(grid.prev, state.R)
         problem = C.build_problem(grid, C.build_candidates(particles, grid), mu=1, classes=cls)
-        choice = V.solve_problem(problem)[0].choice
+        choice = V.solve_problem(problem)[0]
         before_move.clear()
         try:
             diag = B.correct_band_flow(grid, problem, choice, cls, state, mu=1)
@@ -556,17 +556,17 @@ class TestHubSolve:
         binding = 0
         for grid, particles, state, problem, full, (in_mask, out_mask) in band_toys(push, 200):
             assignment, stats = V.solve_problem(full)
-            full.check_feasible(assignment.choice)
+            full.check_feasible(assignment)
             _, oracle = V.brute_force_ilp(full)
             assert abs(stats.objective - oracle) < 1e-9
             plain, _ = V.solve_problem(problem)
-            _, _, s_in, s_out = compute_io(plain.choice, in_mask, out_mask, state.alpha_le)
+            _, _, s_in, s_out = compute_io(plain, in_mask, out_mask, state.alpha_le)
             if s_in >= 0 and s_out >= 0:
                 continue
             binding += 1
-            one_way = build_one_way(full, plain.choice, in_mask, out_mask, state.alpha_le)
+            one_way = build_one_way(full, plain, in_mask, out_mask, state.alpha_le)
             assignment, stats = V.solve_problem(one_way)
-            one_way.check_feasible(assignment.choice)
+            one_way.check_feasible(assignment)
             _, oracle = V.brute_force_ilp(one_way)
             assert abs(stats.objective - oracle) < 1e-9
         assert binding >= 30
@@ -587,7 +587,7 @@ class TestHubSolve:
                 except IntegrityError:
                     continue  # no selection meets the interval
                 assignment, stats = V.solve_problem(full)
-                full.check_feasible(assignment.choice)
+                full.check_feasible(assignment)
                 assert abs(stats.objective - oracle) < 1e-9
                 solved += 1
         assert solved >= 150
@@ -641,7 +641,7 @@ class TestMaintain:
         grid, particles, state = self._band_grid(R=1)
         n0 = particles.n
         rng = np.random.default_rng(0)
-        out = B.maintain_band(grid, particles, state, mu=1, rng=rng)
+        out = B.maintain_band(grid, particles, state, mu=1, rng=rng, mac=MacGrid(grid.dims))
         deep_cells = int((grid.fluid_mask() & (grid.depth < -1)).sum())
         assert out["removed"] == deep_cells  # 1 ppc
         assert state.n_deep == deep_cells
@@ -650,17 +650,17 @@ class TestMaintain:
     def test_noop_when_band_balanced(self):
         grid, particles, state = self._band_grid(R=1)
         rng = np.random.default_rng(0)
-        B.maintain_band(grid, particles, state, mu=1, rng=rng)
+        B.maintain_band(grid, particles, state, mu=1, rng=rng, mac=MacGrid(grid.dims))
         n_before = particles.n
         deep_before = state.n_deep
-        B.maintain_band(grid, particles, state, mu=1, rng=rng)
+        B.maintain_band(grid, particles, state, mu=1, rng=rng, mac=MacGrid(grid.dims))
         assert particles.n == n_before
         assert state.n_deep == deep_before
 
     def test_excess_reseeded_into_interface(self):
         grid, particles, state = self._band_grid(R=1)
         rng = np.random.default_rng(0)
-        B.maintain_band(grid, particles, state, mu=1, rng=rng)
+        B.maintain_band(grid, particles, state, mu=1, rng=rng, mac=MacGrid(grid.dims))
         # two interface residents wander off (delete them) while two imaginary
         # deep particles surface: reseeding refills the freed interface cells
         iface = np.flatnonzero(grid.fluid_mask() & (grid.depth == -1))
@@ -670,7 +670,7 @@ class TestMaintain:
         particles.keep(~np.isin(np.arange(particles.n), gone))
         live = particles.n
         state.n_deep += 2
-        out = B.maintain_band(grid, particles, state, mu=1, rng=rng)
+        out = B.maintain_band(grid, particles, state, mu=1, rng=rng, mac=MacGrid(grid.dims))
         assert out["reseeded"] == 2
         assert particles.n == live + 2
         counts = np.bincount(grid.cell_of(particles.x), minlength=grid.ncells)
@@ -679,10 +679,10 @@ class TestMaintain:
     def test_overfull_interface_rejected(self):
         grid, particles, state = self._band_grid(R=1)
         rng = np.random.default_rng(0)
-        B.maintain_band(grid, particles, state, mu=1, rng=rng)
+        B.maintain_band(grid, particles, state, mu=1, rng=rng, mac=MacGrid(grid.dims))
         state.n_deep += 2  # no space anywhere for the excess
         with pytest.raises(IntegrityError):
-            B.maintain_band(grid, particles, state, mu=1, rng=rng)
+            B.maintain_band(grid, particles, state, mu=1, rng=rng, mac=MacGrid(grid.dims))
 
     @staticmethod
     def _lowered_pool(extra_cell):
@@ -717,7 +717,8 @@ class TestMaintain:
                                                                            True, True]
         particles = ParticleSet.from_positions(x)
         state = B.BandState(R=2)
-        out = B.maintain_band(grid, particles, state, mu=2, rng=np.random.default_rng(0))
+        out = B.maintain_band(grid, particles, state, mu=2, rng=np.random.default_rng(0),
+                              mac=MacGrid(grid.dims))
         keep = ~cls["deep"][flat]
         keep[residents[2:]] = False  # the mu = 2 earliest residents stay
         overflow = 3
@@ -734,14 +735,14 @@ class TestMaintain:
         particles = ParticleSet.from_positions(x)
         with pytest.raises(IntegrityError, match="outside the former deep region"):
             B.maintain_band(grid, particles, B.BandState(R=2), mu=2,
-                            rng=np.random.default_rng(0))
+                            rng=np.random.default_rng(0), mac=MacGrid(grid.dims))
 
     def test_conservation_across_maintenance(self):
         grid, particles, state = self._band_grid(R=1)
         rng = np.random.default_rng(0)
         total0 = particles.n + state.n_deep
         for _ in range(3):
-            B.maintain_band(grid, particles, state, mu=1, rng=rng)
+            B.maintain_band(grid, particles, state, mu=1, rng=rng, mac=MacGrid(grid.dims))
             assert particles.n + state.n_deep == total0
 
 
@@ -765,7 +766,8 @@ def fig_path_state():
     grid.rebuild_counts(x)
     particles = ParticleSet.from_positions(x)
     state = B.BandState(R=1)
-    B.maintain_band(grid, particles, state, mu=1, rng=np.random.default_rng(0))
+    B.maintain_band(grid, particles, state, mu=1, rng=np.random.default_rng(0),
+                    mac=MacGrid(grid.dims))
     grid.rebuild_counts(particles.x)
     grid.snapshot()
     B.compute_alphas(grid, G.band_classes(grid.prev, state.R), state, mu=1)
@@ -789,12 +791,12 @@ class TestFigPathScenario:
         problem = C.build_problem(grid, table, mu=1, classes=cls)
         in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
         assignment, stats = V.solve_problem(problem)
-        n_in, n_out, s_in, s_out = compute_io(assignment.choice, in_mask, out_mask,
+        n_in, n_out, s_in, s_out = compute_io(assignment, in_mask, out_mask,
                                               state.alpha_le)
         assert (n_in, n_out) == (1, 0)
         assert (s_in, s_out) == (-1, 1)
 
-        diag = B.correct_band_flow(grid, problem, assignment.choice, cls, state, mu=1)
+        diag = B.correct_band_flow(grid, problem, assignment, cls, state, mu=1)
         assert diag["n_move"] == 1
         assert diag["find_calls"] == 1
         assert diag["s_in"] == 0 and diag["s_out"] >= 0
@@ -805,7 +807,7 @@ class TestFigPathScenario:
         cls = G.band_classes(grid.prev, state.R)
         problem = C.build_problem(grid, table, mu=1, classes=cls)
         assignment, _ = V.solve_problem(problem)
-        B.correct_band_flow(grid, problem, assignment.choice, cls, state, mu=1)
+        B.correct_band_flow(grid, problem, assignment, cls, state, mu=1)
         C.apply_solution(problem, assignment, particles)
         counts = np.bincount(grid.cell_of(particles.x), minlength=grid.ncells)
         deep = grid.fluid_mask() & (grid.depth < -state.R)

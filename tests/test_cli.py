@@ -69,6 +69,17 @@ def assert_input_error(argv, capsys, *names):
     assert "Traceback" not in err and all(name in err for name in names), err
 
 
+def test_run_uncreatable_out(tmp_path, capsys):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    out = tmp_path / "file" / "x"  # a directory under a regular file
+    assert_input_error(["run", "dam", "--out", str(out), "--frames", "1"], capsys, str(out))
+
+
+def test_run_negative_seed(tmp_path, capsys):
+    assert_input_error(["run", "dam", "--out", str(tmp_path / "o"), "--frames", "1",
+                        "--seed", "-1"], capsys, "seed must be >= 0")
+
+
 @pytest.mark.parametrize("log, where", [
     (None, "volume.csv"),
     ("1,100.0,100.0\n", "line 2: malformed row"),

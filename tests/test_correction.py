@@ -8,24 +8,26 @@ from cellflow import grid as G
 from cellflow.errors import InputError, IntegrityError
 from cellflow.flip import ParticleSet
 
+from conftest import stay_choice
+
 
 class TestDirections:
     def test_2d(self):
         ds = C.direction_set(2)
-        assert ds.m == 5
+        assert len(ds) == 5
         expected = [(1, 0), (0, 1), (-1, 0), (0, -1), (0, 0)]
-        assert [tuple(v) for v in ds.dirs] == expected
+        assert [tuple(v) for v in ds] == expected
 
     def test_3d_count(self):
         ds = C.direction_set(3)
-        assert ds.m == 7
-        assert (ds.dirs[-1] == 0).all()
+        assert len(ds) == 7
+        assert (ds[-1] == 0).all()
 
     def test_zero_vector_last_and_unique(self):
         for d in (2, 3):
             ds = C.direction_set(d)
-            zero_rows = [i for i, v in enumerate(ds.dirs) if not v.any()]
-            assert zero_rows == [ds.m - 1]
+            zero_rows = [i for i, v in enumerate(ds) if not v.any()]
+            assert zero_rows == [len(ds) - 1]
 
     def test_bad_dimension(self):
         with pytest.raises(InputError):
@@ -124,7 +126,7 @@ class TestCandidates:
         grid = classified_grid((9, 9), [((4, 4), 1)])
         p = particles_at([[4.3, 4.7]], [[4.9, 4.2]])
         table = C.build_candidates(p, grid)
-        for i, dvec in enumerate(table.dirs.dirs):
+        for i, dvec in enumerate(table.dirs):
             if table.valid[i, 0]:
                 cell = grid.unflat(table.target_flat[i, 0])
                 assert (cell == np.array([4, 4]) + dvec).all()
@@ -136,7 +138,7 @@ def build_candidates_on_nd(particles, cells):
     targets flattened by np.ravel_multi_index and the cost an np.sum over d."""
     x_prev, x_ideal = particles.x_prev, particles.x_ideal
     dirs = C.direction_set(x_prev.shape[1])
-    target = np.floor(x_prev).astype(np.int64)[None, :, :] + dirs.dirs[:, None, :]
+    target = np.floor(x_prev).astype(np.int64)[None, :, :] + dirs[:, None, :]
     in_bounds = np.all((target >= 0) & (target < np.asarray(cells.dims)), axis=2)
     safe = np.where(in_bounds[:, :, None], target, 0)
     flat = np.ravel_multi_index(tuple(np.moveaxis(safe, 2, 0)), cells.dims).astype(np.int64)
@@ -206,8 +208,8 @@ class TestBuildProblem:
         p = particles_at([[3.3, 3.5], [3.7, 3.5], [4.5, 3.5]],
                          [[3.3, 3.9], [3.7, 3.2], [4.1, 3.5]])
         problem = C.build_problem(grid, C.build_candidates(p, grid), mu=4)
-        stay = C.stay_assignment(problem)
-        assert problem.check_feasible(stay.choice, strict=False)
+        stay = stay_choice(problem)
+        assert problem.check_feasible(stay, strict=False)
 
     def test_gamma_tilde_partition(self):
         grid = classified_grid((8, 8), [((3, 3), 1), ((4, 4), 1)])
@@ -226,14 +228,14 @@ class TestApply:
         grid = classified_grid((8, 8), [((3, 3), 1)])
         p = particles_at([[3.5, 3.5]], [[4.4, 3.6]])
         problem = C.build_problem(grid, C.build_candidates(p, grid), mu=4)
-        C.apply_solution(problem, C.stay_assignment(problem), p)
+        C.apply_solution(problem, stay_choice(problem), p)
         assert np.allclose(p.x[0], C.phi_close(np.array([4.4, 3.6]), (3, 3)))
 
     def test_infeasible_assignment_rejected(self):
         grid = classified_grid((8, 8), [((3, 3), 1), ((3, 4), 1)])
         p = particles_at([[3.5, 3.4], [3.5, 4.5]], [[3.5, 4.4], [3.5, 4.6]])
         problem = C.build_problem(grid, C.build_candidates(p, grid), mu=1)
-        bad = C.Assignment(choice=np.array([1, 4]))  # both into (3, 4), cap 1
+        bad = np.array([1, 4])  # both into (3, 4), cap 1
         with pytest.raises(IntegrityError):
             C.apply_solution(problem, bad, p)
 

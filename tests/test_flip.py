@@ -68,7 +68,7 @@ class TestTransfers:
         p.vel[:] = v
         stencils = F.transfer_p2g(p, mac)
         saved = mac.copy_velocity()
-        F.transfer_g2p(mac, saved, p, stencils, flip_ratio=0.97)
+        F.transfer_g2p(mac, saved, p, stencils, flip_ratio=0.97, max_speed=np.inf)
         assert np.allclose(p.vel, v, atol=1e-12)
 
     def test_g2p_pure_pic(self):
@@ -77,7 +77,7 @@ class TestTransfers:
             mac.vel[a][:] = 2.0 - a
         saved = mac.copy_velocity()
         p.vel[:] = [9.0, 9.0]
-        F.transfer_g2p(mac, saved, p, stencils_at(mac, p), flip_ratio=0.0)
+        F.transfer_g2p(mac, saved, p, stencils_at(mac, p), flip_ratio=0.0, max_speed=np.inf)
         assert np.allclose(p.vel, [2.0, 1.0])
 
     def test_g2p_pure_flip_increment(self):
@@ -86,7 +86,7 @@ class TestTransfers:
         for a in range(2):
             mac.vel[a][:] = saved[a] + 0.5
         p.vel[:] = [1.0, -1.0]
-        F.transfer_g2p(mac, saved, p, stencils_at(mac, p), flip_ratio=1.0)
+        F.transfer_g2p(mac, saved, p, stencils_at(mac, p), flip_ratio=1.0, max_speed=np.inf)
         assert np.allclose(p.vel, [1.5, -0.5])
 
     def test_speed_clamp(self):
@@ -178,11 +178,11 @@ class TestClampDt:
     def test_fast_fluid(self):
         grid, mac, p = make_state()
         mac.vel[0][:] = 4.0
-        assert F.clamp_dt(mac, 1.0) == pytest.approx(0.25)
+        assert F.clamp_dt(mac, 1.0, obstacle_speed=0.0) == pytest.approx(0.25)
 
     def test_all_still(self):
         grid, mac, p = make_state()
-        assert F.clamp_dt(mac, 0.7) == 0.7
+        assert F.clamp_dt(mac, 0.7, obstacle_speed=0.0) == 0.7
 
     def test_obstacle_binds(self):
         grid, mac, p = make_state()
@@ -334,7 +334,7 @@ def _neighbor_slices(d, a, side):
     return tuple(cur), tuple(nb)
 
 
-def full_grid_pressure(mac, cells, solid_vel=None, tol=1e-6, max_iter=2000):
+def full_grid_pressure(mac, cells, solid_vel, tol=1e-6, max_iter=2000):
     """Reference: the same CG run over every cell of the grid, with the
     identity off the fluid cells, where its vectors stay zero. solve_pressure
     must match it bit for bit, which also shows that the closing
@@ -447,14 +447,14 @@ class TestPressure:
 
     def test_zero_field_stays_zero(self):
         grid, mac, p = self._hydrostatic()
-        stats = F.solve_pressure(mac, grid)
+        stats = F.solve_pressure(mac, grid, [np.zeros_like(u) for u in mac.vel])
         for a in range(2):
             assert np.allclose(mac.vel[a], 0.0)
 
     def test_hydrostatic_divergence_removed(self):
         grid, mac, p = self._hydrostatic()
         F.apply_forces(mac, (0.0, -9.8), dt=0.1)
-        stats = F.solve_pressure(mac, grid, tol=1e-8)
+        stats = F.solve_pressure(mac, grid, [np.zeros_like(u) for u in mac.vel], tol=1e-8)
         assert divergence_residual(mac, grid) <= stats.tolerance + 1e-12
 
     def test_solid_faces_carry_solid_velocity(self):
@@ -474,7 +474,8 @@ class TestPressure:
         grid, mac, p = self._hydrostatic()
         F.apply_forces(mac, (0.0, -9.8), dt=0.1)
         with pytest.raises(SolverError):
-            F.solve_pressure(mac, grid, tol=1e-14, max_iter=1)
+            F.solve_pressure(mac, grid, [np.zeros_like(u) for u in mac.vel], tol=1e-14,
+                             max_iter=1)
 
 
     @staticmethod

@@ -132,6 +132,18 @@ name = rock
         with pytest.raises(InputError, match="obstacle box .* does not match dims"):
             parse_scene(bad)
 
+    @pytest.mark.parametrize("section", [
+        "[obstacle]\nbox = 4 4 6 6\nvelocity = -2\n",
+        "[emitter]\nbox = 4 4 6 6\nrate = 1\nvelocity = 0 -1 0\n",
+    ], ids=["obstacle", "emitter"])
+    def test_velocity_dimension_must_match_dims(self, section):
+        with pytest.raises(InputError, match="velocity .* does not match dims"):
+            parse_scene(MINIMAL + "\n" + section)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="seed must be >= 0"):
+            parse_scene(MINIMAL + "seed = -1\n")
+
     def test_round_trip(self):
         cfg = builtin_scene("dam_emit")
         text = scene_to_text(cfg)

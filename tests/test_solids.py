@@ -32,7 +32,6 @@ class TestProposeMotion:
         obs = box((4, 4), (2, 2))
         prop = S.propose_motion(obs, grid, dt=0.5)
         assert len(prop.new_solid) == 0 and not prop.wall_blocked
-        assert set(prop.candidate) == set(obs.occupied_flat(grid))
 
     def test_down_one_cell_claims_bottom_row(self):
         grid = tank()
@@ -47,7 +46,6 @@ class TestProposeMotion:
         prop = S.propose_motion(obs, grid, dt=0.5)
         assert prop.wall_blocked
         assert len(prop.new_solid) == 0
-        assert set(prop.candidate) == set(obs.occupied_flat(grid))
 
     def test_subcell_motion_within_cells(self):
         grid = tank()
@@ -158,7 +156,7 @@ class TestSolidObjective:
         table = C.build_candidates(p, grid)
         problem = C.build_problem(grid, table, mu=4, solid_cost=S.override_costs(table, so))
         assignment, obj = V.brute_force_ilp(problem)
-        target = grid.unflat(problem.target_flat[assignment.choice[0], 0])
+        target = grid.unflat(problem.target_flat[assignment[0], 0])
         # moved one step toward lower clearing distance, not stuck in place
         assert tuple(target) in ((4, 1),)
         flow_a, stats = V.solve_problem(problem)
@@ -202,12 +200,12 @@ class TestGate:
 class TestFreeFall:
     def test_gravity_accumulates_while_moving(self):
         obs = box((4, 6), (2, 2), vel=(0.0, 0.0), kinematics=S.Kinematics.FREE_FALL)
-        S.integrate_free_fall(obs, (0.0, -10.0), dt=0.1, moved=True)
+        S.integrate_free_fall(obs, (0.0, -10.0), dt=0.1, moved=True, max_speed=np.inf)
         assert np.allclose(obs.velocity, [0.0, -1.0])
 
     def test_velocity_retained_when_held(self):
         obs = box((4, 6), (2, 2), vel=(0.0, -3.0), kinematics=S.Kinematics.FREE_FALL)
-        S.integrate_free_fall(obs, (0.0, -10.0), dt=0.1, moved=False)
+        S.integrate_free_fall(obs, (0.0, -10.0), dt=0.1, moved=False, max_speed=np.inf)
         assert np.allclose(obs.velocity, [0.0, -3.0])
 
     def test_speed_capped(self):

@@ -6,7 +6,7 @@ from cellflow import correction as C
 from cellflow import solvers as V
 from cellflow.errors import InputError, IntegrityError
 
-from conftest import random_problem
+from conftest import random_problem, stay_choice
 from oracles import canonical_matrix, objective_of, tu_sample_check
 
 
@@ -92,7 +92,7 @@ class TestSolveMcf:
         for _ in range(60):
             problem, grid, particles = random_problem(rng, n_max=8)
             assignment, stats = V.solve_problem(problem)
-            problem.check_feasible(assignment.choice)
+            problem.check_feasible(assignment)
             _, oracle = V.brute_force_ilp(problem)
             assert abs(stats.objective - oracle) < 1e-9
             checked += 1
@@ -120,7 +120,7 @@ class TestSolveMcf:
         assignment, stats = V.solve_problem(problem)
         _, oracle = V.brute_force_ilp(problem)
         assert abs(stats.objective - oracle) < 1e-9
-        counts = problem.counts_of(assignment.choice)
+        counts = problem.counts_of(assignment)
         for c in cells:
             assert counts[grid.flat(c)] == 1
 
@@ -142,15 +142,15 @@ class TestSolveMcf:
         for _ in range(10):
             problem, grid, particles = random_problem(rng)
             assignment, stats = V.solve_problem(problem)
-            stay = C.stay_assignment(problem)
-            assert stats.objective <= objective_of(problem, stay.choice) + 1e-9
+            stay = stay_choice(problem)
+            assert stats.objective <= objective_of(problem, stay) + 1e-9
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         problem, grid, particles = random_problem(rng, n_max=10)
         a1, s1 = V.solve_problem(problem)
         a2, s2 = V.solve_problem(problem)
-        assert (a1.choice == a2.choice).all()
+        assert (a1 == a2).all()
         assert s1.objective == s2.objective
 
     def test_empty_problem(self):
@@ -164,7 +164,7 @@ class TestSolveMcf:
         problem = C.build_problem(grid, C.build_candidates(p, grid), mu=4)
         assignment, stats = V.solve_problem(problem)
         assert stats.objective == 0.0
-        assert len(assignment.choice) == 0
+        assert len(assignment) == 0
 
     def test_particle_without_candidate_refused(self, rng):
         problem, grid, particles = random_problem(rng, n_max=6)
@@ -223,8 +223,8 @@ class TestDrain:
                 continue
             assert int(pinned.floor.sum()) == pinned.n - slack
             assignment, stats = V.solve_problem(pinned)
-            pinned.check_feasible(assignment.choice)
-            assert stats.objective == pytest.approx(objective_of(pinned, assignment.choice),
+            pinned.check_feasible(assignment)
+            assert stats.objective == pytest.approx(objective_of(pinned, assignment),
                                                     abs=1e-12)
             _, oracle = V.brute_force_ilp(pinned)
             assert abs(stats.objective - oracle) < 1e-9
@@ -239,7 +239,7 @@ class TestDrain:
         problem = _tie_problem(np.random.default_rng(seed))
         assignment, stats = V.solve_problem(problem)
         assert stats.drains >= 2
-        problem.check_feasible(assignment.choice)
+        problem.check_feasible(assignment)
         _, oracle = V.brute_force_ilp(problem)
         assert abs(stats.objective - oracle) < 1e-9
 
@@ -301,7 +301,7 @@ class TestGreedyStart:
             assert (stats.searches, stats.drains, stats.pops, stats.scans) == (0, 0, 0, 0)
             picks, rejected = _greedy_rejects(problem)
             assert rejected == 0
-            assert (assignment.choice == picks).all()  # the first of equal costs
+            assert (assignment == picks).all()  # the first of equal costs
             _, oracle = V.brute_force_ilp(problem)
             assert abs(stats.objective - oracle) < 1e-9
 
@@ -314,7 +314,7 @@ class TestGreedyStart:
             net = V.reduce_to_flow(problem)
             assignment, stats = V.solve_mcf(net)
             assert stats.searches == stats.drains == 0
-            chosen = np.flatnonzero(net.cand_i == assignment.choice[net.cand_j])
+            chosen = np.flatnonzero(net.cand_i == assignment[net.cand_j])
             counts = np.bincount(net.cand_cell[chosen], minlength=len(net.cap))
             pi = np.zeros(len(net.cap) + 1)
             V._check_reduced_costs(net, chosen, pi, counts)
@@ -341,7 +341,7 @@ class TestArcTables:
 
     def _check(self, problem):
         assignment, stats = V.solve_problem(problem)
-        problem.check_feasible(assignment.choice)
+        problem.check_feasible(assignment)
         _, oracle = V.brute_force_ilp(problem)
         assert abs(stats.objective - oracle) < 1e-9
         return stats
@@ -433,7 +433,7 @@ def test_dam_problem_matches_highs(monkeypatch):
     problem, assignment, stats, _ = _scene_problem(monkeypatch, "dam", 12)
     assert problem.n == 3456
     assert stats.drains > 0
-    problem.check_feasible(assignment.choice)
+    problem.check_feasible(assignment)
     optimum = _highs_objective(problem)
     assert abs(stats.objective - optimum) <= 1e-9 * abs(optimum)
 
@@ -446,7 +446,7 @@ def test_falling_obs_problem_matches_highs(monkeypatch):
     assert penalised
     assert stats.searches > 0
     assert stats.drains > 0
-    problem.check_feasible(assignment.choice)
+    problem.check_feasible(assignment)
     optimum = _highs_objective(problem)
     assert abs(stats.objective - optimum) <= 1e-9 * abs(optimum)
 
@@ -461,14 +461,14 @@ def _band_problem_matches_highs(monkeypatch, scene, frame, R):
 
     band = BandConfig(enabled=True, R=R, strategy=BandStrategy.FULL)
     problem, assignment, stats, penalised = _scene_problem(monkeypatch, scene, frame, band)
-    problem.check_feasible(assignment.choice)
+    problem.check_feasible(assignment)
     optimum = _highs_objective(problem)
     assert abs(stats.objective - optimum) <= 1e-9 * abs(optimum)
     plain = C.CorrectionProblem(
         candidates=problem.candidates, mu=problem.mu, cap=problem.cap, floor=problem.floor,
         cost=problem.cost, dims=problem.dims, valid=problem.valid)
     plain_choice, _ = V.solve_problem(plain)
-    held = problem.counts_of(plain_choice.choice)[problem.region].sum()
+    held = problem.counts_of(plain_choice)[problem.region].sum()
     lo, hi = problem.region_bounds
     return int(held > hi) - int(held < lo), penalised
 
@@ -516,8 +516,8 @@ class TestBruteForce:
         for _ in range(10):
             problem, grid, particles = random_problem(rng, n_max=6)
             _, obj = V.brute_force_ilp(problem)
-            stay = C.stay_assignment(problem)
-            assert obj <= objective_of(problem, stay.choice) + 1e-12
+            stay = stay_choice(problem)
+            assert obj <= objective_of(problem, stay) + 1e-12
 
     def test_two_particles_one_cell(self):
         # both ideals in one cell of capacity 1: exactly one enters, the other
@@ -534,7 +534,7 @@ class TestBruteForce:
         p.x_ideal = np.array([[3.4, 3.5], [3.6, 3.5]])  # both want cell (3, 3)
         problem = C.build_problem(grid, C.build_candidates(p, grid), mu=1)
         assignment, obj = V.brute_force_ilp(problem)
-        counts = problem.counts_of(assignment.choice)
+        counts = problem.counts_of(assignment)
         assert counts[grid.flat((3, 3))] == 1
         flow_assignment, stats = V.solve_problem(problem)
         assert abs(stats.objective - obj) < 1e-9
