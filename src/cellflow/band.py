@@ -37,7 +37,6 @@ class BandStrategy(Enum):
 class BandState:
     R: int
     n_deep: int = 0
-    strategy: BandStrategy = BandStrategy.FLOW_PATHS
     alpha_le: int = 0  # air in the band interface and the deep together
     # diagnostics of the latest step
     last_s_in: int = 0
@@ -101,12 +100,6 @@ def region_slack(problem: CorrectionProblem, choice: np.ndarray) -> tuple[int, i
 # ----------------------------------------------------------------------
 # flow along paths
 
-@dataclass
-class Path:
-    edge: int   # particle carrying the final move into the sink
-    sink: int   # flat cell index
-
-
 class CellMembers:
     """Mutable per-cell particle membership, kept sorted for determinism.
 
@@ -136,14 +129,17 @@ class EdgeCost:
     ``current`` is the assignment's choice vector, which flow-paths edits in
     place, and both costs are read from the problem's candidate table, so the
     solid penalty is the one the solver saw. A cell is priced by its offset
-    from the particle's previous-step cell (the table's stay target);
-    flow-paths only asks about such candidate cells. A wall cell costs inf.
+    from the particle's previous-step cell ``home`` (the table's stay
+    target); flow-paths only asks about such candidate cells. A wall cell
+    costs inf. ``cap`` is the problem's per-cell capacity, below 0 where a
+    cell is uncapped (the deep).
     """
 
     def __init__(self, problem: CorrectionProblem, choice: np.ndarray):
         self.cost = problem.cost
         self.target = problem.target_flat
         self.home = problem.target_flat[-1]
+        self.cap = problem.cap
         strides = np.array([int(np.prod(problem.dims[k + 1:])) for k in range(len(problem.dims))])
         self.offset_dir = {int(off): i for i, off in enumerate(problem.candidates.dirs @ strides)}
         self.current = choice
@@ -155,51 +151,25 @@ class EdgeCost:
         return float(self.cost[self.direction(j, c_flat), j] - self.cost[self.current[j], j])
 
 
-@dataclass
-class PathRule:
-    """What a flow-paths push may do in one repair mode.
-
-    A move from a ``back_from`` cell into a ``back_to`` cell crosses the band
-    interface in the heavy side's direction: interface -> layer above when
-    draining (too many entrants), layer above -> interface when refilling
-    (too many leavers). Such a move is open only to a particle returning to
-    its previous-step cell, so it reverts one first-solve crossing of the
-    heavy side; a move the opposite way would add a crossing the one-way
-    problem freezes and is refused. ``uncapped`` marks the cells without a
-    particle cap, the deep cells as in the correction problem; every other
-    cell holds at most mu.
-    """
-
-    back_from: np.ndarray  # (ncells,) bool
-    back_to: np.ndarray    # (ncells,) bool
-    uncapped: np.ndarray   # (ncells,) bool
-
-
-def path_rule(classes: dict[str, np.ndarray], drain: bool) -> PathRule:
-    """The crossing and capacity rule of the drain or the refill mode."""
-    interface, above = classes["interface"], classes["layer_above"]
-    if drain:
-        return PathRule(back_from=interface, back_to=above, uncapped=classes["deep"])
-    return PathRule(back_from=above, back_to=interface, uncapped=classes["deep"])
-
-
-def best_edge(c: int, c_next: int, members: CellMembers, x_prev_cells: np.ndarray,
-              edge_cost: EdgeCost, rule: PathRule) -> tuple[int, float] | None:
+def best_edge(c: int, c_next: int, members: CellMembers, edge_cost: EdgeCost,
+              crossing: tuple[np.ndarray, np.ndarray]) -> tuple[int, float] | None:
     """Cheapest particle of cell c able to move into c_next, with its edge cost.
 
     Particles whose previous-step cell is neither c nor c_next would end
-    farther than one cell from where they started and are skipped. A move in
-    the rule's heavy-side crossing direction takes only particles returning
-    to their previous-step cell c_next; a move the opposite way across the
-    interface is refused.
+    farther than one cell from where they started and are skipped.
+    ``crossing`` is the (from, to) pair of class masks of the heavy side's
+    interface crossing: a move that way takes only particles returning to
+    their previous-step cell c_next, and a move the opposite way is refused.
     """
-    if rule.back_to[c] and rule.back_from[c_next]:
+    back_from, back_to = crossing
+    if back_to[c] and back_from[c_next]:
         return None
-    returning_only = bool(rule.back_from[c] and rule.back_to[c_next])
+    returning_only = bool(back_from[c] and back_to[c_next])
+    home = edge_cost.home
     best_j = None
     best_sigma = np.inf
     for j in members.members(c):
-        pc = int(x_prev_cells[j])
+        pc = int(home[j])
         if c_next != pc and (returning_only or c != pc):
             continue
         s = edge_cost(j, c_next)
@@ -208,18 +178,19 @@ def best_edge(c: int, c_next: int, members: CellMembers, x_prev_cells: np.ndarra
     return None if best_j is None else (best_j, best_sigma)
 
 
-def find_paths(cells: G.CellGrid, members: CellMembers, x_prev_cells: np.ndarray,
-               sources: np.ndarray, sinks: np.ndarray, mu: int,
-               edge_cost: EdgeCost, rule: PathRule) -> tuple[list[Path], np.ndarray]:
+def find_paths(cells: G.CellGrid, members: CellMembers, sources: np.ndarray,
+               sinks: np.ndarray, edge_cost: EdgeCost,
+               crossing: tuple[np.ndarray, np.ndarray]) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Multi-source Dijkstra for cell-disjoint particle-push chains.
 
     Non-empty source cells seed the queue at cost zero. Dequeued cells are
-    claimed by the first path reaching them; a sink with space completes its
-    root's path. Space follows the correction problem's caps: a cell holds at
-    most mu, except that the rule's uncapped (deep) cells always have space.
-    Interface crossings follow the rule, see :func:`best_edge`. Edge costs
-    may be negative (the search is kept verbatim from the push-chain
-    formulation), so results can be suboptimal but stay valid.
+    claimed by the first path reaching them; a sink with space under the
+    problem's cap (always, where the cap is negative) completes its root's
+    path as an (edge, sink) pair: the particle carrying the final move and
+    the sink cell. Interface crossings follow ``crossing``, see
+    :func:`best_edge`. Edge costs may be negative (the search is kept
+    verbatim from the push-chain formulation), so results can be suboptimal
+    but stay valid.
     """
     J = np.full(cells.ncells, NONE, dtype=np.int64)
     sigma = np.full(cells.ncells, np.inf)
@@ -237,7 +208,8 @@ def find_paths(cells: G.CellGrid, members: CellMembers, x_prev_cells: np.ndarray
 
     sink_mask = np.zeros(cells.ncells, dtype=bool)
     sink_mask[np.asarray(sinks, dtype=np.int64)] = True
-    paths: list[Path] = []
+    cap = edge_cost.cap
+    paths: list[tuple[int, int]] = []
 
     while heap:
         cost, _, c, edge, root = heapq.heappop(heap)
@@ -247,15 +219,15 @@ def find_paths(cells: G.CellGrid, members: CellMembers, x_prev_cells: np.ndarray
             if J[c] != NONE:
                 continue
             J[c] = edge
-            if sink_mask[c] and (members.counts[c] < mu or rule.uncapped[c]):
+            if sink_mask[c] and (cap[c] < 0 or members.counts[c] < cap[c]):
                 b_fin[root] = True
-                paths.append(Path(edge=edge, sink=c))
+                paths.append((edge, c))
                 continue
         for c_next in cells.vn_neighbors_flat(c):
             c_next = int(c_next)
             if c_next < 0 or J[c_next] != NONE:
                 continue
-            edge = best_edge(c, c_next, members, x_prev_cells, edge_cost, rule)
+            edge = best_edge(c, c_next, members, edge_cost, crossing)
             if edge is None:
                 continue
             j, s = edge
@@ -268,52 +240,55 @@ def find_paths(cells: G.CellGrid, members: CellMembers, x_prev_cells: np.ndarray
     return paths, J
 
 
-def update_path(path: Path, J: np.ndarray, members: CellMembers, edge_cost: EdgeCost,
-                mu: int, rule: PathRule) -> None:
-    """Move the chain of particles along a completed path, sink first, by
-    editing their entries of the choice vector ``edge_cost.current``.
+def update_path(path: tuple[int, int], J: np.ndarray, members: CellMembers,
+                edge_cost: EdgeCost) -> None:
+    """Move the chain of particles along a completed (edge, sink) path, sink
+    first, by editing their entries of the choice vector ``edge_cost.current``.
 
     Every cell the path passes keeps its count and the sink gains one. A cell
-    above mu is an error unless the rule leaves it uncapped; a deep cell may
-    legally hold more than mu after the plain solve, and a refill path may
-    end in one that is already full.
+    above its cap is an error; a deep cell is uncapped, so it may legally
+    hold more than mu after the plain solve, and a refill path may end in one
+    that is already full.
     """
-    before_sink = int(members.counts[path.sink])
-    j, c = path.edge, path.sink
+    j, sink = path
+    before_sink = int(members.counts[sink])
+    c = sink
+    cap = edge_cost.cap
     root = None
     while j != ROOT:
         src = int(edge_cost.target[edge_cost.current[j], j])
         edge_cost.current[j] = edge_cost.direction(j, c)
         members.move(j, src, c)
-        if members.counts[c] > mu and not rule.uncapped[c]:
+        if 0 <= cap[c] < members.counts[c]:
             raise IntegrityError(f"cell {c} overfilled while updating a path")
         j, c = int(J[src]), src
         root = src
-    if int(members.counts[path.sink]) != before_sink + 1:
+    if int(members.counts[sink]) != before_sink + 1:
         raise IntegrityError("path update did not add exactly one particle to the sink")
     if root is None:
         raise IntegrityError("degenerate path with no moves")
 
 
 def correct_band_flow(cells: G.CellGrid, problem: CorrectionProblem, choice: np.ndarray,
-                      classes: dict[str, np.ndarray], state: BandState, mu: int) -> dict:
+                      classes: dict[str, np.ndarray], state: BandState) -> dict:
     """Restore interface balance by pushing particles along grid paths.
 
     ``choice`` is the plain solve of ``problem``; this attaches the band row
     to ``problem`` (:func:`attach_region`), reads the slacks off the region's
     count, and edits ``choice`` in place until it meets the row. Path edges
-    are priced from the problem's candidate table. Returns the diagnostics.
+    are priced from the problem's candidate table, and cells hold at most
+    their cap in the problem. Returns the diagnostics.
     Finds and applies paths, recalling the search on the residual state,
     until the negative slack is repaid. Draining (s_in < 0) runs from the interface up;
-    refilling (s_out < 0) runs from the surface down. The mode's
-    :class:`PathRule` lets a path cross the interface only by returning one
-    heavy-side crosser of the first solve to its previous-step cell, and the
-    lighter direction never changes. Each applied path therefore reverts
-    exactly one heavy-side crossing, so the result stays inside the one-way
-    problem: the full problem with the lighter side's crossings frozen, the
-    heavy side's unselected crossings blocked, and the region count fixed
-    to the end of its interval that the heavy side overran. Deep cells are
-    uncapped as in the correction problem; every other cell holds at most mu.
+    refilling (s_out < 0) runs from the surface down. A path crosses the
+    interface only by returning one heavy-side crosser of the first solve to
+    its previous-step cell (interface -> layer above when draining, layer
+    above -> interface when refilling), and the lighter direction never
+    changes. Each applied path therefore reverts exactly one heavy-side
+    crossing, so the result stays inside the one-way problem: the full
+    problem with the lighter side's crossings frozen, the heavy side's
+    unselected crossings blocked, and the region count fixed to the end of
+    its interval that the heavy side overran.
     """
     attach_region(problem, classes, state.alpha_le)
     s_in, s_out = region_slack(problem, choice)
@@ -321,16 +296,17 @@ def correct_band_flow(cells: G.CellGrid, problem: CorrectionProblem, choice: np.
     if s_in >= 0 and s_out >= 0:
         return diag
 
-    drain = s_in < 0
-    if drain:  # interface -> shallower band
+    interface, above = classes["interface"], classes["layer_above"]
+    if s_in < 0:  # drain: interface -> shallower band
         n_move = -s_in
-        sources = np.flatnonzero(classes["interface"])
+        sources = np.flatnonzero(interface)
         sinks = np.flatnonzero(classes["surface"] | classes["in_band_inner"] | classes["empty"])
+        crossing = (interface, above)
     else:  # refill the interface from above
         n_move = -s_out
         sources = np.flatnonzero(classes["surface"])
-        sinks = np.flatnonzero(classes["interface"] | classes["deep"])
-    rule = path_rule(classes, drain)
+        sinks = np.flatnonzero(interface | classes["deep"])
+        crossing = (above, interface)
 
     members = CellMembers(problem.target_flat[choice, np.arange(problem.n)], cells.ncells)
     edge_cost = EdgeCost(problem, choice)
@@ -339,7 +315,7 @@ def correct_band_flow(cells: G.CellGrid, problem: CorrectionProblem, choice: np.
     calls = 0
     total_paths = 0
     while applied < n_move:
-        paths, J = find_paths(cells, members, edge_cost.home, sources, sinks, mu, edge_cost, rule)
+        paths, J = find_paths(cells, members, sources, sinks, edge_cost, crossing)
         calls += 1
         if not paths:
             raise IntegrityError(
@@ -348,7 +324,7 @@ def correct_band_flow(cells: G.CellGrid, problem: CorrectionProblem, choice: np.
         for path in paths:
             if applied == n_move:
                 break
-            update_path(path, J, members, edge_cost, mu, rule)
+            update_path(path, J, members, edge_cost)
             applied += 1
 
     s_in, s_out = region_slack(problem, choice)

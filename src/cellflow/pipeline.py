@@ -92,7 +92,7 @@ class Simulation:
             for ob in cfg.obstacles
         ]
         self.emitters = [Emitter(e) for e in cfg.emitters]
-        self.band = B.BandState(R=cfg.band.R, strategy=cfg.band.strategy) if cfg.band.enabled else None
+        self.band = B.BandState(R=cfg.band.R) if cfg.band.enabled else None
         self.time = 0.0
         self.step_index = 0
         self.last_stage_trace: list[str] = []
@@ -318,16 +318,16 @@ class Simulation:
         solid_cost = S.override_costs(candidates, solid_obj) if solid_obj else None
         problem = C.build_problem(grid, candidates, cfg.mu, classes, solid_cost)
 
+        flow_paths = band is not None and cfg.band.strategy is B.BandStrategy.FLOW_PATHS
         if band is not None:
             B.compute_alphas(grid, classes, band, cfg.mu)
-            if band.strategy is B.BandStrategy.FULL:  # the balance row joins the solve
+            if not flow_paths:  # the balance row joins the solve
                 B.attach_region(problem, classes, band.alpha_le)
 
         try:
             choice, stats = V.solve_problem(problem)
-            if band is not None and band.strategy is B.BandStrategy.FLOW_PATHS:
-                # repair the plain solve's choice
-                diag = B.correct_band_flow(grid, problem, choice, classes, band, cfg.mu)
+            if flow_paths:  # repair the plain solve's choice
+                diag = B.correct_band_flow(grid, problem, choice, classes, band)
                 for key in ("n_move", "paths", "find_calls"):
                     band_diag[key] += diag[key]
         except IntegrityError as exc:

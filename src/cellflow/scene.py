@@ -102,8 +102,15 @@ class SceneConfig:
             raise InputError(f"band thickness R must be >= 1, got {self.band.R}")
         if len(self.gravity) != d:
             raise InputError("gravity dimension does not match dims")
-        if self.frame_dt <= 0:
-            raise InputError("frame_dt must be positive")
+        for key in ("frame_dt", "max_speed", "pressure_tol"):
+            if not getattr(self, key) > 0:  # NaN fails too
+                raise InputError(f"{key} must be positive, got {getattr(self, key)}")
+        if not 0 <= self.flip_ratio <= 1:
+            raise InputError(f"flip_ratio must lie in [0, 1], got {self.flip_ratio}")
+        for em in self.emitters:
+            if not em.rate >= 0 or (em.total is not None and em.total < 0):
+                raise InputError(f"emitter rate and total must be >= 0, got rate {em.rate}, "
+                                 f"total {em.total}")
         if self.frames < 0:
             raise InputError("frames must be >= 0")
         if self.seed < 0:

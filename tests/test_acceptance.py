@@ -183,7 +183,7 @@ def test_criterion_08_fig_path_reproduction():
     n_in, n_out, s_in, s_out = compute_io(assignment, in_mask, out_mask,
                                           state.alpha_le)
     first_ok = (n_in, n_out, s_in, s_out) == (1, 0, -1, 1)
-    diag = B.correct_band_flow(grid, problem, assignment, cls, state, mu=1)
+    diag = B.correct_band_flow(grid, problem, assignment, cls, state)
     C.apply_solution(problem, assignment, particles)
     flow_ok = diag["n_move"] == 1 and diag["s_in"] == 0
     check(8, first_ok and flow_ok,
@@ -231,7 +231,7 @@ def test_criterion_09_oneway_vs_flowpaths():
 
         _, full_obj = V.brute_force_ilp(full_row)
 
-        diag = B.correct_band_flow(grid, problem, assignment, cls, state, mu=1)
+        diag = B.correct_band_flow(grid, problem, assignment, cls, state)
         C.apply_solution(problem, assignment, particles)
         assert diag["s_in"] >= 0 and diag["s_out"] >= 0
         flow_obj = float(((particles.x - particles.x_ideal) ** 2).sum())

@@ -154,10 +154,11 @@ class TestOneWay:
         assert abs(stats2.objective - stats.objective) < 1e-9
 
 
-def table_edge_cost(grid, particles, mu=1):
-    """Edge costs read from the plain correction problem of the current state,
-    over the all-stay choice: every particle in its previous-step cell."""
-    problem = C.build_problem(grid, C.build_candidates(particles, grid), mu)
+def table_edge_cost(grid, particles, mu=1, classes=None):
+    """Edge costs read from the correction problem of the current state (the
+    band problem of ``classes``, else the plain one), over the all-stay
+    choice: every particle in its previous-step cell."""
+    problem = C.build_problem(grid, C.build_candidates(particles, grid), mu, classes)
     return B.EdgeCost(problem, stay_choice(problem))
 
 
@@ -173,9 +174,16 @@ def cell_of_choice(edge_cost, j):
 
 
 def open_rule(grid):
-    """No crossing limits and no uncapped cells: the bare path mechanics."""
+    """No crossing limits: the bare path mechanics."""
     none = np.zeros(grid.ncells, dtype=bool)
-    return B.PathRule(back_from=none, back_to=none, uncapped=none)
+    return none, none
+
+
+def crossing(cls, drain):
+    """The heavy side's (from, to) crossing masks of the drain or the refill
+    mode, as correct_band_flow picks them."""
+    iface, above = cls["interface"], cls["layer_above"]
+    return (iface, above) if drain else (above, iface)
 
 
 class TestFindPaths:
@@ -183,36 +191,33 @@ class TestFindPaths:
         grid, particles = column_state(mu=1, R=2, fill_to=6)
         edge_cost = table_edge_cost(grid, particles)
         members = members_of(grid, edge_cost)
-        x_prev_cells = edge_cost.home
         src = grid.flat((3, 6))   # top fluid row (surface)
         sink = grid.flat((3, 7))  # empty cell above
-        paths, J = B.find_paths(grid, members, x_prev_cells, np.array([src]),
-                                np.array([sink]), mu=1, edge_cost=edge_cost,
-                                rule=open_rule(grid))
+        paths, J = B.find_paths(grid, members, np.array([src]), np.array([sink]),
+                                edge_cost=edge_cost, crossing=open_rule(grid))
         assert len(paths) == 1
-        assert paths[0].sink == sink
+        assert paths[0][1] == sink
 
     def test_empty_source_no_paths(self):
         grid, particles = column_state(mu=1, R=2, fill_to=4)
         edge_cost = table_edge_cost(grid, particles)
         members = members_of(grid, edge_cost)
         empty_src = grid.flat((3, 8))
-        paths, J = B.find_paths(grid, members, grid.cell_of(particles.x_prev),
-                                np.array([empty_src]), np.array([grid.flat((3, 9))]),
-                                mu=1, edge_cost=edge_cost, rule=open_rule(grid))
+        paths, J = B.find_paths(grid, members, np.array([empty_src]),
+                                np.array([grid.flat((3, 9))]),
+                                edge_cost=edge_cost, crossing=open_rule(grid))
         assert paths == []
 
     def test_paths_disjoint(self):
         grid, particles = column_state(width=8, mu=1, R=2, fill_to=6)
         edge_cost = table_edge_cost(grid, particles)
         members = members_of(grid, edge_cost)
-        x_prev_cells = edge_cost.home
         sources = np.array([grid.flat((i, 6)) for i in range(1, 9)])
         sinks = np.array([grid.flat((i, 7)) for i in range(1, 9)])
-        paths, J = B.find_paths(grid, members, x_prev_cells, sources, sinks,
-                                mu=1, edge_cost=edge_cost, rule=open_rule(grid))
+        paths, J = B.find_paths(grid, members, sources, sinks,
+                                edge_cost=edge_cost, crossing=open_rule(grid))
         assert len(paths) >= 2
-        sink_cells = [p.sink for p in paths]
+        sink_cells = [sink for _, sink in paths]
         assert len(set(sink_cells)) == len(sink_cells)
 
     def test_best_edge_skips_far_particles(self):
@@ -222,16 +227,15 @@ class TestFindPaths:
         x_prev_cells = edge_cost.home
         c = grid.flat((3, 3))
         c_far = grid.flat((3, 5))  # two cells away from any (3,3) resident's home
-        j, sigma = B.best_edge(c_far, grid.flat((3, 6)), members, x_prev_cells, edge_cost,
-                               open_rule(grid))
+        j, sigma = B.best_edge(c_far, grid.flat((3, 6)), members, edge_cost, open_rule(grid))
         resident = members.members(c_far)[0]
         assert j == resident  # resident of (3,5) can move up: its home is (3,5)
         assert sigma == edge_cost(j, grid.flat((3, 6)))
         # now ask for a move where neither cell is the particle's home
         moved = members_of(grid, edge_cost)
         moved.move(resident, c_far, grid.flat((4, 5)))
-        edge2 = B.best_edge(grid.flat((4, 5)), grid.flat((5, 5)), moved, x_prev_cells,
-                            edge_cost, open_rule(grid))
+        edge2 = B.best_edge(grid.flat((4, 5)), grid.flat((5, 5)), moved, edge_cost,
+                            open_rule(grid))
         others = [jj for jj in moved.members(grid.flat((4, 5)))
                   if x_prev_cells[jj] in (grid.flat((4, 5)), grid.flat((5, 5)))]
         if not others:
@@ -252,14 +256,12 @@ class TestUpdatePath:
         grid, particles = column_state(mu=1, R=2, fill_to=6)
         edge_cost = table_edge_cost(grid, particles)
         members = members_of(grid, edge_cost)
-        x_prev_cells = edge_cost.home
         src = grid.flat((3, 6))
         sink = grid.flat((3, 7))
         before_src = members.counts[src]
-        paths, J = B.find_paths(grid, members, x_prev_cells, np.array([src]),
-                                np.array([sink]), mu=1, edge_cost=edge_cost,
-                                rule=open_rule(grid))
-        B.update_path(paths[0], J, members, edge_cost, mu=1, rule=open_rule(grid))
+        paths, J = B.find_paths(grid, members, np.array([src]), np.array([sink]),
+                                edge_cost=edge_cost, crossing=open_rule(grid))
+        B.update_path(paths[0], J, members, edge_cost)
         assert members.counts[sink] == 1
         assert members.counts[src] == before_src - 1
 
@@ -268,16 +270,14 @@ class TestUpdatePath:
         grid, particles = column_state(width=3, mu=1, R=1, fill_to=5)
         edge_cost = table_edge_cost(grid, particles)
         members = members_of(grid, edge_cost)
-        x_prev_cells = edge_cost.home
         src = grid.flat((2, 3))
         sink = grid.flat((2, 6))  # above the column top (5)
-        paths, J = B.find_paths(grid, members, x_prev_cells, np.array([src]),
-                                np.array([sink]), mu=1, edge_cost=edge_cost,
-                                rule=open_rule(grid))
+        paths, J = B.find_paths(grid, members, np.array([src]), np.array([sink]),
+                                edge_cost=edge_cost, crossing=open_rule(grid))
         assert len(paths) == 1
         mids = [grid.flat((2, 4)), grid.flat((2, 5))]
         before = [members.counts[c] for c in mids]
-        B.update_path(paths[0], J, members, edge_cost, mu=1, rule=open_rule(grid))
+        B.update_path(paths[0], J, members, edge_cost)
         after = [members.counts[c] for c in mids]
         assert before == after
         assert members.counts[sink] == 1
@@ -348,11 +348,11 @@ class TestCrossingRule:
         cls = G.band_classes(grid.prev, 2)
         assert cls["interface"][grid.flat(IFACE)] and cls["layer_above"][grid.flat(ABOVE)]
         heavy_from, heavy_to = (IFACE, ABOVE) if drain else (ABOVE, IFACE)
-        return grid, particles, B.path_rule(cls, drain), heavy_from, heavy_to
+        return grid, particles, crossing(cls, drain), heavy_from, heavy_to
 
     def edge(self, grid, edge_cost, c, c_next, rule):
         edge = B.best_edge(grid.flat(c), grid.flat(c_next), members_of(grid, edge_cost),
-                           edge_cost.home, edge_cost, rule)
+                           edge_cost, rule)
         return None if edge is None else edge[0]
 
     @MODES
@@ -401,12 +401,11 @@ class TestPathCapacity:
         # row 5 the interface, rows 1-4 deep
         grid, particles = column_state(width=3, mu=1, R=1, fill_to=6)
         particles.x_ideal = particles.x_prev.copy()
-        rule = B.path_rule(G.band_classes(grid.prev, 1), drain)
-        return grid, particles, rule
+        return grid, particles, G.band_classes(grid.prev, 1)
 
     def test_path_through_overfull_deep_cell(self):
-        grid, particles, rule = self.build(drain=True)
-        edge_cost = table_edge_cost(grid, particles)
+        grid, particles, cls = self.build(drain=True)
+        edge_cost = table_edge_cost(grid, particles, classes=cls)
         h = {c: home_particle(grid, particles, c)
              for c in [(1, 5), (1, 4), (2, 4), (2, 5), (2, 6)]}
         # first solve: an entrant drops from (2,6) into (2,5), whose resident
@@ -419,16 +418,16 @@ class TestPathCapacity:
         J[grid.flat((1, 4))] = h[(1, 5)]
         J[grid.flat((2, 4))] = h[(1, 4)]
         J[grid.flat((2, 5))] = h[(2, 4)]
-        path = B.Path(edge=h[(2, 6)], sink=grid.flat((2, 6)))
+        path = (h[(2, 6)], grid.flat((2, 6)))
         members = members_of(grid, edge_cost)
-        B.update_path(path, J, members, edge_cost, mu=1, rule=rule)
+        B.update_path(path, J, members, edge_cost)
         assert members.counts[grid.flat((2, 4))] == 2
         assert members.counts[grid.flat((2, 6))] == 1
         assert members.counts[grid.flat((1, 5))] == 0
 
     def test_refill_path_ends_in_full_deep_cell(self):
-        grid, particles, rule = self.build(drain=False)
-        edge_cost = table_edge_cost(grid, particles)
+        grid, particles, cls = self.build(drain=False)
+        edge_cost = table_edge_cost(grid, particles, classes=cls)
         leaver = home_particle(grid, particles, (2, 5))
         climber = home_particle(grid, particles, (2, 4))
         # first solve: the surface resident rises into the air, the interface
@@ -438,16 +437,14 @@ class TestPathCapacity:
         relocate(grid, edge_cost, leaver, (2, 6))
         relocate(grid, edge_cost, climber, (2, 5))
         relocate(grid, edge_cost, home_particle(grid, particles, (1, 4)), (2, 4))
-        cls = G.band_classes(grid.prev, 1)
         members = members_of(grid, edge_cost)
         deep_cell = grid.flat((2, 4))
         assert members.counts[deep_cell] == 1
-        paths, J = B.find_paths(grid, members, edge_cost.home,
-                                np.array([grid.flat((2, 6))]),
+        paths, J = B.find_paths(grid, members, np.array([grid.flat((2, 6))]),
                                 np.flatnonzero(cls["interface"] | cls["deep"]),
-                                mu=1, edge_cost=edge_cost, rule=rule)
-        assert [p.sink for p in paths] == [deep_cell]
-        B.update_path(paths[0], J, members, edge_cost, mu=1, rule=rule)
+                                edge_cost=edge_cost, crossing=crossing(cls, drain=False))
+        assert [sink for _, sink in paths] == [deep_cell]
+        B.update_path(paths[0], J, members, edge_cost)
         assert members.counts[deep_cell] == 2
         assert cell_of_choice(edge_cost, leaver) == grid.flat((2, 5))
         assert cell_of_choice(edge_cost, climber) == deep_cell
@@ -475,7 +472,7 @@ def test_flow_paths_stay_in_one_way_set(push):
         full = with_region(problem, grid, state.R, state.alpha_le)
         one_way = build_one_way(full, assignment, in_mask, out_mask, state.alpha_le)
         choice = assignment
-        B.correct_band_flow(grid, problem, choice, cls, state, mu=1)
+        B.correct_band_flow(grid, problem, choice, cls, state)
         C.apply_solution(problem, assignment, particles)  # checks the band row it carries
         assert one_way.check_feasible(choice, strict=False)
         flow_obj = float(((particles.x - particles.x_ideal) ** 2).sum())
@@ -492,9 +489,9 @@ def test_flow_paths_one_move_short_fails_band_row(push, monkeypatch):
     before_move = []
     update_path = B.update_path
 
-    def recorded(path, J, members, edge_cost, mu, rule):
+    def recorded(path, J, members, edge_cost):
         before_move.append(edge_cost.current.copy())
-        update_path(path, J, members, edge_cost, mu, rule)
+        update_path(path, J, members, edge_cost)
 
     monkeypatch.setattr(B, "update_path", recorded)
     rng = np.random.default_rng(515)
@@ -509,7 +506,7 @@ def test_flow_paths_one_move_short_fails_band_row(push, monkeypatch):
         choice = V.solve_problem(problem)[0]
         before_move.clear()
         try:
-            diag = B.correct_band_flow(grid, problem, choice, cls, state, mu=1)
+            diag = B.correct_band_flow(grid, problem, choice, cls, state)
         except IntegrityError as exc:
             # flow-paths is a heuristic that can find no path to repay the
             # slack (one refill toy at this seed); such a toy has no result
@@ -796,7 +793,7 @@ class TestFigPathScenario:
         assert (n_in, n_out) == (1, 0)
         assert (s_in, s_out) == (-1, 1)
 
-        diag = B.correct_band_flow(grid, problem, assignment, cls, state, mu=1)
+        diag = B.correct_band_flow(grid, problem, assignment, cls, state)
         assert diag["n_move"] == 1
         assert diag["find_calls"] == 1
         assert diag["s_in"] == 0 and diag["s_out"] >= 0
@@ -807,10 +804,26 @@ class TestFigPathScenario:
         cls = G.band_classes(grid.prev, state.R)
         problem = C.build_problem(grid, table, mu=1, classes=cls)
         assignment, _ = V.solve_problem(problem)
-        B.correct_band_flow(grid, problem, assignment, cls, state, mu=1)
+        B.correct_band_flow(grid, problem, assignment, cls, state)
         C.apply_solution(problem, assignment, particles)
         counts = np.bincount(grid.cell_of(particles.x), minlength=grid.ncells)
         deep = grid.fluid_mask() & (grid.depth < -state.R)
         capped = ~grid.solid_mask() & ~deep
         assert (counts[capped] <= 1).all()
         assert counts[grid.solid_mask()].sum() == 0
+
+    def test_flow_never_exceeds_a_problem_cap(self):
+        # capacity is read from the problem: with the cell the repair fills,
+        # (2, 5), capped at its plain-solve count, flow-paths must find
+        # another sink or fail, never return a choice over that cap
+        grid, particles, state = self.build()
+        cls = G.band_classes(grid.prev, state.R)
+        problem = C.build_problem(grid, C.build_candidates(particles, grid), mu=1, classes=cls)
+        choice, _ = V.solve_problem(problem)
+        filled = grid.flat((2, 5))
+        problem.cap[filled] = problem.counts_of(choice)[filled]
+        try:
+            B.correct_band_flow(grid, problem, choice, cls, state)
+        except IntegrityError:
+            return
+        assert problem.check_feasible(choice, strict=False)

@@ -80,6 +80,13 @@ def test_run_negative_seed(tmp_path, capsys):
                         "--seed", "-1"], capsys, "seed must be >= 0")
 
 
+def test_run_negative_max_speed(tmp_path, capsys):
+    path = tmp_path / "fast.scene"
+    path.write_text("version = 1\ndims = 10 10\nmax_speed = -1\n", encoding="utf-8")
+    assert_input_error(["run", str(path), "--out", str(tmp_path / "o"), "--frames", "1"],
+                       capsys, "max_speed must be positive")
+
+
 @pytest.mark.parametrize("log, where", [
     (None, "volume.csv"),
     ("1,100.0,100.0\n", "line 2: malformed row"),
@@ -339,3 +346,19 @@ def test_compare_dumps_script(tmp_path, monkeypatch):
     script.run(root, "dam", tmp_path / "out", 2, 3, None, None)
     assert commands[0][-4:] == ["--band", "2", "--strategy", "full"]
     assert "--band" not in commands[1] and "--strategy" not in commands[1]
+
+
+def test_obstacle_suite_script(monkeypatch, capsys):
+    """scripts/run_obstacle_suite.py runs every solid-coupling scene, here for
+    two frames, and prints one summary line per scene: its volume range and
+    its obstacles' heights."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_obstacle_suite.py"
+    spec = importlib.util.spec_from_file_location("run_obstacle_suite", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["run_obstacle_suite.py", "--frames", "2"])
+    assert script.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == script.SCENES
+    for line in lines:
+        assert re.search(r": volume \d+\.\d\d\.\.\d+\.\d\d %  obstacle y: \d+\.\d\d", line), line

@@ -207,3 +207,24 @@ class TestValidation:
     def test_box_extent_positive(self):
         with pytest.raises(InputError):
             Box((3, 3), (3, 5))
+
+    @pytest.mark.parametrize("line, message", [
+        ("max_speed = -1", "max_speed must be positive"),
+        ("max_speed = 0", "max_speed must be positive"),
+        ("pressure_tol = 0", "pressure_tol must be positive"),
+        ("pressure_tol = nan", "pressure_tol must be positive"),
+        ("frame_dt = nan", "frame_dt must be positive"),
+        ("flip_ratio = -0.1", r"flip_ratio must lie in \[0, 1\]"),
+        ("flip_ratio = 1.5", r"flip_ratio must lie in \[0, 1\]"),
+        ("flip_ratio = nan", r"flip_ratio must lie in \[0, 1\]"),
+    ])
+    def test_scalar_out_of_range_rejected(self, line, message):
+        with pytest.raises(InputError, match=message):
+            parse_scene(MINIMAL + line + "\n")
+
+    @pytest.mark.parametrize("keys", ["rate = -1", "rate = 1\ntotal = -5"],
+                             ids=["rate", "total"])
+    def test_negative_emitter_rejected(self, keys):
+        section = f"\n[emitter]\nbox = 4 4 6 6\nvelocity = 0 0\n{keys}\n"
+        with pytest.raises(InputError, match="emitter rate and total must be >= 0"):
+            parse_scene(MINIMAL + section)
