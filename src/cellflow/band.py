@@ -21,7 +21,7 @@ import numpy as np
 
 from . import grid as G
 from .correction import CorrectionProblem
-from .errors import IntegrityError
+from .errors import IntegrityError, NoPathError
 from .flip import velocity_at
 
 ROOT = -2
@@ -277,7 +277,8 @@ def correct_band_flow(cells: G.CellGrid, problem: CorrectionProblem, choice: np.
     to ``problem`` (:func:`attach_region`), reads the slacks off the region's
     count, and edits ``choice`` in place until it meets the row. Path edges
     are priced from the problem's candidate table, and cells hold at most
-    their cap in the problem. Returns the diagnostics.
+    their cap in the problem. Returns the diagnostics; raises NoPathError
+    when a search finds no path while moves are still owed.
     Finds and applies paths, recalling the search on the residual state,
     until the negative slack is repaid. Draining (s_in < 0) runs from the interface up;
     refilling (s_out < 0) runs from the surface down. A path crosses the
@@ -318,8 +319,7 @@ def correct_band_flow(cells: G.CellGrid, problem: CorrectionProblem, choice: np.
         paths, J = find_paths(cells, members, sources, sinks, edge_cost, crossing)
         calls += 1
         if not paths:
-            raise IntegrityError(
-                f"flow-paths found no path with {n_move - applied} moves outstanding")
+            raise NoPathError(f"flow-paths found no path with {n_move - applied} moves outstanding")
         total_paths += len(paths)
         for path in paths:
             if applied == n_move:

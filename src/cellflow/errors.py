@@ -10,5 +10,9 @@ class IntegrityError(CellflowError):
     """A simulation invariant was violated; indicates a bug upstream."""
 
 
+class NoPathError(IntegrityError):
+    """The flow-paths band repair found no path while slack was still owed."""
+
+
 class SolverError(CellflowError):
     """An iterative solver failed to converge within its budget."""

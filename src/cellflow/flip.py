@@ -216,6 +216,9 @@ def clamp_dt(mac: MacGrid, dt_request: float, obstacle_speed: float) -> float:
 # ----------------------------------------------------------------------
 # pressure projection
 
+PRESSURE_ITERATIONS = 2000  # CG iterations before solve_pressure gives up
+
+
 @dataclass
 class PressureStats:
     iterations: int
@@ -232,7 +235,7 @@ def _divergence(mac: MacGrid) -> np.ndarray:
 
 
 def solve_pressure(mac: MacGrid, cells: G.CellGrid, solid_vel: list[np.ndarray],
-                   tol: float = 1e-6, max_iter: int = 2000) -> PressureStats:
+                   tol: float) -> PressureStats:
     """MAC pressure projection by conjugate gradients on the fluid cells.
 
     Free-surface (empty) cells hold zero pressure; faces adjacent to solid
@@ -290,10 +293,10 @@ def solve_pressure(mac: MacGrid, cells: G.CellGrid, solid_vel: list[np.ndarray],
         while not (res := float(np.abs(r).max())) <= tol_abs:
             if not math.isfinite(res):
                 raise SolverError(f"pressure CG failed: residual {res} after {it} iterations")
-            if it >= max_iter:
+            if it >= PRESSURE_ITERATIONS:
                 raise SolverError(
                     f"pressure CG failed: residual {res:.3e} "
-                    f"> {tol_abs:.3e} after {max_iter} iterations")
+                    f"> {tol_abs:.3e} after {PRESSURE_ITERATIONS} iterations")
             Az = apply_A(z)
             denom = dot(z, Az)
             if denom <= 0:

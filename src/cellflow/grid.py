@@ -380,7 +380,7 @@ RASTER_INTERFACE = 6
 RASTER_DEEP = 7
 
 
-def marking_raster(grid: CellGrid, band_R: int | None = None) -> np.ndarray:
+def marking_raster(grid: CellGrid, band_R: int | None) -> np.ndarray:
     """Combined marking/band-class codes, row-major over grid.dims."""
     out = np.full(grid.ncells, RASTER_EMPTY, dtype=np.uint8)
     out[grid.marking == SOLID] = RASTER_OBSTACLE

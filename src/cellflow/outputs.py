@@ -36,19 +36,6 @@ def particle_dump_bytes(positions: np.ndarray, velocities: np.ndarray) -> bytes:
     return header + body
 
 
-def read_particle_dump(path) -> tuple[np.ndarray, np.ndarray]:
-    raw = Path(path).read_bytes()
-    if raw[:4] != PART_MAGIC:
-        raise InputError(f"{path}: not a particle dump")
-    version, n, d = struct.unpack("<III", raw[4:16])
-    if version != FORMAT_VERSION:
-        raise InputError(f"{path}: unsupported dump version {version}")
-    floats = np.frombuffer(raw[16:], dtype="<f4")
-    pos = floats[: n * d].reshape(n, d).copy()
-    vel = floats[n * d: 2 * n * d].reshape(n, d).copy()
-    return pos, vel
-
-
 VOLUME_COLUMNS = "step,V,percent,alt_percent,n_deep,n_excess,n_move,paths,find_calls"
 
 

@@ -19,7 +19,7 @@ from . import flip as F
 from . import grid as G
 from . import solids as S
 from . import solvers as V
-from .errors import IntegrityError, SolverError
+from .errors import IntegrityError, NoPathError, SolverError
 from .scene import SceneConfig
 from .solids import Obstacle
 
@@ -31,13 +31,11 @@ BAND_COUNTERS = ("n_excess", "n_move", "paths", "find_calls")
 @dataclass
 class FrameRecord:
     step: int
-    time: float
     positions: np.ndarray
     velocities: np.ndarray
     raster: np.ndarray
     volume: G.VolumeReport
     band: dict
-    solver: dict
     substeps: int
 
 
@@ -136,8 +134,6 @@ class Simulation:
         remaining = cfg.frame_dt
         substeps = 0
         trace: list[str] = []
-        solver_stats = {"searches": 0, "drains": 0, "objective": 0.0,
-                        "pressure_iterations": 0, "solve_time": 0.0}
         band_diag = dict.fromkeys(BAND_COUNTERS, 0)
         self.last_checks = StepChecks()
         while remaining > 1e-12:
@@ -146,36 +142,34 @@ class Simulation:
             dt = F.clamp_dt(self.mac, remaining, obstacle_speed)
             if dt <= 0:
                 raise SolverError("time step collapsed to zero")
-            self._substep(dt, trace, solver_stats, band_diag)
+            self._substep(dt, trace, band_diag)
             remaining -= dt
             substeps += 1
             if substeps > MAX_SUBSTEPS:
                 raise SolverError(f"frame exceeded {MAX_SUBSTEPS} substeps")
         self.step_index += 1
         self.last_stage_trace = trace
-        return self._record(band_diag, solver_stats, substeps)
+        return self._record(band_diag, substeps)
 
     def initial_frame(self) -> FrameRecord:
-        return self._record(dict.fromkeys(BAND_COUNTERS, 0), {}, 0)
+        return self._record(dict.fromkeys(BAND_COUNTERS, 0), 0)
 
-    def _record(self, band_diag: dict, solver: dict, substeps: int) -> FrameRecord:
+    def _record(self, band_diag: dict, substeps: int) -> FrameRecord:
         """The frame record of the state as it stands, with n_deep read off
         the band state."""
         return FrameRecord(
             step=self.step_index,
-            time=self.time,
             positions=self.particles.x.astype(np.float32),
             velocities=self.particles.vel.astype(np.float32),
             raster=G.marking_raster(self.grid, self.band.R if self.band else None),
             volume=G.volume_report(self.grid, self.cfg.mu, self.v_star),
             band={"n_deep": self.band.n_deep if self.band else 0, **band_diag},
-            solver=solver,
             substeps=substeps,
         )
 
     # ------------------------------------------------------------------
 
-    def _substep(self, dt: float, trace: list, solver_stats: dict, band_diag: dict) -> None:
+    def _substep(self, dt: float, trace: list, band_diag: dict) -> None:
         cfg = self.cfg
         grid = self.grid
         mac = self.mac
@@ -198,7 +192,6 @@ class Simulation:
 
         solid_vel = S.solid_face_velocities(grid, mac.dims, self.obstacles)
         pstats = F.solve_pressure(mac, grid, solid_vel, tol=cfg.pressure_tol)
-        solver_stats["pressure_iterations"] += pstats.iterations
         if self.check_invariants:
             self.last_checks.div_residual = max(self.last_checks.div_residual, pstats.residual)
             self.last_checks.div_tolerance = max(self.last_checks.div_tolerance, pstats.tolerance)
@@ -229,7 +222,7 @@ class Simulation:
             if cheb > 1:
                 raise IntegrityError("advected position left the Moore neighborhood")
 
-        proposals = self._correct(dt, classes, solver_stats, band_diag)
+        proposals = self._correct(dt, classes, band_diag)
         trace.append("correct")
         if self.check_invariants and particles.n:
             prev_cells = np.floor(particles.x_prev).astype(np.int64)
@@ -282,17 +275,17 @@ class Simulation:
             em.spawned += placed
             self.total_budget += placed
 
-    def _correct(self, dt: float, classes: dict | None, solver_stats: dict,
-                 band_diag: dict) -> list:
+    def _correct(self, dt: float, classes: dict | None, band_diag: dict) -> list:
         """Build and solve the correction problem, apply new positions.
 
         ``classes`` are the band classes of the previous step (None without
         the band). Both band strategies end with the band row attached to the
-        problem, so one apply checks it under invariant checking. An
-        IntegrityError from the solve or the band repair carries the problem,
-        band row included, as its ``problem`` attribute, so that run() can
-        write a replay file. Returns the per-obstacle motion proposals so
-        gating can reuse them.
+        problem, so one apply checks it under invariant checking. Where
+        flow-paths finds no path, the row-attached problem is solved exactly
+        instead. Any other IntegrityError from the solve or the band repair
+        carries the problem, band row included, as its ``problem`` attribute,
+        so that run() can write a replay file. Returns the per-obstacle
+        motion proposals so gating can reuse them.
         """
         cfg = self.cfg
         grid = self.grid
@@ -325,18 +318,18 @@ class Simulation:
                 B.attach_region(problem, classes, band.alpha_le)
 
         try:
-            choice, stats = V.solve_problem(problem)
+            choice = V.solve_problem(problem)[0]
             if flow_paths:  # repair the plain solve's choice
-                diag = B.correct_band_flow(grid, problem, choice, classes, band)
-                for key in ("n_move", "paths", "find_calls"):
-                    band_diag[key] += diag[key]
+                try:
+                    diag = B.correct_band_flow(grid, problem, choice, classes, band)
+                except NoPathError:  # the exact solve meets the row it attached
+                    choice = V.solve_problem(problem)[0]
+                else:
+                    for key in ("n_move", "paths", "find_calls"):
+                        band_diag[key] += diag[key]
         except IntegrityError as exc:
             exc.problem = problem
             raise
-        solver_stats["searches"] += stats.searches
-        solver_stats["drains"] += stats.drains
-        solver_stats["objective"] += stats.objective
-        solver_stats["solve_time"] += stats.wall_time
         if band is not None:
             band.last_s_in, band.last_s_out = B.region_slack(problem, choice)
         C.apply_solution(problem, choice, particles, verify=self.check_invariants)

@@ -102,9 +102,9 @@ class SceneConfig:
             raise InputError(f"band thickness R must be >= 1, got {self.band.R}")
         if len(self.gravity) != d:
             raise InputError("gravity dimension does not match dims")
-        for key in ("frame_dt", "max_speed", "pressure_tol"):
-            if not getattr(self, key) > 0:  # NaN fails too
-                raise InputError(f"{key} must be positive, got {getattr(self, key)}")
+        for key in ("frame_dt", "max_speed", "pressure_tol", "lambda_penalty"):
+            if not 0 < getattr(self, key) < np.inf:  # NaN fails too
+                raise InputError(f"{key} must be positive and finite, got {getattr(self, key)}")
         if not 0 <= self.flip_ratio <= 1:
             raise InputError(f"flip_ratio must lie in [0, 1], got {self.flip_ratio}")
         for em in self.emitters:
@@ -116,13 +116,21 @@ class SceneConfig:
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
         boxes = [("fluid", r.box) for r in self.fluids] + [("emitter", e.box) for e in self.emitters]
-        for what, box in boxes + [("obstacle", o.box) for o in self.obstacles]:
+        all_boxes = boxes + [("obstacle", o.box) for o in self.obstacles]
+        for what, box in all_boxes:
             if len(box.lo) != d:
                 raise InputError(f"{what} box {box.lo}..{box.hi} does not match dims {self.dims}")
         moving = [("emitter", e) for e in self.emitters] + [("obstacle", o) for o in self.obstacles]
         for what, item in moving:
             if len(item.velocity) != d:
                 raise InputError(f"{what} velocity {item.velocity} does not match dims {self.dims}")
+        numbers = ([("gravity", self.gravity)]
+                   + [(f"{what} box", box.lo + box.hi) for what, box in all_boxes]
+                   + [(f"{what} velocity", item.velocity) for what, item in moving]
+                   + [("emitter rate and start", (e.rate, e.start)) for e in self.emitters])
+        for what, values in numbers:
+            if not np.isfinite(values).all():
+                raise InputError(f"{what} must be finite, got {values}")
         for what, box in boxes:
             if any(lo < 1 or hi > n - 1 for lo, hi, n in zip(box.lo, box.hi, self.dims)):
                 raise InputError(f"{what} box {box.lo}..{box.hi} leaves the non-wall domain")

@@ -40,7 +40,6 @@ exhaustive search is an independent oracle for both forms.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +83,6 @@ class FlowNetwork:
 @dataclass
 class SolveStats:
     objective: float
-    wall_time: float
     searches: int = 0  # forward Dijkstra runs, one per particle the greedy start rejected
     pops: int = 0      # nodes finalized over all searches, forward and backward
     scans: int = 0     # arc-table entries read at popped cells
@@ -189,7 +187,6 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
     cheapest in-arc per predecessor cell, are built only if the sink ends
     with excess, and a moving particle drops those of its candidate cells.
     """
-    t0 = time.perf_counter()
     n = net.n_particles
     K = len(net.cap)  # cells; the sink is node K, the hub node K + 1
     sink, hub = K, K + 1
@@ -222,8 +219,7 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
         feeds, in_hub = net.hub_cell.tolist(), min(len(held), net.hub_cap)
     if accepted.all() and (count_np >= net.floor).all() and in_hub >= net.hub_floor:
         _check_reduced_costs(net, pick, np.zeros(K + 2), count_np)
-        return net.cand_i[pick], SolveStats(
-            objective=float(net.cand_cost[pick].sum()), wall_time=time.perf_counter() - t0)
+        return net.cand_i[pick], SolveStats(objective=float(net.cand_cost[pick].sum()))
 
     starts = starts.tolist()
     spans = list(map(range, starts[:-1], starts[1:]))
@@ -441,8 +437,7 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
     chosen = np.asarray(assigned, dtype=np.int64)
     _check_reduced_costs(net, chosen, np.asarray(pi), np.asarray(count[:K], dtype=np.int64))
     stats = SolveStats(objective=float(net.cand_cost[chosen].sum()), searches=run - drains,
-                       pops=pops, scans=scans, tables=tables, drains=drains,
-                       wall_time=time.perf_counter() - t0)
+                       pops=pops, scans=scans, tables=tables, drains=drains)
     return net.cand_i[chosen], stats
 
 

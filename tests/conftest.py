@@ -1,11 +1,16 @@
 """Shared fixtures and generators for the test suite."""
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cellflow import band as B
 from cellflow import correction as C
 from cellflow import grid as G
+from cellflow.errors import InputError
 from cellflow.flip import MacGrid, ParticleSet, clamp_positions
+from cellflow.outputs import FORMAT_VERSION, PART_MAGIC
 
 
 class StaticCells:
@@ -104,6 +109,20 @@ def random_band_instance(rng, push=-1.0):
     particles.x_ideal = clamp_positions(particles.x_prev + drift, dims,
                                         home_cells=np.floor(particles.x_prev))
     return grid, particles, state
+
+
+def read_particle_dump(path) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and velocities of a ``.cprt`` particle dump."""
+    raw = Path(path).read_bytes()
+    if raw[:4] != PART_MAGIC:
+        raise InputError(f"{path}: not a particle dump")
+    version, n, d = struct.unpack("<III", raw[4:16])
+    if version != FORMAT_VERSION:
+        raise InputError(f"{path}: unsupported dump version {version}")
+    floats = np.frombuffer(raw[16:], dtype="<f4")
+    pos = floats[: n * d].reshape(n, d).copy()
+    vel = floats[n * d: 2 * n * d].reshape(n, d).copy()
+    return pos, vel
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import random_band_instance, random_problem
+from conftest import random_band_instance, random_problem, read_particle_dump
 from oracles import build_one_way, compute_io, gamma_io_masks, tu_sample_check, with_region
 
 from cellflow import band as B
@@ -17,7 +17,6 @@ from cellflow import correction as C
 from cellflow import grid as G
 from cellflow import solvers as V
 from cellflow.errors import IntegrityError
-from cellflow.outputs import read_particle_dump
 from cellflow.pipeline import Simulation, run as run_scene
 from cellflow.scene import BandConfig, builtin_scene
 from test_band import fig_path_state

@@ -87,6 +87,18 @@ def test_run_negative_max_speed(tmp_path, capsys):
                        capsys, "max_speed must be positive")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("gravity = nan -9.8\n", "gravity must be finite"),
+    ("[obstacle]\nbox = 6 6 8 8\nvelocity = nan 0\n", "obstacle velocity must be finite"),
+    ("[fluid]\nbox = 1 1 nan 5\n", "fluid box must be finite"),
+], ids=["gravity", "obstacle_velocity", "fluid_box"])
+def test_run_non_finite_input(tmp_path, capsys, text, message):
+    path = tmp_path / "nan.scene"
+    path.write_text("version = 1\ndims = 10 10\n" + text, encoding="utf-8")
+    assert_input_error(["run", str(path), "--out", str(tmp_path / "o"), "--frames", "1"],
+                       capsys, message)
+
+
 @pytest.mark.parametrize("log, where", [
     (None, "volume.csv"),
     ("1,100.0,100.0\n", "line 2: malformed row"),
@@ -228,19 +240,25 @@ def test_full_band_replay_carries_region(tmp_path, monkeypatch, capsys):
 
 
 def test_flow_paths_failure_writes_replay(tmp_path, monkeypatch, capsys):
-    # a flow-paths repair that finds no path leaves its problem, band row
-    # included, and oracle-check replays it against the exact row
+    # a flow-paths repair that fails (other than by finding no path, which
+    # falls back to the exact solve) leaves its problem, band row included,
+    # and oracle-check replays it against the exact row
+    from cellflow.errors import IntegrityError
     cfg = SceneConfig(name="tiny", dims=(8, 8), mu=1, frames=4, seed=11,
                       fluids=[FluidRegion(Box((1, 1), (4, 5)))],
                       band=BandConfig(enabled=True, R=1, strategy=BandStrategy.FLOW_PATHS))
     path = tmp_path / "tiny.scene"
     path.write_text(scene_to_text(cfg), encoding="utf-8")
-    monkeypatch.setattr(B, "find_paths", lambda *args: ([], None))
+
+    def broken_update(*args):
+        raise IntegrityError("injected")
+
+    monkeypatch.setattr(B, "update_path", broken_update)
     out = tmp_path / "out"
     assert cli.main(["run", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     step = len(list(out.glob("frame_*.cprt")))  # frames 0 .. step - 1 were written
-    assert f"correction failed at seed 11, step {step}: flow-paths found no path" in err
+    assert f"correction failed at seed 11, step {step}: injected" in err
     replay = out / "failed_problem.txt"
     problem = C.load_problem(replay.read_text(encoding="utf-8"))
     assert problem.region is not None
@@ -248,6 +266,21 @@ def test_flow_paths_failure_writes_replay(tmp_path, monkeypatch, capsys):
     monkeypatch.undo()
     assert cli.main(["oracle-check", str(replay)]) == 0
     assert "OK" in capsys.readouterr().out
+
+
+def test_flow_paths_without_a_path_completes_the_run(tmp_path, monkeypatch, capsys):
+    # every repair finds no path: each falls back to the exact solve
+    cfg = SceneConfig(name="tiny", dims=(8, 8), mu=1, frames=4, seed=11,
+                      fluids=[FluidRegion(Box((1, 1), (4, 5)))],
+                      band=BandConfig(enabled=True, R=1, strategy=BandStrategy.FLOW_PATHS))
+    path = tmp_path / "tiny.scene"
+    path.write_text(scene_to_text(cfg), encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(B, "find_paths", lambda *args: calls.append(1) or ([], None))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out), "--check"]) == 0
+    assert calls and not (out / "failed_problem.txt").exists()
+    assert len(list(out.glob("frame_*.cprt"))) == 5
 
 
 def test_volume_summary(tmp_path, capsys):

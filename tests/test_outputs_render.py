@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from conftest import read_particle_dump
+
 from cellflow import grid as G
 from cellflow import outputs as O
 from cellflow.errors import InputError
@@ -27,7 +29,7 @@ def test_read_particle_dump_rejects_garbage(tmp_path):
     path = tmp_path / "bad.cprt"
     path.write_bytes(b"NOPE" + b"\0" * 12)
     with pytest.raises(InputError):
-        O.read_particle_dump(path)
+        read_particle_dump(path)
 
 
 def test_read_volume_csv_rejects_garbage(tmp_path):

@@ -2,10 +2,15 @@
 import numpy as np
 import pytest
 
+from conftest import read_particle_dump
+
+from cellflow import band as B
 from cellflow import correction as C
 from cellflow import grid as G
 from cellflow import outputs as O
+from cellflow import solvers as V
 from cellflow.band import BandStrategy
+from cellflow.errors import NoPathError
 from cellflow.pipeline import Simulation, run
 from cellflow.scene import (BandConfig, Box, EmitterConfig, FluidRegion, ObstacleConfig,
                             SceneConfig, builtin_scene)
@@ -143,6 +148,41 @@ class TestInvariants:
             assert sim.band.last_s_in >= 0 and sim.band.last_s_out >= 0
             assert_band_classes_agree(sim, record)
 
+    def test_flow_paths_without_a_path_falls_back_to_exact_solve(self, monkeypatch):
+        # flow-paths is a heuristic: it can find no path while the band row
+        # is feasible, and the substep then solves the row-attached problem
+        # exactly. Here the first repair that moves particles raises, after
+        # editing the choice, as if it had found no path.
+        correct_band_flow, solve_problem = B.correct_band_flow, V.solve_problem
+        raised, exact_slacks = [], []
+
+        def no_path_once(grid, problem, choice, classes, state):
+            diag = correct_band_flow(grid, problem, choice, classes, state)
+            if diag["n_move"] and not raised:
+                raised.append(diag["n_move"])
+                raise NoPathError("flow-paths found no path")
+            return diag
+
+        def solve(problem):
+            choice, stats = solve_problem(problem)
+            if problem.region is not None:  # a flow run attaches the row after its plain solve
+                exact_slacks.append(B.region_slack(problem, choice))
+            return choice, stats
+
+        monkeypatch.setattr(B, "correct_band_flow", no_path_once)
+        monkeypatch.setattr(V, "solve_problem", solve)
+        cfg = builtin_scene("dam")
+        cfg.band = BandConfig(enabled=True, R=6)
+        sim = Simulation(cfg, check_invariants=True)
+        total0 = sim.live_plus_deep()
+        for _ in range(10):
+            sim.step()
+            assert sim.live_plus_deep() == total0
+            assert sim.band.last_s_in >= 0 and sim.band.last_s_out >= 0
+        assert raised and len(exact_slacks) == 1
+        s_in, s_out = exact_slacks[0]
+        assert s_in >= 0 and s_out >= 0
+
     def test_band_full_strategy_runs(self):
         # band dam R=6 at scene scale: the exact solve keeps the interface
         # balance in every substep, with no repair afterwards
@@ -230,7 +270,7 @@ class TestRunOutputs:
         cfg = small_scene(frames=1)
         out = tmp_path / "rt"
         run(cfg, out)
-        pos, vel = O.read_particle_dump(out / "frame_000001.cprt")
+        pos, vel = read_particle_dump(out / "frame_000001.cprt")
         assert pos.shape == vel.shape
         assert pos.shape[1] == 2
         assert len(pos) > 0

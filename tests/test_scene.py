@@ -217,10 +217,36 @@ class TestValidation:
         ("flip_ratio = -0.1", r"flip_ratio must lie in \[0, 1\]"),
         ("flip_ratio = 1.5", r"flip_ratio must lie in \[0, 1\]"),
         ("flip_ratio = nan", r"flip_ratio must lie in \[0, 1\]"),
+        ("frame_dt = inf", "frame_dt must be positive and finite"),
+        ("max_speed = inf", "max_speed must be positive and finite"),
+        ("pressure_tol = inf", "pressure_tol must be positive and finite"),
+        ("lambda_penalty = 0", "lambda_penalty must be positive"),
+        ("lambda_penalty = -1000", "lambda_penalty must be positive"),
+        ("lambda_penalty = nan", "lambda_penalty must be positive"),
+        ("lambda_penalty = inf", "lambda_penalty must be positive and finite"),
+        ("gravity = nan -9.8", "gravity must be finite"),
+        ("gravity = 0 -inf", "gravity must be finite"),
     ])
     def test_scalar_out_of_range_rejected(self, line, message):
         with pytest.raises(InputError, match=message):
             parse_scene(MINIMAL + line + "\n")
+
+    @pytest.mark.parametrize("section, message", [
+        ("[fluid]\nbox = 1 1 8 nan", "fluid box must be finite"),
+        ("[fluid]\nbox = nan nan nan nan", "fluid box must be finite"),
+        ("[obstacle]\nbox = 10 10 12 inf\nvelocity = 0 0", "obstacle box must be finite"),
+        ("[obstacle]\nbox = 10 10 12 12\nvelocity = nan 0", "obstacle velocity must be finite"),
+        ("[emitter]\nbox = 4 4 6 6\nrate = 1\nvelocity = 0 -inf",
+         "emitter velocity must be finite"),
+        ("[emitter]\nbox = 4 4 6 6\nrate = inf\nvelocity = 0 0",
+         "emitter rate and start must be finite"),
+        ("[emitter]\nbox = 4 4 6 6\nrate = 1\nvelocity = 0 0\nstart = nan",
+         "emitter rate and start must be finite"),
+    ], ids=["fluid_box", "fluid_box_all_nan", "obstacle_box", "obstacle_velocity",
+            "emitter_velocity", "emitter_rate", "emitter_start"])
+    def test_non_finite_section_value_rejected(self, section, message):
+        with pytest.raises(InputError, match=message):
+            parse_scene(MINIMAL + "\n" + section + "\n")
 
     @pytest.mark.parametrize("keys", ["rate = -1", "rate = 1\ntotal = -5"],
                              ids=["rate", "total"])
