@@ -46,11 +46,9 @@ class BandState:
 def compute_alphas(cells: G.CellGrid, classes: dict[str, np.ndarray], state: BandState,
                    mu: int) -> tuple[int, int]:
     """Air available in the band interface and in the deep, from the band
-    classes of the previous-step snapshot."""
-    if cells.prev is None:
-        raise IntegrityError("band alphas need a previous-step snapshot")
+    classes and counts of the previous step."""
     iface = classes["interface"]
-    a_int = mu * int(iface.sum()) - int(cells.prev.counts[iface].sum())
+    a_int = mu * int(iface.sum()) - int(cells.counts[iface].sum())
     a_deep = mu * int(classes["deep"].sum()) - state.n_deep
     if a_int < 0 or a_deep < 0:
         raise IntegrityError(f"negative band air: alpha_interface={a_int}, alpha_deep={a_deep}")
@@ -338,14 +336,16 @@ def correct_band_flow(cells: G.CellGrid, problem: CorrectionProblem, choice: np.
 # ----------------------------------------------------------------------
 # particle bookkeeping at the end of a band step
 
-def maintain_band(cells: G.CellGrid, particles, state: BandState, mu: int,
-                  rng: np.random.Generator, mac) -> dict:
+def maintain_band(cells: G.CellGrid, particles, state: BandState, former: dict[str, np.ndarray],
+                  mu: int, rng: np.random.Generator, mac) -> dict:
     """Delete particles that reached the deep, reseed the excess into the band.
 
-    Runs after the marking update. Particles below depth -R are removed into
-    n_deep; when n_deep exceeds the deep capacity, band-interface cells are
-    visited in seeded-random order and filled to mu with new particles at
-    uniform-random positions, velocities interpolated from the grid.
+    Runs after the marking update; ``former`` are the band classes the
+    correction saw, those of the markings before the update. Particles below
+    depth -R are removed into n_deep; when n_deep exceeds the deep capacity,
+    band-interface cells are visited in seeded-random order and filled to mu
+    with new particles at uniform-random positions, velocities interpolated
+    from the grid.
 
     The interface balance constraints guarantee interface space only against
     the markings the correction saw; the marking update that just ran can
@@ -356,15 +356,14 @@ def maintain_band(cells: G.CellGrid, particles, state: BandState, mu: int,
     classes = G.band_classes(cells, state.R)
     deep_cells = classes["deep"]
 
-    # cells the correction treated as deep (snapshot depth) may have been
+    # cells the correction treated as deep (former depth) may have been
     # reclassified shallower by the marking update; their legal overflow
     # still counts as particles that reached the deep and is removed with
     # the deep residents, keeping each cell's mu earliest residents
     flat = cells.cell_of(particles.x)
     counts = np.bincount(flat, minlength=cells.ncells)
     over = (counts > mu) & ~deep_cells & ~cells.solid_mask()
-    if over.any() and cells.prev is not None \
-            and not G.band_classes(cells.prev, state.R)["deep"][over].all():
+    if not former["deep"][over].all():
         raise IntegrityError("overfull cell outside the former deep region")
     order = np.argsort(flat, kind="stable")
     rank = np.empty(len(flat), dtype=np.int64)

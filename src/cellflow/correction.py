@@ -66,11 +66,10 @@ class CandidateTable:
         return self.xi.shape[1]
 
 
-def build_candidates(particles, cells: G.CellGrid) -> CandidateTable:
-    """Candidate positions and costs for every particle/direction pair."""
-    x_prev = np.asarray(particles.x_prev, dtype=np.float64)
-    x_ideal = np.asarray(particles.x_ideal, dtype=np.float64)
-    n, d = x_prev.shape
+def build_candidates(x_start: np.ndarray, x_ideal: np.ndarray, cells: G.CellGrid) -> CandidateTable:
+    """Candidate positions and costs for every particle/direction pair, from
+    the positions at the start of the substep and the ideal advected ones."""
+    n, d = x_start.shape
     dirs = direction_set(d)
     m = len(dirs)
 
@@ -80,7 +79,7 @@ def build_candidates(particles, cells: G.CellGrid) -> CandidateTable:
     flat = np.zeros((m, n), dtype=np.int64)
     in_bounds = np.ones((m, n), dtype=bool)
     for k in range(d):
-        target = np.floor(x_prev[:, k]).astype(np.int64) + dirs[:, k, None]
+        target = np.floor(x_start[:, k]).astype(np.int64) + dirs[:, k, None]
         in_bounds &= (target >= 0) & (target < cells.dims[k])
         flat = flat * cells.dims[k] + target
         xi[:, :, k] = xk = phi_close(x_ideal[:, k], target)
@@ -109,15 +108,10 @@ class CorrectionProblem:
     mu: int
     cap: np.ndarray     # (ncells,) int64
     floor: np.ndarray   # (ncells,) int64
-    cost: np.ndarray    # (m, n) float64, includes any solid override
+    cost: np.ndarray    # (m, n) float64, includes any solid override; inf where invalid
     dims: tuple
-    valid: np.ndarray | None = None  # working validity incl. one-way fixes
     region: np.ndarray | None = None  # (ncells,) bool, cells whose total count is bounded
     region_bounds: tuple[int, int] = (0, 0)
-
-    def __post_init__(self):
-        if self.valid is None:
-            self.valid = self.candidates.valid.copy()
 
     @property
     def n(self) -> int:
@@ -130,6 +124,10 @@ class CorrectionProblem:
     @property
     def target_flat(self) -> np.ndarray:
         return self.candidates.target_flat
+
+    @property
+    def valid(self) -> np.ndarray:
+        return self.candidates.valid
 
     def counts_of(self, choice: np.ndarray) -> np.ndarray:
         cells = self.target_flat[choice, np.arange(self.n)]
@@ -158,47 +156,43 @@ def build_problem(
     classes: dict | None = None,
     solid_cost: np.ndarray | None = None,
 ) -> CorrectionProblem:
-    """Assemble caps/floors from the previous step's markings.
+    """Assemble caps/floors from the previous step's markings, which the
+    grid holds until the markings stage of the substep.
 
     Previously empty or surface cells take at most mu particles; previously
-    inner cells additionally must keep their previous count. Cells solid in
-    the snapshot (walls and obstacles) take none. With the band active
-    (``classes``, the band classes of the snapshot), the band interface joins
-    the cap-only group, only strictly-in-band cells keep floors, and deep
-    cells are unconstrained (their particles are deleted right after the
-    correction).
+    inner cells additionally must keep their previous count. Solid cells
+    (walls and obstacles) take none. With the band active (``classes``, the
+    band classes of the grid), the band interface joins the cap-only group,
+    only strictly-in-band cells keep floors, and deep cells are
+    unconstrained (their particles are deleted right after the correction).
     """
-    if cells.prev is None:
-        raise IntegrityError("build_problem requires a previous-step snapshot")
-    prev = cells.prev
     ncells = cells.ncells
 
     cap = np.full(ncells, mu, dtype=np.int64)
     floor = np.zeros(ncells, dtype=np.int64)
 
-    floored = (prev.marking == G.INNER) if classes is None else classes["in_band_inner"]
-    floor[floored] = prev.counts[floored]
+    floored = (cells.marking == G.INNER) if classes is None else classes["in_band_inner"]
+    floor[floored] = cells.counts[floored]
     if classes is not None:
         cap[classes["deep"]] = -1
-    solid = prev.marking == G.SOLID
+    solid = cells.marking == G.SOLID
     cap[solid] = 0
     floor[solid] = 0
 
     if (floor > np.where(cap < 0, np.iinfo(np.int64).max, cap)).any():
-        raise IntegrityError("cell lower bound exceeds capacity; snapshot corrupt")
+        raise IntegrityError("cell lower bound exceeds capacity; grid state corrupt")
 
-    cost = candidates.cost if solid_cost is None else solid_cost
     problem = CorrectionProblem(
         candidates=candidates,
         mu=mu,
         cap=cap,
         floor=floor,
-        cost=np.where(candidates.valid, cost, np.inf),
+        cost=candidates.cost if solid_cost is None else solid_cost,
         dims=cells.dims,
     )
     stay = np.full(problem.n, problem.m - 1, dtype=np.int64)
     if problem.n and not problem.check_feasible(stay, strict=False):
-        raise IntegrityError("all-stay assignment infeasible; state snapshot is inconsistent")
+        raise IntegrityError("all-stay assignment infeasible; grid state is inconsistent")
     return problem
 
 
@@ -255,14 +249,17 @@ def load_problem(text: str) -> CorrectionProblem:
                 c, cp, fl = (int(v) for v in vals)
                 cells.append((no, c, cp, fl))
             else:
-                header[key] = [int(v) for v in vals]
+                header[key] = (no, [int(v) for v in vals])
         except ValueError:
             raise InputError(f"line {no}: malformed {key!r} line") from None
     for key in ("dims", "mu", "n", "m"):
-        if not header.get(key):
+        no, vals = header.get(key, (None, []))
+        if not vals:
             raise InputError(f"no {key!r} line")
-    dims = tuple(header["dims"])
-    mu, n, m = header["mu"][0], header["n"][0], header["m"][0]
+        if key != "mu" and min(vals) < 0:
+            raise InputError(f"line {no}: negative {key!r}")
+    dims = tuple(header["dims"][1])
+    mu, n, m = header["mu"][1][0], header["n"][1][0], header["m"][1][0]
     ncells = int(np.prod(dims))
 
     d = len(dims)
@@ -286,7 +283,10 @@ def load_problem(text: str) -> CorrectionProblem:
     table = CandidateTable(xi=xi, cost=cost, target_flat=flat, valid=valid, dirs=direction_set(d))
     problem = CorrectionProblem(candidates=table, mu=mu, cap=cap, floor=floor, cost=cost, dims=dims)
     if "region" in header:
-        lo, hi, *region = header["region"]
+        no, vals = header["region"]
+        if len(vals) < 2:
+            raise InputError(f"line {no}: 'region' line needs lo and hi")
+        lo, hi, *region = vals
         if not all(0 <= c < ncells for c in region):
             raise InputError("'region' line names a cell outside the grid")
         problem.region = np.zeros(ncells, dtype=bool)

@@ -18,10 +18,8 @@ from .errors import SolverError
 
 @dataclass
 class ParticleSet:
-    """Positions across the step (previous, ideal advected, corrected)."""
+    """Particle positions and velocities."""
 
-    x_prev: np.ndarray
-    x_ideal: np.ndarray
     x: np.ndarray
     vel: np.ndarray
 
@@ -30,8 +28,7 @@ class ParticleSet:
         x = np.asarray(x, dtype=np.float64)
         if vel is None:
             vel = np.zeros_like(x)
-        return cls(x_prev=x.copy(), x_ideal=x.copy(), x=x.copy(),
-                   vel=np.asarray(vel, dtype=np.float64).copy())
+        return cls(x=x.copy(), vel=np.asarray(vel, dtype=np.float64).copy())
 
     @property
     def n(self) -> int:
@@ -43,16 +40,12 @@ class ParticleSet:
 
     def append(self, x: np.ndarray, vel: np.ndarray) -> None:
         self.x = np.vstack([self.x, x])
-        self.x_prev = np.vstack([self.x_prev, x])
-        self.x_ideal = np.vstack([self.x_ideal, x])
         self.vel = np.vstack([self.vel, vel])
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the particles where mask is False, preserving index order of
         the survivors."""
         self.x = self.x[mask]
-        self.x_prev = self.x_prev[mask]
-        self.x_ideal = self.x_ideal[mask]
         self.vel = self.vel[mask]
 
 
@@ -117,9 +110,9 @@ def transfer_p2g(particles: ParticleSet, mac: MacGrid,
     write_cells (flat bool mask) is given, only faces adjacent to at least
     one cell in the mask are overwritten; the band method passes the cells
     it owns with particles (everything shallower than the band interface).
-    Returns each component's stencil at x_prev, for transfer_g2p.
+    Returns each component's stencil at the positions, for transfer_g2p.
     """
-    stencils = [_stencil(mac, a, particles.x_prev) for a in range(mac.d)]
+    stencils = [_stencil(mac, a, particles.x) for a in range(mac.d)]
     for a, (idx, w) in enumerate(stencils):
         u = mac.vel[a]
         # corner-major: each face sums its particles in a fixed order
@@ -145,8 +138,8 @@ def transfer_g2p(mac: MacGrid, saved_vel: list[np.ndarray], particles: ParticleS
                  max_speed: float) -> np.ndarray:
     """FLIP/PIC blend back to particles, then clamp to the scene speed bound.
 
-    stencils are transfer_p2g's, at the unchanged x_prev. Returns the PIC
-    field (the new grid velocity at x_prev), advect_particles' first stage.
+    stencils are transfer_p2g's, at the unchanged positions. Returns the PIC
+    field there (the new grid velocity), advect_particles' first stage.
     """
     pic = np.stack([_gather(mac.vel[a].ravel(), st) for a, st in enumerate(stencils)], axis=1)
     delta = np.stack([_gather((mac.vel[a] - saved_vel[a]).ravel(), st)
@@ -170,18 +163,18 @@ def clamp_positions(positions: np.ndarray, dims, home_cells: np.ndarray | None =
     return out
 
 
-def advect_particles(particles: ParticleSet, mac: MacGrid, dt: float, v1: np.ndarray) -> None:
+def advect_particles(particles: ParticleSet, mac: MacGrid, dt: float, v1: np.ndarray) -> np.ndarray:
     """RK2 midpoint advection of particle positions through the grid field.
 
-    v1 is the field at x_prev, the first stage. The result is clamped so
-    each particle stays within the Moore neighborhood of its previous cell
-    and inside the non-wall interior.
+    v1 is the field at the positions, the first stage. Returns the ideal
+    positions, clamped so each particle stays within the Moore neighborhood
+    of its cell and inside the non-wall interior; the particles keep theirs.
     """
-    x0 = particles.x_prev
+    x0 = particles.x
     mid = clamp_positions(x0 + 0.5 * dt * v1, mac.dims)
     v2 = velocity_at(mac, mid)
     home = np.floor(x0)
-    particles.x_ideal = clamp_positions(x0 + dt * v2, mac.dims, home_cells=home)
+    return clamp_positions(x0 + dt * v2, mac.dims, home_cells=home)
 
 
 def advect_grid_velocity(mac: MacGrid, dt: float, face_masks: list[np.ndarray]) -> None:

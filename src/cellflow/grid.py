@@ -65,15 +65,6 @@ def _any_neighbor(mask_nd: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class GridSnapshot:
-    """Markings, depth and per-cell particle counts of a completed step."""
-
-    marking: np.ndarray
-    depth: np.ndarray
-    counts: np.ndarray
-
-
-@dataclass
 class VolumeReport:
     """Discrete fluid volume, in cell units.
 
@@ -83,7 +74,6 @@ class VolumeReport:
     """
 
     V: float
-    V_star: float
     percent: float
     alt_percent: float
     filled: int
@@ -94,8 +84,9 @@ class CellGrid:
     """Regular 2D/3D grid with marking, depth and count bookkeeping.
 
     Per-cell particle counts are derived from positions by
-    :meth:`rebuild_counts`; ``prev`` holds the snapshot of the previous
-    completed step used by the correction constraints.
+    :meth:`rebuild_counts`. Until the markings stage of a substep runs, the
+    markings, depth and counts are those of the previous step, the state
+    the correction constrains against.
     """
 
     def __init__(self, dims):
@@ -121,7 +112,6 @@ class CellGrid:
         self.marking[self.wall] = SOLID
         self.depth = np.ones(self.ncells, dtype=np.int32)
         self.counts = np.zeros(self.ncells, dtype=np.int64)
-        self.prev: GridSnapshot | None = None
         self._vn_table = self._build_vn_table()
 
     # ------------------------------------------------------------------
@@ -169,10 +159,6 @@ class CellGrid:
         self.counts = np.bincount(flat, minlength=self.ncells).astype(np.int64)
         return self.counts
 
-    def snapshot(self) -> GridSnapshot:
-        self.prev = GridSnapshot(self.marking.copy(), self.depth.copy(), self.counts.copy())
-        return self.prev
-
     # masks used across modules
     def fluid_mask(self) -> np.ndarray:
         return (self.marking == SURFACE) | (self.marking == INNER)
@@ -181,24 +167,24 @@ class CellGrid:
         return self.marking == SOLID
 
 
-def band_classes(cells, R: int) -> dict[str, np.ndarray]:
-    """The band's cell classes of a marking and depth, for band thickness R.
+def band_classes(grid: CellGrid, R: int) -> dict[str, np.ndarray]:
+    """The band's cell classes of the grid's marking and depth, for band
+    thickness R.
 
-    ``cells`` is a :class:`GridSnapshot` or the :class:`CellGrid` itself.
     The interface is the fluid at depth -R and the deep lies below it; the
     region is both together, the part of the fluid the grid owns. Inner
     cells above the interface are in the band, and the layer above is the
     fluid at depth 1 - R. Every comparison of depth with R is made here.
     """
-    fluid = (cells.marking == SURFACE) | (cells.marking == INNER)
+    fluid = grid.fluid_mask()
     return {
-        "surface": cells.marking == SURFACE,
-        "interface": fluid & (cells.depth == -R),
-        "in_band_inner": (cells.marking == INNER) & (cells.depth > -R),
-        "deep": fluid & (cells.depth < -R),
-        "region": fluid & (cells.depth <= -R),
-        "layer_above": fluid & (cells.depth == 1 - R),
-        "empty": cells.marking == EMPTY,
+        "surface": grid.marking == SURFACE,
+        "interface": fluid & (grid.depth == -R),
+        "in_band_inner": (grid.marking == INNER) & (grid.depth > -R),
+        "deep": fluid & (grid.depth < -R),
+        "region": fluid & (grid.depth <= -R),
+        "layer_above": fluid & (grid.depth == 1 - R),
+        "empty": grid.marking == EMPTY,
     }
 
 
@@ -361,7 +347,6 @@ def volume_report(grid: CellGrid, mu: int, v_star: float, per_cell: bool = False
         cells[near] = np.minimum(grid.counts[near], mu) / mu
     return VolumeReport(
         V=V,
-        V_star=float(v_star),
         percent=100.0 * V / v_star,
         alt_percent=100.0 * alt / v_star,
         filled=filled,

@@ -3,8 +3,9 @@
 A frame advances in substeps sized so nothing crosses more than one cell.
 Each substep runs the fixed stage order (stage names are recorded for the
 ordering tests): emit, p2g, forces, pressure, g2p, [grid_advect], advect,
-correct, gate, markings, [band_maintain]. The grid snapshot taken at the
-end of a substep supplies the constraint state of the next one.
+correct, gate, markings, [band_maintain]. The markings stage runs after
+correct, so the correction reads the previous step's markings, depth and
+counts from the grid as they stand.
 """
 from __future__ import annotations
 
@@ -100,9 +101,9 @@ class Simulation:
         self.total_budget = self.particles.n  # live + n_deep + future emissions
         G.classify_cells(self.grid, self.particles.x, self.obstacles)
         G.assign_depth(self.grid)
-        if self.band is not None:
-            B.maintain_band(self.grid, self.particles, self.band, cfg.mu, self.rng, self.mac)
-        self.grid.snapshot()
+        if self.band is not None:  # no seeded cell holds more than mu
+            B.maintain_band(self.grid, self.particles, self.band,
+                            G.band_classes(self.grid, self.band.R), cfg.mu, self.rng, self.mac)
 
     # ------------------------------------------------------------------
 
@@ -178,9 +179,10 @@ class Simulation:
 
         self._emit(dt)
         trace.append("emit")
+        x_start = particles.x  # apply_solution replaces the array, never writes it
 
         # the band's classes of the previous step, built once per substep
-        classes = G.band_classes(grid.prev, band.R) if band else None
+        classes = G.band_classes(grid, band.R) if band else None
         # p2g may overwrite the faces of non-solid cells outside the band region
         write_cells = ~classes["region"] & ~grid.solid_mask() if band else None
         stencils = F.transfer_p2g(particles, mac, write_cells)
@@ -209,23 +211,23 @@ class Simulation:
             # the faces touching the band region, the fluid the grid owns
             F.advect_grid_velocity(mac, dt, [G.face_mask(mac.dims, a, classes["region"])
                                              for a in range(mac.d)])
-            v1 = F.velocity_at(mac, particles.x_prev)  # the field g2p read has moved
+            v1 = F.velocity_at(mac, x_start)  # the field g2p read has moved
             trace.append("grid_advect")
 
-        F.advect_particles(particles, mac, dt, v1)
+        x_ideal = F.advect_particles(particles, mac, dt, v1)
         trace.append("advect")
         if self.check_invariants and particles.n:
-            prev_cells = np.floor(particles.x_prev).astype(np.int64)
-            ideal_cells = np.floor(particles.x_ideal).astype(np.int64)
+            prev_cells = np.floor(x_start).astype(np.int64)
+            ideal_cells = np.floor(x_ideal).astype(np.int64)
             cheb = int(np.abs(ideal_cells - prev_cells).max())
             self.last_checks.max_cheb_ideal = max(self.last_checks.max_cheb_ideal, cheb)
             if cheb > 1:
                 raise IntegrityError("advected position left the Moore neighborhood")
 
-        proposals = self._correct(dt, classes, band_diag)
+        proposals = self._correct(dt, x_ideal, classes, band_diag)
         trace.append("correct")
         if self.check_invariants and particles.n:
-            prev_cells = np.floor(particles.x_prev).astype(np.int64)
+            prev_cells = np.floor(x_start).astype(np.int64)
             new_cells = np.floor(particles.x).astype(np.int64)
             manh = int(np.abs(new_cells - prev_cells).sum(axis=1).max())
             self.last_checks.max_manhattan_corrected = max(
@@ -243,13 +245,10 @@ class Simulation:
         trace.append("markings")
 
         if band:
-            maint = B.maintain_band(grid, particles, band, cfg.mu, self.rng, mac)
+            maint = B.maintain_band(grid, particles, band, classes, cfg.mu, self.rng, mac)
             band_diag["n_excess"] += maint["n_excess"]
             trace.append("band_maintain")
 
-        particles.x_prev = particles.x.copy()
-        particles.x_ideal = particles.x.copy()
-        grid.snapshot()  # counts from classify_cells, or maintain_band's recount
         self.time += dt
 
         if self.check_invariants:
@@ -275,8 +274,10 @@ class Simulation:
             em.spawned += placed
             self.total_budget += placed
 
-    def _correct(self, dt: float, classes: dict | None, band_diag: dict) -> list:
-        """Build and solve the correction problem, apply new positions.
+    def _correct(self, dt: float, x_ideal: np.ndarray, classes: dict | None,
+                 band_diag: dict) -> list:
+        """Build and solve the correction problem toward the advected
+        positions ``x_ideal``, apply new positions.
 
         ``classes`` are the band classes of the previous step (None without
         the band). Both band strategies end with the band row attached to the
@@ -307,7 +308,7 @@ class Simulation:
         if particles.n == 0:
             return proposals
 
-        candidates = C.build_candidates(particles, grid)
+        candidates = C.build_candidates(particles.x, x_ideal, grid)
         solid_cost = S.override_costs(candidates, solid_obj) if solid_obj else None
         problem = C.build_problem(grid, candidates, cfg.mu, classes, solid_cost)
 

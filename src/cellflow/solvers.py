@@ -317,7 +317,7 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
                     via[v] = -1
                     heappush(heap, (nd, v))
         if target < 0:
-            raise IntegrityError("min-cost flow infeasible; snapshot corruption suspected")
+            raise IntegrityError("min-cost flow infeasible; grid state corruption suspected")
         pops += len(popped)
         dstar = dist[target]
         for u in popped:

@@ -27,11 +27,11 @@ class StaticCells:
 
 
 def random_state(rng, dims=(6, 6), mu=None, n_max=10, solid_prob=0.12):
-    """Random but fully consistent grid snapshot + particle set.
+    """Random but fully consistent grid state, particle set and ideal positions.
 
     Particles are placed with at most mu per non-solid interior cell; the
-    snapshot is taken exactly as the pipeline would, so floors, caps and the
-    all-stay assignment are all coherent.
+    markings and counts are set exactly as the pipeline would, so floors,
+    caps and the all-stay assignment are all coherent.
     """
     grid = G.CellGrid(dims)
     d = grid.d
@@ -60,17 +60,15 @@ def random_state(rng, dims=(6, 6), mu=None, n_max=10, solid_prob=0.12):
     G.classify_cells(grid, x, obstacles)
     G.assign_depth(grid)
     grid.rebuild_counts(x)
-    grid.snapshot()
 
     particles = ParticleSet.from_positions(x)
     ideal = x + rng.uniform(-1.4, 1.4, size=(n, d))
-    particles.x_ideal = clamp_positions(ideal, dims, home_cells=np.floor(x))
-    return grid, particles, mu
+    return grid, particles, clamp_positions(ideal, dims, home_cells=np.floor(x)), mu
 
 
 def random_problem(rng, dims=(6, 6), mu=None, n_max=10, solid_prob=0.12):
-    grid, particles, mu = random_state(rng, dims, mu, n_max, solid_prob)
-    table = C.build_candidates(particles, grid)
+    grid, particles, x_ideal, mu = random_state(rng, dims, mu, n_max, solid_prob)
+    table = C.build_candidates(particles.x, x_ideal, grid)
     problem = C.build_problem(grid, table, mu)
     return problem, grid, particles
 
@@ -82,7 +80,8 @@ def stay_choice(problem):
 
 def random_band_instance(rng, push=-1.0):
     """Random toy band state (1 ppc, tiny tank) with a vertical push: down by
-    default, up for push=+1."""
+    default, up for push=+1. Returns the grid, the particles, the band state
+    and the ideal positions, or None for an empty or too large toy."""
     R = int(rng.integers(1, 3))
     width = int(rng.integers(2, 4))
     dims = (width + 2, 10)
@@ -98,17 +97,16 @@ def random_band_instance(rng, push=-1.0):
     grid.rebuild_counts(x)
     particles = ParticleSet.from_positions(x)
     state = B.BandState(R=R)
-    B.maintain_band(grid, particles, state, mu=1, rng=rng, mac=MacGrid(dims))
+    B.maintain_band(grid, particles, state, G.band_classes(grid, R), mu=1, rng=rng,
+                    mac=MacGrid(dims))
     if particles.n == 0 or particles.n > 10:
         return None
     grid.rebuild_counts(particles.x)
-    grid.snapshot()
-    B.compute_alphas(grid, G.band_classes(grid.prev, R), state, mu=1)
-    drift = rng.normal(0.0, 0.5, size=particles.x_prev.shape)
+    B.compute_alphas(grid, G.band_classes(grid, R), state, mu=1)
+    drift = rng.normal(0.0, 0.5, size=particles.x.shape)
     drift[:, 1] += push * rng.uniform(0.2, 1.0)
-    particles.x_ideal = clamp_positions(particles.x_prev + drift, dims,
-                                        home_cells=np.floor(particles.x_prev))
-    return grid, particles, state
+    x_ideal = clamp_positions(particles.x + drift, dims, home_cells=np.floor(particles.x))
+    return grid, particles, state, x_ideal
 
 
 def read_particle_dump(path) -> tuple[np.ndarray, np.ndarray]:

@@ -15,10 +15,11 @@ from cellflow.flip import MacGrid
 from cellflow.errors import InputError
 
 
-def gamma_io_masks(problem: CorrectionProblem, x_prev: np.ndarray, cells: G.CellGrid,
+def gamma_io_masks(problem: CorrectionProblem, x_start: np.ndarray, cells: G.CellGrid,
                    classes: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate masks for movements into / out of the band interface."""
-    src = cells.cell_of(x_prev)
+    """Candidate masks for movements into / out of the band interface, for
+    particles at x_start."""
+    src = cells.cell_of(x_start)
     target = problem.target_flat
     safe = np.where(problem.valid, target, 0)
     in_mask = classes["layer_above"][src][None, :] & classes["interface"][safe] & problem.valid
@@ -40,8 +41,8 @@ def compute_io(choice: np.ndarray, in_mask: np.ndarray, out_mask: np.ndarray,
 def with_region(problem: CorrectionProblem, cells: G.CellGrid, R: int,
                 alpha_le: int) -> CorrectionProblem:
     """A copy of the band problem with the full band row attached as its region."""
-    full = replace(problem, valid=problem.valid.copy())
-    B.attach_region(full, G.band_classes(cells.prev, R), alpha_le)
+    full = replace(problem)
+    B.attach_region(full, G.band_classes(cells, R), alpha_le)
     return full
 
 
@@ -83,7 +84,8 @@ def build_one_way(problem: CorrectionProblem, choice: np.ndarray, in_mask: np.nd
     forced = (fixed & sel).any(axis=0)
     valid[:, forced] &= sel[:, forced]
     point = hi if s_in < 0 else lo
-    return replace(problem, valid=valid, region_bounds=(point, point))
+    return replace(problem, candidates=replace(problem.candidates, valid=valid),
+                   region_bounds=(point, point))
 
 
 def canonical_matrix(problem: CorrectionProblem) -> np.ndarray:

@@ -173,11 +173,11 @@ def test_criterion_07_band_bookkeeping(band_dam_run):
 
 
 def test_criterion_08_fig_path_reproduction():
-    grid, particles, state = fig_path_state()
-    table = C.build_candidates(particles, grid)
-    cls = G.band_classes(grid.prev, state.R)
+    grid, particles, state, x_ideal = fig_path_state()
+    table = C.build_candidates(particles.x, x_ideal, grid)
+    cls = G.band_classes(grid, state.R)
     problem = C.build_problem(grid, table, mu=1, classes=cls)
-    in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
+    in_mask, out_mask = gamma_io_masks(problem, particles.x, grid, cls)
     assignment, _ = V.solve_problem(problem)
     n_in, n_out, s_in, s_out = compute_io(assignment, in_mask, out_mask,
                                           state.alpha_le)
@@ -211,11 +211,11 @@ def test_criterion_09_oneway_vs_flowpaths():
         inst = random_band_instance(rng)
         if inst is None:
             continue
-        grid, particles, state = inst
-        table = C.build_candidates(particles, grid)
-        cls = G.band_classes(grid.prev, state.R)
+        grid, particles, state, x_ideal = inst
+        table = C.build_candidates(particles.x, x_ideal, grid)
+        cls = G.band_classes(grid, state.R)
         problem = C.build_problem(grid, table, mu=1, classes=cls)
-        in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
+        in_mask, out_mask = gamma_io_masks(problem, particles.x, grid, cls)
         assignment, _ = V.solve_problem(problem)
         n_in, n_out, s_in, s_out = compute_io(assignment, in_mask, out_mask,
                                               state.alpha_le)
@@ -233,7 +233,7 @@ def test_criterion_09_oneway_vs_flowpaths():
         diag = B.correct_band_flow(grid, problem, assignment, cls, state)
         C.apply_solution(problem, assignment, particles)
         assert diag["s_in"] >= 0 and diag["s_out"] >= 0
-        flow_obj = float(((particles.x - particles.x_ideal) ** 2).sum())
+        flow_obj = float(((particles.x - x_ideal) ** 2).sum())
         # sound direction: the flow result is feasible for the full band row
         assert full_obj <= flow_obj + 1e-9
         assert full_obj <= oneway_obj + 1e-9

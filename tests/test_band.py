@@ -18,7 +18,7 @@ from cellflow.scene import SceneConfig
 
 
 def column_state(width=6, height=10, R=2, mu=1, fill_to=8, dims=None):
-    """Tank with a fluid column of the given height, classified and snapshot."""
+    """Tank with a fluid column of the given height, classified and counted."""
     dims = dims or (width + 2, height + 4)
     grid = G.CellGrid(dims)
     pts = []
@@ -30,7 +30,6 @@ def column_state(width=6, height=10, R=2, mu=1, fill_to=8, dims=None):
     G.classify_cells(grid, x)
     G.assign_depth(grid)
     grid.rebuild_counts(x)
-    grid.snapshot()
     particles = ParticleSet.from_positions(x)
     return grid, particles
 
@@ -39,7 +38,7 @@ class TestAlphas:
     def test_full_interface_zero_air(self):
         grid, particles = column_state(mu=2, R=2)
         state = B.BandState(R=2, n_deep=0)
-        cls = G.band_classes(grid.prev, 2)
+        cls = G.band_classes(grid, 2)
         deep_capacity = 2 * int(cls["deep"].sum())
         state.n_deep = deep_capacity
         a_int, a_deep = B.compute_alphas(grid, cls, state, mu=2)
@@ -49,12 +48,12 @@ class TestAlphas:
     def test_missing_particles_counted(self):
         grid, particles = column_state(mu=4, R=2)
         state = B.BandState(R=2)
-        cls = G.band_classes(grid.prev, 2)
+        cls = G.band_classes(grid, 2)
         state.n_deep = 4 * int(cls["deep"].sum())
         # hollow out three interface cells: counts 4,3,2 -> alpha = 3
         iface = np.flatnonzero(cls["interface"])[:3]
-        grid.prev.counts[iface[1]] = 3
-        grid.prev.counts[iface[2]] = 2
+        grid.counts[iface[1]] = 3
+        grid.counts[iface[2]] = 2
         a_int, _ = B.compute_alphas(grid, cls, state, mu=4)
         assert a_int == 3
 
@@ -62,51 +61,51 @@ class TestAlphas:
         grid, particles = column_state(mu=1, R=2)
         state = B.BandState(R=2, n_deep=10_000)
         with pytest.raises(IntegrityError):
-            B.compute_alphas(grid, G.band_classes(grid.prev, 2), state, mu=1)
+            B.compute_alphas(grid, G.band_classes(grid, 2), state, mu=1)
 
 
-def solved_plain(grid, particles, mu, R=None):
-    table = C.build_candidates(particles, grid)
-    problem = C.build_problem(grid, table, mu, None if R is None else G.band_classes(grid.prev, R))
+def solved_plain(grid, particles, x_ideal, mu, R=None):
+    table = C.build_candidates(particles.x, x_ideal, grid)
+    problem = C.build_problem(grid, table, mu, None if R is None else G.band_classes(grid, R))
     assignment, stats = V.solve_problem(problem)
     return problem, assignment
 
 
 def push_one_entrant(grid, particles, R):
-    """Nudge one above-interface particle a full cell down and give the rest
-    of its column a slight downward preference, so the optimal solution is a
-    falling chain whose middle link crosses the band interface."""
-    cls = G.band_classes(grid.prev, R)
-    src_cells = grid.cell_of(particles.x_prev)
-    particles.x_ideal = particles.x_prev.copy()
+    """Ideal positions that nudge one above-interface particle a full cell
+    down and give the rest of its column a slight downward preference, so the
+    optimal solution is a falling chain whose middle link crosses the band
+    interface."""
+    cls = G.band_classes(grid, R)
+    src_cells = grid.cell_of(particles.x)
+    x_ideal = particles.x.copy()
     above = np.flatnonzero(cls["layer_above"][src_cells])
     j = int(above[0])
-    col = int(np.floor(particles.x_prev[j, 0]))
-    same_col = np.flatnonzero(np.floor(particles.x_prev[:, 0]).astype(int) == col)
+    col = int(np.floor(particles.x[j, 0]))
+    same_col = np.flatnonzero(np.floor(particles.x[:, 0]).astype(int) == col)
     for k in same_col:
         if k != j:
-            particles.x_ideal[k, 1] -= 0.3
-    particles.x_ideal[j, 1] -= 1.0
-    return j
+            x_ideal[k, 1] -= 0.3
+    x_ideal[j, 1] -= 1.0
+    return x_ideal
 
 
 class TestIO:
     def test_no_cross_movement(self):
         grid, particles = column_state(mu=1, R=2)
-        particles.x_ideal = particles.x_prev.copy()
-        problem, assignment = solved_plain(grid, particles, mu=1)
-        cls = G.band_classes(grid.prev, 2)
-        in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
+        problem, assignment = solved_plain(grid, particles, particles.x, mu=1)
+        cls = G.band_classes(grid, 2)
+        in_mask, out_mask = gamma_io_masks(problem, particles.x, grid, cls)
         n_in, n_out, s_in, s_out = compute_io(assignment, in_mask, out_mask, alpha_le=3)
         assert (n_in, n_out) == (0, 0)
         assert s_in == 3 and s_out == 0
 
     def test_single_entrant(self):
         grid, particles = column_state(mu=1, R=2, fill_to=8)
-        push_one_entrant(grid, particles, R=2)
-        problem, assignment = solved_plain(grid, particles, mu=1, R=2)
-        cls = G.band_classes(grid.prev, 2)
-        in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
+        x_ideal = push_one_entrant(grid, particles, R=2)
+        problem, assignment = solved_plain(grid, particles, x_ideal, mu=1, R=2)
+        cls = G.band_classes(grid, 2)
+        in_mask, out_mask = gamma_io_masks(problem, particles.x, grid, cls)
         n_in, n_out, s_in, s_out = compute_io(assignment, in_mask, out_mask, alpha_le=0)
         assert (n_in, n_out) == (1, 0)
         assert s_in == -1 and s_out == 1
@@ -115,10 +114,9 @@ class TestIO:
 class TestOneWay:
     def test_requires_negative_slack(self):
         grid, particles = column_state(mu=1, R=2)
-        particles.x_ideal = particles.x_prev.copy()
-        problem, assignment = solved_plain(grid, particles, mu=1)
-        cls = G.band_classes(grid.prev, 2)
-        in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
+        problem, assignment = solved_plain(grid, particles, particles.x, mu=1)
+        cls = G.band_classes(grid, 2)
+        in_mask, out_mask = gamma_io_masks(problem, particles.x, grid, cls)
         with pytest.raises(InputError):
             build_one_way(problem, assignment, in_mask, out_mask, alpha_le=5)
 
@@ -126,10 +124,10 @@ class TestOneWay:
         # the single-entrant situation with no air: the point interval pins
         # entrants to zero and the constrained optimum keeps everyone out
         grid, particles = column_state(mu=1, R=2, fill_to=8)
-        push_one_entrant(grid, particles, R=2)
-        problem, assignment = solved_plain(grid, particles, mu=1, R=2)
-        cls = G.band_classes(grid.prev, 2)
-        in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
+        x_ideal = push_one_entrant(grid, particles, R=2)
+        problem, assignment = solved_plain(grid, particles, x_ideal, mu=1, R=2)
+        cls = G.band_classes(grid, 2)
+        in_mask, out_mask = gamma_io_masks(problem, particles.x, grid, cls)
         full = with_region(problem, grid, R=2, alpha_le=0)
         constrained = build_one_way(full, assignment, in_mask, out_mask, alpha_le=0)
         fixed, stats = V.solve_problem(constrained)
@@ -140,10 +138,10 @@ class TestOneWay:
 
     def test_vacuous_alpha_keeps_optimum(self):
         grid, particles = column_state(mu=1, R=2, fill_to=8)
-        push_one_entrant(grid, particles, R=2)
-        problem, assignment = solved_plain(grid, particles, mu=1, R=2)
-        cls = G.band_classes(grid.prev, 2)
-        in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
+        x_ideal = push_one_entrant(grid, particles, R=2)
+        problem, assignment = solved_plain(grid, particles, x_ideal, mu=1, R=2)
+        cls = G.band_classes(grid, 2)
+        in_mask, out_mask = gamma_io_masks(problem, particles.x, grid, cls)
         n_in, n_out, s_in, s_out = compute_io(assignment, in_mask, out_mask, alpha_le=1)
         # alpha of 1 absorbs the entrant, so the full band row is satisfied by
         # the unconstrained optimum and the hub solve reproduces it
@@ -154,11 +152,13 @@ class TestOneWay:
         assert abs(stats2.objective - stats.objective) < 1e-9
 
 
-def table_edge_cost(grid, particles, mu=1, classes=None):
+def table_edge_cost(grid, particles, mu=1, classes=None, x_ideal=None):
     """Edge costs read from the correction problem of the current state (the
     band problem of ``classes``, else the plain one), over the all-stay
-    choice: every particle in its previous-step cell."""
-    problem = C.build_problem(grid, C.build_candidates(particles, grid), mu, classes)
+    choice: every particle in its previous-step cell. Without ``x_ideal``
+    every particle's ideal position is where it stands."""
+    x_ideal = particles.x if x_ideal is None else x_ideal
+    problem = C.build_problem(grid, C.build_candidates(particles.x, x_ideal, grid), mu, classes)
     return B.EdgeCost(problem, stay_choice(problem))
 
 
@@ -244,10 +244,11 @@ class TestFindPaths:
     def test_toward_ideal_negative_edge(self):
         grid, particles = column_state(mu=1, R=2, fill_to=6)
         j = 0
-        src = int(grid.cell_of(particles.x_prev[j:j + 1])[0])
+        src = int(grid.cell_of(particles.x[j:j + 1])[0])
         up = grid.unflat(src) + np.array([0, 1])
-        particles.x_ideal[j] = up + 0.5  # wants the cell above
-        edge_cost = table_edge_cost(grid, particles)
+        x_ideal = particles.x.copy()
+        x_ideal[j] = up + 0.5  # wants the cell above
+        edge_cost = table_edge_cost(grid, particles, x_ideal=x_ideal)
         assert edge_cost(j, grid.flat(up)) < 0
 
 
@@ -286,7 +287,7 @@ class TestUpdatePath:
 
 def home_particle(grid, particles, cell):
     """The particle whose previous-step cell is `cell` (1 ppc states)."""
-    return int(np.flatnonzero(grid.cell_of(particles.x_prev) == grid.flat(cell))[0])
+    return int(np.flatnonzero(grid.cell_of(particles.x) == grid.flat(cell))[0])
 
 
 def relocate(grid, edge_cost, j, cell):
@@ -303,7 +304,7 @@ class TestEdgeCost:
         j = home_particle(grid, particles, (3, 6))
         up = grid.flat((3, 7))
         so = S.build_solid_objective(grid, np.array([up]), SceneConfig.lambda_penalty)
-        table = C.build_candidates(particles, grid)
+        table = C.build_candidates(particles.x, particles.x, grid)
         problem = C.build_problem(grid, table, 1, solid_cost=S.override_costs(table, so))
         edge_cost = B.EdgeCost(problem, stay_choice(problem))
         assert edge_cost(j, up) == so.lambda_penalty * so.cdist[up] - problem.cost[-1, j]
@@ -344,8 +345,7 @@ class TestCrossingRule:
 
     def build(self, drain):
         grid, particles = column_state(mu=1, R=2, fill_to=8)
-        particles.x_ideal = particles.x_prev.copy()
-        cls = G.band_classes(grid.prev, 2)
+        cls = G.band_classes(grid, 2)
         assert cls["interface"][grid.flat(IFACE)] and cls["layer_above"][grid.flat(ABOVE)]
         heavy_from, heavy_to = (IFACE, ABOVE) if drain else (ABOVE, IFACE)
         return grid, particles, crossing(cls, drain), heavy_from, heavy_to
@@ -384,8 +384,9 @@ class TestCrossingRule:
         grid, particles, rule, heavy_from, heavy_to = self.build(drain)
         crosser = home_particle(grid, particles, heavy_to)
         step = np.subtract(heavy_to, heavy_from)
-        particles.x_ideal[crosser] = np.add(heavy_from, 0.5) - 0.9 * step
-        edge_cost = table_edge_cost(grid, particles)
+        x_ideal = particles.x.copy()
+        x_ideal[crosser] = np.add(heavy_from, 0.5) - 0.9 * step
+        edge_cost = table_edge_cost(grid, particles, x_ideal=x_ideal)
         relocate(grid, edge_cost, crosser, heavy_from)
         resident = home_particle(grid, particles, heavy_from)
         assert self.edge(grid, edge_cost, heavy_from, heavy_to, open_rule(grid)) == resident
@@ -400,8 +401,7 @@ class TestPathCapacity:
         # R = 1, 1 ppc: row 6 is the surface (the layer above the interface),
         # row 5 the interface, rows 1-4 deep
         grid, particles = column_state(width=3, mu=1, R=1, fill_to=6)
-        particles.x_ideal = particles.x_prev.copy()
-        return grid, particles, G.band_classes(grid.prev, 1)
+        return grid, particles, G.band_classes(grid, 1)
 
     def test_path_through_overfull_deep_cell(self):
         grid, particles, cls = self.build(drain=True)
@@ -460,11 +460,11 @@ def test_flow_paths_stay_in_one_way_set(push):
         inst = random_band_instance(rng, push)
         if inst is None:
             continue
-        grid, particles, state = inst
-        table = C.build_candidates(particles, grid)
-        cls = G.band_classes(grid.prev, state.R)
+        grid, particles, state, x_ideal = inst
+        table = C.build_candidates(particles.x, x_ideal, grid)
+        cls = G.band_classes(grid, state.R)
         problem = C.build_problem(grid, table, mu=1, classes=cls)
-        in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
+        in_mask, out_mask = gamma_io_masks(problem, particles.x, grid, cls)
         assignment, _ = V.solve_problem(problem)
         _, _, s_in, s_out = compute_io(assignment, in_mask, out_mask, state.alpha_le)
         if s_in >= 0 and s_out >= 0:
@@ -475,7 +475,7 @@ def test_flow_paths_stay_in_one_way_set(push):
         B.correct_band_flow(grid, problem, choice, cls, state)
         C.apply_solution(problem, assignment, particles)  # checks the band row it carries
         assert one_way.check_feasible(choice, strict=False)
-        flow_obj = float(((particles.x - particles.x_ideal) ** 2).sum())
+        flow_obj = float(((particles.x - x_ideal) ** 2).sum())
         assert abs(objective_of(one_way, choice) - flow_obj) < 1e-9
         corrected += 1
     assert corrected >= 30
@@ -500,9 +500,10 @@ def test_flow_paths_one_move_short_fails_band_row(push, monkeypatch):
         inst = random_band_instance(rng, push)
         if inst is None:
             continue
-        grid, particles, state = inst
-        cls = G.band_classes(grid.prev, state.R)
-        problem = C.build_problem(grid, C.build_candidates(particles, grid), mu=1, classes=cls)
+        grid, particles, state, x_ideal = inst
+        cls = G.band_classes(grid, state.R)
+        problem = C.build_problem(grid, C.build_candidates(particles.x, x_ideal, grid), mu=1,
+                                  classes=cls)
         choice = V.solve_problem(problem)[0]
         before_move.clear()
         try:
@@ -534,11 +535,12 @@ def band_toys(push, count, seed=4242):
         inst = random_band_instance(rng, push)
         if inst is None:
             continue
-        grid, particles, state = inst
-        cls = G.band_classes(grid.prev, state.R)
-        problem = C.build_problem(grid, C.build_candidates(particles, grid), mu=1, classes=cls)
+        grid, particles, state, x_ideal = inst
+        cls = G.band_classes(grid, state.R)
+        problem = C.build_problem(grid, C.build_candidates(particles.x, x_ideal, grid), mu=1,
+                                  classes=cls)
         full = with_region(problem, grid, state.R, state.alpha_le)
-        masks = gamma_io_masks(problem, particles.x_prev, grid, cls)
+        masks = gamma_io_masks(problem, particles.x, grid, cls)
         toys.append((grid, particles, state, problem, full, masks))
     return toys
 
@@ -618,8 +620,8 @@ class TestHubSolve:
         # an interface cell dropped from the region: a move between it and a
         # neighbour changes the region's count without crossing the interface
         grid, particles, state, problem, full, _ = band_toys(-1.0, 1)[0]
-        cls = G.band_classes(grid.prev, state.R)
-        prev_cells = grid.cell_of(particles.x_prev)
+        cls = G.band_classes(grid, state.R)
+        prev_cells = grid.cell_of(particles.x)
         held = np.flatnonzero(cls["interface"] & (np.bincount(prev_cells, minlength=grid.ncells) > 0))
         cls["region"] = cls["region"].copy()
         cls["region"][held[0]] = False
@@ -634,11 +636,17 @@ class TestMaintain:
         state = B.BandState(R=R)
         return grid, particles, state
 
+    @staticmethod
+    def _maintain(grid, particles, state, rng):
+        """Band maintenance after a substep that left the markings unchanged."""
+        return B.maintain_band(grid, particles, state, G.band_classes(grid, state.R), mu=1,
+                               rng=rng, mac=MacGrid(grid.dims))
+
     def test_deep_particles_deleted(self):
         grid, particles, state = self._band_grid(R=1)
         n0 = particles.n
         rng = np.random.default_rng(0)
-        out = B.maintain_band(grid, particles, state, mu=1, rng=rng, mac=MacGrid(grid.dims))
+        out = self._maintain(grid, particles, state, rng)
         deep_cells = int((grid.fluid_mask() & (grid.depth < -1)).sum())
         assert out["removed"] == deep_cells  # 1 ppc
         assert state.n_deep == deep_cells
@@ -647,17 +655,17 @@ class TestMaintain:
     def test_noop_when_band_balanced(self):
         grid, particles, state = self._band_grid(R=1)
         rng = np.random.default_rng(0)
-        B.maintain_band(grid, particles, state, mu=1, rng=rng, mac=MacGrid(grid.dims))
+        self._maintain(grid, particles, state, rng)
         n_before = particles.n
         deep_before = state.n_deep
-        B.maintain_band(grid, particles, state, mu=1, rng=rng, mac=MacGrid(grid.dims))
+        self._maintain(grid, particles, state, rng)
         assert particles.n == n_before
         assert state.n_deep == deep_before
 
     def test_excess_reseeded_into_interface(self):
         grid, particles, state = self._band_grid(R=1)
         rng = np.random.default_rng(0)
-        B.maintain_band(grid, particles, state, mu=1, rng=rng, mac=MacGrid(grid.dims))
+        self._maintain(grid, particles, state, rng)
         # two interface residents wander off (delete them) while two imaginary
         # deep particles surface: reseeding refills the freed interface cells
         iface = np.flatnonzero(grid.fluid_mask() & (grid.depth == -1))
@@ -667,7 +675,7 @@ class TestMaintain:
         particles.keep(~np.isin(np.arange(particles.n), gone))
         live = particles.n
         state.n_deep += 2
-        out = B.maintain_band(grid, particles, state, mu=1, rng=rng, mac=MacGrid(grid.dims))
+        out = self._maintain(grid, particles, state, rng)
         assert out["reseeded"] == 2
         assert particles.n == live + 2
         counts = np.bincount(grid.cell_of(particles.x), minlength=grid.ncells)
@@ -676,19 +684,21 @@ class TestMaintain:
     def test_overfull_interface_rejected(self):
         grid, particles, state = self._band_grid(R=1)
         rng = np.random.default_rng(0)
-        B.maintain_band(grid, particles, state, mu=1, rng=rng, mac=MacGrid(grid.dims))
+        self._maintain(grid, particles, state, rng)
         state.n_deep += 2  # no space anywhere for the excess
         with pytest.raises(IntegrityError):
-            B.maintain_band(grid, particles, state, mu=1, rng=rng, mac=MacGrid(grid.dims))
+            self._maintain(grid, particles, state, rng)
 
     @staticmethod
     def _lowered_pool(extra_cell):
-        """A 4-wide column of 8 rows at 2 ppc, snapshot at R = 2 (rows 1-5
+        """A 4-wide column of 8 rows at 2 ppc, classed at R = 2 (rows 1-5
         deep), then lowered to 5 rows and reclassified: row 4 is now in the
         band and rows 1-2 are deep. Cells (1..3, 1) lose one particle each,
         and extra_cell gains three: one before every other particle and two
-        after them. Returns the grid, the positions and the extras' flags."""
+        after them. Returns the grid, the positions, the extras' flags and
+        the band classes before the lowering."""
         grid, particles = column_state(width=4, R=2, mu=2, fill_to=8)
+        former = G.band_classes(grid, 2)
         x = particles.x
         cols, rows = np.floor(x[:, 0]).astype(int), np.floor(x[:, 1]).astype(int)
         first = [np.flatnonzero((cols == i) & (rows == 1))[0] for i in (1, 2, 3)]
@@ -701,21 +711,21 @@ class TestMaintain:
         grid.rebuild_counts(x)
         is_extra = np.zeros(len(x), dtype=bool)
         is_extra[[0, -2, -1]] = True
-        return grid, x, is_extra
+        return grid, x, is_extra, former
 
     def test_former_deep_overflow_keeps_earliest_residents(self):
-        grid, x, is_extra = self._lowered_pool((1, 4))
+        grid, x, is_extra, former = self._lowered_pool((1, 4))
         cls = G.band_classes(grid, 2)
         c = grid.flat((1, 4))
-        assert cls["in_band_inner"][c] and G.band_classes(grid.prev, 2)["deep"][c]
+        assert cls["in_band_inner"][c] and former["deep"][c]
         flat = grid.cell_of(x)
         residents = np.flatnonzero(flat == c)
         assert len(residents) == 5 and is_extra[residents].tolist() == [True, False, False,
                                                                            True, True]
         particles = ParticleSet.from_positions(x)
         state = B.BandState(R=2)
-        out = B.maintain_band(grid, particles, state, mu=2, rng=np.random.default_rng(0),
-                              mac=MacGrid(grid.dims))
+        out = B.maintain_band(grid, particles, state, former, mu=2,
+                              rng=np.random.default_rng(0), mac=MacGrid(grid.dims))
         keep = ~cls["deep"][flat]
         keep[residents[2:]] = False  # the mu = 2 earliest residents stay
         overflow = 3
@@ -727,11 +737,11 @@ class TestMaintain:
         assert grid.counts[c] == 2
 
     def test_overfull_cell_outside_former_deep_rejected(self):
-        grid, x, _ = self._lowered_pool((1, 6))
-        assert not G.band_classes(grid.prev, 2)["deep"][grid.flat((1, 6))]
+        grid, x, _, former = self._lowered_pool((1, 6))
+        assert not former["deep"][grid.flat((1, 6))]
         particles = ParticleSet.from_positions(x)
         with pytest.raises(IntegrityError, match="outside the former deep region"):
-            B.maintain_band(grid, particles, B.BandState(R=2), mu=2,
+            B.maintain_band(grid, particles, B.BandState(R=2), former, mu=2,
                             rng=np.random.default_rng(0), mac=MacGrid(grid.dims))
 
     def test_conservation_across_maintenance(self):
@@ -739,7 +749,7 @@ class TestMaintain:
         rng = np.random.default_rng(0)
         total0 = particles.n + state.n_deep
         for _ in range(3):
-            B.maintain_band(grid, particles, state, mu=1, rng=rng, mac=MacGrid(grid.dims))
+            self._maintain(grid, particles, state, rng)
             assert particles.n + state.n_deep == total0
 
 
@@ -763,17 +773,15 @@ def fig_path_state():
     grid.rebuild_counts(x)
     particles = ParticleSet.from_positions(x)
     state = B.BandState(R=1)
-    B.maintain_band(grid, particles, state, mu=1, rng=np.random.default_rng(0),
-                    mac=MacGrid(grid.dims))
+    B.maintain_band(grid, particles, state, G.band_classes(grid, state.R), mu=1,
+                    rng=np.random.default_rng(0), mac=MacGrid(grid.dims))
     grid.rebuild_counts(particles.x)
-    grid.snapshot()
-    B.compute_alphas(grid, G.band_classes(grid.prev, state.R), state, mu=1)
-    particles.x_ideal = particles.x_prev.copy()
-    movers = np.flatnonzero(np.floor(particles.x_prev[:, 0]) == 2)
-    particles.x_ideal[movers, 1] -= 1.0
-    particles.x_ideal = clamp_positions(particles.x_ideal, grid.dims,
-                                        home_cells=np.floor(particles.x_prev))
-    return grid, particles, state
+    B.compute_alphas(grid, G.band_classes(grid, state.R), state, mu=1)
+    x_ideal = particles.x.copy()
+    movers = np.flatnonzero(np.floor(particles.x[:, 0]) == 2)
+    x_ideal[movers, 1] -= 1.0
+    x_ideal = clamp_positions(x_ideal, grid.dims, home_cells=np.floor(particles.x))
+    return grid, particles, state, x_ideal
 
 
 class TestFigPathScenario:
@@ -781,12 +789,12 @@ class TestFigPathScenario:
         return fig_path_state()
 
     def test_plain_solve_violates_then_flow_restores(self):
-        grid, particles, state = self.build()
+        grid, particles, state, x_ideal = self.build()
         assert state.alpha_le == 0
-        table = C.build_candidates(particles, grid)
-        cls = G.band_classes(grid.prev, state.R)
+        table = C.build_candidates(particles.x, x_ideal, grid)
+        cls = G.band_classes(grid, state.R)
         problem = C.build_problem(grid, table, mu=1, classes=cls)
-        in_mask, out_mask = gamma_io_masks(problem, particles.x_prev, grid, cls)
+        in_mask, out_mask = gamma_io_masks(problem, particles.x, grid, cls)
         assignment, stats = V.solve_problem(problem)
         n_in, n_out, s_in, s_out = compute_io(assignment, in_mask, out_mask,
                                               state.alpha_le)
@@ -799,9 +807,9 @@ class TestFigPathScenario:
         assert diag["s_in"] == 0 and diag["s_out"] >= 0
 
     def test_flow_conserves_counts(self):
-        grid, particles, state = self.build()
-        table = C.build_candidates(particles, grid)
-        cls = G.band_classes(grid.prev, state.R)
+        grid, particles, state, x_ideal = self.build()
+        table = C.build_candidates(particles.x, x_ideal, grid)
+        cls = G.band_classes(grid, state.R)
         problem = C.build_problem(grid, table, mu=1, classes=cls)
         assignment, _ = V.solve_problem(problem)
         B.correct_band_flow(grid, problem, assignment, cls, state)
@@ -816,9 +824,10 @@ class TestFigPathScenario:
         # capacity is read from the problem: with the cell the repair fills,
         # (2, 5), capped at its plain-solve count, flow-paths must find
         # another sink or fail, never return a choice over that cap
-        grid, particles, state = self.build()
-        cls = G.band_classes(grid.prev, state.R)
-        problem = C.build_problem(grid, C.build_candidates(particles, grid), mu=1, classes=cls)
+        grid, particles, state, x_ideal = self.build()
+        cls = G.band_classes(grid, state.R)
+        problem = C.build_problem(grid, C.build_candidates(particles.x, x_ideal, grid), mu=1,
+                                  classes=cls)
         choice, _ = V.solve_problem(problem)
         filled = grid.flat((2, 5))
         problem.cap[filled] = problem.counts_of(choice)[filled]

@@ -121,7 +121,15 @@ def test_oracle_check_missing_file(tmp_path, capsys):
      "line 6: malformed 'cand' line"),
     (lambda text: re.sub(r"^cand \S+", "cand 99", text, count=1, flags=re.M),
      "line 6: 'cand' index outside"),
-], ids=["no_dims_line", "non_numeric_cost", "particle_out_of_range"])
+    (lambda text: re.sub(r"^dims .*", "dims 3 -3", text, flags=re.M), "line 2: negative 'dims'"),
+    (lambda text: re.sub(r"^n .*", "n -1", text, flags=re.M), "line 4: negative 'n'"),
+    (lambda text: re.sub(r"^m .*", "m -2", text, flags=re.M), "line 5: negative 'm'"),
+    (lambda text: re.sub(r"^(m .*)", r"\1\nregion 5", text, flags=re.M),
+     "line 6: 'region' line needs lo and hi"),
+    (lambda text: re.sub(r"^(m .*)", r"\1\nregion", text, flags=re.M),
+     "line 6: 'region' line needs lo and hi"),
+], ids=["no_dims_line", "non_numeric_cost", "particle_out_of_range", "negative_dims",
+        "negative_n", "negative_m", "region_one_number", "region_bare"])
 def test_oracle_check_malformed_dump(tmp_path, rng, capsys, edit, where):
     problem, _, _ = random_problem(rng, n_max=6)
     dump = tmp_path / "bad.txt"
@@ -147,9 +155,9 @@ def test_band_problem_dump_round_trip(tmp_path, capsys):
         inst = random_band_instance(rng)
         if inst is None:
             continue
-        grid, particles, state = inst
-        plain = C.build_problem(grid, C.build_candidates(particles, grid), mu=1,
-                                classes=G.band_classes(grid.prev, state.R))
+        grid, particles, state, x_ideal = inst
+        plain = C.build_problem(grid, C.build_candidates(particles.x, x_ideal, grid), mu=1,
+                                classes=G.band_classes(grid, state.R))
         problem = with_region(plain, grid, state.R, state.alpha_le)
         if V.solve_problem(problem)[1].objective > V.solve_problem(plain)[1].objective + 1e-9:
             break  # the region binds

@@ -70,11 +70,10 @@ class TestPhiClose:
             assert (out <= c + 1 - G.MARGIN / 2 + 1e-12).all()
 
 
-def particles_at(x_prev, x_ideal=None):
-    p = ParticleSet.from_positions(np.asarray(x_prev, dtype=float))
-    if x_ideal is not None:
-        p.x_ideal = np.asarray(x_ideal, dtype=float)
-    return p
+def candidates_at(grid, x_start, x_ideal):
+    """The candidate table of particles at x_start with the given ideal positions."""
+    return C.build_candidates(np.asarray(x_start, dtype=float), np.asarray(x_ideal, dtype=float),
+                              grid)
 
 
 def classified_grid(dims, cells_with_counts):
@@ -87,7 +86,6 @@ def classified_grid(dims, cells_with_counts):
     G.classify_cells(grid, x)
     G.assign_depth(grid)
     grid.rebuild_counts(x)
-    grid.snapshot()
     grid.seeded_positions = x
     return grid
 
@@ -95,21 +93,18 @@ def classified_grid(dims, cells_with_counts):
 class TestCandidates:
     def test_ideal_in_candidate_cell_costs_zero(self):
         grid = classified_grid((8, 8), [((4, 4), 1)])
-        p = particles_at([[4.5, 4.5]], [[5.4, 4.5]])  # ideal inside the +x cell
-        table = C.build_candidates(p, grid)
+        table = candidates_at(grid, [[4.5, 4.5]], [[5.4, 4.5]])  # ideal inside the +x cell
         assert np.allclose(table.xi[0, 0], [5.4, 4.5])
         assert table.cost[0, 0] == 0.0
 
     def test_stay_candidate_always_valid(self):
         grid = classified_grid((8, 8), [((1, 1), 1)])
-        p = particles_at([[1.5, 1.5]], [[1.2, 1.8]])
-        table = C.build_candidates(p, grid)
+        table = candidates_at(grid, [[1.5, 1.5]], [[1.2, 1.8]])
         assert table.valid[table.m - 1, 0]
 
     def test_wall_targets_invalid(self):
         grid = classified_grid((8, 8), [((1, 1), 1)])
-        p = particles_at([[1.5, 1.5]], [[1.5, 1.5]])
-        table = C.build_candidates(p, grid)
+        table = candidates_at(grid, [[1.5, 1.5]], [[1.5, 1.5]])
         # -x and -y point into the wall layer
         assert not table.valid[2, 0]
         assert not table.valid[3, 0]
@@ -117,15 +112,13 @@ class TestCandidates:
 
     def test_cost_symmetry(self):
         grid = classified_grid((9, 9), [((4, 4), 1)])
-        p = particles_at([[4.5, 4.5]], [[4.5, 4.5]])  # centered ideal
-        table = C.build_candidates(p, grid)
+        table = candidates_at(grid, [[4.5, 4.5]], [[4.5, 4.5]])  # centered ideal
         assert table.cost[0, 0] == pytest.approx(table.cost[2, 0])
         assert table.cost[1, 0] == pytest.approx(table.cost[3, 0])
 
     def test_targets_match_directions(self):
         grid = classified_grid((9, 9), [((4, 4), 1)])
-        p = particles_at([[4.3, 4.7]], [[4.9, 4.2]])
-        table = C.build_candidates(p, grid)
+        table = candidates_at(grid, [[4.3, 4.7]], [[4.9, 4.2]])
         for i, dvec in enumerate(table.dirs):
             if table.valid[i, 0]:
                 cell = grid.unflat(table.target_flat[i, 0])
@@ -133,12 +126,11 @@ class TestCandidates:
                 assert (np.floor(table.xi[i, 0]) == cell).all()
 
 
-def build_candidates_on_nd(particles, cells):
+def build_candidates_on_nd(x_start, x_ideal, cells):
     """Reference: the candidate table built on (m, n, d) arrays, with the
     targets flattened by np.ravel_multi_index and the cost an np.sum over d."""
-    x_prev, x_ideal = particles.x_prev, particles.x_ideal
-    dirs = C.direction_set(x_prev.shape[1])
-    target = np.floor(x_prev).astype(np.int64)[None, :, :] + dirs[:, None, :]
+    dirs = C.direction_set(x_start.shape[1])
+    target = np.floor(x_start).astype(np.int64)[None, :, :] + dirs[:, None, :]
     in_bounds = np.all((target >= 0) & (target < np.asarray(cells.dims)), axis=2)
     safe = np.where(in_bounds[:, :, None], target, 0)
     flat = np.ravel_multi_index(tuple(np.moveaxis(safe, 2, 0)), cells.dims).astype(np.int64)
@@ -167,10 +159,9 @@ class TestCandidatesByAxis:
             ideal = x + rng.uniform(-1.5, 1.5, size=x.shape)
             snap = rng.random(x.shape) < 0.2
             ideal[snap] = np.round(ideal[snap])
-            p = particles_at(x, ideal)
-            table = C.build_candidates(p, grid)
+            table = C.build_candidates(x, ideal, grid)
             got = (table.xi, table.cost, table.target_flat, table.valid)
-            want = build_candidates_on_nd(p, grid)
+            want = build_candidates_on_nd(x, ideal, grid)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
@@ -181,17 +172,16 @@ class TestBuildProblem:
     def test_full_inner_cells_pinned(self):
         # inner block exactly at capacity: every inner cell floor == cap == mu
         grid = classified_grid((9, 10), [((i, j), 4) for i in range(1, 8) for j in range(1, 8)])
-        p = ParticleSet.from_positions(grid.seeded_positions)
-        table = C.build_candidates(p, grid)
+        x = grid.seeded_positions
+        table = C.build_candidates(x, x, grid)
         problem = C.build_problem(grid, table, mu=4)
-        inner = grid.prev.marking == G.INNER
+        inner = grid.marking == G.INNER
         assert (problem.floor[inner] == 4).all()
         assert (problem.cap[inner] == 4).all()
 
     def test_prev_surface_cap_only(self):
         grid = classified_grid((8, 8), [((4, 4), 2)])
-        p = particles_at([[4.5, 4.5]], [[4.5, 4.5]])
-        table = C.build_candidates(p, grid)
+        table = candidates_at(grid, [[4.5, 4.5]], [[4.5, 4.5]])
         problem = C.build_problem(grid, table, mu=4)
         c = grid.flat((4, 4))
         assert problem.cap[c] == 4
@@ -199,22 +189,21 @@ class TestBuildProblem:
 
     def test_solid_cell_cap_zero(self):
         grid = classified_grid((8, 8), [((4, 4), 1)])
-        problem = C.build_problem(grid, C.build_candidates(
-            particles_at([[4.5, 4.5]], [[4.5, 4.5]]), grid), mu=4)
+        problem = C.build_problem(grid, candidates_at(grid, [[4.5, 4.5]], [[4.5, 4.5]]), mu=4)
         assert (problem.cap[grid.wall] == 0).all()
 
     def test_all_stay_feasible_asserted(self):
         grid = classified_grid((8, 8), [((3, 3), 2), ((4, 3), 1)])
-        p = particles_at([[3.3, 3.5], [3.7, 3.5], [4.5, 3.5]],
-                         [[3.3, 3.9], [3.7, 3.2], [4.1, 3.5]])
-        problem = C.build_problem(grid, C.build_candidates(p, grid), mu=4)
+        table = candidates_at(grid, [[3.3, 3.5], [3.7, 3.5], [4.5, 3.5]],
+                              [[3.3, 3.9], [3.7, 3.2], [4.1, 3.5]])
+        problem = C.build_problem(grid, table, mu=4)
         stay = stay_choice(problem)
         assert problem.check_feasible(stay, strict=False)
 
     def test_gamma_tilde_partition(self):
         grid = classified_grid((8, 8), [((3, 3), 1), ((4, 4), 1)])
-        p = particles_at([[3.5, 3.5], [4.5, 4.5]], [[3.9, 3.5], [4.2, 4.8]])
-        problem = C.build_problem(grid, C.build_candidates(p, grid), mu=4)
+        table = candidates_at(grid, [[3.5, 3.5], [4.5, 4.5]], [[3.9, 3.5], [4.2, 4.8]])
+        problem = C.build_problem(grid, table, mu=4)
         seen = {}
         for j in range(problem.n):
             for i in np.flatnonzero(problem.valid[:, j]):
@@ -226,15 +215,15 @@ class TestBuildProblem:
 class TestApply:
     def test_all_stay_lands_at_phi_close(self):
         grid = classified_grid((8, 8), [((3, 3), 1)])
-        p = particles_at([[3.5, 3.5]], [[4.4, 3.6]])
-        problem = C.build_problem(grid, C.build_candidates(p, grid), mu=4)
+        p = ParticleSet.from_positions(np.array([[3.5, 3.5]]))
+        problem = C.build_problem(grid, candidates_at(grid, p.x, [[4.4, 3.6]]), mu=4)
         C.apply_solution(problem, stay_choice(problem), p)
         assert np.allclose(p.x[0], C.phi_close(np.array([4.4, 3.6]), (3, 3)))
 
     def test_infeasible_assignment_rejected(self):
         grid = classified_grid((8, 8), [((3, 3), 1), ((3, 4), 1)])
-        p = particles_at([[3.5, 3.4], [3.5, 4.5]], [[3.5, 4.4], [3.5, 4.6]])
-        problem = C.build_problem(grid, C.build_candidates(p, grid), mu=1)
+        p = ParticleSet.from_positions(np.array([[3.5, 3.4], [3.5, 4.5]]))
+        problem = C.build_problem(grid, candidates_at(grid, p.x, [[3.5, 4.4], [3.5, 4.6]]), mu=1)
         bad = np.array([1, 4])  # both into (3, 4), cap 1
         with pytest.raises(IntegrityError):
             C.apply_solution(problem, bad, p)
@@ -243,9 +232,9 @@ class TestApply:
 class TestDump:
     def test_round_trip(self):
         grid = classified_grid((8, 8), [((3, 3), 2), ((4, 3), 1)])
-        p = particles_at([[3.3, 3.5], [3.7, 3.5], [4.5, 3.5]],
-                         [[3.9, 3.5], [3.2, 3.2], [4.1, 3.9]])
-        problem = C.build_problem(grid, C.build_candidates(p, grid), mu=2)
+        table = candidates_at(grid, [[3.3, 3.5], [3.7, 3.5], [4.5, 3.5]],
+                              [[3.9, 3.5], [3.2, 3.2], [4.1, 3.9]])
+        problem = C.build_problem(grid, table, mu=2)
         text = C.dump_problem(problem)
         loaded = C.load_problem(text)
         assert loaded.n == problem.n and loaded.m == problem.m

@@ -26,18 +26,18 @@ def make_state(dims=(8, 8), cells=(), ppc=4):
     G.classify_cells(grid, x)
     G.assign_depth(grid)
     grid.rebuild_counts(x)
-    grid.snapshot()
     particles = F.ParticleSet.from_positions(x)
     mac = F.MacGrid(dims)
     return grid, mac, particles
 
 
 def stencils_at(mac, p):
-    return [F._stencil(mac, a, p.x_prev) for a in range(mac.d)]
+    return [F._stencil(mac, a, p.x) for a in range(mac.d)]
 
 
 def advect(p, mac, dt):
-    F.advect_particles(p, mac, dt, F.velocity_at(mac, p.x_prev))
+    """The ideal positions of the particles after dt in the grid field."""
+    return F.advect_particles(p, mac, dt, F.velocity_at(mac, p.x))
 
 
 class TestTransfers:
@@ -47,7 +47,7 @@ class TestTransfers:
         F.transfer_p2g(p, mac)
         for a in range(2):
             written = np.zeros_like(mac.vel[a], dtype=bool)
-            q = p.x_prev - mac.face_offset(a)
+            q = p.x - mac.face_offset(a)
             base = np.floor(q).astype(np.int64)
             for corner in [(0, 0), (0, 1), (1, 0), (1, 1)]:
                 idx = tuple(base[:, k] + corner[k] for k in range(2))
@@ -123,34 +123,29 @@ class TestForces:
 class TestAdvect:
     def test_zero_velocity_stays(self):
         grid, mac, p = make_state(cells=[(3, 3)])
-        advect(p, mac, dt=0.5)
-        assert np.allclose(p.x_ideal, p.x_prev)
+        assert np.allclose(advect(p, mac, dt=0.5), p.x)
 
     def test_constant_velocity_arithmetic(self):
         grid, mac, p = make_state(dims=(8, 8))
-        p.x_prev = np.array([[2.2, 2.2]])
-        p.x = p.x_prev.copy()
+        p.x = np.array([[2.2, 2.2]])
         p.vel = np.zeros((1, 2))
         mac.vel[0][:] = 1.0
-        advect(p, mac, dt=0.5)
-        assert np.allclose(p.x_ideal, [[2.7, 2.2]])
+        assert np.allclose(advect(p, mac, dt=0.5), [[2.7, 2.2]])
 
     def test_wall_clamp(self):
         grid, mac, p = make_state(dims=(8, 8))
-        p.x_prev = np.array([[1.5, 1.5]])
+        p.x = np.array([[1.5, 1.5]])
         mac.vel[0][:] = -10.0
-        advect(p, mac, dt=1.0)
-        assert p.x_ideal[0, 0] >= 1.0 + G.MARGIN - 1e-12
+        assert advect(p, mac, dt=1.0)[0, 0] >= 1.0 + G.MARGIN - 1e-12
 
     def test_moore_locality_clamp(self):
         grid, mac, p = make_state(dims=(12, 12))
-        p.x_prev = np.array([[5.5, 5.5]])
+        p.x = np.array([[5.5, 5.5]])
         mac.vel[0][:] = 0.0
         mac.vel[1][:] = 0.0
         # fake a huge velocity by lying to the integrator via dt
         mac.vel[0][:] = 3.0
-        advect(p, mac, dt=1.0)
-        assert abs(int(np.floor(p.x_ideal[0, 0])) - 5) <= 1
+        assert abs(int(np.floor(advect(p, mac, dt=1.0)[0, 0])) - 5) <= 1
 
     def test_grid_advect_uniform_unchanged(self):
         grid, mac, p = make_state(dims=(8, 8))
@@ -225,7 +220,7 @@ def per_call_velocity_at(mac, positions):
 def per_call_p2g(particles, mac, write_cells=None):
     for a in range(mac.d):
         u = mac.vel[a]
-        stencil = per_call_stencil(mac, a, particles.x_prev)
+        stencil = per_call_stencil(mac, a, particles.x)
         flat = np.concatenate([idx for idx, _ in stencil])
         num = np.bincount(flat, np.concatenate([w * particles.vel[:, a] for _, w in stencil]),
                           u.size).reshape(u.shape)
@@ -237,7 +232,7 @@ def per_call_p2g(particles, mac, write_cells=None):
 
 
 def per_call_g2p(mac, saved_vel, particles, flip_ratio, max_speed):
-    x = particles.x_prev
+    x = particles.x
     pic = per_call_velocity_at(mac, x)
     delta = np.stack([per_call_gather(mac, a, mac.vel[a] - saved_vel[a], x)
                       for a in range(mac.d)], axis=1)
@@ -247,10 +242,10 @@ def per_call_g2p(mac, saved_vel, particles, flip_ratio, max_speed):
 
 
 def per_call_advect(particles, mac, dt):
-    x0 = particles.x_prev
+    x0 = particles.x
     mid = F.clamp_positions(x0 + 0.5 * dt * per_call_velocity_at(mac, x0), mac.dims)
-    particles.x_ideal = F.clamp_positions(x0 + dt * per_call_velocity_at(mac, mid), mac.dims,
-                                          home_cells=np.floor(x0))
+    return F.clamp_positions(x0 + dt * per_call_velocity_at(mac, mid), mac.dims,
+                             home_cells=np.floor(x0))
 
 
 def random_flip_state(rng, dims, n=300):
@@ -268,7 +263,7 @@ def random_flip_state(rng, dims, n=300):
 
 
 def copy_state(particles, mac):
-    ref = F.ParticleSet.from_positions(particles.x_prev, particles.vel)
+    ref = F.ParticleSet.from_positions(particles.x, particles.vel)
     ref_mac = F.MacGrid(mac.dims)
     ref_mac.vel = mac.copy_velocity()
     return ref, ref_mac
@@ -295,11 +290,10 @@ class TestSharedStencils:
             pic = F.transfer_g2p(mac, saved, p, stencils, 0.95, max_speed=1.5)
             per_call_g2p(ref_mac, ref_saved, ref, 0.95, max_speed=1.5)
             assert p.vel.tobytes() == ref.vel.tobytes()
-            assert pic.tobytes() == F.velocity_at(mac, p.x_prev).tobytes()
-            assert pic.tobytes() == per_call_velocity_at(mac, p.x_prev).tobytes()
-            F.advect_particles(p, mac, 0.4, pic)
-            per_call_advect(ref, ref_mac, 0.4)
-            assert p.x_ideal.tobytes() == ref.x_ideal.tobytes()
+            assert pic.tobytes() == F.velocity_at(mac, p.x).tobytes()
+            assert pic.tobytes() == per_call_velocity_at(mac, p.x).tobytes()
+            x_ideal = F.advect_particles(p, mac, 0.4, pic)
+            assert x_ideal.tobytes() == per_call_advect(ref, ref_mac, 0.4).tobytes()
 
     @pytest.mark.parametrize("dims", [(12, 14), (7, 8, 9)])
     def test_velocity_at_outside_the_grid(self, dims):
@@ -318,8 +312,7 @@ class TestSharedStencils:
         assert np.all(mac.vel[0] == 3.0)
         pic = F.transfer_g2p(mac, mac.copy_velocity(), p, stencils, 0.95, max_speed=1.0)
         assert pic.shape == (0, 2) and p.vel.shape == (0, 2)
-        F.advect_particles(p, mac, 0.5, pic)
-        assert p.x_ideal.shape == (0, 2)
+        assert F.advect_particles(p, mac, 0.5, pic).shape == (0, 2)
 
 
 def _neighbor_slices(d, a, side):
@@ -442,7 +435,6 @@ class TestPressure:
         G.classify_cells(grid, x)
         G.assign_depth(grid)
         grid.rebuild_counts(x)
-        grid.snapshot()
         return grid, F.MacGrid(dims), F.ParticleSet.from_positions(x)
 
     def test_zero_field_stays_zero(self):

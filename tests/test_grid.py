@@ -116,14 +116,13 @@ class TestClassify:
         cells = [(i, j) for i in range(1, 9) for j in range(1, 9)]
         G.classify_cells(grid, fill_cells(grid, cells))
         G.assign_depth(grid)
-        grid.snapshot()
         hole = grid.flat((4, 6))
-        assert grid.prev.depth[hole] == -R
+        assert grid.depth[hole] == -R
+        deep = grid.depth < -R
         kept = [(i, j) for (i, j) in cells if j >= 6 and (i, j) != (4, 6)]
-        G.classify_cells(grid, fill_cells(grid, kept), classes=G.band_classes(grid.prev, R))
+        G.classify_cells(grid, fill_cells(grid, kept), classes=G.band_classes(grid, R))
         assert grid.counts[hole] == 0
         assert grid.marking[hole] == G.INNER
-        deep = grid.prev.depth < -R
         assert (grid.marking[deep] == G.INNER).all()  # none turned SURFACE
 
 

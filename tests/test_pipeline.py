@@ -29,21 +29,21 @@ def small_scene(**kw):
 
 
 def assert_band_classes_agree(sim, record):
-    """band_classes of the fresh snapshot against the cells each consumer
-    marks: the raster's band codes, build_problem's caps and floors, and the
-    cells classify_cells keeps fluid when every particle has gone."""
-    grid, prev = sim.grid, sim.grid.prev
-    classes = G.band_classes(prev, sim.band.R)
+    """band_classes of the grid at the end of a frame against the cells each
+    consumer marks: the raster's band codes, build_problem's caps and floors,
+    and the cells classify_cells keeps fluid when every particle has gone."""
+    grid = sim.grid
+    classes = G.band_classes(grid, sim.band.R)
     assert np.array_equal(record.raster == G.RASTER_IN_BAND, classes["in_band_inner"])
     assert np.array_equal(record.raster == G.RASTER_INTERFACE, classes["interface"])
     assert np.array_equal(record.raster == G.RASTER_DEEP, classes["deep"])
-    problem = C.build_problem(grid, C.build_candidates(sim.particles, grid), sim.cfg.mu, classes)
+    x = sim.particles.x
+    problem = C.build_problem(grid, C.build_candidates(x, x, grid), sim.cfg.mu, classes)
     assert np.array_equal(problem.cap < 0, classes["deep"])
     floored = classes["in_band_inner"]
-    assert np.array_equal(problem.floor[floored], prev.counts[floored])
+    assert np.array_equal(problem.floor[floored], grid.counts[floored])
     assert not problem.floor[~floored].any()
     emptied = G.CellGrid(grid.dims)
-    emptied.prev = prev
     G.classify_cells(emptied, np.zeros((0, grid.d)), sim.obstacles, classes)
     assert np.array_equal(emptied.fluid_mask(), classes["region"])
 
@@ -135,7 +135,7 @@ class TestInvariants:
         # band dam R=6 at seed 20: the collapse empties band-interface cells.
         # Marked empty, they would expose the deep cells behind them as
         # surface, and maintain_band could not absorb the deep region's loss.
-        # Every frame's fresh snapshot also checks that one set of band
+        # Every frame's end state also checks that one set of band
         # classes serves the raster, the correction problem and the markings
         cfg = builtin_scene("dam")
         cfg.seed = 20
@@ -182,6 +182,40 @@ class TestInvariants:
         assert raised and len(exact_slacks) == 1
         s_in, s_out = exact_slacks[0]
         assert s_in >= 0 and s_out >= 0
+
+    @pytest.mark.parametrize("scene, R, frames", [
+        ("dam_emit", None, 53),  # the emitter starts at frame 50
+        ("dam", 6, 8),
+        ("falling_obs", None, 20),
+    ], ids=["dam_emit", "band_dam", "falling_obs"])
+    def test_no_stage_before_correct_writes_the_grid_state(self, monkeypatch, scene, R, frames):
+        # the correction constrains against the previous step's markings,
+        # depth and counts, which the grid holds until the markings stage:
+        # build_problem must see them as they stood when the substep began
+        at_start, checked = [], []
+        substep, build_problem = Simulation._substep, C.build_problem
+
+        def recorded_substep(sim, *args):
+            at_start.append([a.copy() for a in (sim.grid.marking, sim.grid.depth,
+                                                 sim.grid.counts)])
+            substep(sim, *args)
+
+        def checked_build_problem(cells, *args):
+            seen = (cells.marking, cells.depth, cells.counts)
+            assert all(np.array_equal(a, b) for a, b in zip(at_start[-1], seen))
+            checked.append(len(at_start))
+            return build_problem(cells, *args)
+
+        monkeypatch.setattr(Simulation, "_substep", recorded_substep)
+        monkeypatch.setattr(C, "build_problem", checked_build_problem)
+        cfg = builtin_scene(scene)
+        if R is not None:
+            cfg.band = BandConfig(enabled=True, R=R)
+        sim = Simulation(cfg)
+        for _ in range(frames):
+            sim.step()
+        assert checked == list(range(1, len(at_start) + 1))  # once in every substep
+        assert all(em.spawned > 0 for em in sim.emitters)
 
     def test_band_full_strategy_runs(self):
         # band dam R=6 at scene scale: the exact solve keeps the interface

@@ -17,7 +17,6 @@ def tank(dims=(10, 10)):
     grid = G.CellGrid(dims)
     G.classify_cells(grid, np.zeros((0, 2)))
     G.assign_depth(grid)
-    grid.snapshot()
     return grid
 
 
@@ -66,16 +65,13 @@ class TestProposeMotion:
         assert np.allclose(obs.pos, [4.0, 4.0])
 
 
-def table_cost(grid, so, x_prev, x_ideal):
+def table_cost(grid, so, x_start, x_ideal):
     """Solid-overridden candidate costs of one particle, keyed by target cell."""
-    x = np.asarray([x_prev], dtype=float)
+    x = np.asarray([x_start], dtype=float)
     G.classify_cells(grid, x)
     G.assign_depth(grid)
     grid.rebuild_counts(x)
-    grid.snapshot()
-    p = ParticleSet.from_positions(x)
-    p.x_ideal = np.asarray([x_ideal], dtype=float)
-    table = C.build_candidates(p, grid)
+    table = C.build_candidates(x, np.asarray([x_ideal], dtype=float), grid)
     cost = S.override_costs(table, so)
     return {int(table.target_flat[i, 0]): cost[i, 0] for i in range(table.m) if table.valid[i, 0]}
 
@@ -116,12 +112,10 @@ class TestSolidObjective:
         G.classify_cells(grid, x)
         G.assign_depth(grid)
         grid.rebuild_counts(x)
-        grid.snapshot()
-        p = ParticleSet.from_positions(x)
-        p.x_ideal = np.array([[4.5, 4.4]])
+        ideal = np.array([[4.5, 4.4]])
         new_cell = grid.flat((4, 4))
         so = S.build_solid_objective(grid, np.array([new_cell]), LAMBDA)
-        table = C.build_candidates(p, grid)
+        table = C.build_candidates(x, ideal, grid)
         cost = S.override_costs(table, so)
         for i in range(table.m):
             if not table.valid[i, 0]:
@@ -132,7 +126,7 @@ class TestSolidObjective:
             if int(grid.cell_of(q.reshape(1, -1))[0]) == new_cell:
                 expected = so.lambda_penalty * float(so.cdist[new_cell])
             else:
-                expected = float(((q - p.x_ideal[0]) ** 2).sum())
+                expected = float(((q - ideal[0]) ** 2).sum())
             assert cost[i, 0] == pytest.approx(expected)
 
     def test_floor_row_particle_pushed_aside(self):
@@ -143,17 +137,13 @@ class TestSolidObjective:
         G.classify_cells(grid, x)
         G.assign_depth(grid)
         grid.rebuild_counts(x)
-        grid.snapshot()
-        p = ParticleSet.from_positions(x)
-        p.x_ideal = x.copy()
         row = [grid.flat((i, 1)) for i in (2, 3, 4)]
         blockers = np.zeros(grid.ncells, dtype=bool)
         for i in (2, 3, 4):
             blockers[grid.flat((i, 2))] = True
         grid.marking[blockers] = G.SOLID
-        grid.snapshot()
         so = S.build_solid_objective(grid, np.asarray(row), LAMBDA)
-        table = C.build_candidates(p, grid)
+        table = C.build_candidates(x, x, grid)
         problem = C.build_problem(grid, table, mu=4, solid_cost=S.override_costs(table, so))
         assignment, obj = V.brute_force_ilp(problem)
         target = grid.unflat(problem.target_flat[assignment[0], 0])

@@ -103,7 +103,7 @@ class TestSolveMcf:
         # sum over particles of their stay-candidate costs (enumerated oracle)
         rng = np.random.default_rng(11)
         import cellflow.grid as G
-        from cellflow.flip import ParticleSet, clamp_positions
+        from cellflow.flip import clamp_positions
         grid = G.CellGrid((6, 6))
         cells = [(2, 2), (2, 3), (3, 2), (3, 3)]
         x = np.array([[c[0] + 0.5, c[1] + 0.5] for c in cells])
@@ -112,11 +112,9 @@ class TestSolveMcf:
         grid.rebuild_counts(x)
         # force the block to be inner-like: floors equal to counts
         grid.marking[grid.fluid_mask()] = G.INNER
-        grid.snapshot()
-        p = ParticleSet.from_positions(x)
         ideal = x + rng.uniform(-0.9, 0.9, size=x.shape)
-        p.x_ideal = clamp_positions(ideal, grid.dims, home_cells=np.floor(x))
-        problem = C.build_problem(grid, C.build_candidates(p, grid), mu=1)
+        ideal = clamp_positions(ideal, grid.dims, home_cells=np.floor(x))
+        problem = C.build_problem(grid, C.build_candidates(x, ideal, grid), mu=1)
         assignment, stats = V.solve_problem(problem)
         _, oracle = V.brute_force_ilp(problem)
         assert abs(stats.objective - oracle) < 1e-9
@@ -133,8 +131,7 @@ class TestSolveMcf:
             relaxed = C.CorrectionProblem(
                 candidates=problem.candidates, mu=problem.mu,
                 cap=np.where(problem.cap > 0, problem.cap + 1, problem.cap),
-                floor=problem.floor, cost=problem.cost, dims=problem.dims,
-                valid=problem.valid.copy())
+                floor=problem.floor, cost=problem.cost, dims=problem.dims)
             _, s2 = V.solve_problem(relaxed)
             assert s2.objective <= s1.objective + 1e-9
 
@@ -155,13 +152,11 @@ class TestSolveMcf:
 
     def test_empty_problem(self):
         import cellflow.grid as G
-        from cellflow.flip import ParticleSet
         grid = G.CellGrid((5, 5))
         G.classify_cells(grid, np.zeros((0, 2)))
         G.assign_depth(grid)
-        grid.snapshot()
-        p = ParticleSet.from_positions(np.zeros((0, 2)))
-        problem = C.build_problem(grid, C.build_candidates(p, grid), mu=4)
+        none = np.zeros((0, 2))
+        problem = C.build_problem(grid, C.build_candidates(none, none, grid), mu=4)
         assignment, stats = V.solve_problem(problem)
         assert stats.objective == 0.0
         assert len(assignment) == 0
@@ -196,7 +191,7 @@ def _pinned_floors(problem, rng, slack):
         floor[c] -= 1
     return C.CorrectionProblem(
         candidates=problem.candidates, mu=problem.mu, cap=problem.cap, floor=floor,
-        cost=problem.cost, dims=problem.dims, valid=problem.valid.copy())
+        cost=problem.cost, dims=problem.dims)
 
 
 class TestDrain:
@@ -248,7 +243,7 @@ def _tie_problem(rng, dims=(6, 6)):
     """Toy problem rich in equal costs: particles at cell centres or a quarter
     cell off, ideal positions half-cell steps away, so many moves cost alike."""
     import cellflow.grid as G
-    from cellflow.flip import ParticleSet, clamp_positions
+    from cellflow.flip import clamp_positions
     grid = G.CellGrid(dims)
     mu = int(rng.integers(1, 4))
     slots = np.repeat(np.flatnonzero(~grid.wall), mu)
@@ -258,11 +253,9 @@ def _tie_problem(rng, dims=(6, 6)):
     G.classify_cells(grid, x)
     G.assign_depth(grid)
     grid.rebuild_counts(x)
-    grid.snapshot()
-    particles = ParticleSet.from_positions(x)
     ideal = x + rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=x.shape)
-    particles.x_ideal = clamp_positions(ideal, dims, home_cells=np.floor(x))
-    return C.build_problem(grid, C.build_candidates(particles, grid), mu)
+    ideal = clamp_positions(ideal, dims, home_cells=np.floor(x))
+    return C.build_problem(grid, C.build_candidates(x, ideal, grid), mu)
 
 
 def _greedy_rejects(problem):
@@ -291,7 +284,7 @@ class TestGreedyStart:
         return C.CorrectionProblem(
             candidates=problem.candidates, mu=problem.mu,
             cap=np.where(problem.cap == 0, 0, problem.n), floor=np.zeros_like(problem.floor),
-            cost=problem.cost, dims=problem.dims, valid=problem.valid.copy())
+            cost=problem.cost, dims=problem.dims)
 
     def test_roomy_problem_needs_no_search(self, monkeypatch):
         monkeypatch.setattr(V, "CHECK_POTENTIALS", True)
@@ -466,7 +459,7 @@ def _band_problem_matches_highs(monkeypatch, scene, frame, R):
     assert abs(stats.objective - optimum) <= 1e-9 * abs(optimum)
     plain = C.CorrectionProblem(
         candidates=problem.candidates, mu=problem.mu, cap=problem.cap, floor=problem.floor,
-        cost=problem.cost, dims=problem.dims, valid=problem.valid)
+        cost=problem.cost, dims=problem.dims)
     plain_choice, _ = V.solve_problem(plain)
     held = problem.counts_of(plain_choice)[problem.region].sum()
     lo, hi = problem.region_bounds
@@ -523,16 +516,13 @@ class TestBruteForce:
         # both ideals in one cell of capacity 1: exactly one enters, the other
         # takes its next-cheapest candidate
         import cellflow.grid as G
-        from cellflow.flip import ParticleSet
         grid = G.CellGrid((7, 7))
         x = np.array([[2.5, 3.5], [4.5, 3.5]])
         G.classify_cells(grid, x)
         G.assign_depth(grid)
         grid.rebuild_counts(x)
-        grid.snapshot()
-        p = ParticleSet.from_positions(x)
-        p.x_ideal = np.array([[3.4, 3.5], [3.6, 3.5]])  # both want cell (3, 3)
-        problem = C.build_problem(grid, C.build_candidates(p, grid), mu=1)
+        ideal = np.array([[3.4, 3.5], [3.6, 3.5]])  # both want cell (3, 3)
+        problem = C.build_problem(grid, C.build_candidates(x, ideal, grid), mu=1)
         assignment, obj = V.brute_force_ilp(problem)
         counts = problem.counts_of(assignment)
         assert counts[grid.flat((3, 3))] == 1
