@@ -365,7 +365,8 @@ def maintain_band(cells: G.CellGrid, particles, state: BandState, former: dict[s
     over = (counts > mu) & ~deep_cells & ~cells.solid_mask()
     if not former["deep"][over].all():
         raise IntegrityError("overfull cell outside the former deep region")
-    order = np.argsort(flat, kind="stable")
+    # a key of at most 16 bits sorts by radix, in the same stable order
+    order = np.argsort(flat.astype(np.min_scalar_type(cells.ncells)), kind="stable")
     rank = np.empty(len(flat), dtype=np.int64)
     rank[order] = np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts, counts)
     kill = deep_cells[flat] | (over[flat] & (rank >= mu))

@@ -261,8 +261,13 @@ def load_problem(text: str) -> CorrectionProblem:
     dims = tuple(header["dims"][1])
     mu, n, m = header["mu"][1][0], header["n"][1][0], header["m"][1][0]
     ncells = int(np.prod(dims))
-
+    if mu < 1:
+        raise InputError(f"line {header['mu'][0]}: 'mu' must be at least 1, got {mu}")
     d = len(dims)
+    dirs = direction_set(d)
+    if m != len(dirs):
+        raise InputError(f"line {header['m'][0]}: 'm' must be 2d + 1 = {len(dirs)}, got {m}")
+
     xi = np.zeros((m, n, d))
     cost = np.full((m, n), np.inf)
     flat = np.full((m, n), -1, dtype=np.int64)
@@ -278,9 +283,11 @@ def load_problem(text: str) -> CorrectionProblem:
     for no, c, cp, fl in cells:
         if not 0 <= c < ncells:
             raise InputError(f"line {no}: 'cell' index outside the grid")
+        if cp < -1:
+            raise InputError(f"line {no}: 'cell' cap below -1, the uncapped mark")
         cap[c] = cp
         floor[c] = fl
-    table = CandidateTable(xi=xi, cost=cost, target_flat=flat, valid=valid, dirs=direction_set(d))
+    table = CandidateTable(xi=xi, cost=cost, target_flat=flat, valid=valid, dirs=dirs)
     problem = CorrectionProblem(candidates=table, mu=mu, cap=cap, floor=floor, cost=cost, dims=dims)
     if "region" in header:
         no, vals = header["region"]

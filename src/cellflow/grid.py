@@ -55,12 +55,20 @@ def _shift_slices(off):
     return tuple(src), tuple(dst)
 
 
-def _any_neighbor(mask_nd: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Boolean grid: cell has some neighbor (among offsets) set in mask_nd."""
-    out = np.zeros_like(mask_nd)
-    for off in offsets:
-        src, dst = _shift_slices(off)
-        out[dst] |= mask_nd[src]
+def _any_neighbor(mask: np.ndarray, shifts) -> np.ndarray:
+    """Flat boolean mask: cell c has mask set at c + s for some flat shift s,
+    the flat shifts of a set of neighbor offsets.
+
+    Exact on every cell when no set cell lies on the grid's outer layer, the
+    tank wall: a shift that would leave the grid along some axis lands on
+    that layer or off the array, never on a set cell.
+    """
+    out = np.zeros_like(mask)
+    for s in shifts:
+        if s > 0:
+            out[:-s] |= mask[s:]
+        else:
+            out[-s:] |= mask[:s]
     return out
 
 
@@ -98,6 +106,11 @@ class CellGrid:
         self.dims = dims
         self.d = len(dims)
         self.ncells = int(np.prod(dims))
+        # flat index of every cell, and the flat shift of each neighbor offset
+        self.index = np.arange(self.ncells, dtype=np.int64).reshape(dims)
+        strides = np.array([int(np.prod(dims[k + 1:])) for k in range(self.d)], dtype=np.int64)
+        self.vn_shifts = (von_neumann_offsets(self.d) @ strides).tolist()
+        self.moore_shifts = (moore_offsets(self.d) @ strides).tolist()
 
         wall = np.zeros(dims, dtype=bool)
         for a in range(self.d):
@@ -117,13 +130,6 @@ class CellGrid:
     # ------------------------------------------------------------------
     # indexing helpers
 
-    def flat(self, cells) -> np.ndarray:
-        cells = np.asarray(cells, dtype=np.int64)
-        single = cells.ndim == 1
-        pts = cells.reshape(-1, self.d)
-        out = np.ravel_multi_index(tuple(pts[:, k] for k in range(self.d)), self.dims)
-        return int(out[0]) if single else out
-
     def unflat(self, flat) -> np.ndarray:
         flat = np.asarray(flat, dtype=np.int64)
         coords = np.unravel_index(flat, self.dims)
@@ -141,13 +147,12 @@ class CellGrid:
 
     def _build_vn_table(self) -> np.ndarray:
         """Columns +x, -x, +y, ...: the order solve_pressure subtracts them in."""
-        idx = np.arange(self.ncells, dtype=np.int64).reshape(self.dims)
         table = np.full((self.ncells, 2 * self.d), -1, dtype=np.int64)
         offsets = von_neumann_offsets(self.d).reshape(2, self.d, self.d).swapaxes(0, 1)
         for col, off in enumerate(offsets.reshape(-1, self.d)):
             shifted = np.full(self.dims, -1, dtype=np.int64)
             src, dst = _shift_slices(off)
-            shifted[dst] = idx[src]
+            shifted[dst] = self.index[src]
             table[:, col] = shifted.reshape(-1)
         return table
 
@@ -201,7 +206,7 @@ def box_flat(grid: CellGrid, lo, hi) -> np.ndarray:
     beyond that face."""
     lo = np.maximum(np.floor(np.asarray(lo) + 1e-9).astype(np.int64), 0)
     hi = np.minimum(np.ceil(np.asarray(hi) - 1e-9).astype(np.int64), grid.dims)
-    return grid.flat(box_cells(lo, hi))
+    return grid.index[tuple(map(slice, lo, np.maximum(hi, lo)))].flatten()
 
 
 def fill_cells(grid: CellGrid, flat, room, rng: np.random.Generator,
@@ -251,7 +256,8 @@ def classify_cells(grid: CellGrid, x: np.ndarray, obstacles=(), classes: dict | 
     it. Were it marked empty, the deep cells behind it would turn SURFACE
     and the depth collapse.
     A fluid cell is SURFACE when some Moore neighbor is non-fluid and not a
-    tank wall, INNER otherwise.
+    tank wall, INNER otherwise; those triggers are off the wall layer, as
+    the flat-shift dilation needs.
     """
     solid = grid.wall.copy()
     for obs in obstacles:
@@ -268,7 +274,7 @@ def classify_cells(grid: CellGrid, x: np.ndarray, obstacles=(), classes: dict | 
         fluid |= classes["region"] & ~solid
 
     trigger = (~fluid) & (~grid.wall)
-    near = _any_neighbor(trigger.reshape(grid.dims), moore_offsets(grid.d)).reshape(-1)
+    near = _any_neighbor(trigger, grid.moore_shifts)
     marking = np.full(grid.ncells, EMPTY, dtype=np.uint8)
     marking[solid] = SOLID
     marking[fluid] = INNER
@@ -279,18 +285,18 @@ def classify_cells(grid: CellGrid, x: np.ndarray, obstacles=(), classes: dict | 
     return marking
 
 
-def _hops(seed: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+def _hops(grid: CellGrid, seed: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """Von Neumann hop count of every cell from the seed cells, stepping
-    through allowed cells only (boolean grids of one shape): 0 on the seed,
-    -1 where no path reaches."""
+    through allowed cells only (flat boolean masks): 0 on the seed, -1 where
+    no path reaches. Seed and allowed cells lie off the grid's outer layer,
+    so the flat shifts reach true neighbors only."""
     hops = np.where(seed, 0, -1)
-    offs = von_neumann_offsets(seed.ndim)
-    frontier, reached, level = seed, seed.copy(), 0
+    frontier, unreached, level = seed, allowed & ~seed, 0
     while frontier.any():
         level += 1
-        frontier = _any_neighbor(frontier, offs) & allowed & ~reached
+        frontier = _any_neighbor(frontier, grid.vn_shifts) & unreached
         hops[frontier] = level
-        reached |= frontier
+        unreached &= ~frontier
     return hops
 
 
@@ -301,7 +307,7 @@ def assign_depth(grid: CellGrid) -> bool:
     tank or pocket); that fluid gets depth -1 and a warning is logged.
     """
     fluid = grid.fluid_mask()
-    hops = _hops((grid.marking == SURFACE).reshape(grid.dims), fluid.reshape(grid.dims)).reshape(-1)
+    hops = _hops(grid, grid.marking == SURFACE, fluid)
     orphan = fluid & (hops < 0)
     grid.depth = np.where(fluid, -np.abs(hops), 1).astype(np.int32)  # orphans: hops -1
     if orphan.any():
@@ -320,7 +326,7 @@ def clearing_distance(grid: CellGrid, new_solid) -> np.ndarray:
     new = np.zeros(grid.ncells, dtype=bool)
     new[np.asarray(new_solid, dtype=np.int64)] = True
     escape = ~new & (grid.marking != SOLID)
-    hops = _hops(escape.reshape(grid.dims), new.reshape(grid.dims)).reshape(-1)
+    hops = _hops(grid, escape, new)
     return np.where(new, np.where(hops < 0, grid.ncells, hops), 0)
 
 

@@ -293,17 +293,13 @@ class Simulation:
         particles = self.particles
         band = self.band
 
-        proposals = []
-        new_solid_all = []
-        for obs in self.obstacles:
-            proposal = S.propose_motion(obs, grid, dt)
-            proposals.append(proposal)
-            if len(proposal.new_solid):
-                new_solid_all.append(proposal.new_solid)
+        proposals = [S.propose_motion(obs, grid, dt) for obs in self.obstacles]
+        claimed = np.zeros(grid.ncells, dtype=bool)
+        for proposal in proposals:
+            claimed[proposal.new_solid] = True
         solid_obj = None
-        if new_solid_all:
-            union = np.unique(np.concatenate(new_solid_all))
-            solid_obj = S.build_solid_objective(grid, union, cfg.lambda_penalty)
+        if claimed.any():
+            solid_obj = S.build_solid_objective(grid, np.flatnonzero(claimed), cfg.lambda_penalty)
 
         if particles.n == 0:
             return proposals

@@ -67,8 +67,9 @@ def propose_motion(obstacle: Obstacle, grid: G.CellGrid, dt: float) -> MotionPro
     candidate = obstacle.cells_at(new_pos, grid)
     if grid.wall[candidate].any():
         return MotionProposal(new_solid=np.zeros(0, dtype=np.int64), wall_blocked=True)
-    new_solid = np.setdiff1d(candidate, obstacle.occupied_flat(grid), assume_unique=False)
-    return MotionProposal(new_solid=new_solid, wall_blocked=False)
+    held = np.zeros(grid.ncells, dtype=bool)
+    held[obstacle.occupied_flat(grid)] = True
+    return MotionProposal(new_solid=candidate[~held[candidate]], wall_blocked=False)
 
 
 @dataclass
@@ -77,20 +78,22 @@ class SolidObjective:
 
     lambda_penalty: float
     cdist: np.ndarray       # per-cell clearing distance, 0 outside new_solid
-    new_solid: np.ndarray   # flat indices
 
 
 def build_solid_objective(grid: G.CellGrid, new_solid: np.ndarray,
                           lambda_penalty: float) -> SolidObjective:
     cdist = G.clearing_distance(grid, new_solid)
-    return SolidObjective(lambda_penalty=lambda_penalty, cdist=cdist, new_solid=np.asarray(new_solid))
+    return SolidObjective(lambda_penalty=lambda_penalty, cdist=cdist)
 
 
 def override_costs(candidates, so: SolidObjective) -> np.ndarray:
-    """Candidate cost table with the solid objective applied, a new array."""
-    in_new = np.isin(candidates.target_flat, so.new_solid)
-    penal = so.lambda_penalty * so.cdist[np.where(in_new, candidates.target_flat, 0)]
-    return np.where(in_new & candidates.valid, penal, candidates.cost)
+    """Candidate cost table with the solid objective applied, a new array.
+
+    The clearing distance is positive exactly on the claimed cells. An
+    invalid candidate's target is -1, so it reads the last cell's distance,
+    which the validity mask then discards."""
+    cdist = so.cdist[candidates.target_flat]
+    return np.where(candidates.valid & (cdist > 0), so.lambda_penalty * cdist, candidates.cost)
 
 
 def gate_motion(obstacle: Obstacle, grid: G.CellGrid, particles: ParticleSet,

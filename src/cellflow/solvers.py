@@ -206,7 +206,8 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
     pick = at_min[np.searchsorted(at_min, starts[:-1])]
     pick_cell = net.cand_cell[pick]
     picked = np.bincount(pick_cell, minlength=K)
-    order = np.argsort(pick_cell, kind="stable")
+    # a key of at most 16 bits sorts by radix, in the same stable order
+    order = np.argsort(pick_cell.astype(np.min_scalar_type(K)), kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n) - np.repeat(np.cumsum(picked) - picked, picked)
     accepted = rank < net.cap[pick_cell]
@@ -343,7 +344,7 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
     # drain the sink's excess into the cells, then the hub, still below their floor
     short = np.flatnonzero(np.less(count, floor)).tolist()
     if short:
-        order = np.argsort(net.cand_cell, kind="stable")
+        order = np.argsort(net.cand_cell.astype(np.min_scalar_type(K)), kind="stable")
         bounds = np.searchsorted(net.cand_cell[order], np.arange(K + 1)).tolist()
         order = order.tolist()
         intab: list[dict | None] = [None] * (K + 2)  # per cell: {u: (cost, candidate)}

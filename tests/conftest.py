@@ -26,6 +26,13 @@ class StaticCells:
         return self._flats
 
 
+def flat_index(grid, cells):
+    """Flat index of one cell, as an int, or of (k, d) rows of cells."""
+    cells = np.asarray(cells, dtype=np.int64)
+    out = np.ravel_multi_index(tuple(cells.reshape(-1, grid.d).T), grid.dims)
+    return int(out[0]) if cells.ndim == 1 else out
+
+
 def random_state(rng, dims=(6, 6), mu=None, n_max=10, solid_prob=0.12):
     """Random but fully consistent grid state, particle set and ideal positions.
 

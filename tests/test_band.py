@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_band_instance, stay_choice
+from conftest import flat_index, random_band_instance, stay_choice
 from oracles import build_one_way, compute_io, gamma_io_masks, objective_of, with_region
 
 from cellflow import band as B
@@ -191,8 +191,8 @@ class TestFindPaths:
         grid, particles = column_state(mu=1, R=2, fill_to=6)
         edge_cost = table_edge_cost(grid, particles)
         members = members_of(grid, edge_cost)
-        src = grid.flat((3, 6))   # top fluid row (surface)
-        sink = grid.flat((3, 7))  # empty cell above
+        src = flat_index(grid, (3, 6))   # top fluid row (surface)
+        sink = flat_index(grid, (3, 7))  # empty cell above
         paths, J = B.find_paths(grid, members, np.array([src]), np.array([sink]),
                                 edge_cost=edge_cost, crossing=open_rule(grid))
         assert len(paths) == 1
@@ -202,9 +202,9 @@ class TestFindPaths:
         grid, particles = column_state(mu=1, R=2, fill_to=4)
         edge_cost = table_edge_cost(grid, particles)
         members = members_of(grid, edge_cost)
-        empty_src = grid.flat((3, 8))
+        empty_src = flat_index(grid, (3, 8))
         paths, J = B.find_paths(grid, members, np.array([empty_src]),
-                                np.array([grid.flat((3, 9))]),
+                                np.array([flat_index(grid, (3, 9))]),
                                 edge_cost=edge_cost, crossing=open_rule(grid))
         assert paths == []
 
@@ -212,8 +212,8 @@ class TestFindPaths:
         grid, particles = column_state(width=8, mu=1, R=2, fill_to=6)
         edge_cost = table_edge_cost(grid, particles)
         members = members_of(grid, edge_cost)
-        sources = np.array([grid.flat((i, 6)) for i in range(1, 9)])
-        sinks = np.array([grid.flat((i, 7)) for i in range(1, 9)])
+        sources = np.array([flat_index(grid, (i, 6)) for i in range(1, 9)])
+        sinks = np.array([flat_index(grid, (i, 7)) for i in range(1, 9)])
         paths, J = B.find_paths(grid, members, sources, sinks,
                                 edge_cost=edge_cost, crossing=open_rule(grid))
         assert len(paths) >= 2
@@ -225,21 +225,21 @@ class TestFindPaths:
         edge_cost = table_edge_cost(grid, particles)
         members = members_of(grid, edge_cost)
         x_prev_cells = edge_cost.home
-        c = grid.flat((3, 3))
-        c_far = grid.flat((3, 5))  # two cells away from any (3,3) resident's home
-        j, sigma = B.best_edge(c_far, grid.flat((3, 6)), members, edge_cost, open_rule(grid))
+        c = flat_index(grid, (3, 3))
+        c_far = flat_index(grid, (3, 5))  # two cells away from any (3,3) resident's home
+        j, sigma = B.best_edge(c_far, flat_index(grid, (3, 6)), members, edge_cost, open_rule(grid))
         resident = members.members(c_far)[0]
         assert j == resident  # resident of (3,5) can move up: its home is (3,5)
-        assert sigma == edge_cost(j, grid.flat((3, 6)))
+        assert sigma == edge_cost(j, flat_index(grid, (3, 6)))
         # now ask for a move where neither cell is the particle's home
         moved = members_of(grid, edge_cost)
-        moved.move(resident, c_far, grid.flat((4, 5)))
-        edge2 = B.best_edge(grid.flat((4, 5)), grid.flat((5, 5)), moved, edge_cost,
+        moved.move(resident, c_far, flat_index(grid, (4, 5)))
+        edge2 = B.best_edge(flat_index(grid, (4, 5)), flat_index(grid, (5, 5)), moved, edge_cost,
                             open_rule(grid))
-        others = [jj for jj in moved.members(grid.flat((4, 5)))
-                  if x_prev_cells[jj] in (grid.flat((4, 5)), grid.flat((5, 5)))]
+        others = [jj for jj in moved.members(flat_index(grid, (4, 5)))
+                  if x_prev_cells[jj] in (flat_index(grid, (4, 5)), flat_index(grid, (5, 5)))]
         if not others:
-            assert edge2 is None or x_prev_cells[edge2[0]] in (grid.flat((4, 5)), grid.flat((5, 5)))
+            assert edge2 is None or x_prev_cells[edge2[0]] in (flat_index(grid, (4, 5)), flat_index(grid, (5, 5)))
 
     def test_toward_ideal_negative_edge(self):
         grid, particles = column_state(mu=1, R=2, fill_to=6)
@@ -249,7 +249,7 @@ class TestFindPaths:
         x_ideal = particles.x.copy()
         x_ideal[j] = up + 0.5  # wants the cell above
         edge_cost = table_edge_cost(grid, particles, x_ideal=x_ideal)
-        assert edge_cost(j, grid.flat(up)) < 0
+        assert edge_cost(j, flat_index(grid, up)) < 0
 
 
 class TestUpdatePath:
@@ -257,8 +257,8 @@ class TestUpdatePath:
         grid, particles = column_state(mu=1, R=2, fill_to=6)
         edge_cost = table_edge_cost(grid, particles)
         members = members_of(grid, edge_cost)
-        src = grid.flat((3, 6))
-        sink = grid.flat((3, 7))
+        src = flat_index(grid, (3, 6))
+        sink = flat_index(grid, (3, 7))
         before_src = members.counts[src]
         paths, J = B.find_paths(grid, members, np.array([src]), np.array([sink]),
                                 edge_cost=edge_cost, crossing=open_rule(grid))
@@ -271,12 +271,12 @@ class TestUpdatePath:
         grid, particles = column_state(width=3, mu=1, R=1, fill_to=5)
         edge_cost = table_edge_cost(grid, particles)
         members = members_of(grid, edge_cost)
-        src = grid.flat((2, 3))
-        sink = grid.flat((2, 6))  # above the column top (5)
+        src = flat_index(grid, (2, 3))
+        sink = flat_index(grid, (2, 6))  # above the column top (5)
         paths, J = B.find_paths(grid, members, np.array([src]), np.array([sink]),
                                 edge_cost=edge_cost, crossing=open_rule(grid))
         assert len(paths) == 1
-        mids = [grid.flat((2, 4)), grid.flat((2, 5))]
+        mids = [flat_index(grid, (2, 4)), flat_index(grid, (2, 5))]
         before = [members.counts[c] for c in mids]
         B.update_path(paths[0], J, members, edge_cost)
         after = [members.counts[c] for c in mids]
@@ -287,12 +287,12 @@ class TestUpdatePath:
 
 def home_particle(grid, particles, cell):
     """The particle whose previous-step cell is `cell` (1 ppc states)."""
-    return int(np.flatnonzero(grid.cell_of(particles.x) == grid.flat(cell))[0])
+    return int(np.flatnonzero(grid.cell_of(particles.x) == flat_index(grid, cell))[0])
 
 
 def relocate(grid, edge_cost, j, cell):
     """Select `cell` for particle j in the choice vector, as a first solve would."""
-    edge_cost.current[j] = edge_cost.direction(j, grid.flat(cell))
+    edge_cost.current[j] = edge_cost.direction(j, flat_index(grid, cell))
 
 
 class TestEdgeCost:
@@ -302,7 +302,7 @@ class TestEdgeCost:
     def test_solid_penalty_from_table(self):
         grid, particles = column_state(mu=1, R=2, fill_to=6)
         j = home_particle(grid, particles, (3, 6))
-        up = grid.flat((3, 7))
+        up = flat_index(grid, (3, 7))
         so = S.build_solid_objective(grid, np.array([up]), SceneConfig.lambda_penalty)
         table = C.build_candidates(particles.x, particles.x, grid)
         problem = C.build_problem(grid, table, 1, solid_cost=S.override_costs(table, so))
@@ -312,13 +312,13 @@ class TestEdgeCost:
     def test_wall_cell_costs_inf(self):
         grid, particles = column_state(mu=1, R=2, fill_to=6)
         j = home_particle(grid, particles, (1, 3))
-        assert table_edge_cost(grid, particles)(j, grid.flat((0, 3))) == np.inf
+        assert table_edge_cost(grid, particles)(j, flat_index(grid, (0, 3))) == np.inf
 
     def test_prices_from_the_cell_moved_into(self):
         grid, particles = column_state(mu=1, R=2, fill_to=6)
         edge_cost = table_edge_cost(grid, particles)
         j = home_particle(grid, particles, (3, 6))
-        home, up = grid.flat((3, 6)), grid.flat((3, 7))
+        home, up = flat_index(grid, (3, 6)), flat_index(grid, (3, 7))
         rise = edge_cost(j, up)
         relocate(grid, edge_cost, j, (3, 7))
         assert cell_of_choice(edge_cost, j) == up
@@ -332,7 +332,7 @@ class TestEdgeCost:
         j = home_particle(grid, particles, (3, 3))
         edge_cost = table_edge_cost(grid, particles)
         with pytest.raises(KeyError):
-            edge_cost(j, grid.flat((3, 5)))
+            edge_cost(j, flat_index(grid, (3, 5)))
 
 
 IFACE, ABOVE = (3, 6), (3, 7)  # interface and layer above in column_state(R=2)
@@ -346,12 +346,12 @@ class TestCrossingRule:
     def build(self, drain):
         grid, particles = column_state(mu=1, R=2, fill_to=8)
         cls = G.band_classes(grid, 2)
-        assert cls["interface"][grid.flat(IFACE)] and cls["layer_above"][grid.flat(ABOVE)]
+        assert cls["interface"][flat_index(grid, IFACE)] and cls["layer_above"][flat_index(grid, ABOVE)]
         heavy_from, heavy_to = (IFACE, ABOVE) if drain else (ABOVE, IFACE)
         return grid, particles, crossing(cls, drain), heavy_from, heavy_to
 
     def edge(self, grid, edge_cost, c, c_next, rule):
-        edge = B.best_edge(grid.flat(c), grid.flat(c_next), members_of(grid, edge_cost),
+        edge = B.best_edge(flat_index(grid, c), flat_index(grid, c_next), members_of(grid, edge_cost),
                            edge_cost, rule)
         return None if edge is None else edge[0]
 
@@ -414,16 +414,16 @@ class TestPathCapacity:
         relocate(grid, edge_cost, h[(2, 5)], (2, 4))
         # path (1,5) -> (1,4) -> (2,4) -> (2,5) -> (2,6): the entrant returns
         J = np.full(grid.ncells, B.NONE, dtype=np.int64)
-        J[grid.flat((1, 5))] = B.ROOT
-        J[grid.flat((1, 4))] = h[(1, 5)]
-        J[grid.flat((2, 4))] = h[(1, 4)]
-        J[grid.flat((2, 5))] = h[(2, 4)]
-        path = (h[(2, 6)], grid.flat((2, 6)))
+        J[flat_index(grid, (1, 5))] = B.ROOT
+        J[flat_index(grid, (1, 4))] = h[(1, 5)]
+        J[flat_index(grid, (2, 4))] = h[(1, 4)]
+        J[flat_index(grid, (2, 5))] = h[(2, 4)]
+        path = (h[(2, 6)], flat_index(grid, (2, 6)))
         members = members_of(grid, edge_cost)
         B.update_path(path, J, members, edge_cost)
-        assert members.counts[grid.flat((2, 4))] == 2
-        assert members.counts[grid.flat((2, 6))] == 1
-        assert members.counts[grid.flat((1, 5))] == 0
+        assert members.counts[flat_index(grid, (2, 4))] == 2
+        assert members.counts[flat_index(grid, (2, 6))] == 1
+        assert members.counts[flat_index(grid, (1, 5))] == 0
 
     def test_refill_path_ends_in_full_deep_cell(self):
         grid, particles, cls = self.build(drain=False)
@@ -438,15 +438,15 @@ class TestPathCapacity:
         relocate(grid, edge_cost, climber, (2, 5))
         relocate(grid, edge_cost, home_particle(grid, particles, (1, 4)), (2, 4))
         members = members_of(grid, edge_cost)
-        deep_cell = grid.flat((2, 4))
+        deep_cell = flat_index(grid, (2, 4))
         assert members.counts[deep_cell] == 1
-        paths, J = B.find_paths(grid, members, np.array([grid.flat((2, 6))]),
+        paths, J = B.find_paths(grid, members, np.array([flat_index(grid, (2, 6))]),
                                 np.flatnonzero(cls["interface"] | cls["deep"]),
                                 edge_cost=edge_cost, crossing=crossing(cls, drain=False))
         assert [sink for _, sink in paths] == [deep_cell]
         B.update_path(paths[0], J, members, edge_cost)
         assert members.counts[deep_cell] == 2
-        assert cell_of_choice(edge_cost, leaver) == grid.flat((2, 5))
+        assert cell_of_choice(edge_cost, leaver) == flat_index(grid, (2, 5))
         assert cell_of_choice(edge_cost, climber) == deep_cell
 
 
@@ -716,7 +716,7 @@ class TestMaintain:
     def test_former_deep_overflow_keeps_earliest_residents(self):
         grid, x, is_extra, former = self._lowered_pool((1, 4))
         cls = G.band_classes(grid, 2)
-        c = grid.flat((1, 4))
+        c = flat_index(grid, (1, 4))
         assert cls["in_band_inner"][c] and former["deep"][c]
         flat = grid.cell_of(x)
         residents = np.flatnonzero(flat == c)
@@ -738,7 +738,7 @@ class TestMaintain:
 
     def test_overfull_cell_outside_former_deep_rejected(self):
         grid, x, _, former = self._lowered_pool((1, 6))
-        assert not former["deep"][grid.flat((1, 6))]
+        assert not former["deep"][flat_index(grid, (1, 6))]
         particles = ParticleSet.from_positions(x)
         with pytest.raises(IntegrityError, match="outside the former deep region"):
             B.maintain_band(grid, particles, B.BandState(R=2), former, mu=2,
@@ -829,7 +829,7 @@ class TestFigPathScenario:
         problem = C.build_problem(grid, C.build_candidates(particles.x, x_ideal, grid), mu=1,
                                   classes=cls)
         choice, _ = V.solve_problem(problem)
-        filled = grid.flat((2, 5))
+        filled = flat_index(grid, (2, 5))
         problem.cap[filled] = problem.counts_of(choice)[filled]
         try:
             B.correct_band_flow(grid, problem, choice, cls, state)

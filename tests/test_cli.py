@@ -128,8 +128,13 @@ def test_oracle_check_missing_file(tmp_path, capsys):
      "line 6: 'region' line needs lo and hi"),
     (lambda text: re.sub(r"^(m .*)", r"\1\nregion", text, flags=re.M),
      "line 6: 'region' line needs lo and hi"),
+    (lambda text: re.sub(r"^m .*", "m 9", text, flags=re.M), "line 5: 'm' must be 2d + 1 = 5"),
+    (lambda text: re.sub(r"^mu .*", "mu 0", text, flags=re.M), "line 3: 'mu' must be at least 1"),
+    (lambda text: re.sub(r"^(cell \S+) \S+", r"\1 -2", text, count=1, flags=re.M),
+     "'cell' cap below -1"),
 ], ids=["no_dims_line", "non_numeric_cost", "particle_out_of_range", "negative_dims",
-        "negative_n", "negative_m", "region_one_number", "region_bare"])
+        "negative_n", "negative_m", "region_one_number", "region_bare", "m_not_2d_plus_1",
+        "mu_zero", "cap_below_minus_one"])
 def test_oracle_check_malformed_dump(tmp_path, rng, capsys, edit, where):
     problem, _, _ = random_problem(rng, n_max=6)
     dump = tmp_path / "bad.txt"

@@ -8,7 +8,7 @@ from cellflow import grid as G
 from cellflow.errors import InputError, IntegrityError
 from cellflow.flip import ParticleSet
 
-from conftest import stay_choice
+from conftest import flat_index, stay_choice
 
 
 class TestDirections:
@@ -183,7 +183,7 @@ class TestBuildProblem:
         grid = classified_grid((8, 8), [((4, 4), 2)])
         table = candidates_at(grid, [[4.5, 4.5]], [[4.5, 4.5]])
         problem = C.build_problem(grid, table, mu=4)
-        c = grid.flat((4, 4))
+        c = flat_index(grid, (4, 4))
         assert problem.cap[c] == 4
         assert problem.floor[c] == 0
 

@@ -7,6 +7,8 @@ from cellflow import grid as G
 from cellflow import solids as S
 from cellflow.errors import InputError, IntegrityError
 
+from conftest import flat_index
+
 
 def make_grid(dims=(8, 8)):
     return G.CellGrid(dims)
@@ -31,7 +33,7 @@ def neighbor_cells(grid, cell, offsets):
 
 def vn_cells(grid, cell):
     """Von Neumann neighbours from the grid's precomputed table."""
-    flat = grid.vn_neighbors_flat(grid.flat(cell))
+    flat = grid.vn_neighbors_flat(flat_index(grid, cell))
     return [tuple(int(v) for v in grid.unflat(c)) for c in flat if c >= 0]
 
 
@@ -51,9 +53,9 @@ class TestNeighbors:
     def test_out_of_bounds_rejected(self):
         # off-grid von Neumann neighbours are marked -1 in the table
         grid = make_grid()
-        corner = grid.vn_neighbors_flat(grid.flat((0, 7)))
+        corner = grid.vn_neighbors_flat(flat_index(grid, (0, 7)))
         assert sorted(corner < 0) == [False, False, True, True]
-        assert set(corner[corner >= 0]) == {grid.flat((1, 7)), grid.flat((0, 6))}
+        assert set(corner[corner >= 0]) == {flat_index(grid, (1, 7)), flat_index(grid, (0, 6))}
 
     def test_3d_counts(self):
         grid = G.CellGrid((5, 5, 5))
@@ -77,7 +79,7 @@ class TestClassify:
         grid = make_grid()
         x = fill_cells(grid, [(4, 4)], ppc=2)
         G.classify_cells(grid, x)
-        assert grid.marking[grid.flat((4, 4))] == G.SURFACE
+        assert grid.marking[flat_index(grid, (4, 4))] == G.SURFACE
 
     def test_bottom_block_only_top_row_surface(self):
         # 6x6 fluid block on the tank floor: wall-adjacent cells see only
@@ -88,7 +90,7 @@ class TestClassify:
         for i in range(1, 7):
             for j in range(1, 7):
                 expected = G.SURFACE if j == 6 else G.INNER
-                assert grid.marking[grid.flat((i, j))] == expected, (i, j)
+                assert grid.marking[flat_index(grid, (i, j))] == expected, (i, j)
 
     def test_particle_in_solid_rejected(self):
         grid = make_grid()
@@ -116,7 +118,7 @@ class TestClassify:
         cells = [(i, j) for i in range(1, 9) for j in range(1, 9)]
         G.classify_cells(grid, fill_cells(grid, cells))
         G.assign_depth(grid)
-        hole = grid.flat((4, 6))
+        hole = flat_index(grid, (4, 6))
         assert grid.depth[hole] == -R
         deep = grid.depth < -R
         kept = [(i, j) for (i, j) in cells if j >= 6 and (i, j) != (4, 6)]
@@ -136,19 +138,19 @@ class TestDepth:
         for j in range(1, 5):
             expected = 0 if j == 4 else -(4 - j)
             for i in range(1, 5):
-                assert grid.depth[grid.flat((i, j))] == expected, (i, j)
+                assert grid.depth[flat_index(grid, (i, j))] == expected, (i, j)
 
     def test_isolated_cell_depth_zero(self):
         grid = make_grid()
         G.classify_cells(grid, fill_cells(grid, [(4, 4)]))
         G.assign_depth(grid)
-        assert grid.depth[grid.flat((4, 4))] == 0
+        assert grid.depth[flat_index(grid, (4, 4))] == 0
 
     def test_non_fluid_positive(self):
         grid = make_grid()
         G.classify_cells(grid, fill_cells(grid, [(4, 4)]))
         G.assign_depth(grid)
-        assert grid.depth[grid.flat((2, 2))] == 1
+        assert grid.depth[flat_index(grid, (2, 2))] == 1
         assert (grid.depth[grid.wall] == 1).all()
 
     def test_sealed_tank_fallback(self):
@@ -178,7 +180,7 @@ class TestClearingDistance:
     def test_open_floor_row(self):
         grid = G.CellGrid((8, 8))
         G.classify_cells(grid, np.zeros((0, 2)))
-        row = [grid.flat((i, 4)) for i in range(2, 5)]
+        row = [flat_index(grid, (i, 4)) for i in range(2, 5)]
         dist = G.clearing_distance(grid, row)
         assert [dist[c] for c in row] == [1, 1, 1]
 
@@ -186,12 +188,12 @@ class TestClearingDistance:
         # row on the tank floor, escape only past the right end
         grid = G.CellGrid((6, 8))
         G.classify_cells(grid, np.zeros((0, 2)))
-        row = [grid.flat((i, 1)) for i in (1, 2, 3)]
+        row = [flat_index(grid, (i, 1)) for i in (1, 2, 3)]
         # block everything above the row with solid cells so the only escape
         # neighbor is (4, 1) to the right
         above = np.zeros(grid.ncells, dtype=bool)
         for i in (1, 2, 3):
-            above[grid.flat((i, 2))] = True
+            above[flat_index(grid, (i, 2))] = True
         grid.marking[above] = G.SOLID
         dist = G.clearing_distance(grid, row)
         assert [int(dist[c]) for c in row] == [3, 2, 1]
@@ -204,7 +206,7 @@ class TestClearingDistance:
     def test_walled_pocket_gets_sentinel(self):
         grid = G.CellGrid((6, 6))
         G.classify_cells(grid, np.zeros((0, 2)))
-        target = grid.flat((2, 2))
+        target = flat_index(grid, (2, 2))
         for nb in grid.vn_neighbors_flat(target):
             grid.marking[nb] = G.SOLID
         dist = G.clearing_distance(grid, [target])
@@ -215,7 +217,7 @@ class TestClearingDistance:
         rng = np.random.default_rng(8)
         grid = G.CellGrid((14, 14))
         G.classify_cells(grid, np.zeros((0, 2)))
-        cells = [grid.flat((i, j)) for i in range(2, 12) for j in range(2, 12)
+        cells = [flat_index(grid, (i, j)) for i in range(2, 12) for j in range(2, 12)
                  if rng.random() < 0.5]
         dist = G.clearing_distance(grid, cells)
         for c in cells:
@@ -255,6 +257,75 @@ class TestBoxFlat:
     def test_fully_off_grid_is_empty(self, lo, hi):
         cells = G.box_flat(make_grid(), lo, hi)
         assert cells.shape == (0,)
+
+
+def box_flat_by_meshgrid(grid, lo, hi):
+    """Reference: box_flat's cells built by meshgrid and np.ravel_multi_index."""
+    lo = np.maximum(np.floor(np.asarray(lo) + 1e-9).astype(np.int64), 0)
+    hi = np.minimum(np.ceil(np.asarray(hi) - 1e-9).astype(np.int64), grid.dims)
+    mesh = np.meshgrid(*[np.arange(a, b) for a, b in zip(lo, hi)], indexing="ij")
+    return np.ravel_multi_index(tuple(m.reshape(-1) for m in mesh), grid.dims)
+
+
+def any_neighbor_nd(mask_nd, offsets):
+    """Reference: the neighbor dilation on the nd grid, by slices per offset."""
+    out = np.zeros_like(mask_nd)
+    for off in offsets:
+        src, dst = G._shift_slices(off)
+        out[dst] |= mask_nd[src]
+    return out
+
+
+def hops_nd(seed, allowed):
+    """Reference: the von Neumann level BFS on nd grids."""
+    hops = np.where(seed, 0, -1)
+    frontier, reached, level = seed, seed.copy(), 0
+    while frontier.any():
+        level += 1
+        frontier = any_neighbor_nd(frontier, G.von_neumann_offsets(seed.ndim)) & allowed & ~reached
+        hops[frontier] = level
+        reached |= frontier
+    return hops
+
+
+class TestFlatIndexAgainstNd:
+    """box_flat slices the grid's index array, and the neighbor dilation and
+    level BFS shift flat masks by flat strides; each against the nd
+    construction it replaced."""
+
+    @pytest.mark.parametrize("dims", [(9, 7), (5, 6, 4)])
+    def test_box_flat_matches_meshgrid(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        grid = G.CellGrid(dims)
+        size = np.asarray(dims, dtype=float)
+        for case in range(300):
+            lo = rng.uniform(-3, size + 1)
+            hi = lo + rng.uniform(0, size / 2 + 2)
+            if case % 3 == 0:  # edges within 1e-9 of a face, either side
+                lo = np.round(lo) + rng.choice([-1e-10, 1e-10], size=len(dims))
+                hi = np.round(hi) + rng.choice([-1e-10, 1e-10], size=len(dims))
+            if case % 10 == 0:  # wholly outside, below or above
+                lo = np.where(rng.random(len(dims)) < 0.5, lo - size - 5, lo + size + 1)
+                hi = lo + 2
+            got, want = G.box_flat(grid, lo, hi), box_flat_by_meshgrid(grid, lo, hi)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (lo, hi)
+
+    @pytest.mark.parametrize("dims", [(9, 7), (6, 5, 7)])
+    def test_dilation_and_hops_match_nd(self, dims):
+        """Random seed and allowed masks off the wall layer: the flat results
+        agree with the nd ones on every cell, the wall layer included."""
+        rng = np.random.default_rng(len(dims))
+        grid = G.CellGrid(dims)
+        for _ in range(40):
+            seed = (rng.random(grid.ncells) < rng.uniform(0.02, 0.3)) & ~grid.wall
+            allowed = (rng.random(grid.ncells) < rng.uniform(0.3, 1.0)) & ~grid.wall
+            for flat_shifts, offsets in ((grid.vn_shifts, G.von_neumann_offsets(grid.d)),
+                                         (grid.moore_shifts, G.moore_offsets(grid.d))):
+                want = any_neighbor_nd(seed.reshape(dims), offsets).reshape(-1)
+                assert np.array_equal(G._any_neighbor(seed, flat_shifts), want)
+            want = hops_nd(seed.reshape(dims), allowed.reshape(dims)).reshape(-1)
+            got = G._hops(grid, seed, allowed)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def reference_fill(grid, flat, room, rng, limit=None):
@@ -299,7 +370,7 @@ class TestFillCells:
 
 def per_cell(grid, cell, mu):
     """One cell's discrete volume from the per-cell volume report."""
-    return G.volume_report(grid, mu, v_star=1.0, per_cell=True).per_cell[grid.flat(cell)]
+    return G.volume_report(grid, mu, v_star=1.0, per_cell=True).per_cell[flat_index(grid, cell)]
 
 
 class TestVolume:
@@ -326,7 +397,7 @@ class TestVolume:
 
     def test_deep_full_credit_despite_bubble(self):
         grid, ncells = self._full_block(mu=4)
-        c = grid.flat((5, 5))
+        c = flat_index(grid, (5, 5))
         assert grid.depth[c] <= -3
         grid.counts[c] = 2  # simulate a bubble
         assert per_cell(grid, (5, 5), mu=4) == 1.0
@@ -342,7 +413,7 @@ class TestVolume:
         # depth-credit measure stays at 100, the alternative measure drops
         grid, ncells = self._full_block(mu=4)
         assert ncells == 100
-        c = grid.flat((5, 5))
+        c = flat_index(grid, (5, 5))
         assert grid.depth[c] <= -2
         grid.counts[c] = 3
         rep = G.volume_report(grid, mu=4, v_star=100.0)

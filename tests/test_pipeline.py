@@ -1,4 +1,9 @@
 """Pipeline: stage ordering, hydrostatics, emitters, outputs, determinism."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -356,3 +361,28 @@ class Test3DSmoke:
         for _ in range(2):
             rec = sim.step()
         assert rec.volume.percent >= 100.0 - 1e-9
+
+
+STEP_IMPORTS = """
+import sys
+from cellflow.pipeline import Simulation
+from cellflow.scene import builtin_scene
+sim = Simulation(builtin_scene(sys.argv[1]))
+before = set(sys.modules)
+for _ in range(3):
+    sim.step()
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+@pytest.mark.parametrize("scene", ["falling_obs", "dam"])
+def test_stepping_imports_no_module(scene):
+    """Once the simulation is set up, stepping imports nothing: a module that
+    the step path first imports (numpy.ma, which np.unique pulls in) costs
+    its import time and memory inside a frame. A fresh process, since this
+    one has imported everything already."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", STEP_IMPORTS, scene], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -8,7 +8,10 @@ from cellflow import solids as S
 from cellflow import solvers as V
 from cellflow.errors import IntegrityError
 from cellflow.flip import MacGrid, ParticleSet
-from cellflow.scene import SceneConfig
+from cellflow.pipeline import Simulation
+from cellflow.scene import Box, FluidRegion, ObstacleConfig, SceneConfig
+
+from conftest import flat_index, random_state
 
 LAMBDA = SceneConfig.lambda_penalty
 
@@ -36,7 +39,7 @@ class TestProposeMotion:
         grid = tank()
         obs = box((4, 4), (2, 2), vel=(0.0, -2.0))
         prop = S.propose_motion(obs, grid, dt=0.5)
-        expect = {grid.flat((4, 3)), grid.flat((5, 3))}
+        expect = {flat_index(grid, (4, 3)), flat_index(grid, (5, 3))}
         assert set(int(c) for c in prop.new_solid) == expect
 
     def test_blocked_at_floor(self):
@@ -79,29 +82,29 @@ def table_cost(grid, so, x_start, x_ideal):
 class TestSolidObjective:
     def test_outside_new_solid_squared_distance(self):
         grid = tank()
-        so = S.build_solid_objective(grid, np.array([grid.flat((4, 4))]), LAMBDA)
+        so = S.build_solid_objective(grid, np.array([flat_index(grid, (4, 4))]), LAMBDA)
         # the landing point in the next cell sits MARGIN inside its near face
         cost = table_cost(grid, so, (2.5, 2.5), (2.5, 2.5))
-        assert cost[grid.flat((3, 2))] == pytest.approx((0.5 + G.MARGIN) ** 2)
+        assert cost[flat_index(grid, (3, 2))] == pytest.approx((0.5 + G.MARGIN) ** 2)
 
     def test_unit_distance_penalty(self):
         grid = tank()
-        so = S.build_solid_objective(grid, np.array([grid.flat((4, 4))]), LAMBDA)
+        so = S.build_solid_objective(grid, np.array([flat_index(grid, (4, 4))]), LAMBDA)
         cost = table_cost(grid, so, (4.5, 4.5), (4.5, 4.5))
-        assert cost[grid.flat((4, 4))] == pytest.approx(1000.0)
+        assert cost[flat_index(grid, (4, 4))] == pytest.approx(1000.0)
 
     def test_deeper_cells_penalized_more(self):
         grid = tank(dims=(12, 10))
         # row of prospective cells pinned on the floor, escape at the right
-        row = [grid.flat((i, 1)) for i in (1, 2, 3)]
+        row = [flat_index(grid, (i, 1)) for i in (1, 2, 3)]
         blockers = np.zeros(grid.ncells, dtype=bool)
         for i in (1, 2, 3):
-            blockers[grid.flat((i, 2))] = True
+            blockers[flat_index(grid, (i, 2))] = True
         grid.marking[blockers] = G.SOLID
         so = S.build_solid_objective(grid, np.asarray(row), LAMBDA)
         cost = table_cost(grid, so, (2.5, 1.5), (2.5, 1.5))
-        p1 = cost[grid.flat((3, 1))]
-        p3 = cost[grid.flat((1, 1))]
+        p1 = cost[flat_index(grid, (3, 1))]
+        p3 = cost[flat_index(grid, (1, 1))]
         assert p1 == pytest.approx(1000.0)
         assert p3 == pytest.approx(3000.0)
         assert p3 > p1
@@ -113,7 +116,7 @@ class TestSolidObjective:
         G.assign_depth(grid)
         grid.rebuild_counts(x)
         ideal = np.array([[4.5, 4.4]])
-        new_cell = grid.flat((4, 4))
+        new_cell = flat_index(grid, (4, 4))
         so = S.build_solid_objective(grid, np.array([new_cell]), LAMBDA)
         table = C.build_candidates(x, ideal, grid)
         cost = S.override_costs(table, so)
@@ -137,10 +140,10 @@ class TestSolidObjective:
         G.classify_cells(grid, x)
         G.assign_depth(grid)
         grid.rebuild_counts(x)
-        row = [grid.flat((i, 1)) for i in (2, 3, 4)]
+        row = [flat_index(grid, (i, 1)) for i in (2, 3, 4)]
         blockers = np.zeros(grid.ncells, dtype=bool)
         for i in (2, 3, 4):
-            blockers[grid.flat((i, 2))] = True
+            blockers[flat_index(grid, (i, 2))] = True
         grid.marking[blockers] = G.SOLID
         so = S.build_solid_objective(grid, np.asarray(row), LAMBDA)
         table = C.build_candidates(x, x, grid)
@@ -185,6 +188,85 @@ class TestGate:
         p1 = S.propose_motion(obs, grid, dt=0.5)
         p2 = S.propose_motion(obs, grid, dt=0.5)
         assert np.array_equal(p1.new_solid, p2.new_solid)
+
+
+def override_costs_by_isin(candidates, so, new_solid):
+    """Reference: override_costs with the claimed cells found by np.isin."""
+    in_new = np.isin(candidates.target_flat, new_solid)
+    penal = so.lambda_penalty * so.cdist[np.where(in_new, candidates.target_flat, 0)]
+    return np.where(in_new & candidates.valid, penal, candidates.cost)
+
+
+class TestClaimedCellsAgainstSetOperations:
+    """The claimed cells, their union over obstacles and the penalized costs
+    are found by masks over the cells; each against the set operation it
+    replaced."""
+
+    def test_proposal_matches_setdiff1d(self):
+        rng = np.random.default_rng(61)
+        grid = tank((13, 11))
+        blocked = 0
+        for _ in range(400):
+            extent = rng.integers(1, 5, size=2).astype(float)
+            pos = rng.uniform(0.5, np.asarray(grid.dims) - extent - 0.5)
+            obs = box(pos, extent, vel=rng.uniform(-3, 3, size=2))
+            dt = rng.uniform(0.05, 0.5)
+            prop = S.propose_motion(obs, grid, dt)
+            if prop.wall_blocked:
+                blocked += 1
+                assert len(prop.new_solid) == 0
+                continue
+            want = np.setdiff1d(obs.cells_at(obs.pos + obs.velocity * dt, grid),
+                                obs.occupied_flat(grid))
+            assert prop.new_solid.dtype == want.dtype and np.array_equal(prop.new_solid, want)
+        assert 0 < blocked < 400
+
+    def test_override_costs_matches_isin(self):
+        """Random states, particles next to the walls among them, so that
+        invalid candidates (target -1) are present."""
+        rng = np.random.default_rng(62)
+        invalid = 0
+        for _ in range(60):
+            grid, particles, x_ideal, _ = random_state(rng, dims=(7, 6), n_max=14)
+            table = C.build_candidates(particles.x, x_ideal, grid)
+            free = np.flatnonzero(grid.marking != G.SOLID)
+            new_solid = np.sort(rng.choice(free, size=int(rng.integers(1, 6)), replace=False))
+            so = S.build_solid_objective(grid, new_solid, LAMBDA)
+            got = S.override_costs(table, so)
+            assert got.tobytes() == override_costs_by_isin(table, so, new_solid).tobytes()
+            invalid += int((table.target_flat == -1).sum())
+        assert invalid
+
+    def test_union_matches_unique(self, monkeypatch):
+        """Two pistons whose footprints share a column push down together:
+        the cells the correction penalizes are np.unique of their claims."""
+        cfg = SceneConfig(name="pistons", dims=(16, 16), mu=2, frames=8,
+                          fluids=[FluidRegion(Box((1, 1), (15, 5)))],
+                          obstacles=[ObstacleConfig(Box((2, 9), (7.5, 12)), velocity=(0.0, -3.0)),
+                                     ObstacleConfig(Box((7.5, 9), (13, 12)), velocity=(0.0, -3.0))])
+        claims, unions = [], []
+        propose_motion, build_solid_objective = S.propose_motion, S.build_solid_objective
+
+        def propose(obstacle, grid, dt):
+            proposal = propose_motion(obstacle, grid, dt)
+            claims.append(proposal.new_solid)
+            return proposal
+
+        def objective(grid, new_solid, lambda_penalty):
+            unions.append((new_solid, np.unique(np.concatenate(claims[-2:]))))
+            return build_solid_objective(grid, new_solid, lambda_penalty)
+
+        sim = Simulation(cfg)
+        monkeypatch.setattr(S, "propose_motion", propose)
+        monkeypatch.setattr(S, "build_solid_objective", objective)
+        for _ in range(cfg.frames):
+            sim.step()
+        assert unions
+        for got, want in unions:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        shared = sum(len(a) + len(b) > len(np.union1d(a, b))
+                     for a, b in zip(claims[::2], claims[1::2]))
+        assert shared
 
 
 class TestFreeFall:

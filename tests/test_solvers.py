@@ -6,7 +6,7 @@ from cellflow import correction as C
 from cellflow import solvers as V
 from cellflow.errors import InputError, IntegrityError
 
-from conftest import random_problem, stay_choice
+from conftest import flat_index, random_problem, stay_choice
 from oracles import canonical_matrix, objective_of, tu_sample_check
 
 
@@ -120,7 +120,7 @@ class TestSolveMcf:
         assert abs(stats.objective - oracle) < 1e-9
         counts = problem.counts_of(assignment)
         for c in cells:
-            assert counts[grid.flat(c)] == 1
+            assert counts[flat_index(grid, c)] == 1
 
     def test_monotone_in_capacity(self):
         # relaxing every cap from mu to mu+1 never increases the optimum
@@ -525,7 +525,7 @@ class TestBruteForce:
         problem = C.build_problem(grid, C.build_candidates(x, ideal, grid), mu=1)
         assignment, obj = V.brute_force_ilp(problem)
         counts = problem.counts_of(assignment)
-        assert counts[grid.flat((3, 3))] == 1
+        assert counts[flat_index(grid, (3, 3))] == 1
         flow_assignment, stats = V.solve_problem(problem)
         assert abs(stats.objective - obj) < 1e-9
 
