@@ -38,6 +38,7 @@ CONFIGS = {
     "falling_obs": ["falling_obs", "--frames", "60"],
     "dam_band6_flow": ["dam", "--frames", "30", "--band", "6", "--strategy", "flow"],
     "dam_band6_full": ["dam", "--frames", "30", "--band", "6", "--strategy", "full"],
+    "falling_obs_band4_flow": ["falling_obs", "--frames", "60", "--band", "4", "--strategy", "flow"],
     "dam_emit": ["dam_emit", "--frames", "55"],
     "dam3d_band": [str(ROOT / "scripts" / "scenes" / "dam3d_band.scene"), "--frames", "8"],
     "obstacle3d": [str(ROOT / "scripts" / "scenes" / "obstacle3d.scene"), "--frames", "8"],

@@ -26,7 +26,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--check", action="store_true", help="run per-step invariant checks")
 
     p_oracle = sub.add_parser("oracle-check",
-                              help="compare the flow solver against brute force on a problem dump")
+                              help="solve a problem dump and certify its optimum")
     p_oracle.add_argument("dump", help="path to a correction-problem debug dump")
 
     p_vol = sub.add_parser("volume", help="summarize the volume log of a finished run")
@@ -69,7 +69,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle(args) -> int:
     from .correction import load_problem
-    from .solvers import BRUTE_FORCE_LIMIT, brute_force_ilp, solve_problem
+    from .solvers import solve_problem
 
     try:
         problem = load_problem(Path(args.dump).read_text(encoding="utf-8"))
@@ -77,20 +77,10 @@ def _cmd_oracle(args) -> int:
         raise InputError(f"cannot read problem dump {args.dump!r}: {exc.strerror}") from None
     except InputError as exc:
         raise InputError(f"{args.dump}: {exc}") from None
-    choice, stats = solve_problem(problem)
+    _, stats = solve_problem(problem)  # raises IntegrityError unless certified
     print(f"flow solve: objective {stats.objective:.9f}, {stats.searches} searches, "
           f"{stats.drains} drains, {stats.pops} pops")
-    if problem.n <= BRUTE_FORCE_LIMIT:
-        _, oracle_obj = brute_force_ilp(problem)
-        gap = abs(stats.objective - oracle_obj)
-        print(f"brute force: objective {oracle_obj:.9f} (gap {gap:.2e})")
-        if gap > 1e-9:
-            print("MISMATCH", file=sys.stderr)
-            return 1
-        print("OK")
-    else:
-        problem.check_feasible(choice)
-        print(f"OK (n={problem.n} too large for brute force; feasibility verified)")
+    print(f"OK: certified optimal (n={problem.n}; feasible, every reduced cost >= 0)")
     return 0
 
 

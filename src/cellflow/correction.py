@@ -16,6 +16,8 @@ import numpy as np
 from . import grid as G
 from .errors import InputError, IntegrityError
 
+CERTIFY_TOL = 1e-6  # reduced-cost rounding a certificate allows
+
 
 def direction_set(d: int) -> np.ndarray:
     """The (2d + 1, d) unit grid moves: positive axes, negative axes, then
@@ -148,6 +150,34 @@ class CorrectionProblem:
             raise IntegrityError("assignment violates correction constraints")
         return ok
 
+    def certify(self, choice: np.ndarray, duals: np.ndarray) -> None:
+        """Raise IntegrityError unless ``duals``, per grid cell, then the sink's
+        and the hub's, prove the feasible ``choice`` optimal: every residual arc
+        of the transportation network (Ahuja, Magnanti & Orlin, *Network Flows*,
+        1993, ch. 9) has reduced cost >= -CERTIFY_TOL, and a NaN fails. A cell
+        passes its units above its floor up to the sink, or to the hub if in the
+        region, with room below its cap (n if uncapped); the hub passes those
+        above max(lo, 0) on, with room below hi; each pick minimises cost - y."""
+        self.check_feasible(choice)
+        ncells, n = len(self.cap), self.n
+        counts = self.counts_of(choice)
+        gap = duals[:ncells] - duals[ncells + (0 if self.region is None else self.region)]
+        arcs = [("cell {} -> sink or hub", gap, counts < np.where(self.cap < 0, n, self.cap)),
+                ("sink or hub -> cell {}", -gap, counts > self.floor)]
+        if self.region is not None:
+            held, (lo, hi) = counts[self.region].sum(), self.region_bounds
+            gap = duals[ncells + 1:] - duals[ncells]
+            arcs += [("hub -> sink", gap, held < hi), ("sink -> hub", -gap, held > max(lo, 0))]
+        price = np.where(self.valid, self.cost - duals[self.target_flat], np.inf)
+        arcs.append(("particle {}'s pick -> its cheapest candidate",
+                     price.min(axis=0) - price[choice, np.arange(n)], True))
+        for name, reduced, residual in arcs:
+            wrong = np.flatnonzero(~(reduced >= -CERTIFY_TOL) & residual)
+            if wrong.size:
+                k = wrong[0]
+                raise IntegrityError(f"optimality check failed: reduced cost {reduced[k]:.3g} "
+                                     f"on {name.format(k)}")
+
 
 def build_problem(
     cells: G.CellGrid,
@@ -244,7 +274,9 @@ def load_problem(text: str) -> CorrectionProblem:
         try:
             if key == "cand":
                 j, i, c, sigma = vals
-                cands.append((no, int(j), int(i), int(c), float(sigma)))
+                if not np.isfinite(sigma := float(sigma)):
+                    raise InputError(f"line {no}: 'cand' cost must be finite, got {sigma}")
+                cands.append((no, int(j), int(i), int(c), sigma))
             elif key == "cell":
                 c, cp, fl = (int(v) for v in vals)
                 cells.append((no, c, cp, fl))

@@ -106,8 +106,9 @@ def gate_motion(obstacle: Obstacle, grid: G.CellGrid, particles: ParticleSet,
     if proposal.wall_blocked:
         return False
     if len(proposal.new_solid):
-        occupied = np.bincount(grid.cell_of(particles.x), minlength=grid.ncells)
-        if occupied[proposal.new_solid].any():
+        claimed = np.zeros(grid.ncells, dtype=bool)
+        claimed[proposal.new_solid] = True
+        if claimed[grid.cell_of(particles.x)].any():
             return False
     obstacle.pos = obstacle.pos + obstacle.velocity * dt
     return True

@@ -18,24 +18,26 @@ graph, where moving a particle of cell u to its candidate v is an arc u -> v.
 Of the parallel arcs between two cells, one per member of the tail cell, only
 the cheapest can lie on a shortest path, and augmenting along it leaves the
 others' reduced costs nonnegative; so a search relaxes one cached arc per
-neighbour cell, while the final optimality check still covers every candidate.
-A unit that reaches the sink stays there even once the sink's deficit is met:
-successive shortest paths may end an augmentation at any node of a shortest
-path, so reduced costs stay nonnegative and the sink just ends the routing
-with excess. That excess is drained into the cells still below their floor by
-Dijkstra searches run backward from each such cell until they pop the sink;
-raising every popped node's potential by its distance short of the sink's
-keeps each reduced cost nonnegative and zeroes those on the path. The drain
-thus reaches those few cells directly instead of relaxing the sink's
-zero-cost arcs into nearly every cell on the way.
+neighbour cell. A unit that reaches the sink stays there even once the sink's
+deficit is met: successive shortest paths may end an augmentation at any node
+of a shortest path, so reduced costs stay nonnegative and the sink just ends
+the routing with excess. That excess is drained into the cells still below
+their floor by Dijkstra searches run backward from each such cell until they
+pop the sink; raising every popped node's potential by its distance short of
+the sink's keeps each reduced cost nonnegative and zeroes those on the path.
+The drain thus reaches those few cells directly instead of relaxing the
+sink's zero-cost arcs into nearly every cell on the way.
 
 The band's balance constraint bounds the total count of one region of cells
 to [lo, hi]. The family of sets "one cell", "the region" and "all cells" is
 laminar, so the problem stays a network and its LP stays integral (ibid.;
 Schrijver, *Combinatorial Optimization*, 2003, on network matrices): the
 region's cells, which carry no floors, pass their units to a hub node, which
-takes lo..hi units and passes those above lo on to the sink. A pruned
-exhaustive search is an independent oracle for both forms.
+takes lo..hi units and passes those above lo on to the sink.
+
+The final potentials are the duals of an optimum. ``solve_problem`` maps them
+to grid cells for ``CorrectionProblem.certify``, which reads only the problem,
+so a fault in the reduction or the solve cannot certify itself.
 """
 from __future__ import annotations
 
@@ -69,6 +71,7 @@ class FlowNetwork:
     cand_cost: np.ndarray  # cost per candidate
     cap: np.ndarray        # per cell; n where the problem leaves the cell uncapped
     floor: np.ndarray      # per cell
+    grid_cell: np.ndarray  # per cell, its flat grid index
     hub_cell: np.ndarray | None = None  # per cell, True in the region; None without one
     hub_floor: int = 0
     hub_cap: int = 0
@@ -83,6 +86,7 @@ class FlowNetwork:
 @dataclass
 class SolveStats:
     objective: float
+    pi: np.ndarray     # final potentials: per cell, then the sink's and the hub's
     searches: int = 0  # forward Dijkstra runs, one per particle the greedy start rejected
     pops: int = 0      # nodes finalized over all searches, forward and backward
     scans: int = 0     # arc-table entries read at popped cells
@@ -117,7 +121,7 @@ def reduce_to_flow(problem: CorrectionProblem) -> FlowNetwork:
         cand_i=ii.astype(np.int64),
         cand_cell=(np.cumsum(reached) - 1)[cand_grid],
         cand_cost=problem.cost[ii, jj],
-        cap=cap, floor=floor,
+        cap=cap, floor=floor, grid_cell=used,
     )
     if problem.region is not None:
         # a floored region cell short of its floor would have to pass units
@@ -172,7 +176,7 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
     lie on a shortest path, and augmenting along it leaves the others' reduced
     costs, no smaller, nonnegative. So a popped cell reads a table of its
     cheapest arc per neighbour, dropped whenever the cell's members change.
-    The final check still tests every candidate.
+    The certificate in solve_problem still tests every candidate.
 
     A unit that reaches the sink stays there even once the sink's deficit is
     used up. Successive shortest paths may move excess to any node of a
@@ -219,8 +223,8 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
         count_np = np.bincount(pick_cell[accepted], minlength=K)
         feeds, in_hub = net.hub_cell.tolist(), min(len(held), net.hub_cap)
     if accepted.all() and (count_np >= net.floor).all() and in_hub >= net.hub_floor:
-        _check_reduced_costs(net, pick, np.zeros(K + 2), count_np)
-        return net.cand_i[pick], SolveStats(objective=float(net.cand_cost[pick].sum()))
+        return net.cand_i[pick], SolveStats(objective=float(net.cand_cost[pick].sum()),
+                                            pi=np.zeros(K + 2))
 
     starts = starts.tolist()
     spans = list(map(range, starts[:-1], starts[1:]))
@@ -436,113 +440,26 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
                 v = u
 
     chosen = np.asarray(assigned, dtype=np.int64)
-    _check_reduced_costs(net, chosen, np.asarray(pi), np.asarray(count[:K], dtype=np.int64))
-    stats = SolveStats(objective=float(net.cand_cost[chosen].sum()), searches=run - drains,
-                       pops=pops, scans=scans, tables=tables, drains=drains)
+    stats = SolveStats(objective=float(net.cand_cost[chosen].sum()), pi=np.asarray(pi),
+                       searches=run - drains, pops=pops, scans=scans, tables=tables,
+                       drains=drains)
     return net.cand_i[chosen], stats
 
 
-def _check_reduced_costs(net: FlowNetwork, chosen: np.ndarray, pi: np.ndarray,
-                         counts: np.ndarray) -> None:
-    """Final safety: every residual arc has nonnegative reduced cost.
-
-    chosen holds each particle's candidate and counts each cell's units; pi
-    holds the cell potentials, then the sink's and the hub's. Residual are
-    the candidate arcs u -> v (via the particle at u), cell -> sink (or hub)
-    with room, sink (or hub) -> cell with units above the floor, and hub ->
-    sink and back as the hub's count lies below its cap and above its floor.
-    """
-    K = len(counts)
-    home = net.cand_cell[chosen]
-    red = (net.cand_cost - net.cand_cost[chosen][net.cand_j]
-           + pi[home][net.cand_j] - pi[net.cand_cell])
-    up = K if net.hub_cell is None else np.where(net.hub_cell, K + 1, K)
-    red = np.concatenate([red, (pi[:K] - pi[up])[counts < net.cap],
-                          (pi[up] - pi[:K])[counts > net.floor]])
-    if net.hub_cell is not None:
-        held = int(counts[net.hub_cell].sum())
-        red = np.concatenate([red, [pi[K + 1] - pi[K]] * (held < net.hub_cap),
-                              [pi[K] - pi[K + 1]] * (held > net.hub_floor)])
-    if red.size and red.min() < -1e-6:
-        raise IntegrityError(f"optimality check failed: reduced cost {red.min()}")
+def grid_duals(problem: CorrectionProblem, net: FlowNetwork, pi: np.ndarray) -> np.ndarray:
+    """The solve's potentials as ``CorrectionProblem.certify`` reads them:
+    one per grid cell, then the sink's and the hub's. A cell that no
+    candidate reaches takes the potential of the node it passes units to."""
+    K = len(net.cap)
+    hubbed = np.zeros(len(problem.cap), dtype=bool) if problem.region is None else problem.region
+    duals = np.append(pi[K + hubbed], pi[K:])
+    duals[net.grid_cell] = pi[:K]
+    return duals
 
 
 def solve_problem(problem: CorrectionProblem) -> tuple[np.ndarray, SolveStats]:
-    """Convenience wrapper: reduce to flow and solve."""
-    return solve_mcf(reduce_to_flow(problem))
-
-
-# ----------------------------------------------------------------------
-# exhaustive oracle
-
-BRUTE_FORCE_LIMIT = 12
-
-
-def brute_force_ilp(problem: CorrectionProblem) -> tuple[np.ndarray, float]:
-    """Exhaustive search over all candidate selections (n <= 12).
-
-    Depth-first enumeration over per-particle candidates with sound pruning
-    only (capacity, floor reachability, admissible cost bound), so the result
-    is the exact global optimum; a region's count bound is tested on each
-    complete selection. Fully independent of the flow solver.
-    """
-    n = problem.n
-    if n > BRUTE_FORCE_LIMIT:
-        raise InputError(f"brute force refused for n={n} > {BRUTE_FORCE_LIMIT}")
-    if n == 0:
-        return np.zeros(0, dtype=np.int64), 0.0
-
-    cands = []
-    for j in range(n):
-        lst = [(float(problem.cost[i, j]), int(i), int(problem.target_flat[i, j]))
-               for i in np.flatnonzero(problem.valid[:, j])]
-        lst.sort(key=lambda t: (t[0], t[1]))
-        if not lst:
-            raise IntegrityError(f"particle {j} has no admissible candidate")
-        cands.append(lst)
-
-    # admissible bound: cheapest remaining candidate per particle
-    suffix_min = np.zeros(n + 1)
-    for j in range(n - 1, -1, -1):
-        suffix_min[j] = suffix_min[j + 1] + cands[j][0][0]
-
-    ncells = int(np.prod(problem.dims))
-    counts = np.zeros(ncells, dtype=np.int64)
-    cap = problem.cap
-    floor = problem.floor
-    floor_cells = np.flatnonzero(floor > 0)
-    total_floor = int(floor[floor_cells].sum())
-
-    best_obj = np.inf
-    best_choice: np.ndarray | None = None
-    choice = np.zeros(n, dtype=np.int64)
-
-    lo, hi = problem.region_bounds
-
-    def region_ok() -> bool:
-        return problem.region is None or lo <= int(counts[problem.region].sum()) <= hi
-
-    def dfs(j: int, partial: float, deficit: int) -> None:
-        nonlocal best_obj, best_choice
-        if partial + suffix_min[j] >= best_obj - 1e-12:
-            return
-        if deficit > n - j:
-            return
-        if j == n:
-            if deficit == 0 and region_ok():
-                best_obj = partial
-                best_choice = choice.copy()
-            return
-        for cost, i, c in cands[j]:
-            if cap[c] >= 0 and counts[c] >= cap[c]:
-                continue
-            counts[c] += 1
-            d2 = deficit - 1 if (floor[c] > 0 and counts[c] <= floor[c]) else deficit
-            choice[j] = i
-            dfs(j + 1, partial + cost, d2)
-            counts[c] -= 1
-
-    dfs(0, 0.0, total_floor)
-    if best_choice is None:
-        raise IntegrityError("brute force found no feasible assignment")
-    return best_choice, float(best_obj)
+    """Reduce to flow, solve, and certify the choice against the problem."""
+    net = reduce_to_flow(problem)
+    choice, stats = solve_mcf(net)
+    problem.certify(choice, grid_duals(problem, net, stats.pi))
+    return choice, stats

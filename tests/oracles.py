@@ -2,7 +2,8 @@
 
 Interface crossing masks, the band's one-way problem, the sampled total
 unimodularity check of the sparse problem's constraint matrix, a choice's
-objective and the discrete divergence left after a projection.
+objective, the discrete divergence left after a projection, and the
+exhaustive search that is the reference optimum of small problems.
 """
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from cellflow import band as B
 from cellflow import grid as G
 from cellflow.correction import CorrectionProblem
 from cellflow.flip import MacGrid
-from cellflow.errors import InputError
+from cellflow.errors import InputError, IntegrityError
 
 
 def gamma_io_masks(problem: CorrectionProblem, x_start: np.ndarray, cells: G.CellGrid,
@@ -149,3 +150,76 @@ def tu_sample_check(problem: CorrectionProblem, trials: int = 500, max_k: int = 
         if abs(det - nearest) > 1e-6 or nearest not in (-1, 0, 1):
             return False
     return True
+
+
+BRUTE_FORCE_LIMIT = 12
+
+
+def brute_force_ilp(problem: CorrectionProblem) -> tuple[np.ndarray, float]:
+    """Exhaustive search over all candidate selections (n <= 12).
+
+    Depth-first enumeration over per-particle candidates with sound pruning
+    only (capacity, floor reachability, admissible cost bound), so the result
+    is the exact global optimum; a region's count bound is tested on each
+    complete selection. Fully independent of the flow solver.
+    """
+    n = problem.n
+    if n > BRUTE_FORCE_LIMIT:
+        raise InputError(f"brute force refused for n={n} > {BRUTE_FORCE_LIMIT}")
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), 0.0
+
+    cands = []
+    for j in range(n):
+        lst = [(float(problem.cost[i, j]), int(i), int(problem.target_flat[i, j]))
+               for i in np.flatnonzero(problem.valid[:, j])]
+        lst.sort(key=lambda t: (t[0], t[1]))
+        if not lst:
+            raise IntegrityError(f"particle {j} has no admissible candidate")
+        cands.append(lst)
+
+    # admissible bound: cheapest remaining candidate per particle
+    suffix_min = np.zeros(n + 1)
+    for j in range(n - 1, -1, -1):
+        suffix_min[j] = suffix_min[j + 1] + cands[j][0][0]
+
+    ncells = int(np.prod(problem.dims))
+    counts = np.zeros(ncells, dtype=np.int64)
+    cap = problem.cap
+    floor = problem.floor
+    floor_cells = np.flatnonzero(floor > 0)
+    total_floor = int(floor[floor_cells].sum())
+
+    best_obj = np.inf
+    best_choice: np.ndarray | None = None
+    choice = np.zeros(n, dtype=np.int64)
+
+    lo, hi = problem.region_bounds
+
+    def region_ok() -> bool:
+        return problem.region is None or lo <= int(counts[problem.region].sum()) <= hi
+
+    def dfs(j: int, partial: float, deficit: int) -> None:
+        nonlocal best_obj, best_choice
+        if partial + suffix_min[j] >= best_obj - 1e-12:
+            return
+        if deficit > n - j:
+            return
+        if j == n:
+            if deficit == 0 and region_ok():
+                best_obj = partial
+                best_choice = choice.copy()
+            return
+        for cost, i, c in cands[j]:
+            if cap[c] >= 0 and counts[c] >= cap[c]:
+                continue
+            counts[c] += 1
+            d2 = deficit - 1 if (floor[c] > 0 and counts[c] <= floor[c]) else deficit
+            choice[j] = i
+            dfs(j + 1, partial + cost, d2)
+            counts[c] -= 1
+
+    dfs(0, 0.0, total_floor)
+    if best_choice is None:
+        raise IntegrityError("brute force found no feasible assignment")
+    return best_choice, float(best_obj)

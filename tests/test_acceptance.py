@@ -10,7 +10,8 @@ import pytest
 
 import conftest
 from conftest import random_band_instance, random_problem, read_particle_dump
-from oracles import build_one_way, compute_io, gamma_io_masks, tu_sample_check, with_region
+from oracles import (brute_force_ilp, build_one_way, compute_io, gamma_io_masks,
+                     tu_sample_check, with_region)
 
 from cellflow import band as B
 from cellflow import correction as C
@@ -141,7 +142,7 @@ def test_criterion_05_lp_ilp_equivalence():
             rng, dims=(6, 6) if count % 2 else (7, 7), n_max=12)
         assignment, stats = V.solve_problem(problem)
         problem.check_feasible(assignment)
-        oracle_a, oracle_obj = V.brute_force_ilp(problem)
+        oracle_a, oracle_obj = brute_force_ilp(problem)
         problem.check_feasible(oracle_a)
         worst_gap = max(worst_gap, abs(stats.objective - oracle_obj))
         count += 1
@@ -224,11 +225,11 @@ def test_criterion_09_oneway_vs_flowpaths():
         full_row = with_region(problem, grid, state.R, state.alpha_le)
         constrained = build_one_way(full_row, assignment, in_mask, out_mask,
                                     state.alpha_le)
-        fixed, oneway_obj = V.brute_force_ilp(constrained)
+        fixed, oneway_obj = brute_force_ilp(constrained)
         io_fixed = compute_io(fixed, in_mask, out_mask, state.alpha_le)
         assert io_fixed[2] >= 0 and io_fixed[3] >= 0
 
-        _, full_obj = V.brute_force_ilp(full_row)
+        _, full_obj = brute_force_ilp(full_row)
 
         diag = B.correct_band_flow(grid, problem, assignment, cls, state)
         C.apply_solution(problem, assignment, particles)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import flat_index, random_band_instance, stay_choice
-from oracles import build_one_way, compute_io, gamma_io_masks, objective_of, with_region
+from oracles import (brute_force_ilp, build_one_way, compute_io, gamma_io_masks,
+                     objective_of, with_region)
 
 from cellflow import band as B
 from cellflow import correction as C
@@ -556,7 +557,7 @@ class TestHubSolve:
         for grid, particles, state, problem, full, (in_mask, out_mask) in band_toys(push, 200):
             assignment, stats = V.solve_problem(full)
             full.check_feasible(assignment)
-            _, oracle = V.brute_force_ilp(full)
+            _, oracle = brute_force_ilp(full)
             assert abs(stats.objective - oracle) < 1e-9
             plain, _ = V.solve_problem(problem)
             _, _, s_in, s_out = compute_io(plain, in_mask, out_mask, state.alpha_le)
@@ -566,7 +567,7 @@ class TestHubSolve:
             one_way = build_one_way(full, plain, in_mask, out_mask, state.alpha_le)
             assignment, stats = V.solve_problem(one_way)
             one_way.check_feasible(assignment)
-            _, oracle = V.brute_force_ilp(one_way)
+            _, oracle = brute_force_ilp(one_way)
             assert abs(stats.objective - oracle) < 1e-9
         assert binding >= 30
 
@@ -582,7 +583,7 @@ class TestHubSolve:
                 start = full.region_bounds[0]
                 full.region_bounds = (start - int(rng.integers(0, 3)), start + int(rng.integers(1, 3)))
                 try:
-                    _, oracle = V.brute_force_ilp(full)
+                    _, oracle = brute_force_ilp(full)
                 except IntegrityError:
                     continue  # no selection meets the interval
                 assignment, stats = V.solve_problem(full)

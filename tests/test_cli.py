@@ -19,7 +19,7 @@ from cellflow.scene import (BandConfig, Box, FluidRegion, SceneConfig, scene_to_
                              builtin_scene)
 
 from conftest import random_band_instance, random_problem
-from oracles import with_region
+from oracles import BRUTE_FORCE_LIMIT, with_region
 
 
 def test_run_builtin(tmp_path, capsys):
@@ -132,9 +132,15 @@ def test_oracle_check_missing_file(tmp_path, capsys):
     (lambda text: re.sub(r"^mu .*", "mu 0", text, flags=re.M), "line 3: 'mu' must be at least 1"),
     (lambda text: re.sub(r"^(cell \S+) \S+", r"\1 -2", text, count=1, flags=re.M),
      "'cell' cap below -1"),
+    (lambda text: re.sub(r"^(cand \S+ \S+ \S+) \S+", r"\1 nan", text, count=1, flags=re.M),
+     "line 6: 'cand' cost must be finite, got nan"),
+    (lambda text: re.sub(r"^(cand \S+ \S+ \S+) \S+", r"\1 inf", text, count=1, flags=re.M),
+     "line 6: 'cand' cost must be finite, got inf"),
+    (lambda text: re.sub(r"^(cand \S+ \S+ \S+) \S+", r"\1 -inf", text, count=1, flags=re.M),
+     "line 6: 'cand' cost must be finite, got -inf"),
 ], ids=["no_dims_line", "non_numeric_cost", "particle_out_of_range", "negative_dims",
         "negative_n", "negative_m", "region_one_number", "region_bare", "m_not_2d_plus_1",
-        "mu_zero", "cap_below_minus_one"])
+        "mu_zero", "cap_below_minus_one", "cost_nan", "cost_inf", "cost_minus_inf"])
 def test_oracle_check_malformed_dump(tmp_path, rng, capsys, edit, where):
     problem, _, _ = random_problem(rng, n_max=6)
     dump = tmp_path / "bad.txt"
@@ -185,7 +191,7 @@ def test_oracle_check_large_instance(tmp_path, capsys):
     problem = None
     while problem is None or problem.n < 7:
         problem, grid, particles = random_problem(rng, dims=(10, 10), n_max=10)
-    # widen beyond the brute-force limit by doubling particles
+    # widen beyond the brute-force oracle's limit by doubling particles
     import cellflow.correction as CC
     t = problem.candidates
     wide = CC.CandidateTable(
@@ -203,7 +209,7 @@ def test_oracle_check_large_instance(tmp_path, capsys):
     dump.write_text(C.dump_problem(big), encoding="utf-8")
     code = cli.main(["oracle-check", str(dump)])
     assert code == 0
-    assert "too large for brute force" in capsys.readouterr().out
+    assert f"OK: certified optimal (n={big.n};" in capsys.readouterr().out
 
 
 def _replay_third_solve(tmp_path, monkeypatch, capsys, cfg):
@@ -229,7 +235,7 @@ def _replay_third_solve(tmp_path, monkeypatch, capsys, cfg):
     assert f"seed {cfg.seed}, step {step}: injected" in err
     replay = out / "failed_problem.txt"
     assert replay.read_text(encoding="utf-8") == C.dump_problem(seen[2])
-    assert seen[2].n <= 12  # small enough for oracle-check's brute force
+    assert seen[2].n <= 12  # a toy problem
     monkeypatch.undo()
     assert cli.main(["oracle-check", str(replay)]) == 0
     assert "OK" in capsys.readouterr().out
@@ -275,7 +281,7 @@ def test_flow_paths_failure_writes_replay(tmp_path, monkeypatch, capsys):
     replay = out / "failed_problem.txt"
     problem = C.load_problem(replay.read_text(encoding="utf-8"))
     assert problem.region is not None
-    assert problem.n <= V.BRUTE_FORCE_LIMIT
+    assert problem.n <= BRUTE_FORCE_LIMIT
     monkeypatch.undo()
     assert cli.main(["oracle-check", str(replay)]) == 0
     assert "OK" in capsys.readouterr().out
@@ -310,9 +316,10 @@ def test_volume_summary(tmp_path, capsys):
 def test_compare_objectives_script(tmp_path, monkeypatch, capsys):
     """scripts/compare_objectives.py records every problem of a run with its
     solver work; the same solver re-solving them, here three times over,
-    gives no gap, identical choices, the same work per solve and the fastest
-    pass's CPU time. A recording without a counter prints it as -, and a
-    doctored objective makes it exit 1."""
+    gives no gap, identical choices, the same work per solve, the fastest
+    pass's CPU time and a certified optimum of each. A recording without a
+    counter prints it as -, and a doctored objective or re-solve dual makes
+    it exit 1."""
     import importlib.util
 
     path = Path(__file__).resolve().parent.parent / "scripts" / "compare_objectives.py"
@@ -340,6 +347,7 @@ def test_compare_objectives_script(tmp_path, monkeypatch, capsys):
     assert "(100%)" in out
     assert re.search(r"CPU per solve_mcf, fastest of 3 passes: \d+\.\d\d ms", out)
     per = len(recorded["objective"])
+    assert f"certified optimal: {per} of {per}" in out
     for name in ("searches", "drains", "pops", "scans", "tables"):
         assert len(recorded[name]) == per
         mean = f"{recorded[name].sum() / per:.1f}"
@@ -350,6 +358,19 @@ def test_compare_objectives_script(tmp_path, monkeypatch, capsys):
     assert run("--against", str(a), "--out", str(b)) == 0
     mean = f"{np.load(b)['tables'].sum() / per:.1f}"
     assert f"tables - -> {mean}" in capsys.readouterr().out
+
+    solve = V.solve_mcf
+
+    def sink_dual_raised(net):  # leaves each cell with room a negative reduced cost
+        choice, stats = solve(net)
+        stats.pi[len(net.cap)] += 1.0
+        return choice, stats
+
+    monkeypatch.setattr(V, "solve_mcf", sink_dual_raised)
+    assert run("--against", str(a), "--out", str(b)) == 1
+    out = capsys.readouterr().out
+    assert "largest relative objective gap 0," in out and f"certified optimal: 0 of {per}" in out
+    monkeypatch.setattr(V, "solve_mcf", solve)
 
     recorded["objective"] = recorded["objective"] * 1.01
     np.savez(a, **recorded)

@@ -12,6 +12,7 @@ from cellflow.pipeline import Simulation
 from cellflow.scene import Box, FluidRegion, ObstacleConfig, SceneConfig
 
 from conftest import flat_index, random_state
+from oracles import brute_force_ilp
 
 LAMBDA = SceneConfig.lambda_penalty
 
@@ -148,7 +149,7 @@ class TestSolidObjective:
         so = S.build_solid_objective(grid, np.asarray(row), LAMBDA)
         table = C.build_candidates(x, x, grid)
         problem = C.build_problem(grid, table, mu=4, solid_cost=S.override_costs(table, so))
-        assignment, obj = V.brute_force_ilp(problem)
+        assignment, obj = brute_force_ilp(problem)
         target = grid.unflat(problem.target_flat[assignment[0], 0])
         # moved one step toward lower clearing distance, not stuck in place
         assert tuple(target) in ((4, 1),)

@@ -3,11 +3,13 @@ import numpy as np
 import pytest
 
 from cellflow import correction as C
+from cellflow import grid as G
 from cellflow import solvers as V
 from cellflow.errors import InputError, IntegrityError
 
-from conftest import flat_index, random_problem, stay_choice
-from oracles import canonical_matrix, objective_of, tu_sample_check
+from conftest import flat_index, random_band_instance, random_problem, stay_choice
+from oracles import (BRUTE_FORCE_LIMIT, brute_force_ilp, canonical_matrix, objective_of,
+                     tu_sample_check, with_region)
 
 
 class TestReduceToFlow:
@@ -52,7 +54,7 @@ class TestReduceToFlow:
                                                       solid_prob=rng.uniform(0.0, 0.3))
             net, ref = V.reduce_to_flow(problem), _sorted_network(problem)
             assert net.n_particles == ref.n_particles
-            for name in ("cand_j", "cand_i", "cand_cell", "cand_cost", "cap", "floor"):
+            for name in ("cand_j", "cand_i", "cand_cell", "cand_cost", "cap", "floor", "grid_cell"):
                 got, want = getattr(net, name), getattr(ref, name)
                 assert got.dtype == want.dtype and np.array_equal(got, want), name
             # source -> particle, candidate and cell -> sink arcs
@@ -74,7 +76,7 @@ def _sorted_network(problem):
     return V.FlowNetwork(
         n_particles=problem.n, cand_j=jj.astype(np.int64), cand_i=ii.astype(np.int64),
         cand_cell=cell.astype(np.int64), cand_cost=problem.cost[ii, jj],
-        cap=np.where(cap < 0, problem.n, cap), floor=problem.floor[used])
+        cap=np.where(cap < 0, problem.n, cap), floor=problem.floor[used], grid_cell=used)
 
 
 class TestSolveMcf:
@@ -93,7 +95,7 @@ class TestSolveMcf:
             problem, grid, particles = random_problem(rng, n_max=8)
             assignment, stats = V.solve_problem(problem)
             problem.check_feasible(assignment)
-            _, oracle = V.brute_force_ilp(problem)
+            _, oracle = brute_force_ilp(problem)
             assert abs(stats.objective - oracle) < 1e-9
             checked += 1
         assert checked == 60
@@ -116,7 +118,7 @@ class TestSolveMcf:
         ideal = clamp_positions(ideal, grid.dims, home_cells=np.floor(x))
         problem = C.build_problem(grid, C.build_candidates(x, ideal, grid), mu=1)
         assignment, stats = V.solve_problem(problem)
-        _, oracle = V.brute_force_ilp(problem)
+        _, oracle = brute_force_ilp(problem)
         assert abs(stats.objective - oracle) < 1e-9
         counts = problem.counts_of(assignment)
         for c in cells:
@@ -221,7 +223,7 @@ class TestDrain:
             pinned.check_feasible(assignment)
             assert stats.objective == pytest.approx(objective_of(pinned, assignment),
                                                     abs=1e-12)
-            _, oracle = V.brute_force_ilp(pinned)
+            _, oracle = brute_force_ilp(pinned)
             assert abs(stats.objective - oracle) < 1e-9
             checked += 1
             drained += stats.drains > 0
@@ -235,7 +237,7 @@ class TestDrain:
         assignment, stats = V.solve_problem(problem)
         assert stats.drains >= 2
         problem.check_feasible(assignment)
-        _, oracle = V.brute_force_ilp(problem)
+        _, oracle = brute_force_ilp(problem)
         assert abs(stats.objective - oracle) < 1e-9
 
 
@@ -247,7 +249,7 @@ def _tie_problem(rng, dims=(6, 6)):
     grid = G.CellGrid(dims)
     mu = int(rng.integers(1, 4))
     slots = np.repeat(np.flatnonzero(~grid.wall), mu)
-    n = int(rng.integers(1, V.BRUTE_FORCE_LIMIT + 1))
+    n = int(rng.integers(1, BRUTE_FORCE_LIMIT + 1))
     x = grid.unflat(rng.choice(slots, size=n, replace=False)) + 0.5
     x += rng.choice([-0.25, 0.0, 0.25], size=x.shape)
     G.classify_cells(grid, x)
@@ -295,32 +297,28 @@ class TestGreedyStart:
             picks, rejected = _greedy_rejects(problem)
             assert rejected == 0
             assert (assignment == picks).all()  # the first of equal costs
-            _, oracle = V.brute_force_ilp(problem)
+            _, oracle = brute_force_ilp(problem)
             assert abs(stats.objective - oracle) < 1e-9
 
     def test_reduced_cost_check(self):
-        # the start ends the solve with pi = 0, which certifies its choice; a
-        # feasible choice that moves one particle into a dearer candidate with
-        # room leaves the arc back to its cheapest a negative reduced cost
+        # the start ends the solve with every dual 0, which certifies its
+        # choice; a feasible choice that moves one particle into a dearer
+        # candidate with room leaves it off its cheapest, and certify refuses it
         for seed in range(60):
             problem = self._roomy(_tie_problem(np.random.default_rng(seed)))
-            net = V.reduce_to_flow(problem)
-            assignment, stats = V.solve_mcf(net)
+            assignment, stats = V.solve_mcf(V.reduce_to_flow(problem))
             assert stats.searches == stats.drains == 0
-            chosen = np.flatnonzero(net.cand_i == assignment[net.cand_j])
-            counts = np.bincount(net.cand_cell[chosen], minlength=len(net.cap))
-            pi = np.zeros(len(net.cap) + 1)
-            V._check_reduced_costs(net, chosen, pi, counts)
-            dearer = np.flatnonzero((net.cand_cost > net.cand_cost[chosen][net.cand_j])
-                                    & (counts[net.cand_cell] < net.cap[net.cand_cell]))
-            k = dearer[0]
-            p = net.cand_j[k]
-            counts[net.cand_cell[chosen[p]]] -= 1
-            counts[net.cand_cell[k]] += 1
-            chosen[p] = k
-            problem.check_feasible(net.cand_i[chosen])
+            duals = np.zeros(len(problem.cap) + 2)
+            problem.certify(assignment, duals)
+            counts = problem.counts_of(assignment)
+            picked = problem.cost[assignment, np.arange(problem.n)]
+            room = counts[problem.target_flat] < problem.cap[problem.target_flat]
+            jj, ii = np.nonzero((problem.valid & (problem.cost > picked) & room).T)
+            choice = assignment.copy()
+            choice[jj[0]] = ii[0]
+            problem.check_feasible(choice)
             with pytest.raises(IntegrityError, match="optimality check"):
-                V._check_reduced_costs(net, chosen, pi, counts)
+                problem.certify(choice, duals)
 
 
 class TestArcTables:
@@ -335,7 +333,7 @@ class TestArcTables:
     def _check(self, problem):
         assignment, stats = V.solve_problem(problem)
         problem.check_feasible(assignment)
-        _, oracle = V.brute_force_ilp(problem)
+        _, oracle = brute_force_ilp(problem)
         assert abs(stats.objective - oracle) < 1e-9
         return stats
 
@@ -354,6 +352,170 @@ class TestArcTables:
             assert self._check(problem).searches == rejected
             rejecting += rejected > 0
         assert 40 < rejecting < 360
+
+
+def _band_toy_problem(rng):
+    """The full band problem of a random_band_instance toy, or None."""
+    inst = random_band_instance(rng)
+    if inst is None:
+        return None
+    grid, particles, state, x_ideal = inst
+    problem = C.build_problem(grid, C.build_candidates(particles.x, x_ideal, grid), mu=1,
+                              classes=G.band_classes(grid, state.R))
+    return with_region(problem, grid, state.R, state.alpha_le)
+
+
+def _solve_with_duals(problem):
+    """The flow solve's choice and its potentials in grid terms."""
+    net = V.reduce_to_flow(problem)
+    choice, stats = V.solve_mcf(net)
+    return choice, V.grid_duals(problem, net, stats.pi)
+
+
+class TestCertify:
+    """CorrectionProblem.certify reads only the problem: it accepts each
+    solve's choice with its duals, and refuses a dual moved just past the
+    slack of one residual arc."""
+
+    TOL = C.CERTIFY_TOL
+
+    def test_candidate_arc(self):
+        # raising the dual of a reached cell at or below its floor lowers the
+        # price of its candidates only; the first that undercuts a pick by more
+        # than the tolerance is refused, one that ties it is not
+        moved = 0
+        for seed in TestDrain.DRAIN_INTO_DROPPED_TABLE:
+            problem = _tie_problem(np.random.default_rng(seed))
+            choice, duals = _solve_with_duals(problem)
+            problem.certify(choice, duals)
+            counts = problem.counts_of(choice)
+            price = np.where(problem.valid, problem.cost - duals[problem.target_flat], np.inf)
+            picked = price[choice, np.arange(problem.n)]
+            for v in np.unique(problem.target_flat[problem.valid]):
+                into = problem.valid & (problem.target_flat == v)
+                into[choice, np.arange(problem.n)] = False
+                if counts[v] > problem.floor[v] or not into.any():
+                    continue
+                slack = float((price - picked)[into].min())
+                for step, ok in ((slack, True), (slack + 2 * self.TOL, False)):
+                    doctored = duals.copy()
+                    doctored[v] += step
+                    if ok:
+                        problem.certify(choice, doctored)
+                    else:
+                        with pytest.raises(IntegrityError, match="on particle"):
+                            problem.certify(choice, doctored)
+                moved += 1
+        assert moved >= 20
+
+    def test_cell_arc(self):
+        # lowering the dual of an empty cell with room raises the price of its
+        # candidates only, and turns its arc up to the sink negative
+        moved = 0
+        for seed in TestDrain.DRAIN_INTO_DROPPED_TABLE:
+            problem = _tie_problem(np.random.default_rng(seed))
+            choice, duals = _solve_with_duals(problem)
+            counts = problem.counts_of(choice)
+            sink = len(problem.cap)
+            for u in np.flatnonzero((counts == 0) & (problem.cap > 0)):
+                slack = duals[u] - duals[sink]
+                doctored = duals.copy()
+                doctored[u] -= slack
+                problem.certify(choice, doctored)
+                doctored[u] -= 2 * self.TOL
+                with pytest.raises(IntegrityError, match=f"on cell {u} -> sink or hub"):
+                    problem.certify(choice, doctored)
+                moved += 1
+        assert moved >= 20
+
+    def test_floor_arc(self):
+        # a cell above its floor may pass a unit back: its dual raised just
+        # above the sink's turns the arc from the sink negative
+        moved = 0
+        for seed in TestDrain.DRAIN_INTO_DROPPED_TABLE:
+            problem = _tie_problem(np.random.default_rng(seed))
+            choice, duals = _solve_with_duals(problem)
+            sink = len(problem.cap)
+            for u in np.flatnonzero(problem.counts_of(choice) > problem.floor):
+                doctored = duals.copy()
+                doctored[u] = duals[sink] + 2 * self.TOL
+                with pytest.raises(IntegrityError, match=f"on sink or hub -> cell {u}$"):
+                    problem.certify(choice, doctored)
+                moved += 1
+        assert moved >= 20
+
+    def test_grid_duals(self):
+        # a reached cell takes its network node's potential; a cell no
+        # candidate reaches takes the hub's in the region, else the sink's
+        rng = np.random.default_rng(1618)
+        unreached_region = 0
+        for _ in range(80):
+            full = _band_toy_problem(rng)
+            if full is None:
+                continue
+            net = V.reduce_to_flow(full)
+            K = len(net.cap)
+            pi = np.arange(K + 2, dtype=np.float64) + 1.0
+            duals = V.grid_duals(full, net, pi)
+            reached = np.zeros(len(full.cap), dtype=bool)
+            reached[net.grid_cell] = True
+            cells, ends = duals[:-2], duals[-2:]
+            assert np.array_equal(cells[net.grid_cell], pi[:K])
+            assert (cells[~reached & full.region] == K + 2).all()
+            assert (cells[~reached & ~full.region] == K + 1).all()
+            assert list(ends) == [K + 1, K + 2]
+            unreached_region += bool((~reached & full.region).any())
+        assert unreached_region >= 5
+
+    def test_nan_fails(self):
+        # a NaN dual or cost fails every comparison it enters
+        problem = _tie_problem(np.random.default_rng(TestDrain.DRAIN_INTO_DROPPED_TABLE[0]))
+        choice, duals = _solve_with_duals(problem)
+        doctored = duals.copy()
+        doctored[len(problem.cap)] = np.nan  # the sink
+        with pytest.raises(IntegrityError, match=r"reduced cost nan on cell \d+ -> sink or hub"):
+            problem.certify(choice, doctored)
+        problem.cost[choice[0], 0] = np.nan
+        with pytest.raises(IntegrityError, match="reduced cost nan on particle 0's pick"):
+            problem.certify(choice, duals)
+
+    def test_hub_arcs_and_uncapped_cell(self):
+        # band toys whose interval is widened around the optimum's region
+        # count: both hub arcs are residual, so the hub's dual must equal the
+        # sink's; moving the hub and its cells together either way is refused.
+        # An empty uncapped deep cell has room, so its arc up to the hub is
+        # checked too.
+        rng = np.random.default_rng(2718)
+        hubs = deeps = 0
+        for _ in range(150):
+            problem = _band_toy_problem(rng)
+            if problem is None:
+                continue
+            optimum, _ = V.solve_problem(problem)
+            held = int(problem.counts_of(optimum)[problem.region].sum())
+            problem.region_bounds = (held - 1, held + 1)
+            choice, duals = _solve_with_duals(problem)
+            problem.certify(choice, duals)
+            counts = problem.counts_of(choice)
+            if not max(held - 1, 0) < counts[problem.region].sum() < held + 1:
+                continue
+            sink, hub = len(problem.cap), len(problem.cap) + 1
+            for step, arc in ((3 * self.TOL, "on sink -> hub"), (-3 * self.TOL, "on hub -> sink")):
+                doctored = duals.copy()
+                doctored[hub] += step
+                doctored[:sink][problem.region] += step
+                with pytest.raises(IntegrityError, match=arc):
+                    problem.certify(choice, doctored)
+            hubs += 1
+            reached = np.zeros(len(problem.cap), dtype=bool)
+            reached[problem.target_flat[problem.valid]] = True
+            for u in np.flatnonzero(reached & (problem.cap < 0) & (counts == 0)):
+                doctored = duals.copy()
+                doctored[u] = duals[hub if problem.region[u] else sink] - 2 * self.TOL
+                with pytest.raises(IntegrityError, match=f"on cell {u} -> sink or hub"):
+                    problem.certify(choice, doctored)
+                deeps += 1
+        assert hubs >= 20 and deeps >= 5
 
 
 def _scene_problem(monkeypatch, scene, frame, band=None):
@@ -431,6 +593,21 @@ def test_dam_problem_matches_highs(monkeypatch):
     assert abs(stats.objective - optimum) <= 1e-9 * abs(optimum)
 
 
+def test_oracle_check_certifies_dam_problem(monkeypatch, tmp_path, capsys):
+    """oracle-check proves the dam's seed-7 frame-12 problem (n = 3456)
+    optimal from its dump, at a size no exhaustive search reaches."""
+    from cellflow import cli
+
+    problem, _, stats, _ = _scene_problem(monkeypatch, "dam", 12)
+    dump = tmp_path / "dam12.txt"
+    dump.write_text(C.dump_problem(problem), encoding="utf-8")
+    monkeypatch.undo()
+    assert cli.main(["oracle-check", str(dump)]) == 0
+    out = capsys.readouterr().out
+    assert f"flow solve: objective {stats.objective:.9f}," in out
+    assert "OK: certified optimal (n=3456;" in out
+
+
 def test_falling_obs_problem_matches_highs(monkeypatch):
     """Scene scale after impact: falling_obs at seed 7, frame 44, where the
     box presses into the pool and solid penalties enter the costs."""
@@ -490,7 +667,7 @@ class TestBruteForce:
         big = C.CorrectionProblem(
             candidates=problem.candidates, mu=problem.mu, cap=problem.cap,
             floor=problem.floor, cost=problem.cost, dims=problem.dims)
-        big_n = V.BRUTE_FORCE_LIMIT + 1
+        big_n = BRUTE_FORCE_LIMIT + 1
         # fabricate a wide problem by tiling the candidate arrays
         table = problem.candidates
         wide = C.CandidateTable(
@@ -503,12 +680,12 @@ class TestBruteForce:
             candidates=wide, mu=problem.mu, cap=problem.cap, floor=problem.floor,
             cost=np.repeat(problem.cost, big_n, axis=1), dims=problem.dims)
         with pytest.raises(InputError):
-            V.brute_force_ilp(wide_problem)
+            brute_force_ilp(wide_problem)
 
     def test_objective_at_most_stay(self, rng):
         for _ in range(10):
             problem, grid, particles = random_problem(rng, n_max=6)
-            _, obj = V.brute_force_ilp(problem)
+            _, obj = brute_force_ilp(problem)
             stay = stay_choice(problem)
             assert obj <= objective_of(problem, stay) + 1e-12
 
@@ -523,7 +700,7 @@ class TestBruteForce:
         grid.rebuild_counts(x)
         ideal = np.array([[3.4, 3.5], [3.6, 3.5]])  # both want cell (3, 3)
         problem = C.build_problem(grid, C.build_candidates(x, ideal, grid), mu=1)
-        assignment, obj = V.brute_force_ilp(problem)
+        assignment, obj = brute_force_ilp(problem)
         counts = problem.counts_of(assignment)
         assert counts[flat_index(grid, (3, 3))] == 1
         flow_assignment, stats = V.solve_problem(problem)
