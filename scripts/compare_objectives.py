@@ -23,8 +23,8 @@ their problems (after the timed passes, which time ``solve_mcf`` alone):
 cellflow is imported from PYTHONPATH, so recording with another tree's
 ``src`` and re-solving with this one compares the two solvers on the same
 problems, whatever tie each breaks. A scene file whose ``[band]`` section
-sets ``strategy = full`` records band problems, whose dumps carry the
-band's region and its bounds.
+sets ``strategy = full``, such as ``scripts/scenes/dam_band6_full.scene``,
+records band problems, whose dumps carry the band's region and its bounds.
 Exits 1 if some gap exceeds TOL or some re-solve fails its certificate.
 """
 import argparse

@@ -188,7 +188,9 @@ def find_paths(cells: G.CellGrid, members: CellMembers, sources: np.ndarray,
     the sink cell. Interface crossings follow ``crossing``, see
     :func:`best_edge`. Edge costs may be negative (the search is kept
     verbatim from the push-chain formulation), so results can be suboptimal
-    but stay valid.
+    but stay valid. Neighbours are reached by the grid's flat shifts: every
+    dequeued cell is a fluid source or was reached at a finite edge cost,
+    and a wall cell costs inf, so no dequeued cell lies on the wall layer.
     """
     J = np.full(cells.ncells, NONE, dtype=np.int64)
     sigma = np.full(cells.ncells, np.inf)
@@ -221,9 +223,9 @@ def find_paths(cells: G.CellGrid, members: CellMembers, sources: np.ndarray,
                 b_fin[root] = True
                 paths.append((edge, c))
                 continue
-        for c_next in cells.vn_neighbors_flat(c):
-            c_next = int(c_next)
-            if c_next < 0 or J[c_next] != NONE:
+        for shift in cells.vn_shifts:
+            c_next = c + shift
+            if J[c_next] != NONE:
                 continue
             edge = best_edge(c, c_next, members, edge_cost, crossing)
             if edge is None:

@@ -307,16 +307,26 @@ def load_problem(text: str) -> CorrectionProblem:
     for no, j, i, c, sigma in cands:
         if not (0 <= j < n and 0 <= i < m and 0 <= c < ncells):
             raise InputError(f"line {no}: 'cand' index outside n, m or the grid")
+        if valid[i, j]:
+            raise InputError(f"line {no}: second 'cand' line for particle {j}, direction {i}")
         cost[i, j] = sigma
         flat[i, j] = c
         valid[i, j] = True
     cap = np.full(ncells, -1, dtype=np.int64)
     floor = np.zeros(ncells, dtype=np.int64)
+    seen = set()
     for no, c, cp, fl in cells:
         if not 0 <= c < ncells:
             raise InputError(f"line {no}: 'cell' index outside the grid")
+        if c in seen:
+            raise InputError(f"line {no}: second 'cell' line for cell {c}")
+        seen.add(c)
         if cp < -1:
             raise InputError(f"line {no}: 'cell' cap below -1, the uncapped mark")
+        if fl < 0:
+            raise InputError(f"line {no}: 'cell' floor below 0")
+        if 0 <= cp < fl:
+            raise InputError(f"line {no}: 'cell' floor above its cap")
         cap[c] = cp
         floor[c] = fl
     table = CandidateTable(xi=xi, cost=cost, target_flat=flat, valid=valid, dirs=dirs)

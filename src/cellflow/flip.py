@@ -250,12 +250,12 @@ def solve_pressure(mac: MacGrid, cells: G.CellGrid, solid_vel: list[np.ndarray],
 
     # number the fluid cells; slot nf of the padded vector holds 0 and stands
     # for every air or solid neighbour. Fluid never lies on the wall layer,
-    # so every neighbour is in the grid.
+    # so each flat shift reaches a true neighbour in the grid.
     nf = len(cell)
     number = np.full(cells.ncells, nf)
     number[cell] = np.arange(nf)
     # one row per neighbour, in the order apply_A subtracts them: +x, -x, +y, ...
-    nb = cells.vn_neighbors_flat(cell).T
+    nb = cell + np.array(cells.vn_shifts)[:, None]
     nb_slot = number[nb]
     diag = (~solid)[nb].sum(axis=0, dtype=np.float64)  # non-solid neighbours
     padded = np.zeros(nf + 1)

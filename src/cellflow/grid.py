@@ -29,7 +29,7 @@ MARGIN = 0.01
 
 
 def von_neumann_offsets(d: int) -> np.ndarray:
-    """Axis-order unit offsets: +x, +y, (+z), -x, -y, (-z)."""
+    """Unit offsets, positive then negative: +x, +y, (+z), -x, -y, (-z)."""
     eye = np.eye(d, dtype=np.int64)
     return np.vstack([eye, -eye])
 
@@ -37,22 +37,6 @@ def von_neumann_offsets(d: int) -> np.ndarray:
 def moore_offsets(d: int) -> np.ndarray:
     """All nonzero offsets at Chebyshev distance 1, lexicographic order."""
     return np.array([o for o in product((-1, 0, 1), repeat=d) if any(o)], dtype=np.int64)
-
-
-def _shift_slices(off):
-    """Slices (src, dst) so that dst_array[dst] sees src_array at +off."""
-    src, dst = [], []
-    for o in off:
-        if o > 0:
-            src.append(slice(1, None))
-            dst.append(slice(None, -1))
-        elif o < 0:
-            src.append(slice(None, -1))
-            dst.append(slice(1, None))
-        else:
-            src.append(slice(None))
-            dst.append(slice(None))
-    return tuple(src), tuple(dst)
 
 
 def _any_neighbor(mask: np.ndarray, shifts) -> np.ndarray:
@@ -106,10 +90,11 @@ class CellGrid:
         self.dims = dims
         self.d = len(dims)
         self.ncells = int(np.prod(dims))
-        # flat index of every cell, and the flat shift of each neighbor offset
+        # flat index of every cell, and the flat shift of each neighbor offset;
+        # the von Neumann shifts go by axis, + before -: +x, -x, +y, -y, ...
         self.index = np.arange(self.ncells, dtype=np.int64).reshape(dims)
         strides = np.array([int(np.prod(dims[k + 1:])) for k in range(self.d)], dtype=np.int64)
-        self.vn_shifts = (von_neumann_offsets(self.d) @ strides).tolist()
+        self.vn_shifts = [s for stride in strides.tolist() for s in (stride, -stride)]
         self.moore_shifts = (moore_offsets(self.d) @ strides).tolist()
 
         wall = np.zeros(dims, dtype=bool)
@@ -125,7 +110,6 @@ class CellGrid:
         self.marking[self.wall] = SOLID
         self.depth = np.ones(self.ncells, dtype=np.int32)
         self.counts = np.zeros(self.ncells, dtype=np.int64)
-        self._vn_table = self._build_vn_table()
 
     # ------------------------------------------------------------------
     # indexing helpers
@@ -140,21 +124,6 @@ class CellGrid:
         pos = np.asarray(positions, dtype=np.float64).reshape(-1, self.d)
         cells = np.floor(pos).astype(np.int64)
         return np.ravel_multi_index(tuple(cells[:, k] for k in range(self.d)), self.dims)
-
-    def vn_neighbors_flat(self, flat: int) -> np.ndarray:
-        """Precomputed von Neumann neighbors, -1 where out of bounds."""
-        return self._vn_table[flat]
-
-    def _build_vn_table(self) -> np.ndarray:
-        """Columns +x, -x, +y, ...: the order solve_pressure subtracts them in."""
-        table = np.full((self.ncells, 2 * self.d), -1, dtype=np.int64)
-        offsets = von_neumann_offsets(self.d).reshape(2, self.d, self.d).swapaxes(0, 1)
-        for col, off in enumerate(offsets.reshape(-1, self.d)):
-            shifted = np.full(self.dims, -1, dtype=np.int64)
-            src, dst = _shift_slices(off)
-            shifted[dst] = self.index[src]
-            table[:, col] = shifted.reshape(-1)
-        return table
 
     # ------------------------------------------------------------------
     # particle membership

@@ -115,8 +115,9 @@ class SceneConfig:
             raise InputError("frames must be >= 0")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
-        boxes = [("fluid", r.box) for r in self.fluids] + [("emitter", e.box) for e in self.emitters]
-        all_boxes = boxes + [("obstacle", o.box) for o in self.obstacles]
+        all_boxes = ([("fluid", r.box) for r in self.fluids]
+                     + [("emitter", e.box) for e in self.emitters]
+                     + [("obstacle", o.box) for o in self.obstacles])
         for what, box in all_boxes:
             if len(box.lo) != d:
                 raise InputError(f"{what} box {box.lo}..{box.hi} does not match dims {self.dims}")
@@ -131,7 +132,9 @@ class SceneConfig:
         for what, values in numbers:
             if not np.isfinite(values).all():
                 raise InputError(f"{what} must be finite, got {values}")
-        for what, box in boxes:
+        # an obstacle on the wall layer could never move: each of its
+        # proposals would claim a wall cell
+        for what, box in all_boxes:
             if any(lo < 1 or hi > n - 1 for lo, hi, n in zip(box.lo, box.hi, self.dims)):
                 raise InputError(f"{what} box {box.lo}..{box.hi} leaves the non-wall domain")
         grid = G.CellGrid(self.dims)

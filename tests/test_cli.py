@@ -99,6 +99,15 @@ def test_run_non_finite_input(tmp_path, capsys, text, message):
                        capsys, message)
 
 
+def test_run_obstacle_on_wall_layer(tmp_path, capsys):
+    # such an obstacle could never move: every proposal claims a wall cell
+    path = tmp_path / "stuck.scene"
+    path.write_text("version = 1\ndims = 20 20\n[obstacle]\nbox = 0 12 6 16\n"
+                    "velocity = 0 -2\n", encoding="utf-8")
+    assert_input_error(["run", str(path), "--out", str(tmp_path / "o"), "--frames", "5"],
+                       capsys, "obstacle box (0.0, 12.0)..(6.0, 16.0) leaves the non-wall domain")
+
+
 @pytest.mark.parametrize("log, where", [
     (None, "volume.csv"),
     ("1,100.0,100.0\n", "line 2: malformed row"),
@@ -138,9 +147,19 @@ def test_oracle_check_missing_file(tmp_path, capsys):
      "line 6: 'cand' cost must be finite, got inf"),
     (lambda text: re.sub(r"^(cand \S+ \S+ \S+) \S+", r"\1 -inf", text, count=1, flags=re.M),
      "line 6: 'cand' cost must be finite, got -inf"),
+    (lambda text: re.sub(r"^(m .*)", r"\1\ncell 8 2 -3", text, flags=re.M),
+     "line 6: 'cell' floor below 0"),
+    (lambda text: re.sub(r"^(m .*)", r"\1\ncell 8 1 5", text, flags=re.M),
+     "line 6: 'cell' floor above its cap"),
+    (lambda text: re.sub(r"^(cand \S+ \S+ \S+) \S+$", r"\g<0>\n\1 0.0", text, count=1,
+                         flags=re.M),
+     "line 7: second 'cand' line for particle 0, direction 2"),
+    (lambda text: re.sub(r"^(m .*)", r"\1\ncell 8 0 0\ncell 8 0 0", text, flags=re.M),
+     "line 7: second 'cell' line for cell 8"),
 ], ids=["no_dims_line", "non_numeric_cost", "particle_out_of_range", "negative_dims",
         "negative_n", "negative_m", "region_one_number", "region_bare", "m_not_2d_plus_1",
-        "mu_zero", "cap_below_minus_one", "cost_nan", "cost_inf", "cost_minus_inf"])
+        "mu_zero", "cap_below_minus_one", "cost_nan", "cost_inf", "cost_minus_inf",
+        "floor_negative", "floor_above_cap", "duplicate_cand", "duplicate_cell"])
 def test_oracle_check_malformed_dump(tmp_path, rng, capsys, edit, where):
     problem, _, _ = random_problem(rng, n_max=6)
     dump = tmp_path / "bad.txt"
@@ -319,7 +338,8 @@ def test_compare_objectives_script(tmp_path, monkeypatch, capsys):
     gives no gap, identical choices, the same work per solve, the fastest
     pass's CPU time and a certified optimum of each. A recording without a
     counter prints it as -, and a doctored objective or re-solve dual makes
-    it exit 1."""
+    it exit 1. The committed full-strategy band scene records problems with
+    the band's region, and their re-solves certify too."""
     import importlib.util
 
     path = Path(__file__).resolve().parent.parent / "scripts" / "compare_objectives.py"
@@ -375,6 +395,19 @@ def test_compare_objectives_script(tmp_path, monkeypatch, capsys):
     recorded["objective"] = recorded["objective"] * 1.01
     np.savez(a, **recorded)
     assert run("--against", str(a), "--out", str(b)) == 1
+    capsys.readouterr()
+
+    # the committed full-strategy band scene records band problems, each
+    # dumped with its region, and every re-solve certifies
+    band = Path(__file__).resolve().parent.parent / "scripts" / "scenes" / "dam_band6_full.scene"
+    assert run("--scene", str(band), "--frames", "3", "--out", str(a)) == 0
+    recorded = np.load(a)
+    per = len(recorded["objective"])
+    assert per > 0
+    assert all(re.search(r"^region ", str(recorded[f"problem_{i}"]), flags=re.M)
+               for i in range(per))
+    assert run("--against", str(a), "--out", str(b)) == 0
+    assert f"certified optimal: {per} of {per}" in capsys.readouterr().out
 
 
 def test_compare_dumps_script(tmp_path, monkeypatch):

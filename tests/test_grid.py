@@ -32,9 +32,10 @@ def neighbor_cells(grid, cell, offsets):
 
 
 def vn_cells(grid, cell):
-    """Von Neumann neighbours from the grid's precomputed table."""
-    flat = grid.vn_neighbors_flat(flat_index(grid, cell))
-    return [tuple(int(v) for v in grid.unflat(c)) for c in flat if c >= 0]
+    """Von Neumann neighbours of a cell off the wall layer, by the grid's
+    flat shifts."""
+    c = flat_index(grid, cell)
+    return [tuple(int(v) for v in grid.unflat(c + s)) for s in grid.vn_shifts]
 
 
 class TestNeighbors:
@@ -49,13 +50,6 @@ class TestNeighbors:
     def test_corner_moore_clipped(self):
         grid = make_grid()
         assert len(neighbor_cells(grid, (0, 0), G.moore_offsets(2))) == 3
-
-    def test_out_of_bounds_rejected(self):
-        # off-grid von Neumann neighbours are marked -1 in the table
-        grid = make_grid()
-        corner = grid.vn_neighbors_flat(flat_index(grid, (0, 7)))
-        assert sorted(corner < 0) == [False, False, True, True]
-        assert set(corner[corner >= 0]) == {flat_index(grid, (1, 7)), flat_index(grid, (0, 6))}
 
     def test_3d_counts(self):
         grid = G.CellGrid((5, 5, 5))
@@ -171,8 +165,8 @@ class TestDepth:
         G.assign_depth(grid)
         fluid = grid.fluid_mask()
         for c in np.flatnonzero(fluid):
-            for nb in grid.vn_neighbors_flat(int(c)):
-                if nb >= 0 and fluid[nb]:
+            for nb in c + np.array(grid.vn_shifts):
+                if fluid[nb]:
                     assert abs(int(grid.depth[c]) - int(grid.depth[nb])) <= 1
 
 
@@ -207,8 +201,8 @@ class TestClearingDistance:
         grid = G.CellGrid((6, 6))
         G.classify_cells(grid, np.zeros((0, 2)))
         target = flat_index(grid, (2, 2))
-        for nb in grid.vn_neighbors_flat(target):
-            grid.marking[nb] = G.SOLID
+        for s in grid.vn_shifts:
+            grid.marking[target + s] = G.SOLID
         dist = G.clearing_distance(grid, [target])
         assert dist[target] == grid.ncells
 
@@ -223,10 +217,9 @@ class TestClearingDistance:
         for c in cells:
             d = dist[c]
             if d > 1 and d < grid.ncells:
-                nbs = [int(dist[nb]) for nb in grid.vn_neighbors_flat(c)
-                       if nb >= 0 and dist[nb] > 0]
-                escape = any(dist[nb] == 0 and grid.marking[nb] != G.SOLID
-                             for nb in grid.vn_neighbors_flat(c) if nb >= 0)
+                vn = [c + s for s in grid.vn_shifts]
+                nbs = [int(dist[nb]) for nb in vn if dist[nb] > 0]
+                escape = any(dist[nb] == 0 and grid.marking[nb] != G.SOLID for nb in vn)
                 assert (d - 1 in nbs) or escape
 
 
@@ -269,9 +262,25 @@ def box_flat_by_meshgrid(grid, lo, hi):
 
 def any_neighbor_nd(mask_nd, offsets):
     """Reference: the neighbor dilation on the nd grid, by slices per offset."""
+
+    def shift_slices(off):
+        """Slices (src, dst) so that dst_array[dst] sees src_array at +off."""
+        src, dst = [], []
+        for o in off:
+            if o > 0:
+                src.append(slice(1, None))
+                dst.append(slice(None, -1))
+            elif o < 0:
+                src.append(slice(None, -1))
+                dst.append(slice(1, None))
+            else:
+                src.append(slice(None))
+                dst.append(slice(None))
+        return tuple(src), tuple(dst)
+
     out = np.zeros_like(mask_nd)
     for off in offsets:
-        src, dst = G._shift_slices(off)
+        src, dst = shift_slices(off)
         out[dst] |= mask_nd[src]
     return out
 
@@ -309,6 +318,20 @@ class TestFlatIndexAgainstNd:
                 hi = lo + 2
             got, want = G.box_flat(grid, lo, hi), box_flat_by_meshgrid(grid, lo, hi)
             assert got.dtype == want.dtype and np.array_equal(got, want), (lo, hi)
+
+    @pytest.mark.parametrize("dims", [(9, 7), (6, 5, 7)])
+    def test_vn_shifts_reach_axis_ordered_offsets(self, dims):
+        """On every cell off the wall layer, c + vn_shifts[k] is the cell at
+        the k-th von Neumann offset taken by axis, + before -: +x, -x, +y, ..."""
+        grid = G.CellGrid(dims)
+        d = len(dims)
+        offsets = [sign * np.eye(d, dtype=np.int64)[a] for a in range(d) for sign in (1, -1)]
+        assert len(grid.vn_shifts) == len(offsets) == 2 * d
+        for c in np.flatnonzero(~grid.wall):
+            cell = grid.unflat(c)
+            for k, off in enumerate(offsets):
+                want = np.ravel_multi_index(tuple(cell + off), dims)
+                assert c + grid.vn_shifts[k] == want, (tuple(cell), k)
 
     @pytest.mark.parametrize("dims", [(9, 7), (6, 5, 7)])
     def test_dilation_and_hops_match_nd(self, dims):

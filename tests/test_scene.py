@@ -118,6 +118,14 @@ name = rock
         with pytest.raises(InputError, match="emitter box .* non-wall"):
             parse_scene(bad)
 
+    def test_obstacle_outside_domain_rejected(self):
+        # an obstacle box on the wall layer would never move
+        bad = MINIMAL + "\n[obstacle]\nbox = 0 12 6 16\nvelocity = 0 -2\nname = stuck\n"
+        with pytest.raises(InputError, match=r"obstacle box \(0.0, 12.0\)..\(6.0, 16.0\) "
+                                             "leaves the non-wall domain"):
+            parse_scene(bad)
+        parse_scene(bad.replace("0 12 6 16", "1 12 6 16"))
+
     def test_fluid_sharing_a_cell_with_obstacle_rejected(self):
         bad = MINIMAL + ("\n[fluid]\nbox = 1 1 10 6\n"
                          "\n[obstacle]\nbox = 4 5.5 6 8\nvelocity = 0 0\nname = lid\n")
