@@ -135,11 +135,16 @@ class CorrectionProblem:
         cells = self.target_flat[choice, np.arange(self.n)]
         return np.bincount(cells, minlength=int(np.prod(self.dims))).astype(np.int64)
 
-    def check_feasible(self, choice: np.ndarray, strict: bool = True) -> bool:
+    def check_feasible(self, choice: np.ndarray, strict: bool = True,
+                       counts: np.ndarray | None = None) -> bool:
+        """Whether ``choice`` meets every constraint; ``counts``, if given, are
+        its ``counts_of``."""
         n = self.n
         ar = np.arange(n)
         ok = bool(self.valid[choice, ar].all()) if n else True
-        counts = self.counts_of(choice) if n else np.zeros(int(np.prod(self.dims)), dtype=np.int64)
+        if counts is None:
+            counts = (self.counts_of(choice) if n
+                      else np.zeros(int(np.prod(self.dims)), dtype=np.int64))
         capped = self.cap >= 0
         ok = ok and bool((counts[capped] <= self.cap[capped]).all())
         ok = ok and bool((counts >= self.floor).all())
@@ -158,9 +163,9 @@ class CorrectionProblem:
         passes its units above its floor up to the sink, or to the hub if in the
         region, with room below its cap (n if uncapped); the hub passes those
         above max(lo, 0) on, with room below hi; each pick minimises cost - y."""
-        self.check_feasible(choice)
-        ncells, n = len(self.cap), self.n
         counts = self.counts_of(choice)
+        self.check_feasible(choice, counts=counts)
+        ncells, n = len(self.cap), self.n
         gap = duals[:ncells] - duals[ncells + (0 if self.region is None else self.region)]
         arcs = [("cell {} -> sink or hub", gap, counts < np.where(self.cap < 0, n, self.cap)),
                 ("sink or hub -> cell {}", -gap, counts > self.floor)]

@@ -43,6 +43,8 @@ class RunWriter:
     """Writes the per-run output tree: manifest, volume CSV, frame dumps."""
 
     def __init__(self, out_dir, cfg: SceneConfig, render: bool = False):
+        if render and len(cfg.dims) != 2:  # refused before anything is written
+            raise InputError("rendering supports 2D scenes only; 3D export is the particle dump")
         self.dir = Path(out_dir)
         try:
             self.dir.mkdir(parents=True, exist_ok=True)

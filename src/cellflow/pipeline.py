@@ -157,13 +157,16 @@ class Simulation:
 
     def _record(self, band_diag: dict, substeps: int) -> FrameRecord:
         """The frame record of the state as it stands, with n_deep read off
-        the band state."""
+        the band state. A frame whose budget is 0 (an emitter-only scene
+        before its first emission) holds no fluid and has lost none: 100%."""
+        volume = (G.volume_report(self.grid, self.cfg.mu, self.v_star) if self.total_budget
+                  else G.VolumeReport(V=0.0, percent=100.0, alt_percent=100.0, filled=0))
         return FrameRecord(
             step=self.step_index,
             positions=self.particles.x.astype(np.float32),
             velocities=self.particles.vel.astype(np.float32),
             raster=G.marking_raster(self.grid, self.band.R if self.band else None),
-            volume=G.volume_report(self.grid, self.cfg.mu, self.v_star),
+            volume=volume,
             band={"n_deep": self.band.n_deep if self.band else 0, **band_diag},
             substeps=substeps,
         )

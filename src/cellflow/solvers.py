@@ -49,9 +49,6 @@ import numpy as np
 from .correction import CorrectionProblem
 from .errors import InputError, IntegrityError
 
-# Enables O(E) per-iteration reduced-cost assertions inside solve_mcf.
-CHECK_POTENTIALS = False
-
 
 @dataclass
 class FlowNetwork:
@@ -249,7 +246,6 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
     stamp = [0] * (K + 2)  # run while a node is reached in search run, -run once finalized
     prev = [-1] * (K + 2)  # next node toward the search's root, -1 for the root
     via = [-1] * (K + 2)   # candidate moved along that arc, -1 for a sink or hub arc
-    check = CHECK_POTENTIALS  # every relaxation below tests its reduced cost rc
     run = pops = scans = tables = drains = 0
     heappush, heappop = heapq.heappush, heapq.heappop
 
@@ -260,8 +256,6 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
         for k in spans[q]:
             v = cand_cell[k]
             rc = cand_cost[k] - pi[v]
-            if check and rc < -1e-9:
-                raise IntegrityError(f"negative reduced cost {rc} into node {v}")
             if stamp[v] != run or rc < dist[v]:
                 dist[v] = rc
                 stamp[v] = run
@@ -302,8 +296,6 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
                 if s == done:
                     continue
                 nd = base + c - pi[v]
-                if check and nd - d < -1e-9:
-                    raise IntegrityError(f"negative reduced cost {nd - d} into node {v}")
                 if s != run or nd < dist[v]:
                     dist[v] = nd
                     stamp[v] = run
@@ -311,10 +303,7 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
                     via[v] = k
                     heappush(heap, (nd, v))
             if count[u] < cap[u] and (s := stamp[v := up[u]]) != done:
-                rc = pi[u] - pi[v]
-                if check and rc < -1e-9:
-                    raise IntegrityError(f"negative reduced cost {rc} into node {v}")
-                nd = d + rc
+                nd = d + (pi[u] - pi[v])
                 if s != run or nd < dist[v]:
                     dist[v] = nd
                     stamp[v] = run
@@ -393,10 +382,7 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
                     s = stamp[u]
                     if s == done:
                         continue
-                    rc = c + pi[u] - pv
-                    if check and rc < -1e-9:
-                        raise IntegrityError(f"negative reduced cost {rc} into node {u}")
-                    nd = d + rc
+                    nd = d + (c + pi[u] - pv)
                     if s != run or nd < dist[u]:
                         dist[u] = nd
                         stamp[u] = run
@@ -404,10 +390,7 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
                         via[u] = k
                         heappush(heap, (nd, u))
                 if count[v] > floor[v] and (s := stamp[u := up[v]]) != done:
-                    rc = pi[u] - pv
-                    if check and rc < -1e-9:
-                        raise IntegrityError(f"negative reduced cost {rc} into node {u}")
-                    nd = d + rc
+                    nd = d + (pi[u] - pv)
                     if s != run or nd < dist[u]:
                         dist[u] = nd
                         stamp[u] = run

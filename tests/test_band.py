@@ -551,8 +551,7 @@ class TestHubSolve:
     against brute force on the same region-carrying problems."""
 
     @pytest.mark.parametrize("push", [-1.0, 1.0], ids=["down-drain", "up-refill"])
-    def test_matches_brute_force(self, push, monkeypatch):
-        monkeypatch.setattr(V, "CHECK_POTENTIALS", True)
+    def test_matches_brute_force(self, push):
         binding = 0
         for grid, particles, state, problem, full, (in_mask, out_mask) in band_toys(push, 200):
             assignment, stats = V.solve_problem(full)
@@ -571,11 +570,10 @@ class TestHubSolve:
             assert abs(stats.objective - oracle) < 1e-9
         assert binding >= 30
 
-    def test_wide_intervals_match_brute_force(self, monkeypatch):
+    def test_wide_intervals_match_brute_force(self):
         # the toys' air is zero, so their intervals are points; widen them
         # around F so that the hub passes units on to the sink and takes
         # them back
-        monkeypatch.setattr(V, "CHECK_POTENTIALS", True)
         rng = np.random.default_rng(77)
         solved = 0
         for push in (-1.0, 1.0):
@@ -592,8 +590,7 @@ class TestHubSolve:
                 solved += 1
         assert solved >= 150
 
-    def test_vacuous_interval_equals_plain_solve(self, monkeypatch):
-        monkeypatch.setattr(V, "CHECK_POTENTIALS", True)
+    def test_vacuous_interval_equals_plain_solve(self):
         for push in (-1.0, 1.0):
             for grid, particles, state, problem, full, _ in band_toys(push, 50, seed=17):
                 full.region_bounds = (0, problem.n)

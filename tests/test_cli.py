@@ -108,6 +108,28 @@ def test_run_obstacle_on_wall_layer(tmp_path, capsys):
                        capsys, "obstacle box (0.0, 12.0)..(6.0, 16.0) leaves the non-wall domain")
 
 
+def test_run_emitter_only_scene(tmp_path, capsys):
+    # the budget is 0 until the first emission; such a frame reads 100%
+    path = tmp_path / "emit_only.scene"
+    path.write_text("version = 1\nname = emit_only\ndims = 20 20\nframes = 3\n[emitter]\n"
+                    "box = 8 15 12 17\nrate = 40\nvelocity = 0 -2\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli.main(["run", str(path), "--out", str(out), "--frames", "10", "--check"]) == 0
+    rows = (out / "volume.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 12 and rows[1].startswith("0,0.0,100.0,100.0,")
+    capsys.readouterr()
+    assert cli.main(["volume", str(out)]) == 0
+    assert "frames: 11" in capsys.readouterr().out
+
+
+def test_run_render_3d_refused_before_writing(tmp_path, capsys):
+    out = tmp_path / "o"
+    scene = Path(__file__).resolve().parent.parent / "scripts" / "scenes" / "obstacle3d.scene"
+    assert_input_error(["run", str(scene), "--out", str(out), "--frames", "1", "--render"],
+                       capsys, "rendering supports 2D scenes only")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("log, where", [
     (None, "volume.csv"),
     ("1,100.0,100.0\n", "line 2: malformed row"),

@@ -169,9 +169,8 @@ class TestSolveMcf:
         with pytest.raises(IntegrityError):
             V.solve_problem(problem)
 
-    def test_potentials_stay_valid(self, rng, monkeypatch):
-        # per-iteration reduced-cost assertion enabled
-        monkeypatch.setattr(V, "CHECK_POTENTIALS", True)
+    def test_potentials_stay_valid(self, rng):
+        # solve_problem certifies the potentials of every solve
         for _ in range(10):
             problem, grid, particles = random_problem(rng, n_max=10)
             V.solve_problem(problem)
@@ -209,8 +208,7 @@ class TestDrain:
     DRAIN_INTO_DROPPED_TABLE = (459, 1244, 1262, 1907, 1920)
 
     @pytest.mark.parametrize("slack", [0, 1])
-    def test_matches_brute_force(self, slack, monkeypatch):
-        monkeypatch.setattr(V, "CHECK_POTENTIALS", True)
+    def test_matches_brute_force(self, slack):
         rng = np.random.default_rng(41 + slack)
         checked = drained = 0
         for _ in range(40):
@@ -231,8 +229,7 @@ class TestDrain:
         assert drained > checked // 2
 
     @pytest.mark.parametrize("seed", DRAIN_INTO_DROPPED_TABLE)
-    def test_drain_into_dropped_table(self, seed, monkeypatch):
-        monkeypatch.setattr(V, "CHECK_POTENTIALS", True)
+    def test_drain_into_dropped_table(self, seed):
         problem = _tie_problem(np.random.default_rng(seed))
         assignment, stats = V.solve_problem(problem)
         assert stats.drains >= 2
@@ -288,8 +285,7 @@ class TestGreedyStart:
             cap=np.where(problem.cap == 0, 0, problem.n), floor=np.zeros_like(problem.floor),
             cost=problem.cost, dims=problem.dims)
 
-    def test_roomy_problem_needs_no_search(self, monkeypatch):
-        monkeypatch.setattr(V, "CHECK_POTENTIALS", True)
+    def test_roomy_problem_needs_no_search(self):
         for seed in range(60):
             problem = self._roomy(_tie_problem(np.random.default_rng(seed)))
             assignment, stats = V.solve_problem(problem)
@@ -338,13 +334,11 @@ class TestArcTables:
         return stats
 
     @pytest.mark.parametrize("seed", PATH_INTO_BUILT_TABLE)
-    def test_path_into_built_table(self, seed, monkeypatch):
-        monkeypatch.setattr(V, "CHECK_POTENTIALS", True)
+    def test_path_into_built_table(self, seed):
         assert self._check(_tie_problem(np.random.default_rng(seed))).searches >= 2
 
-    def test_ties_match_brute_force(self, monkeypatch):
+    def test_ties_match_brute_force(self):
         # also: the greedy start rejects some particles, and only those are searched
-        monkeypatch.setattr(V, "CHECK_POTENTIALS", True)
         rejecting = 0
         for seed in range(400):
             problem = _tie_problem(np.random.default_rng(seed))
