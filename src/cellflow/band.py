@@ -139,7 +139,7 @@ class EdgeCost:
         self.home = problem.target_flat[-1]
         self.cap = problem.cap
         strides = np.array([int(np.prod(problem.dims[k + 1:])) for k in range(len(problem.dims))])
-        self.offset_dir = {int(off): i for i, off in enumerate(problem.candidates.dirs @ strides)}
+        self.offset_dir = {int(off): i for i, off in enumerate(problem.dirs @ strides)}
         self.current = choice
 
     def direction(self, j: int, c_flat: int) -> int:

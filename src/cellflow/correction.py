@@ -95,41 +95,23 @@ def build_candidates(x_start: np.ndarray, x_ideal: np.ndarray, cells: G.CellGrid
 
 
 @dataclass
-class CorrectionProblem:
+class CorrectionProblem(CandidateTable):
     """One-direction-per-particle selection under per-cell count bounds.
 
+    The candidate table's ``cost`` includes any solid-coupling override.
     cap[c] is the admissible particle count of cell c (-1 means no bound;
-    used for deep cells in band mode), floor[c] the mandatory minimum.
-    Costs may be overridden by the solid-coupling objective. The all-stay
-    assignment is feasible by construction and is asserted on build. The
-    band's balance constraint, when attached, bounds the total count of the
-    cells in ``region`` to ``region_bounds`` = (lo, hi).
+    used for deep cells in band mode), floor[c] the mandatory minimum. The
+    all-stay assignment is feasible by construction and is asserted on
+    build. The band's balance constraint, when attached, bounds the total
+    count of the cells in ``region`` to ``region_bounds`` = (lo, hi).
     """
 
-    candidates: CandidateTable
     mu: int
     cap: np.ndarray     # (ncells,) int64
     floor: np.ndarray   # (ncells,) int64
-    cost: np.ndarray    # (m, n) float64, includes any solid override; inf where invalid
     dims: tuple
     region: np.ndarray | None = None  # (ncells,) bool, cells whose total count is bounded
     region_bounds: tuple[int, int] = (0, 0)
-
-    @property
-    def n(self) -> int:
-        return self.candidates.n
-
-    @property
-    def m(self) -> int:
-        return self.candidates.m
-
-    @property
-    def target_flat(self) -> np.ndarray:
-        return self.candidates.target_flat
-
-    @property
-    def valid(self) -> np.ndarray:
-        return self.candidates.valid
 
     def counts_of(self, choice: np.ndarray) -> np.ndarray:
         cells = self.target_flat[choice, np.arange(self.n)]
@@ -218,13 +200,8 @@ def build_problem(
         raise IntegrityError("cell lower bound exceeds capacity; grid state corrupt")
 
     problem = CorrectionProblem(
-        candidates=candidates,
-        mu=mu,
-        cap=cap,
-        floor=floor,
-        cost=candidates.cost if solid_cost is None else solid_cost,
-        dims=cells.dims,
-    )
+        **dict(vars(candidates), cost=candidates.cost if solid_cost is None else solid_cost),
+        mu=mu, cap=cap, floor=floor, dims=cells.dims)
     stay = np.full(problem.n, problem.m - 1, dtype=np.int64)
     if problem.n and not problem.check_feasible(stay, strict=False):
         raise IntegrityError("all-stay assignment infeasible; grid state is inconsistent")
@@ -237,7 +214,7 @@ def apply_solution(problem: CorrectionProblem, choice: np.ndarray, particles, ve
     if verify:
         problem.check_feasible(choice)
     ar = np.arange(problem.n)
-    particles.x = problem.candidates.xi[choice, ar, :].copy()
+    particles.x = problem.xi[choice, ar, :].copy()
 
 
 # ----------------------------------------------------------------------
@@ -285,8 +262,12 @@ def load_problem(text: str) -> CorrectionProblem:
             elif key == "cell":
                 c, cp, fl = (int(v) for v in vals)
                 cells.append((no, c, cp, fl))
-            else:
+            elif key in ("dims", "mu", "n", "m", "region"):
+                if key in header:
+                    raise InputError(f"line {no}: second {key!r} line")
                 header[key] = (no, [int(v) for v in vals])
+            else:
+                raise InputError(f"line {no}: unknown line {key!r}")
         except ValueError:
             raise InputError(f"line {no}: malformed {key!r} line") from None
     for key in ("dims", "mu", "n", "m"):
@@ -334,15 +315,17 @@ def load_problem(text: str) -> CorrectionProblem:
             raise InputError(f"line {no}: 'cell' floor above its cap")
         cap[c] = cp
         floor[c] = fl
-    table = CandidateTable(xi=xi, cost=cost, target_flat=flat, valid=valid, dirs=dirs)
-    problem = CorrectionProblem(candidates=table, mu=mu, cap=cap, floor=floor, cost=cost, dims=dims)
+    problem = CorrectionProblem(xi=xi, cost=cost, target_flat=flat, valid=valid, dirs=dirs,
+                                mu=mu, cap=cap, floor=floor, dims=dims)
     if "region" in header:
         no, vals = header["region"]
         if len(vals) < 2:
             raise InputError(f"line {no}: 'region' line needs lo and hi")
         lo, hi, *region = vals
+        if hi < max(lo, 0):
+            raise InputError(f"line {no}: empty 'region' interval [{lo}, {hi}]")
         if not all(0 <= c < ncells for c in region):
-            raise InputError("'region' line names a cell outside the grid")
+            raise InputError(f"line {no}: 'region' line names a cell outside the grid")
         problem.region = np.zeros(ncells, dtype=bool)
         problem.region[region] = True
         problem.region_bounds = (lo, hi)

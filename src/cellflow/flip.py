@@ -179,16 +179,14 @@ def advect_particles(particles: ParticleSet, mac: MacGrid, dt: float, v1: np.nda
 
 def advect_grid_velocity(mac: MacGrid, dt: float, face_masks: list[np.ndarray]) -> None:
     """Semi-Lagrangian backtrace of the face velocities under face_masks
-    (the faces of the band's grid-owned region)."""
+    (the faces of the band's grid-owned region); every axis reads the field
+    as it stood before the step."""
     old = MacGrid(mac.dims)
     old.vel = mac.copy_velocity()
     for a in range(mac.d):
-        shape = mac.vel[a].shape
-        pos = G.box_cells((0,) * mac.d, shape) + mac.face_offset(a)
-        vel = velocity_at(old, pos)
-        back = pos - dt * vel
-        new_vals = _gather(old.vel[a].ravel(), _stencil(old, a, back)).reshape(shape)
-        mac.vel[a][face_masks[a]] = new_vals[face_masks[a]]
+        pos = np.argwhere(face_masks[a]) + mac.face_offset(a)
+        back = pos - dt * velocity_at(old, pos)
+        mac.vel[a][face_masks[a]] = _gather(old.vel[a].ravel(), _stencil(old, a, back))
 
 
 def clamp_dt(mac: MacGrid, dt_request: float, obstacle_speed: float) -> float:

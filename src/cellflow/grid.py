@@ -162,13 +162,6 @@ def band_classes(grid: CellGrid, R: int) -> dict[str, np.ndarray]:
     }
 
 
-def box_cells(lo, hi) -> np.ndarray:
-    """Integer cells with lo <= cell < hi per axis, as (k, d) rows in C order."""
-    ranges = [np.arange(a, b) for a, b in zip(lo, hi)]
-    mesh = np.meshgrid(*ranges, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=1)
-
-
 def box_flat(grid: CellGrid, lo, hi) -> np.ndarray:
     """Flat indices of the cells the box [lo, hi] overlaps, in C order,
     clipped to the grid. An edge within 1e-9 of a cell face claims no cell

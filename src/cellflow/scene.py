@@ -8,7 +8,7 @@ obstacle family.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -18,15 +18,10 @@ from .errors import InputError
 from .solids import Kinematics
 
 CONFIG_VERSION = 1
+VERSION_KEY = "version"  # every scene file gives it, equal to CONFIG_VERSION
 
 # enum-valued keys and the name their parse errors give them
 ENUM_KEYS = {BandStrategy: "band strategy", Kinematics: "kinematics"}
-
-BUILTIN_SCENES = (
-    "dam", "dam_emit", "dam_1ppc", "drop", "compress", "spiral",
-    "falling_obs", "falling_obs_zero_bc", "large_falling_obs",
-)
-
 
 @dataclass
 class Box:
@@ -98,6 +93,10 @@ class SceneConfig:
             raise InputError(f"dims must be 2D or 3D, got {self.dims}")
         if self.mu < 1:
             raise InputError(f"mu must be >= 1, got {self.mu}")
+        for region in self.fluids:
+            if region.ppc is not None and region.ppc < 1:
+                raise InputError(f"fluid box {region.box.lo}..{region.box.hi}: ppc must be >= 1, "
+                                 f"got {region.ppc}")
         if self.band.enabled and self.band.R < 1:
             raise InputError(f"band thickness R must be >= 1, got {self.band.R}")
         if len(self.gravity) != d:
@@ -150,169 +149,138 @@ class SceneConfig:
 # ----------------------------------------------------------------------
 # text format
 
-def _fmt_vec(v) -> str:
-    return " ".join(str(x) if isinstance(x, int) else repr(float(x)) for x in v)
+# the keys of each part of a scene file, in writing order, with their kinds:
+# str, int, float, bool, an enum of ENUM_KEYS, or "ints", "floats" or "box"
+# for a line of numbers. A key whose dataclass field has no default is
+# required; a None value is not written.
+TOP_KEYS = {"name": str, "dims": "ints", "mu": int, "gravity": "floats", "frame_dt": float,
+            "flip_ratio": float, "max_speed": float, "pressure_tol": float,
+            "lambda_penalty": float, "seed": int, "frames": int}
+# section name -> (SceneConfig field, section dataclass, its keys); [band] is
+# the one section that may appear at most once
+SECTIONS = {
+    "band": ("band", BandConfig, {"enabled": bool, "R": int, "strategy": BandStrategy}),
+    "fluid": ("fluids", FluidRegion, {"box": "box", "ppc": int}),
+    "emitter": ("emitters", EmitterConfig, {"box": "box", "rate": float, "velocity": "floats",
+                                            "start": float, "total": int}),
+    "obstacle": ("obstacles", ObstacleConfig, {"box": "box", "velocity": "floats",
+                                               "kinematics": Kinematics, "zero_bc": bool,
+                                               "name": str}),
+}
+
+
+def _format(value, kind) -> str:
+    if kind == "box":
+        value = value.lo + value.hi
+    if kind in ("ints", "floats", "box"):
+        return " ".join(str(x) if isinstance(x, int) else repr(float(x)) for x in value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind in ENUM_KEYS:
+        return value.value
+    return repr(value) if kind is float else str(value)
+
+
+def _key_lines(item, kinds: dict) -> list[str]:
+    return [f"{key} = {_format(getattr(item, key), kind)}"
+            for key, kind in kinds.items() if getattr(item, key) is not None]
 
 
 def scene_to_text(cfg: SceneConfig) -> str:
-    lines = [
-        "# cellflow scene",
-        f"version = {CONFIG_VERSION}",
-        f"name = {cfg.name}",
-        f"dims = {_fmt_vec(cfg.dims)}",
-        f"mu = {cfg.mu}",
-        f"gravity = {_fmt_vec(cfg.gravity)}",
-        f"frame_dt = {cfg.frame_dt!r}",
-        f"flip_ratio = {cfg.flip_ratio!r}",
-        f"max_speed = {cfg.max_speed!r}",
-        f"pressure_tol = {cfg.pressure_tol!r}",
-        f"lambda_penalty = {cfg.lambda_penalty!r}",
-        f"seed = {cfg.seed}",
-        f"frames = {cfg.frames}",
-        "",
-        "[band]",
-        f"enabled = {'true' if cfg.band.enabled else 'false'}",
-        f"R = {cfg.band.R}",
-        f"strategy = {cfg.band.strategy.value}",
-    ]
-    for region in cfg.fluids:
-        lines += ["", "[fluid]", f"box = {_fmt_vec(tuple(region.box.lo) + tuple(region.box.hi))}"]
-        if region.ppc is not None:
-            lines.append(f"ppc = {region.ppc}")
-    for em in cfg.emitters:
-        lines += ["", "[emitter]", f"box = {_fmt_vec(tuple(em.box.lo) + tuple(em.box.hi))}",
-                  f"rate = {em.rate!r}", f"velocity = {_fmt_vec(em.velocity)}",
-                  f"start = {em.start!r}"]
-        if em.total is not None:
-            lines.append(f"total = {em.total}")
-    for ob in cfg.obstacles:
-        lines += ["", "[obstacle]", f"box = {_fmt_vec(tuple(ob.box.lo) + tuple(ob.box.hi))}",
-                  f"velocity = {_fmt_vec(ob.velocity)}",
-                  f"kinematics = {ob.kinematics.value}",
-                  f"zero_bc = {'true' if ob.zero_bc else 'false'}",
-                  f"name = {ob.name}"]
+    lines = ["# cellflow scene", f"{VERSION_KEY} = {CONFIG_VERSION}", *_key_lines(cfg, TOP_KEYS)]
+    for section, (attr, _, kinds) in SECTIONS.items():
+        items = getattr(cfg, attr)
+        for item in items if isinstance(items, list) else [items]:
+            lines += ["", f"[{section}]", *_key_lines(item, kinds)]
     return "\n".join(lines) + "\n"
 
 
-def _parse_floats(raw: str, key: str, line_no: int) -> tuple:
+def _parse(raw: str, ln: int, kind, key: str):
+    """The value of one key's text, or InputError naming the key and line."""
+    if kind is str:
+        return raw
+    if kind in ENUM_KEYS:
+        try:
+            return kind(raw)
+        except ValueError:
+            raise InputError(f"line {ln}: unknown {ENUM_KEYS[kind]} {raw!r}") from None
+    if kind is bool:
+        if raw.lower() in ("true", "1", "yes", "false", "0", "no"):
+            return raw.lower() in ("true", "1", "yes")
+        raise InputError(f"line {ln}: key '{key}' expects a boolean, got {raw!r}")
     try:
-        return tuple(float(tok) for tok in raw.split())
+        if kind in (int, float):
+            return kind(raw)
+        vals = tuple((int if kind == "ints" else float)(tok) for tok in raw.split())
     except ValueError:
-        raise InputError(f"line {line_no}: cannot parse numbers for key '{key}': {raw!r}")
-
-
-def _parse_box(raw: str, key: str, line_no: int) -> Box:
-    vals = _parse_floats(raw, key, line_no)
+        what = {int: "an integer", float: "a number", "ints": "integers"}.get(kind, "numbers")
+        raise InputError(f"line {ln}: key '{key}' expects {what}, got {raw!r}") from None
+    if kind != "box":
+        return vals
     if len(vals) not in (4, 6):
-        raise InputError(f"line {line_no}: box needs 4 (2D) or 6 (3D) numbers, got {len(vals)}")
-    d = len(vals) // 2
-    return Box(lo=vals[:d], hi=vals[d:])
+        raise InputError(f"line {ln}: box needs 4 (2D) or 6 (3D) numbers, got {len(vals)}")
+    return Box(lo=vals[:len(vals) // 2], hi=vals[len(vals) // 2:])
 
 
-def _parse_bool(raw: str, key: str, line_no: int) -> bool:
-    if raw.lower() in ("true", "1", "yes"):
-        return True
-    if raw.lower() in ("false", "0", "no"):
-        return False
-    raise InputError(f"line {line_no}: key '{key}' expects a boolean, got {raw!r}")
+def _read(cls, kinds: dict, store: dict, preset: dict, where: str = ""):
+    """A ``cls`` from the keys of ``kinds`` in ``store``, each (raw text, line).
+    An absent key takes its ``preset`` value, else its field's default."""
+    values = dict(preset)
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    for key, kind in kinds.items():
+        if key in store:
+            values[key] = _parse(*store.pop(key), kind, key)
+        elif key in required and key not in values:
+            raise InputError(f"missing required key '{key}'{where}")
+    for key, (_, ln) in store.items():
+        raise InputError(f"line {ln}: unknown key '{key}'{where}")
+    return cls(**values)
 
 
 def parse_scene(text: str) -> SceneConfig:
     """Parse the scene text format, reporting the offending key and line."""
     top: dict = {}
     sections: list[tuple[str, dict]] = []
-    current: dict | None = None
+    store = top
     for ln, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
-            if name not in ("band", "fluid", "emitter", "obstacle"):
+            if name not in SECTIONS:
                 raise InputError(f"line {ln}: unknown section [{name}]")
-            current = {}
-            sections.append((name, current))
+            if name == "band" and any(other == name for other, _ in sections):
+                raise InputError(f"line {ln}: second [band] section")
+            store = {}
+            sections.append((name, store))
             continue
         if "=" not in line:
             raise InputError(f"line {ln}: expected 'key = value', got {rawline!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        entry = (raw, ln)
-        if current is None:
-            top[key] = entry
-        else:
-            current[key] = entry
+        if key in store:
+            raise InputError(f"line {ln}: key '{key}' given again, first on line {store[key][1]}")
+        store[key] = (raw, ln)
 
-    def want(store: dict, key: str, kind):
-        if key not in store:
-            raise InputError(f"missing required key '{key}'")
-        raw, ln = store.pop(key)
-        if kind is str:
-            return raw
-        if kind in ENUM_KEYS:
-            try:
-                return kind(raw)
-            except ValueError:
-                raise InputError(f"line {ln}: unknown {ENUM_KEYS[kind]} {raw!r}")
-        if kind is bool:
-            return _parse_bool(raw, key, ln)
-        if kind is int:
-            try:
-                return int(raw)
-            except ValueError:
-                raise InputError(f"line {ln}: key '{key}' expects an integer, got {raw!r}")
-        if kind is float:
-            try:
-                return float(raw)
-            except ValueError:
-                raise InputError(f"line {ln}: key '{key}' expects a number, got {raw!r}")
-        if kind == "vec":
-            return _parse_floats(raw, key, ln)
-        if kind == "box":
-            return _parse_box(raw, key, ln)
-        raise AssertionError(kind)
-
-    def given(store: dict, kinds: dict) -> dict:
-        """The keys of ``kinds`` present in ``store``, parsed. The absent keys
-        are left out, so they take the dataclasses' defaults."""
-        return {key: want(store, key, kind) for key, kind in kinds.items() if key in store}
-
-    version = want(top, "version", int)
-    if version != CONFIG_VERSION:
+    if VERSION_KEY not in top:
+        raise InputError(f"missing required key '{VERSION_KEY}'")
+    if (version := _parse(*top.pop(VERSION_KEY), int, VERSION_KEY)) != CONFIG_VERSION:
         raise InputError(f"unsupported config version {version}")
-    dims = tuple(int(v) for v in want(top, "dims", "vec"))
-    cfg = SceneConfig(dims=dims, **{
-        "name": "scene",
-        # the default gravity points down the second axis in 2D and 3D alike
-        "gravity": SceneConfig.gravity + (0.0,) * (len(dims) - 2),
-        **given(top, {"name": str, "mu": int, "gravity": "vec", "frame_dt": float,
-                      "flip_ratio": float, "max_speed": float, "pressure_tol": float,
-                      "lambda_penalty": float, "seed": int, "frames": int}),
-    })
-    for key in top:
-        raise InputError(f"line {top[key][1]}: unknown key '{key}'")
-
+    # the default gravity points down the second axis in 2D and 3D alike
+    pad_gravity = "gravity" not in top
+    cfg = _read(SceneConfig, TOP_KEYS, top, {"name": "scene"})
+    if pad_gravity:
+        cfg.gravity += (0.0,) * (len(cfg.dims) - 2)
     for name, store in sections:
-        if name == "band":  # a [band] section enables the band unless it says otherwise
-            cfg.band = BandConfig(**{"enabled": True, **given(
-                store, {"enabled": bool, "R": int, "strategy": BandStrategy})})
-        elif name == "fluid":
-            cfg.fluids.append(FluidRegion(box=want(store, "box", "box"),
-                                          **given(store, {"ppc": int})))
-        elif name == "emitter":
-            cfg.emitters.append(EmitterConfig(
-                box=want(store, "box", "box"),
-                rate=want(store, "rate", float),
-                velocity=want(store, "velocity", "vec"),
-                **given(store, {"total": int, "start": float}),
-            ))
-        elif name == "obstacle":
-            cfg.obstacles.append(ObstacleConfig(
-                box=want(store, "box", "box"),
-                velocity=want(store, "velocity", "vec"),
-                **given(store, {"kinematics": Kinematics, "zero_bc": bool, "name": str}),
-            ))
-        for key in store:
-            raise InputError(f"line {store[key][1]}: unknown key '{key}' in [{name}]")
+        attr, cls, kinds = SECTIONS[name]
+        # a [band] section enables the band unless it says otherwise
+        item = _read(cls, kinds, store, {"enabled": True} if name == "band" else {},
+                     f" in [{name}]")
+        if name == "band":
+            cfg.band = item
+        else:
+            getattr(cfg, attr).append(item)
     return cfg.validate()
 
 
@@ -329,64 +297,60 @@ def load_scene(path_or_name: str) -> SceneConfig:
 
 
 # ----------------------------------------------------------------------
-# builtin scenes (2D, desk scale)
+# builtin scenes (2D, desk scale), each made from its name
+
+def _falling_obs(name: str) -> SceneConfig:
+    """A free-fall box dropped onto a pool; a name ending in ``_zero_bc``
+    sets the box's ``zero_bc``."""
+    return SceneConfig(
+        name=name, dims=(50, 50), mu=4, frames=300,
+        fluids=[FluidRegion(Box((1, 1), (49, 13)))],
+        obstacles=[ObstacleConfig(Box((21, 40), (29, 48)), velocity=(0.0, 0.0),
+                                  kinematics=Kinematics.FREE_FALL,
+                                  zero_bc=name.endswith("_zero_bc"), name="box")])
+
+
+BUILTIN_SCENES = {
+    "dam": lambda name: SceneConfig(
+        name=name, dims=(50, 50), mu=4, frames=300,
+        fluids=[FluidRegion(Box((1, 1), (25, 37)))]),
+    "dam_emit": lambda name: SceneConfig(
+        name=name, dims=(50, 50), mu=4, frames=300,
+        fluids=[FluidRegion(Box((1, 1), (25, 25)))],
+        emitters=[EmitterConfig(Box((40, 44), (44, 46)), rate=80.0,
+                                velocity=(0.0, -4.0), total=2304, start=5.0)]),
+    "dam_1ppc": lambda name: SceneConfig(
+        name=name, dims=(100, 100), mu=1, frames=300,
+        fluids=[FluidRegion(Box((1, 1), (49, 73)))]),
+    "drop": lambda name: SceneConfig(
+        name=name, dims=(50, 50), mu=4, frames=200,
+        fluids=[FluidRegion(Box((1, 1), (49, 11))),
+                FluidRegion(Box((20, 30), (30, 40)))]),
+    "compress": lambda name: SceneConfig(
+        name=name, dims=(50, 50), mu=4, frames=220,
+        fluids=[FluidRegion(Box((1, 1), (49, 6))),
+                FluidRegion(Box((1, 6), (49, 8)), ppc=2)],
+        obstacles=[ObstacleConfig(Box((1, 40), (49, 44)), velocity=(0.0, -2.0),
+                                  name="press")]),
+    "spiral": lambda name: SceneConfig(
+        name=name, dims=(50, 50), mu=4, frames=200,
+        fluids=[FluidRegion(Box((1, 32), (49, 40)))],
+        obstacles=[
+            ObstacleConfig(Box((1, 30), (35, 32)), velocity=(0.0, 0.0), name="baffle_left"),
+            ObstacleConfig(Box((15, 18), (49, 20)), velocity=(0.0, 0.0), name="baffle_right"),
+            ObstacleConfig(Box((1, 44), (49, 46)), velocity=(0.0, -1.0), name="piston"),
+        ]),
+    "falling_obs": _falling_obs,
+    "falling_obs_zero_bc": _falling_obs,
+    "large_falling_obs": lambda name: SceneConfig(
+        name=name, dims=(50, 50), mu=4, frames=300,
+        fluids=[FluidRegion(Box((1, 1), (49, 13)))],
+        obstacles=[ObstacleConfig(Box((13, 40), (37, 48)), velocity=(0.0, 0.0),
+                                  kinematics=Kinematics.FREE_FALL, name="big_box")]),
+}
+
 
 def builtin_scene(name: str) -> SceneConfig:
-    if name == "dam":
-        return SceneConfig(
-            name="dam", dims=(50, 50), mu=4, frames=300,
-            fluids=[FluidRegion(Box((1, 1), (25, 37)))],
-        ).validate()
-    if name == "dam_emit":
-        return SceneConfig(
-            name="dam_emit", dims=(50, 50), mu=4, frames=300,
-            fluids=[FluidRegion(Box((1, 1), (25, 25)))],
-            emitters=[EmitterConfig(Box((40, 44), (44, 46)), rate=80.0,
-                                    velocity=(0.0, -4.0), total=2304, start=5.0)],
-        ).validate()
-    if name == "dam_1ppc":
-        return SceneConfig(
-            name="dam_1ppc", dims=(100, 100), mu=1, frames=300,
-            fluids=[FluidRegion(Box((1, 1), (49, 73)))],
-        ).validate()
-    if name == "drop":
-        return SceneConfig(
-            name="drop", dims=(50, 50), mu=4, frames=200,
-            fluids=[FluidRegion(Box((1, 1), (49, 11))),
-                    FluidRegion(Box((20, 30), (30, 40)))],
-        ).validate()
-    if name == "compress":
-        return SceneConfig(
-            name="compress", dims=(50, 50), mu=4, frames=220,
-            fluids=[FluidRegion(Box((1, 1), (49, 6))),
-                    FluidRegion(Box((1, 6), (49, 8)), ppc=2)],
-            obstacles=[ObstacleConfig(Box((1, 40), (49, 44)), velocity=(0.0, -2.0),
-                                      name="press")],
-        ).validate()
-    if name == "spiral":
-        return SceneConfig(
-            name="spiral", dims=(50, 50), mu=4, frames=200,
-            fluids=[FluidRegion(Box((1, 32), (49, 40)))],
-            obstacles=[
-                ObstacleConfig(Box((1, 30), (35, 32)), velocity=(0.0, 0.0), name="baffle_left"),
-                ObstacleConfig(Box((15, 18), (49, 20)), velocity=(0.0, 0.0), name="baffle_right"),
-                ObstacleConfig(Box((1, 44), (49, 46)), velocity=(0.0, -1.0), name="piston"),
-            ],
-        ).validate()
-    if name in ("falling_obs", "falling_obs_zero_bc"):
-        return SceneConfig(
-            name=name, dims=(50, 50), mu=4, frames=300,
-            fluids=[FluidRegion(Box((1, 1), (49, 13)))],
-            obstacles=[ObstacleConfig(Box((21, 40), (29, 48)), velocity=(0.0, 0.0),
-                                      kinematics=Kinematics.FREE_FALL,
-                                      zero_bc=(name == "falling_obs_zero_bc"),
-                                      name="box")],
-        ).validate()
-    if name == "large_falling_obs":
-        return SceneConfig(
-            name="large_falling_obs", dims=(50, 50), mu=4, frames=300,
-            fluids=[FluidRegion(Box((1, 1), (49, 13)))],
-            obstacles=[ObstacleConfig(Box((13, 40), (37, 48)), velocity=(0.0, 0.0),
-                                      kinematics=Kinematics.FREE_FALL, name="big_box")],
-        ).validate()
-    raise InputError(f"unknown builtin scene {name!r}; choices: {', '.join(BUILTIN_SCENES)}")
+    if name not in BUILTIN_SCENES:
+        raise InputError(f"unknown builtin scene {name!r}; choices: {', '.join(BUILTIN_SCENES)}")
+    return BUILTIN_SCENES[name](name).validate()

@@ -85,8 +85,7 @@ def build_one_way(problem: CorrectionProblem, choice: np.ndarray, in_mask: np.nd
     forced = (fixed & sel).any(axis=0)
     valid[:, forced] &= sel[:, forced]
     point = hi if s_in < 0 else lo
-    return replace(problem, candidates=replace(problem.candidates, valid=valid),
-                   region_bounds=(point, point))
+    return replace(problem, valid=valid, region_bounds=(point, point))
 
 
 def canonical_matrix(problem: CorrectionProblem) -> np.ndarray:

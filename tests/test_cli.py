@@ -3,6 +3,7 @@ import importlib.util
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -178,10 +179,16 @@ def test_oracle_check_missing_file(tmp_path, capsys):
      "line 7: second 'cand' line for particle 0, direction 2"),
     (lambda text: re.sub(r"^(m .*)", r"\1\ncell 8 0 0\ncell 8 0 0", text, flags=re.M),
      "line 7: second 'cell' line for cell 8"),
+    (lambda text: re.sub(r"^(m .*)", r"\1\nrgion 0 5", text, flags=re.M),
+     "line 6: unknown line 'rgion'"),
+    (lambda text: re.sub(r"^(m .*)", r"\1\nn 3", text, flags=re.M), "line 6: second 'n' line"),
+    (lambda text: re.sub(r"^(m .*)", r"\1\nregion 3 1", text, flags=re.M),
+     "line 6: empty 'region' interval [3, 1]"),
 ], ids=["no_dims_line", "non_numeric_cost", "particle_out_of_range", "negative_dims",
         "negative_n", "negative_m", "region_one_number", "region_bare", "m_not_2d_plus_1",
         "mu_zero", "cap_below_minus_one", "cost_nan", "cost_inf", "cost_minus_inf",
-        "floor_negative", "floor_above_cap", "duplicate_cand", "duplicate_cell"])
+        "floor_negative", "floor_above_cap", "duplicate_cand", "duplicate_cell",
+        "unknown_line", "duplicate_header", "empty_region"])
 def test_oracle_check_malformed_dump(tmp_path, rng, capsys, edit, where):
     problem, _, _ = random_problem(rng, n_max=6)
     dump = tmp_path / "bad.txt"
@@ -233,19 +240,10 @@ def test_oracle_check_large_instance(tmp_path, capsys):
     while problem is None or problem.n < 7:
         problem, grid, particles = random_problem(rng, dims=(10, 10), n_max=10)
     # widen beyond the brute-force oracle's limit by doubling particles
-    import cellflow.correction as CC
-    t = problem.candidates
-    wide = CC.CandidateTable(
-        xi=np.concatenate([t.xi, t.xi], axis=1),
-        cost=np.concatenate([t.cost, t.cost], axis=1),
-        target_flat=np.concatenate([t.target_flat, t.target_flat], axis=1),
-        valid=np.concatenate([t.valid, t.valid], axis=1),
-        dirs=t.dirs)
-    big = CC.CorrectionProblem(
-        candidates=wide, mu=problem.mu,
-        cap=np.where(problem.cap >= 0, problem.cap * 2, problem.cap),
-        floor=problem.floor * 2,
-        cost=np.concatenate([problem.cost, problem.cost], axis=1), dims=problem.dims)
+    big = replace(problem, cap=np.where(problem.cap >= 0, problem.cap * 2, problem.cap),
+                  floor=problem.floor * 2,
+                  **{key: np.concatenate([getattr(problem, key)] * 2, axis=1)
+                     for key in ("xi", "cost", "target_flat", "valid")})
     dump = tmp_path / "big.txt"
     dump.write_text(C.dump_problem(big), encoding="utf-8")
     code = cli.main(["oracle-check", str(dump)])

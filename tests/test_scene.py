@@ -1,4 +1,6 @@
 """Scene configs: parsing, validation, builtins, text round trip."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,40 @@ from cellflow.scene import (BUILTIN_SCENES, BandConfig, Box, EmitterConfig, Flui
                             parse_scene, scene_to_text)
 from cellflow.solids import Kinematics
 
+SCENE_FILES = {path.name: str(path)
+               for path in (Path(__file__).resolve().parents[1] / "scripts" / "scenes").glob("*.scene")}
+
 MINIMAL = """
 version = 1
 name = test
 dims = 20 20
 mu = 2
 frames = 5
+"""
+
+FULL = MINIMAL + """
+[band]
+enabled = true
+R = 4
+strategy = full
+
+[fluid]
+box = 1 1 10 10
+ppc = 2
+
+[emitter]
+box = 12 15 14 17
+rate = 10
+velocity = 0 -2
+total = 40
+start = 1.5
+
+[obstacle]
+box = 5 12 8 14
+velocity = 0 -1
+kinematics = free_fall
+zero_bc = true
+name = rock
 """
 
 
@@ -52,31 +82,7 @@ velocity = 0 0
         assert cfg.obstacles == [ObstacleConfig(Box((3, 3), (4, 4)), velocity=(0.0, 0.0))]
 
     def test_full_sections(self):
-        text = MINIMAL + """
-[band]
-enabled = true
-R = 4
-strategy = full
-
-[fluid]
-box = 1 1 10 10
-ppc = 2
-
-[emitter]
-box = 12 15 14 17
-rate = 10
-velocity = 0 -2
-total = 40
-start = 1.5
-
-[obstacle]
-box = 5 12 8 14
-velocity = 0 -1
-kinematics = free_fall
-zero_bc = true
-name = rock
-"""
-        cfg = parse_scene(text)
+        cfg = parse_scene(FULL)
         assert cfg.band.enabled and cfg.band.R == 4
         assert cfg.band.strategy is BandStrategy.FULL
         assert cfg.fluids[0].ppc == 2
@@ -152,11 +158,31 @@ name = rock
         with pytest.raises(InputError, match="seed must be >= 0"):
             parse_scene(MINIMAL + "seed = -1\n")
 
-    def test_round_trip(self):
-        cfg = builtin_scene("dam_emit")
+    @pytest.mark.parametrize("source", [*BUILTIN_SCENES, *sorted(SCENE_FILES), "full_sections"])
+    def test_round_trip(self, source):
+        if source == "full_sections":
+            cfg = parse_scene(FULL)
+        else:
+            cfg = load_scene(SCENE_FILES.get(source, source))
         text = scene_to_text(cfg)
         again = parse_scene(text)
+        assert again == cfg
         assert scene_to_text(again) == text
+
+    @pytest.mark.parametrize("text, message", [
+        (MINIMAL + "mu = 3\n", "line 7: key 'mu' given again, first on line 5"),
+        (MINIMAL + "[fluid]\nbox = 1 1 5 5\nbox = 1 1 8 8\n",
+         "line 9: key 'box' given again, first on line 8"),
+        (MINIMAL + "[band]\nR = 4\n[band]\nenabled = true\n", r"line 9: second \[band\] section"),
+        (MINIMAL.replace("dims = 20 20", "dims = 20.7 20"),
+         "line 4: key 'dims' expects integers, got '20.7 20'"),
+        (MINIMAL + "[fluid]\nbox = 1 1 5 5\nppc = -3\n", r"fluid box .*: ppc must be >= 1, got -3"),
+        (MINIMAL + "[fluid]\nbox = 1 1 5 5\nppc = 0\n", r"fluid box .*: ppc must be >= 1, got 0"),
+    ], ids=["repeated_key", "repeated_box", "second_band", "fractional_dims", "negative_ppc",
+            "zero_ppc"])
+    def test_ignored_input_rejected(self, text, message):
+        with pytest.raises(InputError, match=message):
+            parse_scene(text)
 
 
 class TestBuiltins:

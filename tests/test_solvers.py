@@ -1,4 +1,6 @@
 """Flow solver vs brute force and HiGHS, TU sampling."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -130,10 +132,7 @@ class TestSolveMcf:
         for _ in range(20):
             problem, grid, particles = random_problem(rng, mu=2, n_max=8)
             _, s1 = V.solve_problem(problem)
-            relaxed = C.CorrectionProblem(
-                candidates=problem.candidates, mu=problem.mu,
-                cap=np.where(problem.cap > 0, problem.cap + 1, problem.cap),
-                floor=problem.floor, cost=problem.cost, dims=problem.dims)
+            relaxed = replace(problem, cap=np.where(problem.cap > 0, problem.cap + 1, problem.cap))
             _, s2 = V.solve_problem(relaxed)
             assert s2.objective <= s1.objective + 1e-9
 
@@ -190,9 +189,7 @@ def _pinned_floors(problem, rng, slack):
         return None
     for c in rng.choice(np.flatnonzero(floor), size=slack, replace=False):
         floor[c] -= 1
-    return C.CorrectionProblem(
-        candidates=problem.candidates, mu=problem.mu, cap=problem.cap, floor=floor,
-        cost=problem.cost, dims=problem.dims)
+    return replace(problem, floor=floor)
 
 
 class TestDrain:
@@ -280,10 +277,8 @@ class TestGreedyStart:
     @staticmethod
     def _roomy(problem):
         """The problem with no floors and room for every particle in each cell."""
-        return C.CorrectionProblem(
-            candidates=problem.candidates, mu=problem.mu,
-            cap=np.where(problem.cap == 0, 0, problem.n), floor=np.zeros_like(problem.floor),
-            cost=problem.cost, dims=problem.dims)
+        return replace(problem, cap=np.where(problem.cap == 0, 0, problem.n),
+                       floor=np.zeros_like(problem.floor))
 
     def test_roomy_problem_needs_no_search(self):
         for seed in range(60):
@@ -628,9 +623,7 @@ def _band_problem_matches_highs(monkeypatch, scene, frame, R):
     problem.check_feasible(assignment)
     optimum = _highs_objective(problem)
     assert abs(stats.objective - optimum) <= 1e-9 * abs(optimum)
-    plain = C.CorrectionProblem(
-        candidates=problem.candidates, mu=problem.mu, cap=problem.cap, floor=problem.floor,
-        cost=problem.cost, dims=problem.dims)
+    plain = replace(problem, region=None)
     plain_choice, _ = V.solve_problem(plain)
     held = problem.counts_of(plain_choice)[problem.region].sum()
     lo, hi = problem.region_bounds
@@ -657,22 +650,10 @@ def test_band_falling_obs_problem_matches_highs(monkeypatch):
 class TestBruteForce:
     def test_refuses_large(self, rng):
         problem, grid, particles = random_problem(rng, n_max=1)
-        problem.candidates.xi = np.repeat(problem.candidates.xi, 1, axis=1)
-        big = C.CorrectionProblem(
-            candidates=problem.candidates, mu=problem.mu, cap=problem.cap,
-            floor=problem.floor, cost=problem.cost, dims=problem.dims)
         big_n = BRUTE_FORCE_LIMIT + 1
         # fabricate a wide problem by tiling the candidate arrays
-        table = problem.candidates
-        wide = C.CandidateTable(
-            xi=np.repeat(table.xi, big_n, axis=1),
-            cost=np.repeat(table.cost, big_n, axis=1),
-            target_flat=np.repeat(table.target_flat, big_n, axis=1),
-            valid=np.repeat(table.valid, big_n, axis=1),
-            dirs=table.dirs)
-        wide_problem = C.CorrectionProblem(
-            candidates=wide, mu=problem.mu, cap=problem.cap, floor=problem.floor,
-            cost=np.repeat(problem.cost, big_n, axis=1), dims=problem.dims)
+        wide_problem = replace(problem, **{key: np.repeat(getattr(problem, key), big_n, axis=1)
+                                           for key in ("xi", "cost", "target_flat", "valid")})
         with pytest.raises(InputError):
             brute_force_ilp(wide_problem)
 
