@@ -23,7 +23,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--strategy", choices=["flow", "full"], default=None,
                        help="band correction strategy")
     p_run.add_argument("--render", action="store_true", help="write PPM images per frame")
-    p_run.add_argument("--check", action="store_true", help="run per-step invariant checks")
 
     p_oracle = sub.add_parser("oracle-check",
                               help="solve a problem dump and certify its optimum")
@@ -62,7 +61,7 @@ def _cmd_run(args) -> int:
         cfg.band.R = args.band
     if args.strategy is not None:
         cfg.band.strategy = BandStrategy(args.strategy)
-    code = pipeline.run(cfg, args.out, render=args.render, check_invariants=args.check)
+    code = pipeline.run(cfg, args.out, render=args.render)
     print(f"run complete: {cfg.frames} frames of '{cfg.name}' in {args.out}")
     return code
 

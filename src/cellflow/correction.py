@@ -208,11 +208,10 @@ def build_problem(
     return problem
 
 
-def apply_solution(problem: CorrectionProblem, choice: np.ndarray, particles, verify: bool = True) -> None:
+def apply_solution(problem: CorrectionProblem, choice: np.ndarray, particles) -> None:
     """Move every particle to its selected candidate position, ``choice``
     holding each particle's direction index."""
-    if verify:
-        problem.check_feasible(choice)
+    problem.check_feasible(choice)
     ar = np.arange(problem.n)
     particles.x = problem.xi[choice, ar, :].copy()
 
@@ -326,6 +325,8 @@ def load_problem(text: str) -> CorrectionProblem:
             raise InputError(f"line {no}: empty 'region' interval [{lo}, {hi}]")
         if not all(0 <= c < ncells for c in region):
             raise InputError(f"line {no}: 'region' line names a cell outside the grid")
+        if floored := [c for c in region if floor[c]]:
+            raise InputError(f"line {no}: 'region' cell {floored[0]} carries a floor")
         problem.region = np.zeros(ncells, dtype=bool)
         problem.region[region] = True
         problem.region_bounds = (lo, hi)

@@ -24,11 +24,10 @@ class ParticleSet:
     vel: np.ndarray
 
     @classmethod
-    def from_positions(cls, x: np.ndarray, vel: np.ndarray | None = None) -> "ParticleSet":
-        x = np.asarray(x, dtype=np.float64)
-        if vel is None:
-            vel = np.zeros_like(x)
-        return cls(x=x.copy(), vel=np.asarray(vel, dtype=np.float64).copy())
+    def from_positions(cls, x: np.ndarray) -> "ParticleSet":
+        """Particles at rest at ``x``."""
+        x = np.array(x, dtype=np.float64)
+        return cls(x=x, vel=np.zeros_like(x))
 
     @property
     def n(self) -> int:

@@ -42,7 +42,7 @@ class FrameRecord:
 
 @dataclass
 class StepChecks:
-    """Per-step invariant witnesses collected when checking is enabled."""
+    """Per-step invariant witnesses, collected on every substep."""
 
     max_cheb_ideal: int = 0
     max_manhattan_corrected: int = 0
@@ -76,10 +76,9 @@ class Emitter:
 class Simulation:
     """Owns all mutable state of one run and advances it frame by frame."""
 
-    def __init__(self, cfg: SceneConfig, check_invariants: bool = False):
+    def __init__(self, cfg: SceneConfig):
         cfg.validate()
         self.cfg = cfg
-        self.check_invariants = check_invariants
         self.rng = np.random.default_rng(cfg.seed)
         self.grid = G.CellGrid(cfg.dims)
         self.mac = F.MacGrid(cfg.dims)
@@ -113,7 +112,7 @@ class Simulation:
         seeded = np.zeros(grid.ncells, dtype=np.int64)
         positions = [np.zeros((0, grid.d))]
         for region in cfg.fluids:
-            ppc = cfg.mu if region.ppc is None else min(region.ppc, cfg.mu)
+            ppc = cfg.mu if region.ppc is None else region.ppc
             flat = G.box_flat(grid, region.box.lo, region.box.hi)
             room = np.where(grid.wall[flat], 0, np.minimum(ppc, cfg.mu - seeded[flat])).clip(0)
             positions.append(G.fill_cells(grid, flat, room, self.rng))
@@ -197,9 +196,8 @@ class Simulation:
 
         solid_vel = S.solid_face_velocities(grid, mac.dims, self.obstacles)
         pstats = F.solve_pressure(mac, grid, solid_vel, tol=cfg.pressure_tol)
-        if self.check_invariants:
-            self.last_checks.div_residual = max(self.last_checks.div_residual, pstats.residual)
-            self.last_checks.div_tolerance = max(self.last_checks.div_tolerance, pstats.tolerance)
+        self.last_checks.div_residual = max(self.last_checks.div_residual, pstats.residual)
+        self.last_checks.div_tolerance = max(self.last_checks.div_tolerance, pstats.tolerance)
         # scene speed bound: projection can spike faces near degenerate
         # configurations; the correction owns incompressibility, so capping
         # here costs nothing and keeps the substep count bounded
@@ -219,8 +217,8 @@ class Simulation:
 
         x_ideal = F.advect_particles(particles, mac, dt, v1)
         trace.append("advect")
-        if self.check_invariants and particles.n:
-            prev_cells = np.floor(x_start).astype(np.int64)
+        prev_cells = np.floor(x_start).astype(np.int64)
+        if particles.n:
             ideal_cells = np.floor(x_ideal).astype(np.int64)
             cheb = int(np.abs(ideal_cells - prev_cells).max())
             self.last_checks.max_cheb_ideal = max(self.last_checks.max_cheb_ideal, cheb)
@@ -229,8 +227,7 @@ class Simulation:
 
         proposals = self._correct(dt, x_ideal, classes, band_diag)
         trace.append("correct")
-        if self.check_invariants and particles.n:
-            prev_cells = np.floor(x_start).astype(np.int64)
+        if particles.n:
             new_cells = np.floor(particles.x).astype(np.int64)
             manh = int(np.abs(new_cells - prev_cells).sum(axis=1).max())
             self.last_checks.max_manhattan_corrected = max(
@@ -253,9 +250,7 @@ class Simulation:
             trace.append("band_maintain")
 
         self.time += dt
-
-        if self.check_invariants:
-            self._check()
+        self._check()
 
     def _emit(self, dt: float) -> None:
         cfg = self.cfg
@@ -284,7 +279,7 @@ class Simulation:
 
         ``classes`` are the band classes of the previous step (None without
         the band). Both band strategies end with the band row attached to the
-        problem, so one apply checks it under invariant checking. Where
+        problem, so the one apply checks it. Where
         flow-paths finds no path, the row-attached problem is solved exactly
         instead. Any other IntegrityError from the solve or the band repair
         carries the problem, band row included, as its ``problem`` attribute,
@@ -332,7 +327,7 @@ class Simulation:
             raise
         if band is not None:
             band.last_s_in, band.last_s_out = B.region_slack(problem, choice)
-        C.apply_solution(problem, choice, particles, verify=self.check_invariants)
+        C.apply_solution(problem, choice, particles)
         return proposals
 
     # ------------------------------------------------------------------
@@ -353,7 +348,7 @@ class Simulation:
                 raise IntegrityError("cell capacity exceeded after maintenance")
 
 
-def run(cfg: SceneConfig, out_dir, render: bool = False, check_invariants: bool = False) -> int:
+def run(cfg: SceneConfig, out_dir, render: bool = False) -> int:
     """Run a configured scene, writing frames, volume CSV and the manifest.
 
     If the correction fails (the flow solve or the flow-paths band repair),
@@ -362,7 +357,7 @@ def run(cfg: SceneConfig, out_dir, render: bool = False, check_invariants: bool 
     """
     from . import outputs as O
 
-    sim = Simulation(cfg, check_invariants=check_invariants)
+    sim = Simulation(cfg)
     out = O.RunWriter(out_dir, cfg, render=render)
     try:
         out.write_manifest()

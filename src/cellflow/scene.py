@@ -97,6 +97,9 @@ class SceneConfig:
             if region.ppc is not None and region.ppc < 1:
                 raise InputError(f"fluid box {region.box.lo}..{region.box.hi}: ppc must be >= 1, "
                                  f"got {region.ppc}")
+            if region.ppc is not None and region.ppc > self.mu:
+                raise InputError(f"fluid box {region.box.lo}..{region.box.hi}: ppc must not "
+                                 f"exceed mu = {self.mu}, got {region.ppc}")
         if self.band.enabled and self.band.R < 1:
             raise InputError(f"band thickness R must be >= 1, got {self.band.R}")
         if len(self.gravity) != d:

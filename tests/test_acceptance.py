@@ -38,7 +38,7 @@ def collect_run(name: str, band_R: int | None = None, frames: int = 300,
     cfg.frames = frames
     if band_R is not None:
         cfg.band = BandConfig(enabled=True, R=band_R)
-    sim = Simulation(cfg, check_invariants=True)
+    sim = Simulation(cfg)
     out = {
         "name": name, "mu": cfg.mu, "sim": sim, "frames": [],
         "frame_times": [], "max_cheb": 0, "max_manh": 0,
@@ -250,7 +250,7 @@ def test_criterion_09_oneway_vs_flowpaths():
 def test_criterion_10_compress_scene():
     cfg = builtin_scene("compress")
     cfg.frames = 220
-    sim = Simulation(cfg, check_invariants=True)
+    sim = Simulation(cfg)
     mu = cfg.mu
     overlap_free = True
     positions = []
@@ -274,7 +274,7 @@ def test_criterion_10_compress_scene():
 def test_criterion_11_zero_bc_falling_obstacle():
     cfg = builtin_scene("falling_obs_zero_bc")
     cfg.frames = 300
-    sim = Simulation(cfg, check_invariants=True)
+    sim = Simulation(cfg)
     overlap_free = True
     reached_at = None
     for k in range(cfg.frames):

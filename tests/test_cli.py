@@ -115,7 +115,7 @@ def test_run_emitter_only_scene(tmp_path, capsys):
     path.write_text("version = 1\nname = emit_only\ndims = 20 20\nframes = 3\n[emitter]\n"
                     "box = 8 15 12 17\nrate = 40\nvelocity = 0 -2\n", encoding="utf-8")
     out = tmp_path / "o"
-    assert cli.main(["run", str(path), "--out", str(out), "--frames", "10", "--check"]) == 0
+    assert cli.main(["run", str(path), "--out", str(out), "--frames", "10"]) == 0
     rows = (out / "volume.csv").read_text(encoding="utf-8").splitlines()
     assert len(rows) == 12 and rows[1].startswith("0,0.0,100.0,100.0,")
     capsys.readouterr()
@@ -184,11 +184,13 @@ def test_oracle_check_missing_file(tmp_path, capsys):
     (lambda text: re.sub(r"^(m .*)", r"\1\nn 3", text, flags=re.M), "line 6: second 'n' line"),
     (lambda text: re.sub(r"^(m .*)", r"\1\nregion 3 1", text, flags=re.M),
      "line 6: empty 'region' interval [3, 1]"),
+    (lambda text: re.sub(r"^(m .*)", r"\1\ncell 0 1 1\nregion 0 5 0", text, flags=re.M),
+     "line 7: 'region' cell 0 carries a floor"),
 ], ids=["no_dims_line", "non_numeric_cost", "particle_out_of_range", "negative_dims",
         "negative_n", "negative_m", "region_one_number", "region_bare", "m_not_2d_plus_1",
         "mu_zero", "cap_below_minus_one", "cost_nan", "cost_inf", "cost_minus_inf",
         "floor_negative", "floor_above_cap", "duplicate_cand", "duplicate_cell",
-        "unknown_line", "duplicate_header", "empty_region"])
+        "unknown_line", "duplicate_header", "empty_region", "floored_region_cell"])
 def test_oracle_check_malformed_dump(tmp_path, rng, capsys, edit, where):
     problem, _, _ = random_problem(rng, n_max=6)
     dump = tmp_path / "bad.txt"
@@ -336,7 +338,7 @@ def test_flow_paths_without_a_path_completes_the_run(tmp_path, monkeypatch, caps
     calls = []
     monkeypatch.setattr(B, "find_paths", lambda *args: calls.append(1) or ([], None))
     out = tmp_path / "out"
-    assert cli.main(["run", str(path), "--out", str(out), "--check"]) == 0
+    assert cli.main(["run", str(path), "--out", str(out)]) == 0
     assert calls and not (out / "failed_problem.txt").exists()
     assert len(list(out.glob("frame_*.cprt"))) == 5
 

@@ -255,7 +255,7 @@ def random_flip_state(rng, dims, n=300):
                     size=(n, len(dims)))
     snap = rng.random(x.shape) < 0.2
     x[snap] = np.round(x[snap] * 2) / 2
-    particles = F.ParticleSet.from_positions(x, rng.normal(size=x.shape))
+    particles = F.ParticleSet(x=x, vel=rng.normal(size=x.shape))
     mac = F.MacGrid(dims)
     for u in mac.vel:
         u[:] = rng.normal(size=u.shape)
@@ -263,7 +263,7 @@ def random_flip_state(rng, dims, n=300):
 
 
 def copy_state(particles, mac):
-    ref = F.ParticleSet.from_positions(particles.x, particles.vel)
+    ref = F.ParticleSet(x=particles.x.copy(), vel=particles.vel.copy())
     ref_mac = F.MacGrid(mac.dims)
     ref_mac.vel = mac.copy_velocity()
     return ref, ref_mac

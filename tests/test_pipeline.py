@@ -15,7 +15,7 @@ from cellflow import grid as G
 from cellflow import outputs as O
 from cellflow import solvers as V
 from cellflow.band import BandStrategy
-from cellflow.errors import NoPathError
+from cellflow.errors import IntegrityError, NoPathError
 from cellflow.pipeline import Simulation, run
 from cellflow.scene import (BandConfig, Box, EmitterConfig, FluidRegion, ObstacleConfig,
                             SceneConfig, builtin_scene)
@@ -78,7 +78,7 @@ class TestHydrostatic:
         # a resting pool under gravity: projection balances the body force and
         # positions change by at most numerical noise across a frame
         cfg = small_scene(fluids=[FluidRegion(Box((1, 1), (15, 7)))], frames=3)
-        sim = Simulation(cfg, check_invariants=True)
+        sim = Simulation(cfg)
         x0 = sim.particles.x.copy()
         for _ in range(3):
             sim.step()
@@ -87,7 +87,7 @@ class TestHydrostatic:
 
     def test_divergence_residual_bounded(self):
         cfg = small_scene()
-        sim = Simulation(cfg, check_invariants=True)
+        sim = Simulation(cfg)
         for _ in range(3):
             sim.step()
         assert sim.last_checks.div_residual <= sim.last_checks.div_tolerance + 1e-15
@@ -95,7 +95,7 @@ class TestHydrostatic:
 
 class TestInvariants:
     def test_dam_step_invariants(self):
-        sim = Simulation(small_scene(frames=8), check_invariants=True)
+        sim = Simulation(small_scene(frames=8))
         for _ in range(8):
             sim.step()
         assert sim.last_checks.max_cheb_ideal <= 1
@@ -104,9 +104,28 @@ class TestInvariants:
         assert (counts[~sim.grid.solid_mask()] <= 4).all()
         assert counts[sim.grid.solid_mask()].sum() == 0
 
+    def test_plain_run_checks_the_applied_choice(self, monkeypatch):
+        # every run is checked: a solve whose choice overfills a cell is
+        # refused before the particles move
+        solve_problem = V.solve_problem
+
+        def overfill(problem):
+            choice, stats = solve_problem(problem)
+            reach = np.bincount(problem.target_flat[problem.valid], minlength=len(problem.cap))
+            cell = np.flatnonzero((problem.cap >= 0) & (reach > problem.cap))[0]
+            i, j = np.nonzero(problem.valid & (problem.target_flat == cell))
+            choice[j] = i
+            return choice, stats
+
+        monkeypatch.setattr(V, "solve_problem", overfill)
+        sim = Simulation(small_scene())
+        x0 = sim.particles.x.copy()
+        with pytest.raises(IntegrityError, match="assignment violates correction constraints"):
+            sim.step()
+        assert np.array_equal(sim.particles.x, x0)
+
     def test_band_bookkeeping(self):
-        sim = Simulation(small_scene(band=BandConfig(enabled=True, R=2), frames=8),
-                         check_invariants=True)
+        sim = Simulation(small_scene(band=BandConfig(enabled=True, R=2), frames=8))
         total0 = sim.live_plus_deep()
         for _ in range(8):
             sim.step()
@@ -120,8 +139,7 @@ class TestInvariants:
         sim = Simulation(small_scene(
             fluids=[FluidRegion(Box((1, 1), (15, 9)))],
             obstacles=[ObstacleConfig(Box((6, 10), (9, 12)), velocity=(0.0, -3.0))],
-            band=BandConfig(enabled=True, R=2), frames=10),
-            check_invariants=True)
+            band=BandConfig(enabled=True, R=2), frames=10))
         total0 = sim.live_plus_deep()
         y0 = float(sim.obstacles[0].pos[1])
         moves = 0
@@ -145,7 +163,7 @@ class TestInvariants:
         cfg = builtin_scene("dam")
         cfg.seed = 20
         cfg.band = BandConfig(enabled=True, R=6)
-        sim = Simulation(cfg, check_invariants=True)
+        sim = Simulation(cfg)
         total0 = sim.live_plus_deep()
         for _ in range(24):
             record = sim.step()
@@ -178,7 +196,7 @@ class TestInvariants:
         monkeypatch.setattr(V, "solve_problem", solve)
         cfg = builtin_scene("dam")
         cfg.band = BandConfig(enabled=True, R=6)
-        sim = Simulation(cfg, check_invariants=True)
+        sim = Simulation(cfg)
         total0 = sim.live_plus_deep()
         for _ in range(10):
             sim.step()
@@ -228,7 +246,7 @@ class TestInvariants:
         cfg = builtin_scene("dam")
         cfg.seed = 7
         cfg.band = BandConfig(enabled=True, R=6, strategy=BandStrategy.FULL)
-        sim = Simulation(cfg, check_invariants=True)
+        sim = Simulation(cfg)
         total0 = sim.live_plus_deep()
         for _ in range(20):
             record = sim.step()
@@ -271,7 +289,7 @@ class TestEmitter:
             emitters=[EmitterConfig(Box((6, 12), (8, 14)), rate=100.0,
                                     velocity=(0.0, 0.0), total=50)],
             frames=2)
-        sim = Simulation(cfg, check_invariants=True)
+        sim = Simulation(cfg)
         sim.step()
         assert sim.emitters[0].spawned < 50
         assert sim.emitters[0].deferred + sim.emitters[0].spawned >= 10
@@ -279,7 +297,7 @@ class TestEmitter:
 
 class TestVStarAccounting:
     def test_alt_measure_tracks_budget(self):
-        sim = Simulation(small_scene(frames=6), check_invariants=True)
+        sim = Simulation(small_scene(frames=6))
         for _ in range(6):
             rec = sim.step()
             assert rec.volume.filled == sim.total_budget  # exact integer match
@@ -343,7 +361,7 @@ class TestCompressScene:
     def test_obstacle_never_overlaps(self):
         cfg = builtin_scene("compress")
         cfg.frames = 12
-        sim = Simulation(cfg, check_invariants=True)
+        sim = Simulation(cfg)
         for _ in range(12):
             sim.step()
             occupied = sim.obstacles[0].occupied_flat(sim.grid)
@@ -357,7 +375,7 @@ class Test3DSmoke:
         cfg = SceneConfig(name="cube", dims=(8, 8, 8), mu=2, frames=2,
                           gravity=(0.0, -9.8, 0.0),
                           fluids=[FluidRegion(Box((1, 1, 1), (7, 4, 7)))])
-        sim = Simulation(cfg, check_invariants=True)
+        sim = Simulation(cfg)
         for _ in range(2):
             rec = sim.step()
         assert rec.volume.percent >= 100.0 - 1e-9

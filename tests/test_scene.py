@@ -178,8 +178,10 @@ velocity = 0 0
          "line 4: key 'dims' expects integers, got '20.7 20'"),
         (MINIMAL + "[fluid]\nbox = 1 1 5 5\nppc = -3\n", r"fluid box .*: ppc must be >= 1, got -3"),
         (MINIMAL + "[fluid]\nbox = 1 1 5 5\nppc = 0\n", r"fluid box .*: ppc must be >= 1, got 0"),
+        (MINIMAL + "[fluid]\nbox = 1 1 5 5\nppc = 7\n",
+         r"fluid box .*: ppc must not exceed mu = 2, got 7"),
     ], ids=["repeated_key", "repeated_box", "second_band", "fractional_dims", "negative_ppc",
-            "zero_ppc"])
+            "zero_ppc", "ppc_above_mu"])
     def test_ignored_input_rejected(self, text, message):
         with pytest.raises(InputError, match=message):
             parse_scene(text)

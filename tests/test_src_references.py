@@ -7,6 +7,10 @@ attribute, an imported name or a string naming it (perfbench patches
 functions by name). Dunder methods are called implicitly and are skipped.
 A field (an annotated class-body name, as a dataclass field is, or an
 attribute that an __init__ assigns to self) must be read: loaded as an attribute, or named by a string.
+A parameter with a default must be passed by some program call: by keyword,
+by position (a method call skips self), or through *args or **kwargs. A call
+matches by the callee's bare name, and a call of a class counts for its
+__init__.
 """
 import ast
 from pathlib import Path
@@ -23,6 +27,9 @@ UNREAD_FIELDS_ALLOWED = {
     "grid.VolumeReport.per_cell": "criterion 04: deep cells count as full",
     "grid.VolumeReport.filled": "criterion 02: the overflow-only measure is exact",
     "pipeline.Simulation.last_stage_trace": "the stage order of every substep (TestStageOrder)",
+}
+UNPASSED_PARAMETERS_ALLOWED = {
+    "grid.volume_report(per_cell)": "criterion 04: deep cells count as full",
 }
 
 
@@ -60,6 +67,49 @@ def src_fields() -> dict[str, str]:
                               and isinstance(t.value, ast.Name) and t.value.id == "self"]
             found.update({f"{path.stem}.{node.name}.{name}": name for name in names})
     return found
+
+
+def defaulted_parameters() -> dict[str, tuple[str, str, int | None]]:
+    """'module.function(parameter)' -> (callee name, parameter, positional
+    index, or None if keyword-only) of each defaulted parameter of a top-level
+    function of src/cellflow, or of a method of a top-level class. A method's
+    index skips its self or cls; an __init__ is called by its class's name."""
+    found = {}
+    for path in sorted((ROOT / "src" / "cellflow").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            fns = [(node.name, node.name, node, 0)] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef):
+                        callee = node.name if sub.name == "__init__" else sub.name
+                        fns.append((f"{node.name}.{sub.name}", callee, sub, 1))
+            for qual, callee, fn, skip in fns:
+                args = fn.args.posonlyargs + fn.args.args
+                first = len(args) - len(fn.args.defaults)
+                params = [(arg.arg, k - skip) for k, arg in enumerate(args) if k >= first]
+                params += [(arg.arg, None) for arg, default
+                           in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None]
+                found.update({f"{path.stem}.{qual}({name})": (callee, name, index)
+                              for name, index in params})
+    return found
+
+
+def program_calls(paths) -> dict[str, list[ast.Call]]:
+    """Callee bare name -> the calls of it in the given files."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def passes(call: ast.Call, name: str, index: int | None) -> bool:
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    return index is not None and (len(call.args) > index
+                                  or any(isinstance(arg, ast.Starred) for arg in call.args))
 
 
 def read_names(paths) -> set[str]:
@@ -116,3 +166,15 @@ def test_no_src_field_is_unread():
 
 def test_field_allowlist_names_existing_fields():
     assert set(UNREAD_FIELDS_ALLOWED) <= set(src_fields())
+
+
+def test_no_defaulted_parameter_is_test_only():
+    calls = program_calls(program_files())
+    unpassed = sorted(q for q, (callee, name, index) in defaulted_parameters().items()
+                      if not any(passes(call, name, index) for call in calls.get(callee, []))
+                      and q not in UNPASSED_PARAMETERS_ALLOWED)
+    assert not unpassed, f"defaulted parameters that no program code passes: {unpassed}"
+
+
+def test_parameter_allowlist_names_existing_parameters():
+    assert set(UNPASSED_PARAMETERS_ALLOWED) <= set(defaulted_parameters())
