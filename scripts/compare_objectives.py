@@ -13,10 +13,14 @@ results, and compare them with the file's:
 
 The comparison prints the largest relative objective gap, the share of
 problems whose choices are identical, and both files' mean work per solve
-(a counter the solving tree lacks prints as -), then the CPU milliseconds
-per ``solve_mcf`` call of the fastest of ``--repeat N`` passes (default 1)
-over the file's problems, and how many re-solves certify as optimal against
-their problems (after the timed passes, which time ``solve_mcf`` alone):
+(a counter the solving tree lacks prints as -). A drain's arc table also
+holds the arc from the sink or hub, which ``scans`` counts: against a
+recording made before that, only ``scans`` may differ (it rose 0.03% on
+``dam`` and 1.3% on band ``full`` recordings). Then it prints the CPU
+milliseconds per ``solve_mcf`` call of the fastest of ``--repeat N`` passes
+(default 1) over the file's problems, and how many re-solves certify as
+optimal against their problems (after the timed passes, which time
+``solve_mcf`` alone):
 
     python scripts/compare_objectives.py --against a.npz --out b.npz --repeat 5
 

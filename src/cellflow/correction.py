@@ -98,7 +98,7 @@ def build_candidates(x_start: np.ndarray, x_ideal: np.ndarray, cells: G.CellGrid
 class CorrectionProblem(CandidateTable):
     """One-direction-per-particle selection under per-cell count bounds.
 
-    The candidate table's ``cost`` includes any solid-coupling override.
+    The candidate table's ``cost`` holds the solid penalty, if any.
     cap[c] is the admissible particle count of cell c (-1 means no bound;
     used for deep cells in band mode), floor[c] the mandatory minimum. The
     all-stay assignment is feasible by construction and is asserted on
@@ -121,12 +121,9 @@ class CorrectionProblem(CandidateTable):
                        counts: np.ndarray | None = None) -> bool:
         """Whether ``choice`` meets every constraint; ``counts``, if given, are
         its ``counts_of``."""
-        n = self.n
-        ar = np.arange(n)
-        ok = bool(self.valid[choice, ar].all()) if n else True
+        ok = bool(self.valid[choice, np.arange(self.n)].all())
         if counts is None:
-            counts = (self.counts_of(choice) if n
-                      else np.zeros(int(np.prod(self.dims)), dtype=np.int64))
+            counts = self.counts_of(choice)
         capped = self.cap >= 0
         ok = ok and bool((counts[capped] <= self.cap[capped]).all())
         ok = ok and bool((counts >= self.floor).all())
@@ -166,13 +163,8 @@ class CorrectionProblem(CandidateTable):
                                      f"on {name.format(k)}")
 
 
-def build_problem(
-    cells: G.CellGrid,
-    candidates: CandidateTable,
-    mu: int,
-    classes: dict | None = None,
-    solid_cost: np.ndarray | None = None,
-) -> CorrectionProblem:
+def build_problem(cells: G.CellGrid, candidates: CandidateTable, mu: int,
+                  classes: dict | None = None) -> CorrectionProblem:
     """Assemble caps/floors from the previous step's markings, which the
     grid holds until the markings stage of the substep.
 
@@ -199,11 +191,9 @@ def build_problem(
     if (floor > np.where(cap < 0, np.iinfo(np.int64).max, cap)).any():
         raise IntegrityError("cell lower bound exceeds capacity; grid state corrupt")
 
-    problem = CorrectionProblem(
-        **dict(vars(candidates), cost=candidates.cost if solid_cost is None else solid_cost),
-        mu=mu, cap=cap, floor=floor, dims=cells.dims)
+    problem = CorrectionProblem(**vars(candidates), mu=mu, cap=cap, floor=floor, dims=cells.dims)
     stay = np.full(problem.n, problem.m - 1, dtype=np.int64)
-    if problem.n and not problem.check_feasible(stay, strict=False):
+    if not problem.check_feasible(stay, strict=False):
         raise IntegrityError("all-stay assignment infeasible; grid state is inconsistent")
     return problem
 

@@ -22,7 +22,6 @@ from . import solids as S
 from . import solvers as V
 from .errors import IntegrityError, NoPathError, SolverError
 from .scene import SceneConfig
-from .solids import Obstacle
 
 MAX_SUBSTEPS = 10_000
 # a frame's band counters, summed over its substeps; records add n_deep
@@ -82,13 +81,7 @@ class Simulation:
         self.rng = np.random.default_rng(cfg.seed)
         self.grid = G.CellGrid(cfg.dims)
         self.mac = F.MacGrid(cfg.dims)
-        self.obstacles = [
-            Obstacle(pos=np.asarray(ob.box.lo, dtype=np.float64),
-                     extent=np.asarray(ob.box.hi, dtype=np.float64) - np.asarray(ob.box.lo),
-                     velocity=np.asarray(ob.velocity, dtype=np.float64),
-                     kinematics=ob.kinematics, zero_bc=ob.zero_bc, name=ob.name)
-            for ob in cfg.obstacles
-        ]
+        self.obstacles = [S.Obstacle(ob) for ob in cfg.obstacles]
         self.emitters = [Emitter(e) for e in cfg.emitters]
         self.band = B.BandState(R=cfg.band.R) if cfg.band.enabled else None
         self.time = 0.0
@@ -218,22 +211,20 @@ class Simulation:
         x_ideal = F.advect_particles(particles, mac, dt, v1)
         trace.append("advect")
         prev_cells = np.floor(x_start).astype(np.int64)
-        if particles.n:
-            ideal_cells = np.floor(x_ideal).astype(np.int64)
-            cheb = int(np.abs(ideal_cells - prev_cells).max())
-            self.last_checks.max_cheb_ideal = max(self.last_checks.max_cheb_ideal, cheb)
-            if cheb > 1:
-                raise IntegrityError("advected position left the Moore neighborhood")
+        ideal_cells = np.floor(x_ideal).astype(np.int64)
+        cheb = int(np.abs(ideal_cells - prev_cells).max(initial=0))
+        self.last_checks.max_cheb_ideal = max(self.last_checks.max_cheb_ideal, cheb)
+        if cheb > 1:
+            raise IntegrityError("advected position left the Moore neighborhood")
 
         proposals = self._correct(dt, x_ideal, classes, band_diag)
         trace.append("correct")
-        if particles.n:
-            new_cells = np.floor(particles.x).astype(np.int64)
-            manh = int(np.abs(new_cells - prev_cells).sum(axis=1).max())
-            self.last_checks.max_manhattan_corrected = max(
-                self.last_checks.max_manhattan_corrected, manh)
-            if manh > 1:
-                raise IntegrityError("corrected position left the von Neumann neighborhood")
+        new_cells = np.floor(particles.x).astype(np.int64)
+        manh = int(np.abs(new_cells - prev_cells).sum(axis=1).max(initial=0))
+        self.last_checks.max_manhattan_corrected = max(
+            self.last_checks.max_manhattan_corrected, manh)
+        if manh > 1:
+            raise IntegrityError("corrected position left the von Neumann neighborhood")
 
         for obs, proposal in zip(self.obstacles, proposals):
             moved = S.gate_motion(obs, grid, particles, proposal, dt)
@@ -281,10 +272,11 @@ class Simulation:
         the band). Both band strategies end with the band row attached to the
         problem, so the one apply checks it. Where
         flow-paths finds no path, the row-attached problem is solved exactly
-        instead. Any other IntegrityError from the solve or the band repair
-        carries the problem, band row included, as its ``problem`` attribute,
-        so that run() can write a replay file. Returns the per-obstacle
-        motion proposals so gating can reuse them.
+        instead. Any other IntegrityError from the solve, the band repair or
+        the apply's check of the choice carries the problem, band row
+        included, as its ``problem`` attribute, so that run() can write a
+        replay file. Returns the per-obstacle motion proposals so gating can
+        reuse them.
         """
         cfg = self.cfg
         grid = self.grid
@@ -292,19 +284,17 @@ class Simulation:
         band = self.band
 
         proposals = [S.propose_motion(obs, grid, dt) for obs in self.obstacles]
-        claimed = np.zeros(grid.ncells, dtype=bool)
-        for proposal in proposals:
-            claimed[proposal.new_solid] = True
-        solid_obj = None
-        if claimed.any():
-            solid_obj = S.build_solid_objective(grid, np.flatnonzero(claimed), cfg.lambda_penalty)
-
         if particles.n == 0:
             return proposals
 
         candidates = C.build_candidates(particles.x, x_ideal, grid)
-        solid_cost = S.override_costs(candidates, solid_obj) if solid_obj else None
-        problem = C.build_problem(grid, candidates, cfg.mu, classes, solid_cost)
+        claimed = np.zeros(grid.ncells, dtype=bool)
+        for proposal in proposals:
+            claimed[proposal.new_solid] = True
+        if claimed.any():
+            S.override_costs(candidates, S.build_solid_objective(
+                grid, np.flatnonzero(claimed), cfg.lambda_penalty))
+        problem = C.build_problem(grid, candidates, cfg.mu, classes)
 
         flow_paths = band is not None and cfg.band.strategy is B.BandStrategy.FLOW_PATHS
         if band is not None:
@@ -322,12 +312,12 @@ class Simulation:
                 else:
                     for key in ("n_move", "paths", "find_calls"):
                         band_diag[key] += diag[key]
+            C.apply_solution(problem, choice, particles)
         except IntegrityError as exc:
             exc.problem = problem
             raise
         if band is not None:
             band.last_s_in, band.last_s_out = B.region_slack(problem, choice)
-        C.apply_solution(problem, choice, particles)
         return proposals
 
     # ------------------------------------------------------------------
@@ -335,24 +325,23 @@ class Simulation:
     def _check(self) -> None:
         grid = self.grid
         particles = self.particles
-        if particles.n:
-            # positions of the step that just completed: x against the
-            # previous substep's cells is no longer available here, so the
-            # locality witnesses are collected inside advect/correct instead.
-            flat = grid.cell_of(particles.x)
-            if grid.wall[flat].any():
-                raise IntegrityError("particle inside a wall cell")
-            if grid.counts[grid.solid_mask()].any():
-                raise IntegrityError("particles left inside solid cells")
-            if (grid.counts[~grid.solid_mask()] > self.cfg.mu).any():
-                raise IntegrityError("cell capacity exceeded after maintenance")
+        # positions of the step that just completed: x against the previous
+        # substep's cells is no longer available here, so the locality
+        # witnesses are collected inside advect/correct instead.
+        flat = grid.cell_of(particles.x)
+        if grid.wall[flat].any():
+            raise IntegrityError("particle inside a wall cell")
+        if grid.counts[grid.solid_mask()].any():
+            raise IntegrityError("particles left inside solid cells")
+        if (grid.counts[~grid.solid_mask()] > self.cfg.mu).any():
+            raise IntegrityError("cell capacity exceeded after maintenance")
 
 
 def run(cfg: SceneConfig, out_dir, render: bool = False) -> int:
     """Run a configured scene, writing frames, volume CSV and the manifest.
 
-    If the correction fails (the flow solve or the flow-paths band repair),
-    its problem is written to ``failed_problem.txt`` in the run directory for
+    If the correction fails (the flow solve, the flow-paths band repair or
+    the check of the applied choice), its problem is written to ``failed_problem.txt`` in the run directory for
     ``cellflow oracle-check`` to replay.
     """
     from . import outputs as O

@@ -22,26 +22,20 @@ class Kinematics(Enum):
     FREE_FALL = "free_fall"
 
 
-@dataclass
 class Obstacle:
-    """Axis-aligned solid box in cell units.
+    """A scene obstacle in motion: its ObstacleConfig plus what moves, the
+    lower corner pos and the velocity, and its size per axis, extent.
 
-    pos is the lower corner; extent the integer cell size per axis. Scripted
-    obstacles keep their configured velocity; free-fall obstacles integrate
-    gravity while they actually move and retain their velocity while held.
+    Scripted obstacles keep their configured velocity; free-fall obstacles
+    integrate gravity while they actually move and retain their velocity
+    while held.
     """
 
-    pos: np.ndarray
-    extent: np.ndarray
-    velocity: np.ndarray
-    kinematics: Kinematics = Kinematics.SCRIPTED
-    zero_bc: bool = False
-    name: str = "obstacle"
-
-    def __post_init__(self):
-        self.pos = np.asarray(self.pos, dtype=np.float64)
-        self.extent = np.asarray(self.extent, dtype=np.float64)
-        self.velocity = np.asarray(self.velocity, dtype=np.float64)
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.pos = np.asarray(cfg.box.lo, dtype=np.float64)
+        self.extent = np.asarray(cfg.box.hi, dtype=np.float64) - self.pos
+        self.velocity = np.asarray(cfg.velocity, dtype=np.float64)
 
     def cells_at(self, pos: np.ndarray, grid: G.CellGrid) -> np.ndarray:
         """Flat indices of the cells intersected by the box at pos."""
@@ -72,28 +66,21 @@ def propose_motion(obstacle: Obstacle, grid: G.CellGrid, dt: float) -> MotionPro
     return MotionProposal(new_solid=candidate[~held[candidate]], wall_blocked=False)
 
 
-@dataclass
-class SolidObjective:
-    """Clearing-distance-graded penalty for prospective solid cells."""
-
-    lambda_penalty: float
-    cdist: np.ndarray       # per-cell clearing distance, 0 outside new_solid
-
-
 def build_solid_objective(grid: G.CellGrid, new_solid: np.ndarray,
-                          lambda_penalty: float) -> SolidObjective:
-    cdist = G.clearing_distance(grid, new_solid)
-    return SolidObjective(lambda_penalty=lambda_penalty, cdist=cdist)
+                          lambda_penalty: float) -> np.ndarray:
+    """Per-cell penalty of the claimed cells, graded by clearing distance;
+    0 outside them."""
+    return lambda_penalty * G.clearing_distance(grid, new_solid)
 
 
-def override_costs(candidates, so: SolidObjective) -> np.ndarray:
-    """Candidate cost table with the solid objective applied, a new array.
+def override_costs(candidates, penalty: np.ndarray) -> None:
+    """Write the solid penalty into the candidate table's costs.
 
-    The clearing distance is positive exactly on the claimed cells. An
-    invalid candidate's target is -1, so it reads the last cell's distance,
-    which the validity mask then discards."""
-    cdist = so.cdist[candidates.target_flat]
-    return np.where(candidates.valid & (cdist > 0), so.lambda_penalty * cdist, candidates.cost)
+    The penalty is positive exactly on the claimed cells. An invalid
+    candidate's target is -1, so it reads the last cell's penalty, which the
+    validity mask then discards."""
+    cost = penalty[candidates.target_flat]
+    np.copyto(candidates.cost, cost, where=candidates.valid & (cost > 0))
 
 
 def gate_motion(obstacle: Obstacle, grid: G.CellGrid, particles: ParticleSet,
@@ -124,7 +111,7 @@ def solid_face_velocities(grid: G.CellGrid, mac_dims, obstacles) -> list[np.ndar
     for a in range(grid.d):
         arr = np.zeros(G.face_shape(grid.dims, a))
         for obs in obstacles:
-            v = 0.0 if obs.zero_bc else float(obs.velocity[a])
+            v = 0.0 if obs.cfg.zero_bc else float(obs.velocity[a])
             if v == 0.0:
                 continue
             mask = np.zeros(grid.ncells, dtype=bool)
@@ -138,7 +125,7 @@ def solid_face_velocities(grid: G.CellGrid, mac_dims, obstacles) -> list[np.ndar
 def integrate_free_fall(obstacle: Obstacle, gravity, dt: float, moved: bool,
                         max_speed: float) -> None:
     """Accumulate gravity into a free-fall obstacle only while it moves."""
-    if obstacle.kinematics is not Kinematics.FREE_FALL or not moved:
+    if obstacle.cfg.kinematics is not Kinematics.FREE_FALL or not moved:
         return
     obstacle.velocity = obstacle.velocity + np.asarray(gravity, dtype=np.float64) * dt
     peak = float(np.abs(obstacle.velocity).max())

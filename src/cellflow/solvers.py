@@ -86,7 +86,7 @@ class SolveStats:
     pi: np.ndarray     # final potentials: per cell, then the sink's and the hub's
     searches: int = 0  # forward Dijkstra runs, one per particle the greedy start rejected
     pops: int = 0      # nodes finalized over all searches, forward and backward
-    scans: int = 0     # arc-table entries read at popped cells
+    scans: int = 0     # arc entries read at popped nodes, a drain's sink or hub arc too
     drains: int = 0    # backward Dijkstra runs, one per unit of floor the routing left
     tables: int = 0    # cells' arc tables built, forward and in-arc
 
@@ -187,6 +187,10 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
     at potential 0, never turn negative. The in-arc tables, each cell's
     cheapest in-arc per predecessor cell, are built only if the sink ends
     with excess, and a moving particle drops those of its candidate cells.
+    A cell's in-arc table, like the hub's dict built at each pop, also holds
+    the zero-cost arc from the node it passes units to while it holds units
+    above its floor; its count changes only when one of its particles moves,
+    which drops the table, so the entry stays exact.
     """
     n = net.n_particles
     K = len(net.cap)  # cells; the sink is node K, the hub node K + 1
@@ -246,8 +250,27 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
     stamp = [0] * (K + 2)  # run while a node is reached in search run, -run once finalized
     prev = [-1] * (K + 2)  # next node toward the search's root, -1 for the root
     via = [-1] * (K + 2)   # candidate moved along that arc, -1 for a sink or hub arc
+    intab: list[dict | None] | None = None  # per cell: {u: (cost, candidate)}, once drains begin
     run = pops = scans = tables = drains = 0
     heappush, heappop = heapq.heappush, heapq.heappop
+
+    def move(k: int, u: int, v: int) -> None:
+        """Move candidate k's particle from cell u (from nowhere if u < 0)
+        into v, k's cell, and drop the arc tables that the move changes."""
+        p = cand_p[k]
+        if u >= 0:
+            members[u].remove(p)
+            count[u] -= 1
+            count[hub] -= feeds[u]
+            table[u] = None
+        members[v].append(p)
+        count[v] += 1
+        count[hub] += feeds[v]
+        table[v] = None
+        assigned[p] = k
+        if intab is not None:
+            for c in spans[p]:
+                intab[cand_cell[c]] = None
 
     for q in np.flatnonzero(~accepted).tolist():  # an unrouted particle has pi = 0
         run += 1
@@ -318,20 +341,9 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
             pi[u] += dist[u] - dstar
         v = target
         while v >= 0:  # each particle on the path moves from u (none for q) into v
-            k = via[v]
             u = prev[v]
-            if k >= 0:
-                p = cand_p[k]
-                if u >= 0:
-                    members[u].remove(p)
-                    count[u] -= 1
-                    count[hub] -= feeds[u]
-                    table[u] = None
-                members[v].append(p)
-                count[v] += 1
-                count[hub] += feeds[v]
-                table[v] = None
-                assigned[p] = k
+            if (k := via[v]) >= 0:
+                move(k, u, v)
             v = u
 
     # drain the sink's excess into the cells, then the hub, still below their floor
@@ -340,7 +352,7 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
         order = np.argsort(net.cand_cell.astype(np.min_scalar_type(K)), kind="stable")
         bounds = np.searchsorted(net.cand_cell[order], np.arange(K + 1)).tolist()
         order = order.tolist()
-        intab: list[dict | None] = [None] * (K + 2)  # per cell: {u: (cost, candidate)}
+        intab = [None] * (K + 2)
     for t in short:
         while count[t] < floor[t]:
             run += 1
@@ -359,23 +371,23 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
                 if v == sink:
                     break
                 arcs = intab[v]
-                if arcs is None and v == hub:  # from the region cells with room
-                    arcs = {}
-                    for u in hubbed:
-                        if count[u] < cap[u]:
-                            arcs[u] = (0.0, -1)
-                elif arcs is None:  # the cheapest arc u -> v over the particles in u, per u
-                    arcs = intab[v] = {}
-                    get = arcs.get
-                    tables += 1
-                    for k in order[bounds[v]:bounds[v + 1]]:
-                        a = assigned[cand_p[k]]
-                        u = cand_cell[a]
-                        if u != v:
-                            c = cand_cost[k] - cand_cost[a]
-                            old = get(u)
-                            if old is None or c < old[0]:
-                                arcs[u] = (c, k)
+                if arcs is None:
+                    if v == hub:  # from the region cells with room
+                        arcs = {u: (0.0, -1) for u in hubbed if count[u] < cap[u]}
+                    else:  # the cheapest arc u -> v over the particles in u, per u
+                        arcs = intab[v] = {}
+                        get = arcs.get
+                        tables += 1
+                        for k in order[bounds[v]:bounds[v + 1]]:
+                            a = assigned[cand_p[k]]
+                            u = cand_cell[a]
+                            if u != v:
+                                c = cand_cost[k] - cand_cost[a]
+                                old = get(u)
+                                if old is None or c < old[0]:
+                                    arcs[u] = (c, k)
+                    if count[v] > floor[v]:  # from the sink or hub, which holds v's surplus
+                        arcs[up[v]] = (0.0, -1)
                 scans += len(arcs)
                 pv = pi[v]
                 for u, (c, k) in arcs.items():
@@ -389,14 +401,6 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
                         prev[u] = v
                         via[u] = k
                         heappush(heap, (nd, u))
-                if count[v] > floor[v] and (s := stamp[u := up[v]]) != done:
-                    nd = d + (pi[u] - pv)
-                    if s != run or nd < dist[u]:
-                        dist[u] = nd
-                        stamp[u] = run
-                        prev[u] = v
-                        via[u] = -1
-                        heappush(heap, (nd, u))
             if stamp[sink] != done:
                 raise IntegrityError("min-cost flow infeasible: a floor cannot be met")
             pops += len(popped)
@@ -406,20 +410,8 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
             v = sink
             while v != t:  # the sink gives up a unit, each particle on the path moves on
                 u = prev[v]
-                k = via[v]
-                if k >= 0:  # its particle moves from v into u, and u's candidate tables go
-                    p = cand_p[k]
-                    members[v].remove(p)
-                    count[v] -= 1
-                    count[hub] -= feeds[v]
-                    table[v] = None
-                    members[u].append(p)
-                    count[u] += 1
-                    count[hub] += feeds[u]
-                    table[u] = None
-                    assigned[p] = k
-                    for c in spans[p]:
-                        intab[cand_cell[c]] = None
+                if (k := via[v]) >= 0:  # its particle moves from v into u
+                    move(k, v, u)
                 v = u
 
     chosen = np.asarray(assigned, dtype=np.int64)

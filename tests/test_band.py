@@ -304,11 +304,12 @@ class TestEdgeCost:
         grid, particles = column_state(mu=1, R=2, fill_to=6)
         j = home_particle(grid, particles, (3, 6))
         up = flat_index(grid, (3, 7))
-        so = S.build_solid_objective(grid, np.array([up]), SceneConfig.lambda_penalty)
+        penalty = S.build_solid_objective(grid, np.array([up]), SceneConfig.lambda_penalty)
         table = C.build_candidates(particles.x, particles.x, grid)
-        problem = C.build_problem(grid, table, 1, solid_cost=S.override_costs(table, so))
+        S.override_costs(table, penalty)
+        problem = C.build_problem(grid, table, 1)
         edge_cost = B.EdgeCost(problem, stay_choice(problem))
-        assert edge_cost(j, up) == so.lambda_penalty * so.cdist[up] - problem.cost[-1, j]
+        assert edge_cost(j, up) == penalty[up] - problem.cost[-1, j]
 
     def test_wall_cell_costs_inf(self):
         grid, particles = column_state(mu=1, R=2, fill_to=6)

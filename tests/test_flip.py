@@ -7,6 +7,7 @@ import pytest
 from cellflow import flip as F
 from cellflow import grid as G
 from cellflow import solids as S
+from cellflow.scene import Box, ObstacleConfig
 from cellflow.errors import SolverError
 from oracles import divergence_residual
 
@@ -451,8 +452,7 @@ class TestPressure:
 
     def test_solid_faces_carry_solid_velocity(self):
         grid, mac, p = self._hydrostatic(dims=(12, 12), rows=8)
-        obs = S.Obstacle(pos=np.array([5.0, 9.0]), extent=np.array([2.0, 2.0]),
-                         velocity=np.array([0.0, -1.5]))
+        obs = S.Obstacle(ObstacleConfig(Box((5.0, 9.0), (7.0, 11.0)), velocity=(0.0, -1.5)))
         # mark obstacle cells solid the way the pipeline would
         G.classify_cells(grid, p.x, [obs])
         G.assign_depth(grid)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cellflow import grid as G
 from cellflow import solids as S
+from cellflow.scene import Box, ObstacleConfig
 from cellflow.errors import InputError, IntegrityError
 
 from conftest import flat_index
@@ -228,7 +229,7 @@ class TestBoxFlat:
         # the seeding path and an obstacle at the same place claim one cell set
         grid = G.CellGrid((12, 10))
         lo, hi = np.array([2.0, 3.5]), np.array([6.0, 7.25])
-        obs = S.Obstacle(pos=lo, extent=hi - lo, velocity=np.zeros(2))
+        obs = S.Obstacle(ObstacleConfig(Box(lo, hi), velocity=(0.0, 0.0)))
         cells = G.box_flat(grid, lo, hi)
         assert np.array_equal(cells, obs.occupied_flat(grid))
         assert sorted(map(tuple, grid.unflat(cells))) == [

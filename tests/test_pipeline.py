@@ -10,6 +10,7 @@ import pytest
 from conftest import read_particle_dump
 
 from cellflow import band as B
+from cellflow import cli
 from cellflow import correction as C
 from cellflow import grid as G
 from cellflow import outputs as O
@@ -18,7 +19,7 @@ from cellflow.band import BandStrategy
 from cellflow.errors import IntegrityError, NoPathError
 from cellflow.pipeline import Simulation, run
 from cellflow.scene import (BandConfig, Box, EmitterConfig, FluidRegion, ObstacleConfig,
-                            SceneConfig, builtin_scene)
+                            SceneConfig, builtin_scene, scene_to_text)
 
 FLIP_STAGES = ["emit", "p2g", "forces", "pressure", "g2p", "advect", "correct",
                "gate", "markings"]
@@ -31,6 +32,18 @@ def small_scene(**kw):
                 fluids=[FluidRegion(Box((1, 1), (8, 10)))])
     base.update(kw)
     return SceneConfig(**base)
+
+
+def overfill(solve_problem):
+    """``solve_problem`` with its choice edited to overfill one capped cell."""
+    def solve(problem):
+        choice, stats = solve_problem(problem)
+        reach = np.bincount(problem.target_flat[problem.valid], minlength=len(problem.cap))
+        cell = np.flatnonzero((problem.cap >= 0) & (reach > problem.cap))[0]
+        i, j = np.nonzero(problem.valid & (problem.target_flat == cell))
+        choice[j] = i
+        return choice, stats
+    return solve
 
 
 def assert_band_classes_agree(sim, record):
@@ -107,22 +120,34 @@ class TestInvariants:
     def test_plain_run_checks_the_applied_choice(self, monkeypatch):
         # every run is checked: a solve whose choice overfills a cell is
         # refused before the particles move
-        solve_problem = V.solve_problem
-
-        def overfill(problem):
-            choice, stats = solve_problem(problem)
-            reach = np.bincount(problem.target_flat[problem.valid], minlength=len(problem.cap))
-            cell = np.flatnonzero((problem.cap >= 0) & (reach > problem.cap))[0]
-            i, j = np.nonzero(problem.valid & (problem.target_flat == cell))
-            choice[j] = i
-            return choice, stats
-
-        monkeypatch.setattr(V, "solve_problem", overfill)
+        monkeypatch.setattr(V, "solve_problem", overfill(V.solve_problem))
         sim = Simulation(small_scene())
         x0 = sim.particles.x.copy()
         with pytest.raises(IntegrityError, match="assignment violates correction constraints"):
             sim.step()
         assert np.array_equal(sim.particles.x, x0)
+
+    def test_refused_choice_leaves_a_replay_file(self, tmp_path, monkeypatch, capsys):
+        # the apply's check fails inside the correction, so the run writes
+        # the problem, which the honest solve then certifies
+        monkeypatch.setattr(V, "solve_problem", overfill(V.solve_problem))
+        with pytest.raises(IntegrityError, match="failed_problem.txt") as caught:
+            run(small_scene(), tmp_path)
+        assert "assignment violates correction constraints" in str(caught.value)
+        monkeypatch.undo()
+        assert cli.main(["oracle-check", str(tmp_path / "failed_problem.txt")]) == 0
+        assert "OK: certified optimal" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["falling_obs", "compress"])
+    def test_run_leaves_its_scene_record_as_it_was(self, name):
+        # a free fall and a scripted press move their obstacles, not the config
+        cfg = builtin_scene(name)
+        before = scene_to_text(cfg)
+        sim = Simulation(cfg)
+        for _ in range(40):
+            sim.step()
+        assert not np.array_equal(sim.obstacles[0].pos, cfg.obstacles[0].box.lo)
+        assert scene_to_text(cfg) == before
 
     def test_band_bookkeeping(self):
         sim = Simulation(small_scene(band=BandConfig(enabled=True, R=2), frames=8))

@@ -25,8 +25,7 @@ def tank(dims=(10, 10)):
 
 
 def box(pos, extent, vel=(0.0, 0.0), **kw):
-    return S.Obstacle(pos=np.asarray(pos, float), extent=np.asarray(extent, float),
-                      velocity=np.asarray(vel, float), **kw)
+    return S.Obstacle(ObstacleConfig(Box(pos, np.add(pos, extent)), velocity=vel, **kw))
 
 
 class TestProposeMotion:
@@ -69,29 +68,30 @@ class TestProposeMotion:
         assert np.allclose(obs.pos, [4.0, 4.0])
 
 
-def table_cost(grid, so, x_start, x_ideal):
+def table_cost(grid, penalty, x_start, x_ideal):
     """Solid-overridden candidate costs of one particle, keyed by target cell."""
     x = np.asarray([x_start], dtype=float)
     G.classify_cells(grid, x)
     G.assign_depth(grid)
     grid.rebuild_counts(x)
     table = C.build_candidates(x, np.asarray([x_ideal], dtype=float), grid)
-    cost = S.override_costs(table, so)
-    return {int(table.target_flat[i, 0]): cost[i, 0] for i in range(table.m) if table.valid[i, 0]}
+    S.override_costs(table, penalty)
+    return {int(table.target_flat[i, 0]): table.cost[i, 0]
+            for i in range(table.m) if table.valid[i, 0]}
 
 
 class TestSolidObjective:
     def test_outside_new_solid_squared_distance(self):
         grid = tank()
-        so = S.build_solid_objective(grid, np.array([flat_index(grid, (4, 4))]), LAMBDA)
+        penalty = S.build_solid_objective(grid, np.array([flat_index(grid, (4, 4))]), LAMBDA)
         # the landing point in the next cell sits MARGIN inside its near face
-        cost = table_cost(grid, so, (2.5, 2.5), (2.5, 2.5))
+        cost = table_cost(grid, penalty, (2.5, 2.5), (2.5, 2.5))
         assert cost[flat_index(grid, (3, 2))] == pytest.approx((0.5 + G.MARGIN) ** 2)
 
     def test_unit_distance_penalty(self):
         grid = tank()
-        so = S.build_solid_objective(grid, np.array([flat_index(grid, (4, 4))]), LAMBDA)
-        cost = table_cost(grid, so, (4.5, 4.5), (4.5, 4.5))
+        penalty = S.build_solid_objective(grid, np.array([flat_index(grid, (4, 4))]), LAMBDA)
+        cost = table_cost(grid, penalty, (4.5, 4.5), (4.5, 4.5))
         assert cost[flat_index(grid, (4, 4))] == pytest.approx(1000.0)
 
     def test_deeper_cells_penalized_more(self):
@@ -102,8 +102,8 @@ class TestSolidObjective:
         for i in (1, 2, 3):
             blockers[flat_index(grid, (i, 2))] = True
         grid.marking[blockers] = G.SOLID
-        so = S.build_solid_objective(grid, np.asarray(row), LAMBDA)
-        cost = table_cost(grid, so, (2.5, 1.5), (2.5, 1.5))
+        penalty = S.build_solid_objective(grid, np.asarray(row), LAMBDA)
+        cost = table_cost(grid, penalty, (2.5, 1.5), (2.5, 1.5))
         p1 = cost[flat_index(grid, (3, 1))]
         p3 = cost[flat_index(grid, (1, 1))]
         assert p1 == pytest.approx(1000.0)
@@ -118,9 +118,10 @@ class TestSolidObjective:
         grid.rebuild_counts(x)
         ideal = np.array([[4.5, 4.4]])
         new_cell = flat_index(grid, (4, 4))
-        so = S.build_solid_objective(grid, np.array([new_cell]), LAMBDA)
+        penalty = S.build_solid_objective(grid, np.array([new_cell]), LAMBDA)
         table = C.build_candidates(x, ideal, grid)
-        cost = S.override_costs(table, so)
+        S.override_costs(table, penalty)
+        cost = table.cost
         for i in range(table.m):
             if not table.valid[i, 0]:
                 continue
@@ -128,7 +129,7 @@ class TestSolidObjective:
             # the prospective solid cell, else its squared distance to ideal
             q = table.xi[i, 0]
             if int(grid.cell_of(q.reshape(1, -1))[0]) == new_cell:
-                expected = so.lambda_penalty * float(so.cdist[new_cell])
+                expected = float(penalty[new_cell])
             else:
                 expected = float(((q - ideal[0]) ** 2).sum())
             assert cost[i, 0] == pytest.approx(expected)
@@ -146,9 +147,10 @@ class TestSolidObjective:
         for i in (2, 3, 4):
             blockers[flat_index(grid, (i, 2))] = True
         grid.marking[blockers] = G.SOLID
-        so = S.build_solid_objective(grid, np.asarray(row), LAMBDA)
+        penalty = S.build_solid_objective(grid, np.asarray(row), LAMBDA)
         table = C.build_candidates(x, x, grid)
-        problem = C.build_problem(grid, table, mu=4, solid_cost=S.override_costs(table, so))
+        S.override_costs(table, penalty)
+        problem = C.build_problem(grid, table, mu=4)
         assignment, obj = brute_force_ilp(problem)
         target = grid.unflat(problem.target_flat[assignment[0], 0])
         # moved one step toward lower clearing distance, not stuck in place
@@ -191,10 +193,10 @@ class TestGate:
         assert np.array_equal(p1.new_solid, p2.new_solid)
 
 
-def override_costs_by_isin(candidates, so, new_solid):
+def override_costs_by_isin(candidates, penalty, new_solid):
     """Reference: override_costs with the claimed cells found by np.isin."""
     in_new = np.isin(candidates.target_flat, new_solid)
-    penal = so.lambda_penalty * so.cdist[np.where(in_new, candidates.target_flat, 0)]
+    penal = penalty[np.where(in_new, candidates.target_flat, 0)]
     return np.where(in_new & candidates.valid, penal, candidates.cost)
 
 
@@ -232,9 +234,10 @@ class TestClaimedCellsAgainstSetOperations:
             table = C.build_candidates(particles.x, x_ideal, grid)
             free = np.flatnonzero(grid.marking != G.SOLID)
             new_solid = np.sort(rng.choice(free, size=int(rng.integers(1, 6)), replace=False))
-            so = S.build_solid_objective(grid, new_solid, LAMBDA)
-            got = S.override_costs(table, so)
-            assert got.tobytes() == override_costs_by_isin(table, so, new_solid).tobytes()
+            penalty = S.build_solid_objective(grid, new_solid, LAMBDA)
+            want = override_costs_by_isin(table, penalty, new_solid)
+            S.override_costs(table, penalty)
+            assert table.cost.tobytes() == want.tobytes()
             invalid += int((table.target_flat == -1).sum())
         assert invalid
 

@@ -7,6 +7,8 @@ attribute, an imported name or a string naming it (perfbench patches
 functions by name). Dunder methods are called implicitly and are skipped.
 A field (an annotated class-body name, as a dataclass field is, or an
 attribute that an __init__ assigns to self) must be read: loaded as an attribute, or named by a string.
+A field matches by its bare name, so a read of any field of that name counts
+for it: an unread ``Obstacle.name`` escaped through reads of ``ObstacleConfig.name``.
 A parameter with a default must be passed by some program call: by keyword,
 by position (a method call skips self), or through *args or **kwargs. A call
 matches by the callee's bare name, and a call of a class counts for its
