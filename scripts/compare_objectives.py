@@ -28,8 +28,13 @@ cellflow is imported from PYTHONPATH, so recording with another tree's
 ``src`` and re-solving with this one compares the two solvers on the same
 problems, whatever tie each breaks. A scene file whose ``[band]`` section
 sets ``strategy = full``, such as ``scripts/scenes/dam_band6_full.scene``,
-records band problems, whose dumps carry the band's region and its bounds.
+records band problems, whose arrays carry the band's region and its bounds.
 Exits 1 if some gap exceeds TOL or some re-solve fails its certificate.
+
+Problem i is stored as the arrays of ``cellflow.correction.dump_problem``
+under the key prefix ``problem_i/`` (``problem_12/cost``), beside its
+``choice_i``. Recordings that hold each problem as one text string, the
+line format the replay file had before it became arrays, no longer load.
 """
 import argparse
 import sys
@@ -39,7 +44,7 @@ import numpy as np
 
 from cellflow import correction as C
 from cellflow import solvers as V
-from cellflow.errors import IntegrityError
+from cellflow.errors import InputError, IntegrityError
 from cellflow.pipeline import Simulation
 from cellflow.scene import load_scene
 
@@ -47,8 +52,9 @@ TOL = 1e-9  # largest relative objective gap allowed
 WORK = ("searches", "drains", "pops", "scans", "tables")  # SolveStats counters stored per problem
 
 
-def record(scene: str, frames: int, seed: int) -> tuple[list[str], list]:
-    """Every correction problem of the run, dumped, and this tree's solve of each."""
+def record(scene: str, frames: int, seed: int) -> tuple[list[dict], list]:
+    """Every correction problem of the run, as its arrays, and this tree's
+    solve of each."""
     cfg = load_scene(scene)
     cfg.seed = seed
     sim = Simulation(cfg)
@@ -70,10 +76,11 @@ def record(scene: str, frames: int, seed: int) -> tuple[list[str], list]:
     return problems, results
 
 
-def load(path: str) -> tuple[list[str], np.ndarray, list[np.ndarray], dict]:
+def load(path: str) -> tuple[list[dict], np.ndarray, list[np.ndarray], dict]:
     data = np.load(path)
     count = len(data["objective"])
-    problems = [str(data[f"problem_{i}"]) for i in range(count)]
+    problems = [{key.split("/", 1)[1]: data[key] for key in data.files
+                 if key.startswith(f"problem_{i}/")} for i in range(count)]
     work = {name: data[name] for name in WORK if name in data}
     return problems, data["objective"], [data[f"choice_{i}"] for i in range(count)], work
 
@@ -84,11 +91,11 @@ def counters(results: list) -> dict:
             for name in WORK if all(hasattr(stats, name) for _, stats in results)}
 
 
-def save(path: str, problems: list[str], results: list) -> None:
+def save(path: str, problems: list[dict], results: list) -> None:
     arrays = {"objective": np.array([stats.objective for _, stats in results]),
               **counters(results)}
-    for i, (text, (choice, _)) in enumerate(zip(problems, results)):
-        arrays[f"problem_{i}"] = np.array(text)
+    for i, (problem, (choice, _)) in enumerate(zip(problems, results)):
+        arrays.update({f"problem_{i}/{key}": a for key, a in problem.items()})
         arrays[f"choice_{i}"] = choice
     np.savez_compressed(path, **arrays)
 
@@ -117,7 +124,10 @@ def main() -> int:
         return 0
 
     problems, objective, choices, work = load(args.against)
-    loaded = [C.load_problem(text) for text in problems]
+    try:
+        loaded = [C.load_problem(arrays) for arrays in problems]
+    except InputError as exc:
+        parser.error(f"{args.against}: {exc}")
     nets = [V.reduce_to_flow(problem) for problem in loaded]
     fastest = float("inf")
     for _ in range(args.repeat):

@@ -25,8 +25,10 @@ def main(argv=None) -> int:
     p_run.add_argument("--render", action="store_true", help="write PPM images per frame")
 
     p_oracle = sub.add_parser("oracle-check",
-                              help="solve a problem dump and certify its optimum")
-    p_oracle.add_argument("dump", help="path to a correction-problem debug dump")
+                              help="solve a correction problem's replay file and certify "
+                                   "its optimum")
+    p_oracle.add_argument("dump", help="path to a .npz of a correction problem's arrays, such "
+                                       "as a failed run's failed_problem.npz")
 
     p_vol = sub.add_parser("volume", help="summarize the volume log of a finished run")
     p_vol.add_argument("dir", help="run output directory")
@@ -67,13 +69,25 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    import zipfile
+
+    import numpy as np
+
     from .correction import load_problem
     from .solvers import solve_problem
 
     try:
-        problem = load_problem(Path(args.dump).read_text(encoding="utf-8"))
+        archive = np.load(args.dump, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):  # a bare .npy
+            raise ValueError
+        with archive:
+            arrays = dict(archive)
     except OSError as exc:
-        raise InputError(f"cannot read problem dump {args.dump!r}: {exc.strerror}") from None
+        raise InputError(f"cannot read problem file {args.dump!r}: {exc.strerror}") from None
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        raise InputError(f"{args.dump}: not a .npz archive of problem arrays") from None
+    try:
+        problem = load_problem(arrays)
     except InputError as exc:
         raise InputError(f"{args.dump}: {exc}") from None
     _, stats = solve_problem(problem)  # raises IntegrityError unless certified

@@ -207,117 +207,67 @@ def apply_solution(problem: CorrectionProblem, choice: np.ndarray, particles) ->
 
 
 # ----------------------------------------------------------------------
-# textual debug dump, consumed by the offline oracle tool
+# replay file: the problem's own arrays, which ``np.savez`` writes and the
+# offline oracle tool reads back
 
-DUMP_MAGIC = "cellflow-problem"
-
-
-def dump_problem(problem: CorrectionProblem) -> str:
-    lines = [f"{DUMP_MAGIC} 1"]
-    lines.append("dims " + " ".join(str(v) for v in problem.dims))
-    lines.append(f"mu {problem.mu}")
-    lines.append(f"n {problem.n}")
-    lines.append(f"m {problem.m}")
-    used = set()
-    for j in range(problem.n):
-        for i in np.flatnonzero(problem.valid[:, j]):
-            c = int(problem.target_flat[i, j])
-            used.add(c)
-            lines.append(f"cand {j} {int(i)} {c} {float(problem.cost[i, j])!r}")
-    for c in sorted(used):
-        lines.append(f"cell {c} {int(problem.cap[c])} {int(problem.floor[c])}")
-    if problem.region is not None:  # optional: lo, hi, then the region's cells
-        lo, hi = problem.region_bounds
-        lines.append(" ".join(str(v) for v in ["region", lo, hi, *np.flatnonzero(problem.region)]))
-    return "\n".join(lines) + "\n"
+def dump_problem(problem: CorrectionProblem) -> dict[str, np.ndarray]:
+    """The problem's fields as arrays for ``np.savez`` (``dirs`` follows from
+    ``dims``), with the band row's ``region`` and ``region_bounds`` if any."""
+    arrays = {key: np.asarray(getattr(problem, key))
+              for key in ("xi", "cost", "target_flat", "valid", "mu", "cap", "floor", "dims")}
+    if problem.region is not None:
+        arrays.update(region=problem.region, region_bounds=np.asarray(problem.region_bounds))
+    return arrays
 
 
-def load_problem(text: str) -> CorrectionProblem:
-    """Parse a :func:`dump_problem` text. A malformed dump raises InputError,
-    naming the offending line where there is one."""
-    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines or not lines[0][1][0].startswith(DUMP_MAGIC):
-        raise InputError("not a cellflow problem dump")
-    header = {}
-    cands = []
-    cells = []
-    for no, (key, *vals) in lines[1:]:
-        try:
-            if key == "cand":
-                j, i, c, sigma = vals
-                if not np.isfinite(sigma := float(sigma)):
-                    raise InputError(f"line {no}: 'cand' cost must be finite, got {sigma}")
-                cands.append((no, int(j), int(i), int(c), sigma))
-            elif key == "cell":
-                c, cp, fl = (int(v) for v in vals)
-                cells.append((no, c, cp, fl))
-            elif key in ("dims", "mu", "n", "m", "region"):
-                if key in header:
-                    raise InputError(f"line {no}: second {key!r} line")
-                header[key] = (no, [int(v) for v in vals])
-            else:
-                raise InputError(f"line {no}: unknown line {key!r}")
-        except ValueError:
-            raise InputError(f"line {no}: malformed {key!r} line") from None
-    for key in ("dims", "mu", "n", "m"):
-        no, vals = header.get(key, (None, []))
-        if not vals:
-            raise InputError(f"no {key!r} line")
-        if key != "mu" and min(vals) < 0:
-            raise InputError(f"line {no}: negative {key!r}")
-    dims = tuple(header["dims"][1])
-    mu, n, m = header["mu"][1][0], header["n"][1][0], header["m"][1][0]
+def load_problem(arrays) -> CorrectionProblem:
+    """Rebuild a :func:`dump_problem` problem from a mapping of its arrays,
+    such as an ``np.load`` archive. A missing, mistyped, misshapen or
+    out-of-range array raises InputError naming the array and its first bad
+    index."""
+
+    def get(key: str, dtype, shape: tuple) -> np.ndarray:
+        if key not in arrays:
+            raise InputError(f"no array {key!r}")
+        a = np.asarray(arrays[key])
+        if a.dtype != dtype:
+            raise InputError(f"array {key!r} must hold {np.dtype(dtype)}, got {a.dtype}")
+        if a.ndim != len(shape) or any(s not in (None, t) for s, t in zip(shape, a.shape)):
+            want = ", ".join("any" if s is None else str(s) for s in shape)
+            raise InputError(f"array {key!r} has shape {a.shape}, expected ({want})")
+        return a
+
+    def refuse(key: str, bad: np.ndarray, what: str, values: np.ndarray) -> None:
+        if bad.any():
+            at = tuple(int(k) for k in np.argwhere(bad)[0])
+            raise InputError(f"array {key!r} index {at[0] if len(at) == 1 else at}: "
+                             f"{what}, got {values[at]}")
+
+    dims = get("dims", np.int64, (None,))
+    if len(dims) not in (2, 3):
+        raise InputError(f"array 'dims' must give 2 or 3 sizes, got {len(dims)}")
+    refuse("dims", dims < 1, "a grid size below 1", dims)
+    if (mu := get("mu", np.int64, ())) < 1:
+        raise InputError(f"array 'mu' must be at least 1, got {mu}")
+    dirs = direction_set(d := len(dims))
     ncells = int(np.prod(dims))
-    if mu < 1:
-        raise InputError(f"line {header['mu'][0]}: 'mu' must be at least 1, got {mu}")
-    d = len(dims)
-    dirs = direction_set(d)
-    if m != len(dirs):
-        raise InputError(f"line {header['m'][0]}: 'm' must be 2d + 1 = {len(dirs)}, got {m}")
-
-    xi = np.zeros((m, n, d))
-    cost = np.full((m, n), np.inf)
-    flat = np.full((m, n), -1, dtype=np.int64)
-    valid = np.zeros((m, n), dtype=bool)
-    for no, j, i, c, sigma in cands:
-        if not (0 <= j < n and 0 <= i < m and 0 <= c < ncells):
-            raise InputError(f"line {no}: 'cand' index outside n, m or the grid")
-        if valid[i, j]:
-            raise InputError(f"line {no}: second 'cand' line for particle {j}, direction {i}")
-        cost[i, j] = sigma
-        flat[i, j] = c
-        valid[i, j] = True
-    cap = np.full(ncells, -1, dtype=np.int64)
-    floor = np.zeros(ncells, dtype=np.int64)
-    seen = set()
-    for no, c, cp, fl in cells:
-        if not 0 <= c < ncells:
-            raise InputError(f"line {no}: 'cell' index outside the grid")
-        if c in seen:
-            raise InputError(f"line {no}: second 'cell' line for cell {c}")
-        seen.add(c)
-        if cp < -1:
-            raise InputError(f"line {no}: 'cell' cap below -1, the uncapped mark")
-        if fl < 0:
-            raise InputError(f"line {no}: 'cell' floor below 0")
-        if 0 <= cp < fl:
-            raise InputError(f"line {no}: 'cell' floor above its cap")
-        cap[c] = cp
-        floor[c] = fl
-    problem = CorrectionProblem(xi=xi, cost=cost, target_flat=flat, valid=valid, dirs=dirs,
-                                mu=mu, cap=cap, floor=floor, dims=dims)
-    if "region" in header:
-        no, vals = header["region"]
-        if len(vals) < 2:
-            raise InputError(f"line {no}: 'region' line needs lo and hi")
-        lo, hi, *region = vals
+    xi = get("xi", np.float64, (len(dirs), None, d))
+    cost, target, valid = (get(key, dtype, xi.shape[:2]) for key, dtype in
+                           (("cost", np.float64), ("target_flat", np.int64), ("valid", bool)))
+    refuse("cost", valid & ~np.isfinite(cost), "a valid candidate's cost must be finite", cost)
+    refuse("target_flat", (target < np.where(valid, 0, -1)) | (target >= ncells),
+           "a target off the grid", target)
+    cap, floor = get("cap", np.int64, (ncells,)), get("floor", np.int64, (ncells,))
+    refuse("cap", cap < -1, "a cap below -1, the uncapped mark", cap)
+    refuse("floor", floor < 0, "a floor below 0", floor)
+    refuse("floor", (cap >= 0) & (floor > cap), "a floor above its cap", floor)
+    problem = CorrectionProblem(xi=xi, cost=cost, target_flat=target, valid=valid, dirs=dirs,
+                                mu=int(mu), cap=cap, floor=floor,
+                                dims=tuple(int(v) for v in dims))
+    if "region" in arrays or "region_bounds" in arrays:
+        region, (lo, hi) = get("region", bool, (ncells,)), get("region_bounds", np.int64, (2,))
         if hi < max(lo, 0):
-            raise InputError(f"line {no}: empty 'region' interval [{lo}, {hi}]")
-        if not all(0 <= c < ncells for c in region):
-            raise InputError(f"line {no}: 'region' line names a cell outside the grid")
-        if floored := [c for c in region if floor[c]]:
-            raise InputError(f"line {no}: 'region' cell {floored[0]} carries a floor")
-        problem.region = np.zeros(ncells, dtype=bool)
-        problem.region[region] = True
-        problem.region_bounds = (lo, hi)
+            raise InputError(f"array 'region_bounds' is an empty interval [{lo}, {hi}]")
+        refuse("region", region & (floor > 0), "a region cell with a floor", floor)
+        problem.region, problem.region_bounds = region, (int(lo), int(hi))
     return problem

@@ -91,6 +91,8 @@ def read_volume_csv(path) -> dict[str, np.ndarray]:
         lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     except OSError as exc:
         raise InputError(f"cannot read volume log {str(path)!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        lines = []  # not UTF-8 text, so no volume log
     if not lines or lines[0] != VOLUME_COLUMNS:
         raise InputError(f"{path}: not a cellflow volume log")
     if len(lines) == 1:

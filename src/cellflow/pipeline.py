@@ -341,8 +341,9 @@ def run(cfg: SceneConfig, out_dir, render: bool = False) -> int:
     """Run a configured scene, writing frames, volume CSV and the manifest.
 
     If the correction fails (the flow solve, the flow-paths band repair or
-    the check of the applied choice), its problem is written to ``failed_problem.txt`` in the run directory for
-    ``cellflow oracle-check`` to replay.
+    the check of the applied choice), its problem's arrays are written to
+    ``failed_problem.npz`` in the run directory for ``cellflow oracle-check``
+    to replay.
     """
     from . import outputs as O
 
@@ -358,8 +359,8 @@ def run(cfg: SceneConfig, out_dir, render: bool = False) -> int:
             except IntegrityError as exc:
                 if not hasattr(exc, "problem"):
                     raise
-                replay = Path(out_dir) / "failed_problem.txt"
-                replay.write_text(C.dump_problem(exc.problem), encoding="utf-8")
+                replay = Path(out_dir) / "failed_problem.npz"
+                np.savez(replay, **C.dump_problem(exc.problem))
                 raise IntegrityError(f"correction failed at seed {cfg.seed}, step "
                                      f"{sim.step_index + 1}: {exc} (problem written to {replay})"
                                      ) from exc

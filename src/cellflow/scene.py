@@ -93,6 +93,12 @@ class SceneConfig:
             raise InputError(f"dims must be 2D or 3D, got {self.dims}")
         if self.mu < 1:
             raise InputError(f"mu must be >= 1, got {self.mu}")
+        # a name is one line of the scene file, cut at its first '#'
+        names = [("'name'", self.name)] + [("'name' in [obstacle]", ob.name)
+                                           for ob in self.obstacles]
+        for key, name in names:
+            if "#" in name or "".join(name.splitlines()) != name:
+                raise InputError(f"key {key} must hold no '#' or line break, got {name!r}")
         for region in self.fluids:
             if region.ppc is not None and region.ppc < 1:
                 raise InputError(f"fluid box {region.box.lo}..{region.box.hi}: ppc must be >= 1, "
@@ -294,7 +300,7 @@ def load_scene(path_or_name: str) -> SceneConfig:
     try:
         with open(path_or_name, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read scene {path_or_name!r}: {exc}")
     return parse_scene(text)
 

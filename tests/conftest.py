@@ -1,5 +1,6 @@
 """Shared fixtures and generators for the test suite."""
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,24 @@ def random_problem(rng, dims=(6, 6), mu=None, n_max=10, solid_prob=0.12):
     table = C.build_candidates(particles.x, x_ideal, grid)
     problem = C.build_problem(grid, table, mu)
     return problem, grid, particles
+
+
+def replayed(problem, path):
+    """``problem`` through its replay file: dump_problem, np.savez to
+    ``path``, np.load and load_problem."""
+    np.savez(path, **C.dump_problem(problem))
+    with np.load(path, allow_pickle=False) as arrays:
+        return C.load_problem(dict(arrays))
+
+
+def assert_same_problem(a, b):
+    """Every field of two correction problems is equal, array dtypes too."""
+    for field in fields(C.CorrectionProblem):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
 
 
 def stay_choice(problem):

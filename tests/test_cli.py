@@ -19,7 +19,7 @@ from cellflow.outputs import VOLUME_COLUMNS
 from cellflow.scene import (BandConfig, Box, FluidRegion, SceneConfig, scene_to_text,
                              builtin_scene)
 
-from conftest import random_band_instance, random_problem
+from conftest import assert_same_problem, random_band_instance, random_problem, replayed
 from oracles import BRUTE_FORCE_LIMIT, with_region
 
 
@@ -144,64 +144,83 @@ def test_volume_bad_log(tmp_path, capsys, log, where):
 
 
 def test_oracle_check_missing_file(tmp_path, capsys):
-    assert_input_error(["oracle-check", str(tmp_path / "nope.txt")], capsys, "nope.txt")
+    assert_input_error(["oracle-check", str(tmp_path / "nope.npz")], capsys, "nope.npz")
+
+
+def put(array, index, value):
+    """A copy of ``array`` with ``value`` at ``index``."""
+    array = array.copy()
+    array[index] = value
+    return array
 
 
 @pytest.mark.parametrize("edit, where", [
-    (lambda text: re.sub(r"^dims .*\n", "", text, flags=re.M), "'dims'"),
-    (lambda text: re.sub(r"^(cand \S+ \S+ \S+) \S+", r"\1 cheap", text, count=1, flags=re.M),
-     "line 6: malformed 'cand' line"),
-    (lambda text: re.sub(r"^cand \S+", "cand 99", text, count=1, flags=re.M),
-     "line 6: 'cand' index outside"),
-    (lambda text: re.sub(r"^dims .*", "dims 3 -3", text, flags=re.M), "line 2: negative 'dims'"),
-    (lambda text: re.sub(r"^n .*", "n -1", text, flags=re.M), "line 4: negative 'n'"),
-    (lambda text: re.sub(r"^m .*", "m -2", text, flags=re.M), "line 5: negative 'm'"),
-    (lambda text: re.sub(r"^(m .*)", r"\1\nregion 5", text, flags=re.M),
-     "line 6: 'region' line needs lo and hi"),
-    (lambda text: re.sub(r"^(m .*)", r"\1\nregion", text, flags=re.M),
-     "line 6: 'region' line needs lo and hi"),
-    (lambda text: re.sub(r"^m .*", "m 9", text, flags=re.M), "line 5: 'm' must be 2d + 1 = 5"),
-    (lambda text: re.sub(r"^mu .*", "mu 0", text, flags=re.M), "line 3: 'mu' must be at least 1"),
-    (lambda text: re.sub(r"^(cell \S+) \S+", r"\1 -2", text, count=1, flags=re.M),
-     "'cell' cap below -1"),
-    (lambda text: re.sub(r"^(cand \S+ \S+ \S+) \S+", r"\1 nan", text, count=1, flags=re.M),
-     "line 6: 'cand' cost must be finite, got nan"),
-    (lambda text: re.sub(r"^(cand \S+ \S+ \S+) \S+", r"\1 inf", text, count=1, flags=re.M),
-     "line 6: 'cand' cost must be finite, got inf"),
-    (lambda text: re.sub(r"^(cand \S+ \S+ \S+) \S+", r"\1 -inf", text, count=1, flags=re.M),
-     "line 6: 'cand' cost must be finite, got -inf"),
-    (lambda text: re.sub(r"^(m .*)", r"\1\ncell 8 2 -3", text, flags=re.M),
-     "line 6: 'cell' floor below 0"),
-    (lambda text: re.sub(r"^(m .*)", r"\1\ncell 8 1 5", text, flags=re.M),
-     "line 6: 'cell' floor above its cap"),
-    (lambda text: re.sub(r"^(cand \S+ \S+ \S+) \S+$", r"\g<0>\n\1 0.0", text, count=1,
-                         flags=re.M),
-     "line 7: second 'cand' line for particle 0, direction 2"),
-    (lambda text: re.sub(r"^(m .*)", r"\1\ncell 8 0 0\ncell 8 0 0", text, flags=re.M),
-     "line 7: second 'cell' line for cell 8"),
-    (lambda text: re.sub(r"^(m .*)", r"\1\nrgion 0 5", text, flags=re.M),
-     "line 6: unknown line 'rgion'"),
-    (lambda text: re.sub(r"^(m .*)", r"\1\nn 3", text, flags=re.M), "line 6: second 'n' line"),
-    (lambda text: re.sub(r"^(m .*)", r"\1\nregion 3 1", text, flags=re.M),
-     "line 6: empty 'region' interval [3, 1]"),
-    (lambda text: re.sub(r"^(m .*)", r"\1\ncell 0 1 1\nregion 0 5 0", text, flags=re.M),
-     "line 7: 'region' cell 0 carries a floor"),
-], ids=["no_dims_line", "non_numeric_cost", "particle_out_of_range", "negative_dims",
-        "negative_n", "negative_m", "region_one_number", "region_bare", "m_not_2d_plus_1",
+    (lambda a: {"target_flat": put(a["target_flat"], (-1, 0), 10**6)},
+     "array 'target_flat' index (4, 0): a target off the grid, got 1000000"),
+    (lambda a: {"dims": np.array([3, -3])}, "array 'dims' index 1: a grid size below 1, got -3"),
+    (lambda a: {"cost": a["cost"][:, 1:]}, "array 'cost' has shape (5, "),
+    (lambda a: {"valid": a["valid"][1:]}, "array 'valid' has shape (4, "),
+    (lambda a: {"xi": np.zeros((9,) + a["xi"].shape[1:])}, "array 'xi' has shape (9, "),
+    (lambda a: {"mu": np.int64(0)}, "array 'mu' must be at least 1, got 0"),
+    (lambda a: {"cap": put(a["cap"], 8, -2)},
+     "array 'cap' index 8: a cap below -1, the uncapped mark, got -2"),
+    (lambda a: {"cost": put(a["cost"], (-1, 0), np.nan)},
+     "array 'cost' index (4, 0): a valid candidate's cost must be finite, got nan"),
+    (lambda a: {"cost": put(a["cost"], (-1, 0), np.inf)},
+     "array 'cost' index (4, 0): a valid candidate's cost must be finite, got inf"),
+    (lambda a: {"cost": put(a["cost"], (-1, 0), -np.inf)},
+     "array 'cost' index (4, 0): a valid candidate's cost must be finite, got -inf"),
+    (lambda a: {"floor": put(a["floor"], 8, -3)}, "array 'floor' index 8: a floor below 0, got -3"),
+    (lambda a: {"cap": put(a["cap"], 8, 1), "floor": put(a["floor"], 8, 5)},
+     "array 'floor' index 8: a floor above its cap, got 5"),
+    (lambda a: {"region": np.zeros(len(a["cap"]), dtype=bool), "region_bounds": np.array([3, 1])},
+     "array 'region_bounds' is an empty interval [3, 1]"),
+    (lambda a: {"cap": put(a["cap"], 0, 1), "floor": put(a["floor"], 0, 1),
+                "region": put(np.zeros(len(a["cap"]), dtype=bool), 0, True),
+                "region_bounds": np.array([0, 5])},
+     "array 'region' index 0: a region cell with a floor, got 1"),
+    (lambda a: {"cap": None}, "no array 'cap'"),
+    (lambda a: {"region": np.zeros(len(a["cap"]), dtype=bool)}, "no array 'region_bounds'"),
+    (lambda a: {"cap": a["cap"].astype(np.float64)}, "array 'cap' must hold int64, got float64"),
+], ids=["particle_out_of_range", "negative_dims", "negative_n", "negative_m", "m_not_2d_plus_1",
         "mu_zero", "cap_below_minus_one", "cost_nan", "cost_inf", "cost_minus_inf",
-        "floor_negative", "floor_above_cap", "duplicate_cand", "duplicate_cell",
-        "unknown_line", "duplicate_header", "empty_region", "floored_region_cell"])
+        "floor_negative", "floor_above_cap", "empty_region", "floored_region_cell", "no_cap",
+        "region_without_bounds", "cap_as_floats"])
 def test_oracle_check_malformed_dump(tmp_path, rng, capsys, edit, where):
+    # each edit of a sound problem's arrays is refused, naming the array
     problem, _, _ = random_problem(rng, n_max=6)
-    dump = tmp_path / "bad.txt"
-    dump.write_text(edit(C.dump_problem(problem)), encoding="utf-8")
-    assert_input_error(["oracle-check", str(dump)], capsys, "bad.txt", where)
+    arrays = C.dump_problem(problem)
+    arrays.update(edit(arrays))
+    dump = tmp_path / "bad.npz"
+    np.savez(dump, **{key: a for key, a in arrays.items() if a is not None})
+    assert_input_error(["oracle-check", str(dump)], capsys, "bad.npz", where)
+
+
+@pytest.mark.parametrize("kind", ["text", "bare_npy", "empty"])
+def test_oracle_check_not_an_archive(tmp_path, capsys, kind):
+    dump = tmp_path / "problem.npz"
+    if kind == "bare_npy":
+        with open(dump, "wb") as fh:  # a path would gain the suffix .npy
+            np.save(fh, np.arange(3))
+    else:
+        dump.write_text("xi = 1\n" if kind == "text" else "", encoding="utf-8")
+    assert_input_error(["oracle-check", str(dump)], capsys, "problem.npz", "not a .npz archive")
+
+
+@pytest.mark.parametrize("command", ["run", "volume", "oracle-check"])
+def test_non_utf8_file_is_refused(tmp_path, capsys, command):
+    # 300 bytes that no UTF-8 reader accepts: the file is named, not traced
+    path = tmp_path / {"run": "junk.scene", "volume": "volume.csv"}.get(command, "junk.npz")
+    path.write_bytes(b"\x80" + np.random.default_rng(300).bytes(299))
+    argv = {"run": ["run", str(path), "--out", str(tmp_path / "o")],
+            "volume": ["volume", str(tmp_path)]}.get(command, ["oracle-check", str(path)])
+    assert_input_error(argv, capsys, path.name)
 
 
 def test_oracle_check_ok(tmp_path, rng, capsys):
     problem, grid, particles = random_problem(rng, n_max=6)
-    dump = tmp_path / "problem.txt"
-    dump.write_text(C.dump_problem(problem), encoding="utf-8")
+    dump = tmp_path / "problem.npz"
+    np.savez(dump, **C.dump_problem(problem))
     code = cli.main(["oracle-check", str(dump)])
     out = capsys.readouterr().out
     assert code == 0
@@ -209,8 +228,8 @@ def test_oracle_check_ok(tmp_path, rng, capsys):
 
 
 def test_band_problem_dump_round_trip(tmp_path, capsys):
-    # a toy band problem keeps its region and bounds through the dump, and
-    # oracle-check solves that constrained problem
+    # a toy band problem keeps every field, region and bounds included,
+    # through its replay file, and oracle-check solves that constrained problem
     rng = np.random.default_rng(4242)
     while True:
         inst = random_band_instance(rng)
@@ -222,15 +241,10 @@ def test_band_problem_dump_round_trip(tmp_path, capsys):
         problem = with_region(plain, grid, state.R, state.alpha_le)
         if V.solve_problem(problem)[1].objective > V.solve_problem(plain)[1].objective + 1e-9:
             break  # the region binds
-    text = C.dump_problem(problem)
-    loaded = C.load_problem(text)
-    assert np.array_equal(loaded.region, problem.region)
-    assert loaded.region_bounds == problem.region_bounds
-    assert C.dump_problem(loaded) == text
+    dump = tmp_path / "band.npz"
+    assert_same_problem(replayed(problem, dump), problem)
     assert "region" not in C.dump_problem(plain)
-    assert C.load_problem(C.dump_problem(plain)).region is None
-    dump = tmp_path / "band.txt"
-    dump.write_text(text, encoding="utf-8")
+    assert replayed(plain, tmp_path / "plain.npz").region is None
     assert cli.main(["oracle-check", str(dump)]) == 0
     out = capsys.readouterr().out
     assert "OK" in out and f"objective {V.solve_problem(problem)[1].objective:.9f}" in out
@@ -246,8 +260,8 @@ def test_oracle_check_large_instance(tmp_path, capsys):
                   floor=problem.floor * 2,
                   **{key: np.concatenate([getattr(problem, key)] * 2, axis=1)
                      for key in ("xi", "cost", "target_flat", "valid")})
-    dump = tmp_path / "big.txt"
-    dump.write_text(C.dump_problem(big), encoding="utf-8")
+    dump = tmp_path / "big.npz"
+    np.savez(dump, **C.dump_problem(big))
     code = cli.main(["oracle-check", str(dump)])
     assert code == 0
     assert f"OK: certified optimal (n={big.n};" in capsys.readouterr().out
@@ -256,7 +270,7 @@ def test_oracle_check_large_instance(tmp_path, capsys):
 def _replay_third_solve(tmp_path, monkeypatch, capsys, cfg):
     """Run ``cfg`` with its third flow solve failing: the run writes that
     problem as its replay file, which oracle-check then solves. Returns the
-    failed problem."""
+    problem read back from that file."""
     from cellflow.errors import IntegrityError
     path = tmp_path / "tiny.scene"
     path.write_text(scene_to_text(cfg), encoding="utf-8")
@@ -274,13 +288,14 @@ def _replay_third_solve(tmp_path, monkeypatch, capsys, cfg):
     err = capsys.readouterr().err
     step = len(list(out.glob("frame_*.cprt")))  # frames 0 .. step - 1 were written
     assert f"seed {cfg.seed}, step {step}: injected" in err
-    replay = out / "failed_problem.txt"
-    assert replay.read_text(encoding="utf-8") == C.dump_problem(seen[2])
-    assert seen[2].n <= 12  # a toy problem
+    replay = out / "failed_problem.npz"
+    problem = C.load_problem(np.load(replay))
+    assert_same_problem(problem, seen[2])
+    assert problem.n <= 12  # a toy problem
     monkeypatch.undo()
     assert cli.main(["oracle-check", str(replay)]) == 0
     assert "OK" in capsys.readouterr().out
-    return seen[2]
+    return problem
 
 
 def test_run_writes_replay_on_solver_failure(tmp_path, monkeypatch, capsys):
@@ -295,8 +310,7 @@ def test_full_band_replay_carries_region(tmp_path, monkeypatch, capsys):
                       fluids=[FluidRegion(Box((1, 1), (4, 5)))],
                       band=BandConfig(enabled=True, R=1, strategy=BandStrategy.FULL))
     problem = _replay_third_solve(tmp_path, monkeypatch, capsys, cfg)
-    assert problem.region is not None
-    assert C.load_problem(C.dump_problem(problem)).region_bounds == problem.region_bounds
+    assert problem.region is not None and problem.region.any()
 
 
 def test_flow_paths_failure_writes_replay(tmp_path, monkeypatch, capsys):
@@ -319,8 +333,8 @@ def test_flow_paths_failure_writes_replay(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     step = len(list(out.glob("frame_*.cprt")))  # frames 0 .. step - 1 were written
     assert f"correction failed at seed 11, step {step}: injected" in err
-    replay = out / "failed_problem.txt"
-    problem = C.load_problem(replay.read_text(encoding="utf-8"))
+    replay = out / "failed_problem.npz"
+    problem = C.load_problem(np.load(replay))
     assert problem.region is not None
     assert problem.n <= BRUTE_FORCE_LIMIT
     monkeypatch.undo()
@@ -339,7 +353,7 @@ def test_flow_paths_without_a_path_completes_the_run(tmp_path, monkeypatch, caps
     monkeypatch.setattr(B, "find_paths", lambda *args: calls.append(1) or ([], None))
     out = tmp_path / "out"
     assert cli.main(["run", str(path), "--out", str(out)]) == 0
-    assert calls and not (out / "failed_problem.txt").exists()
+    assert calls and not (out / "failed_problem.npz").exists()
     assert len(list(out.glob("frame_*.cprt"))) == 5
 
 
@@ -420,14 +434,13 @@ def test_compare_objectives_script(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
     # the committed full-strategy band scene records band problems, each
-    # dumped with its region, and every re-solve certifies
+    # stored with its region, and every re-solve certifies
     band = Path(__file__).resolve().parent.parent / "scripts" / "scenes" / "dam_band6_full.scene"
     assert run("--scene", str(band), "--frames", "3", "--out", str(a)) == 0
     recorded = np.load(a)
     per = len(recorded["objective"])
     assert per > 0
-    assert all(re.search(r"^region ", str(recorded[f"problem_{i}"]), flags=re.M)
-               for i in range(per))
+    assert all(recorded[f"problem_{i}/region"].any() for i in range(per))
     assert run("--against", str(a), "--out", str(b)) == 0
     assert f"certified optimal: {per} of {per}" in capsys.readouterr().out
 

@@ -8,7 +8,7 @@ from cellflow import grid as G
 from cellflow.errors import InputError, IntegrityError
 from cellflow.flip import ParticleSet
 
-from conftest import flat_index, stay_choice
+from conftest import assert_same_problem, flat_index, replayed, stay_choice
 
 
 class TestDirections:
@@ -230,23 +230,21 @@ class TestApply:
 
 
 class TestDump:
-    def test_round_trip(self):
-        grid = classified_grid((8, 8), [((3, 3), 2), ((4, 3), 1)])
-        table = candidates_at(grid, [[3.3, 3.5], [3.7, 3.5], [4.5, 3.5]],
-                              [[3.9, 3.5], [3.2, 3.2], [4.1, 3.9]])
-        problem = C.build_problem(grid, table, mu=2)
-        text = C.dump_problem(problem)
-        loaded = C.load_problem(text)
-        assert loaded.n == problem.n and loaded.m == problem.m
-        assert (loaded.valid == problem.valid).all()
-        assert np.allclose(loaded.cost[loaded.valid], problem.cost[problem.valid])
-        used = np.unique(problem.target_flat[problem.valid])
-        assert (loaded.cap[used] == problem.cap[used]).all()
-        assert (loaded.floor[used] == problem.floor[used]).all()
+    def test_round_trip(self, tmp_path):
+        # every field comes back through the replay file: the landing
+        # positions, the inf costs of the wall's candidates and the caps of
+        # cells that no candidate reaches
+        grid = classified_grid((8, 8), [((i, j), 1) for i in (1, 2, 3) for j in (2, 3, 4)])
+        x = grid.seeded_positions
+        problem = C.build_problem(grid, candidates_at(grid, x, x + [-0.3, 0.1]), mu=2)
+        assert (~problem.valid).sum() == 3 and np.isinf(problem.cost[~problem.valid]).all()
+        reached = np.isin(np.arange(grid.ncells), problem.target_flat[problem.valid])
+        assert (problem.cap[~reached] >= 0).all() and problem.floor.any()
+        assert_same_problem(replayed(problem, tmp_path / "problem.npz"), problem)
 
     def test_reject_garbage(self):
-        with pytest.raises(InputError):
-            C.load_problem("not a dump\n")
+        with pytest.raises(InputError, match="no array 'dims'"):
+            C.load_problem({"problem": np.array("not a dump")})
 
 
 @settings(max_examples=30, deadline=None)

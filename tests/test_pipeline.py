@@ -131,11 +131,11 @@ class TestInvariants:
         # the apply's check fails inside the correction, so the run writes
         # the problem, which the honest solve then certifies
         monkeypatch.setattr(V, "solve_problem", overfill(V.solve_problem))
-        with pytest.raises(IntegrityError, match="failed_problem.txt") as caught:
+        with pytest.raises(IntegrityError, match="failed_problem.npz") as caught:
             run(small_scene(), tmp_path)
         assert "assignment violates correction constraints" in str(caught.value)
         monkeypatch.undo()
-        assert cli.main(["oracle-check", str(tmp_path / "failed_problem.txt")]) == 0
+        assert cli.main(["oracle-check", str(tmp_path / "failed_problem.npz")]) == 0
         assert "OK: certified optimal" in capsys.readouterr().out
 
     @pytest.mark.parametrize("name", ["falling_obs", "compress"])

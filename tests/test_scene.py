@@ -1,4 +1,5 @@
 """Scene configs: parsing, validation, builtins, text round trip."""
+import re
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,20 @@ class TestValidation:
     def test_mu_positive(self):
         with pytest.raises(InputError):
             SceneConfig(name="x", dims=(10, 10), mu=0).validate()
+
+    @pytest.mark.parametrize("name", ["pool # test", "a\nb", "a\r", "a\u2028b"])
+    @pytest.mark.parametrize("owner", ["scene", "obstacle"])
+    def test_name_that_the_scene_file_cannot_hold_rejected(self, owner, name):
+        # scene_to_text writes a name on one line, where parse_scene cuts a comment
+        cfg = SceneConfig(name="x", dims=(10, 10), obstacles=[
+            ObstacleConfig(Box((4, 4), (6, 6)), velocity=(0.0, 0.0), name="rock")])
+        key = "'name'"
+        if owner == "scene":
+            cfg.name = name
+        else:
+            cfg.obstacles[0].name, key = name, "'name' in [obstacle]"
+        with pytest.raises(InputError, match=re.escape(f"key {key} must hold no '#'")):
+            cfg.validate()
 
     def test_band_R_positive(self):
         cfg = builtin_scene("dam")

@@ -588,8 +588,8 @@ def test_oracle_check_certifies_dam_problem(monkeypatch, tmp_path, capsys):
     from cellflow import cli
 
     problem, _, stats, _ = _scene_problem(monkeypatch, "dam", 12)
-    dump = tmp_path / "dam12.txt"
-    dump.write_text(C.dump_problem(problem), encoding="utf-8")
+    dump = tmp_path / "dam12.npz"
+    np.savez(dump, **C.dump_problem(problem))
     monkeypatch.undo()
     assert cli.main(["oracle-check", str(dump)]) == 0
     out = capsys.readouterr().out
