@@ -367,11 +367,7 @@ def maintain_band(cells: G.CellGrid, particles, state: BandState, former: dict[s
     over = (counts > mu) & ~deep_cells & ~cells.solid_mask()
     if not former["deep"][over].all():
         raise IntegrityError("overfull cell outside the former deep region")
-    # a key of at most 16 bits sorts by radix, in the same stable order
-    order = np.argsort(flat.astype(np.min_scalar_type(cells.ncells)), kind="stable")
-    rank = np.empty(len(flat), dtype=np.int64)
-    rank[order] = np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts, counts)
-    kill = deep_cells[flat] | (over[flat] & (rank >= mu))
+    kill = deep_cells[flat] | (over[flat] & (G.rank_in_cell(flat, counts)[1] >= mu))
     particles.keep(~kill)
     removed = int(kill.sum())
     state.n_deep += removed

@@ -16,8 +16,6 @@ import numpy as np
 from . import grid as G
 from .errors import InputError, IntegrityError
 
-CERTIFY_TOL = 1e-6  # reduced-cost rounding a certificate allows
-
 
 def direction_set(d: int) -> np.ndarray:
     """The (2d + 1, d) unit grid moves: positive axes, negative axes, then
@@ -98,7 +96,9 @@ def build_candidates(x_start: np.ndarray, x_ideal: np.ndarray, cells: G.CellGrid
 class CorrectionProblem(CandidateTable):
     """One-direction-per-particle selection under per-cell count bounds.
 
-    The candidate table's ``cost`` holds the solid penalty, if any.
+    The candidate table's ``cost`` holds the solid penalty, if any; the
+    problem holds it rounded to the nearest multiple of 2^-24, so that float
+    sums of costs are exact within the bound ``reduce_to_flow`` checks.
     cap[c] is the admissible particle count of cell c (-1 means no bound;
     used for deep cells in band mode), floor[c] the mandatory minimum. The
     all-stay assignment is feasible by construction and is asserted on
@@ -112,6 +112,9 @@ class CorrectionProblem(CandidateTable):
     dims: tuple
     region: np.ndarray | None = None  # (ncells,) bool, cells whose total count is bounded
     region_bounds: tuple[int, int] = (0, 0)
+
+    def __post_init__(self) -> None:  # a new array; inf stays inf
+        self.cost = np.ldexp(np.round(np.ldexp(self.cost, 24)), -24)
 
     def counts_of(self, choice: np.ndarray) -> np.ndarray:
         cells = self.target_flat[choice, np.arange(self.n)]
@@ -138,7 +141,7 @@ class CorrectionProblem(CandidateTable):
         """Raise IntegrityError unless ``duals``, per grid cell, then the sink's
         and the hub's, prove the feasible ``choice`` optimal: every residual arc
         of the transportation network (Ahuja, Magnanti & Orlin, *Network Flows*,
-        1993, ch. 9) has reduced cost >= -CERTIFY_TOL, and a NaN fails. A cell
+        1993, ch. 9) has reduced cost >= 0, and a NaN fails. A cell
         passes its units above its floor up to the sink, or to the hub if in the
         region, with room below its cap (n if uncapped); the hub passes those
         above max(lo, 0) on, with room below hi; each pick minimises cost - y."""
@@ -156,7 +159,7 @@ class CorrectionProblem(CandidateTable):
         arcs.append(("particle {}'s pick -> its cheapest candidate",
                      price.min(axis=0) - price[choice, np.arange(n)], True))
         for name, reduced, residual in arcs:
-            wrong = np.flatnonzero(~(reduced >= -CERTIFY_TOL) & residual)
+            wrong = np.flatnonzero(~(reduced >= 0) & residual)
             if wrong.size:
                 k = wrong[0]
                 raise IntegrityError(f"optimality check failed: reduced cost {reduced[k]:.3g} "
@@ -264,6 +267,8 @@ def load_problem(arrays) -> CorrectionProblem:
     problem = CorrectionProblem(xi=xi, cost=cost, target_flat=target, valid=valid, dirs=dirs,
                                 mu=int(mu), cap=cap, floor=floor,
                                 dims=tuple(int(v) for v in dims))
+    refuse("cost", valid & (problem.cost != cost), "a valid candidate's cost must be a "
+           "multiple of 2^-24", cost)
     if "region" in arrays or "region_bounds" in arrays:
         region, (lo, hi) = get("region", bool, (ncells,)), get("region_bounds", np.int64, (2,))
         if hi < max(lo, 0):

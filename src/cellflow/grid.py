@@ -188,6 +188,16 @@ def fill_cells(grid: CellGrid, flat, room, rng: np.random.Generator,
     return grid.unflat(at) + rng.uniform(MARGIN, 1 - MARGIN, size=(len(at), grid.d))
 
 
+def rank_in_cell(flat: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order of ``flat`` by cell, and each entry's rank among its
+    cell's entries in index order; ``counts`` is ``flat``'s bincount."""
+    # a key of at most 16 bits sorts by radix, in the same stable order
+    order = np.argsort(flat.astype(np.min_scalar_type(len(counts))), kind="stable")
+    rank = np.empty(len(flat), dtype=np.int64)
+    rank[order] = np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return order, rank
+
+
 def face_shape(dims, a: int) -> tuple:
     """Shape of the MAC grid's axis-a faces: one more than the cells along a."""
     return tuple(n + 1 if k == a else n for k, n in enumerate(dims))

@@ -93,12 +93,13 @@ class SceneConfig:
             raise InputError(f"dims must be 2D or 3D, got {self.dims}")
         if self.mu < 1:
             raise InputError(f"mu must be >= 1, got {self.mu}")
-        # a name is one line of the scene file, cut at its first '#'
+        # a name is one line of the scene file, cut at its first '#' and stripped
         names = [("'name'", self.name)] + [("'name' in [obstacle]", ob.name)
                                            for ob in self.obstacles]
         for key, name in names:
-            if "#" in name or "".join(name.splitlines()) != name:
-                raise InputError(f"key {key} must hold no '#' or line break, got {name!r}")
+            if "#" in name or "".join(name.splitlines()).strip() != name:
+                raise InputError(f"key {key} must hold no '#', line break or blank at "
+                                 f"either end, got {name!r}")
         for region in self.fluids:
             if region.ppc is not None and region.ppc < 1:
                 raise InputError(f"fluid box {region.box.lo}..{region.box.hi}: ppc must be >= 1, "

@@ -5,28 +5,11 @@ Orlin, *Network Flows*, 1993, ch. 9). Each particle holds one unit,
 which goes to one of its candidate cells at that candidate's cost. Cell u
 takes floor[u]..cap[u] units and passes those above its floor on to a sink,
 whose deficit is n - sum(floor). Its LP relaxation is integral, so it is
-solved exactly by successive shortest paths with cell potentials. Routing
-starts from a greedy pseudo-flow built in numpy: every particle on its
-cheapest candidate, each cell accepting the first cap of the particles that
-picked it, and every potential 0. Successive shortest paths may start there:
-no count exceeds its cap, and every residual arc has reduced cost >= 0, since
-moving an accepted particle to another candidate costs the difference from
-its cheapest, and the arcs between the cells and the sink cost 0. So only the
-rejected particles are searched, and a start that rejects none and leaves no
-cell below its floor is optimal as it stands. The searches run on the cell
-graph, where moving a particle of cell u to its candidate v is an arc u -> v.
-Of the parallel arcs between two cells, one per member of the tail cell, only
-the cheapest can lie on a shortest path, and augmenting along it leaves the
-others' reduced costs nonnegative; so a search relaxes one cached arc per
-neighbour cell. A unit that reaches the sink stays there even once the sink's
-deficit is met: successive shortest paths may end an augmentation at any node
-of a shortest path, so reduced costs stay nonnegative and the sink just ends
-the routing with excess. That excess is drained into the cells still below
-their floor by Dijkstra searches run backward from each such cell until they
-pop the sink; raising every popped node's potential by its distance short of
-the sink's keeps each reduced cost nonnegative and zeroes those on the path.
-The drain thus reaches those few cells directly instead of relaxing the
-sink's zero-cost arcs into nearly every cell on the way.
+solved exactly by successive shortest paths with cell potentials, from a
+greedy start, on the graph of cells; ``solve_mcf`` gives the details. The
+costs are multiples of 2^-24, so below the bound ``reduce_to_flow`` checks,
+float64 sums of them are exact: the certificate needs no tolerance, and how
+a search groups a key changes no choice.
 
 The band's balance constraint bounds the total count of one region of cells
 to [lo, hi]. The family of sets "one cell", "the region" and "all cells" is
@@ -46,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import grid as G
 from .correction import CorrectionProblem
 from .errors import InputError, IntegrityError
 
@@ -86,13 +70,16 @@ class SolveStats:
     pi: np.ndarray     # final potentials: per cell, then the sink's and the hub's
     searches: int = 0  # forward Dijkstra runs, one per particle the greedy start rejected
     pops: int = 0      # nodes finalized over all searches, forward and backward
-    scans: int = 0     # arc entries read at popped nodes, a drain's sink or hub arc too
+    scans: int = 0     # arc entries read at popped nodes, the sink or hub arcs too
     drains: int = 0    # backward Dijkstra runs, one per unit of floor the routing left
     tables: int = 0    # cells' arc tables built, forward and in-arc
 
 
 def reduce_to_flow(problem: CorrectionProblem) -> FlowNetwork:
-    """Build the transportation network of the correction problem."""
+    """Build the transportation network of the correction problem. A path of
+    the cell graph moves each particle at most once, so a solve's keys and
+    potentials stay within about n x the largest cost; at 2^29 or more, sums
+    of multiples of 2^-24 may round, and IntegrityError is raised."""
     n = problem.n
     # candidates ordered by (particle, direction)
     jj, ii = np.nonzero(problem.valid.T)
@@ -112,12 +99,16 @@ def reduce_to_flow(problem: CorrectionProblem) -> FlowNetwork:
     if (floor > cap).any():
         raise IntegrityError("cell floor exceeds capacity")
 
+    cand_cost = problem.cost[ii, jj]
+    if n * (top := float(np.abs(cand_cost).max(initial=0.0))) >= 2.0 ** 29:
+        raise IntegrityError(f"n x the largest cost, {n} x {top:.6g}, reaches 2^29: "
+                             "float sums of costs may round")
     net = FlowNetwork(
         n_particles=n,
         cand_j=jj.astype(np.int64),
         cand_i=ii.astype(np.int64),
         cand_cell=(np.cumsum(reached) - 1)[cand_grid],
-        cand_cost=problem.cost[ii, jj],
+        cand_cost=cand_cost,
         cap=cap, floor=floor, grid_cell=used,
     )
     if problem.region is not None:
@@ -177,20 +168,22 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
 
     A unit that reaches the sink stays there even once the sink's deficit is
     used up. Successive shortest paths may move excess to any node of a
-    shortest path, so reduced costs stay nonnegative; the sink merely ends
-    the routing with excess, one unit per unit of floor still missing. Each
-    such unit is then drained by a Dijkstra search backward from a cell below
-    its floor over in-arcs, stopped when it pops the sink at distance D;
-    every popped node u gains D - d[u], which keeps every reduced cost
-    nonnegative and zeroes those along the path. Every particle is routed
+    shortest path, so reduced costs stay nonnegative; the sink merely ends the
+    routing with excess, one unit per unit of floor still missing. Each such
+    unit is then drained by a Dijkstra search backward from a cell below its
+    floor over in-arcs, stopped when it pops the sink at distance D; every
+    popped node u gains D - d[u], which keeps every reduced cost nonnegative
+    and zeroes those along the path. So a drain reaches a short cell directly,
+    not through the sink's arcs into every cell. Every particle is routed
     before a drain raises a potential, so an unrouted particle's arcs, priced
     at potential 0, never turn negative. The in-arc tables, each cell's
-    cheapest in-arc per predecessor cell, are built only if the sink ends
-    with excess, and a moving particle drops those of its candidate cells.
-    A cell's in-arc table, like the hub's dict built at each pop, also holds
-    the zero-cost arc from the node it passes units to while it holds units
-    above its floor; its count changes only when one of its particles moves,
-    which drops the table, so the entry stays exact.
+    cheapest in-arc per predecessor cell, are built only if the sink ends with
+    excess, and a moving particle drops those of its candidate cells. A cell's
+    arc table, like the hub's dict built at each pop, also holds the zero-cost
+    arc to the node it passes units to while it has room; its in-arc table
+    holds the arc from that node while it holds units above its floor. Its
+    count changes only when one of its particles moves, which drops both
+    tables, so the entries stay exact.
     """
     n = net.n_particles
     K = len(net.cap)  # cells; the sink is node K, the hub node K + 1
@@ -211,10 +204,7 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
     pick = at_min[np.searchsorted(at_min, starts[:-1])]
     pick_cell = net.cand_cell[pick]
     picked = np.bincount(pick_cell, minlength=K)
-    # a key of at most 16 bits sorts by radix, in the same stable order
-    order = np.argsort(pick_cell.astype(np.min_scalar_type(K)), kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n) - np.repeat(np.cumsum(picked) - picked, picked)
+    order, rank = G.rank_in_cell(pick_cell, picked)
     accepted = rank < net.cap[pick_cell]
     count_np = np.minimum(picked, net.cap)
     feeds, in_hub = [False] * K, 0
@@ -297,21 +287,24 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
                 target = u
                 break
             arcs = table[u]
-            if arcs is None and u == hub:  # back to the region cells that passed it units
-                arcs = dict.fromkeys(filter(count.__getitem__, hubbed), (0.0, -1))
-            elif arcs is None:  # the cheapest arc u -> v over the members of u, per v
-                arcs = table[u] = {}
-                get = arcs.get
-                tables += 1
-                for p in members[u]:
-                    cu = cand_cost[assigned[p]]
-                    for k in spans[p]:
-                        v = cand_cell[k]
-                        if v != u:
-                            c = cand_cost[k] - cu
-                            old = get(v)
-                            if old is None or c < old[0]:
-                                arcs[v] = (c, k)
+            if arcs is None:
+                if u == hub:  # back to the region cells that passed it units
+                    arcs = dict.fromkeys(filter(count.__getitem__, hubbed), (0.0, -1))
+                else:  # the cheapest arc u -> v over the members of u, per v
+                    arcs = table[u] = {}
+                    get = arcs.get
+                    tables += 1
+                    for p in members[u]:
+                        cu = cand_cost[assigned[p]]
+                        for k in spans[p]:
+                            v = cand_cell[k]
+                            if v != u:
+                                c = cand_cost[k] - cu
+                                old = get(v)
+                                if old is None or c < old[0]:
+                                    arcs[v] = (c, k)
+                if count[u] < cap[u]:  # to the sink or hub, which takes u's units
+                    arcs[up[u]] = (0.0, -1)
             scans += len(arcs)
             base = d + pi[u]
             for v, (c, k) in arcs.items():
@@ -324,14 +317,6 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
                     stamp[v] = run
                     prev[v] = u
                     via[v] = k
-                    heappush(heap, (nd, v))
-            if count[u] < cap[u] and (s := stamp[v := up[u]]) != done:
-                nd = d + (pi[u] - pi[v])
-                if s != run or nd < dist[v]:
-                    dist[v] = nd
-                    stamp[v] = run
-                    prev[v] = u
-                    via[v] = -1
                     heappush(heap, (nd, v))
         if target < 0:
             raise IntegrityError("min-cost flow infeasible; grid state corruption suspected")

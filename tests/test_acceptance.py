@@ -11,7 +11,7 @@ import pytest
 import conftest
 from conftest import random_band_instance, random_problem, read_particle_dump
 from oracles import (brute_force_ilp, build_one_way, compute_io, gamma_io_masks,
-                     tu_sample_check, with_region)
+                     objective_of, tu_sample_check, with_region)
 
 from cellflow import band as B
 from cellflow import correction as C
@@ -234,7 +234,11 @@ def test_criterion_09_oneway_vs_flowpaths():
         diag = B.correct_band_flow(grid, problem, assignment, cls, state)
         C.apply_solution(problem, assignment, particles)
         assert diag["s_in"] >= 0 and diag["s_out"] >= 0
-        flow_obj = float(((particles.x - x_ideal) ** 2).sum())
+        # the particles moved by the choice's unrounded costs; brute force
+        # optimises the problems' costs, rounded to multiples of 2^-24
+        moved = float(((particles.x - x_ideal) ** 2).sum())
+        assert abs(moved - float(table.cost[assignment, np.arange(problem.n)].sum())) < 1e-9
+        flow_obj = objective_of(problem, assignment)
         # sound direction: the flow result is feasible for the full band row
         assert full_obj <= flow_obj + 1e-9
         assert full_obj <= oneway_obj + 1e-9

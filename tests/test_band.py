@@ -477,7 +477,11 @@ def test_flow_paths_stay_in_one_way_set(push):
         B.correct_band_flow(grid, problem, choice, cls, state)
         C.apply_solution(problem, assignment, particles)  # checks the band row it carries
         assert one_way.check_feasible(choice, strict=False)
-        flow_obj = float(((particles.x - x_ideal) ** 2).sum())
+        # the particles moved by the choice's unrounded costs; the problems
+        # hold them rounded to multiples of 2^-24
+        moved = float(((particles.x - x_ideal) ** 2).sum())
+        assert abs(moved - float(table.cost[choice, np.arange(problem.n)].sum())) < 1e-9
+        flow_obj = objective_of(problem, choice)
         assert abs(objective_of(one_way, choice) - flow_obj) < 1e-9
         corrected += 1
     assert corrected >= 30

@@ -170,6 +170,8 @@ def put(array, index, value):
      "array 'cost' index (4, 0): a valid candidate's cost must be finite, got inf"),
     (lambda a: {"cost": put(a["cost"], (-1, 0), -np.inf)},
      "array 'cost' index (4, 0): a valid candidate's cost must be finite, got -inf"),
+    (lambda a: {"cost": put(a["cost"], (-1, 0), 0.1)},
+     "array 'cost' index (4, 0): a valid candidate's cost must be a multiple of 2^-24, got 0.1"),
     (lambda a: {"floor": put(a["floor"], 8, -3)}, "array 'floor' index 8: a floor below 0, got -3"),
     (lambda a: {"cap": put(a["cap"], 8, 1), "floor": put(a["floor"], 8, 5)},
      "array 'floor' index 8: a floor above its cap, got 5"),
@@ -184,7 +186,7 @@ def put(array, index, value):
     (lambda a: {"cap": a["cap"].astype(np.float64)}, "array 'cap' must hold int64, got float64"),
 ], ids=["particle_out_of_range", "negative_dims", "negative_n", "negative_m", "m_not_2d_plus_1",
         "mu_zero", "cap_below_minus_one", "cost_nan", "cost_inf", "cost_minus_inf",
-        "floor_negative", "floor_above_cap", "empty_region", "floored_region_cell", "no_cap",
+        "cost_not_dyadic", "floor_negative", "floor_above_cap", "empty_region", "floored_region_cell", "no_cap",
         "region_without_bounds", "cap_as_floats"])
 def test_oracle_check_malformed_dump(tmp_path, rng, capsys, edit, where):
     # each edit of a sound problem's arrays is refused, naming the array
@@ -373,8 +375,8 @@ def test_compare_objectives_script(tmp_path, monkeypatch, capsys):
     solver work; the same solver re-solving them, here three times over,
     gives no gap, identical choices, the same work per solve, the fastest
     pass's CPU time and a certified optimum of each. A recording without a
-    counter prints it as -, and a doctored objective or re-solve dual makes
-    it exit 1. The committed full-strategy band scene records problems with
+    counter prints it as -, and an objective one ulp off or a doctored
+    re-solve dual makes it exit 1; unrounded costs are refused. The committed full-strategy band scene records problems with
     the band's region, and their re-solves certify too."""
     import importlib.util
 
@@ -428,10 +430,22 @@ def test_compare_objectives_script(tmp_path, monkeypatch, capsys):
     assert "largest relative objective gap 0," in out and f"certified optimal: 0 of {per}" in out
     monkeypatch.setattr(V, "solve_mcf", solve)
 
-    recorded["objective"] = recorded["objective"] * 1.01
+    # exact solves agree to the last bit: one ulp off one objective fails
+    objective = recorded["objective"].copy()
+    recorded["objective"][0] = np.nextafter(objective[0], np.inf)
     np.savez(a, **recorded)
     assert run("--against", str(a), "--out", str(b)) == 1
     capsys.readouterr()
+
+    # a recording of unrounded costs is refused, naming the array
+    recorded["objective"] = objective
+    cost = recorded["problem_0/cost"].copy()
+    recorded["problem_0/cost"] = np.where(recorded["problem_0/valid"], cost + 0.1, cost)
+    np.savez(a, **recorded)
+    with pytest.raises(SystemExit) as exited:
+        run("--against", str(a), "--out", str(b))
+    assert exited.value.code == 2
+    assert "array 'cost' index" in capsys.readouterr().err
 
     # the committed full-strategy band scene records band problems, each
     # stored with its region, and every re-solve certifies

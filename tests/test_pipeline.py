@@ -138,6 +138,23 @@ class TestInvariants:
         assert cli.main(["oracle-check", str(tmp_path / "failed_problem.npz")]) == 0
         assert "OK: certified optimal" in capsys.readouterr().out
 
+    def test_cost_bound_leaves_a_replay_file(self, tmp_path, monkeypatch, capsys):
+        # a solid penalty that lifts n x the largest cost to 2^29 is refused
+        # by the solve, and the run writes the problem, which oracle-check
+        # refuses for the same bound
+        from cellflow import solids as S
+        monkeypatch.setattr(S, "build_solid_objective",
+                            lambda grid, new_solid, lam: np.full(grid.ncells, 2.0 ** 29))
+        cfg = small_scene(obstacles=[ObstacleConfig(Box((10, 12), (13, 14)),
+                                                    velocity=(0.0, -2.0))])
+        with pytest.raises(IntegrityError, match="failed_problem.npz") as caught:
+            run(cfg, tmp_path)
+        assert "reaches 2^29" in str(caught.value)
+        problem = C.load_problem(np.load(tmp_path / "failed_problem.npz"))
+        assert (problem.cost[problem.valid] == 2.0 ** 29).any()
+        assert cli.main(["oracle-check", str(tmp_path / "failed_problem.npz")]) == 2
+        assert "reaches 2^29" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["falling_obs", "compress"])
     def test_run_leaves_its_scene_record_as_it_was(self, name):
         # a free fall and a scripted press move their obstacles, not the config

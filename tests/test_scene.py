@@ -234,10 +234,12 @@ class TestValidation:
         with pytest.raises(InputError):
             SceneConfig(name="x", dims=(10, 10), mu=0).validate()
 
-    @pytest.mark.parametrize("name", ["pool # test", "a\nb", "a\r", "a\u2028b"])
+    @pytest.mark.parametrize("name", ["pool # test", "a\nb", "a\r", "a\u2028b",
+                                      " pool", "pool ", "\tpool"])
     @pytest.mark.parametrize("owner", ["scene", "obstacle"])
     def test_name_that_the_scene_file_cannot_hold_rejected(self, owner, name):
-        # scene_to_text writes a name on one line, where parse_scene cuts a comment
+        # scene_to_text writes a name on one line, where parse_scene cuts a
+        # comment and strips the blanks at either end
         cfg = SceneConfig(name="x", dims=(10, 10), obstacles=[
             ObstacleConfig(Box((4, 4), (6, 6)), velocity=(0.0, 0.0), name="rock")])
         key = "'name'"

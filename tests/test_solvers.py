@@ -202,7 +202,7 @@ class TestDrain:
     # drain reads the in-arc table of a cell that an earlier drain's move
     # must have dropped; a stale table moves a particle that is no longer in
     # the cell, or fails the final optimality check
-    DRAIN_INTO_DROPPED_TABLE = (459, 1244, 1262, 1907, 1920)
+    DRAIN_INTO_DROPPED_TABLE = (459, 1262, 1907, 1920, 1978)
 
     @pytest.mark.parametrize("slack", [0, 1])
     def test_matches_brute_force(self, slack):
@@ -363,15 +363,16 @@ def _solve_with_duals(problem):
 
 class TestCertify:
     """CorrectionProblem.certify reads only the problem: it accepts each
-    solve's choice with its duals, and refuses a dual moved just past the
-    slack of one residual arc."""
+    solve's choice with its duals, and refuses a dual moved one cost quantum
+    past the slack of one residual arc: costs and duals are exact multiples of
+    2^-24, so the certificate has no tolerance."""
 
-    TOL = C.CERTIFY_TOL
+    QUANTUM = 2.0 ** -24
 
     def test_candidate_arc(self):
         # raising the dual of a reached cell at or below its floor lowers the
-        # price of its candidates only; the first that undercuts a pick by more
-        # than the tolerance is refused, one that ties it is not
+        # price of its candidates only; the first that undercuts a pick by one
+        # cost quantum is refused, one that ties it is not
         moved = 0
         for seed in TestDrain.DRAIN_INTO_DROPPED_TABLE:
             problem = _tie_problem(np.random.default_rng(seed))
@@ -386,7 +387,7 @@ class TestCertify:
                 if counts[v] > problem.floor[v] or not into.any():
                     continue
                 slack = float((price - picked)[into].min())
-                for step, ok in ((slack, True), (slack + 2 * self.TOL, False)):
+                for step, ok in ((slack, True), (slack + self.QUANTUM, False)):
                     doctored = duals.copy()
                     doctored[v] += step
                     if ok:
@@ -411,7 +412,7 @@ class TestCertify:
                 doctored = duals.copy()
                 doctored[u] -= slack
                 problem.certify(choice, doctored)
-                doctored[u] -= 2 * self.TOL
+                doctored[u] -= self.QUANTUM
                 with pytest.raises(IntegrityError, match=f"on cell {u} -> sink or hub"):
                     problem.certify(choice, doctored)
                 moved += 1
@@ -427,7 +428,7 @@ class TestCertify:
             sink = len(problem.cap)
             for u in np.flatnonzero(problem.counts_of(choice) > problem.floor):
                 doctored = duals.copy()
-                doctored[u] = duals[sink] + 2 * self.TOL
+                doctored[u] = duals[sink] + self.QUANTUM
                 with pytest.raises(IntegrityError, match=f"on sink or hub -> cell {u}$"):
                     problem.certify(choice, doctored)
                 moved += 1
@@ -489,7 +490,7 @@ class TestCertify:
             if not max(held - 1, 0) < counts[problem.region].sum() < held + 1:
                 continue
             sink, hub = len(problem.cap), len(problem.cap) + 1
-            for step, arc in ((3 * self.TOL, "on sink -> hub"), (-3 * self.TOL, "on hub -> sink")):
+            for step, arc in ((self.QUANTUM, "on sink -> hub"), (-self.QUANTUM, "on hub -> sink")):
                 doctored = duals.copy()
                 doctored[hub] += step
                 doctored[:sink][problem.region] += step
@@ -500,11 +501,102 @@ class TestCertify:
             reached[problem.target_flat[problem.valid]] = True
             for u in np.flatnonzero(reached & (problem.cap < 0) & (counts == 0)):
                 doctored = duals.copy()
-                doctored[u] = duals[hub if problem.region[u] else sink] - 2 * self.TOL
+                doctored[u] = duals[hub if problem.region[u] else sink] - self.QUANTUM
                 with pytest.raises(IntegrityError, match=f"on cell {u} -> sink or hub"):
                     problem.certify(choice, doctored)
                 deeps += 1
         assert hubs >= 20 and deeps >= 5
+
+
+class TestExactCosts:
+    """A problem holds its costs rounded to multiples of 2^-24. Below the
+    bound n x the largest cost < 2^29, every sum the solve forms is exact."""
+
+    @staticmethod
+    def _problem(x, ideal, mu):
+        """The candidate table and problem of particles ``x`` on a 6 x 6 grid."""
+        grid = G.CellGrid((6, 6))
+        G.classify_cells(grid, x)
+        G.assign_depth(grid)
+        grid.rebuild_counts(x)
+        table = C.build_candidates(x, ideal, grid)
+        return table, C.build_problem(grid, table, mu)
+
+    def test_costs_are_rounded_once(self):
+        # the candidate table keeps its float costs; the problem's are the
+        # nearest multiples of 2^-24, and inf (a move into the wall) stays inf
+        x = np.array([[1.5, 2.5], [3.5, 2.5]])
+        ideal = x + np.random.default_rng(29).uniform(-0.4, 0.4, size=x.shape)
+        table, problem = self._problem(x, ideal, mu=2)
+        valid = problem.valid
+        scaled = np.ldexp(problem.cost[valid], 24)
+        assert np.array_equal(scaled, np.round(scaled))
+        assert not np.array_equal(problem.cost[valid], table.cost[valid])
+        assert (np.abs(problem.cost[valid] - table.cost[valid]) <= 2.0 ** -25).all()
+        assert (~valid).any() and np.isinf(problem.cost[~valid]).all()
+
+    def test_cost_bound(self):
+        # four particles at cell centres, each ideal on its start: a largest
+        # cost of 2^27 reaches the bound, one cost quantum less solves and
+        # certifies with no tolerance
+        x = np.array([[1.5, 1.5], [1.5, 3.5], [3.5, 1.5], [3.5, 3.5]])
+        _, problem = self._problem(x, x, mu=1)
+        for top, ok in ((2.0 ** 27 - 2.0 ** -24, True), (2.0 ** 27, False)):
+            cost = problem.cost.copy()
+            cost[-1, 0] = top  # particle 0's stay
+            big = replace(problem, cost=cost)
+            if ok:
+                choice, stats = V.solve_problem(big)
+                assert choice[0] != problem.m - 1 and stats.objective < top
+            else:
+                with pytest.raises(IntegrityError, match=r"4 x 1\.34218e\+08, reaches 2\^29:"):
+                    V.solve_problem(big)
+
+    @staticmethod
+    def _regrouped_solve_mcf():
+        """A copy of solve_mcf whose forward and drain keys group their sums
+        otherwise; with exact sums it makes the same choices."""
+        import inspect
+        source = inspect.getsource(V.solve_mcf)
+        for old, new in (("nd = base + c - pi[v]", "nd = d + (c + (pi[u] - pi[v]))"),
+                         ("nd = d + (c + pi[u] - pv)", "nd = (d - pv) + c + pi[u]")):
+            assert source.count(old) == 1, old
+            source = source.replace(old, new)
+        namespace = dict(vars(V))
+        exec(source, namespace)
+        return namespace["solve_mcf"]
+
+    def test_dam_solves_are_exact(self, monkeypatch):
+        # every potential and objective of a seeded dam run is a multiple of
+        # 2^-24, the certificate holds at tolerance 0, and regrouped keys
+        # make the same choices (with float costs, solve 12 differs)
+        from cellflow.pipeline import Simulation
+        from cellflow.scene import builtin_scene
+
+        cfg = builtin_scene("dam")
+        cfg.seed = 7
+        sim = Simulation(cfg)
+        solved, solve = [], V.solve_problem
+
+        def capture(problem):
+            result = solve(problem)
+            solved.append((problem, result))
+            return result
+
+        monkeypatch.setattr(V, "solve_problem", capture)
+        for _ in range(12):
+            sim.step()
+        assert sum(stats.searches > 0 for _, (_, stats) in solved) >= 5
+        assert any(stats.drains > 0 for _, (_, stats) in solved)
+        solve_regrouped = self._regrouped_solve_mcf()
+        for problem, (choice, stats) in solved:
+            for value in (stats.pi, stats.objective):
+                scaled = np.ldexp(value, 24)
+                assert np.array_equal(scaled, np.round(scaled))
+            net = V.reduce_to_flow(problem)
+            problem.certify(choice, V.grid_duals(problem, net, stats.pi))
+            regrouped, other = solve_regrouped(net)
+            assert np.array_equal(regrouped, choice) and other.objective == stats.objective
 
 
 def _scene_problem(monkeypatch, scene, frame, band=None):
