@@ -1,8 +1,8 @@
 """Check that two versions of the flow solver reach the same optima.
 
 Record every correction problem of an N-frame run, with this tree's
-objective, choice and solver work (searches, drains, pops, scans, tables)
-for each:
+objective, choice, final potentials and solver work (searches, drains, pops,
+scans, tables) for each:
 
     python scripts/compare_objectives.py --scene dam --frames 60 --seed 5 --out a.npz
 
@@ -12,9 +12,12 @@ results, and compare them with the file's:
     python scripts/compare_objectives.py --against a.npz --out b.npz
 
 The comparison prints the largest relative objective gap, the share of
-problems whose choices are identical, and both files' mean work per solve
-(a counter the solving tree lacks prints as -). A cell's arc tables also
-hold its arcs to and from the sink or hub, which ``scans`` counts. Then it
+problems whose choices are identical, how many re-solves end on potentials
+identical bit for bit and do identical work (all five counters equal), and
+both files' mean work per solve. Means can hide offsetting differences; the
+per-problem counts cannot. A count the file lacks the data for, or a
+counter the solving tree lacks, prints as -. A cell's arc tables also hold
+its arcs to and from the sink or hub, which ``scans`` counts. Then it
 prints the CPU milliseconds per ``solve_mcf`` call of the fastest of
 ``--repeat N`` passes (default 1) over the file's problems, and how many
 re-solves certify as optimal against their problems (after the timed
@@ -33,10 +36,11 @@ same optimum to the last bit, whatever tie each breaks.
 
 Problem i is stored as the arrays of ``cellflow.correction.dump_problem``
 under the key prefix ``problem_i/`` (``problem_12/cost``), beside its
-``choice_i``. Recordings that hold each problem as one text string, the
-line format the replay file had before it became arrays, no longer load;
-nor do recordings of unrounded costs, made before costs were multiples of
-2^-24: ``load_problem`` refuses them, naming the array ``cost``.
+``choice_i`` and its final potentials ``pi_i``. Recordings that hold each
+problem as one text string, the line format the replay file had before it
+became arrays, no longer load; nor do recordings of unrounded costs, made
+before costs were multiples of 2^-24: ``load_problem`` refuses them, naming
+the array ``cost``.
 """
 import argparse
 import sys
@@ -77,13 +81,16 @@ def record(scene: str, frames: int, seed: int) -> tuple[list[dict], list]:
     return problems, results
 
 
-def load(path: str) -> tuple[list[dict], np.ndarray, list[np.ndarray], dict]:
+def load(path: str) -> tuple[list[dict], np.ndarray, list[np.ndarray], list, dict]:
+    """The file's problems, objectives, choices, potentials (None where it
+    has none) and work counters."""
     data = np.load(path)
     count = len(data["objective"])
     problems = [{key.split("/", 1)[1]: data[key] for key in data.files
                  if key.startswith(f"problem_{i}/")} for i in range(count)]
     work = {name: data[name] for name in WORK if name in data}
-    return problems, data["objective"], [data[f"choice_{i}"] for i in range(count)], work
+    return (problems, data["objective"], [data[f"choice_{i}"] for i in range(count)],
+            [data[f"pi_{i}"] if f"pi_{i}" in data else None for i in range(count)], work)
 
 
 def counters(results: list) -> dict:
@@ -95,9 +102,10 @@ def counters(results: list) -> dict:
 def save(path: str, problems: list[dict], results: list) -> None:
     arrays = {"objective": np.array([stats.objective for _, stats in results]),
               **counters(results)}
-    for i, (problem, (choice, _)) in enumerate(zip(problems, results)):
+    for i, (problem, (choice, stats)) in enumerate(zip(problems, results)):
         arrays.update({f"problem_{i}/{key}": a for key, a in problem.items()})
         arrays[f"choice_{i}"] = choice
+        arrays[f"pi_{i}"] = stats.pi
     np.savez_compressed(path, **arrays)
 
 
@@ -124,7 +132,7 @@ def main() -> int:
               f"at seed {args.seed} -> {args.out}")
         return 0
 
-    problems, objective, choices, work = load(args.against)
+    problems, objective, choices, potentials, work = load(args.against)
     try:
         loaded = [C.load_problem(arrays) for arrays in problems]
     except InputError as exc:
@@ -152,6 +160,14 @@ def main() -> int:
     print(f"{len(problems)} problems: largest relative objective gap {worst:.3g}, "
           f"identical choices {same} of {len(problems)} "
           f"({100.0 * same / per:.0f}%)")
+    same_pi = same_work = "-"
+    if all(pi is not None for pi in potentials):
+        same_pi = sum(stats.pi.tobytes() == pi.tobytes()
+                      for (_, stats), pi in zip(results, potentials))
+    if all(name in work and name in redone for name in WORK):
+        same_work = int(np.all([work[name] == redone[name] for name in WORK], axis=0).sum())
+    print(f"identical potentials {same_pi} of {len(problems)}, "
+          f"identical work {same_work} of {len(problems)}")
     means = [{name: f"{c[name].sum() / per:.1f}" if name in c else "-" for name in WORK}
              for c in (work, redone)]
     print("work per solve, recorded -> re-solved: " + ", ".join(

@@ -68,10 +68,10 @@ class FlowNetwork:
 class SolveStats:
     objective: float
     pi: np.ndarray     # final potentials: per cell, then the sink's and the hub's
-    searches: int = 0  # forward Dijkstra runs, one per particle the greedy start rejected
-    pops: int = 0      # nodes finalized over all searches, forward and backward
+    searches: int = 0  # searches from a particle the greedy start rejected
+    pops: int = 0      # nodes finalized over all searches and drains
     scans: int = 0     # arc entries read at popped nodes, the sink or hub arcs too
-    drains: int = 0    # backward Dijkstra runs, one per unit of floor the routing left
+    drains: int = 0    # searches on the reverse graph, one per unit of floor the routing left
     tables: int = 0    # cells' arc tables built, forward and in-arc
 
 
@@ -170,20 +170,24 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
     used up. Successive shortest paths may move excess to any node of a
     shortest path, so reduced costs stay nonnegative; the sink merely ends the
     routing with excess, one unit per unit of floor still missing. Each such
-    unit is then drained by a Dijkstra search backward from a cell below its
-    floor over in-arcs, stopped when it pops the sink at distance D; every
-    popped node u gains D - d[u], which keeps every reduced cost nonnegative
-    and zeroes those along the path. So a drain reaches a short cell directly,
-    not through the sink's arcs into every cell. Every particle is routed
-    before a drain raises a potential, so an unrouted particle's arcs, priced
-    at potential 0, never turn negative. The in-arc tables, each cell's
-    cheapest in-arc per predecessor cell, are built only if the sink ends with
-    excess, and a moving particle drops those of its candidate cells. A cell's
-    arc table, like the hub's dict built at each pop, also holds the zero-cost
-    arc to the node it passes units to while it has room; its in-arc table
-    holds the arc from that node while it holds units above its floor. Its
-    count changes only when one of its particles moves, which drops both
-    tables, so the entries stay exact.
+    unit is drained by the same search loop run on the reverse graph, from a
+    node below its floor to the sink, with the potentials negated once
+    (ibid., ch. 9): the reverse of an arc keeps its reduced cost under -pi,
+    so the key, the potential update and the path walk are the forward
+    search's. Only the target, the arc tables, the arcs to and from the sink
+    or hub and the direction a particle moves differ. Sums and negation are
+    exact, so a drain makes the choices of a backward search on pi, and it
+    reaches a short node directly, not through the sink's arcs into every
+    cell. Every particle is routed before a drain raises a potential, so an
+    unrouted particle's arcs, priced at potential 0, never turn negative.
+    The in-arc tables, each cell's cheapest in-arc per predecessor cell, are
+    built only if the routing ends with excess, and a moving particle drops
+    those of its candidate cells. A cell's arc table, like the hub's dict
+    built at each pop, also holds the zero-cost arc to the node it passes
+    units to while it has room; its in-arc table holds the arc from that
+    node while it holds units above its floor. Its count changes only when
+    one of its particles moves, which drops both tables, so the entries stay
+    exact.
     """
     n = net.n_particles
     K = len(net.cap)  # cells; the sink is node K, the hub node K + 1
@@ -233,15 +237,15 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
     members = []  # per cell, in index order
     for c, e in zip(count, ends):
         members.append(kept[e - c:e])
-    table: list[dict | None] = [None] * (K + 2)  # per cell: {v: (cost, candidate)}
+    table: list[dict | None] = [None] * (K + 2)  # per cell u: {v: (cost, candidate)}, arcs u -> v
     assigned = pick.tolist()  # candidate index per particle; a rejected one's is set when routed
     pi = [0.0] * (K + 2)
     dist = [0.0] * (K + 2)
     stamp = [0] * (K + 2)  # run while a node is reached in search run, -run once finalized
     prev = [-1] * (K + 2)  # next node toward the search's root, -1 for the root
     via = [-1] * (K + 2)   # candidate moved along that arc, -1 for a sink or hub arc
-    intab: list[dict | None] | None = None  # per cell: {u: (cost, candidate)}, once drains begin
-    run = pops = scans = tables = drains = 0
+    intab: list[dict | None] | None = None  # the same for arcs v -> u, once drains begin
+    run = pops = scans = tables = 0
     heappush, heappop = heapq.heappush, heapq.heappop
 
     def move(k: int, u: int, v: int) -> None:
@@ -262,19 +266,41 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
             for c in spans[p]:
                 intab[cand_cell[c]] = None
 
-    for q in np.flatnonzero(~accepted).tolist():  # an unrouted particle has pi = 0
+    rejected = np.flatnonzero(~accepted).tolist()
+    searches = len(rejected)
+    fwd, tab = True, table
+    lim = floor[:sink] + [1, floor[hub]]  # a target has count < lim; the sink's count stays 0
+    while True:
+        # routing done: drain the floor it left on the reverse graph, one unit per run
+        if run == searches and (short := np.flatnonzero(np.less(count, floor)).tolist()):
+            order = np.argsort(net.cand_cell.astype(np.min_scalar_type(K)), kind="stable")
+            bounds = np.searchsorted(net.cand_cell[order], np.arange(K + 1)).tolist()
+            order = order.tolist()
+            fwd, tab = False, (intab := [None] * (K + 2))
+            lim = [0] * sink + [1, 0]
+            for i, x in enumerate(pi):  # in place, since a new list fragments the heap
+                pi[i] = 0.0 - x  # not -x: a zero stays +0.0, as in every sum of potentials
+        # a rejected particle, or the first node still below its floor
+        root = rejected[run] if run < searches else next(
+            (t for t in short if count[t] < floor[t]), -1)
+        if root < 0:
+            break
         run += 1
         done = -run
-        heap = []
-        for k in spans[q]:
-            v = cand_cell[k]
-            rc = cand_cost[k] - pi[v]
-            if stamp[v] != run or rc < dist[v]:
-                dist[v] = rc
-                stamp[v] = run
-                prev[v] = -1
-                via[v] = k
-                heappush(heap, (rc, v))
+        if fwd:  # from particle root, unrouted and so at potential 0, into each candidate cell
+            heap = []
+            for k in spans[root]:
+                v = cand_cell[k]
+                rc = cand_cost[k] - pi[v]
+                if stamp[v] != run or rc < dist[v]:
+                    dist[v] = rc
+                    stamp[v] = run
+                    prev[v] = -1
+                    via[v] = k
+                    heappush(heap, (rc, v))
+        else:  # from the short node root, at distance 0
+            dist[root], stamp[root], prev[root], via[root] = 0.0, run, -1, -1
+            heap = [(0.0, root)]
         popped: list[int] = []
         target = -1
         while heap:
@@ -283,27 +309,42 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
                 continue
             stamp[u] = done
             popped.append(u)
-            if u == sink or count[u] < floor[u]:
+            if count[u] < lim[u]:
                 target = u
                 break
-            arcs = table[u]
+            arcs = tab[u]
             if arcs is None:
-                if u == hub:  # back to the region cells that passed it units
-                    arcs = dict.fromkeys(filter(count.__getitem__, hubbed), (0.0, -1))
-                else:  # the cheapest arc u -> v over the members of u, per v
-                    arcs = table[u] = {}
+                if u == hub:  # to the region cells that passed it units, or from those with room
+                    if fwd:
+                        arcs = dict.fromkeys(filter(count.__getitem__, hubbed), (0.0, -1))
+                    else:
+                        arcs = {v: (0.0, -1) for v in hubbed if count[v] < cap[v]}
+                else:  # the cheapest arc u -> v over the members of u, or v -> u into u, per v
+                    arcs = tab[u] = {}
                     get = arcs.get
                     tables += 1
-                    for p in members[u]:
-                        cu = cand_cost[assigned[p]]
-                        for k in spans[p]:
-                            v = cand_cell[k]
+                    if fwd:
+                        for p in members[u]:
+                            cu = cand_cost[assigned[p]]
+                            for k in spans[p]:
+                                v = cand_cell[k]
+                                if v != u:
+                                    c = cand_cost[k] - cu
+                                    old = get(v)
+                                    if old is None or c < old[0]:
+                                        arcs[v] = (c, k)
+                    else:
+                        for k in order[bounds[u]:bounds[u + 1]]:
+                            a = assigned[cand_p[k]]
+                            v = cand_cell[a]
                             if v != u:
-                                c = cand_cost[k] - cu
+                                c = cand_cost[k] - cand_cost[a]
                                 old = get(v)
                                 if old is None or c < old[0]:
                                     arcs[v] = (c, k)
-                if count[u] < cap[u]:  # to the sink or hub, which takes u's units
+                # to the sink or hub, which takes u's units, while u has room;
+                # from it, which holds u's surplus, while u is above its floor
+                if count[u] < cap[u] if fwd else count[u] > floor[u]:
                     arcs[up[u]] = (0.0, -1)
             scans += len(arcs)
             base = d + pi[u]
@@ -319,90 +360,27 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
                     via[v] = k
                     heappush(heap, (nd, v))
         if target < 0:
-            raise IntegrityError("min-cost flow infeasible; grid state corruption suspected")
+            raise IntegrityError("min-cost flow infeasible: " + (
+                "grid state corruption suspected" if fwd else "a floor cannot be met"))
         pops += len(popped)
         dstar = dist[target]
         for u in popped:
             pi[u] += dist[u] - dstar
         v = target
-        while v >= 0:  # each particle on the path moves from u (none for q) into v
+        while v >= 0:  # each particle on the path moves on, into k's cell
             u = prev[v]
             if (k := via[v]) >= 0:
-                move(k, u, v)
+                if fwd:  # from u (from nowhere for the root particle) into v
+                    move(k, u, v)
+                else:  # against the search, from v into u
+                    move(k, v, u)
             v = u
 
-    # drain the sink's excess into the cells, then the hub, still below their floor
-    short = np.flatnonzero(np.less(count, floor)).tolist()
-    if short:
-        order = np.argsort(net.cand_cell.astype(np.min_scalar_type(K)), kind="stable")
-        bounds = np.searchsorted(net.cand_cell[order], np.arange(K + 1)).tolist()
-        order = order.tolist()
-        intab = [None] * (K + 2)
-    for t in short:
-        while count[t] < floor[t]:
-            run += 1
-            done = -run
-            drains += 1
-            dist[t] = 0.0
-            stamp[t] = run
-            heap = [(0.0, t)]
-            popped = []
-            while heap:
-                d, v = heappop(heap)
-                if stamp[v] != run or d > dist[v]:
-                    continue
-                stamp[v] = done
-                popped.append(v)
-                if v == sink:
-                    break
-                arcs = intab[v]
-                if arcs is None:
-                    if v == hub:  # from the region cells with room
-                        arcs = {u: (0.0, -1) for u in hubbed if count[u] < cap[u]}
-                    else:  # the cheapest arc u -> v over the particles in u, per u
-                        arcs = intab[v] = {}
-                        get = arcs.get
-                        tables += 1
-                        for k in order[bounds[v]:bounds[v + 1]]:
-                            a = assigned[cand_p[k]]
-                            u = cand_cell[a]
-                            if u != v:
-                                c = cand_cost[k] - cand_cost[a]
-                                old = get(u)
-                                if old is None or c < old[0]:
-                                    arcs[u] = (c, k)
-                    if count[v] > floor[v]:  # from the sink or hub, which holds v's surplus
-                        arcs[up[v]] = (0.0, -1)
-                scans += len(arcs)
-                pv = pi[v]
-                for u, (c, k) in arcs.items():
-                    s = stamp[u]
-                    if s == done:
-                        continue
-                    nd = d + (c + pi[u] - pv)
-                    if s != run or nd < dist[u]:
-                        dist[u] = nd
-                        stamp[u] = run
-                        prev[u] = v
-                        via[u] = k
-                        heappush(heap, (nd, u))
-            if stamp[sink] != done:
-                raise IntegrityError("min-cost flow infeasible: a floor cannot be met")
-            pops += len(popped)
-            dstar = dist[sink]
-            for u in popped:
-                pi[u] += dstar - dist[u]
-            v = sink
-            while v != t:  # the sink gives up a unit, each particle on the path moves on
-                u = prev[v]
-                if (k := via[v]) >= 0:  # its particle moves from v into u
-                    move(k, v, u)
-                v = u
-
     chosen = np.asarray(assigned, dtype=np.int64)
-    stats = SolveStats(objective=float(net.cand_cost[chosen].sum()), pi=np.asarray(pi),
-                       searches=run - drains, pops=pops, scans=scans, tables=tables,
-                       drains=drains)
+    stats = SolveStats(objective=float(net.cand_cost[chosen].sum()),
+                       pi=np.asarray(pi) if fwd else 0.0 - np.asarray(pi),  # drains ran on -pi
+                       searches=searches, pops=pops, scans=scans, tables=tables,
+                       drains=run - searches)
     return net.cand_i[chosen], stats
 
 

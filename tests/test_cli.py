@@ -372,12 +372,16 @@ def test_volume_summary(tmp_path, capsys):
 
 def test_compare_objectives_script(tmp_path, monkeypatch, capsys):
     """scripts/compare_objectives.py records every problem of a run with its
-    solver work; the same solver re-solving them, here three times over,
-    gives no gap, identical choices, the same work per solve, the fastest
-    pass's CPU time and a certified optimum of each. A recording without a
-    counter prints it as -, and an objective one ulp off or a doctored
-    re-solve dual makes it exit 1; unrounded costs are refused. The committed full-strategy band scene records problems with
-    the band's region, and their re-solves certify too."""
+    final potentials and solver work; the same solver re-solving them, here
+    three times over, gives no gap, identical choices, potentials and work on
+    every problem, the same work per solve, the fastest pass's CPU time and a
+    certified optimum of each. One problem's potentials or one counter off
+    counts that problem out, with exit status 0. A recording without a
+    counter prints it as -, as it prints the identical work, and one without
+    potentials prints their count as -. An objective one ulp off or a
+    doctored re-solve dual makes it exit 1; unrounded costs are refused. The
+    committed full-strategy band scene records problems with the band's
+    region, and their re-solves certify too."""
     import importlib.util
 
     path = Path(__file__).resolve().parent.parent / "scripts" / "compare_objectives.py"
@@ -406,16 +410,27 @@ def test_compare_objectives_script(tmp_path, monkeypatch, capsys):
     assert re.search(r"CPU per solve_mcf, fastest of 3 passes: \d+\.\d\d ms", out)
     per = len(recorded["objective"])
     assert f"certified optimal: {per} of {per}" in out
+    assert f"identical potentials {per} of {per}, identical work {per} of {per}" in out
     for name in ("searches", "drains", "pops", "scans", "tables"):
         assert len(recorded[name]) == per
         mean = f"{recorded[name].sum() / per:.1f}"
         assert f"{name} {mean} -> {mean}" in out
+    assert all(f"pi_{i}" in recorded for i in range(per))
 
-    del recorded["tables"]
+    doctored = dict(recorded, pi_0=recorded["pi_0"] + 1.0, pops=recorded["pops"].copy())
+    doctored["pops"][-1] += 1
+    np.savez(a, **doctored)
+    assert run("--against", str(a), "--out", str(b)) == 0
+    out = capsys.readouterr().out
+    assert f"identical potentials {per - 1} of {per}, identical work {per - 1} of {per}" in out
+
+    del recorded["tables"], recorded["pi_0"]
     np.savez(a, **recorded)
     assert run("--against", str(a), "--out", str(b)) == 0
     mean = f"{np.load(b)['tables'].sum() / per:.1f}"
-    assert f"tables - -> {mean}" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"tables - -> {mean}" in out
+    assert f"identical potentials - of {per}, identical work - of {per}" in out
 
     solve = V.solve_mcf
 
