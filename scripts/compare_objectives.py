@@ -16,12 +16,15 @@ problems whose choices are identical, how many re-solves end on potentials
 identical bit for bit and do identical work (all five counters equal), and
 both files' mean work per solve. Means can hide offsetting differences; the
 per-problem counts cannot. A count the file lacks the data for, or a
-counter the solving tree lacks, prints as -. A cell's arc tables also hold
-its arcs to and from the sink or hub, which ``scans`` counts. Then it
-prints the CPU milliseconds per ``solve_mcf`` call of the fastest of
-``--repeat N`` passes (default 1) over the file's problems, and how many
-re-solves certify as optimal against their problems (after the timed
-passes, which time ``solve_mcf`` alone):
+counter the solving tree lacks, prints as -. Potentials are compared only
+where the file holds one per grid cell, then the sink's and the hub's, as
+``SolveStats.pi`` does; a recording made while the solve numbered only the
+reached cells holds fewer, and its potential count prints as -. A cell's
+arc tables also hold its arcs to and from the sink or hub, which ``scans``
+counts. Then it prints the CPU milliseconds per ``solve_mcf`` call of the
+fastest of ``--repeat N`` passes (default 1) over the file's problems, and
+how many re-solves certify as optimal against their problems (after the
+timed passes, which time ``solve_mcf`` alone):
 
     python scripts/compare_objectives.py --against a.npz --out b.npz --repeat 5
 
@@ -144,9 +147,9 @@ def main() -> int:
         results = [V.solve_mcf(net) for net in nets]
         fastest = min(fastest, time.process_time() - start)
     certified = 0
-    for problem, net, (choice, stats) in zip(loaded, nets, results):
+    for problem, (choice, stats) in zip(loaded, results):
         try:
-            problem.certify(choice, V.grid_duals(problem, net, stats.pi))
+            problem.certify(choice, stats.pi)
         except IntegrityError:
             continue
         certified += 1
@@ -161,7 +164,8 @@ def main() -> int:
           f"identical choices {same} of {len(problems)} "
           f"({100.0 * same / per:.0f}%)")
     same_pi = same_work = "-"
-    if all(pi is not None for pi in potentials):
+    if all(pi is not None and len(pi) == len(problem.cap) + 2
+           for pi, problem in zip(potentials, loaded)):
         same_pi = sum(stats.pi.tobytes() == pi.tobytes()
                       for (_, stats), pi in zip(results, potentials))
     if all(name in work and name in redone for name in WORK):

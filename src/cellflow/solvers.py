@@ -18,9 +18,10 @@ Schrijver, *Combinatorial Optimization*, 2003, on network matrices): the
 region's cells, which carry no floors, pass their units to a hub node, which
 takes lo..hi units and passes those above lo on to the sink.
 
-The final potentials are the duals of an optimum. ``solve_problem`` maps them
-to grid cells for ``CorrectionProblem.certify``, which reads only the problem,
-so a fault in the reduction or the solve cannot certify itself.
+The network's nodes are the grid's cells, then the sink and the hub, so the
+final potentials, the duals of an optimum, are read as they are by
+``CorrectionProblem.certify``, which reads only the problem: a fault in the
+reduction or the solve cannot certify itself.
 """
 from __future__ import annotations
 
@@ -39,35 +40,35 @@ class FlowNetwork:
     """Transportation network of a correction problem, in cell terms.
 
     Each particle holds one unit, which goes to one of its candidates. The
-    cells are those some candidate reaches, ranked in grid order; cell u takes
-    floor[u]..cap[u] units, and the sink takes the rest, a deficit of
-    n - sum(floor) - hub_floor. With a region, the cells where hub_cell is
-    set pass their units to a hub instead, which takes hub_floor..hub_cap.
+    cells are the grid's, by flat index; cell u takes floor[u]..cap[u] units,
+    and the sink takes the rest, a deficit of n - sum(floor) - hub_floor. With
+    a region, the cells where hub_cell is set pass their units to a hub
+    instead, which takes hub_floor..hub_cap.
     """
 
     n_particles: int
     cand_j: np.ndarray     # particle per candidate, ordered by (particle, direction)
     cand_i: np.ndarray     # direction per candidate
-    cand_cell: np.ndarray  # cell per candidate
+    cand_cell: np.ndarray  # flat grid cell per candidate
     cand_cost: np.ndarray  # cost per candidate
-    cap: np.ndarray        # per cell; n where the problem leaves the cell uncapped
-    floor: np.ndarray      # per cell
-    grid_cell: np.ndarray  # per cell, its flat grid index
-    hub_cell: np.ndarray | None = None  # per cell, True in the region; None without one
+    cap: np.ndarray        # per grid cell; n where the problem leaves the cell uncapped
+    floor: np.ndarray      # per grid cell
+    hub_cell: np.ndarray | None = None  # per grid cell, True in the region; None without one
     hub_floor: int = 0
     hub_cap: int = 0
 
     @property
     def n_arcs(self) -> int:
         """Arcs of the textbook network: source -> particle, candidates,
-        cell -> sink or hub, and hub -> sink."""
-        return self.n_particles + len(self.cand_j) + len(self.cap) + (self.hub_cell is not None)
+        reached cell -> sink or hub, and hub -> sink."""
+        reached = int(np.count_nonzero(np.bincount(self.cand_cell)))
+        return self.n_particles + len(self.cand_j) + reached + (self.hub_cell is not None)
 
 
 @dataclass
 class SolveStats:
     objective: float
-    pi: np.ndarray     # final potentials: per cell, then the sink's and the hub's
+    pi: np.ndarray     # final potentials: per grid cell, then the sink's and the hub's
     searches: int = 0  # searches from a particle the greedy start rejected
     pops: int = 0      # nodes finalized over all searches and drains
     scans: int = 0     # arc entries read at popped nodes, the sink or hub arcs too
@@ -83,20 +84,15 @@ def reduce_to_flow(problem: CorrectionProblem) -> FlowNetwork:
     n = problem.n
     # candidates ordered by (particle, direction)
     jj, ii = np.nonzero(problem.valid.T)
-    cand_grid = problem.target_flat[ii, jj]
-    # the grid cells some candidate reaches, in grid order, and their ranks
-    reached = np.bincount(cand_grid, minlength=len(problem.cap)) > 0
-    used = np.flatnonzero(reached)
-
+    cand_cell = problem.target_flat[ii, jj]
+    reached = np.bincount(cand_cell, minlength=len(problem.cap)) > 0
     floored = np.flatnonzero(problem.floor > 0)
     missing = floored[~reached[floored]]
     if missing.size:
         raise IntegrityError(f"floored cells unreachable by any candidate: {missing[:4].tolist()}")
 
-    cap = problem.cap[used]
-    cap = np.where(cap < 0, n, cap)
-    floor = problem.floor[used]
-    if (floor > cap).any():
+    cap = np.where(problem.cap < 0, n, problem.cap)
+    if (problem.floor > cap).any():
         raise IntegrityError("cell floor exceeds capacity")
 
     cand_cost = problem.cost[ii, jj]
@@ -107,9 +103,9 @@ def reduce_to_flow(problem: CorrectionProblem) -> FlowNetwork:
         n_particles=n,
         cand_j=jj.astype(np.int64),
         cand_i=ii.astype(np.int64),
-        cand_cell=(np.cumsum(reached) - 1)[cand_grid],
+        cand_cell=cand_cell,
         cand_cost=cand_cost,
-        cap=cap, floor=floor, grid_cell=used,
+        cap=cap, floor=problem.floor,
     )
     if problem.region is not None:
         # a floored region cell short of its floor would have to pass units
@@ -119,7 +115,7 @@ def reduce_to_flow(problem: CorrectionProblem) -> FlowNetwork:
         lo, hi = problem.region_bounds
         if hi < max(lo, 0):
             raise IntegrityError(f"empty region interval [{lo}, {hi}]")
-        net.hub_cell, net.hub_floor, net.hub_cap = problem.region[used], max(lo, 0), hi
+        net.hub_cell, net.hub_floor, net.hub_cap = problem.region, max(lo, 0), hi
     return net
 
 
@@ -128,7 +124,7 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
 
     Each particle holds one unit of excess; cell u has a deficit of floor[u]
     and room up to cap[u], and the sink a deficit of n - sum(floor). Node
-    potentials pi are kept per cell and for the sink.
+    potentials pi are kept per grid cell and for the sink.
 
     The routing starts from a greedy pseudo-flow, computed in numpy: each
     particle picks its first cheapest candidate, and each cell accepts the
@@ -190,7 +186,7 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
     exact.
     """
     n = net.n_particles
-    K = len(net.cap)  # cells; the sink is node K, the hub node K + 1
+    K = len(net.cap)  # grid cells; the sink is node K, the hub node K + 1
     sink, hub = K, K + 1
     if int(net.floor.sum()) + net.hub_floor > n:
         raise IntegrityError("min-cost flow infeasible: floors exceed the particle count")
@@ -227,16 +223,18 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
     cand_p = net.cand_j.tolist()
     cap = net.cap.tolist() + [0, net.hub_cap]  # cells, then the sink's unused slot and the hub
     floor = net.floor.tolist() + [0, net.hub_floor]
-    hubbed = [] if net.hub_cell is None else np.flatnonzero(net.hub_cell).tolist()
+    reached = np.bincount(net.cand_cell, minlength=K) > 0
+    cells = np.flatnonzero(reached).tolist()  # those some candidate reaches, all a search visits
+    hubbed = [u for u in cells if feeds[u]]  # the region's: a drain from the hub pops no other
     up = [sink] * (K + 2)  # where a node passes its units above the floor
     for u in hubbed:
         up[u] = hub
 
     count = count_np.tolist() + [0, in_hub]
-    kept, ends = order[accepted[order]].tolist(), np.cumsum(count_np).tolist()
-    members = []  # per cell, in index order
-    for c, e in zip(count, ends):
-        members.append(kept[e - c:e])
+    kept, ends = order[accepted[order]].tolist(), np.cumsum(count_np)[cells].tolist()
+    members: list[list | None] = [None] * K  # per reached cell, its particles in index order
+    for u, e in zip(cells, ends):
+        members[u] = kept[e - count[u]:e]
     table: list[dict | None] = [None] * (K + 2)  # per cell u: {v: (cost, candidate)}, arcs u -> v
     assigned = pick.tolist()  # candidate index per particle; a rejected one's is set when routed
     pi = [0.0] * (K + 2)
@@ -272,14 +270,14 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
     lim = floor[:sink] + [1, floor[hub]]  # a target has count < lim; the sink's count stays 0
     while True:
         # routing done: drain the floor it left on the reverse graph, one unit per run
-        if run == searches and (short := np.flatnonzero(np.less(count, floor)).tolist()):
+        if run == searches and (short := [t for t in cells + [hub] if count[t] < floor[t]]):
             order = np.argsort(net.cand_cell.astype(np.min_scalar_type(K)), kind="stable")
             bounds = np.searchsorted(net.cand_cell[order], np.arange(K + 1)).tolist()
             order = order.tolist()
             fwd, tab = False, (intab := [None] * (K + 2))
             lim = [0] * sink + [1, 0]
-            for i, x in enumerate(pi):  # in place, since a new list fragments the heap
-                pi[i] = 0.0 - x  # not -x: a zero stays +0.0, as in every sum of potentials
+            for u in cells + [sink, hub]:  # in place, since a new list fragments the heap
+                pi[u] = 0.0 - pi[u]  # not -pi[u]: a zero stays +0.0, as in every sum
         # a rejected particle, or the first node still below its floor
         root = rejected[run] if run < searches else next(
             (t for t in short if count[t] < floor[t]), -1)
@@ -377,27 +375,19 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
             v = u
 
     chosen = np.asarray(assigned, dtype=np.int64)
-    stats = SolveStats(objective=float(net.cand_cost[chosen].sum()),
-                       pi=np.asarray(pi) if fwd else 0.0 - np.asarray(pi),  # drains ran on -pi
+    duals = np.asarray(pi) if fwd else 0.0 - np.asarray(pi)  # drains ran on -pi
+    # a cell no candidate reaches takes the potential of the node it passes units to
+    idle = np.flatnonzero(~reached)
+    duals[idle] = duals[sink + (0 if net.hub_cell is None else net.hub_cell[idle])]
+    stats = SolveStats(objective=float(net.cand_cost[chosen].sum()), pi=duals,
                        searches=searches, pops=pops, scans=scans, tables=tables,
                        drains=run - searches)
     return net.cand_i[chosen], stats
-
-
-def grid_duals(problem: CorrectionProblem, net: FlowNetwork, pi: np.ndarray) -> np.ndarray:
-    """The solve's potentials as ``CorrectionProblem.certify`` reads them:
-    one per grid cell, then the sink's and the hub's. A cell that no
-    candidate reaches takes the potential of the node it passes units to."""
-    K = len(net.cap)
-    hubbed = np.zeros(len(problem.cap), dtype=bool) if problem.region is None else problem.region
-    duals = np.append(pi[K + hubbed], pi[K:])
-    duals[net.grid_cell] = pi[:K]
-    return duals
 
 
 def solve_problem(problem: CorrectionProblem) -> tuple[np.ndarray, SolveStats]:
     """Reduce to flow, solve, and certify the choice against the problem."""
     net = reduce_to_flow(problem)
     choice, stats = solve_mcf(net)
-    problem.certify(choice, grid_duals(problem, net, stats.pi))
+    problem.certify(choice, stats.pi)
     return choice, stats

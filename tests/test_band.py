@@ -606,8 +606,7 @@ class TestHubSolve:
     def test_network_carries_the_hub(self):
         grid, particles, state, problem, full, _ = band_toys(-1.0, 1)[0]
         net, plain = V.reduce_to_flow(full), V.reduce_to_flow(problem)
-        used = np.unique(problem.target_flat[problem.valid])
-        assert np.array_equal(net.hub_cell, full.region[used])
+        assert np.array_equal(net.hub_cell, full.region)
         assert (net.hub_floor, net.hub_cap) == full.region_bounds
         assert plain.hub_cell is None and net.n_arcs == plain.n_arcs + 1
 

@@ -378,7 +378,8 @@ def test_compare_objectives_script(tmp_path, monkeypatch, capsys):
     certified optimum of each. One problem's potentials or one counter off
     counts that problem out, with exit status 0. A recording without a
     counter prints it as -, as it prints the identical work, and one without
-    potentials prints their count as -. An objective one ulp off or a
+    potentials, or with fewer than one per grid cell, prints their count
+    as -. An objective one ulp off or a
     doctored re-solve dual makes it exit 1; unrounded costs are refused. The
     committed full-strategy band scene records problems with the band's
     region, and their re-solves certify too."""
@@ -423,6 +424,12 @@ def test_compare_objectives_script(tmp_path, monkeypatch, capsys):
     assert run("--against", str(a), "--out", str(b)) == 0
     out = capsys.readouterr().out
     assert f"identical potentials {per - 1} of {per}, identical work {per - 1} of {per}" in out
+
+    # potentials of the reached cells only, as a solve that ranked them recorded
+    np.savez(a, **dict(recorded, pi_0=recorded["pi_0"][1:]))
+    assert run("--against", str(a), "--out", str(b)) == 0
+    out = capsys.readouterr().out
+    assert f"identical potentials - of {per}, identical work {per} of {per}" in out
 
     del recorded["tables"], recorded["pi_0"]
     np.savez(a, **recorded)

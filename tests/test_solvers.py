@@ -17,39 +17,40 @@ from oracles import (BRUTE_FORCE_LIMIT, brute_force_ilp, canonical_matrix, objec
 
 class TestReduceToFlow:
     def test_network_shape_single_particle(self, rng):
+        # the nodes are the grid's cells; the arcs up to the sink count only
+        # the cells some candidate reaches
         problem, grid, particles = random_problem(rng, n_max=1)
         net = V.reduce_to_flow(problem)
         n_cands = int(problem.valid.sum())
         n_cells = len(np.unique(problem.target_flat[problem.valid]))
         assert net.n_particles == 1 and len(net.cand_j) == n_cands
-        assert len(net.cap) == len(net.floor) == n_cells
+        assert len(net.cap) == len(net.floor) == len(problem.cap)
         assert net.n_arcs == 1 + n_cands + n_cells
 
     def test_solid_cell_arc_capacity_zero(self, rng):
-        # the cap of each reached cell, in grid order; solid cells keep cap 0
+        # the cap of each grid cell; solid cells, reached ones too, keep cap 0
         solid_seen = False
         for _ in range(20):
             problem, grid, particles = random_problem(rng, solid_prob=0.3)
             net = V.reduce_to_flow(problem)
             used = np.unique(problem.target_flat[problem.valid])
-            assert np.array_equal(net.cap, problem.cap[used])
-            solid_seen |= bool((net.cap == 0).any())
+            assert np.array_equal(net.cap, problem.cap)
+            solid_seen |= bool((net.cap[used] == 0).any())
         assert solid_seen
 
     def test_lower_bounds_forwarded(self, rng):
-        # the floor of each reached cell, in grid order
+        # the floor of each grid cell
         floor_seen = False
         for _ in range(20):
             problem, grid, particles = random_problem(rng, dims=(8, 8), mu=4, n_max=80)
             net = V.reduce_to_flow(problem)
-            used = np.unique(problem.target_flat[problem.valid])
-            assert np.array_equal(net.floor, problem.floor[used])
+            assert np.array_equal(net.floor, problem.floor)
             floor_seen |= bool((net.floor > 0).any())
         assert floor_seen
 
     def test_matches_sorted_construction(self):
-        # the bincount remap numbers the reached cells in grid order, as
-        # np.unique(return_inverse=True) does, so every array is unchanged
+        # np.nonzero on the transposed mask lists the candidates in the order
+        # of a sort by (particle, direction), so every array is the sorted one
         rng = np.random.default_rng(3)
         for _ in range(40):
             dims = tuple(int(v) for v in rng.integers(4, 10, size=2))
@@ -57,11 +58,12 @@ class TestReduceToFlow:
                                                       solid_prob=rng.uniform(0.0, 0.3))
             net, ref = V.reduce_to_flow(problem), _sorted_network(problem)
             assert net.n_particles == ref.n_particles
-            for name in ("cand_j", "cand_i", "cand_cell", "cand_cost", "cap", "floor", "grid_cell"):
+            for name in ("cand_j", "cand_i", "cand_cell", "cand_cost", "cap", "floor"):
                 got, want = getattr(net, name), getattr(ref, name)
                 assert got.dtype == want.dtype and np.array_equal(got, want), name
-            # source -> particle, candidate and cell -> sink arcs
-            assert net.n_arcs == problem.n + int(problem.valid.sum()) + len(ref.cap)
+            # source -> particle, candidate and reached cell -> sink arcs
+            reached = len(np.unique(problem.target_flat[problem.valid]))
+            assert net.n_arcs == ref.n_arcs == problem.n + int(problem.valid.sum()) + reached
 
     def test_unreachable_floor_refused(self, rng):
         problem, grid, particles = random_problem(rng, n_max=4)
@@ -72,14 +74,14 @@ class TestReduceToFlow:
 
 
 def _sorted_network(problem):
-    """The flow network with its cells numbered by sorting (np.unique)."""
-    jj, ii = np.nonzero(problem.valid.T)
-    used, cell = np.unique(problem.target_flat[ii, jj], return_inverse=True)
-    cap = problem.cap[used]
+    """The flow network with its candidates sorted by (particle, direction)."""
+    ii, jj = np.nonzero(problem.valid)
+    order = np.lexsort((ii, jj))
+    ii, jj = ii[order].astype(np.int64), jj[order].astype(np.int64)
     return V.FlowNetwork(
-        n_particles=problem.n, cand_j=jj.astype(np.int64), cand_i=ii.astype(np.int64),
-        cand_cell=cell.astype(np.int64), cand_cost=problem.cost[ii, jj],
-        cap=np.where(cap < 0, problem.n, cap), floor=problem.floor[used], grid_cell=used)
+        n_particles=problem.n, cand_j=jj, cand_i=ii, cand_cell=problem.target_flat[ii, jj],
+        cand_cost=problem.cost[ii, jj], cap=np.where(problem.cap < 0, problem.n, problem.cap),
+        floor=problem.floor)
 
 
 class TestSolveMcf:
@@ -356,10 +358,10 @@ def _band_toy_problem(rng):
 
 
 def _solve_with_duals(problem):
-    """The flow solve's choice and its potentials in grid terms."""
-    net = V.reduce_to_flow(problem)
-    choice, stats = V.solve_mcf(net)
-    return choice, V.grid_duals(problem, net, stats.pi)
+    """The flow solve's choice and its potentials: per grid cell, then the
+    sink's and the hub's."""
+    choice, stats = V.solve_mcf(V.reduce_to_flow(problem))
+    return choice, stats.pi
 
 
 class TestCertify:
@@ -435,28 +437,26 @@ class TestCertify:
                 moved += 1
         assert moved >= 20
 
-    def test_grid_duals(self):
-        # a reached cell takes its network node's potential; a cell no
-        # candidate reaches takes the hub's in the region, else the sink's
+    def test_unreached_cell_duals(self):
+        # a cell no candidate reaches takes the potential of the node it
+        # passes units to: the hub's in the region, else the sink's. Band toy
+        # solves whose hub potential is nonzero and not the sink's tell the
+        # two apart from each other and from an unset 0
         rng = np.random.default_rng(1618)
-        unreached_region = 0
-        for _ in range(80):
+        told = 0
+        for _ in range(200):
             full = _band_toy_problem(rng)
             if full is None:
                 continue
-            net = V.reduce_to_flow(full)
-            K = len(net.cap)
-            pi = np.arange(K + 2, dtype=np.float64) + 1.0
-            duals = V.grid_duals(full, net, pi)
-            reached = np.zeros(len(full.cap), dtype=bool)
-            reached[net.grid_cell] = True
-            cells, ends = duals[:-2], duals[-2:]
-            assert np.array_equal(cells[net.grid_cell], pi[:K])
-            assert (cells[~reached & full.region] == K + 2).all()
-            assert (cells[~reached & ~full.region] == K + 1).all()
-            assert list(ends) == [K + 1, K + 2]
-            unreached_region += bool((~reached & full.region).any())
-        assert unreached_region >= 5
+            choice, duals = _solve_with_duals(full)
+            full.certify(choice, duals)
+            sink, hub = len(full.cap), len(full.cap) + 1
+            unreached = np.ones(sink, dtype=bool)
+            unreached[full.target_flat[full.valid]] = False
+            assert (duals[:sink][unreached & full.region] == duals[hub]).all()
+            assert (duals[:sink][unreached & ~full.region] == duals[sink]).all()
+            told += bool((unreached & full.region).any() and 0 != duals[hub] != duals[sink])
+        assert told >= 10
 
     def test_nan_fails(self):
         # a NaN dual or cost fails every comparison it enters
@@ -594,9 +594,8 @@ class TestExactCosts:
             for value in (stats.pi, stats.objective):
                 scaled = np.ldexp(value, 24)
                 assert np.array_equal(scaled, np.round(scaled))
-            net = V.reduce_to_flow(problem)
-            problem.certify(choice, V.grid_duals(problem, net, stats.pi))
-            regrouped, other = solve_regrouped(net)
+            problem.certify(choice, stats.pi)
+            regrouped, other = solve_regrouped(V.reduce_to_flow(problem))
             assert np.array_equal(regrouped, choice) and other.objective == stats.objective
 
 
@@ -744,10 +743,14 @@ def test_band_dam_problem_matches_highs(monkeypatch):
 def test_band_falling_obs_problem_matches_highs(monkeypatch):
     """falling_obs with band R=4 at seed 7, frame 44, after the box has hit
     the pool: solid penalties enter the costs, and the plain optimum moves
-    too many particles out of the interface."""
+    too many particles out of the interface. The solve's work is pinned: its
+    drains reach the hub, which must offer them only the region cells some
+    candidate reaches."""
     pytest.importorskip("scipy")
-    side, penalised, _ = _band_problem_matches_highs(monkeypatch, "falling_obs", 44, R=4)
+    side, penalised, stats = _band_problem_matches_highs(monkeypatch, "falling_obs", 44, R=4)
     assert side == -1 and penalised
+    assert ((stats.searches, stats.drains, stats.pops, stats.scans, stats.tables)
+            == (139, 15, 2350, 13753, 792))
 
 
 class TestBruteForce:
