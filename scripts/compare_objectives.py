@@ -43,7 +43,9 @@ under the key prefix ``problem_i/`` (``problem_12/cost``), beside its
 problem as one text string, the line format the replay file had before it
 became arrays, no longer load; nor do recordings of unrounded costs, made
 before costs were multiples of 2^-24: ``load_problem`` refuses them, naming
-the array ``cost``.
+the array ``cost``. Recordings made while the problem also kept its (m, n, d)
+landing positions, its validity mask and ``mu`` still load: ``load_problem``
+reads only the arrays it needs and ignores those three.
 """
 import argparse
 import sys

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from . import grid as G
-from .correction import CorrectionProblem
+from .correction import CorrectionProblem, direction_set
 from .errors import IntegrityError, NoPathError
 from .flip import velocity_at
 
@@ -71,7 +71,7 @@ def attach_region(problem: CorrectionProblem, classes: dict[str, np.ndarray],
     """
     region, iface, above = classes["region"], classes["interface"], classes["layer_above"]
     prev_cells = problem.target_flat[-1]
-    target = np.where(problem.valid, problem.target_flat, 0)
+    target = np.maximum(problem.target_flat, 0)  # an invalid candidate's -1 reads cell 0
     live = problem.valid & (problem.cap[target] != 0)
     src = prev_cells[None, :]
     delta = region[target].astype(np.int64) - region[src]
@@ -139,7 +139,8 @@ class EdgeCost:
         self.home = problem.target_flat[-1]
         self.cap = problem.cap
         strides = np.array([int(np.prod(problem.dims[k + 1:])) for k in range(len(problem.dims))])
-        self.offset_dir = {int(off): i for i, off in enumerate(problem.dirs @ strides)}
+        offsets = direction_set(len(strides)) @ strides
+        self.offset_dir = {int(off): i for i, off in enumerate(offsets)}
         self.current = choice
 
     def direction(self, j: int, c_flat: int) -> int:

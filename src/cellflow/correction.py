@@ -1,11 +1,12 @@
-"""Grid-movement correction problem: candidate positions, costs, constraints.
+"""Grid-movement correction problem: candidate moves, costs, constraints.
 
 Each particle may move to the cell it occupied at the end of the previous
 step or one of its von Neumann neighbors (plus staying). For every such
-candidate cell we precompute the position inside the cell closest to the
-particle's ideal advected position, and the squared-distance cost of it.
-The correction problem then selects one candidate per particle under
-per-cell capacity and lower-bound constraints.
+candidate cell we precompute the squared distance from the particle's ideal
+advected position to the closest point of the cell. The correction problem
+then selects one candidate per particle under per-cell capacity and
+lower-bound constraints, and the apply places each particle at that point
+of its chosen cell.
 """
 from __future__ import annotations
 
@@ -43,31 +44,34 @@ def phi_close(q, c) -> np.ndarray:
 
 @dataclass
 class CandidateTable:
-    """Per-direction, per-particle candidate placements.
+    """Per-direction, per-particle candidate moves.
 
-    xi[i, j] is the landing position of particle j under direction i,
-    cost[i, j] its squared distance to the ideal position. Candidates whose
-    target cell is off-grid or a tank wall are invalid and dropped from the
-    optimization entirely.
+    target_flat[i, j] is the flat index of particle j's target cell under
+    direction i, and cost[i, j] the squared distance from its ideal position
+    to the closest point of that cell. Candidates whose target cell is
+    off-grid or a tank wall are invalid: their target is -1 and their cost
+    inf, and the optimization drops them entirely.
     """
 
-    xi: np.ndarray           # (m, n, d) float
-    cost: np.ndarray         # (m, n) float
+    cost: np.ndarray         # (m, n) float, inf where invalid
     target_flat: np.ndarray  # (m, n) int64, -1 where invalid
-    valid: np.ndarray        # (m, n) bool
-    dirs: np.ndarray         # (m, d) int, direction_set(d)
+
+    @property
+    def valid(self) -> np.ndarray:
+        """(m, n) bool, a fresh array: which candidates have a target."""
+        return self.target_flat >= 0
 
     @property
     def m(self) -> int:
-        return self.xi.shape[0]
+        return self.cost.shape[0]
 
     @property
     def n(self) -> int:
-        return self.xi.shape[1]
+        return self.cost.shape[1]
 
 
 def build_candidates(x_start: np.ndarray, x_ideal: np.ndarray, cells: G.CellGrid) -> CandidateTable:
-    """Candidate positions and costs for every particle/direction pair, from
+    """Candidate targets and costs for every particle/direction pair, from
     the positions at the start of the substep and the ideal advected ones."""
     n, d = x_start.shape
     dirs = direction_set(d)
@@ -75,21 +79,16 @@ def build_candidates(x_start: np.ndarray, x_ideal: np.ndarray, cells: G.CellGrid
 
     # one axis at a time on (m, n) arrays; cost sums the axes left to right,
     # as np.sum over a length-d axis does
-    xi = np.empty((m, n, d))
     flat = np.zeros((m, n), dtype=np.int64)
     in_bounds = np.ones((m, n), dtype=bool)
     for k in range(d):
         target = np.floor(x_start[:, k]).astype(np.int64) + dirs[:, k, None]
         in_bounds &= (target >= 0) & (target < cells.dims[k])
         flat = flat * cells.dims[k] + target
-        xi[:, :, k] = xk = phi_close(x_ideal[:, k], target)
-        sq = (xk - x_ideal[:, k]) ** 2
+        sq = (phi_close(x_ideal[:, k], target) - x_ideal[:, k]) ** 2
         cost = sq if k == 0 else cost + sq
     valid = in_bounds & ~cells.wall[np.where(in_bounds, flat, 0)]
-    flat = np.where(valid, flat, -1)
-    cost = np.where(valid, cost, np.inf)
-
-    return CandidateTable(xi=xi, cost=cost, target_flat=flat, valid=valid, dirs=dirs)
+    return CandidateTable(cost=np.where(valid, cost, np.inf), target_flat=np.where(valid, flat, -1))
 
 
 @dataclass
@@ -100,13 +99,13 @@ class CorrectionProblem(CandidateTable):
     problem holds it rounded to the nearest multiple of 2^-24, so that float
     sums of costs are exact within the bound ``reduce_to_flow`` checks.
     cap[c] is the admissible particle count of cell c (-1 means no bound;
-    used for deep cells in band mode), floor[c] the mandatory minimum. The
-    all-stay assignment is feasible by construction and is asserted on
+    used for deep cells in band mode), floor[c] the mandatory minimum; dims,
+    the grid's shape, gives a target's cell coordinates. The all-stay
+    assignment is feasible by construction and is asserted on
     build. The band's balance constraint, when attached, bounds the total
     count of the cells in ``region`` to ``region_bounds`` = (lo, hi).
     """
 
-    mu: int
     cap: np.ndarray     # (ncells,) int64
     floor: np.ndarray   # (ncells,) int64
     dims: tuple
@@ -118,13 +117,13 @@ class CorrectionProblem(CandidateTable):
 
     def counts_of(self, choice: np.ndarray) -> np.ndarray:
         cells = self.target_flat[choice, np.arange(self.n)]
-        return np.bincount(cells, minlength=int(np.prod(self.dims))).astype(np.int64)
+        return np.bincount(cells, minlength=len(self.cap)).astype(np.int64)
 
     def check_feasible(self, choice: np.ndarray, strict: bool = True,
                        counts: np.ndarray | None = None) -> bool:
         """Whether ``choice`` meets every constraint; ``counts``, if given, are
         its ``counts_of``."""
-        ok = bool(self.valid[choice, np.arange(self.n)].all())
+        ok = bool((self.target_flat[choice, np.arange(self.n)] >= 0).all())
         if counts is None:
             counts = self.counts_of(choice)
         capped = self.cap >= 0
@@ -194,19 +193,21 @@ def build_problem(cells: G.CellGrid, candidates: CandidateTable, mu: int,
     if (floor > np.where(cap < 0, np.iinfo(np.int64).max, cap)).any():
         raise IntegrityError("cell lower bound exceeds capacity; grid state corrupt")
 
-    problem = CorrectionProblem(**vars(candidates), mu=mu, cap=cap, floor=floor, dims=cells.dims)
+    problem = CorrectionProblem(**vars(candidates), cap=cap, floor=floor, dims=cells.dims)
     stay = np.full(problem.n, problem.m - 1, dtype=np.int64)
     if not problem.check_feasible(stay, strict=False):
         raise IntegrityError("all-stay assignment infeasible; grid state is inconsistent")
     return problem
 
 
-def apply_solution(problem: CorrectionProblem, choice: np.ndarray, particles) -> None:
-    """Move every particle to its selected candidate position, ``choice``
-    holding each particle's direction index."""
+def apply_solution(problem: CorrectionProblem, choice: np.ndarray, particles,
+                   x_ideal: np.ndarray) -> None:
+    """Move every particle to the point of its chosen cell closest to its
+    ideal position ``x_ideal``, the point whose distance the candidate's
+    cost holds; ``choice`` holds each particle's direction index."""
     problem.check_feasible(choice)
-    ar = np.arange(problem.n)
-    particles.x = problem.xi[choice, ar, :].copy()
+    cells = problem.target_flat[choice, np.arange(problem.n)]
+    particles.x = phi_close(x_ideal, np.column_stack(np.unravel_index(cells, problem.dims)))
 
 
 # ----------------------------------------------------------------------
@@ -214,10 +215,11 @@ def apply_solution(problem: CorrectionProblem, choice: np.ndarray, particles) ->
 # offline oracle tool reads back
 
 def dump_problem(problem: CorrectionProblem) -> dict[str, np.ndarray]:
-    """The problem's fields as arrays for ``np.savez`` (``dirs`` follows from
-    ``dims``), with the band row's ``region`` and ``region_bounds`` if any."""
+    """The problem's fields as arrays for ``np.savez``: ``cost``,
+    ``target_flat``, ``cap``, ``floor`` and ``dims``, with the band row's
+    ``region`` and ``region_bounds`` if any."""
     arrays = {key: np.asarray(getattr(problem, key))
-              for key in ("xi", "cost", "target_flat", "valid", "mu", "cap", "floor", "dims")}
+              for key in ("cost", "target_flat", "cap", "floor", "dims")}
     if problem.region is not None:
         arrays.update(region=problem.region, region_bounds=np.asarray(problem.region_bounds))
     return arrays
@@ -250,22 +252,17 @@ def load_problem(arrays) -> CorrectionProblem:
     if len(dims) not in (2, 3):
         raise InputError(f"array 'dims' must give 2 or 3 sizes, got {len(dims)}")
     refuse("dims", dims < 1, "a grid size below 1", dims)
-    if (mu := get("mu", np.int64, ())) < 1:
-        raise InputError(f"array 'mu' must be at least 1, got {mu}")
-    dirs = direction_set(d := len(dims))
     ncells = int(np.prod(dims))
-    xi = get("xi", np.float64, (len(dirs), None, d))
-    cost, target, valid = (get(key, dtype, xi.shape[:2]) for key, dtype in
-                           (("cost", np.float64), ("target_flat", np.int64), ("valid", bool)))
+    cost = get("cost", np.float64, (len(direction_set(len(dims))), None))
+    target = get("target_flat", np.int64, cost.shape)
+    refuse("target_flat", (target < -1) | (target >= ncells), "a target off the grid", target)
+    valid = target >= 0
     refuse("cost", valid & ~np.isfinite(cost), "a valid candidate's cost must be finite", cost)
-    refuse("target_flat", (target < np.where(valid, 0, -1)) | (target >= ncells),
-           "a target off the grid", target)
     cap, floor = get("cap", np.int64, (ncells,)), get("floor", np.int64, (ncells,))
     refuse("cap", cap < -1, "a cap below -1, the uncapped mark", cap)
     refuse("floor", floor < 0, "a floor below 0", floor)
     refuse("floor", (cap >= 0) & (floor > cap), "a floor above its cap", floor)
-    problem = CorrectionProblem(xi=xi, cost=cost, target_flat=target, valid=valid, dirs=dirs,
-                                mu=int(mu), cap=cap, floor=floor,
+    problem = CorrectionProblem(cost=cost, target_flat=target, cap=cap, floor=floor,
                                 dims=tuple(int(v) for v in dims))
     refuse("cost", valid & (problem.cost != cost), "a valid candidate's cost must be a "
            "multiple of 2^-24", cost)

@@ -312,7 +312,7 @@ class Simulation:
                 else:
                     for key in ("n_move", "paths", "find_calls"):
                         band_diag[key] += diag[key]
-            C.apply_solution(problem, choice, particles)
+            C.apply_solution(problem, choice, particles, x_ideal)
         except IntegrityError as exc:
             exc.problem = problem
             raise

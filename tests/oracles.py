@@ -85,7 +85,9 @@ def build_one_way(problem: CorrectionProblem, choice: np.ndarray, in_mask: np.nd
     forced = (fixed & sel).any(axis=0)
     valid[:, forced] &= sel[:, forced]
     point = hi if s_in < 0 else lo
-    return replace(problem, valid=valid, region_bounds=(point, point))
+    return replace(problem, cost=np.where(valid, problem.cost, np.inf),
+                   target_flat=np.where(valid, problem.target_flat, -1),
+                   region_bounds=(point, point))
 
 
 def canonical_matrix(problem: CorrectionProblem) -> np.ndarray:

@@ -184,7 +184,7 @@ def test_criterion_08_fig_path_reproduction():
                                           state.alpha_le)
     first_ok = (n_in, n_out, s_in, s_out) == (1, 0, -1, 1)
     diag = B.correct_band_flow(grid, problem, assignment, cls, state)
-    C.apply_solution(problem, assignment, particles)
+    C.apply_solution(problem, assignment, particles, x_ideal)
     flow_ok = diag["n_move"] == 1 and diag["s_in"] == 0
     check(8, first_ok and flow_ok,
           "hand-built band instance: n_in=1, n_out=0, s_in=-1, s_out=1, one path restores",
@@ -232,7 +232,7 @@ def test_criterion_09_oneway_vs_flowpaths():
         _, full_obj = brute_force_ilp(full_row)
 
         diag = B.correct_band_flow(grid, problem, assignment, cls, state)
-        C.apply_solution(problem, assignment, particles)
+        C.apply_solution(problem, assignment, particles, x_ideal)
         assert diag["s_in"] >= 0 and diag["s_out"] >= 0
         # the particles moved by the choice's unrounded costs; brute force
         # optimises the problems' costs, rounded to multiples of 2^-24

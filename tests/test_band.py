@@ -475,7 +475,7 @@ def test_flow_paths_stay_in_one_way_set(push):
         one_way = build_one_way(full, assignment, in_mask, out_mask, state.alpha_le)
         choice = assignment
         B.correct_band_flow(grid, problem, choice, cls, state)
-        C.apply_solution(problem, assignment, particles)  # checks the band row it carries
+        C.apply_solution(problem, assignment, particles, x_ideal)  # checks the band row it carries
         assert one_way.check_feasible(choice, strict=False)
         # the particles moved by the choice's unrounded costs; the problems
         # hold them rounded to multiples of 2^-24
@@ -815,7 +815,7 @@ class TestFigPathScenario:
         problem = C.build_problem(grid, table, mu=1, classes=cls)
         assignment, _ = V.solve_problem(problem)
         B.correct_band_flow(grid, problem, assignment, cls, state)
-        C.apply_solution(problem, assignment, particles)
+        C.apply_solution(problem, assignment, particles, x_ideal)
         counts = np.bincount(grid.cell_of(particles.x), minlength=grid.ncells)
         deep = grid.fluid_mask() & (grid.depth < -state.R)
         capped = ~grid.solid_mask() & ~deep

@@ -158,10 +158,11 @@ def put(array, index, value):
     (lambda a: {"target_flat": put(a["target_flat"], (-1, 0), 10**6)},
      "array 'target_flat' index (4, 0): a target off the grid, got 1000000"),
     (lambda a: {"dims": np.array([3, -3])}, "array 'dims' index 1: a grid size below 1, got -3"),
-    (lambda a: {"cost": a["cost"][:, 1:]}, "array 'cost' has shape (5, "),
-    (lambda a: {"valid": a["valid"][1:]}, "array 'valid' has shape (4, "),
-    (lambda a: {"xi": np.zeros((9,) + a["xi"].shape[1:])}, "array 'xi' has shape (9, "),
-    (lambda a: {"mu": np.int64(0)}, "array 'mu' must be at least 1, got 0"),
+    (lambda a: {"target_flat": a["target_flat"][:, 1:]}, "array 'target_flat' has shape (5, "),
+    (lambda a: {"target_flat": a["target_flat"][1:]}, "array 'target_flat' has shape (4, "),
+    (lambda a: {"cost": np.zeros((9,) + a["cost"].shape[1:])}, "array 'cost' has shape (9, "),
+    (lambda a: {"target_flat": put(a["target_flat"], (-1, 0), -2)},
+     "array 'target_flat' index (4, 0): a target off the grid, got -2"),
     (lambda a: {"cap": put(a["cap"], 8, -2)},
      "array 'cap' index 8: a cap below -1, the uncapped mark, got -2"),
     (lambda a: {"cost": put(a["cost"], (-1, 0), np.nan)},
@@ -185,7 +186,7 @@ def put(array, index, value):
     (lambda a: {"region": np.zeros(len(a["cap"]), dtype=bool)}, "no array 'region_bounds'"),
     (lambda a: {"cap": a["cap"].astype(np.float64)}, "array 'cap' must hold int64, got float64"),
 ], ids=["particle_out_of_range", "negative_dims", "negative_n", "negative_m", "m_not_2d_plus_1",
-        "mu_zero", "cap_below_minus_one", "cost_nan", "cost_inf", "cost_minus_inf",
+        "target_below_minus_one", "cap_below_minus_one", "cost_nan", "cost_inf", "cost_minus_inf",
         "cost_not_dyadic", "floor_negative", "floor_above_cap", "empty_region", "floored_region_cell", "no_cap",
         "region_without_bounds", "cap_as_floats"])
 def test_oracle_check_malformed_dump(tmp_path, rng, capsys, edit, where):
@@ -261,7 +262,7 @@ def test_oracle_check_large_instance(tmp_path, capsys):
     big = replace(problem, cap=np.where(problem.cap >= 0, problem.cap * 2, problem.cap),
                   floor=problem.floor * 2,
                   **{key: np.concatenate([getattr(problem, key)] * 2, axis=1)
-                     for key in ("xi", "cost", "target_flat", "valid")})
+                     for key in ("cost", "target_flat")})
     dump = tmp_path / "big.npz"
     np.savez(dump, **C.dump_problem(big))
     code = cli.main(["oracle-check", str(dump)])
@@ -462,7 +463,7 @@ def test_compare_objectives_script(tmp_path, monkeypatch, capsys):
     # a recording of unrounded costs is refused, naming the array
     recorded["objective"] = objective
     cost = recorded["problem_0/cost"].copy()
-    recorded["problem_0/cost"] = np.where(recorded["problem_0/valid"], cost + 0.1, cost)
+    recorded["problem_0/cost"] = np.where(recorded["problem_0/target_flat"] >= 0, cost + 0.1, cost)
     np.savez(a, **recorded)
     with pytest.raises(SystemExit) as exited:
         run("--against", str(a), "--out", str(b))

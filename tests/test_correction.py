@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cellflow import correction as C
 from cellflow import grid as G
+from cellflow import solvers as V
 from cellflow.errors import InputError, IntegrityError
 from cellflow.flip import ParticleSet
 
@@ -94,7 +95,7 @@ class TestCandidates:
     def test_ideal_in_candidate_cell_costs_zero(self):
         grid = classified_grid((8, 8), [((4, 4), 1)])
         table = candidates_at(grid, [[4.5, 4.5]], [[5.4, 4.5]])  # ideal inside the +x cell
-        assert np.allclose(table.xi[0, 0], [5.4, 4.5])
+        assert table.target_flat[0, 0] == flat_index(grid, (5, 4))
         assert table.cost[0, 0] == 0.0
 
     def test_stay_candidate_always_valid(self):
@@ -118,12 +119,14 @@ class TestCandidates:
 
     def test_targets_match_directions(self):
         grid = classified_grid((9, 9), [((4, 4), 1)])
-        table = candidates_at(grid, [[4.3, 4.7]], [[4.9, 4.2]])
-        for i, dvec in enumerate(table.dirs):
+        ideal = np.array([4.9, 4.2])
+        table = candidates_at(grid, [[4.3, 4.7]], [ideal])
+        for i, dvec in enumerate(C.direction_set(2)):
             if table.valid[i, 0]:
                 cell = grid.unflat(table.target_flat[i, 0])
                 assert (cell == np.array([4, 4]) + dvec).all()
-                assert (np.floor(table.xi[i, 0]) == cell).all()
+                assert table.cost[i, 0] == pytest.approx(
+                    ((C.phi_close(ideal, cell) - ideal) ** 2).sum())
 
 
 def build_candidates_on_nd(x_start, x_ideal, cells):
@@ -147,7 +150,9 @@ class TestCandidatesByAxis:
         leave the grid or enter a wall; ideal positions up to 1.5 cells away,
         a fifth of their coordinates on cell faces. Half the grids have tank
         walls and a few interior walls, half only scattered walls, so that
-        at the edge the grid bounds alone make a move invalid."""
+        at the edge the grid bounds alone make a move invalid. The apply
+        places each particle with a candidate at its chosen candidate's
+        reference landing position, bit for bit."""
         rng = np.random.default_rng(len(dims))
         d = len(dims)
         for case in range(8):
@@ -160,12 +165,27 @@ class TestCandidatesByAxis:
             snap = rng.random(x.shape) < 0.2
             ideal[snap] = np.round(ideal[snap])
             table = C.build_candidates(x, ideal, grid)
-            got = (table.xi, table.cost, table.target_flat, table.valid)
-            want = build_candidates_on_nd(x, ideal, grid)
-            for a, b in zip(got, want):
+            xi, *want = build_candidates_on_nd(x, ideal, grid)
+            for a, b in zip((table.cost, table.target_flat, table.valid), want):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
             assert not table.valid.all() and table.valid.any()
+
+            # a random valid choice of each particle that has one, uncapped
+            kept = np.flatnonzero(table.valid.any(axis=0))
+            valid = table.valid[:, kept]
+            keys = np.random.default_rng(case).random(valid.shape)
+            choice = np.argmax(np.where(valid, keys, -1.0), axis=0)
+            problem = C.CorrectionProblem(
+                cost=table.cost[:, kept], target_flat=table.target_flat[:, kept],
+                cap=np.full(grid.ncells, -1, dtype=np.int64),
+                floor=np.zeros(grid.ncells, dtype=np.int64), dims=grid.dims)
+            particles = ParticleSet.from_positions(x[kept])
+            C.apply_solution(problem, choice, particles, ideal[kept])
+            landed = xi[choice, kept]
+            assert particles.x.dtype == landed.dtype and particles.x.shape == landed.shape
+            assert particles.x.tobytes() == landed.tobytes()
+            assert (choice != problem.m - 1).any()
 
 
 class TestBuildProblem:
@@ -217,30 +237,67 @@ class TestApply:
         grid = classified_grid((8, 8), [((3, 3), 1)])
         p = ParticleSet.from_positions(np.array([[3.5, 3.5]]))
         problem = C.build_problem(grid, candidates_at(grid, p.x, [[4.4, 3.6]]), mu=4)
-        C.apply_solution(problem, stay_choice(problem), p)
+        C.apply_solution(problem, stay_choice(problem), p, np.array([[4.4, 3.6]]))
         assert np.allclose(p.x[0], C.phi_close(np.array([4.4, 3.6]), (3, 3)))
 
     def test_infeasible_assignment_rejected(self):
         grid = classified_grid((8, 8), [((3, 3), 1), ((3, 4), 1)])
         p = ParticleSet.from_positions(np.array([[3.5, 3.4], [3.5, 4.5]]))
-        problem = C.build_problem(grid, candidates_at(grid, p.x, [[3.5, 4.4], [3.5, 4.6]]), mu=1)
+        ideal = np.array([[3.5, 4.4], [3.5, 4.6]])
+        problem = C.build_problem(grid, candidates_at(grid, p.x, ideal), mu=1)
         bad = np.array([1, 4])  # both into (3, 4), cap 1
         with pytest.raises(IntegrityError):
-            C.apply_solution(problem, bad, p)
+            C.apply_solution(problem, bad, p, ideal)
+
+
+def walled_problem():
+    """A 3x3 block of single particles beside the low x wall, each pushed
+    toward it: the three by the wall have a -x candidate into it, whose
+    target is -1 and cost inf. Returns the problem, the particles' positions
+    and their ideal positions."""
+    grid = classified_grid((8, 8), [((i, j), 1) for i in (1, 2, 3) for j in (2, 3, 4)])
+    x = grid.seeded_positions
+    ideal = x + [-0.3, 0.1]
+    return C.build_problem(grid, candidates_at(grid, x, ideal), mu=2), x, ideal
 
 
 class TestDump:
     def test_round_trip(self, tmp_path):
-        # every field comes back through the replay file: the landing
-        # positions, the inf costs of the wall's candidates and the caps of
-        # cells that no candidate reaches
-        grid = classified_grid((8, 8), [((i, j), 1) for i in (1, 2, 3) for j in (2, 3, 4)])
-        x = grid.seeded_positions
-        problem = C.build_problem(grid, candidates_at(grid, x, x + [-0.3, 0.1]), mu=2)
+        # every field comes back through the replay file: the inf costs and
+        # -1 targets of the wall's candidates and the caps of cells that no
+        # candidate reaches
+        problem, _, _ = walled_problem()
         assert (~problem.valid).sum() == 3 and np.isinf(problem.cost[~problem.valid]).all()
-        reached = np.isin(np.arange(grid.ncells), problem.target_flat[problem.valid])
+        reached = np.isin(np.arange(len(problem.cap)), problem.target_flat[problem.valid])
         assert (problem.cap[~reached] >= 0).all() and problem.floor.any()
         assert_same_problem(replayed(problem, tmp_path / "problem.npz"), problem)
+
+    def test_dump_holds_only_what_the_solve_reads(self):
+        problem, _, _ = walled_problem()
+        assert set(C.dump_problem(problem)) == {"cost", "target_flat", "cap", "floor", "dims"}
+        problem.region = np.zeros(len(problem.cap), dtype=bool)
+        problem.region_bounds = (0, 1)
+        assert set(C.dump_problem(problem)) == {"cost", "target_flat", "cap", "floor", "dims",
+                                                "region", "region_bounds"}
+
+    def test_archive_with_landing_positions_and_mu_loads(self, tmp_path):
+        # a replay file as written while the problem also held its landing
+        # positions xi, its validity mask and mu: the loader ignores those,
+        # and the problem solves to the same choice and potentials
+        problem, x, ideal = walled_problem()
+        xi = build_candidates_on_nd(x, ideal, G.CellGrid(problem.dims))[0]
+        assert xi.shape == (problem.m, problem.n, 2)
+        path = tmp_path / "old.npz"
+        np.savez(path, **C.dump_problem(problem), xi=xi, valid=problem.valid, mu=np.int64(2))
+        with np.load(path, allow_pickle=False) as arrays:
+            assert {"xi", "valid", "mu"} <= set(arrays.files)
+            loaded = C.load_problem(dict(arrays))
+        assert_same_problem(loaded, problem)
+        choice, stats = V.solve_problem(loaded)
+        want_choice, want = V.solve_problem(problem)
+        assert np.array_equal(choice, want_choice)
+        assert stats.pi.tobytes() == want.pi.tobytes()
+        assert (choice != problem.m - 1).any()
 
     def test_reject_garbage(self):
         with pytest.raises(InputError, match="no array 'dims'"):

@@ -127,7 +127,7 @@ class TestSolidObjective:
                 continue
             # pointwise reference: the penalty if the landing point falls in
             # the prospective solid cell, else its squared distance to ideal
-            q = table.xi[i, 0]
+            q = C.phi_close(ideal[0], np.floor(x[0]) + C.direction_set(2)[i])
             if int(grid.cell_of(q.reshape(1, -1))[0]) == new_cell:
                 expected = float(penalty[new_cell])
             else:

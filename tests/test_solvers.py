@@ -167,7 +167,7 @@ class TestSolveMcf:
 
     def test_particle_without_candidate_refused(self, rng):
         problem, grid, particles = random_problem(rng, n_max=6)
-        problem.valid[:, 0] = False
+        problem.target_flat[:, 0], problem.cost[:, 0] = -1, np.inf
         with pytest.raises(IntegrityError):
             V.solve_problem(problem)
 
@@ -759,7 +759,7 @@ class TestBruteForce:
         big_n = BRUTE_FORCE_LIMIT + 1
         # fabricate a wide problem by tiling the candidate arrays
         wide_problem = replace(problem, **{key: np.repeat(getattr(problem, key), big_n, axis=1)
-                                           for key in ("xi", "cost", "target_flat", "valid")})
+                                           for key in ("cost", "target_flat")})
         with pytest.raises(InputError):
             brute_force_ilp(wide_problem)
 
