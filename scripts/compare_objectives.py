@@ -45,7 +45,10 @@ became arrays, no longer load; nor do recordings of unrounded costs, made
 before costs were multiples of 2^-24: ``load_problem`` refuses them, naming
 the array ``cost``. Recordings made while the problem also kept its (m, n, d)
 landing positions, its validity mask and ``mu`` still load: ``load_problem``
-reads only the arrays it needs and ignores those three.
+reads only the arrays it needs and ignores those three. So do band
+recordings made while the deep cells were marked uncapped: ``load_problem``
+reads their ``cap`` of -1 as n, the cap those cells now get, and the
+re-solve is the same.
 """
 import argparse
 import sys

@@ -1,4 +1,4 @@
-"""cellflow: hybrid grid/particle fluid simulation with strict per-cell
+"""cellflow: hybrid grid/particle fluid simulation with exact per-cell
 incompressibility, solved per step as an integral min-cost flow."""
 
 __version__ = "0.1.0"

@@ -129,8 +129,8 @@ class EdgeCost:
     solid penalty is the one the solver saw. A cell is priced by its offset
     from the particle's previous-step cell ``home`` (the table's stay
     target); flow-paths only asks about such candidate cells. A wall cell
-    costs inf. ``cap`` is the problem's per-cell capacity, below 0 where a
-    cell is uncapped (the deep).
+    costs inf. ``cap`` is the problem's per-cell capacity: n, which never
+    binds, on the deep.
     """
 
     def __init__(self, problem: CorrectionProblem, choice: np.ndarray):
@@ -184,7 +184,8 @@ def find_paths(cells: G.CellGrid, members: CellMembers, sources: np.ndarray,
 
     Non-empty source cells seed the queue at cost zero. Dequeued cells are
     claimed by the first path reaching them; a sink with space under the
-    problem's cap (always, where the cap is negative) completes its root's
+    problem's cap (always in the deep, whose cap is n: a path reaches a cell
+    only by a move from another, so the cell holds fewer) completes its root's
     path as an (edge, sink) pair: the particle carrying the final move and
     the sink cell. Interface crossings follow ``crossing``, see
     :func:`best_edge`. Edge costs may be negative (the search is kept
@@ -220,7 +221,7 @@ def find_paths(cells: G.CellGrid, members: CellMembers, sources: np.ndarray,
             if J[c] != NONE:
                 continue
             J[c] = edge
-            if sink_mask[c] and (cap[c] < 0 or members.counts[c] < cap[c]):
+            if sink_mask[c] and members.counts[c] < cap[c]:
                 b_fin[root] = True
                 paths.append((edge, c))
                 continue
@@ -247,7 +248,7 @@ def update_path(path: tuple[int, int], J: np.ndarray, members: CellMembers,
     first, by editing their entries of the choice vector ``edge_cost.current``.
 
     Every cell the path passes keeps its count and the sink gains one. A cell
-    above its cap is an error; a deep cell is uncapped, so it may legally
+    above its cap is an error; a deep cell's cap is n, so it may legally
     hold more than mu after the plain solve, and a refill path may end in one
     that is already full.
     """
@@ -260,7 +261,7 @@ def update_path(path: tuple[int, int], J: np.ndarray, members: CellMembers,
         src = int(edge_cost.target[edge_cost.current[j], j])
         edge_cost.current[j] = edge_cost.direction(j, c)
         members.move(j, src, c)
-        if 0 <= cap[c] < members.counts[c]:
+        if cap[c] < members.counts[c]:
             raise IntegrityError(f"cell {c} overfilled while updating a path")
         j, c = int(J[src]), src
         root = src

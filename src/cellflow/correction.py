@@ -98,9 +98,9 @@ class CorrectionProblem(CandidateTable):
     The candidate table's ``cost`` holds the solid penalty, if any; the
     problem holds it rounded to the nearest multiple of 2^-24, so that float
     sums of costs are exact within the bound ``reduce_to_flow`` checks.
-    cap[c] is the admissible particle count of cell c (-1 means no bound;
-    used for deep cells in band mode), floor[c] the mandatory minimum; dims,
-    the grid's shape, gives a target's cell coordinates. The all-stay
+    cap[c] is the admissible particle count of cell c (n, which never binds,
+    on the band's deep cells), floor[c] the mandatory minimum; dims, the
+    grid's shape, gives a target's cell coordinates. The all-stay
     assignment is feasible by construction and is asserted on
     build. The band's balance constraint, when attached, bounds the total
     count of the cells in ``region`` to ``region_bounds`` = (lo, hi).
@@ -119,22 +119,16 @@ class CorrectionProblem(CandidateTable):
         cells = self.target_flat[choice, np.arange(self.n)]
         return np.bincount(cells, minlength=len(self.cap)).astype(np.int64)
 
-    def check_feasible(self, choice: np.ndarray, strict: bool = True,
-                       counts: np.ndarray | None = None) -> bool:
-        """Whether ``choice`` meets every constraint; ``counts``, if given, are
-        its ``counts_of``."""
-        ok = bool((self.target_flat[choice, np.arange(self.n)] >= 0).all())
-        if counts is None:
+    def check_feasible(self, choice: np.ndarray) -> np.ndarray:
+        """The per-cell counts of ``choice``; IntegrityError unless it picks a
+        valid candidate of every particle and meets every count bound."""
+        if (self.target_flat[choice, np.arange(self.n)] >= 0).all():
             counts = self.counts_of(choice)
-        capped = self.cap >= 0
-        ok = ok and bool((counts[capped] <= self.cap[capped]).all())
-        ok = ok and bool((counts >= self.floor).all())
-        if self.region is not None:
             lo, hi = self.region_bounds
-            ok = ok and lo <= int(counts[self.region].sum()) <= hi
-        if strict and not ok:
-            raise IntegrityError("assignment violates correction constraints")
-        return ok
+            if ((counts <= self.cap).all() and (counts >= self.floor).all()
+                    and (self.region is None or lo <= counts[self.region].sum() <= hi)):
+                return counts
+        raise IntegrityError("assignment violates correction constraints")
 
     def certify(self, choice: np.ndarray, duals: np.ndarray) -> None:
         """Raise IntegrityError unless ``duals``, per grid cell, then the sink's
@@ -142,13 +136,12 @@ class CorrectionProblem(CandidateTable):
         of the transportation network (Ahuja, Magnanti & Orlin, *Network Flows*,
         1993, ch. 9) has reduced cost >= 0, and a NaN fails. A cell
         passes its units above its floor up to the sink, or to the hub if in the
-        region, with room below its cap (n if uncapped); the hub passes those
-        above max(lo, 0) on, with room below hi; each pick minimises cost - y."""
-        counts = self.counts_of(choice)
-        self.check_feasible(choice, counts=counts)
+        region, with room below its cap; the hub passes those above max(lo, 0)
+        on, with room below hi; each pick minimises cost - y."""
+        counts = self.check_feasible(choice)
         ncells, n = len(self.cap), self.n
         gap = duals[:ncells] - duals[ncells + (0 if self.region is None else self.region)]
-        arcs = [("cell {} -> sink or hub", gap, counts < np.where(self.cap < 0, n, self.cap)),
+        arcs = [("cell {} -> sink or hub", gap, counts < self.cap),
                 ("sink or hub -> cell {}", -gap, counts > self.floor)]
         if self.region is not None:
             held, (lo, hi) = counts[self.region].sum(), self.region_bounds
@@ -174,8 +167,9 @@ def build_problem(cells: G.CellGrid, candidates: CandidateTable, mu: int,
     inner cells additionally must keep their previous count. Solid cells
     (walls and obstacles) take none. With the band active (``classes``, the
     band classes of the grid), the band interface joins the cap-only group,
-    only strictly-in-band cells keep floors, and deep cells are
-    unconstrained (their particles are deleted right after the correction).
+    only the band's inner cells keep floors, and deep cells take up to all n
+    particles, a cap that never binds (their particles are deleted right
+    after the correction).
     """
     ncells = cells.ncells
 
@@ -185,18 +179,13 @@ def build_problem(cells: G.CellGrid, candidates: CandidateTable, mu: int,
     floored = (cells.marking == G.INNER) if classes is None else classes["in_band_inner"]
     floor[floored] = cells.counts[floored]
     if classes is not None:
-        cap[classes["deep"]] = -1
+        cap[classes["deep"]] = candidates.n
     solid = cells.marking == G.SOLID
     cap[solid] = 0
     floor[solid] = 0
 
-    if (floor > np.where(cap < 0, np.iinfo(np.int64).max, cap)).any():
-        raise IntegrityError("cell lower bound exceeds capacity; grid state corrupt")
-
     problem = CorrectionProblem(**vars(candidates), cap=cap, floor=floor, dims=cells.dims)
-    stay = np.full(problem.n, problem.m - 1, dtype=np.int64)
-    if not problem.check_feasible(stay, strict=False):
-        raise IntegrityError("all-stay assignment infeasible; grid state is inconsistent")
+    problem.check_feasible(np.full(problem.n, problem.m - 1, dtype=np.int64))
     return problem
 
 
@@ -229,7 +218,8 @@ def load_problem(arrays) -> CorrectionProblem:
     """Rebuild a :func:`dump_problem` problem from a mapping of its arrays,
     such as an ``np.load`` archive. A missing, mistyped, misshapen or
     out-of-range array raises InputError naming the array and its first bad
-    index."""
+    index. A ``cap`` of -1, the uncapped mark that older files hold on the
+    band's deep cells, loads as n, the cap ``build_problem`` writes there."""
 
     def get(key: str, dtype, shape: tuple) -> np.ndarray:
         if key not in arrays:
@@ -260,8 +250,9 @@ def load_problem(arrays) -> CorrectionProblem:
     refuse("cost", valid & ~np.isfinite(cost), "a valid candidate's cost must be finite", cost)
     cap, floor = get("cap", np.int64, (ncells,)), get("floor", np.int64, (ncells,))
     refuse("cap", cap < -1, "a cap below -1, the uncapped mark", cap)
+    cap = np.where(cap == -1, cost.shape[1], cap)
     refuse("floor", floor < 0, "a floor below 0", floor)
-    refuse("floor", (cap >= 0) & (floor > cap), "a floor above its cap", floor)
+    refuse("floor", floor > cap, "a floor above its cap", floor)
     problem = CorrectionProblem(cost=cost, target_flat=target, cap=cap, floor=floor,
                                 dims=tuple(int(v) for v in dims))
     refuse("cost", valid & (problem.cost != cost), "a valid candidate's cost must be a "

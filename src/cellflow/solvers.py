@@ -51,7 +51,7 @@ class FlowNetwork:
     cand_i: np.ndarray     # direction per candidate
     cand_cell: np.ndarray  # flat grid cell per candidate
     cand_cost: np.ndarray  # cost per candidate
-    cap: np.ndarray        # per grid cell; n where the problem leaves the cell uncapped
+    cap: np.ndarray        # per grid cell, the problem's own array
     floor: np.ndarray      # per grid cell
     hub_cell: np.ndarray | None = None  # per grid cell, True in the region; None without one
     hub_floor: int = 0
@@ -91,8 +91,7 @@ def reduce_to_flow(problem: CorrectionProblem) -> FlowNetwork:
     if missing.size:
         raise IntegrityError(f"floored cells unreachable by any candidate: {missing[:4].tolist()}")
 
-    cap = np.where(problem.cap < 0, n, problem.cap)
-    if (problem.floor > cap).any():
+    if (problem.floor > problem.cap).any():
         raise IntegrityError("cell floor exceeds capacity")
 
     cand_cost = problem.cost[ii, jj]
@@ -105,7 +104,7 @@ def reduce_to_flow(problem: CorrectionProblem) -> FlowNetwork:
         cand_i=ii.astype(np.int64),
         cand_cell=cand_cell,
         cand_cost=cand_cost,
-        cap=cap, floor=problem.floor,
+        cap=problem.cap, floor=problem.floor,
     )
     if problem.region is not None:
         # a floored region cell short of its floor would have to pass units

@@ -125,8 +125,7 @@ def canonical_matrix(problem: CorrectionProblem) -> np.ndarray:
             for i in np.flatnonzero(problem.valid[:, j]):
                 if problem.target_flat[i, j] == c:
                     r[col_of[(j, int(i))]] = 1
-        if problem.cap[c] >= 0:
-            rows.append(r)
+        rows.append(r)
         if problem.floor[c] > 0:
             rows.append(-r)
     return np.array(rows, dtype=np.int8)
@@ -212,7 +211,7 @@ def brute_force_ilp(problem: CorrectionProblem) -> tuple[np.ndarray, float]:
                 best_choice = choice.copy()
             return
         for cost, i, c in cands[j]:
-            if cap[c] >= 0 and counts[c] >= cap[c]:
+            if counts[c] >= cap[c]:
                 continue
             counts[c] += 1
             d2 = deficit - 1 if (floor[c] > 0 and counts[c] <= floor[c]) else deficit

@@ -396,8 +396,9 @@ class TestCrossingRule:
 
 
 class TestPathCapacity:
-    """Deep cells are uncapped in the correction problem, so paths may pass
-    through or end in deep cells that already hold mu or more."""
+    """Deep cells' caps in the correction problem are n, which never binds,
+    so paths may pass through or end in deep cells that already hold mu or
+    more."""
 
     def build(self, drain):
         # R = 1, 1 ppc: row 6 is the surface (the layer above the interface),
@@ -476,7 +477,7 @@ def test_flow_paths_stay_in_one_way_set(push):
         choice = assignment
         B.correct_band_flow(grid, problem, choice, cls, state)
         C.apply_solution(problem, assignment, particles, x_ideal)  # checks the band row it carries
-        assert one_way.check_feasible(choice, strict=False)
+        one_way.check_feasible(choice)
         # the particles moved by the choice's unrounded costs; the problems
         # hold them rounded to multiples of 2^-24
         moved = float(((particles.x - x_ideal) ** 2).sum())
@@ -521,13 +522,14 @@ def test_flow_paths_one_move_short_fails_band_row(push, monkeypatch):
             assert "found no path" in str(exc)
             continue
         assert problem.region is not None
-        assert problem.check_feasible(choice, strict=False)
+        problem.check_feasible(choice)
         if diag["n_move"] == 0:
             continue
         assert len(before_move) == diag["n_move"]
         short = before_move[-1]
-        assert not problem.check_feasible(short, strict=False)
-        assert replace(problem, region=None).check_feasible(short, strict=False)
+        with pytest.raises(IntegrityError, match="assignment violates correction constraints"):
+            problem.check_feasible(short)
+        replace(problem, region=None).check_feasible(short)
         repaired += 1
     assert repaired >= 20
 
@@ -837,4 +839,4 @@ class TestFigPathScenario:
             B.correct_band_flow(grid, problem, choice, cls, state)
         except IntegrityError:
             return
-        assert problem.check_feasible(choice, strict=False)
+        problem.check_feasible(choice)

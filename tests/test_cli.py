@@ -259,8 +259,7 @@ def test_oracle_check_large_instance(tmp_path, capsys):
     while problem is None or problem.n < 7:
         problem, grid, particles = random_problem(rng, dims=(10, 10), n_max=10)
     # widen beyond the brute-force oracle's limit by doubling particles
-    big = replace(problem, cap=np.where(problem.cap >= 0, problem.cap * 2, problem.cap),
-                  floor=problem.floor * 2,
+    big = replace(problem, cap=problem.cap * 2, floor=problem.floor * 2,
                   **{key: np.concatenate([getattr(problem, key)] * 2, axis=1)
                      for key in ("cost", "target_flat")})
     dump = tmp_path / "big.npz"

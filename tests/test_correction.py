@@ -9,7 +9,9 @@ from cellflow import solvers as V
 from cellflow.errors import InputError, IntegrityError
 from cellflow.flip import ParticleSet
 
-from conftest import assert_same_problem, flat_index, replayed, stay_choice
+from conftest import (assert_same_problem, flat_index, random_band_instance, replayed,
+                      stay_choice)
+from oracles import with_region
 
 
 class TestDirections:
@@ -171,14 +173,15 @@ class TestCandidatesByAxis:
                 assert a.tobytes() == b.tobytes()
             assert not table.valid.all() and table.valid.any()
 
-            # a random valid choice of each particle that has one, uncapped
+            # a random valid choice of each particle that has one, under caps
+            # of n that never bind
             kept = np.flatnonzero(table.valid.any(axis=0))
             valid = table.valid[:, kept]
             keys = np.random.default_rng(case).random(valid.shape)
             choice = np.argmax(np.where(valid, keys, -1.0), axis=0)
             problem = C.CorrectionProblem(
                 cost=table.cost[:, kept], target_flat=table.target_flat[:, kept],
-                cap=np.full(grid.ncells, -1, dtype=np.int64),
+                cap=np.full(grid.ncells, len(kept), dtype=np.int64),
                 floor=np.zeros(grid.ncells, dtype=np.int64), dims=grid.dims)
             particles = ParticleSet.from_positions(x[kept])
             C.apply_solution(problem, choice, particles, ideal[kept])
@@ -218,7 +221,29 @@ class TestBuildProblem:
                               [[3.3, 3.9], [3.7, 3.2], [4.1, 3.5]])
         problem = C.build_problem(grid, table, mu=4)
         stay = stay_choice(problem)
-        assert problem.check_feasible(stay, strict=False)
+        assert np.array_equal(problem.check_feasible(stay), grid.counts)
+
+    def test_every_cap_is_a_count(self):
+        # plain and band problems alike: mu where a cell takes particles, 0
+        # on solid cells, and n on the band's deep cells, a cap that never
+        # binds
+        rng = np.random.default_rng(33)
+        with_deep = 0
+        for _ in range(40):
+            inst = random_band_instance(rng)
+            if inst is None:
+                continue
+            grid, particles, state, x_ideal = inst
+            table = C.build_candidates(particles.x, x_ideal, grid)
+            classes = G.band_classes(grid, state.R)
+            deep = classes["deep"]
+            plain = C.build_problem(grid, table, 1)
+            band = C.build_problem(grid, table, 1, classes)
+            cap = np.where(grid.marking == G.SOLID, 0, 1)
+            assert np.array_equal(plain.cap, cap)
+            assert np.array_equal(band.cap, np.where(deep, band.n, cap))
+            with_deep += bool(deep.any())
+        assert with_deep >= 10
 
     def test_gamma_tilde_partition(self):
         grid = classified_grid((8, 8), [((3, 3), 1), ((4, 4), 1)])
@@ -248,6 +273,21 @@ class TestApply:
         bad = np.array([1, 4])  # both into (3, 4), cap 1
         with pytest.raises(IntegrityError):
             C.apply_solution(problem, bad, p, ideal)
+
+    def test_invalid_pick_rejected(self):
+        # a pick of a candidate whose target is -1 fails the feasibility
+        # check in each of its callers, before any count is taken
+        problem, x, ideal = walled_problem()
+        choice = stay_choice(problem)
+        choice[0] = np.flatnonzero(~problem.valid[:, 0])[0]
+        duals = np.zeros(len(problem.cap) + 2)
+        p = ParticleSet.from_positions(x)
+        for call in (lambda: problem.check_feasible(choice),
+                     lambda: problem.certify(choice, duals),
+                     lambda: C.apply_solution(problem, choice, p, ideal)):
+            with pytest.raises(IntegrityError, match="assignment violates correction constraints"):
+                call()
+        assert np.array_equal(p.x, x)
 
 
 def walled_problem():
@@ -298,6 +338,36 @@ class TestDump:
         assert np.array_equal(choice, want_choice)
         assert stats.pi.tobytes() == want.pi.tobytes()
         assert (choice != problem.m - 1).any()
+
+    def test_uncapped_mark_loads_as_n(self, tmp_path):
+        # a band replay file written while the deep cells were marked
+        # uncapped holds a cap of -1 there: it loads as n, and the problem
+        # solves to the same choice and potentials, bit for bit
+        rng = np.random.default_rng(34)
+        checked = 0
+        while checked < 10:
+            inst = random_band_instance(rng)
+            if inst is None:
+                continue
+            grid, particles, state, x_ideal = inst
+            classes = G.band_classes(grid, state.R)
+            if not classes["deep"].any():
+                continue
+            problem = with_region(
+                C.build_problem(grid, C.build_candidates(particles.x, x_ideal, grid), 1, classes),
+                grid, state.R, state.alpha_le)
+            arrays = C.dump_problem(problem)
+            arrays["cap"] = np.where(classes["deep"], -1, problem.cap)
+            path = tmp_path / "old.npz"
+            np.savez(path, **arrays)
+            with np.load(path, allow_pickle=False) as old:
+                loaded = C.load_problem(dict(old))
+            assert_same_problem(loaded, problem)
+            choice, stats = V.solve_problem(loaded)
+            want_choice, want = V.solve_problem(problem)
+            assert np.array_equal(choice, want_choice)
+            assert stats.pi.tobytes() == want.pi.tobytes()
+            checked += 1
 
     def test_reject_garbage(self):
         with pytest.raises(InputError, match="no array 'dims'"):

@@ -39,8 +39,19 @@ def overfill(solve_problem):
     def solve(problem):
         choice, stats = solve_problem(problem)
         reach = np.bincount(problem.target_flat[problem.valid], minlength=len(problem.cap))
-        cell = np.flatnonzero((problem.cap >= 0) & (reach > problem.cap))[0]
+        cell = np.flatnonzero(reach > problem.cap)[0]
         i, j = np.nonzero(problem.valid & (problem.target_flat == cell))
+        choice[j] = i
+        return choice, stats
+    return solve
+
+
+def invalid_pick(solve_problem):
+    """``solve_problem`` with its choice edited to pick one invalid
+    candidate, whose target is -1."""
+    def solve(problem):
+        choice, stats = solve_problem(problem)
+        i, j = np.argwhere(~problem.valid)[0]
         choice[j] = i
         return choice, stats
     return solve
@@ -57,7 +68,8 @@ def assert_band_classes_agree(sim, record):
     assert np.array_equal(record.raster == G.RASTER_DEEP, classes["deep"])
     x = sim.particles.x
     problem = C.build_problem(grid, C.build_candidates(x, x, grid), sim.cfg.mu, classes)
-    assert np.array_equal(problem.cap < 0, classes["deep"])
+    assert problem.n > sim.cfg.mu
+    assert np.array_equal(problem.cap == problem.n, classes["deep"])
     floored = classes["in_band_inner"]
     assert np.array_equal(problem.floor[floored], grid.counts[floored])
     assert not problem.floor[~floored].any()
@@ -127,10 +139,12 @@ class TestInvariants:
             sim.step()
         assert np.array_equal(sim.particles.x, x0)
 
-    def test_refused_choice_leaves_a_replay_file(self, tmp_path, monkeypatch, capsys):
-        # the apply's check fails inside the correction, so the run writes
-        # the problem, which the honest solve then certifies
-        monkeypatch.setattr(V, "solve_problem", overfill(V.solve_problem))
+    @pytest.mark.parametrize("edit", [overfill, invalid_pick], ids=["overfill", "invalid_pick"])
+    def test_refused_choice_leaves_a_replay_file(self, edit, tmp_path, monkeypatch, capsys):
+        # the apply's check fails inside the correction, on an overfilled
+        # cell or on a pick with no target alike, so the run writes the
+        # problem, which the honest solve then certifies
+        monkeypatch.setattr(V, "solve_problem", edit(V.solve_problem))
         with pytest.raises(IntegrityError, match="failed_problem.npz") as caught:
             run(small_scene(), tmp_path)
         assert "assignment violates correction constraints" in str(caught.value)

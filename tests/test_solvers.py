@@ -80,8 +80,7 @@ def _sorted_network(problem):
     ii, jj = ii[order].astype(np.int64), jj[order].astype(np.int64)
     return V.FlowNetwork(
         n_particles=problem.n, cand_j=jj, cand_i=ii, cand_cell=problem.target_flat[ii, jj],
-        cand_cost=problem.cost[ii, jj], cap=np.where(problem.cap < 0, problem.n, problem.cap),
-        floor=problem.floor)
+        cand_cost=problem.cost[ii, jj], cap=problem.cap, floor=problem.floor)
 
 
 class TestSolveMcf:
@@ -181,12 +180,11 @@ class TestSolveMcf:
 def _pinned_floors(problem, rng, slack):
     """The problem with floors equal to the counts of a random choice within
     the caps, less ``slack`` units, so the floors sum to n - slack."""
-    capped = problem.cap >= 0
     for _ in range(50):
         choice = np.array([rng.choice(np.flatnonzero(problem.valid[:, j]))
                            for j in range(problem.n)])
         floor = problem.counts_of(choice)
-        if (floor[capped] <= problem.cap[capped]).all():
+        if (floor <= problem.cap).all():
             break
     else:
         return None
@@ -265,7 +263,7 @@ def _greedy_rejects(problem):
     taken = np.zeros(len(problem.cap), dtype=np.int64)
     rejected = 0
     for c in cells:
-        if 0 <= problem.cap[c] <= taken[c]:
+        if problem.cap[c] <= taken[c]:
             rejected += 1
         else:
             taken[c] += 1
@@ -474,8 +472,8 @@ class TestCertify:
         # band toys whose interval is widened around the optimum's region
         # count: both hub arcs are residual, so the hub's dual must equal the
         # sink's; moving the hub and its cells together either way is refused.
-        # An empty uncapped deep cell has room, so its arc up to the hub is
-        # checked too.
+        # An empty deep cell, whose cap n never binds, has room, so its arc
+        # up to the hub is checked too.
         rng = np.random.default_rng(2718)
         hubs = deeps = 0
         for _ in range(150):
@@ -500,7 +498,8 @@ class TestCertify:
             hubs += 1
             reached = np.zeros(len(problem.cap), dtype=bool)
             reached[problem.target_flat[problem.valid]] = True
-            for u in np.flatnonzero(reached & (problem.cap < 0) & (counts == 0)):
+            assert problem.n > 1  # mu is 1, so cap n marks the deep cells alone
+            for u in np.flatnonzero(reached & (problem.cap == problem.n) & (counts == 0)):
                 doctored = duals.copy()
                 doctored[u] = duals[hub if problem.region[u] else sink] - self.QUANTUM
                 with pytest.raises(IntegrityError, match=f"on cell {u} -> sink or hub"):
