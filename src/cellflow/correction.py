@@ -115,6 +115,14 @@ class CorrectionProblem(CandidateTable):
     def __post_init__(self) -> None:  # a new array; inf stays inf
         self.cost = np.ldexp(np.round(np.ldexp(self.cost, 24)), -24)
 
+    @property
+    def n_arcs(self) -> int:
+        """Arcs of the textbook transportation network: source -> particle,
+        one per valid candidate, reached cell -> sink or hub, and hub -> sink."""
+        targets = self.target_flat[self.valid]
+        reached = int(np.count_nonzero(np.bincount(targets)))
+        return self.n + len(targets) + reached + (self.region is not None)
+
     def counts_of(self, choice: np.ndarray) -> np.ndarray:
         cells = self.target_flat[choice, np.arange(self.n)]
         return np.bincount(cells, minlength=len(self.cap)).astype(np.int64)

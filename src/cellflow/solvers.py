@@ -18,10 +18,12 @@ Schrijver, *Combinatorial Optimization*, 2003, on network matrices): the
 region's cells, which carry no floors, pass their units to a hub node, which
 takes lo..hi units and passes those above lo on to the sink.
 
-The network's nodes are the grid's cells, then the sink and the hub, so the
-final potentials, the duals of an optimum, are read as they are by
-``CorrectionProblem.certify``, which reads only the problem: a fault in the
-reduction or the solve cannot certify itself.
+``reduce_to_flow`` checks a problem and refuses a malformed one. The solve
+reads the checked ``CorrectionProblem`` itself: its candidate table, caps,
+floors and region, in place. The network's nodes are the grid's cells, then
+the sink and the hub, so the final potentials, the duals of an optimum, are
+read as they are by ``CorrectionProblem.certify``, which reads only the
+problem: a fault in the solve cannot certify itself.
 """
 from __future__ import annotations
 
@@ -36,36 +38,6 @@ from .errors import InputError, IntegrityError
 
 
 @dataclass
-class FlowNetwork:
-    """Transportation network of a correction problem, in cell terms.
-
-    Each particle holds one unit, which goes to one of its candidates. The
-    cells are the grid's, by flat index; cell u takes floor[u]..cap[u] units,
-    and the sink takes the rest, a deficit of n - sum(floor) - hub_floor. With
-    a region, the cells where hub_cell is set pass their units to a hub
-    instead, which takes hub_floor..hub_cap.
-    """
-
-    n_particles: int
-    cand_j: np.ndarray     # particle per candidate, ordered by (particle, direction)
-    cand_i: np.ndarray     # direction per candidate
-    cand_cell: np.ndarray  # flat grid cell per candidate
-    cand_cost: np.ndarray  # cost per candidate
-    cap: np.ndarray        # per grid cell, the problem's own array
-    floor: np.ndarray      # per grid cell
-    hub_cell: np.ndarray | None = None  # per grid cell, True in the region; None without one
-    hub_floor: int = 0
-    hub_cap: int = 0
-
-    @property
-    def n_arcs(self) -> int:
-        """Arcs of the textbook network: source -> particle, candidates,
-        reached cell -> sink or hub, and hub -> sink."""
-        reached = int(np.count_nonzero(np.bincount(self.cand_cell)))
-        return self.n_particles + len(self.cand_j) + reached + (self.hub_cell is not None)
-
-
-@dataclass
 class SolveStats:
     objective: float
     pi: np.ndarray     # final potentials: per grid cell, then the sink's and the hub's
@@ -76,16 +48,18 @@ class SolveStats:
     tables: int = 0    # cells' arc tables built, forward and in-arc
 
 
-def reduce_to_flow(problem: CorrectionProblem) -> FlowNetwork:
-    """Build the transportation network of the correction problem. A path of
-    the cell graph moves each particle at most once, so a solve's keys and
-    potentials stay within about n x the largest cost; at 2^29 or more, sums
-    of multiples of 2^-24 may round, and IntegrityError is raised."""
-    n = problem.n
-    # candidates ordered by (particle, direction)
-    jj, ii = np.nonzero(problem.valid.T)
-    cand_cell = problem.target_flat[ii, jj]
-    reached = np.bincount(cand_cell, minlength=len(problem.cap)) > 0
+def reduce_to_flow(problem: CorrectionProblem) -> CorrectionProblem:
+    """Check that ``solve_mcf`` can route the correction problem, and return
+    the problem. IntegrityError refuses a floor that no candidate reaches or
+    that exceeds its cap, floors above the particle count, and a particle with
+    no candidate; with a region, InputError refuses a floored region cell and
+    IntegrityError an empty interval. A path of the cell graph moves each
+    particle at most once, so a solve's keys and potentials stay within about
+    n x the largest cost; at 2^29 or more, sums of multiples of 2^-24 may
+    round, and IntegrityError is raised. The traced benchmark run times this
+    check and counts the returned problem's ``n_arcs``."""
+    n, valid = problem.n, problem.valid
+    reached = np.bincount(problem.target_flat[valid], minlength=len(problem.cap)) > 0
     floored = np.flatnonzero(problem.floor > 0)
     missing = floored[~reached[floored]]
     if missing.size:
@@ -94,18 +68,10 @@ def reduce_to_flow(problem: CorrectionProblem) -> FlowNetwork:
     if (problem.floor > problem.cap).any():
         raise IntegrityError("cell floor exceeds capacity")
 
-    cand_cost = problem.cost[ii, jj]
-    if n * (top := float(np.abs(cand_cost).max(initial=0.0))) >= 2.0 ** 29:
+    if n * (top := float(np.abs(problem.cost[valid]).max(initial=0.0))) >= 2.0 ** 29:
         raise IntegrityError(f"n x the largest cost, {n} x {top:.6g}, reaches 2^29: "
                              "float sums of costs may round")
-    net = FlowNetwork(
-        n_particles=n,
-        cand_j=jj.astype(np.int64),
-        cand_i=ii.astype(np.int64),
-        cand_cell=cand_cell,
-        cand_cost=cand_cost,
-        cap=problem.cap, floor=problem.floor,
-    )
+    hub_floor = 0
     if problem.region is not None:
         # a floored region cell short of its floor would have to pass units
         # it lacks; the band's region (interface and deep) has no floors
@@ -114,16 +80,24 @@ def reduce_to_flow(problem: CorrectionProblem) -> FlowNetwork:
         lo, hi = problem.region_bounds
         if hi < max(lo, 0):
             raise IntegrityError(f"empty region interval [{lo}, {hi}]")
-        net.hub_cell, net.hub_floor, net.hub_cap = problem.region, max(lo, 0), hi
-    return net
+        hub_floor = max(lo, 0)
+    if int(problem.floor.sum()) + hub_floor > n:
+        raise IntegrityError("min-cost flow infeasible: floors exceed the particle count")
+    if not valid.any(axis=0).all():
+        raise IntegrityError("min-cost flow infeasible: some particle has no candidate")
+    return problem
 
 
-def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
-    """Integral min-cost flow by successive shortest paths on the cell graph.
+def solve_mcf(problem: CorrectionProblem) -> tuple[np.ndarray, SolveStats]:
+    """Integral min-cost flow by successive shortest paths on the cell graph,
+    for a problem that ``reduce_to_flow`` accepts. The solve reads the
+    problem's arrays in place and writes none of them; it raises
+    IntegrityError only when the routing finds no path for a unit.
 
-    Each particle holds one unit of excess; cell u has a deficit of floor[u]
-    and room up to cap[u], and the sink a deficit of n - sum(floor). Node
-    potentials pi are kept per grid cell and for the sink.
+    Each particle holds one unit of excess, which goes to one of its valid
+    candidates, listed by (particle, direction); cell u has a deficit of
+    floor[u] and room up to cap[u], and the sink a deficit of n - sum(floor).
+    Node potentials pi are kept per grid cell and for the sink.
 
     The routing starts from a greedy pseudo-flow, computed in numpy: each
     particle picks its first cheapest candidate, and each cell accepts the
@@ -184,45 +158,45 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
     one of its particles moves, which drops both tables, so the entries stay
     exact.
     """
-    n = net.n_particles
-    K = len(net.cap)  # grid cells; the sink is node K, the hub node K + 1
+    n, region = problem.n, problem.region
+    K = len(problem.cap)  # grid cells; the sink is node K, the hub node K + 1
     sink, hub = K, K + 1
-    if int(net.floor.sum()) + net.hub_floor > n:
-        raise IntegrityError("min-cost flow infeasible: floors exceed the particle count")
+    lo, hub_cap = (0, 0) if region is None else problem.region_bounds
+    hub_floor = max(lo, 0)
 
+    # the valid candidates by (particle, direction): particle jj, direction ii
+    jj, ii = np.nonzero(problem.valid.T)
+    cand_cell_np, cand_cost_np = problem.target_flat[ii, jj], problem.cost[ii, jj]
     # candidate indices per particle, in direction order
-    starts = np.searchsorted(net.cand_j, np.arange(n + 1))
+    starts = np.searchsorted(jj, np.arange(n + 1))
     sizes = np.diff(starts)
-    if (sizes == 0).any():
-        raise IntegrityError("min-cost flow infeasible: some particle has no candidate")
 
     # greedy start: each particle's first cheapest candidate; each cell
     # accepts the first cap of the particles that picked it, in index order
-    cheapest = np.minimum.reduceat(net.cand_cost, starts[:-1])
-    at_min = np.flatnonzero(net.cand_cost == np.repeat(cheapest, sizes))
+    cheapest = np.minimum.reduceat(cand_cost_np, starts[:-1])
+    at_min = np.flatnonzero(cand_cost_np == np.repeat(cheapest, sizes))
     pick = at_min[np.searchsorted(at_min, starts[:-1])]
-    pick_cell = net.cand_cell[pick]
+    pick_cell = cand_cell_np[pick]
     picked = np.bincount(pick_cell, minlength=K)
     order, rank = G.rank_in_cell(pick_cell, picked)
-    accepted = rank < net.cap[pick_cell]
-    count_np = np.minimum(picked, net.cap)
+    accepted = rank < problem.cap[pick_cell]
+    count_np = np.minimum(picked, problem.cap)
     feeds, in_hub = [False] * K, 0
-    if net.hub_cell is not None:  # the hub accepts the first hub_cap of the region's units
-        held = np.flatnonzero(accepted & net.hub_cell[pick_cell])
-        accepted[held[net.hub_cap:]] = False
+    if region is not None:  # the hub accepts the first hub_cap of the region's units
+        held = np.flatnonzero(accepted & region[pick_cell])
+        accepted[held[hub_cap:]] = False
         count_np = np.bincount(pick_cell[accepted], minlength=K)
-        feeds, in_hub = net.hub_cell.tolist(), min(len(held), net.hub_cap)
-    if accepted.all() and (count_np >= net.floor).all() and in_hub >= net.hub_floor:
-        return net.cand_i[pick], SolveStats(objective=float(net.cand_cost[pick].sum()),
-                                            pi=np.zeros(K + 2))
+        feeds, in_hub = region.tolist(), min(len(held), hub_cap)
+    if accepted.all() and (count_np >= problem.floor).all() and in_hub >= hub_floor:
+        return ii[pick], SolveStats(objective=float(cand_cost_np[pick].sum()), pi=np.zeros(K + 2))
 
     starts = starts.tolist()
     spans = list(map(range, starts[:-1], starts[1:]))
-    cand_cell, cand_cost = net.cand_cell.tolist(), net.cand_cost.tolist()
-    cand_p = net.cand_j.tolist()
-    cap = net.cap.tolist() + [0, net.hub_cap]  # cells, then the sink's unused slot and the hub
-    floor = net.floor.tolist() + [0, net.hub_floor]
-    reached = np.bincount(net.cand_cell, minlength=K) > 0
+    cand_cell, cand_cost = cand_cell_np.tolist(), cand_cost_np.tolist()
+    cand_p = jj.tolist()
+    cap = problem.cap.tolist() + [0, hub_cap]  # cells, then the sink's unused slot and the hub
+    floor = problem.floor.tolist() + [0, hub_floor]
+    reached = np.bincount(cand_cell_np, minlength=K) > 0
     cells = np.flatnonzero(reached).tolist()  # those some candidate reaches, all a search visits
     hubbed = [u for u in cells if feeds[u]]  # the region's: a drain from the hub pops no other
     up = [sink] * (K + 2)  # where a node passes its units above the floor
@@ -270,8 +244,8 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
     while True:
         # routing done: drain the floor it left on the reverse graph, one unit per run
         if run == searches and (short := [t for t in cells + [hub] if count[t] < floor[t]]):
-            order = np.argsort(net.cand_cell.astype(np.min_scalar_type(K)), kind="stable")
-            bounds = np.searchsorted(net.cand_cell[order], np.arange(K + 1)).tolist()
+            order = np.argsort(cand_cell_np.astype(np.min_scalar_type(K)), kind="stable")
+            bounds = np.searchsorted(cand_cell_np[order], np.arange(K + 1)).tolist()
             order = order.tolist()
             fwd, tab = False, (intab := [None] * (K + 2))
             lim = [0] * sink + [1, 0]
@@ -377,16 +351,16 @@ def solve_mcf(net: FlowNetwork) -> tuple[np.ndarray, SolveStats]:
     duals = np.asarray(pi) if fwd else 0.0 - np.asarray(pi)  # drains ran on -pi
     # a cell no candidate reaches takes the potential of the node it passes units to
     idle = np.flatnonzero(~reached)
-    duals[idle] = duals[sink + (0 if net.hub_cell is None else net.hub_cell[idle])]
-    stats = SolveStats(objective=float(net.cand_cost[chosen].sum()), pi=duals,
+    duals[idle] = duals[sink + (0 if region is None else region[idle])]
+    stats = SolveStats(objective=float(cand_cost_np[chosen].sum()), pi=duals,
                        searches=searches, pops=pops, scans=scans, tables=tables,
                        drains=run - searches)
-    return net.cand_i[chosen], stats
+    return ii[chosen], stats
 
 
 def solve_problem(problem: CorrectionProblem) -> tuple[np.ndarray, SolveStats]:
-    """Reduce to flow, solve, and certify the choice against the problem."""
-    net = reduce_to_flow(problem)
-    choice, stats = solve_mcf(net)
+    """Check the problem, solve it, and certify the choice against the problem."""
+    reduce_to_flow(problem)
+    choice, stats = solve_mcf(problem)
     problem.certify(choice, stats.pi)
     return choice, stats

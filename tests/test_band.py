@@ -606,11 +606,20 @@ class TestHubSolve:
                 assert abs(stats.objective - plain.objective) < 1e-9
 
     def test_network_carries_the_hub(self):
+        # the region adds the hub -> sink arc, and the solve keeps the
+        # region's count within its bounds
         grid, particles, state, problem, full, _ = band_toys(-1.0, 1)[0]
-        net, plain = V.reduce_to_flow(full), V.reduce_to_flow(problem)
-        assert np.array_equal(net.hub_cell, full.region)
-        assert (net.hub_floor, net.hub_cap) == full.region_bounds
-        assert plain.hub_cell is None and net.n_arcs == plain.n_arcs + 1
+        assert V.reduce_to_flow(full) is full and V.reduce_to_flow(problem) is problem
+        assert problem.region is None and full.n_arcs == problem.n_arcs + 1
+        choice, _ = V.solve_mcf(full)
+        lo, hi = full.region_bounds
+        assert lo <= full.counts_of(choice)[full.region].sum() <= hi
+
+    def test_empty_interval_refused(self):
+        grid, particles, state, problem, full, _ = band_toys(-1.0, 1)[0]
+        full.region_bounds = (3, 1)
+        with pytest.raises(IntegrityError, match=r"empty region interval \[3, 1\]"):
+            V.reduce_to_flow(full)
 
     def test_floored_region_refused(self):
         grid, particles, state, problem, full, _ = band_toys(-1.0, 1)[0]

@@ -16,54 +16,39 @@ from oracles import (BRUTE_FORCE_LIMIT, brute_force_ilp, canonical_matrix, objec
 
 
 class TestReduceToFlow:
+    """reduce_to_flow checks the problem and returns it; the solve reads the
+    problem's own arrays."""
+
     def test_network_shape_single_particle(self, rng):
-        # the nodes are the grid's cells; the arcs up to the sink count only
-        # the cells some candidate reaches
+        # the arcs up to the sink count only the cells some candidate reaches
         problem, grid, particles = random_problem(rng, n_max=1)
-        net = V.reduce_to_flow(problem)
         n_cands = int(problem.valid.sum())
         n_cells = len(np.unique(problem.target_flat[problem.valid]))
-        assert net.n_particles == 1 and len(net.cand_j) == n_cands
-        assert len(net.cap) == len(net.floor) == len(problem.cap)
-        assert net.n_arcs == 1 + n_cands + n_cells
+        assert V.reduce_to_flow(problem) is problem
+        assert problem.n_arcs == 1 + n_cands + n_cells
 
     def test_solid_cell_arc_capacity_zero(self, rng):
-        # the cap of each grid cell; solid cells, reached ones too, keep cap 0
+        # solid cells, reached ones too, have cap 0, and the solve puts no
+        # particle in them
         solid_seen = False
         for _ in range(20):
             problem, grid, particles = random_problem(rng, solid_prob=0.3)
-            net = V.reduce_to_flow(problem)
+            choice, _ = V.solve_mcf(V.reduce_to_flow(problem))
             used = np.unique(problem.target_flat[problem.valid])
-            assert np.array_equal(net.cap, problem.cap)
-            solid_seen |= bool((net.cap[used] == 0).any())
+            solid = used[problem.cap[used] == 0]
+            assert not problem.counts_of(choice)[solid].any()
+            solid_seen |= bool(solid.size)
         assert solid_seen
 
     def test_lower_bounds_forwarded(self, rng):
-        # the floor of each grid cell
+        # the solve keeps every cell at or above its floor
         floor_seen = False
         for _ in range(20):
             problem, grid, particles = random_problem(rng, dims=(8, 8), mu=4, n_max=80)
-            net = V.reduce_to_flow(problem)
-            assert np.array_equal(net.floor, problem.floor)
-            floor_seen |= bool((net.floor > 0).any())
+            choice, _ = V.solve_mcf(V.reduce_to_flow(problem))
+            assert (problem.counts_of(choice) >= problem.floor).all()
+            floor_seen |= bool((problem.floor > 0).any())
         assert floor_seen
-
-    def test_matches_sorted_construction(self):
-        # np.nonzero on the transposed mask lists the candidates in the order
-        # of a sort by (particle, direction), so every array is the sorted one
-        rng = np.random.default_rng(3)
-        for _ in range(40):
-            dims = tuple(int(v) for v in rng.integers(4, 10, size=2))
-            problem, grid, particles = random_problem(rng, dims=dims, n_max=16,
-                                                      solid_prob=rng.uniform(0.0, 0.3))
-            net, ref = V.reduce_to_flow(problem), _sorted_network(problem)
-            assert net.n_particles == ref.n_particles
-            for name in ("cand_j", "cand_i", "cand_cell", "cand_cost", "cap", "floor"):
-                got, want = getattr(net, name), getattr(ref, name)
-                assert got.dtype == want.dtype and np.array_equal(got, want), name
-            # source -> particle, candidate and reached cell -> sink arcs
-            reached = len(np.unique(problem.target_flat[problem.valid]))
-            assert net.n_arcs == ref.n_arcs == problem.n + int(problem.valid.sum()) + reached
 
     def test_unreachable_floor_refused(self, rng):
         problem, grid, particles = random_problem(rng, n_max=4)
@@ -72,15 +57,67 @@ class TestReduceToFlow:
         with pytest.raises(IntegrityError, match="unreachable"):
             V.reduce_to_flow(problem)
 
+    def test_floor_above_cap_refused(self, rng):
+        problem, grid, particles = random_problem(rng, n_max=4)
+        reached = problem.target_flat[problem.valid][0]
+        problem.floor[reached] = problem.cap[reached] + 1
+        with pytest.raises(IntegrityError, match="cell floor exceeds capacity"):
+            V.reduce_to_flow(problem)
 
-def _sorted_network(problem):
-    """The flow network with its candidates sorted by (particle, direction)."""
-    ii, jj = np.nonzero(problem.valid)
-    order = np.lexsort((ii, jj))
-    ii, jj = ii[order].astype(np.int64), jj[order].astype(np.int64)
-    return V.FlowNetwork(
-        n_particles=problem.n, cand_j=jj, cand_i=ii, cand_cell=problem.target_flat[ii, jj],
-        cand_cost=problem.cost[ii, jj], cap=problem.cap, floor=problem.floor)
+    def test_floors_above_particle_count_refused(self):
+        # floors up to the caps of reached cells, one unit more than n in all
+        rng = np.random.default_rng(5)
+        while True:
+            problem, grid, particles = random_problem(rng, dims=(8, 8), mu=3, n_max=12)
+            reached = np.unique(problem.target_flat[problem.valid])
+            room = np.cumsum(problem.cap[reached])
+            if room[-1] > problem.n:
+                break
+        last = int(np.searchsorted(room, problem.n + 1))
+        problem.floor[:] = 0
+        problem.floor[reached[:last + 1]] = problem.cap[reached[:last + 1]]
+        problem.floor[reached[last]] -= room[last] - (problem.n + 1)
+        assert problem.floor.sum() == problem.n + 1
+        with pytest.raises(IntegrityError, match="floors exceed the particle count"):
+            V.reduce_to_flow(problem)
+
+    def test_particle_without_candidate_refused(self, rng):
+        problem, grid, particles = random_problem(rng, n_max=6)
+        problem.target_flat[:, 0], problem.cost[:, 0] = -1, np.inf
+        problem.floor[:] = 0  # else a floor only particle 0 reached is refused first
+        with pytest.raises(IntegrityError, match="some particle has no candidate"):
+            V.reduce_to_flow(problem)
+
+    def test_solve_reads_the_problem_in_place(self):
+        # 40 plain problems and 40 band toys: the arc count is the textbook
+        # network's, and the solve, which reads the problem's arrays in
+        # place, writes none of them
+        rng = np.random.default_rng(3)
+        problems = []
+        while len(problems) < 40:
+            dims = tuple(int(v) for v in rng.integers(4, 10, size=2))
+            problems.append(random_problem(rng, dims=dims, n_max=16,
+                                           solid_prob=rng.uniform(0.0, 0.3))[0])
+        while len(problems) < 80:
+            if (full := _band_toy_problem(rng)) is not None:
+                problems.append(full)
+        searched = drained = 0
+        for problem in problems:
+            reached = len(np.unique(problem.target_flat[problem.valid]))
+            assert problem.n_arcs == (problem.n + int(problem.valid.sum()) + reached
+                                      + (problem.region is not None))
+            before = _array_bytes(problem)
+            _, stats = V.solve_mcf(V.reduce_to_flow(problem))
+            assert _array_bytes(problem) == before
+            searched += stats.searches > 0
+            drained += stats.drains > 0
+        assert searched >= 40 and drained >= 1
+
+
+def _array_bytes(problem):
+    """Dtype, shape and bytes of each array the solve reads."""
+    arrays = (problem.cost, problem.target_flat, problem.cap, problem.floor, problem.region)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays if a is not None]
 
 
 class TestSolveMcf:

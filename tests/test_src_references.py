@@ -8,7 +8,11 @@ functions by name). Dunder methods are called implicitly and are skipped.
 A field (an annotated class-body name, as a dataclass field is, or an
 attribute that an __init__ assigns to self) must be read: loaded as an attribute, or named by a string.
 A field matches by its bare name, so a read of any field of that name counts
-for it: an unread ``Obstacle.name`` escaped through reads of ``ObstacleConfig.name``.
+for it: an unread ``Obstacle.name`` escaped through reads of
+``ObstacleConfig.name``, and an unread ``CorrectionProblem.mu`` through reads
+of ``SceneConfig.mu``. So the names that fields of two or more classes share
+are pinned with their classes, and a new sharing fails until its reads are
+checked by hand.
 A parameter with a default must be passed by some program call: by keyword,
 by position (a method call skips self), or through *args or **kwargs. A call
 matches by the callee's bare name, and a call of a class counts for its
@@ -29,6 +33,24 @@ UNREAD_FIELDS_ALLOWED = {
     "grid.VolumeReport.per_cell": "criterion 04: deep cells count as full",
     "grid.VolumeReport.filled": "criterion 02: the overflow-only measure is exact",
     "pipeline.Simulation.last_stage_trace": "the stage order of every substep (TestStageOrder)",
+}
+# field name -> the classes whose fields share it; each class's field was
+# checked by hand to be read by program code
+SHARED_FIELD_NAMES = {
+    "R": {"band.BandState", "scene.BandConfig"},
+    "band": {"pipeline.FrameRecord", "pipeline.Simulation", "scene.SceneConfig"},
+    "box": {"scene.EmitterConfig", "scene.FluidRegion", "scene.ObstacleConfig"},
+    "cap": {"band.EdgeCost", "correction.CorrectionProblem"},
+    "cfg": {"outputs.RunWriter", "pipeline.Emitter", "pipeline.Simulation", "solids.Obstacle"},
+    "cost": {"band.EdgeCost", "correction.CandidateTable"},
+    "counts": {"band.CellMembers", "grid.CellGrid"},
+    "d": {"flip.MacGrid", "grid.CellGrid"},
+    "dims": {"correction.CorrectionProblem", "flip.MacGrid", "grid.CellGrid", "scene.SceneConfig"},
+    "emitters": {"pipeline.Simulation", "scene.SceneConfig"},
+    "name": {"scene.ObstacleConfig", "scene.SceneConfig"},
+    "obstacles": {"pipeline.Simulation", "scene.SceneConfig"},
+    "vel": {"flip.MacGrid", "flip.ParticleSet"},
+    "velocity": {"scene.EmitterConfig", "scene.ObstacleConfig", "solids.Obstacle"},
 }
 UNPASSED_PARAMETERS_ALLOWED = {
     "grid.volume_report(per_cell)": "criterion 04: deep cells count as full",
@@ -168,6 +190,18 @@ def test_no_src_field_is_unread():
 
 def test_field_allowlist_names_existing_fields():
     assert set(UNREAD_FIELDS_ALLOWED) <= set(src_fields())
+
+
+def test_shared_field_names_are_pinned():
+    shared = {}
+    for qual, name in src_fields().items():
+        shared.setdefault(name, set()).add(qual.rsplit(".", 1)[0])
+    shared = {name: classes for name, classes in shared.items() if len(classes) > 1}
+    new = {name: sorted(classes - SHARED_FIELD_NAMES.get(name, set()))
+           for name, classes in shared.items() if classes - SHARED_FIELD_NAMES.get(name, set())}
+    assert not new, ("field names newly shared by two or more src classes, whose reads "
+                     f"match by bare name; check that each class's field is read: {new}")
+    assert shared == SHARED_FIELD_NAMES, "a pinned class no longer shares its field name"
 
 
 def test_no_defaulted_parameter_is_test_only():
