@@ -32,23 +32,21 @@ cellflow is imported from PYTHONPATH, so recording with another tree's
 ``src`` and re-solving with this one compares the two solvers on the same
 problems, whatever tie each breaks. A scene file whose ``[band]`` section
 sets ``strategy = full``, such as ``scripts/scenes/dam_band6_full.scene``,
-records band problems, whose arrays carry the band's region and its bounds.
+records band problems, whose band row holds the interface and the deep.
 Exits 1 if some gap is not 0 or some re-solve fails its certificate. A
 problem's costs are multiples of 2^-24, so two exact solves of it reach the
 same optimum to the last bit, whatever tie each breaks.
 
 Problem i is stored as the arrays of ``cellflow.correction.dump_problem``
-under the key prefix ``problem_i/`` (``problem_12/cost``), beside its
-``choice_i`` and its final potentials ``pi_i``. Recordings that hold each
-problem as one text string, the line format the replay file had before it
-became arrays, no longer load; nor do recordings of unrounded costs, made
-before costs were multiples of 2^-24: ``load_problem`` refuses them, naming
-the array ``cost``. Recordings made while the problem also kept its (m, n, d)
-landing positions, its validity mask and ``mu`` still load: ``load_problem``
-reads only the arrays it needs and ignores those three. So do band
-recordings made while the deep cells were marked uncapped: ``load_problem``
-reads their ``cap`` of -1 as n, the cap those cells now get, and the
-re-solve is the same.
+under the key prefix ``problem_i/`` (``problem_12/cost``): ``cost``,
+``target_flat``, ``cap``, ``floor``, ``dims``, ``region`` and
+``region_bounds``, beside its ``choice_i`` and its final potentials
+``pi_i``. Older recordings load where ``load_problem`` reads them: plain
+problems recorded without the band row load with the empty row; ``cap`` of
+-1, the uncapped mark on the band's deep cells, loads as n; and the arrays
+``xi``, ``valid`` and ``mu`` are ignored. Recordings that hold each
+problem as one text string are refused, and so are recordings of unrounded
+costs, made before costs were multiples of 2^-24, naming the array ``cost``.
 """
 import argparse
 import sys

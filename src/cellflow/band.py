@@ -138,8 +138,7 @@ class EdgeCost:
         self.target = problem.target_flat
         self.home = problem.target_flat[-1]
         self.cap = problem.cap
-        strides = np.array([int(np.prod(problem.dims[k + 1:])) for k in range(len(problem.dims))])
-        offsets = direction_set(len(strides)) @ strides
+        offsets = direction_set(len(problem.dims)) @ G.c_strides(problem.dims)
         self.offset_dir = {int(off): i for i, off in enumerate(offsets)}
         self.current = choice
 

@@ -102,26 +102,27 @@ class CorrectionProblem(CandidateTable):
     on the band's deep cells), floor[c] the mandatory minimum; dims, the
     grid's shape, gives a target's cell coordinates. The all-stay
     assignment is feasible by construction and is asserted on
-    build. The band's balance constraint, when attached, bounds the total
-    count of the cells in ``region`` to ``region_bounds`` = (lo, hi).
+    build. The band row bounds the total count of the cells in ``region`` to
+    ``region_bounds`` = (lo, hi): the band's balance constraint, or on a
+    plain problem no cell with bounds (0, 0), which never binds.
     """
 
     cap: np.ndarray     # (ncells,) int64
     floor: np.ndarray   # (ncells,) int64
     dims: tuple
-    region: np.ndarray | None = None  # (ncells,) bool, cells whose total count is bounded
-    region_bounds: tuple[int, int] = (0, 0)
+    region: np.ndarray  # (ncells,) bool, cells whose total count is bounded
+    region_bounds: tuple[int, int]
 
     def __post_init__(self) -> None:  # a new array; inf stays inf
         self.cost = np.ldexp(np.round(np.ldexp(self.cost, 24)), -24)
 
     @property
     def n_arcs(self) -> int:
-        """Arcs of the textbook transportation network: source -> particle,
-        one per valid candidate, reached cell -> sink or hub, and hub -> sink."""
+        """Arcs of the textbook transportation network: source -> particle, one
+        per valid candidate, reached cell -> sink or hub, hub -> sink if the row has a cell."""
         targets = self.target_flat[self.valid]
         reached = int(np.count_nonzero(np.bincount(targets)))
-        return self.n + len(targets) + reached + (self.region is not None)
+        return self.n + len(targets) + reached + bool(self.region.any())
 
     def counts_of(self, choice: np.ndarray) -> np.ndarray:
         cells = self.target_flat[choice, np.arange(self.n)]
@@ -134,7 +135,7 @@ class CorrectionProblem(CandidateTable):
             counts = self.counts_of(choice)
             lo, hi = self.region_bounds
             if ((counts <= self.cap).all() and (counts >= self.floor).all()
-                    and (self.region is None or lo <= counts[self.region].sum() <= hi)):
+                    and lo <= counts[self.region].sum() <= hi):
                 return counts
         raise IntegrityError("assignment violates correction constraints")
 
@@ -148,13 +149,12 @@ class CorrectionProblem(CandidateTable):
         on, with room below hi; each pick minimises cost - y."""
         counts = self.check_feasible(choice)
         ncells, n = len(self.cap), self.n
-        gap = duals[:ncells] - duals[ncells + (0 if self.region is None else self.region)]
+        held, (lo, hi) = counts[self.region].sum(), self.region_bounds
+        gap = duals[:ncells] - duals[ncells + self.region]
+        hub_gap = duals[ncells + 1:] - duals[ncells]
         arcs = [("cell {} -> sink or hub", gap, counts < self.cap),
-                ("sink or hub -> cell {}", -gap, counts > self.floor)]
-        if self.region is not None:
-            held, (lo, hi) = counts[self.region].sum(), self.region_bounds
-            gap = duals[ncells + 1:] - duals[ncells]
-            arcs += [("hub -> sink", gap, held < hi), ("sink -> hub", -gap, held > max(lo, 0))]
+                ("sink or hub -> cell {}", -gap, counts > self.floor),
+                ("hub -> sink", hub_gap, held < hi), ("sink -> hub", -hub_gap, held > max(lo, 0))]
         price = np.where(self.valid, self.cost - duals[self.target_flat], np.inf)
         arcs.append(("particle {}'s pick -> its cheapest candidate",
                      price.min(axis=0) - price[choice, np.arange(n)], True))
@@ -167,7 +167,7 @@ class CorrectionProblem(CandidateTable):
 
 
 def build_problem(cells: G.CellGrid, candidates: CandidateTable, mu: int,
-                  classes: dict | None = None) -> CorrectionProblem:
+                  classes: dict | None) -> CorrectionProblem:
     """Assemble caps/floors from the previous step's markings, which the
     grid holds until the markings stage of the substep.
 
@@ -177,7 +177,7 @@ def build_problem(cells: G.CellGrid, candidates: CandidateTable, mu: int,
     band classes of the grid), the band interface joins the cap-only group,
     only the band's inner cells keep floors, and deep cells take up to all n
     particles, a cap that never binds (their particles are deleted right
-    after the correction).
+    after the correction). Its band row is empty until ``attach_region``.
     """
     ncells = cells.ncells
 
@@ -192,7 +192,8 @@ def build_problem(cells: G.CellGrid, candidates: CandidateTable, mu: int,
     cap[solid] = 0
     floor[solid] = 0
 
-    problem = CorrectionProblem(**vars(candidates), cap=cap, floor=floor, dims=cells.dims)
+    problem = CorrectionProblem(**vars(candidates), cap=cap, floor=floor, dims=cells.dims,
+                                region=np.zeros(ncells, dtype=bool), region_bounds=(0, 0))
     problem.check_feasible(np.full(problem.n, problem.m - 1, dtype=np.int64))
     return problem
 
@@ -213,13 +214,10 @@ def apply_solution(problem: CorrectionProblem, choice: np.ndarray, particles,
 
 def dump_problem(problem: CorrectionProblem) -> dict[str, np.ndarray]:
     """The problem's fields as arrays for ``np.savez``: ``cost``,
-    ``target_flat``, ``cap``, ``floor`` and ``dims``, with the band row's
-    ``region`` and ``region_bounds`` if any."""
-    arrays = {key: np.asarray(getattr(problem, key))
-              for key in ("cost", "target_flat", "cap", "floor", "dims")}
-    if problem.region is not None:
-        arrays.update(region=problem.region, region_bounds=np.asarray(problem.region_bounds))
-    return arrays
+    ``target_flat``, ``cap``, ``floor``, ``dims`` and the band row's
+    ``region`` and ``region_bounds``, empty on a plain problem."""
+    return {key: np.asarray(getattr(problem, key)) for key in
+            ("cost", "target_flat", "cap", "floor", "dims", "region", "region_bounds")}
 
 
 def load_problem(arrays) -> CorrectionProblem:
@@ -227,7 +225,9 @@ def load_problem(arrays) -> CorrectionProblem:
     such as an ``np.load`` archive. A missing, mistyped, misshapen or
     out-of-range array raises InputError naming the array and its first bad
     index. A ``cap`` of -1, the uncapped mark that older files hold on the
-    band's deep cells, loads as n, the cap ``build_problem`` writes there."""
+    band's deep cells, loads as n, the cap ``build_problem`` writes there.
+    An older plain file, with neither ``region`` nor ``region_bounds``,
+    loads with the empty band row."""
 
     def get(key: str, dtype, shape: tuple) -> np.ndarray:
         if key not in arrays:
@@ -261,14 +261,16 @@ def load_problem(arrays) -> CorrectionProblem:
     cap = np.where(cap == -1, cost.shape[1], cap)
     refuse("floor", floor < 0, "a floor below 0", floor)
     refuse("floor", floor > cap, "a floor above its cap", floor)
-    problem = CorrectionProblem(cost=cost, target_flat=target, cap=cap, floor=floor,
-                                dims=tuple(int(v) for v in dims))
-    refuse("cost", valid & (problem.cost != cost), "a valid candidate's cost must be a "
-           "multiple of 2^-24", cost)
     if "region" in arrays or "region_bounds" in arrays:
         region, (lo, hi) = get("region", bool, (ncells,)), get("region_bounds", np.int64, (2,))
-        if hi < max(lo, 0):
-            raise InputError(f"array 'region_bounds' is an empty interval [{lo}, {hi}]")
-        refuse("region", region & (floor > 0), "a region cell with a floor", floor)
-        problem.region, problem.region_bounds = region, (int(lo), int(hi))
+    else:
+        region, (lo, hi) = np.zeros(ncells, dtype=bool), (0, 0)
+    if hi < max(lo, 0):
+        raise InputError(f"array 'region_bounds' is an empty interval [{lo}, {hi}]")
+    refuse("region", region & (floor > 0), "a region cell with a floor", floor)
+    problem = CorrectionProblem(cost=cost, target_flat=target, cap=cap, floor=floor,
+                                dims=tuple(int(v) for v in dims), region=region,
+                                region_bounds=(int(lo), int(hi)))
+    refuse("cost", valid & (problem.cost != cost), "a valid candidate's cost must be a "
+           "multiple of 2^-24", cost)
     return problem

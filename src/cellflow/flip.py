@@ -102,11 +102,11 @@ def velocity_at(mac: MacGrid, positions: np.ndarray) -> np.ndarray:
 
 
 def transfer_p2g(particles: ParticleSet, mac: MacGrid,
-                 write_cells: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+                 write_cells: np.ndarray | None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Kernel-weighted particle velocities onto faces.
 
     Faces with zero accumulated weight keep their current value. When
-    write_cells (flat bool mask) is given, only faces adjacent to at least
+    write_cells (flat bool mask) is not None, only faces adjacent to at least
     one cell in the mask are overwritten; the band method passes the cells
     it owns with particles (everything shallower than the band interface).
     Returns each component's stencil at the positions, for transfer_g2p.

@@ -39,6 +39,11 @@ def moore_offsets(d: int) -> np.ndarray:
     return np.array([o for o in product((-1, 0, 1), repeat=d) if any(o)], dtype=np.int64)
 
 
+def c_strides(dims) -> np.ndarray:
+    """The flat-index step of a unit move along each axis, in C order."""
+    return np.array([int(np.prod(dims[k + 1:])) for k in range(len(dims))], dtype=np.int64)
+
+
 def _any_neighbor(mask: np.ndarray, shifts) -> np.ndarray:
     """Flat boolean mask: cell c has mask set at c + s for some flat shift s,
     the flat shifts of a set of neighbor offsets.
@@ -93,7 +98,7 @@ class CellGrid:
         # flat index of every cell, and the flat shift of each neighbor offset;
         # the von Neumann shifts go by axis, + before -: +x, -x, +y, -y, ...
         self.index = np.arange(self.ncells, dtype=np.int64).reshape(dims)
-        strides = np.array([int(np.prod(dims[k + 1:])) for k in range(self.d)], dtype=np.int64)
+        strides = c_strides(dims)
         self.vn_shifts = [s for stride in strides.tolist() for s in (stride, -stride)]
         self.moore_shifts = (moore_offsets(self.d) @ strides).tolist()
 
@@ -217,7 +222,7 @@ def face_mask(dims, a: int, cells_flat: np.ndarray) -> np.ndarray:
     return out
 
 
-def classify_cells(grid: CellGrid, x: np.ndarray, obstacles=(), classes: dict | None = None) -> np.ndarray:
+def classify_cells(grid: CellGrid, x: np.ndarray, obstacles, classes: dict | None = None) -> np.ndarray:
     """Recompute cell markings from particle positions and solid occupancy.
 
     Solid cells are tank walls plus obstacle-occupied cells. Fluid cells are

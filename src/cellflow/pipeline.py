@@ -337,7 +337,7 @@ class Simulation:
             raise IntegrityError("cell capacity exceeded after maintenance")
 
 
-def run(cfg: SceneConfig, out_dir, render: bool = False) -> int:
+def run(cfg: SceneConfig, out_dir, render: bool) -> int:
     """Run a configured scene, writing frames, volume CSV and the manifest.
 
     If the correction fails (the flow solve, the flow-paths band repair or

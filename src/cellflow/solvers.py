@@ -11,12 +11,12 @@ costs are multiples of 2^-24, so below the bound ``reduce_to_flow`` checks,
 float64 sums of them are exact: the certificate needs no tolerance, and how
 a search groups a key changes no choice.
 
-The band's balance constraint bounds the total count of one region of cells
-to [lo, hi]. The family of sets "one cell", "the region" and "all cells" is
-laminar, so the problem stays a network and its LP stays integral (ibid.;
-Schrijver, *Combinatorial Optimization*, 2003, on network matrices): the
-region's cells, which carry no floors, pass their units to a hub node, which
-takes lo..hi units and passes those above lo on to the sink.
+The band row bounds the total count of one region of cells to [lo, hi]; a
+plain problem's row is empty. The family of sets "one cell", "the region"
+and "all cells" is laminar, so the problem stays a network and its LP stays
+integral (ibid.; Schrijver, *Combinatorial Optimization*, 2003, on network
+matrices): the region's cells, which carry no floors, pass their units to a
+hub node, which takes lo..hi units and passes those above lo on to the sink.
 
 ``reduce_to_flow`` checks a problem and refuses a malformed one. The solve
 reads the checked ``CorrectionProblem`` itself: its candidate table, caps,
@@ -52,11 +52,11 @@ def reduce_to_flow(problem: CorrectionProblem) -> CorrectionProblem:
     """Check that ``solve_mcf`` can route the correction problem, and return
     the problem. IntegrityError refuses a floor that no candidate reaches or
     that exceeds its cap, floors above the particle count, and a particle with
-    no candidate; with a region, InputError refuses a floored region cell and
-    IntegrityError an empty interval. A path of the cell graph moves each
-    particle at most once, so a solve's keys and potentials stay within about
-    n x the largest cost; at 2^29 or more, sums of multiples of 2^-24 may
-    round, and IntegrityError is raised. The traced benchmark run times this
+    no candidate; InputError refuses a floored cell of the band row and
+    IntegrityError an empty interval for its count. A path of the cell graph
+    moves each particle at most once, so a solve's keys and potentials stay
+    within about n x the largest cost; at 2^29 or more, sums of multiples of
+    2^-24 may round, and IntegrityError is raised. The traced benchmark run times this
     check and counts the returned problem's ``n_arcs``."""
     n, valid = problem.n, problem.valid
     reached = np.bincount(problem.target_flat[valid], minlength=len(problem.cap)) > 0
@@ -71,17 +71,14 @@ def reduce_to_flow(problem: CorrectionProblem) -> CorrectionProblem:
     if n * (top := float(np.abs(problem.cost[valid]).max(initial=0.0))) >= 2.0 ** 29:
         raise IntegrityError(f"n x the largest cost, {n} x {top:.6g}, reaches 2^29: "
                              "float sums of costs may round")
-    hub_floor = 0
-    if problem.region is not None:
-        # a floored region cell short of its floor would have to pass units
-        # it lacks; the band's region (interface and deep) has no floors
-        if problem.floor[problem.region].any():
-            raise InputError("region cells must not carry floors")
-        lo, hi = problem.region_bounds
-        if hi < max(lo, 0):
-            raise IntegrityError(f"empty region interval [{lo}, {hi}]")
-        hub_floor = max(lo, 0)
-    if int(problem.floor.sum()) + hub_floor > n:
+    # a floored region cell short of its floor would have to pass units
+    # it lacks; the band's region (interface and deep) has no floors
+    if problem.floor[problem.region].any():
+        raise InputError("region cells must not carry floors")
+    lo, hi = problem.region_bounds
+    if hi < max(lo, 0):
+        raise IntegrityError(f"empty region interval [{lo}, {hi}]")
+    if int(problem.floor.sum()) + max(lo, 0) > n:
         raise IntegrityError("min-cost flow infeasible: floors exceed the particle count")
     if not valid.any(axis=0).all():
         raise IntegrityError("min-cost flow infeasible: some particle has no candidate")
@@ -121,13 +118,14 @@ def solve_mcf(problem: CorrectionProblem) -> tuple[np.ndarray, SolveStats]:
     u -> p -> v, where p's potential cancels. Shortest paths, potentials and
     the optimality test are thus those of the network with particle nodes.
 
-    With a region, its cells pass their units to the hub, node K + 1, which
+    The band row's cells pass their units to the hub, node K + 1, which
     keeps count[hub] = count(region) and passes the units above hub_floor to
     the sink. The greedy start also rejects the region's particles beyond
-    hub_cap, the last in index order. A hub below its floor is a target like
-    a cell below its floor, and a drain fills it; a popped hub relaxes its
-    arc to the sink while it has room and, free of charge, its reverse arcs
-    back to the region cells it holds units of.
+    hub_cap, the last in index order; a plain problem's empty row sends it
+    none. A hub below its floor is a target like a cell below its floor, and
+    a drain fills it; a popped hub relaxes its arc to the sink while it has
+    room and, free of charge, its reverse arcs back to the region cells it
+    holds units of.
 
     Only the cheapest of the parallel arcs u -> v (one per member of u) can
     lie on a shortest path, and augmenting along it leaves the others' reduced
@@ -161,7 +159,7 @@ def solve_mcf(problem: CorrectionProblem) -> tuple[np.ndarray, SolveStats]:
     n, region = problem.n, problem.region
     K = len(problem.cap)  # grid cells; the sink is node K, the hub node K + 1
     sink, hub = K, K + 1
-    lo, hub_cap = (0, 0) if region is None else problem.region_bounds
+    lo, hub_cap = problem.region_bounds
     hub_floor = max(lo, 0)
 
     # the valid candidates by (particle, direction): particle jj, direction ii
@@ -180,28 +178,23 @@ def solve_mcf(problem: CorrectionProblem) -> tuple[np.ndarray, SolveStats]:
     picked = np.bincount(pick_cell, minlength=K)
     order, rank = G.rank_in_cell(pick_cell, picked)
     accepted = rank < problem.cap[pick_cell]
-    count_np = np.minimum(picked, problem.cap)
-    feeds, in_hub = [False] * K, 0
-    if region is not None:  # the hub accepts the first hub_cap of the region's units
-        held = np.flatnonzero(accepted & region[pick_cell])
-        accepted[held[hub_cap:]] = False
-        count_np = np.bincount(pick_cell[accepted], minlength=K)
-        feeds, in_hub = region.tolist(), min(len(held), hub_cap)
+    held = np.flatnonzero(accepted & region[pick_cell])  # the hub takes the first hub_cap
+    accepted[held[hub_cap:]] = False
+    count_np = np.bincount(pick_cell[accepted], minlength=K)
+    in_hub = min(len(held), hub_cap)
     if accepted.all() and (count_np >= problem.floor).all() and in_hub >= hub_floor:
         return ii[pick], SolveStats(objective=float(cand_cost_np[pick].sum()), pi=np.zeros(K + 2))
 
     starts = starts.tolist()
     spans = list(map(range, starts[:-1], starts[1:]))
     cand_cell, cand_cost = cand_cell_np.tolist(), cand_cost_np.tolist()
-    cand_p = jj.tolist()
+    cand_p, feeds = jj.tolist(), region.tolist()
     cap = problem.cap.tolist() + [0, hub_cap]  # cells, then the sink's unused slot and the hub
     floor = problem.floor.tolist() + [0, hub_floor]
     reached = np.bincount(cand_cell_np, minlength=K) > 0
     cells = np.flatnonzero(reached).tolist()  # those some candidate reaches, all a search visits
     hubbed = [u for u in cells if feeds[u]]  # the region's: a drain from the hub pops no other
-    up = [sink] * (K + 2)  # where a node passes its units above the floor
-    for u in hubbed:
-        up[u] = hub
+    up = [hub if f else sink for f in feeds] + [sink, sink]  # where a node passes its surplus
 
     count = count_np.tolist() + [0, in_hub]
     kept, ends = order[accepted[order]].tolist(), np.cumsum(count_np)[cells].tolist()
@@ -351,7 +344,7 @@ def solve_mcf(problem: CorrectionProblem) -> tuple[np.ndarray, SolveStats]:
     duals = np.asarray(pi) if fwd else 0.0 - np.asarray(pi)  # drains ran on -pi
     # a cell no candidate reaches takes the potential of the node it passes units to
     idle = np.flatnonzero(~reached)
-    duals[idle] = duals[sink + (0 if region is None else region[idle])]
+    duals[idle] = duals[sink + region[idle]]
     stats = SolveStats(objective=float(cand_cost_np[chosen].sum()), pi=duals,
                        searches=searches, pops=pops, scans=scans, tables=tables,
                        drains=run - searches)

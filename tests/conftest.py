@@ -77,7 +77,7 @@ def random_state(rng, dims=(6, 6), mu=None, n_max=10, solid_prob=0.12):
 def random_problem(rng, dims=(6, 6), mu=None, n_max=10, solid_prob=0.12):
     grid, particles, x_ideal, mu = random_state(rng, dims, mu, n_max, solid_prob)
     table = C.build_candidates(particles.x, x_ideal, grid)
-    problem = C.build_problem(grid, table, mu)
+    problem = C.build_problem(grid, table, mu, None)
     return problem, grid, particles
 
 
@@ -118,7 +118,7 @@ def random_band_instance(rng, push=-1.0):
         for j in range(1, 1 + h):
             pts.append([i + rng.uniform(0.2, 0.8), j + rng.uniform(0.2, 0.8)])
     x = np.asarray(pts)
-    G.classify_cells(grid, x)
+    G.classify_cells(grid, x, ())
     G.assign_depth(grid)
     grid.rebuild_counts(x)
     particles = ParticleSet.from_positions(x)

@@ -97,8 +97,8 @@ def canonical_matrix(problem: CorrectionProblem) -> np.ndarray:
     variable upper/lower bounds, the choose-one equality split into two
     inequalities, then per-cell capacity and (negated) floor rows.
     """
-    if problem.region is not None:
-        raise InputError("canonical matrix requires a problem without a region")
+    if problem.region.any():
+        raise InputError("canonical matrix requires a problem with an empty band row")
     cols = [(j, int(i)) for j in range(problem.n) for i in np.flatnonzero(problem.valid[:, j])]
     col_of = {ji: k for k, ji in enumerate(cols)}
     ncols = len(cols)
@@ -197,7 +197,7 @@ def brute_force_ilp(problem: CorrectionProblem) -> tuple[np.ndarray, float]:
     lo, hi = problem.region_bounds
 
     def region_ok() -> bool:
-        return problem.region is None or lo <= int(counts[problem.region].sum()) <= hi
+        return lo <= int(counts[problem.region].sum()) <= hi
 
     def dfs(j: int, partial: float, deficit: int) -> None:
         nonlocal best_obj, best_choice

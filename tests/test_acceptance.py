@@ -310,10 +310,10 @@ def test_criterion_13_determinism(tmp_path):
     for name in ("dam", "falling_obs_zero_bc"):
         cfg = builtin_scene(name)
         cfg.frames = 10
-        run_scene(cfg, tmp_path / f"{name}_a")
+        run_scene(cfg, tmp_path / f"{name}_a", render=False)
         cfg2 = builtin_scene(name)
         cfg2.frames = 10
-        run_scene(cfg2, tmp_path / f"{name}_b")
+        run_scene(cfg2, tmp_path / f"{name}_b", render=False)
         for i in range(11):
             fa = (tmp_path / f"{name}_a" / f"frame_{i:06d}.cprt").read_bytes()
             fb = (tmp_path / f"{name}_b" / f"frame_{i:06d}.cprt").read_bytes()

@@ -28,7 +28,7 @@ def column_state(width=6, height=10, R=2, mu=1, fill_to=8, dims=None):
             for k in range(mu):
                 pts.append(np.array([i + 0.3 + 0.4 * k / max(mu, 1), j + 0.5]))
     x = np.asarray(pts)
-    G.classify_cells(grid, x)
+    G.classify_cells(grid, x, ())
     G.assign_depth(grid)
     grid.rebuild_counts(x)
     particles = ParticleSet.from_positions(x)
@@ -307,7 +307,7 @@ class TestEdgeCost:
         penalty = S.build_solid_objective(grid, np.array([up]), SceneConfig.lambda_penalty)
         table = C.build_candidates(particles.x, particles.x, grid)
         S.override_costs(table, penalty)
-        problem = C.build_problem(grid, table, 1)
+        problem = C.build_problem(grid, table, 1, None)
         edge_cost = B.EdgeCost(problem, stay_choice(problem))
         assert edge_cost(j, up) == penalty[up] - problem.cost[-1, j]
 
@@ -521,7 +521,7 @@ def test_flow_paths_one_move_short_fails_band_row(push, monkeypatch):
             # to check against the row
             assert "found no path" in str(exc)
             continue
-        assert problem.region is not None
+        assert problem.region.any()
         problem.check_feasible(choice)
         if diag["n_move"] == 0:
             continue
@@ -529,7 +529,8 @@ def test_flow_paths_one_move_short_fails_band_row(push, monkeypatch):
         short = before_move[-1]
         with pytest.raises(IntegrityError, match="assignment violates correction constraints"):
             problem.check_feasible(short)
-        replace(problem, region=None).check_feasible(short)
+        replace(problem, region=np.zeros_like(problem.region),
+                region_bounds=(0, 0)).check_feasible(short)
         repaired += 1
     assert repaired >= 20
 
@@ -610,7 +611,7 @@ class TestHubSolve:
         # region's count within its bounds
         grid, particles, state, problem, full, _ = band_toys(-1.0, 1)[0]
         assert V.reduce_to_flow(full) is full and V.reduce_to_flow(problem) is problem
-        assert problem.region is None and full.n_arcs == problem.n_arcs + 1
+        assert not problem.region.any() and full.n_arcs == problem.n_arcs + 1
         choice, _ = V.solve_mcf(full)
         lo, hi = full.region_bounds
         assert lo <= full.counts_of(choice)[full.region].sum() <= hi
@@ -640,7 +641,7 @@ class TestHubSolve:
         cls["region"][held[0]] = False
         with pytest.raises(IntegrityError, match="band region"):
             B.attach_region(problem, cls, state.alpha_le)
-        assert problem.region is None
+        assert not problem.region.any() and problem.region_bounds == (0, 0)
 
 
 class TestMaintain:
@@ -719,7 +720,7 @@ class TestMaintain:
         x = x[np.floor(x[:, 1]) <= 5]
         extra = np.asarray(extra_cell, dtype=float) + np.array([[0.5, 0.5], [0.6, 0.5], [0.7, 0.5]])
         x = np.vstack([extra[:1], x, extra[1:]])
-        G.classify_cells(grid, x)
+        G.classify_cells(grid, x, ())
         G.assign_depth(grid)
         grid.rebuild_counts(x)
         is_extra = np.zeros(len(x), dtype=bool)
@@ -781,7 +782,7 @@ def fig_path_state():
             pts.append([i + 0.5, j + 0.5])
     pts.append([2.5, 5.5])  # rider on top
     x = np.asarray(pts)
-    G.classify_cells(grid, x)
+    G.classify_cells(grid, x, ())
     G.assign_depth(grid)
     grid.rebuild_counts(x)
     particles = ParticleSet.from_positions(x)

@@ -176,19 +176,20 @@ def put(array, index, value):
     (lambda a: {"floor": put(a["floor"], 8, -3)}, "array 'floor' index 8: a floor below 0, got -3"),
     (lambda a: {"cap": put(a["cap"], 8, 1), "floor": put(a["floor"], 8, 5)},
      "array 'floor' index 8: a floor above its cap, got 5"),
-    (lambda a: {"region": np.zeros(len(a["cap"]), dtype=bool), "region_bounds": np.array([3, 1])},
+    (lambda a: {"region_bounds": np.array([3, 1])},
      "array 'region_bounds' is an empty interval [3, 1]"),
     (lambda a: {"cap": put(a["cap"], 0, 1), "floor": put(a["floor"], 0, 1),
                 "region": put(np.zeros(len(a["cap"]), dtype=bool), 0, True),
                 "region_bounds": np.array([0, 5])},
      "array 'region' index 0: a region cell with a floor, got 1"),
     (lambda a: {"cap": None}, "no array 'cap'"),
-    (lambda a: {"region": np.zeros(len(a["cap"]), dtype=bool)}, "no array 'region_bounds'"),
+    (lambda a: {"region_bounds": None}, "no array 'region_bounds'"),
+    (lambda a: {"region": None}, "no array 'region'"),
     (lambda a: {"cap": a["cap"].astype(np.float64)}, "array 'cap' must hold int64, got float64"),
 ], ids=["particle_out_of_range", "negative_dims", "negative_n", "negative_m", "m_not_2d_plus_1",
         "target_below_minus_one", "cap_below_minus_one", "cost_nan", "cost_inf", "cost_minus_inf",
         "cost_not_dyadic", "floor_negative", "floor_above_cap", "empty_region", "floored_region_cell", "no_cap",
-        "region_without_bounds", "cap_as_floats"])
+        "region_without_bounds", "bounds_without_region", "cap_as_floats"])
 def test_oracle_check_malformed_dump(tmp_path, rng, capsys, edit, where):
     # each edit of a sound problem's arrays is refused, naming the array
     problem, _, _ = random_problem(rng, n_max=6)
@@ -246,8 +247,8 @@ def test_band_problem_dump_round_trip(tmp_path, capsys):
             break  # the region binds
     dump = tmp_path / "band.npz"
     assert_same_problem(replayed(problem, dump), problem)
-    assert "region" not in C.dump_problem(plain)
-    assert replayed(plain, tmp_path / "plain.npz").region is None
+    assert not C.dump_problem(plain)["region"].any()
+    assert_same_problem(replayed(plain, tmp_path / "plain.npz"), plain)
     assert cli.main(["oracle-check", str(dump)]) == 0
     out = capsys.readouterr().out
     assert "OK" in out and f"objective {V.solve_problem(problem)[1].objective:.9f}" in out
@@ -312,7 +313,7 @@ def test_full_band_replay_carries_region(tmp_path, monkeypatch, capsys):
                       fluids=[FluidRegion(Box((1, 1), (4, 5)))],
                       band=BandConfig(enabled=True, R=1, strategy=BandStrategy.FULL))
     problem = _replay_third_solve(tmp_path, monkeypatch, capsys, cfg)
-    assert problem.region is not None and problem.region.any()
+    assert problem.region.any()
 
 
 def test_flow_paths_failure_writes_replay(tmp_path, monkeypatch, capsys):
@@ -337,7 +338,7 @@ def test_flow_paths_failure_writes_replay(tmp_path, monkeypatch, capsys):
     assert f"correction failed at seed 11, step {step}: injected" in err
     replay = out / "failed_problem.npz"
     problem = C.load_problem(np.load(replay))
-    assert problem.region is not None
+    assert problem.region.any()
     assert problem.n <= BRUTE_FORCE_LIMIT
     monkeypatch.undo()
     assert cli.main(["oracle-check", str(replay)]) == 0

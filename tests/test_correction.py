@@ -9,8 +9,8 @@ from cellflow import solvers as V
 from cellflow.errors import InputError, IntegrityError
 from cellflow.flip import ParticleSet
 
-from conftest import (assert_same_problem, flat_index, random_band_instance, replayed,
-                      stay_choice)
+from conftest import (assert_same_problem, flat_index, random_band_instance, random_problem,
+                      replayed, stay_choice)
 from oracles import with_region
 
 
@@ -86,7 +86,7 @@ def classified_grid(dims, cells_with_counts):
         for k in range(cnt):
             pts.append(np.asarray(cell) + 0.2 + 0.6 * k / max(cnt, 1))
     x = np.asarray(pts).reshape(-1, grid.d) if pts else np.zeros((0, grid.d))
-    G.classify_cells(grid, x)
+    G.classify_cells(grid, x, ())
     G.assign_depth(grid)
     grid.rebuild_counts(x)
     grid.seeded_positions = x
@@ -182,7 +182,8 @@ class TestCandidatesByAxis:
             problem = C.CorrectionProblem(
                 cost=table.cost[:, kept], target_flat=table.target_flat[:, kept],
                 cap=np.full(grid.ncells, len(kept), dtype=np.int64),
-                floor=np.zeros(grid.ncells, dtype=np.int64), dims=grid.dims)
+                floor=np.zeros(grid.ncells, dtype=np.int64), dims=grid.dims,
+                region=np.zeros(grid.ncells, dtype=bool), region_bounds=(0, 0))
             particles = ParticleSet.from_positions(x[kept])
             C.apply_solution(problem, choice, particles, ideal[kept])
             landed = xi[choice, kept]
@@ -197,7 +198,7 @@ class TestBuildProblem:
         grid = classified_grid((9, 10), [((i, j), 4) for i in range(1, 8) for j in range(1, 8)])
         x = grid.seeded_positions
         table = C.build_candidates(x, x, grid)
-        problem = C.build_problem(grid, table, mu=4)
+        problem = C.build_problem(grid, table, mu=4, classes=None)
         inner = grid.marking == G.INNER
         assert (problem.floor[inner] == 4).all()
         assert (problem.cap[inner] == 4).all()
@@ -205,23 +206,43 @@ class TestBuildProblem:
     def test_prev_surface_cap_only(self):
         grid = classified_grid((8, 8), [((4, 4), 2)])
         table = candidates_at(grid, [[4.5, 4.5]], [[4.5, 4.5]])
-        problem = C.build_problem(grid, table, mu=4)
+        problem = C.build_problem(grid, table, mu=4, classes=None)
         c = flat_index(grid, (4, 4))
         assert problem.cap[c] == 4
         assert problem.floor[c] == 0
 
     def test_solid_cell_cap_zero(self):
         grid = classified_grid((8, 8), [((4, 4), 1)])
-        problem = C.build_problem(grid, candidates_at(grid, [[4.5, 4.5]], [[4.5, 4.5]]), mu=4)
+        problem = C.build_problem(grid, candidates_at(grid, [[4.5, 4.5]], [[4.5, 4.5]]), mu=4,
+                                  classes=None)
         assert (problem.cap[grid.wall] == 0).all()
 
     def test_all_stay_feasible_asserted(self):
         grid = classified_grid((8, 8), [((3, 3), 2), ((4, 3), 1)])
         table = candidates_at(grid, [[3.3, 3.5], [3.7, 3.5], [4.5, 3.5]],
                               [[3.3, 3.9], [3.7, 3.2], [4.1, 3.5]])
-        problem = C.build_problem(grid, table, mu=4)
+        problem = C.build_problem(grid, table, mu=4, classes=None)
         stay = stay_choice(problem)
         assert np.array_equal(problem.check_feasible(stay), grid.counts)
+
+    def test_band_row_is_empty(self):
+        # plain and band problems alike: no cell in the row, bounds (0, 0),
+        # until attach_region replaces it; the plain network has no hub arc
+        rng = np.random.default_rng(35)
+        built = 0
+        while built < 10:
+            inst = random_band_instance(rng)
+            if inst is None:
+                continue
+            grid, particles, state, x_ideal = inst
+            table = C.build_candidates(particles.x, x_ideal, grid)
+            for classes in (None, G.band_classes(grid, state.R)):
+                problem = C.build_problem(grid, table, 1, classes)
+                assert problem.region.dtype == bool and problem.region.shape == (grid.ncells,)
+                assert not problem.region.any() and problem.region_bounds == (0, 0)
+                reached = len(np.unique(problem.target_flat[problem.valid]))
+                assert problem.n_arcs == problem.n + int(problem.valid.sum()) + reached
+            built += 1
 
     def test_every_cap_is_a_count(self):
         # plain and band problems alike: mu where a cell takes particles, 0
@@ -237,7 +258,7 @@ class TestBuildProblem:
             table = C.build_candidates(particles.x, x_ideal, grid)
             classes = G.band_classes(grid, state.R)
             deep = classes["deep"]
-            plain = C.build_problem(grid, table, 1)
+            plain = C.build_problem(grid, table, 1, None)
             band = C.build_problem(grid, table, 1, classes)
             cap = np.where(grid.marking == G.SOLID, 0, 1)
             assert np.array_equal(plain.cap, cap)
@@ -248,7 +269,7 @@ class TestBuildProblem:
     def test_gamma_tilde_partition(self):
         grid = classified_grid((8, 8), [((3, 3), 1), ((4, 4), 1)])
         table = candidates_at(grid, [[3.5, 3.5], [4.5, 4.5]], [[3.9, 3.5], [4.2, 4.8]])
-        problem = C.build_problem(grid, table, mu=4)
+        problem = C.build_problem(grid, table, mu=4, classes=None)
         seen = {}
         for j in range(problem.n):
             for i in np.flatnonzero(problem.valid[:, j]):
@@ -261,7 +282,7 @@ class TestApply:
     def test_all_stay_lands_at_phi_close(self):
         grid = classified_grid((8, 8), [((3, 3), 1)])
         p = ParticleSet.from_positions(np.array([[3.5, 3.5]]))
-        problem = C.build_problem(grid, candidates_at(grid, p.x, [[4.4, 3.6]]), mu=4)
+        problem = C.build_problem(grid, candidates_at(grid, p.x, [[4.4, 3.6]]), mu=4, classes=None)
         C.apply_solution(problem, stay_choice(problem), p, np.array([[4.4, 3.6]]))
         assert np.allclose(p.x[0], C.phi_close(np.array([4.4, 3.6]), (3, 3)))
 
@@ -269,7 +290,7 @@ class TestApply:
         grid = classified_grid((8, 8), [((3, 3), 1), ((3, 4), 1)])
         p = ParticleSet.from_positions(np.array([[3.5, 3.4], [3.5, 4.5]]))
         ideal = np.array([[3.5, 4.4], [3.5, 4.6]])
-        problem = C.build_problem(grid, candidates_at(grid, p.x, ideal), mu=1)
+        problem = C.build_problem(grid, candidates_at(grid, p.x, ideal), mu=1, classes=None)
         bad = np.array([1, 4])  # both into (3, 4), cap 1
         with pytest.raises(IntegrityError):
             C.apply_solution(problem, bad, p, ideal)
@@ -298,7 +319,7 @@ def walled_problem():
     grid = classified_grid((8, 8), [((i, j), 1) for i in (1, 2, 3) for j in (2, 3, 4)])
     x = grid.seeded_positions
     ideal = x + [-0.3, 0.1]
-    return C.build_problem(grid, candidates_at(grid, x, ideal), mu=2), x, ideal
+    return C.build_problem(grid, candidates_at(grid, x, ideal), mu=2, classes=None), x, ideal
 
 
 class TestDump:
@@ -313,12 +334,13 @@ class TestDump:
         assert_same_problem(replayed(problem, tmp_path / "problem.npz"), problem)
 
     def test_dump_holds_only_what_the_solve_reads(self):
+        # a plain problem's dump holds its empty band row, as a band one does
         problem, _, _ = walled_problem()
-        assert set(C.dump_problem(problem)) == {"cost", "target_flat", "cap", "floor", "dims"}
-        problem.region = np.zeros(len(problem.cap), dtype=bool)
+        keys = {"cost", "target_flat", "cap", "floor", "dims", "region", "region_bounds"}
+        assert set(C.dump_problem(problem)) == keys
+        problem.region = np.arange(len(problem.cap)) == 0
         problem.region_bounds = (0, 1)
-        assert set(C.dump_problem(problem)) == {"cost", "target_flat", "cap", "floor", "dims",
-                                                "region", "region_bounds"}
+        assert set(C.dump_problem(problem)) == keys
 
     def test_archive_with_landing_positions_and_mu_loads(self, tmp_path):
         # a replay file as written while the problem also held its landing
@@ -338,6 +360,30 @@ class TestDump:
         assert np.array_equal(choice, want_choice)
         assert stats.pi.tobytes() == want.pi.tobytes()
         assert (choice != problem.m - 1).any()
+
+    def test_plain_archive_without_band_row_loads(self, tmp_path):
+        # a plain replay file written while a plain problem held no band row
+        # has neither region nor region_bounds: it loads with the empty row,
+        # and the problem solves to the same choice and potentials, bit for bit
+        rng = np.random.default_rng(36)
+        searched = 0
+        for _ in range(30):
+            problem = random_problem(rng, dims=(8, 8), n_max=16)[0]
+            arrays = C.dump_problem(problem)
+            del arrays["region"], arrays["region_bounds"]
+            path = tmp_path / "old.npz"
+            np.savez(path, **arrays)
+            with np.load(path, allow_pickle=False) as old:
+                assert not {"region", "region_bounds"} & set(old.files)
+                loaded = C.load_problem(dict(old))
+            assert not loaded.region.any() and loaded.region_bounds == (0, 0)
+            assert_same_problem(loaded, problem)
+            choice, stats = V.solve_problem(loaded)
+            want_choice, want = V.solve_problem(problem)
+            assert np.array_equal(choice, want_choice)
+            assert stats.pi.tobytes() == want.pi.tobytes()
+            searched += stats.searches > 0
+        assert searched >= 5
 
     def test_uncapped_mark_loads_as_n(self, tmp_path):
         # a band replay file written while the deep cells were marked

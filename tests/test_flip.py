@@ -24,7 +24,7 @@ def make_state(dims=(8, 8), cells=(), ppc=4):
     for cell in cells:
         pts.extend(np.asarray(cell) + rng.uniform(0.1, 0.9, size=(ppc, grid.d)))
     x = np.asarray(pts).reshape(-1, grid.d) if pts else np.zeros((0, grid.d))
-    G.classify_cells(grid, x)
+    G.classify_cells(grid, x, ())
     G.assign_depth(grid)
     grid.rebuild_counts(x)
     particles = F.ParticleSet.from_positions(x)
@@ -45,7 +45,7 @@ class TestTransfers:
     def test_p2g_constant_velocity(self):
         grid, mac, p = make_state(cells=[(3, 3), (3, 4), (4, 3), (4, 4)])
         p.vel[:] = [1.5, -0.5]
-        F.transfer_p2g(p, mac)
+        F.transfer_p2g(p, mac, None)
         for a in range(2):
             written = np.zeros_like(mac.vel[a], dtype=bool)
             q = p.x - mac.face_offset(a)
@@ -60,14 +60,14 @@ class TestTransfers:
         grid, mac, p = make_state(cells=[(3, 3)])
         mac.vel[0][:] = 7.0
         p.vel[:] = [1.0, 0.0]
-        F.transfer_p2g(p, mac)
+        F.transfer_p2g(p, mac, None)
         assert mac.vel[0][0, 0] == 7.0  # far corner face untouched
 
     def test_round_trip_uniform_exact(self):
         grid, mac, p = make_state(cells=[(3, 3), (4, 3), (3, 4), (4, 4)])
         v = np.array([0.75, -1.25])
         p.vel[:] = v
-        stencils = F.transfer_p2g(p, mac)
+        stencils = F.transfer_p2g(p, mac, None)
         saved = mac.copy_velocity()
         F.transfer_g2p(mac, saved, p, stencils, flip_ratio=0.97, max_speed=np.inf)
         assert np.allclose(p.vel, v, atol=1e-12)
@@ -309,7 +309,7 @@ class TestSharedStencils:
     def test_empty_particle_set(self):
         grid, mac, p = make_state(cells=[])
         mac.vel[0][:] = 3.0
-        stencils = F.transfer_p2g(p, mac)
+        stencils = F.transfer_p2g(p, mac, None)
         assert np.all(mac.vel[0] == 3.0)
         pic = F.transfer_g2p(mac, mac.copy_velocity(), p, stencils, 0.95, max_speed=1.0)
         assert pic.shape == (0, 2) and p.vel.shape == (0, 2)
@@ -433,7 +433,7 @@ class TestPressure:
             for j in range(1, 1 + rows):
                 pts.extend(np.array([i, j]) + rng.uniform(0.1, 0.9, size=(mu, 2)))
         x = np.asarray(pts)
-        G.classify_cells(grid, x)
+        G.classify_cells(grid, x, ())
         G.assign_depth(grid)
         grid.rebuild_counts(x)
         return grid, F.MacGrid(dims), F.ParticleSet.from_positions(x)

@@ -66,14 +66,14 @@ class TestNeighbors:
 class TestClassify:
     def test_empty_tank(self):
         grid = make_grid()
-        G.classify_cells(grid, np.zeros((0, 2)))
+        G.classify_cells(grid, np.zeros((0, 2)), ())
         assert (grid.marking[grid.wall] == G.SOLID).all()
         assert (grid.marking[~grid.wall] == G.EMPTY).all()
 
     def test_single_fluid_cell_is_surface(self):
         grid = make_grid()
         x = fill_cells(grid, [(4, 4)], ppc=2)
-        G.classify_cells(grid, x)
+        G.classify_cells(grid, x, ())
         assert grid.marking[flat_index(grid, (4, 4))] == G.SURFACE
 
     def test_bottom_block_only_top_row_surface(self):
@@ -81,7 +81,7 @@ class TestClassify:
         # domain-boundary solids, so only the exposed top row is surface
         grid = G.CellGrid((8, 9))
         cells = [(i, j) for i in range(1, 7) for j in range(1, 7)]
-        G.classify_cells(grid, fill_cells(grid, cells))
+        G.classify_cells(grid, fill_cells(grid, cells), ())
         for i in range(1, 7):
             for j in range(1, 7):
                 expected = G.SURFACE if j == 6 else G.INNER
@@ -91,12 +91,12 @@ class TestClassify:
         grid = make_grid()
         x = np.array([[0.5, 4.5]])  # wall cell
         with pytest.raises(IntegrityError):
-            G.classify_cells(grid, x)
+            G.classify_cells(grid, x, ())
 
     def test_partition_is_complete(self):
         grid = make_grid()
         x = fill_cells(grid, [(2, 2), (2, 3), (5, 5)])
-        G.classify_cells(grid, x)
+        G.classify_cells(grid, x, ())
         assert set(np.unique(grid.marking)) <= {G.EMPTY, G.SOLID, G.SURFACE, G.INNER}
         fluid = grid.fluid_mask()
         assert (grid.counts[fluid] >= 1).all()
@@ -111,13 +111,13 @@ class TestClassify:
         grid = G.CellGrid((10, 12))
         R = 2
         cells = [(i, j) for i in range(1, 9) for j in range(1, 9)]
-        G.classify_cells(grid, fill_cells(grid, cells))
+        G.classify_cells(grid, fill_cells(grid, cells), ())
         G.assign_depth(grid)
         hole = flat_index(grid, (4, 6))
         assert grid.depth[hole] == -R
         deep = grid.depth < -R
         kept = [(i, j) for (i, j) in cells if j >= 6 and (i, j) != (4, 6)]
-        G.classify_cells(grid, fill_cells(grid, kept), classes=G.band_classes(grid, R))
+        G.classify_cells(grid, fill_cells(grid, kept), (), G.band_classes(grid, R))
         assert grid.counts[hole] == 0
         assert grid.marking[hole] == G.INNER
         assert (grid.marking[deep] == G.INNER).all()  # none turned SURFACE
@@ -128,7 +128,7 @@ class TestDepth:
         # 4-wide column of fluid, open at the top: depth decreases downward
         grid = G.CellGrid((6, 8))
         cells = [(i, j) for i in range(1, 5) for j in range(1, 5)]
-        G.classify_cells(grid, fill_cells(grid, cells))
+        G.classify_cells(grid, fill_cells(grid, cells), ())
         G.assign_depth(grid)
         for j in range(1, 5):
             expected = 0 if j == 4 else -(4 - j)
@@ -137,13 +137,13 @@ class TestDepth:
 
     def test_isolated_cell_depth_zero(self):
         grid = make_grid()
-        G.classify_cells(grid, fill_cells(grid, [(4, 4)]))
+        G.classify_cells(grid, fill_cells(grid, [(4, 4)]), ())
         G.assign_depth(grid)
         assert grid.depth[flat_index(grid, (4, 4))] == 0
 
     def test_non_fluid_positive(self):
         grid = make_grid()
-        G.classify_cells(grid, fill_cells(grid, [(4, 4)]))
+        G.classify_cells(grid, fill_cells(grid, [(4, 4)]), ())
         G.assign_depth(grid)
         assert grid.depth[flat_index(grid, (2, 2))] == 1
         assert (grid.depth[grid.wall] == 1).all()
@@ -151,7 +151,7 @@ class TestDepth:
     def test_sealed_tank_fallback(self):
         grid = G.CellGrid((4, 4))
         cells = [(i, j) for i in range(1, 3) for j in range(1, 3)]
-        G.classify_cells(grid, fill_cells(grid, cells))
+        G.classify_cells(grid, fill_cells(grid, cells), ())
         had_surface = G.assign_depth(grid)
         assert not had_surface
         assert (grid.depth[grid.fluid_mask()] == -1).all()
@@ -162,7 +162,7 @@ class TestDepth:
         cells = [(i, j) for i in range(1, 11) for j in range(1, 11) if rng.random() < 0.7]
         if not cells:
             return
-        G.classify_cells(grid, fill_cells(grid, cells))
+        G.classify_cells(grid, fill_cells(grid, cells), ())
         G.assign_depth(grid)
         fluid = grid.fluid_mask()
         for c in np.flatnonzero(fluid):
@@ -174,7 +174,7 @@ class TestDepth:
 class TestClearingDistance:
     def test_open_floor_row(self):
         grid = G.CellGrid((8, 8))
-        G.classify_cells(grid, np.zeros((0, 2)))
+        G.classify_cells(grid, np.zeros((0, 2)), ())
         row = [flat_index(grid, (i, 4)) for i in range(2, 5)]
         dist = G.clearing_distance(grid, row)
         assert [dist[c] for c in row] == [1, 1, 1]
@@ -182,7 +182,7 @@ class TestClearingDistance:
     def test_floor_pinned_row_opens_right(self):
         # row on the tank floor, escape only past the right end
         grid = G.CellGrid((6, 8))
-        G.classify_cells(grid, np.zeros((0, 2)))
+        G.classify_cells(grid, np.zeros((0, 2)), ())
         row = [flat_index(grid, (i, 1)) for i in (1, 2, 3)]
         # block everything above the row with solid cells so the only escape
         # neighbor is (4, 1) to the right
@@ -200,7 +200,7 @@ class TestClearingDistance:
 
     def test_walled_pocket_gets_sentinel(self):
         grid = G.CellGrid((6, 6))
-        G.classify_cells(grid, np.zeros((0, 2)))
+        G.classify_cells(grid, np.zeros((0, 2)), ())
         target = flat_index(grid, (2, 2))
         for s in grid.vn_shifts:
             grid.marking[target + s] = G.SOLID
@@ -211,7 +211,7 @@ class TestClearingDistance:
         # every assigned cell at distance > 1 has a neighbor one step closer
         rng = np.random.default_rng(8)
         grid = G.CellGrid((14, 14))
-        G.classify_cells(grid, np.zeros((0, 2)))
+        G.classify_cells(grid, np.zeros((0, 2)), ())
         cells = [flat_index(grid, (i, j)) for i in range(2, 12) for j in range(2, 12)
                  if rng.random() < 0.5]
         dist = G.clearing_distance(grid, cells)
@@ -403,19 +403,19 @@ class TestVolume:
         grid = G.CellGrid((12, 13))
         cells = [(i, j) for i in range(1, 11) for j in range(1, 11)]
         x = fill_cells(grid, cells, ppc=mu)
-        G.classify_cells(grid, x)
+        G.classify_cells(grid, x, ())
         G.assign_depth(grid)
         return grid, len(cells)
 
     def test_empty_cell_zero(self):
         grid = make_grid()
-        G.classify_cells(grid, fill_cells(grid, [(4, 4)]))
+        G.classify_cells(grid, fill_cells(grid, [(4, 4)]), ())
         G.assign_depth(grid)
         assert per_cell(grid, (2, 2), mu=4) == 0.0
 
     def test_surface_fraction(self):
         grid = make_grid()
-        G.classify_cells(grid, fill_cells(grid, [(4, 4)], ppc=2))
+        G.classify_cells(grid, fill_cells(grid, [(4, 4)], ppc=2), ())
         G.assign_depth(grid)
         assert per_cell(grid, (4, 4), mu=4) == 0.5
 
@@ -473,7 +473,7 @@ def test_neighbors_property(i, j):
 def test_classify_depth_properties(cells):
     grid = G.CellGrid((10, 10))
     x = fill_cells(grid, sorted(set(cells)))
-    G.classify_cells(grid, x)
+    G.classify_cells(grid, x, ())
     G.assign_depth(grid)
     fluid = grid.fluid_mask()
     assert (grid.depth[fluid] <= 0).all()

@@ -19,7 +19,7 @@ LAMBDA = SceneConfig.lambda_penalty
 
 def tank(dims=(10, 10)):
     grid = G.CellGrid(dims)
-    G.classify_cells(grid, np.zeros((0, 2)))
+    G.classify_cells(grid, np.zeros((0, 2)), ())
     G.assign_depth(grid)
     return grid
 
@@ -71,7 +71,7 @@ class TestProposeMotion:
 def table_cost(grid, penalty, x_start, x_ideal):
     """Solid-overridden candidate costs of one particle, keyed by target cell."""
     x = np.asarray([x_start], dtype=float)
-    G.classify_cells(grid, x)
+    G.classify_cells(grid, x, ())
     G.assign_depth(grid)
     grid.rebuild_counts(x)
     table = C.build_candidates(x, np.asarray([x_ideal], dtype=float), grid)
@@ -113,7 +113,7 @@ class TestSolidObjective:
     def test_override_costs_matches_pointwise(self):
         grid = tank()
         x = np.array([[4.5, 3.5]])
-        G.classify_cells(grid, x)
+        G.classify_cells(grid, x, ())
         G.assign_depth(grid)
         grid.rebuild_counts(x)
         ideal = np.array([[4.5, 4.4]])
@@ -139,7 +139,7 @@ class TestSolidObjective:
         # penalties the optimum moves it toward the escape (brute force check)
         grid = tank(dims=(10, 6))
         x = np.array([[3.5, 1.5]])
-        G.classify_cells(grid, x)
+        G.classify_cells(grid, x, ())
         G.assign_depth(grid)
         grid.rebuild_counts(x)
         row = [flat_index(grid, (i, 1)) for i in (2, 3, 4)]
@@ -150,7 +150,7 @@ class TestSolidObjective:
         penalty = S.build_solid_objective(grid, np.asarray(row), LAMBDA)
         table = C.build_candidates(x, x, grid)
         S.override_costs(table, penalty)
-        problem = C.build_problem(grid, table, mu=4)
+        problem = C.build_problem(grid, table, mu=4, classes=None)
         assignment, obj = brute_force_ilp(problem)
         target = grid.unflat(problem.target_flat[assignment[0], 0])
         # moved one step toward lower clearing distance, not stuck in place

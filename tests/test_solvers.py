@@ -105,7 +105,7 @@ class TestReduceToFlow:
         for problem in problems:
             reached = len(np.unique(problem.target_flat[problem.valid]))
             assert problem.n_arcs == (problem.n + int(problem.valid.sum()) + reached
-                                      + (problem.region is not None))
+                                      + bool(problem.region.any()))
             before = _array_bytes(problem)
             _, stats = V.solve_mcf(V.reduce_to_flow(problem))
             assert _array_bytes(problem) == before
@@ -150,14 +150,14 @@ class TestSolveMcf:
         grid = G.CellGrid((6, 6))
         cells = [(2, 2), (2, 3), (3, 2), (3, 3)]
         x = np.array([[c[0] + 0.5, c[1] + 0.5] for c in cells])
-        G.classify_cells(grid, x)
+        G.classify_cells(grid, x, ())
         G.assign_depth(grid)
         grid.rebuild_counts(x)
         # force the block to be inner-like: floors equal to counts
         grid.marking[grid.fluid_mask()] = G.INNER
         ideal = x + rng.uniform(-0.9, 0.9, size=x.shape)
         ideal = clamp_positions(ideal, grid.dims, home_cells=np.floor(x))
-        problem = C.build_problem(grid, C.build_candidates(x, ideal, grid), mu=1)
+        problem = C.build_problem(grid, C.build_candidates(x, ideal, grid), mu=1, classes=None)
         assignment, stats = V.solve_problem(problem)
         _, oracle = brute_force_ilp(problem)
         assert abs(stats.objective - oracle) < 1e-9
@@ -193,10 +193,10 @@ class TestSolveMcf:
     def test_empty_problem(self):
         import cellflow.grid as G
         grid = G.CellGrid((5, 5))
-        G.classify_cells(grid, np.zeros((0, 2)))
+        G.classify_cells(grid, np.zeros((0, 2)), ())
         G.assign_depth(grid)
         none = np.zeros((0, 2))
-        problem = C.build_problem(grid, C.build_candidates(none, none, grid), mu=4)
+        problem = C.build_problem(grid, C.build_candidates(none, none, grid), mu=4, classes=None)
         assignment, stats = V.solve_problem(problem)
         assert stats.objective == 0.0
         assert len(assignment) == 0
@@ -284,12 +284,12 @@ def _tie_problem(rng, dims=(6, 6)):
     n = int(rng.integers(1, BRUTE_FORCE_LIMIT + 1))
     x = grid.unflat(rng.choice(slots, size=n, replace=False)) + 0.5
     x += rng.choice([-0.25, 0.0, 0.25], size=x.shape)
-    G.classify_cells(grid, x)
+    G.classify_cells(grid, x, ())
     G.assign_depth(grid)
     grid.rebuild_counts(x)
     ideal = x + rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=x.shape)
     ideal = clamp_positions(ideal, dims, home_cells=np.floor(x))
-    return C.build_problem(grid, C.build_candidates(x, ideal, grid), mu)
+    return C.build_problem(grid, C.build_candidates(x, ideal, grid), mu, None)
 
 
 def _greedy_rejects(problem):
@@ -553,11 +553,11 @@ class TestExactCosts:
     def _problem(x, ideal, mu):
         """The candidate table and problem of particles ``x`` on a 6 x 6 grid."""
         grid = G.CellGrid((6, 6))
-        G.classify_cells(grid, x)
+        G.classify_cells(grid, x, ())
         G.assign_depth(grid)
         grid.rebuild_counts(x)
         table = C.build_candidates(x, ideal, grid)
-        return table, C.build_problem(grid, table, mu)
+        return table, C.build_problem(grid, table, mu, None)
 
     def test_costs_are_rounded_once(self):
         # the candidate table keeps its float costs; the problem's are the
@@ -684,11 +684,11 @@ def _highs_objective(problem):
     floored = problem.floor[used] > 0
     rows = [incidence[capped], -incidence[floored]]
     bounds = [problem.cap[used][capped], -problem.floor[used][floored]]
-    if problem.region is not None:  # lo <= count(region) <= hi as two rows
-        inside = csr_matrix(problem.region[problem.target_flat[ii, jj]].astype(float))
-        lo, hi = problem.region_bounds
-        rows += [inside, -inside]
-        bounds += [[hi], [-lo]]
+    # lo <= count(region) <= hi as two rows, all zeros on a plain problem
+    inside = csr_matrix(problem.region[problem.target_flat[ii, jj]].astype(float))
+    lo, hi = problem.region_bounds
+    rows += [inside, -inside]
+    bounds += [[hi], [-lo]]
     lp = linprog(problem.cost[ii, jj], A_ub=vstack(rows), b_ub=np.concatenate(bounds),
                  A_eq=csr_matrix((np.ones(len(ii)), (jj, cols)), shape=(problem.n, len(ii))),
                  b_eq=np.ones(problem.n), bounds=(0, 1), method="highs",
@@ -758,7 +758,7 @@ def _band_problem_matches_highs(monkeypatch, scene, frame, R):
     problem.check_feasible(assignment)
     optimum = _highs_objective(problem)
     assert abs(stats.objective - optimum) <= 1e-9 * abs(optimum)
-    plain = replace(problem, region=None)
+    plain = replace(problem, region=np.zeros_like(problem.region), region_bounds=(0, 0))
     plain_choice, _ = V.solve_problem(plain)
     held = problem.counts_of(plain_choice)[problem.region].sum()
     lo, hi = problem.region_bounds
@@ -812,11 +812,11 @@ class TestBruteForce:
         import cellflow.grid as G
         grid = G.CellGrid((7, 7))
         x = np.array([[2.5, 3.5], [4.5, 3.5]])
-        G.classify_cells(grid, x)
+        G.classify_cells(grid, x, ())
         G.assign_depth(grid)
         grid.rebuild_counts(x)
         ideal = np.array([[3.4, 3.5], [3.6, 3.5]])  # both want cell (3, 3)
-        problem = C.build_problem(grid, C.build_candidates(x, ideal, grid), mu=1)
+        problem = C.build_problem(grid, C.build_candidates(x, ideal, grid), mu=1, classes=None)
         assignment, obj = brute_force_ilp(problem)
         counts = problem.counts_of(assignment)
         assert counts[flat_index(grid, (3, 3))] == 1

@@ -14,9 +14,12 @@ of ``SceneConfig.mu``. So the names that fields of two or more classes share
 are pinned with their classes, and a new sharing fails until its reads are
 checked by hand.
 A parameter with a default must be passed by some program call: by keyword,
-by position (a method call skips self), or through *args or **kwargs. A call
-matches by the callee's bare name, and a call of a class counts for its
-__init__.
+by position (a method call skips self), or through *args or **kwargs. It
+must also be omitted by some program call, or the default serves only tests.
+A call matches by the callee's bare name, and a call of a class counts for
+its __init__; so a call of another function of the same name, such as
+``subprocess.run`` for ``pipeline.run``, can hide a default that every call
+of the program's own function overrides.
 """
 import ast
 from pathlib import Path
@@ -210,6 +213,13 @@ def test_no_defaulted_parameter_is_test_only():
                       if not any(passes(call, name, index) for call in calls.get(callee, []))
                       and q not in UNPASSED_PARAMETERS_ALLOWED)
     assert not unpassed, f"defaulted parameters that no program code passes: {unpassed}"
+
+
+def test_no_default_is_always_overridden():
+    calls = program_calls(program_files())
+    overridden = sorted(q for q, (callee, name, index) in defaulted_parameters().items()
+                        if all(passes(call, name, index) for call in calls.get(callee, [])))
+    assert not overridden, f"defaulted parameters that every program call passes: {overridden}"
 
 
 def test_parameter_allowlist_names_existing_parameters():
