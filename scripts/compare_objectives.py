@@ -41,12 +41,12 @@ Problem i is stored as the arrays of ``cellflow.correction.dump_problem``
 under the key prefix ``problem_i/`` (``problem_12/cost``): ``cost``,
 ``target_flat``, ``cap``, ``floor``, ``dims``, ``region`` and
 ``region_bounds``, beside its ``choice_i`` and its final potentials
-``pi_i``. Older recordings load where ``load_problem`` reads them: plain
-problems recorded without the band row load with the empty row; ``cap`` of
--1, the uncapped mark on the band's deep cells, loads as n; and the arrays
-``xi``, ``valid`` and ``mu`` are ignored. Recordings that hold each
-problem as one text string are refused, and so are recordings of unrounded
-costs, made before costs were multiples of 2^-24, naming the array ``cost``.
+``pi_i``. A recording that also holds ``xi``, ``valid`` and ``mu`` loads,
+as ``load_problem`` ignores them. Older recordings are refused, naming the
+array: plain problems recorded without the band row (``region``), a ``cap``
+of -1, the uncapped mark on the band's deep cells, and unrounded costs,
+made before costs were multiples of 2^-24 (``cost``); so are recordings
+that hold each problem as one text string.
 """
 import argparse
 import sys

@@ -15,7 +15,6 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -26,11 +25,6 @@ from .flip import velocity_at
 
 ROOT = -2
 NONE = -1
-
-
-class BandStrategy(Enum):
-    FULL = "full"
-    FLOW_PATHS = "flow"
 
 
 @dataclass
@@ -44,16 +38,16 @@ class BandState:
 
 
 def compute_alphas(cells: G.CellGrid, classes: dict[str, np.ndarray], state: BandState,
-                   mu: int) -> tuple[int, int]:
-    """Air available in the band interface and in the deep, from the band
-    classes and counts of the previous step."""
+                   mu: int) -> None:
+    """Set ``state.alpha_le`` to the air available in the band interface and
+    the deep together, from the band classes and counts of the previous
+    step; IntegrityError if either part is negative."""
     iface = classes["interface"]
     a_int = mu * int(iface.sum()) - int(cells.counts[iface].sum())
     a_deep = mu * int(classes["deep"].sum()) - state.n_deep
     if a_int < 0 or a_deep < 0:
         raise IntegrityError(f"negative band air: alpha_interface={a_int}, alpha_deep={a_deep}")
     state.alpha_le = a_int + a_deep
-    return a_int, a_deep
 
 
 def attach_region(problem: CorrectionProblem, classes: dict[str, np.ndarray],

@@ -49,8 +49,7 @@ def main(argv=None) -> int:
 
 def _cmd_run(args) -> int:
     from . import pipeline
-    from .band import BandStrategy
-    from .scene import load_scene
+    from .scene import BandStrategy, load_scene
 
     cfg = load_scene(args.scene)
     if args.frames is not None:

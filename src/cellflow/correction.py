@@ -224,10 +224,8 @@ def load_problem(arrays) -> CorrectionProblem:
     """Rebuild a :func:`dump_problem` problem from a mapping of its arrays,
     such as an ``np.load`` archive. A missing, mistyped, misshapen or
     out-of-range array raises InputError naming the array and its first bad
-    index. A ``cap`` of -1, the uncapped mark that older files hold on the
-    band's deep cells, loads as n, the cap ``build_problem`` writes there.
-    An older plain file, with neither ``region`` nor ``region_bounds``,
-    loads with the empty band row."""
+    index; so an older file, with a ``cap`` of -1 or without the band row,
+    is refused."""
 
     def get(key: str, dtype, shape: tuple) -> np.ndarray:
         if key not in arrays:
@@ -257,14 +255,10 @@ def load_problem(arrays) -> CorrectionProblem:
     valid = target >= 0
     refuse("cost", valid & ~np.isfinite(cost), "a valid candidate's cost must be finite", cost)
     cap, floor = get("cap", np.int64, (ncells,)), get("floor", np.int64, (ncells,))
-    refuse("cap", cap < -1, "a cap below -1, the uncapped mark", cap)
-    cap = np.where(cap == -1, cost.shape[1], cap)
+    refuse("cap", cap < 0, "a cap below 0", cap)
     refuse("floor", floor < 0, "a floor below 0", floor)
     refuse("floor", floor > cap, "a floor above its cap", floor)
-    if "region" in arrays or "region_bounds" in arrays:
-        region, (lo, hi) = get("region", bool, (ncells,)), get("region_bounds", np.int64, (2,))
-    else:
-        region, (lo, hi) = np.zeros(ncells, dtype=bool), (0, 0)
+    region, (lo, hi) = get("region", bool, (ncells,)), get("region_bounds", np.int64, (2,))
     if hi < max(lo, 0):
         raise InputError(f"array 'region_bounds' is an empty interval [{lo}, {hi}]")
     refuse("region", region & (floor > 0), "a region cell with a floor", floor)

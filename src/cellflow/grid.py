@@ -133,10 +133,10 @@ class CellGrid:
     # ------------------------------------------------------------------
     # particle membership
 
-    def rebuild_counts(self, positions) -> np.ndarray:
+    def rebuild_counts(self, positions) -> None:
+        """Set ``counts`` to the particles per cell of the given positions."""
         flat = self.cell_of(positions)
         self.counts = np.bincount(flat, minlength=self.ncells).astype(np.int64)
-        return self.counts
 
     # masks used across modules
     def fluid_mask(self) -> np.ndarray:
@@ -222,8 +222,9 @@ def face_mask(dims, a: int, cells_flat: np.ndarray) -> np.ndarray:
     return out
 
 
-def classify_cells(grid: CellGrid, x: np.ndarray, obstacles, classes: dict | None = None) -> np.ndarray:
-    """Recompute cell markings from particle positions and solid occupancy.
+def classify_cells(grid: CellGrid, x: np.ndarray, obstacles, classes: dict | None = None) -> None:
+    """Recompute the grid's markings and counts from particle positions and
+    solid occupancy.
 
     Solid cells are tank walls plus obstacle-occupied cells. Fluid cells are
     the non-solid cells holding at least one particle; with the band method
@@ -259,7 +260,6 @@ def classify_cells(grid: CellGrid, x: np.ndarray, obstacles, classes: dict | Non
 
     grid.marking = marking
     grid.counts = counts
-    return marking
 
 
 def _hops(grid: CellGrid, seed: np.ndarray, allowed: np.ndarray) -> np.ndarray:
@@ -277,11 +277,12 @@ def _hops(grid: CellGrid, seed: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     return hops
 
 
-def assign_depth(grid: CellGrid) -> bool:
-    """BFS depth from the surface: surface 0, inward -1, -2, ...; non-fluid +1.
+def assign_depth(grid: CellGrid) -> None:
+    """Set the grid's BFS depth from the surface: surface 0, inward -1, -2,
+    ...; non-fluid +1.
 
-    Returns False when some fluid is unreachable from any surface (a sealed
-    tank or pocket); that fluid gets depth -1 and a warning is logged.
+    Fluid unreachable from any surface (a sealed tank or pocket) gets depth
+    -1, and a warning is logged.
     """
     fluid = grid.fluid_mask()
     hops = _hops(grid, grid.marking == SURFACE, fluid)
@@ -289,7 +290,6 @@ def assign_depth(grid: CellGrid) -> bool:
     grid.depth = np.where(fluid, -np.abs(hops), 1).astype(np.int32)  # orphans: hops -1
     if orphan.any():
         log.warning("%d fluid cells unreachable from any surface; assigned depth -1", int(orphan.sum()))
-    return not orphan.any()
 
 
 def clearing_distance(grid: CellGrid, new_solid) -> np.ndarray:

@@ -21,7 +21,7 @@ from . import grid as G
 from . import solids as S
 from . import solvers as V
 from .errors import IntegrityError, NoPathError, SolverError
-from .scene import SceneConfig
+from .scene import BandStrategy, SceneConfig
 
 MAX_SUBSTEPS = 10_000
 # a frame's band counters, summed over its substeps; records add n_deep
@@ -296,7 +296,7 @@ class Simulation:
                 grid, np.flatnonzero(claimed), cfg.lambda_penalty))
         problem = C.build_problem(grid, candidates, cfg.mu, classes)
 
-        flow_paths = band is not None and cfg.band.strategy is B.BandStrategy.FLOW_PATHS
+        flow_paths = band is not None and cfg.band.strategy is BandStrategy.FLOW_PATHS
         if band is not None:
             B.compute_alphas(grid, classes, band, cfg.mu)
             if not flow_paths:  # the balance row joins the solve

@@ -6,8 +6,6 @@ obstacles gray/red; particles drawn as dots on top.
 """
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from . import grid as G
@@ -28,9 +26,9 @@ COLORS = {
 PARTICLE_COLOR = (20, 40, 140)
 
 
-def render_frame_2d(cells: G.CellGrid, record, out_path) -> Path:
-    """Write one frame as a PPM image; refuses 3D scenes. The band classes
-    come from the record's raster."""
+def render_frame_2d(cells: G.CellGrid, record, out_path) -> None:
+    """Write one frame as a PPM image at ``out_path``; refuses 3D scenes. The
+    band classes come from the record's raster."""
     if cells.d != 2:
         raise InputError("rendering supports 2D scenes only; 3D export is the particle dump")
     nx, ny = cells.dims
@@ -56,8 +54,6 @@ def render_frame_2d(cells: G.CellGrid, record, out_path) -> Path:
                 c = np.clip(cols + dc, 0, img.shape[1] - 1)
                 img[r, c] = PARTICLE_COLOR
 
-    out_path = Path(out_path)
     with open(out_path, "wb") as fh:
         fh.write(f"P6 {img.shape[1]} {img.shape[0]} 255\n".encode("ascii"))
         fh.write(img.tobytes())
-    return out_path

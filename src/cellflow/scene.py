@@ -9,19 +9,17 @@ obstacle family.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
+from enum import Enum
 
 import numpy as np
 
 from . import grid as G
-from .band import BandStrategy
 from .errors import InputError
 from .solids import Kinematics
 
 CONFIG_VERSION = 1
 VERSION_KEY = "version"  # every scene file gives it, equal to CONFIG_VERSION
 
-# enum-valued keys and the name their parse errors give them
-ENUM_KEYS = {BandStrategy: "band strategy", Kinematics: "kinematics"}
 
 @dataclass
 class Box:
@@ -59,6 +57,11 @@ class ObstacleConfig:
     kinematics: Kinematics = Kinematics.SCRIPTED
     zero_bc: bool = False
     name: str = "obstacle"
+
+
+class BandStrategy(Enum):
+    FULL = "full"
+    FLOW_PATHS = "flow"
 
 
 @dataclass
@@ -159,6 +162,8 @@ class SceneConfig:
 # ----------------------------------------------------------------------
 # text format
 
+# enum-valued keys and the name their parse errors give them
+ENUM_KEYS = {BandStrategy: "band strategy", Kinematics: "kinematics"}
 # the keys of each part of a scene file, in writing order, with their kinds:
 # str, int, float, bool, an enum of ENUM_KEYS, or "ints", "floats" or "box"
 # for a line of numbers. A key whose dataclass field has no default is

@@ -14,7 +14,7 @@ from cellflow import cli
 from cellflow import correction as C
 from cellflow import grid as G
 from cellflow import solvers as V
-from cellflow.band import BandStrategy
+from cellflow.scene import BandStrategy
 from cellflow.outputs import VOLUME_COLUMNS
 from cellflow.scene import (BandConfig, Box, FluidRegion, SceneConfig, scene_to_text,
                              builtin_scene)
@@ -164,7 +164,7 @@ def put(array, index, value):
     (lambda a: {"target_flat": put(a["target_flat"], (-1, 0), -2)},
      "array 'target_flat' index (4, 0): a target off the grid, got -2"),
     (lambda a: {"cap": put(a["cap"], 8, -2)},
-     "array 'cap' index 8: a cap below -1, the uncapped mark, got -2"),
+     "array 'cap' index 8: a cap below 0, got -2"),
     (lambda a: {"cost": put(a["cost"], (-1, 0), np.nan)},
      "array 'cost' index (4, 0): a valid candidate's cost must be finite, got nan"),
     (lambda a: {"cost": put(a["cost"], (-1, 0), np.inf)},
@@ -186,10 +186,13 @@ def put(array, index, value):
     (lambda a: {"region_bounds": None}, "no array 'region_bounds'"),
     (lambda a: {"region": None}, "no array 'region'"),
     (lambda a: {"cap": a["cap"].astype(np.float64)}, "array 'cap' must hold int64, got float64"),
+    (lambda a: {"cap": put(a["cap"], 8, -1)}, "array 'cap' index 8: a cap below 0, got -1"),
+    (lambda a: {"region": None, "region_bounds": None}, "no array 'region'"),
 ], ids=["particle_out_of_range", "negative_dims", "negative_n", "negative_m", "m_not_2d_plus_1",
         "target_below_minus_one", "cap_below_minus_one", "cost_nan", "cost_inf", "cost_minus_inf",
         "cost_not_dyadic", "floor_negative", "floor_above_cap", "empty_region", "floored_region_cell", "no_cap",
-        "region_without_bounds", "bounds_without_region", "cap_as_floats"])
+        "region_without_bounds", "bounds_without_region", "cap_as_floats", "cap_minus_one",
+        "no_band_row"])
 def test_oracle_check_malformed_dump(tmp_path, rng, capsys, edit, where):
     # each edit of a sound problem's arrays is refused, naming the array
     problem, _, _ = random_problem(rng, n_max=6)

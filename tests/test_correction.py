@@ -11,7 +11,6 @@ from cellflow.flip import ParticleSet
 
 from conftest import (assert_same_problem, flat_index, random_band_instance, random_problem,
                       replayed, stay_choice)
-from oracles import with_region
 
 
 class TestDirections:
@@ -360,60 +359,6 @@ class TestDump:
         assert np.array_equal(choice, want_choice)
         assert stats.pi.tobytes() == want.pi.tobytes()
         assert (choice != problem.m - 1).any()
-
-    def test_plain_archive_without_band_row_loads(self, tmp_path):
-        # a plain replay file written while a plain problem held no band row
-        # has neither region nor region_bounds: it loads with the empty row,
-        # and the problem solves to the same choice and potentials, bit for bit
-        rng = np.random.default_rng(36)
-        searched = 0
-        for _ in range(30):
-            problem = random_problem(rng, dims=(8, 8), n_max=16)[0]
-            arrays = C.dump_problem(problem)
-            del arrays["region"], arrays["region_bounds"]
-            path = tmp_path / "old.npz"
-            np.savez(path, **arrays)
-            with np.load(path, allow_pickle=False) as old:
-                assert not {"region", "region_bounds"} & set(old.files)
-                loaded = C.load_problem(dict(old))
-            assert not loaded.region.any() and loaded.region_bounds == (0, 0)
-            assert_same_problem(loaded, problem)
-            choice, stats = V.solve_problem(loaded)
-            want_choice, want = V.solve_problem(problem)
-            assert np.array_equal(choice, want_choice)
-            assert stats.pi.tobytes() == want.pi.tobytes()
-            searched += stats.searches > 0
-        assert searched >= 5
-
-    def test_uncapped_mark_loads_as_n(self, tmp_path):
-        # a band replay file written while the deep cells were marked
-        # uncapped holds a cap of -1 there: it loads as n, and the problem
-        # solves to the same choice and potentials, bit for bit
-        rng = np.random.default_rng(34)
-        checked = 0
-        while checked < 10:
-            inst = random_band_instance(rng)
-            if inst is None:
-                continue
-            grid, particles, state, x_ideal = inst
-            classes = G.band_classes(grid, state.R)
-            if not classes["deep"].any():
-                continue
-            problem = with_region(
-                C.build_problem(grid, C.build_candidates(particles.x, x_ideal, grid), 1, classes),
-                grid, state.R, state.alpha_le)
-            arrays = C.dump_problem(problem)
-            arrays["cap"] = np.where(classes["deep"], -1, problem.cap)
-            path = tmp_path / "old.npz"
-            np.savez(path, **arrays)
-            with np.load(path, allow_pickle=False) as old:
-                loaded = C.load_problem(dict(old))
-            assert_same_problem(loaded, problem)
-            choice, stats = V.solve_problem(loaded)
-            want_choice, want = V.solve_problem(problem)
-            assert np.array_equal(choice, want_choice)
-            assert stats.pi.tobytes() == want.pi.tobytes()
-            checked += 1
 
     def test_reject_garbage(self):
         with pytest.raises(InputError, match="no array 'dims'"):

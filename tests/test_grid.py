@@ -1,4 +1,6 @@
 """Grid topology: neighborhoods, classification, depth, clearing, volume."""
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,12 +150,13 @@ class TestDepth:
         assert grid.depth[flat_index(grid, (2, 2))] == 1
         assert (grid.depth[grid.wall] == 1).all()
 
-    def test_sealed_tank_fallback(self):
+    def test_sealed_tank_fallback(self, caplog):
         grid = G.CellGrid((4, 4))
         cells = [(i, j) for i in range(1, 3) for j in range(1, 3)]
         G.classify_cells(grid, fill_cells(grid, cells), ())
-        had_surface = G.assign_depth(grid)
-        assert not had_surface
+        with caplog.at_level(logging.WARNING, logger="cellflow.grid"):
+            G.assign_depth(grid)
+        assert "4 fluid cells unreachable from any surface" in caplog.text
         assert (grid.depth[grid.fluid_mask()] == -1).all()
 
     def test_depth_lipschitz(self):

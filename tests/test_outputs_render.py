@@ -55,8 +55,8 @@ def test_render_band_colors(tmp_path):
                       band=BandConfig(enabled=True, R=2))
     sim = Simulation(cfg)
     rec = sim.initial_frame()
-    out = render_frame_2d(sim.grid, rec, tmp_path / "f.ppm")
-    raw = out.read_bytes()
+    render_frame_2d(sim.grid, rec, tmp_path / "f.ppm")
+    raw = (tmp_path / "f.ppm").read_bytes()
     assert raw.startswith(b"P6")
     # header + exact payload size
     header, _, payload = raw.partition(b"\n")

@@ -15,7 +15,7 @@ from cellflow import correction as C
 from cellflow import grid as G
 from cellflow import outputs as O
 from cellflow import solvers as V
-from cellflow.band import BandStrategy
+from cellflow.scene import BandStrategy
 from cellflow.errors import IntegrityError, NoPathError
 from cellflow.pipeline import Simulation, run
 from cellflow.scene import (BandConfig, Box, EmitterConfig, FluidRegion, ObstacleConfig,

@@ -1,11 +1,14 @@
 """Scene configs: parsing, validation, builtins, text round trip."""
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cellflow.band import BandStrategy
+from cellflow.scene import BandStrategy
 from cellflow.errors import InputError
 from cellflow.scene import (BUILTIN_SCENES, BandConfig, Box, EmitterConfig, FluidRegion,
                             ObstacleConfig, SceneConfig, builtin_scene, load_scene,
@@ -307,3 +310,14 @@ class TestValidation:
         section = f"\n[emitter]\nbox = 4 4 6 6\nvelocity = 0 0\n{keys}\n"
         with pytest.raises(InputError, match="emitter rate and total must be >= 0"):
             parse_scene(MINIMAL + section)
+
+
+def test_scene_module_leaves_band_unloaded():
+    # the scene format names the band strategies without the band solver
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = subprocess.run([sys.executable, "-c", "import sys, cellflow.scene; "
+                            "print('cellflow.band' in sys.modules)"],
+                           env={**os.environ, "PYTHONPATH": str(src)},
+                           capture_output=True, text=True)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "False"

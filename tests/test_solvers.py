@@ -750,7 +750,7 @@ def _band_problem_matches_highs(monkeypatch, scene, frame, R):
     rows. Returns where the plain optimum's region count lies against the
     interval (-1 below, 1 above), whether solid penalties entered, and the
     solve's stats."""
-    from cellflow.band import BandStrategy
+    from cellflow.scene import BandStrategy
     from cellflow.scene import BandConfig
 
     band = BandConfig(enabled=True, R=R, strategy=BandStrategy.FULL)

@@ -16,10 +16,14 @@ checked by hand.
 A parameter with a default must be passed by some program call: by keyword,
 by position (a method call skips self), or through *args or **kwargs. It
 must also be omitted by some program call, or the default serves only tests.
-A call matches by the callee's bare name, and a call of a class counts for
-its __init__; so a call of another function of the same name, such as
-``subprocess.run`` for ``pipeline.run``, can hide a default that every call
-of the program's own function overrides.
+A call of a class counts for its __init__. A call names its callee through
+the file's imports and top-level definitions where it can, so neither
+``subprocess.run`` nor a script's own ``run`` is a call of ``pipeline.run``;
+a call through anything else (a method call on an object) matches by the
+callee's bare name.
+A function whose return statement gives a value must have that value used
+by some program call, a call that is not a statement of its own, or the
+value serves only tests.
 """
 import ast
 from pathlib import Path
@@ -57,6 +61,9 @@ SHARED_FIELD_NAMES = {
 }
 UNPASSED_PARAMETERS_ALLOWED = {
     "grid.volume_report(per_cell)": "criterion 04: deep cells count as full",
+}
+RETURN_UNUSED_ALLOWED = {
+    "solvers.reduce_to_flow": "perfbench/tracing.py reads n_arcs off the problem it returns",
 }
 
 
@@ -96,40 +103,128 @@ def src_fields() -> dict[str, str]:
     return found
 
 
-def defaulted_parameters() -> dict[str, tuple[str, str, int | None]]:
-    """'module.function(parameter)' -> (callee name, parameter, positional
-    index, or None if keyword-only) of each defaulted parameter of a top-level
-    function of src/cellflow, or of a method of a top-level class. A method's
-    index skips its self or cls; an __init__ is called by its class's name."""
-    found = {}
+def src_functions():
+    """(module, callee name, qualified name, node) of each top-level function
+    of src/cellflow and each method of a top-level class; an __init__ is
+    called by its class's name."""
     for path in sorted((ROOT / "src" / "cellflow").glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            fns = [(node.name, node.name, node, 0)] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.FunctionDef):
+                yield path.stem, node.name, node.name, node
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if isinstance(sub, ast.FunctionDef):
                         callee = node.name if sub.name == "__init__" else sub.name
-                        fns.append((f"{node.name}.{sub.name}", callee, sub, 1))
-            for qual, callee, fn, skip in fns:
-                args = fn.args.posonlyargs + fn.args.args
-                first = len(args) - len(fn.args.defaults)
-                params = [(arg.arg, k - skip) for k, arg in enumerate(args) if k >= first]
-                params += [(arg.arg, None) for arg, default
-                           in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None]
-                found.update({f"{path.stem}.{qual}({name})": (callee, name, index)
-                              for name, index in params})
+                        yield path.stem, callee, f"{node.name}.{sub.name}", sub
+
+
+def defaulted_parameters() -> dict[str, tuple[str, str, str, int | None]]:
+    """'module.function(parameter)' -> (module, callee name, parameter,
+    positional index, or None if keyword-only) of each defaulted parameter of
+    a src function. A method's index skips its self or cls."""
+    found = {}
+    for module, callee, qual, fn in src_functions():
+        skip = int("." in qual)
+        args = fn.args.posonlyargs + fn.args.args
+        first = len(args) - len(fn.args.defaults)
+        params = [(arg.arg, k - skip) for k, arg in enumerate(args) if k >= first]
+        params += [(arg.arg, None) for arg, default
+                   in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None]
+        found.update({f"{module}.{qual}({name})": (module, callee, name, index)
+                      for name, index in params})
     return found
 
 
-def program_calls(paths) -> dict[str, list[ast.Call]]:
-    """Callee bare name -> the calls of it in the given files."""
-    calls = {}
+def returns_value(fn: ast.FunctionDef) -> bool:
+    """Whether a return statement of the function's own body gives a value."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Return) and node.value is not None and not (
+                isinstance(node.value, ast.Constant) and node.value.value is None):
+            return True
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def returning_functions() -> dict[str, tuple[str, str]]:
+    """'module.function' -> (module, callee name) of each src function, less
+    dunders and properties, that returns a value."""
+    return {f"{module}.{qual}": (module, callee) for module, callee, qual, fn in src_functions()
+            if not fn.name.startswith("__") and returns_value(fn)
+            and not any(getattr(dec, "id", None) == "property" for dec in fn.decorator_list)}
+
+
+def bound_names(path: Path, tree: ast.Module) -> dict[str, str]:
+    """Name -> the dotted path that the file's imports, anywhere in it, or its
+    top-level definitions bind it to. A relative import, and a definition in
+    src/cellflow, resolve in the cellflow package; another file's
+    definitions resolve under the file's own path."""
+    here = (f"cellflow.{path.stem}" if path.parent == ROOT / "src" / "cellflow"
+            else str(path.relative_to(ROOT)))
+    bound = {node.name: f"{here}.{node.name}" for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = (
+                    alias.name if alias.asname else alias.name.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["cellflow" if node.level else None, node.module]))
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{base}.{alias.name}"
+    return bound
+
+
+def dotted(node: ast.expr, bound: dict[str, str]) -> str | None:
+    """The dotted path of a chain of attributes on a bound name, or None."""
+    if isinstance(node, ast.Name):
+        return bound.get(node.id)
+    if isinstance(node, ast.Attribute):
+        head = dotted(node.value, bound)
+        return head and f"{head}.{node.attr}"
+    return None
+
+
+def program_uses(paths):
+    """The uses of callables in the given files: callee bare name -> (owner,
+    call, whether its value is used) of each call, and the (owner, bare name)
+    of each name or attribute loaded but not called, a function passed on as
+    a value (a builtin scene's constructor) whose calls no guard sees. The
+    owner is the dotted path that the name is an attribute of, or None where
+    it is reached through an object."""
+    calls, values = {}, set()
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                calls.setdefault(name, []).append(node)
-    return calls
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = bound_names(path, tree)
+        statements = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Call, ast.Name, ast.Attribute)):
+                named = node.func if isinstance(node, ast.Call) else node
+                name = getattr(named, "id", None) or getattr(named, "attr", None)
+                where = dotted(named, bound)
+                owner = where.rsplit(".", 1)[0] if where else None
+                if isinstance(node, ast.Call):
+                    calls.setdefault(name, []).append((owner, node, id(node) not in statements))
+                elif isinstance(node.ctx, ast.Load) and id(node) not in callees:
+                    values.add((owner, name))
+    return calls, values
+
+
+def reaches(owner: str | None, module: str) -> bool:
+    """Whether a callee under ``owner`` may be one of src/cellflow/<module>.py:
+    it is reached through an object, or resolved to that module or a class
+    of it."""
+    home = f"cellflow.{module}"
+    return owner is None or owner == home or owner.startswith(home + ".")
+
+
+def calls_of(calls, module: str, callee: str) -> list[tuple[ast.Call, bool]]:
+    """(call, whether its value is used) of each program call that may reach
+    ``callee`` of src/cellflow/<module>.py."""
+    return [(call, used) for owner, call, used in calls.get(callee, []) if reaches(owner, module)]
 
 
 def passes(call: ast.Call, name: str, index: int | None) -> bool:
@@ -208,19 +303,34 @@ def test_shared_field_names_are_pinned():
 
 
 def test_no_defaulted_parameter_is_test_only():
-    calls = program_calls(program_files())
-    unpassed = sorted(q for q, (callee, name, index) in defaulted_parameters().items()
-                      if not any(passes(call, name, index) for call in calls.get(callee, []))
+    calls, _ = program_uses(program_files())
+    unpassed = sorted(q for q, (module, callee, name, index) in defaulted_parameters().items()
+                      if not any(passes(call, name, index)
+                                 for call, _ in calls_of(calls, module, callee))
                       and q not in UNPASSED_PARAMETERS_ALLOWED)
     assert not unpassed, f"defaulted parameters that no program code passes: {unpassed}"
 
 
 def test_no_default_is_always_overridden():
-    calls = program_calls(program_files())
-    overridden = sorted(q for q, (callee, name, index) in defaulted_parameters().items()
-                        if all(passes(call, name, index) for call in calls.get(callee, [])))
+    calls, _ = program_uses(program_files())
+    overridden = sorted(q for q, (module, callee, name, index) in defaulted_parameters().items()
+                        if all(passes(call, name, index)
+                               for call, _ in calls_of(calls, module, callee)))
     assert not overridden, f"defaulted parameters that every program call passes: {overridden}"
 
 
 def test_parameter_allowlist_names_existing_parameters():
     assert set(UNPASSED_PARAMETERS_ALLOWED) <= set(defaulted_parameters())
+
+
+def test_no_returned_value_is_test_only():
+    calls, values = program_uses(program_files())
+    unused = sorted(q for q, (module, callee) in returning_functions().items()
+                    if not any(used for _, used in calls_of(calls, module, callee))
+                    and not any(name == callee and reaches(owner, module) for owner, name in values)
+                    and q not in RETURN_UNUSED_ALLOWED and q not in TEST_ONLY_ALLOWED)
+    assert not unused, f"functions whose returned value no program call uses: {unused}"
+
+
+def test_return_allowlist_names_existing_functions():
+    assert set(RETURN_UNUSED_ALLOWED) <= set(returning_functions())
